@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,13 @@ from repro.units import CACHELINE_BYTES
 #: suggests :meth:`DtlController.access_batch` (once, via
 #: :class:`~repro.errors.PerformanceWarning`).
 SCALAR_ACCESS_WARN_THRESHOLD = 100_000
+
+#: Under an armed fault plan, a span between two SMC-corruption cuts
+#: shorter than this many accesses is served element-wise: one vector
+#: pass has the fixed cost of about this many scalar accesses (measured,
+#: docs/PERF.md), so a dense plan never pays a numpy pass per handful of
+#: accesses and a sparse one never leaves the vector path.
+_MIN_VECTOR_SPAN = 8
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,13 @@ class BatchAccessResult:
 
     def __len__(self) -> int:
         return len(self.hpas)
+
+    @classmethod
+    def concat(cls, parts: list["BatchAccessResult"]) -> "BatchAccessResult":
+        """Consecutive sub-batch results joined back into one batch."""
+        return cls(**{column.name: np.concatenate(
+            [getattr(part, column.name) for part in parts])
+            for column in fields(cls)})
 
     @property
     def total_latency_ns(self) -> float:
@@ -312,7 +326,7 @@ class DtlController:
         """One host load/store through the CXL + DTL datapath."""
         # Only user-initiated access() calls count toward the
         # PerformanceWarning threshold.  Batch-internal scalar replays
-        # (fault-plan replay, self-refresh event replay) go through
+        # (short spans under a fault plan, self-refresh events) go through
         # _access_one / policy hooks directly and must never trip the
         # "switch to access_batch" warning — the caller already did.
         self._scalar_access_calls += 1
@@ -384,13 +398,33 @@ class DtlController:
         """Vectorised :meth:`access` over a whole request array.
 
         Bit-identical to calling :meth:`access` once per element in
-        order: DSNs, hit classes, per-access latencies, wake penalties,
-        write routing, cache/counter state, and power states all match
-        the scalar loop (float *totals* and trace buffer ordering can
-        differ; see docs/PERF.md).  Only two conditions fall back to
-        scalar replay, and only for the affected subset: writes to
-        segments with a tracked migration, and accesses on channels whose
-        self-refresh state machine could change mid-batch.
+        order, armed fault injector included: DSNs, hit classes,
+        per-access latencies, wake penalties, write routing,
+        cache/counter state, power states, and the injector's visit and
+        fire counters all match the scalar loop.
+
+        The batch stays vectorised except where order can be observed,
+        and then only the affected subset leaves the vector path:
+
+        * writes to segments with a tracked migration run the engine's
+          conflict protocol (in bulk, order collapsed inside it);
+        * accesses that can change a channel's self-refresh state
+          machine replay one at a time inside
+          :meth:`HotnessSelfRefreshPolicy.on_access_batch`;
+        * an ``smc.lookup`` corruption changes later translations, so
+          the batch is *cut* there: translate up to and including the
+          firing access, drop its entry, continue.  Every other
+          access-path fault is additive (``cxl.access`` latency,
+          ``dram.access`` ECC accounting) and costs no cut;
+        * a span between cuts shorter than ``_MIN_VECTOR_SPAN`` accesses
+          (dense plans, tiny batches) goes element-wise through the
+          scalar protocol, which is cheaper than a vector call that
+          short.
+
+        Not guaranteed: the trace ring's ordering of ``ACCESS`` events
+        against ``FAULT_INJECTED``/``ECC_ERROR``/``SR_EXIT`` events from
+        the same batch (counts per kind match), and float histogram
+        *totals* (see docs/PERF.md).
         """
         hpas = np.asarray(hpas, dtype=np.int64)
         n = len(hpas)
@@ -401,13 +435,26 @@ class DtlController:
             if len(writes) != n:
                 raise ValueError(
                     f"writes length {len(writes)} != hpas length {n}")
-        # An *active* fault plan can perturb any access (ECC, link faults,
-        # SMC corruption), so the whole batch replays through the scalar
-        # protocol in order.  Checked once per batch; an armed injector
-        # whose plan has no specs keeps the exact vectorised path so its
-        # telemetry stays bit-identical to an unarmed run.
-        if self._faults is not None and self._faults.active:
-            return self._replay_batch_scalar(host_id, hpas, writes, now_ns)
+        if self._faults is None or not n:
+            return self._access_vector(host_id, hpas, writes, now_ns)
+        parts = []
+        start = 0
+        while start < n:
+            stop = start + self._faults.smc_lookup_span(n - start)
+            serve = (self._access_vector
+                     if stop - start >= _MIN_VECTOR_SPAN
+                     else self._access_elementwise)
+            parts.append(serve(host_id, hpas[start:stop], writes[start:stop],
+                               now_ns))
+            start = stop
+        return parts[0] if len(parts) == 1 else BatchAccessResult.concat(parts)
+
+    def _access_vector(self, host_id: int, hpas: np.ndarray,
+                       writes: np.ndarray,
+                       now_ns: float) -> BatchAccessResult:
+        """One vector pass; with an armed injector ``hpas`` must not
+        reach past the next SMC corruption (``smc_lookup_span``)."""
+        n = len(hpas)
         host = self.host_layout
         hsn_locals, offsets = host.split_hpa_batch(hpas)
         au_ids = hsn_locals // host.segments_per_au
@@ -443,6 +490,16 @@ class DtlController:
             wake_ns = np.zeros(n, dtype=np.float64)
         dpas = self.device_layout.dpa_of_batch(dsns, offsets)
         latency_ns = self.cxl_latency_ns + xlat_ns + wake_ns
+        if self._faults is not None:
+            # Hooks, none of which feeds back into the steps above:
+            # smc.lookup (only the span's last lookup can fire, and its
+            # dropped entry matters to the *next* translation),
+            # cxl.access (additive latency, added last as in the scalar
+            # sum) and dram.access (ECC accounting in access order).
+            self._faults.on_smc_lookup_batch(hsns, self.translation)
+            latency_ns += self._faults.on_cxl_access_batch(n, now_ns)
+            self._faults.on_dram_access_batch(channels, ranks, self.device,
+                                              now_s=now_ns / 1e9)
         self._accesses.inc(n)
         self._writes.inc(int(writes.sum()))
         self._redirects.inc(int(routed_new.sum()))
@@ -461,10 +518,11 @@ class DtlController:
             latency_ns=latency_ns, smc_l1_hits=l1_hits, smc_l2_hits=l2_hits,
             wake_penalty_ns=wake_ns, routed_to_new_dsn=routed_new)
 
-    def _replay_batch_scalar(self, host_id: int, hpas: np.ndarray,
-                             writes: np.ndarray,
-                             now_ns: float) -> BatchAccessResult:
-        """Element-wise replay of a batch under an active fault plan."""
+    def _access_elementwise(self, host_id: int, hpas: np.ndarray,
+                            writes: np.ndarray,
+                            now_ns: float) -> BatchAccessResult:
+        """A span too short to be worth a vector pass, one access at a
+        time (the scalar hooks fire inside :meth:`_access_one`)."""
         results = [self._access_one(host_id, int(hpa), bool(write), now_ns)
                    for hpa, write in zip(hpas, writes)]
         return BatchAccessResult(

@@ -391,12 +391,47 @@ class HotnessSelfRefreshPolicy:
             return penalties
         channels = dsns & self._channel_mask
         ranks = (dsns >> self._rank_shift) & self._rank_mask
+        if self._faults is not None and self._faults.counts_sr_exits:
+            # An sr.exit spec counts wakes across channels, which makes
+            # their global order observable; the per-channel loop below
+            # only keeps intra-channel order, so it may wake ranks on
+            # one channel at most.
+            stop = self._single_wake_channel_prefix(channels, ranks)
+            if stop < len(dsns):
+                penalties[:stop] = self.on_access_batch(dsns[:stop], now_ns)
+                penalties[stop:] = self.on_access_batch(dsns[stop:], now_ns)
+                return penalties
         for channel in np.unique(channels):
             channel = int(channel)
             idx = np.nonzero(channels == channel)[0]
             self._run_channel_batch(channel, dsns[idx], ranks[idx], idx,
                                     penalties, now_ns)
         return penalties
+
+    def _single_wake_channel_prefix(self, channels: np.ndarray,
+                                    ranks: np.ndarray) -> int:
+        """Length of the longest prefix that wakes ranks on one channel.
+
+        Ranks only *leave* self-refresh during a batch, so the ranks
+        asleep now bound every wake: the prefix ends before the first
+        touch of a sleeping rank on a second channel.  It always holds
+        the first wake, so re-screening the rest terminates.
+        """
+        sleeping = {channel: self.sr_ranks(channel)
+                    for channel in self._channels}
+        if sum(map(bool, sleeping.values())) < 2:
+            return len(channels)
+        touches = np.zeros(len(channels), dtype=bool)
+        for channel, asleep in sleeping.items():
+            if asleep:
+                touches |= (channels == channel) & np.isin(ranks, asleep)
+        hits = np.flatnonzero(touches)
+        if not len(hits):
+            return len(channels)
+        elsewhere = channels[hits] != channels[hits[0]]
+        if not elsewhere.any():
+            return len(channels)
+        return int(hits[np.argmax(elsewhere)])
 
     def _bulk_apply(self, channel: int, state: _ChannelState,
                     run_dsns: np.ndarray, run_ranks: np.ndarray) -> None:

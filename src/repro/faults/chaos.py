@@ -261,8 +261,8 @@ class ChaosSoakExperiment:
         churn = controller.allocate_vm(2, 8 * MIB, now_s=clock.now_s)
         audit()
 
-        # Phase 1 — warm both working sets (CXL/ECC/SMC faults fire on
-        # the scalar replay path the active plan forces).
+        # Phase 1 — warm both working sets (CXL/ECC/SMC faults fire
+        # inside the vectorised batches, scheduled by the injector).
         self._drive(controller, hot, rng, clock)
         self._drive(controller, cold, rng, clock)
         audit()

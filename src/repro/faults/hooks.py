@@ -10,9 +10,10 @@ adding it in three places — the enum, the catalog, and the datapath —
 and the guard keeps the three in sync.
 
 Hook calls are guarded by ``if self._faults is not None:`` at every
-site, so an unarmed datapath pays one attribute load and a branch — the
-vectorised batch path keeps its zero-overhead guarantee (and skips even
-that by checking once per batch).
+site, so an unarmed datapath pays one attribute load and a branch.  The
+three access-path hooks also have a *batch* injector method (one call
+per vector pass of ``access_batch``, same guard, same counters as the
+per-access method called once per element).
 """
 
 from __future__ import annotations
@@ -55,12 +56,16 @@ class HookInfo:
         module: Repository-relative path of the module that calls it
             (the lint guard greps this file for ``method``).
         description: One line for ``docs/FAULTS.md``.
+        batch_method: The injector method ``module`` calls once per
+            vector pass instead of ``method`` once per access (access
+            path hooks only; ``None`` elsewhere).
     """
 
     point: HookPoint
     method: str
     module: str
     description: str
+    batch_method: str | None = None
 
 
 #: Hook point -> where and how it is wired.  Keep in sync with the
@@ -69,15 +74,18 @@ HOOK_CATALOG: dict[HookPoint, HookInfo] = {
     HookPoint.CXL_ACCESS: HookInfo(
         HookPoint.CXL_ACCESS, "on_cxl_access",
         "src/repro/core/controller.py",
-        "per-access CXL link error/stall with bounded retry + backoff"),
+        "per-access CXL link error/stall with bounded retry + backoff",
+        batch_method="on_cxl_access_batch"),
     HookPoint.SMC_LOOKUP: HookInfo(
         HookPoint.SMC_LOOKUP, "on_smc_lookup",
         "src/repro/core/controller.py",
-        "SMC entry corruption: parity detection drops the entry"),
+        "SMC entry corruption: parity detection drops the entry",
+        batch_method="on_smc_lookup_batch"),
     HookPoint.DRAM_ACCESS: HookInfo(
         HookPoint.DRAM_ACCESS, "on_dram_access",
         "src/repro/core/controller.py",
-        "per-rank DRAM ECC single/multi-bit error accounting"),
+        "per-rank DRAM ECC single/multi-bit error accounting",
+        batch_method="on_dram_access_batch"),
     HookPoint.MIGRATION_COPY: HookInfo(
         HookPoint.MIGRATION_COPY, "on_migration_copy",
         "src/repro/core/migration.py",

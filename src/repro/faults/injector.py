@@ -7,7 +7,11 @@ guarded site in the datapath (see
 :data:`~repro.faults.hooks.HOOK_CATALOG`); the injector counts eligible
 events per spec and fires on the counter arithmetic documented in
 :mod:`repro.faults.plan` — no clock, no RNG, so a replay of the same
-plan over the same workload is bit-identical.
+plan over the same workload is bit-identical.  The three access-path
+hooks also come as ``*_batch`` methods that take one vector pass of
+``access_batch`` at a time: same counters, same fires, same report as
+the per-access method called once per element, with the fires found
+in closed form instead of by asking ``n`` times.
 
 Telemetry is **lazy**: no ``faults.*`` metric exists in the registry
 until the first fault actually fires.  An armed injector whose plan
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.cxl.link import CxlLinkConfig
 from repro.faults.hooks import HookPoint
@@ -152,9 +158,13 @@ class FaultInjector:
         self.data_loss_events = 0
 
     @property
-    def active(self) -> bool:
-        """True when the plan can fire anything at all."""
-        return self.plan.active
+    def counts_sr_exits(self) -> bool:
+        """True when the plan has an ``sr.exit`` spec.
+
+        Such a spec counts self-refresh wakes across *all* channels, so
+        the wake order between channels becomes observable.
+        """
+        return bool(self._by_hook[HookPoint.SR_EXIT])
 
     def visits(self, point: HookPoint) -> int:
         """Events the datapath exposed at ``point`` so far."""
@@ -192,6 +202,31 @@ class FaultInjector:
             self._trace.record(EventKind.FAULT_INJECTED, point=point.value,
                                fault=type(spec).__name__, **data)
 
+    def _batch_fires(self, point: HookPoint, n: int, eligible=None,
+                     ) -> list[tuple[int, int, FaultSpec]]:
+        """Advance ``point`` by ``n`` visits with no per-visit work.
+
+        Returns ``(offset, plan index, spec)`` for every fire among
+        those visits, sorted the way the scalar loop takes them (by
+        access, then plan order), and leaves every visit/fire counter
+        where ``n`` scalar hook calls would.  ``eligible(spec)`` names
+        the offsets a filtered spec counts as its eligible events
+        (``None``: all of them).
+        """
+        self._visits[point] += n
+        fires: list[tuple[int, int, FaultSpec]] = []
+        for index, spec in self._by_hook[point]:
+            where = eligible(spec) if eligible is not None else None
+            events = n if where is None else len(where)
+            offsets = spec.fire_offsets(self._spec_visits[index],
+                                        self._spec_fires[index], events)
+            self._spec_visits[index] += events
+            self._spec_fires[index] += len(offsets)
+            fires.extend((k if where is None else int(where[k]), index, spec)
+                         for k in offsets)
+        fires.sort()  # (offset, index) is unique: specs never compare
+        return fires
+
     # -- hook methods (one per catalog entry) -------------------------------------
 
     def on_cxl_access(self, now_ns: float = 0.0) -> float:
@@ -199,24 +234,34 @@ class FaultInjector:
         self._visits[HookPoint.CXL_ACCESS] += 1
         extra = 0.0
         for index, spec in self._by_hook[HookPoint.CXL_ACCESS]:
-            if not self._eligible(index, spec):
-                continue
-            assert isinstance(spec, CxlLinkFault)
-            if spec.kind == "stall":
-                extra += spec.stall_ns
-            else:
-                extra += self._link.replay_latency_ns(spec.retries,
-                                                      spec.backoff_ns)
-                self.cxl_retry_counts[spec.retries] = (
-                    self.cxl_retry_counts.get(spec.retries, 0) + 1)
-                if self._registry is not None:
-                    self._registry.histogram(
-                        "faults.cxl.retries",
-                        bounds=RETRY_BUCKETS).observe(float(spec.retries))
-            self.detected += 1
-            self.recovered += 1  # bounded retry always succeeds here
-            self._fired(HookPoint.CXL_ACCESS, spec, time=now_ns,
-                        fault_kind=spec.kind, extra_ns=extra)
+            if self._eligible(index, spec):
+                extra += self._cxl_fire(spec, now_ns)
+        return extra
+
+    def on_cxl_access_batch(self, n: int, now_ns: float = 0.0) -> np.ndarray:
+        """:meth:`on_cxl_access` for ``n`` transactions; extra ns each."""
+        fault_ns = np.zeros(n, dtype=np.float64)
+        for offset, _, spec in self._batch_fires(HookPoint.CXL_ACCESS, n):
+            fault_ns[offset] += self._cxl_fire(spec, now_ns)
+        return fault_ns
+
+    def _cxl_fire(self, spec: CxlLinkFault, now_ns: float) -> float:
+        """Account one fired link fault; returns the latency it adds."""
+        if spec.kind == "stall":
+            extra = spec.stall_ns
+        else:
+            extra = self._link.replay_latency_ns(spec.retries,
+                                                 spec.backoff_ns)
+            self.cxl_retry_counts[spec.retries] = (
+                self.cxl_retry_counts.get(spec.retries, 0) + 1)
+            if self._registry is not None:
+                self._registry.histogram(
+                    "faults.cxl.retries",
+                    bounds=RETRY_BUCKETS).observe(float(spec.retries))
+        self.detected += 1
+        self.recovered += 1  # bounded retry always succeeds here
+        self._fired(HookPoint.CXL_ACCESS, spec, time=now_ns,
+                    fault_kind=spec.kind, extra_ns=extra)
         return extra
 
     def on_smc_lookup(self, hsn: int, translation) -> bool:
@@ -229,14 +274,41 @@ class FaultInjector:
         self._visits[HookPoint.SMC_LOOKUP] += 1
         corrupted = False
         for index, spec in self._by_hook[HookPoint.SMC_LOOKUP]:
-            if not self._eligible(index, spec):
-                continue
-            translation.invalidate(hsn)
-            corrupted = True
-            self.detected += 1
-            self.recovered += 1  # re-walk restores the true mapping
-            self._fired(HookPoint.SMC_LOOKUP, spec, hsn=hsn)
+            if self._eligible(index, spec):
+                self._smc_fire(spec, hsn, translation)
+                corrupted = True
         return corrupted
+
+    def smc_lookup_span(self, n: int) -> int:
+        """How many of the next ``n`` lookups may be translated at once.
+
+        Corruption is the one access-path fault that changes *later*
+        translations, so a vector translation must end with the first
+        lookup that fires; pure peek, no counter moves.
+        """
+        for index, spec in self._by_hook[HookPoint.SMC_LOOKUP]:
+            offsets = spec.fire_offsets(self._spec_visits[index],
+                                        self._spec_fires[index], n)
+            if offsets:
+                n = offsets[0] + 1
+        return n
+
+    def on_smc_lookup_batch(self, hsns: np.ndarray, translation) -> None:
+        """:meth:`on_smc_lookup` after translating ``hsns`` in one go.
+
+        ``len(hsns)`` must not exceed :meth:`smc_lookup_span`, so only
+        the last lookup can fire and nothing was translated past it.
+        """
+        for offset, _, spec in self._batch_fires(HookPoint.SMC_LOOKUP,
+                                                 len(hsns)):
+            self._smc_fire(spec, int(hsns[offset]), translation)
+
+    def _smc_fire(self, spec: FaultSpec, hsn: int, translation) -> None:
+        """Account one fired corruption: drop ``hsn``'s cached entry."""
+        translation.invalidate(hsn)
+        self.detected += 1
+        self.recovered += 1  # re-walk restores the true mapping
+        self._fired(HookPoint.SMC_LOOKUP, spec, hsn=hsn)
 
     def on_dram_access(self, channel: int, rank: int, device,
                        now_s: float = 0.0) -> None:
@@ -244,20 +316,38 @@ class FaultInjector:
         self._visits[HookPoint.DRAM_ACCESS] += 1
         for index, spec in self._by_hook[HookPoint.DRAM_ACCESS]:
             assert isinstance(spec, EccFault)
-            if not spec.applies_to(channel, rank):
-                continue
-            if not self._eligible(index, spec):
-                continue
-            corrected = device.record_ecc_error((channel, rank),
-                                                bits=spec.bits, now_s=now_s)
-            self.detected += 1
-            if corrected:
-                self.ecc_corrected += 1
-                self.recovered += 1
-            else:
-                self.ecc_uncorrected += 1
-            self._fired(HookPoint.DRAM_ACCESS, spec, channel=channel,
-                        rank=rank, bits=spec.bits)
+            if (spec.applies_to(channel, rank)
+                    and self._eligible(index, spec)):
+                self._ecc_fire(spec, channel, rank, device, now_s)
+
+    def on_dram_access_batch(self, channels: np.ndarray, ranks: np.ndarray,
+                             device, now_s: float = 0.0) -> None:
+        """:meth:`on_dram_access` over decoded ``channels``/``ranks``.
+
+        A channel/rank-filtered spec counts only the accesses it
+        applies to, as in the scalar loop; errors are recorded in
+        access order.
+        """
+        fires = self._batch_fires(
+            HookPoint.DRAM_ACCESS, len(channels),
+            lambda spec: spec.eligible_offsets(channels, ranks))
+        for offset, _, spec in fires:
+            self._ecc_fire(spec, int(channels[offset]), int(ranks[offset]),
+                           device, now_s)
+
+    def _ecc_fire(self, spec: EccFault, channel: int, rank: int, device,
+                  now_s: float) -> None:
+        """Account one fired ECC error against ``(channel, rank)``."""
+        corrected = device.record_ecc_error((channel, rank),
+                                            bits=spec.bits, now_s=now_s)
+        self.detected += 1
+        if corrected:
+            self.ecc_corrected += 1
+            self.recovered += 1
+        else:
+            self.ecc_uncorrected += 1
+        self._fired(HookPoint.DRAM_ACCESS, spec, channel=channel,
+                    rank=rank, bits=spec.bits)
 
     def on_migration_copy(self, request, channel: int) -> bool:
         """Abort check before one copy step; True aborts the request.
@@ -300,7 +390,8 @@ class FaultInjector:
             self.detected += 1
             self.recovered += 1  # the exit eventually succeeds
             self._fired(point, spec, fault_kind=spec.kind,
-                        base_penalty_ns=penalty_ns, extra_ns=extra)
+                        base_penalty_ns=penalty_ns,
+                        extra_ns=spec.extra_penalty_ns)
         return extra
 
     # -- serialisation -----------------------------------------------------------

@@ -13,7 +13,10 @@ fires on pure counter arithmetic::
 
 Replaying the same plan over the same workload therefore injects the
 same faults at the same points, bit for bit — the property the
-determinism suite (``tests/faults/test_determinism.py``) locks in.
+determinism suite (``tests/faults/test_determinism.py``) locks in.  It
+is also what lets the batch datapath *schedule* a plan instead of
+polling it: :meth:`FaultSpec.fire_offsets` answers "which of the next
+``n`` events fire" in closed form.
 
 Plans are plain nested frozen dataclasses, so
 :func:`repro.exec.hashing.canonical` hashes them with no special
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.faults.hooks import HookPoint
@@ -68,6 +73,24 @@ class FaultSpec:
         if self.max_fires and fired >= self.max_fires:
             return False
         return (visit - self.start) % self.period == 0
+
+    def fire_offsets(self, visit: int, fired: int, n: int) -> range:
+        """:meth:`matches` in closed form over the next ``n`` events.
+
+        With the eligible-event counter at ``visit`` and ``fired`` fires
+        so far, offset ``k`` is in the result iff the scalar loop would
+        fire on event ``visit + k`` (``0 <= k < n``) — the batch
+        datapath's schedule, no per-event work.
+        """
+        first = self.start
+        if visit > first:
+            first += -(-(visit - first) // self.period) * self.period
+        end = min(visit + n, self.stop) if self.stop else visit + n
+        count = max(0, -(-(end - first) // self.period))
+        if self.max_fires:
+            count = min(count, max(0, self.max_fires - fired))
+        offset = first - visit
+        return range(offset, offset + count * self.period, self.period)
 
 
 @dataclass(frozen=True)
@@ -124,6 +147,22 @@ class EccFault(FaultSpec):
         """True when an access to ``(channel, rank)`` is eligible."""
         return ((self.channel < 0 or self.channel == channel)
                 and (self.rank < 0 or self.rank == rank))
+
+    def eligible_offsets(self, channels: np.ndarray,
+                         ranks: np.ndarray) -> np.ndarray | None:
+        """Batch :meth:`applies_to`: offsets of the eligible accesses.
+
+        ``None`` means every access (no filter) — the common case, which
+        then costs no array work at all.
+        """
+        if self.channel < 0 and self.rank < 0:
+            return None
+        eligible = np.ones(len(channels), dtype=bool)
+        if self.channel >= 0:
+            eligible &= channels == self.channel
+        if self.rank >= 0:
+            eligible &= ranks == self.rank
+        return np.flatnonzero(eligible)
 
 
 @dataclass(frozen=True)

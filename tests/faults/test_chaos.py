@@ -22,6 +22,27 @@ class TestChaosSoak:
         assert len(result.level_reports) == 2
         assert result.snapshot  # telemetry snapshot captured
 
+    def test_quick_soak_reports_what_the_scalar_replay_reported(self):
+        """``repro chaos --quick``: same faults on the same accesses.
+
+        Golden from the last commit whose ``access_batch`` replayed an
+        armed batch element-wise; the vectorised schedule must land
+        every fire, audit and counter in the same place.
+        """
+        config = ChaosSoakConfig(seed=0).replace(
+            levels=2, batches_per_phase=4, batch_size=32)
+        report = ChaosSoakExperiment(config).run().report
+        assert report.injected == {
+            "cxl.access": 144, "dram.access": 67, "migration.copy": 4,
+            "power.mpsm_exit": 3, "smc.lookup": 32, "sr.exit": 1}
+        assert (report.detected, report.recovered) == (251, 240)
+        assert (report.ecc_corrected, report.ecc_uncorrected) == (56, 11)
+        assert report.cxl_retry_counts == {2: 99}
+        assert report.power_exit_failures == 2
+        assert report.checker_audits == 20
+        assert report.checker_violations == []
+        assert report.data_loss_events == 0
+
     def test_base_plan_covers_every_hook_family(self):
         from repro.faults.plan import (CxlLinkFault, EccFault,
                                        MigrationAbortFault, PowerExitFault,

@@ -11,7 +11,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import (CxlLinkFault, EccFault, FaultPlan,
                                MigrationAbortFault, PowerExitFault,
                                SmcCorruptionFault)
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import EventKind, EventTrace, MetricsRegistry
 from repro.units import MIB
 
 
@@ -167,6 +167,48 @@ class TestPowerExitHook:
         assert injector.power_exit_failures == 3
         assert injector.visits(HookPoint.MPSM_EXIT) == 1
         assert injector.visits(HookPoint.SR_EXIT) == 1
+
+
+class TestTwoSpecsSameVisit:
+    """Each FAULT_INJECTED event carries its own spec's contribution.
+
+    Regression: the events used to be stamped with the call's *running*
+    total, so the second spec's ``extra_ns`` double-reported the first.
+    """
+
+    @staticmethod
+    def _extras(trace: EventTrace) -> list[float]:
+        return [event.data["extra_ns"] for event in trace.events()
+                if event.kind is EventKind.FAULT_INJECTED]
+
+    def test_cxl_events_report_their_own_extra(self):
+        trace = EventTrace()
+        link = CxlLinkConfig()
+        injector = FaultInjector(FaultPlan(specs=(
+            CxlLinkFault(kind="stall", stall_ns=400.0),
+            CxlLinkFault(retries=2, backoff_ns=40.0))),
+            trace=trace, link=link)
+        replay = link.replay_latency_ns(2, 40.0)
+        assert injector.on_cxl_access() == 400.0 + replay
+        assert self._extras(trace) == [400.0, replay]
+
+    def test_cxl_batch_events_report_their_own_extra(self):
+        trace = EventTrace()
+        injector = FaultInjector(FaultPlan(specs=(
+            CxlLinkFault(kind="stall", stall_ns=400.0),
+            CxlLinkFault(kind="stall", stall_ns=70.0, period=2))),
+            trace=trace)
+        assert list(injector.on_cxl_access_batch(3)) == [470.0, 400.0, 470.0]
+        assert self._extras(trace) == [400.0, 70.0, 400.0, 400.0, 70.0]
+
+    def test_power_exit_events_report_their_own_extra(self):
+        trace = EventTrace()
+        injector = FaultInjector(FaultPlan(specs=(
+            PowerExitFault(target="sr", kind="delay", delay_ns=700.0),
+            PowerExitFault(target="sr", kind="fail", delay_ns=100.0,
+                           failures=3))), trace=trace)
+        assert injector.on_power_exit("sr", 50.0) == 1000.0
+        assert self._extras(trace) == [700.0, 300.0]
 
 
 class TestLazyTelemetry:

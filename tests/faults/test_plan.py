@@ -1,6 +1,9 @@
 """Fault-plan schedule arithmetic and validation."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults.hooks import HookPoint
@@ -36,6 +39,56 @@ class TestFaultSpecSchedule:
     def test_invalid_schedule_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             FaultSpec(**kwargs)
+
+
+@st.composite
+def schedules(draw):
+    start = draw(st.integers(0, 40))
+    stop = draw(st.one_of(st.just(0), st.integers(start + 1, start + 80)))
+    return FaultSpec(start=start, period=draw(st.integers(1, 23)),
+                     stop=stop, max_fires=draw(st.integers(0, 6)))
+
+
+class TestBatchSchedule:
+    """``fire_offsets`` is ``matches`` in closed form."""
+
+    @given(spec=schedules(), visit=st.integers(0, 120),
+           fired=st.integers(0, 8), n=st.integers(0, 90))
+    def test_fire_offsets_equal_the_scalar_loop(self, spec, visit, fired, n):
+        expected = []
+        so_far = fired
+        for k in range(n):
+            if spec.matches(visit + k, so_far):
+                expected.append(k)
+                so_far += 1
+        assert list(spec.fire_offsets(visit, fired, n)) == expected
+
+    @given(spec=schedules(), cuts=st.lists(st.integers(0, 30), max_size=6))
+    def test_any_split_of_the_visits_fires_the_same_events(self, spec, cuts):
+        # Counters carried call to call (as the injector does) make the
+        # schedule independent of how a trace is cut into batches.
+        whole = list(spec.fire_offsets(0, 0, sum(cuts)))
+        visit = fired = 0
+        pieces = []
+        for n in cuts:
+            offsets = spec.fire_offsets(visit, fired, n)
+            pieces.extend(visit + k for k in offsets)
+            visit += n
+            fired += len(offsets)
+        assert pieces == whole
+
+    def test_ecc_eligible_offsets_mirror_applies_to(self):
+        channels = np.array([0, 1, 1, 0, 1, 1])
+        ranks = np.array([2, 2, 3, 3, 2, 0])
+        for spec in (EccFault(), EccFault(channel=1), EccFault(rank=2),
+                     EccFault(channel=1, rank=2)):
+            expected = [i for i, (c, r) in enumerate(zip(channels, ranks))
+                        if spec.applies_to(int(c), int(r))]
+            offsets = spec.eligible_offsets(channels, ranks)
+            if offsets is None:  # unfiltered: every access, no array work
+                assert expected == list(range(len(channels)))
+            else:
+                assert offsets.tolist() == expected
 
 
 class TestSpecValidation:
