@@ -14,7 +14,9 @@ the conflict index, both policy hosts share one plug-in instance), and
 pickle's memo preserves every one of those identities.  The one graph
 fix-up this needs lives in
 :meth:`repro.core.tables.TranslationTables.__setstate__`, which rebuilds
-the numpy views after load.
+the numpy views after load.  It is the repo's only persistence scheme:
+experiments, warm-start forks, and the server's drain checkpoint all
+come through here.
 
 Checkpoints are *not* a cross-version interchange format: a blob is
 only guaranteed to load in the repo revision that wrote it, and
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: Format version; bump whenever the serialised state layout changes.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Identifies a checkpoint file's header dict on disk.
 _FILE_FORMAT = "repro-checkpoint"

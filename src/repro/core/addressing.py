@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import _kernels
 from repro.dram.geometry import DramGeometry
 from repro.errors import AddressError, ConfigurationError
 from repro.units import GIB, is_power_of_two, log2_int
@@ -151,21 +150,13 @@ class HostAddressLayout:
 
     def split_hpa_batch(self, hpas: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray]:
-        """``(hsns, offsets)`` in one pass; fused kernel when enabled.
+        """``(hsns, offsets)`` in one pass.
 
         Equivalent to calling :meth:`hsn_of_hpa_batch` and
         :meth:`offset_of_hpa_batch` on the same array, but the input is
-        validated and read once.  With ``REPRO_NUMBA=1`` and numba
-        importable the split runs as a single compiled loop.
+        validated and read once.
         """
         hpas = np.asarray(hpas, dtype=np.int64)
-        fused = _kernels.split_hpa_batch(
-            hpas, self.segment_offset_bits, self.geometry.segment_bytes - 1)
-        if fused is not None:  # pragma: no cover - numba leg only
-            hsns, offsets, in_range = fused
-            if not in_range:
-                raise AddressError("negative HPA in batch")
-            return hsns, offsets
         if len(hpas) and int(hpas.min()) < 0:
             raise AddressError("negative HPA in batch")
         return (hpas >> self.segment_offset_bits,
@@ -303,14 +294,6 @@ class DeviceAddressLayout:
         """Vectorised :meth:`unpack_dsn`: ``(channels, ranks, indices)``."""
         geo = self.geometry
         dsns = np.asarray(dsns, dtype=np.int64)
-        fused = _kernels.unpack_dsn_batch(
-            dsns, geo.channel_bits, geo.segment_index_bits, geo.rank_bits,
-            geo.total_segments)
-        if fused is not None:  # pragma: no cover - numba leg only
-            channels, ranks, indices, in_range = fused
-            if not in_range:
-                raise AddressError("DSN out of range in batch")
-            return channels, ranks, indices
         if len(dsns) and not (0 <= int(dsns.min())
                               and int(dsns.max()) < geo.total_segments):
             raise AddressError("DSN out of range in batch")
@@ -325,14 +308,6 @@ class DeviceAddressLayout:
         """Vectorised :meth:`dpa_of` over paired DSN/offset arrays."""
         dsns = np.asarray(dsns, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
-        fused = _kernels.dpa_of_batch(
-            dsns, offsets, self.geometry.segment_offset_bits,
-            self.geometry.segment_bytes)
-        if fused is not None:  # pragma: no cover - numba leg only
-            dpas, in_range = fused
-            if not in_range:
-                raise AddressError("offset out of range in batch")
-            return dpas
         if len(offsets) and not (0 <= int(offsets.min())
                                  and int(offsets.max())
                                  < self.geometry.segment_bytes):

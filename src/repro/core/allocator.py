@@ -209,26 +209,6 @@ class SegmentAllocator:
             allocated.remove(dsn)
             self._free[rank_id].append(dsn)
 
-    # -- serialisation -----------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Free-queue order and allocated sets, as plain data."""
-        return {"free": {rank_id: list(queue)
-                         for rank_id, queue in self._free.items()},
-                "allocated": {rank_id: sorted(dsns)
-                              for rank_id, dsns in self._allocated.items()}}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (same geometry required)."""
-        if set(state["free"]) != set(self._free):
-            raise ValueError(
-                "rank set mismatch: checkpoint was taken with a "
-                "different DRAM geometry")
-        self._free = {rank_id: deque(dsns)
-                      for rank_id, dsns in state["free"].items()}
-        self._allocated = {rank_id: set(dsns)
-                           for rank_id, dsns in state["allocated"].items()}
-
     def move_allocation(self, old_dsn: int, new_dsn: int) -> None:
         """Transfer an allocation between segments after a migration copy.
 

@@ -636,103 +636,6 @@ class DtlController:
                     "trace": {"recorded": self.trace.recorded,
                               "dropped": self.trace.dropped}})
 
-    # -- serialisation ----------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Complete mutable state of the controller and every subsystem.
-
-        Together with the (immutable) :class:`~repro.core.config.DtlConfig`
-        this fully determines future behaviour: a fresh controller built
-        from the same config that loads this dict is observationally
-        identical to the original (the restore-at-step-k identity suite
-        in ``tests/checkpoint/`` pins this down for every simulator).
-
-        The shared :class:`~repro.policies.Policy` instance is serialised
-        once here — both hosts hold references to it, so loading it once
-        restores observations for both sides.  Registry-backed counters
-        (migration stats, SMC stats, host counters) restore through the
-        single ``metrics`` entry; the per-subsystem dicts carry only
-        structural state.
-        """
-        return {
-            "metrics": self.metrics.state_dict(),
-            "trace": self.trace.state_dict(),
-            "device": self.device.state_dict(),
-            "tables": self.tables.state_dict(),
-            "translation": self.translation.state_dict(),
-            "allocator": self.allocator.state_dict(),
-            "migration": self.migration.state_dict(),
-            "power_down": (self.power_down.state_dict()
-                           if self.power_down is not None else None),
-            "self_refresh": (self.self_refresh.state_dict()
-                             if self.self_refresh is not None else None),
-            "retirement": (self.retirement.state_dict()
-                           if self.retirement is not None else None),
-            "policy": (self.policy.state_dict()
-                       if self.policy is not None else None),
-            "faults": (self._faults.state_dict()
-                       if self._faults is not None else None),
-            "vms": [{"vm_id": vm.vm_id, "host_id": vm.host_id,
-                     "au_ids": list(vm.au_ids),
-                     "reserved_bytes": vm.reserved_bytes}
-                    for vm in self._vms.values()],
-            "next_vm_id": self._next_vm_id,
-            "free_au_ids": {host_id: list(queue)
-                            for host_id, queue
-                            in self._free_au_ids.items()},
-            "scalar_access_calls": self._scalar_access_calls,
-            "scalar_access_warned": self._scalar_access_warned,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto this controller.
-
-        The controller must have been built from the same
-        :class:`~repro.core.config.DtlConfig` (geometry, cache layout,
-        enabled subsystems); structural mismatches raise ``ValueError``.
-        A fault injector must already be armed iff the checkpoint carried
-        one — the plan is identity, not state.
-        """
-        # Metrics first: every registry-backed counter view (migration
-        # stats, cache stats, host counters) reads through the registry,
-        # so one load restores them all before structural state arrives.
-        self.metrics.load_state_dict(state["metrics"])
-        self.trace.load_state_dict(state["trace"])
-        self.device.load_state_dict(state["device"])
-        self.tables.load_state_dict(state["tables"])
-        self.translation.load_state_dict(state["translation"])
-        self.allocator.load_state_dict(state["allocator"])
-        self.migration.load_state_dict(state["migration"])
-        for name, host in (("power_down", self.power_down),
-                           ("self_refresh", self.self_refresh),
-                           ("retirement", self.retirement),
-                           ("policy", self.policy)):
-            saved = state[name]
-            if (saved is None) != (host is None):
-                raise ValueError(
-                    f"{name} enabled-state mismatch: checkpoint was taken "
-                    "with a different DtlConfig")
-            if host is not None:
-                host.load_state_dict(saved)
-        if (state["faults"] is None) != (self._faults is None):
-            raise ValueError(
-                "fault-injector mismatch: arm the checkpoint's plan "
-                "before load_state_dict (or disarm for a fault-free "
-                "checkpoint)")
-        if self._faults is not None:
-            self._faults.load_state_dict(state["faults"])
-        self._vms = {vm["vm_id"]: VmHandle(
-            vm_id=vm["vm_id"], host_id=vm["host_id"],
-            au_ids=tuple(vm["au_ids"]),
-            reserved_bytes=vm["reserved_bytes"])
-            for vm in state["vms"]}
-        self._next_vm_id = state["next_vm_id"]
-        self._free_au_ids = {host_id: deque(au_ids)
-                             for host_id, au_ids
-                             in state["free_au_ids"].items()}
-        self._scalar_access_calls = state["scalar_access_calls"]
-        self._scalar_access_warned = state["scalar_access_warned"]
-
     # -- internals -------------------------------------------------------------------
 
     def _on_migration_complete(self, request) -> None:

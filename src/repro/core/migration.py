@@ -404,56 +404,6 @@ class MigrationEngine:
         if self.on_complete is not None:
             self.on_complete(request)
 
-    # -- serialisation ------------------------------------------------------------------
-
-    _REQUEST_FIELDS = ("hsn", "old_dsn", "new_dsn", "lines_total",
-                       "lines_done", "completion", "retries", "requeues")
-
-    def state_dict(self) -> dict:
-        """Queues, in-flight registers, and the conflict index, as data.
-
-        Each :class:`MigrationRequest` is serialised exactly once and
-        referenced by index everywhere it appears, because one request
-        object is *shared* between its channel queue (or in-flight
-        register) and ``_by_old_dsn`` — restoring per-container copies
-        would break the abort/retire protocol.  The stats counters live
-        in the registry and restore through
-        :meth:`~repro.telemetry.MetricsRegistry.load_state_dict`.
-        """
-        requests: list[dict] = []
-        refs: dict[int, int] = {}
-
-        def ref(request: MigrationRequest) -> int:
-            key = id(request)
-            if key not in refs:
-                refs[key] = len(requests)
-                requests.append({name: getattr(request, name)
-                                 for name in self._REQUEST_FIELDS})
-            return refs[key]
-
-        state = {
-            "queues": {channel: [ref(request) for request in queue]
-                       for channel, queue in self._queues.items()},
-            "inflight": {channel: None if request is None else ref(request)
-                         for channel, request in self._inflight.items()},
-            "by_old_dsn": {dsn: ref(request)
-                           for dsn, request in self._by_old_dsn.items()},
-        }
-        state["requests"] = requests
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output, preserving request sharing."""
-        requests = [MigrationRequest(**fields)
-                    for fields in state["requests"]]
-        self._queues = {channel: deque(requests[index] for index in indices)
-                        for channel, indices in state["queues"].items()}
-        self._inflight = {
-            channel: None if index is None else requests[index]
-            for channel, index in state["inflight"].items()}
-        self._by_old_dsn = {dsn: requests[index]
-                            for dsn, index in state["by_old_dsn"].items()}
-
     # -- cost model ---------------------------------------------------------------------
 
     def migration_time_s(self, num_bytes: int, spare_bandwidth_gbs: float) -> float:

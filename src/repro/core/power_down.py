@@ -424,64 +424,6 @@ class RankPowerDownPolicy:
         """Consolidations still copying in the background."""
         return list(self._pending)
 
-    # -- serialisation ------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Active sets, fences, pending parks, and history as plain data.
-
-        Registry-backed counters (park/reactivation tallies, demotion
-        counts, the idle-gap histogram) restore through
-        :meth:`~repro.telemetry.MetricsRegistry.load_state_dict`; the
-        shared plug-in policy's state restores through the controller's
-        single ``policy`` entry.
-        """
-        return {
-            "active": {channel: sorted(ranks)
-                       for channel, ranks in self._active.items()},
-            "quarantined": sorted(self._quarantined),
-            "pending": [{"victims": list(pending.victims),
-                         "started_s": pending.started_s,
-                         "migrated_segments": pending.migrated_segments,
-                         "migrated_bytes": pending.migrated_bytes,
-                         "park_state": pending.park_state.name}
-                        for pending in self._pending],
-            "transitions": [{"time_s": t.time_s,
-                             "rank_ids": list(t.rank_ids),
-                             "new_state": t.new_state.name,
-                             "migrated_segments": t.migrated_segments,
-                             "migrated_bytes": t.migrated_bytes,
-                             "exit_penalty_ns": t.exit_penalty_ns}
-                            for t in self.transitions],
-            "parked_at": {rank_id: (time_s, state.name)
-                          for rank_id, (time_s, state)
-                          in self._parked_at.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output."""
-        self._active = {channel: set(ranks)
-                        for channel, ranks in state["active"].items()}
-        self._quarantined = {tuple(rank_id)
-                             for rank_id in state["quarantined"]}
-        self._pending = [
-            PendingPowerDown(victims=tuple(tuple(r) for r in p["victims"]),
-                             started_s=p["started_s"],
-                             migrated_segments=p["migrated_segments"],
-                             migrated_bytes=p["migrated_bytes"],
-                             park_state=PowerState[p["park_state"]])
-            for p in state["pending"]]
-        self.transitions = [
-            PowerTransition(time_s=t["time_s"],
-                            rank_ids=tuple(tuple(r) for r in t["rank_ids"]),
-                            new_state=PowerState[t["new_state"]],
-                            migrated_segments=t["migrated_segments"],
-                            migrated_bytes=t["migrated_bytes"],
-                            exit_penalty_ns=t["exit_penalty_ns"])
-            for t in state["transitions"]]
-        self._parked_at = {tuple(rank_id): (time_s, PowerState[name])
-                           for rank_id, (time_s, name)
-                           in state["parked_at"].items()}
-
     # -- quarantine (rank retirement support) -------------------------------------
 
     def quarantine(self, rank_id: RankId) -> None:

@@ -104,28 +104,6 @@ class RankRetirementManager:
         self.records.append(record)
         return record
 
-    # -- serialisation ------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Fenced ranks and retirement records as plain data."""
-        return {"retired": sorted(self.retired),
-                "records": [{"rank_id": record.rank_id,
-                             "time_s": record.time_s,
-                             "migrated_segments": record.migrated_segments,
-                             "migrated_bytes": record.migrated_bytes,
-                             "was_powered_down": record.was_powered_down}
-                            for record in self.records]}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output."""
-        self.retired = {tuple(rank_id) for rank_id in state["retired"]}
-        self.records = [RetirementRecord(
-            rank_id=tuple(record["rank_id"]), time_s=record["time_s"],
-            migrated_segments=record["migrated_segments"],
-            migrated_bytes=record["migrated_bytes"],
-            was_powered_down=record["was_powered_down"])
-            for record in state["records"]]
-
     def _evacuate(self, rank_id: RankId, live: list[int],
                   now_s: float) -> int:
         """Move every live segment to surviving ranks of the channel."""

@@ -221,24 +221,6 @@ class FullyAssociativeCache:
     def __len__(self) -> int:
         return len(self._slot_of)
 
-    def state_dict(self) -> dict:
-        """Arrays, slot index, free list, and LRU clock as plain data."""
-        return {"tags": self._tags.copy(), "dsns": self._dsns.copy(),
-                "stamps": self._stamps.copy(),
-                "slot_of": dict(self._slot_of), "free": list(self._free),
-                "clock": self._clock}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (same entry count required)."""
-        if len(state["tags"]) != self.entries:
-            raise ValueError("L1 SMC entry-count mismatch")
-        self._tags[:] = state["tags"]
-        self._dsns[:] = state["dsns"]
-        self._stamps[:] = state["stamps"]
-        self._slot_of = dict(state["slot_of"])
-        self._free = list(state["free"])
-        self._clock = state["clock"]
-
 
 class SetAssociativeCache:
     """Set-associative LRU cache of HSN -> DSN mappings (SoA layout).
@@ -334,24 +316,6 @@ class SetAssociativeCache:
     def __len__(self) -> int:
         return len(self._way_of)
 
-    def state_dict(self) -> dict:
-        """Arrays, way index, set sizes, and LRU clock as plain data."""
-        return {"tags": self._tags.copy(), "dsns": self._dsns.copy(),
-                "stamps": self._stamps.copy(),
-                "way_of": dict(self._way_of), "sizes": self._sizes.copy(),
-                "clock": self._clock}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (same geometry required)."""
-        if state["tags"].shape != self._tags.shape:
-            raise ValueError("L2 SMC geometry mismatch")
-        self._tags[:] = state["tags"]
-        self._dsns[:] = state["dsns"]
-        self._stamps[:] = state["stamps"]
-        self._way_of = dict(state["way_of"])
-        self._sizes[:] = state["sizes"]
-        self._clock = state["clock"]
-
 
 class DictFullyAssociativeCache:
     """OrderedDict-backed fully-associative LRU cache (legacy layout).
@@ -414,14 +378,6 @@ class DictFullyAssociativeCache:
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def state_dict(self) -> dict:
-        """Cached pairs in LRU order (OrderedDict order *is* the state)."""
-        return {"data": list(self._data.items())}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output."""
-        self._data = OrderedDict(state["data"])
 
 
 class DictSetAssociativeCache:
@@ -487,17 +443,6 @@ class DictSetAssociativeCache:
 
     def __len__(self) -> int:
         return sum(len(cache_set) for cache_set in self._sets)
-
-    def state_dict(self) -> dict:
-        """Per-set cached pairs in LRU order."""
-        return {"sets": [list(cache_set.items())
-                         for cache_set in self._sets]}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (same set count required)."""
-        if len(state["sets"]) != self.sets:
-            raise ValueError("L2 SMC set-count mismatch")
-        self._sets = [OrderedDict(items) for items in state["sets"]]
 
 
 @dataclass(frozen=True)
@@ -672,27 +617,6 @@ class SegmentMappingCache:
         if (in_l1 or in_l2) and self._trace is not None:
             self._trace.record(EventKind.SMC_INVALIDATE, hsn=hsn)
         return in_l1 or in_l2
-
-    # -- serialisation --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Both levels' contents and LRU state, as plain data.
-
-        The hit/miss counters live in the registry and restore through
-        :meth:`~repro.telemetry.MetricsRegistry.load_state_dict`.
-        """
-        return {"layout": self.layout,
-                "l1": self.l1.state_dict(),
-                "l2": self.l2.state_dict()}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (same layout required)."""
-        if state["layout"] != self.layout:
-            raise ValueError(
-                f"SMC layout mismatch: checkpoint has {state['layout']!r}, "
-                f"this cache is {self.layout!r}")
-        self.l1.load_state_dict(state["l1"])
-        self.l2.load_state_dict(state["l2"])
 
     # -- batch datapath -------------------------------------------------------
 

@@ -835,69 +835,6 @@ class HotnessSelfRefreshPolicy:
         self.allocator.free([src_dsn])
         self.on_segment_moved(src_dsn, dst_dsn)
 
-    # -- serialisation ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Migration table, per-channel state machines, and event log.
-
-        Registry counters (sr.entries, sr.swaps, ...) live in the shared
-        registry and restore through
-        :meth:`~repro.telemetry.MetricsRegistry.load_state_dict`; the
-        shared :class:`~repro.policies.Policy` instance is restored once
-        by the controller.
-        """
-        return {
-            "access_bits": self.access_bits.copy(),
-            "planned": self.planned.copy(),
-            "channels": {
-                channel: {
-                    "phase": state.phase.value,
-                    "victim_rank": state.victim_rank,
-                    "victim_ranks": list(state.victim_ranks),
-                    "quiet_since_ns": state.quiet_since_ns,
-                    "window_counts": dict(state.window_counts),
-                    "last_window_counts": dict(state.last_window_counts),
-                    "target_ranks": list(state.target_ranks),
-                    "target_cursor": state.target_cursor,
-                    "tsp": dict(state.tsp),
-                    "last_sr_entry_ns": state.last_sr_entry_ns,
-                }
-                for channel, state in sorted(self._channels.items())},
-            "events": [
-                {"time_ns": event.time_ns, "channel": event.channel,
-                 "kind": event.kind, "victim_rank": event.victim_rank,
-                 "swaps": event.swaps,
-                 "migrated_bytes": event.migrated_bytes}
-                for event in self.events],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (same geometry required)."""
-        if len(state["planned"]) != len(self.planned):
-            raise ValueError(
-                "migration table size mismatch: checkpoint was taken "
-                "with a different DRAM geometry")
-        if set(state["channels"]) != set(self._channels):
-            raise ValueError(
-                "channel set mismatch: checkpoint was taken with a "
-                "different DRAM geometry")
-        self.access_bits[:] = state["access_bits"]
-        self.planned[:] = state["planned"]
-        for channel, saved in state["channels"].items():
-            chan = self._channels[channel]
-            chan.phase = ChannelPhase(saved["phase"])
-            chan.victim_rank = saved["victim_rank"]
-            chan.victim_ranks = tuple(saved["victim_ranks"])
-            chan.quiet_since_ns = saved["quiet_since_ns"]
-            chan.window_counts = dict(saved["window_counts"])
-            chan.last_window_counts = dict(saved["last_window_counts"])
-            chan.target_ranks = list(saved["target_ranks"])
-            chan.target_cursor = saved["target_cursor"]
-            chan.tsp = dict(saved["tsp"])
-            chan.last_sr_entry_ns = saved["last_sr_entry_ns"]
-        self.events = [SelfRefreshEvent(**event)
-                       for event in state["events"]]
-
     # -- introspection ------------------------------------------------------------------
 
     def phase(self, channel: int) -> ChannelPhase:

@@ -156,28 +156,6 @@ class TranslationTables:
                       for au_id in au_ids}
             for host_id, au_ids in host_aus.items()}
 
-    def state_dict(self) -> dict:
-        """All mapping state as plain data (arrays are copies)."""
-        return {"forward": self._forward.copy(),
-                "au_allocated": self._au_allocated.copy(),
-                "hosts": {host_id: sorted(aus)
-                          for host_id, aus in self._hosts.items()},
-                "reverse": dict(self._reverse)}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (same layout required)."""
-        if len(state["forward"]) != len(self._forward):
-            raise ValueError(
-                "forward table size mismatch: checkpoint was taken with "
-                "a different address layout")
-        self._forward[:] = state["forward"]
-        self._au_allocated[:] = state["au_allocated"]
-        self._reverse = dict(state["reverse"])
-        self._hosts = {
-            host_id: {au_id: self._make_slice(host_id, au_id)
-                      for au_id in au_ids}
-            for host_id, au_ids in state["hosts"].items()}
-
     # -- AU lifecycle ---------------------------------------------------------
 
     def register_host(self, host_id: int) -> None:

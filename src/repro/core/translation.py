@@ -153,16 +153,6 @@ class TranslationEngine:
         """Invalidate the SMC entry for ``hsn`` (after a mapping update)."""
         return self.smc.invalidate(hsn)
 
-    # -- serialisation -----------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """SMC state; the latency counters restore through the registry."""
-        return {"smc": self.smc.state_dict()}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output."""
-        self.smc.load_state_dict(state["smc"])
-
     # -- measured AMAT (Section 6.1) -------------------------------------------
 
     def measured_amat_ns(self) -> float:

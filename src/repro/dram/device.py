@@ -225,25 +225,5 @@ class DramDevice:
         return sum(rank.background_energy(self.power_model.state_power)
                    for rank in self.ranks.values())
 
-    # -- serialisation --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Every rank's power/residency state, as plain data.
-
-        Transition counters live in the attached registry and restore
-        through :meth:`~repro.telemetry.MetricsRegistry.load_state_dict`.
-        """
-        return {"ranks": {rank_id: rank.state_dict()
-                          for rank_id, rank in sorted(self.ranks.items())}}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (same geometry required)."""
-        if set(state["ranks"]) != set(self.ranks):
-            raise ValueError(
-                "rank set mismatch: checkpoint was taken with a "
-                "different DRAM geometry")
-        for rank_id, rank_state in state["ranks"].items():
-            self.ranks[rank_id].load_state_dict(rank_state)
-
 
 __all__ = ["DramDevice", "RankId", "rank_key"]

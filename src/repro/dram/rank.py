@@ -108,29 +108,5 @@ class Rank:
         return sum(state_power[state] * seconds
                    for state, seconds in self.residency_s.items())
 
-    # -- serialisation --------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Power state, residency history, and counters as plain data."""
-        return {"state": self.state.name,
-                "state_entered_at_s": self._state_entered_at_s,
-                "residency_s": {state.name: seconds
-                                for state, seconds in
-                                self.residency_s.items()},
-                "access_count": self.access_count,
-                "transition_count": self.transition_count,
-                "exit_penalty_total_ns": self.exit_penalty_total_ns}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output."""
-        self.state = PowerState[state["state"]]
-        self._state_entered_at_s = state["state_entered_at_s"]
-        self.residency_s = {PowerState[name]: seconds
-                            for name, seconds in
-                            state["residency_s"].items()}
-        self.access_count = state["access_count"]
-        self.transition_count = state["transition_count"]
-        self.exit_penalty_total_ns = state["exit_penalty_total_ns"]
-
 
 __all__ = ["Rank"]

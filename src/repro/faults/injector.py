@@ -394,58 +394,6 @@ class FaultInjector:
                         extra_ns=spec.extra_penalty_ns)
         return extra
 
-    # -- serialisation -----------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """All fire/visit counters as plain data.
-
-        The plan itself is identity, not state: a restored run re-arms
-        the same plan and resumes its counters, so partially consumed
-        ``every``/``at`` schedules fire at exactly the events they would
-        have in the uninterrupted run.
-        """
-        return {
-            "plan_name": self.plan.name,
-            "visits": {point.value: count
-                       for point, count in self._visits.items()},
-            "spec_visits": list(self._spec_visits),
-            "spec_fires": list(self._spec_fires),
-            "injected": {point.value: count
-                         for point, count in self._injected.items()},
-            "detected": self.detected,
-            "recovered": self.recovered,
-            "ecc_corrected": self.ecc_corrected,
-            "ecc_uncorrected": self.ecc_uncorrected,
-            "cxl_retry_counts": dict(self.cxl_retry_counts),
-            "power_exit_failures": self.power_exit_failures,
-            "data_loss_events": self.data_loss_events,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (same plan required)."""
-        if state["plan_name"] != self.plan.name:
-            raise ValueError(
-                f"fault plan mismatch: checkpoint was taken with plan "
-                f"{state['plan_name']!r}, injector is armed with "
-                f"{self.plan.name!r}")
-        if len(state["spec_visits"]) != len(self.plan.specs):
-            raise ValueError(
-                "fault plan mismatch: checkpoint spec count differs "
-                "from the armed plan")
-        self._visits = {HookPoint(name): count
-                        for name, count in state["visits"].items()}
-        self._spec_visits = list(state["spec_visits"])
-        self._spec_fires = list(state["spec_fires"])
-        self._injected = {HookPoint(name): count
-                          for name, count in state["injected"].items()}
-        self.detected = state["detected"]
-        self.recovered = state["recovered"]
-        self.ecc_corrected = state["ecc_corrected"]
-        self.ecc_uncorrected = state["ecc_uncorrected"]
-        self.cxl_retry_counts = dict(state["cxl_retry_counts"])
-        self.power_exit_failures = state["power_exit_failures"]
-        self.data_loss_events = state["data_loss_events"]
-
     # -- reporting ---------------------------------------------------------------
 
     def report(self) -> ReliabilityReport:

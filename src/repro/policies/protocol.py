@@ -34,7 +34,6 @@ The hosts hand policies three kinds of read-only state:
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import enum
 from dataclasses import dataclass
@@ -284,25 +283,6 @@ class Policy:
         MPSM is honoured only for ranks with no live data.
         """
         raise NotImplementedError
-
-    # -- serialisation -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Everything the policy has observed, as a deep copy.
-
-        The default covers any subclass whose observation state lives in
-        instance attributes (deques, dicts, lists of plain data); the
-        frozen ``config`` is identity, not state, and is excluded.
-        Subclasses holding unpicklable or derived state override this
-        pair.
-        """
-        return copy.deepcopy({key: value
-                              for key, value in self.__dict__.items()
-                              if key != "config"})
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto this instance."""
-        self.__dict__.update(copy.deepcopy(state))
 
     # -- observations ------------------------------------------------------
 

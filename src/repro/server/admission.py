@@ -92,19 +92,6 @@ class TokenBucket:
             return float("inf")
         return (cost - self.tokens) / self.rate
 
-    def state_dict(self) -> dict[str, float]:
-        """Serialisable bucket state."""
-        return {"rate": self.rate, "burst": self.burst,
-                "tokens": self.tokens, "updated_s": self.updated_s}
-
-    @classmethod
-    def from_state(cls, state: dict[str, float]) -> "TokenBucket":
-        """Rebuild a bucket from :meth:`state_dict` output."""
-        bucket = cls(state["rate"], state["burst"])
-        bucket.tokens = state["tokens"]
-        bucket.updated_s = state["updated_s"]
-        return bucket
-
 
 @dataclass
 class Rejection:
@@ -194,22 +181,6 @@ class AdmissionController:
     def reserved_bytes(self, tenant: str) -> int:
         """The tenant's currently reserved bytes."""
         return self._reserved.get(tenant, 0)
-
-    # -- serialisation -----------------------------------------------------
-
-    def state_dict(self) -> dict[str, Any]:
-        """Every tenant's bucket and quota usage, as plain data."""
-        return {
-            "buckets": {tenant: bucket.state_dict()
-                        for tenant, bucket in self._buckets.items()},
-            "reserved": dict(self._reserved),
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` output."""
-        self._buckets = {tenant: TokenBucket.from_state(bucket)
-                         for tenant, bucket in state["buckets"].items()}
-        self._reserved = dict(state["reserved"])
 
 
 __all__ = [

@@ -37,7 +37,8 @@ from typing import Any
 import numpy as np
 
 from repro.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
-                              save_checkpoint, snapshot as take_snapshot)
+                              restore as restore_payload, save_checkpoint,
+                              snapshot as take_snapshot)
 from repro.core.config import DtlConfig
 from repro.dram.geometry import DramGeometry
 from repro.errors import AllocationError
@@ -190,6 +191,10 @@ class DtlServer:
         self._server: asyncio.base_events.Server | None = None
         self._telemetry_task: asyncio.Task | None = None
         self.port: int | None = None
+        self._bind_counters()
+
+    def _bind_counters(self) -> None:
+        """(Re-)fetch the counter handles from :attr:`metrics`."""
         self._requests = self.metrics.counter("server.requests")
         self._accesses = self.metrics.counter("server.accesses")
         self._allocations = self.metrics.counter("server.allocations")
@@ -620,53 +625,57 @@ class DtlServer:
         """Requests applied across every shard since birth."""
         return sum(shard.applied for shard in self.shards)
 
-    def state_payload(self) -> dict[str, Any]:
-        """The complete serialisable server state."""
-        return {
-            "structure": self.config.structure_hash(),
-            "shards": [shard.state_dict() for shard in self.shards],
-            "tenants": {name: record.state_dict()
-                        for name, record in self.tenants.items()},
-            "admission": self.admission.state_dict(),
-            "free_hosts": [list(pool) for pool in self._free_hosts],
-            "metrics": self.metrics.state_dict(),
-        }
-
     def write_checkpoint(self, path: str) -> None:
-        """Persist the server state as a ``repro.checkpoint`` blob."""
-        checkpoint = take_snapshot(
-            "server", self.applied_total, self.state_payload(),
-            meta={"structure": self.config.structure_hash(),
-                  "tenants": len(self.tenants)})
-        save_checkpoint(checkpoint, path)
+        """Persist the live server objects as one ``repro.checkpoint`` blob.
 
-    def load_payload(self, payload: dict[str, Any]) -> None:
-        """Restore :meth:`state_payload` output onto this server.
-
-        Must be called before :meth:`start` (shards are loaded in
-        single-writer stillness).
+        One pickle, so every identity the shards rely on (injector and
+        checker holding their controller, both power hosts sharing one
+        policy, migration requests shared between queues and the
+        conflict index) survives the round trip.  Safe on a started
+        server: shards pickle without their asyncio queue and apply
+        task, and nothing here awaits, so no request interleaves.
         """
-        if payload["structure"] != self.config.structure_hash():
-            raise CheckpointError(
-                "checkpoint was taken by a structurally different server "
-                "config (shards / geometry / admission / chaos)")
-        for shard, state in zip(self.shards, payload["shards"]):
-            shard.load_state_dict(state)
-        self.tenants = {name: TenantRecord.from_state(state)
-                        for name, state in payload["tenants"].items()}
-        self.admission.load_state_dict(payload["admission"])
-        self._free_hosts = [list(pool) for pool in payload["free_hosts"]]
-        self.metrics.load_state_dict(payload["metrics"])
+        structure = self.config.structure_hash()
+        payload = {
+            "structure": structure,
+            "shards": self.shards,
+            "tenants": self.tenants,
+            "admission": self.admission,
+            "free_hosts": self._free_hosts,
+            "metrics": self.metrics,
+        }
+        save_checkpoint(
+            take_snapshot("server", self.applied_total, payload,
+                          meta={"structure": structure,
+                                "tenants": len(self.tenants)}),
+            path)
 
     def restore(self, path: str) -> Checkpoint:
-        """Load a drain checkpoint from ``path`` (see :meth:`drain`)."""
+        """Adopt the state in a :meth:`write_checkpoint` file, or nothing.
+
+        Call before :meth:`start`.  Every refusal — truncated or
+        corrupt file, stale format version, a checkpoint of another
+        kind, a structurally different :class:`ServerConfig` (which is
+        also what gates the fault plan riding in the blob) — raises
+        :class:`~repro.checkpoint.CheckpointError` before anything on
+        this server is touched.
+        """
         checkpoint = load_checkpoint(path)
         if checkpoint.kind != "server":
             raise CheckpointError(
                 f"{path} holds a {checkpoint.kind!r} checkpoint, "
                 "not a server state")
-        from repro.checkpoint import restore as restore_payload
-        self.load_payload(restore_payload(checkpoint))
+        payload = restore_payload(checkpoint)
+        if payload["structure"] != self.config.structure_hash():
+            raise CheckpointError(
+                "checkpoint was taken by a structurally different server "
+                "config (shards / geometry / admission / chaos)")
+        self.shards = payload["shards"]
+        self.tenants = payload["tenants"]
+        self.admission = payload["admission"]
+        self._free_hosts = payload["free_hosts"]
+        self.metrics = payload["metrics"]
+        self._bind_counters()
         return checkpoint
 
 

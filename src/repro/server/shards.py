@@ -53,19 +53,6 @@ class TenantRecord:
     host_id: int
     vm_ids: set[int] = field(default_factory=set)
 
-    def state_dict(self) -> dict[str, Any]:
-        """Serialisable form (checkpoint payload)."""
-        return {"name": self.name, "shard": self.shard,
-                "host_id": self.host_id,
-                "vm_ids": sorted(self.vm_ids)}
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "TenantRecord":
-        """Rebuild from :meth:`state_dict` output."""
-        return cls(name=state["name"], shard=state["shard"],
-                   host_id=state["host_id"],
-                   vm_ids=set(state["vm_ids"]))
-
 
 _STOP = object()
 
@@ -74,9 +61,8 @@ class ControllerShard:
     """One single-writer DTL shard with its own clock, chaos, and audits.
 
     The synchronous ``apply_*`` methods are only ever called from the
-    shard's apply task (or from a drained, worker-less shard during
-    restore) — that is the single-writer contract.  Async callers go
-    through :meth:`submit`.
+    shard's apply task — that is the single-writer contract.  Async
+    callers go through :meth:`submit`.
     """
 
     def __init__(self, index: int, config: DtlConfig,
@@ -320,31 +306,11 @@ class ControllerShard:
 
     # -- serialisation -----------------------------------------------------
 
-    def state_dict(self) -> dict[str, Any]:
-        """Everything the checkpoint needs to resume this shard."""
-        return {
-            "controller": self.controller.state_dict(),
-            "clock_ns": self.clock_ns,
-            "applied": self.applied,
-            "audits": self.audits,
-            "violations": list(self.violations),
-            "aborts_seen": self._aborts_seen,
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` output (single-writer context).
-
-        The shard must have been built with the same
-        :class:`~repro.core.config.DtlConfig` and the same fault plan
-        (armed iff the checkpoint was armed) — controller restore
-        enforces both.
-        """
-        self.controller.load_state_dict(state["controller"])
-        self.clock_ns = state["clock_ns"]
-        self.applied = state["applied"]
-        self.audits = state["audits"]
-        self.violations = list(state["violations"])
-        self._aborts_seen = state["aborts_seen"]
+    def __getstate__(self) -> dict[str, Any]:
+        # The durable-field selection for server checkpoints: everything
+        # but the asyncio plumbing, which belongs to the running event
+        # loop.  A restored shard is idle until ``start()``.
+        return {**self.__dict__, "_queue": None, "_worker": None}
 
 
 __all__ = ["shard_of", "TenantRecord", "ControllerShard"]

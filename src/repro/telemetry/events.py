@@ -133,28 +133,6 @@ class EventTrace:
         """Drop buffered events (totals in :meth:`counts_by_kind` remain)."""
         self._events.clear()
 
-    # -- serialisation -----------------------------------------------------------
-
-    def state_dict(self) -> dict[str, Any]:
-        """Buffered events plus tallies, as plain data."""
-        return {
-            "capacity": self.capacity,
-            "events": [(event.kind.value, event.time, dict(event.data))
-                       for event in self._events],
-            "tally": dict(self._tally),
-            "recorded": self.recorded,
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` output (capacity included)."""
-        self.capacity = state["capacity"]
-        self._events = deque(
-            (TraceEvent(kind=EventKind(kind), time=time, data=dict(data))
-             for kind, time, data in state["events"]),
-            maxlen=self.capacity)
-        self._tally = TallyCounter(state["tally"])
-        self.recorded = state["recorded"]
-
     def __len__(self) -> int:
         return len(self._events)
 

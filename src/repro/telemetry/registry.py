@@ -276,41 +276,6 @@ class MetricsRegistry:
                         events=dict(events or {}),
                         detail=dict(detail or {}))
 
-    # -- serialisation -----------------------------------------------------------
-
-    def state_dict(self) -> dict[str, Any]:
-        """Every metric's current value, as plain data.
-
-        This is the single restore point for all registry-backed stats
-        views in the core (``MigrationStats``, ``CacheStats``, the
-        policy hosts' demotion counters, ...): those objects hold
-        references to the registry's ``Counter`` cells, so
-        :meth:`load_state_dict` updates propagate to every view.
-        """
-        return {
-            "counters": {name: counter.value
-                         for name, counter in self._counters.items()},
-            "gauges": {name: gauge.value
-                       for name, gauge in self._gauges.items()},
-            "histograms": {name: {"bounds": list(histogram.bounds),
-                                  "counts": list(histogram.counts),
-                                  "count": histogram.count,
-                                  "total": histogram.total}
-                           for name, histogram in self._histograms.items()},
-        }
-
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Restore :meth:`state_dict` output (creating metrics as needed)."""
-        for name, value in state["counters"].items():
-            self.counter(name).set(value)
-        for name, value in state["gauges"].items():
-            self.gauge(name).set(value)
-        for name, data in state["histograms"].items():
-            histogram = self.histogram(name, tuple(data["bounds"]))
-            histogram.counts = list(data["counts"])
-            histogram.count = data["count"]
-            histogram.total = data["total"]
-
 
 class NullMetricsRegistry(MetricsRegistry):
     """A :class:`MetricsRegistry` that records nothing.

@@ -6,18 +6,16 @@ migration write routing, and the self-refresh event loop.  These tests
 pin the seams exactly — chunk-edge migration writes, PROFILING channels
 with a rank dropping to MPSM mid-batch, rank decodes with non-zero
 segment-index bits — under both the SoA and the legacy dict cache
-layouts, plus the numba kernel flag on and off.
+layouts.
 """
 
 from __future__ import annotations
 
-import importlib
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import _kernels
 from repro.core.addressing import DeviceAddressLayout, SegmentLocation
 from repro.core.controller import (SCALAR_ACCESS_WARN_THRESHOLD,
                                    DtlController)
@@ -30,7 +28,6 @@ from repro.core.self_refresh import ChannelPhase
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.errors import PerformanceWarning, PowerStateError
-from repro.units import MIB
 
 from tests.core.test_batch_identity import (SMALL_GEOMETRY, assert_results_match,
                                             assert_state_match, build_pair,
@@ -371,58 +368,3 @@ def test_set_associative_soa_matches_dict(seed):
     _mirror_ops(SetAssociativeCache(entries=16, ways=2),
                 DictSetAssociativeCache(entries=16, ways=2),
                 hsn_space=64, seed=seed, with_touch=False)
-
-
-# -- numba kernel flag (satellite: optional compiled kernels) ----------------
-
-
-def test_kernels_disabled_without_flag():
-    assert not _kernels.NUMBA_ENABLED or _kernels.numba_requested()
-    if not _kernels.NUMBA_ENABLED:
-        assert _kernels.unpack_dsn_batch(np.zeros(1, dtype=np.int64),
-                                         1, 5, 2, 256) is None
-        assert _kernels.dpa_of_batch(np.zeros(1, dtype=np.int64),
-                                     np.zeros(1, dtype=np.int64),
-                                     21, 2 * MIB) is None
-        assert _kernels.split_hpa_batch(np.zeros(1, dtype=np.int64),
-                                        21, 2 * MIB - 1) is None
-
-
-def test_flag_without_numba_degrades_gracefully(monkeypatch):
-    """``REPRO_NUMBA=1`` with numba missing must fall back silently."""
-    monkeypatch.setenv("REPRO_NUMBA", "1")
-    assert _kernels.numba_requested()
-    try:
-        import numba  # noqa: F401
-        has_numba = True
-    except ImportError:
-        has_numba = False
-    module = importlib.reload(_kernels)
-    try:
-        assert module.NUMBA_ENABLED == has_numba
-        if not has_numba:
-            assert module.unpack_dsn_batch(np.zeros(1, dtype=np.int64),
-                                           1, 5, 2, 256) is None
-    finally:
-        monkeypatch.delenv("REPRO_NUMBA")
-        importlib.reload(_kernels)
-
-
-def test_identity_with_numba_kernels():
-    """Bit-identity with the compiled kernels active (CI numba leg)."""
-    pytest.importorskip("numba")
-    import os
-    os.environ["REPRO_NUMBA"] = "1"
-    try:
-        importlib.reload(_kernels)
-        assert _kernels.NUMBA_ENABLED
-        config = small_config()
-        scalar, batch = build_pair(config)
-        hpas, writes = random_trace(config, 600, 0)
-        scalar_results = run_scalar(scalar, hpas, writes)
-        batch_result = batch.access_batch(0, hpas, writes)
-        assert_results_match(scalar_results, batch_result)
-        assert_state_match(scalar, batch)
-    finally:
-        del os.environ["REPRO_NUMBA"]
-        importlib.reload(_kernels)

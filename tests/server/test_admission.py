@@ -1,5 +1,6 @@
-"""Admission control: token buckets, quotas, and serialisation."""
+"""Admission control: token buckets, quotas, and checkpoint round trips."""
 
+from repro.checkpoint import restore, snapshot
 from repro.server.admission import (AdmissionConfig, AdmissionController,
                                     TokenBucket)
 from repro.server.protocol import ErrorCode
@@ -37,9 +38,10 @@ class TestTokenBucket:
     def test_state_round_trip(self):
         bucket = TokenBucket(rate=10.0, burst=5.0, now_s=1.0)
         bucket.admit(2.0, cost=3.0)
-        clone = TokenBucket.from_state(bucket.state_dict())
-        assert clone.state_dict() == bucket.state_dict()
-        assert clone.admit(2.0, 3.0) == bucket.admit(2.0, 3.0)
+        clone = restore(snapshot("bucket", 0, bucket))
+        stream = [(2.0, 3.0), (2.0, 1.0), (2.05, 1.0), (3.0, 5.0)]
+        assert [clone.admit(t, c) for t, c in stream] \
+            == [bucket.admit(t, c) for t, c in stream]
 
 
 class TestAdmissionController:
@@ -95,8 +97,11 @@ class TestAdmissionController:
         admission.admit_open("a", 0.0)
         admission.admit_request("a", 0.0)
         admission.reserve("a", 64)
-        clone = self.controller(rate_per_s=10.0, burst=2.0)
-        clone.load_state_dict(admission.state_dict())
-        assert clone.state_dict() == admission.state_dict()
-        assert clone.admit_request("a", 0.0) == \
-            admission.admit_request("a", 0.0)
+        clone = restore(snapshot("admission", 0, admission))
+        for t_s in (0.0, 0.0, 0.05, 1.0):
+            assert clone.admit_request("a", t_s) == \
+                admission.admit_request("a", t_s)
+        for num_bytes in (32, 10 ** 12):
+            assert clone.admit_reservation("a", num_bytes) == \
+                admission.admit_reservation("a", num_bytes)
+        assert clone.reserved_bytes("a") == admission.reserved_bytes("a") == 64

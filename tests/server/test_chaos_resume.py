@@ -14,6 +14,8 @@ import numpy as np
 from repro.faults import HookPoint
 from repro.server import DtlServer, ServerConfig
 
+from tests.faults.test_batch_faults import injector_state
+
 TENANTS = ("alpha", "beta", "gamma")
 REQUESTS = 36
 BATCH = 128
@@ -49,7 +51,7 @@ async def apply(server: DtlServer, ops: list[dict], start: int,
 
 
 def injector_states(server: DtlServer) -> list[dict]:
-    return [shard.injector.state_dict() for shard in server.shards]
+    return [injector_state(shard.injector) for shard in server.shards]
 
 
 def test_resume_mid_plan_matches_the_undrained_control(tmp_path):

@@ -1,0 +1,131 @@
+"""Server checkpoints: live snapshot, restore identity, and refusals.
+
+``DtlServer.write_checkpoint`` pickles the live object graph (see
+docs/CHECKPOINT.md, "Server checkpoints"); ``restore`` either adopts all
+of it or — on any refusal — leaves the target server untouched.
+"""
+
+import asyncio
+import os
+
+import pytest
+
+from repro.checkpoint import (CHECKPOINT_VERSION, Checkpoint,
+                              CheckpointError, save_checkpoint, snapshot)
+from repro.server import DtlServer, ServerConfig
+
+from tests.server.test_chaos_resume import (REQUESTS, apply, injector_states,
+                                            script)
+
+
+def server_counters(server: DtlServer) -> dict:
+    return {name: value
+            for name, value in server.metrics.counter_values().items()
+            if name.startswith("server.")}
+
+
+def observable_state(server: DtlServer) -> tuple:
+    """What a refused restore must leave exactly as it found it."""
+    tenants = {name: (record.shard, record.host_id, sorted(record.vm_ids))
+               for name, record in server.tenants.items()}
+    return ([shard.fingerprint() for shard in server.shards], tenants,
+            server_counters(server), injector_states(server))
+
+
+def test_undrained_checkpoint_restores_to_the_same_future(tmp_path):
+    ops = script()
+    cut = len(ops) - REQUESTS // 2
+    path = str(tmp_path / "server.ckpt")
+
+    async def scenario():
+        vms: dict[str, int] = {}
+        original = DtlServer(ServerConfig())
+        await original.start(serve_tcp=False)
+        await apply(original, ops[:cut], 0, vms)
+        # Hostile condition: started, never drained, chaos mid-plan.
+        assert all(shard._worker is not None and shard._queue is not None
+                   for shard in original.shards)
+        assert any(shard.injector.injected_total for shard in original.shards)
+        original.write_checkpoint(path)
+
+        restored = DtlServer(ServerConfig())
+        checkpoint = restored.restore(path)
+        assert checkpoint.kind == "server"
+        assert checkpoint.step == original.applied_total
+        assert observable_state(restored) == observable_state(original)
+        await restored.start(serve_tcp=False)
+
+        tail = await apply(original, ops, cut, dict(vms))
+        restored_tail = await apply(restored, ops, cut, dict(vms))
+        await original.drain()
+        await restored.drain()
+        assert restored_tail == tail
+        assert observable_state(restored) == observable_state(original)
+        assert server_counters(restored)["server.requests"] == len(ops)
+        assert not restored.audit_violations()
+
+    asyncio.run(scenario())
+
+
+def write_good(path: str) -> None:
+    """A valid checkpoint of a default-config server with live tenants."""
+    async def scenario():
+        server = DtlServer(ServerConfig())
+        await server.start(serve_tcp=False)
+        await apply(server, script()[:10], 0, {})
+        server.write_checkpoint(path)
+        await server.drain()
+    asyncio.run(scenario())
+
+
+def bit_flipped(path: str) -> None:
+    write_good(path)
+    with open(path, "r+b") as handle:
+        handle.seek(os.path.getsize(path) // 2)
+        byte = handle.read(1)[0]
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte ^ 0x10]))
+
+
+def truncated(path: str) -> None:
+    write_good(path)
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) // 2)
+
+
+def other_kind(path: str) -> None:
+    save_checkpoint(snapshot("chaos", 3, {"level": 1}), path)
+
+
+def stale_version(path: str) -> None:
+    save_checkpoint(Checkpoint(kind="server", step=0, blob=b"old layout",
+                               version=CHECKPOINT_VERSION - 1), path)
+
+
+@pytest.mark.parametrize("write_file, target_config, match", [
+    (write_good, ServerConfig(chaos_seed=1), "structurally different"),
+    (write_good, ServerConfig(num_shards=3), "structurally different"),
+    (other_kind, ServerConfig(), "not a server state"),
+    (stale_version, ServerConfig(), "version"),
+    (bit_flipped, ServerConfig(), "integrity|not a checkpoint|corrupt"),
+    (truncated, ServerConfig(), "not a checkpoint"),
+], ids=["chaos-seed", "shard-count", "other-kind", "stale-version",
+        "bit-flip", "truncated"])
+def test_refused_restore_leaves_the_server_untouched(tmp_path, write_file,
+                                                     target_config, match):
+    path = str(tmp_path / "server.ckpt")
+    write_file(path)
+
+    async def target_with_state_of_its_own() -> DtlServer:
+        server = DtlServer(target_config)
+        await server.start(serve_tcp=False)
+        await apply(server, script(seed=11)[:8], 0, {})
+        await server.drain()
+        return server
+
+    target = asyncio.run(target_with_state_of_its_own())
+    before = observable_state(target)
+    assert before[1] and before[2]["server.requests"] == 8
+    with pytest.raises(CheckpointError, match=match):
+        target.restore(path)
+    assert observable_state(target) == before
