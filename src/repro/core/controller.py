@@ -37,7 +37,7 @@ from repro.dram.timing import CXL_MEMORY_LATENCY_NS
 from repro.errors import AllocationError, PerformanceWarning
 from repro.policies import Policy, PolicyConfig, make_policy
 from repro.telemetry import (EventKind, EventTrace, MetricsRegistry,
-                             Snapshot, TraceEvent)
+                             Snapshot)
 from repro.units import CACHELINE_BYTES
 
 #: Scalar :meth:`DtlController.access` calls after which the controller
@@ -505,14 +505,9 @@ class DtlController:
         self._redirects.inc(int(routed_new.sum()))
         self._access_latency.observe_batch(latency_ns)
         if self.trace.enabled:
-            start = n - min(n, self.trace.capacity)
-            tail = [TraceEvent(kind=EventKind.ACCESS, time=now_ns,
-                               data={"hsn": int(hsns[i]),
-                                     "dsn": int(dsns[i]),
-                                     "write": bool(writes[i]),
-                                     "latency_ns": float(latency_ns[i])})
-                    for i in range(start, n)]
-            self.trace.record_tail(EventKind.ACCESS, n, tail)
+            self.trace.record_tail(EventKind.ACCESS, time=now_ns, hsn=hsns,
+                                   dsn=dsns, write=writes,
+                                   latency_ns=latency_ns)
         return BatchAccessResult(
             hpas=hpas, dsns=dsns, dpas=dpas, channels=channels, ranks=ranks,
             latency_ns=latency_ns, smc_l1_hits=l1_hits, smc_l2_hits=l2_hits,

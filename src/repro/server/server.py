@@ -332,6 +332,27 @@ class DtlServer:
                 ErrorCode.BAD_REQUEST, "'t' must be a number"))
         return float(t)
 
+    @staticmethod
+    def _column_of(name: str, values: list, dtype: type) -> np.ndarray:
+        """A request list as a flat ``dtype`` (``np.int64``/``bool``) array.
+
+        numpy picks the dtype first, so a float, string, null, nested or
+        beyond-int64 element shows up as a foreign dtype kind or a
+        second dimension and is refused, rather than being coerced here
+        or raising inside the shard.  A bool column also takes integers.
+        """
+        try:
+            array = np.asarray(values)
+        except (TypeError, ValueError):  # ragged nesting
+            array = None
+        kinds = "bi" if dtype is bool else "i"
+        if array is None or array.ndim != 1 or array.dtype.kind not in kinds:
+            wanted = "booleans or integers" if dtype is bool else "integers"
+            raise _RequestError(Rejection(
+                ErrorCode.BAD_REQUEST,
+                f"'{name}' must be a flat list of {wanted} (signed 64-bit)"))
+        return array.astype(dtype, copy=False)
+
     def _clock(self, t_s: float | None) -> float:
         """Admission clock: the request's logical time, else wall time."""
         return t_s if t_s is not None else time.monotonic()
@@ -446,11 +467,7 @@ class DtlServer:
                 ErrorCode.BAD_REQUEST,
                 "access_batch needs a non-empty 'segments' list"))
         n = len(segments)
-        try:
-            segment_array = np.asarray(segments, dtype=np.int64)
-        except (TypeError, ValueError):
-            raise _RequestError(Rejection(
-                ErrorCode.BAD_REQUEST, "'segments' must be integers"))
+        segment_array = self._column_of("segments", segments, np.int64)
         layout = shard.controller.host_layout
         limit = len(vm.au_ids) * layout.segments_per_au
         if segment_array.min() < 0 or segment_array.max() >= limit:
@@ -465,7 +482,7 @@ class DtlServer:
                 raise _RequestError(Rejection(
                     ErrorCode.BAD_REQUEST,
                     "'lines' must match 'segments' in length"))
-            line_array = np.asarray(lines, dtype=np.int64)
+            line_array = self._column_of("lines", lines, np.int64)
             lines_per_segment = \
                 shard.controller.geometry.segment_bytes // 64
             if line_array.min() < 0 or \
@@ -481,7 +498,7 @@ class DtlServer:
                 raise _RequestError(Rejection(
                     ErrorCode.BAD_REQUEST,
                     "'writes' must match 'segments' in length"))
-            write_array = np.asarray(writes, dtype=bool)
+            write_array = self._column_of("writes", writes, bool)
         self._rate_gate(record, t_s, cost=self.admission.batch_cost(n))
         result = await shard.submit(shard.apply_access_batch, vm,
                                     segment_array, line_array, write_array,

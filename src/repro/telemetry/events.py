@@ -4,7 +4,9 @@ Every interesting state change in the DTL datapath — an SMC fill, a
 migration abort, a rank power transition — can be recorded as a
 :class:`TraceEvent` in an :class:`EventTrace`.  The trace is a ring
 buffer: it keeps the most recent ``capacity`` events and counts what it
-drops, so it is safe to leave attached during long simulations.
+drops, so it is safe to leave attached during long simulations.  The
+batch datapath hands its per-access events over as columns, which stay
+columns until somebody reads the ring (docs/TELEMETRY.md).
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from collections import Counter as TallyCounter
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
+
+import numpy as np
 
 DEFAULT_TRACE_CAPACITY = 4096
 
@@ -58,14 +62,53 @@ class TraceEvent:
         return {"kind": self.kind.value, "time": self.time, **self.data}
 
 
+class _EventBlock:
+    """A run of same-kind, same-time events held as columns.
+
+    Row ``i`` of every column is event ``i``'s payload field of that
+    name.  The block owns its arrays (copied on entry), so neither the
+    producer's buffers nor a longer batch behind them stay reachable.
+    """
+
+    __slots__ = ("kind", "time", "columns")
+
+    def __init__(self, kind: EventKind, time: float,
+                 columns: dict[str, np.ndarray]):
+        self.kind = kind
+        self.time = time
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def events(self) -> list[TraceEvent]:
+        """One :class:`TraceEvent` per row, payloads as Python scalars."""
+        names = tuple(self.columns)
+        rows = zip(*(column.tolist() for column in self.columns.values()))
+        return [TraceEvent(self.kind, self.time, dict(zip(names, row)))
+                for row in rows]
+
+
 class EventTrace:
-    """Bounded ring buffer of :class:`TraceEvent` records."""
+    """Bounded ring buffer of :class:`TraceEvent` records.
+
+    Events arrive one at a time (:meth:`record`) or as a columnar run
+    (:meth:`record_tail`); a run stays columnar until the ring is read,
+    so recording it builds no per-event objects.
+    """
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY):
         self.capacity = capacity
-        self._events: deque[TraceEvent] = deque(maxlen=capacity)
+        # Oldest first: ``_closed`` segments (runs of single events and
+        # blocks, ``_closed_len`` events in all), then the open ``_run``
+        # that record() appends to.  Together they always hold at least
+        # the readable window and at most a few ``capacity`` of events.
+        self._closed: deque[deque[TraceEvent] | _EventBlock] = deque()
+        self._closed_len = 0
+        self._run: deque[TraceEvent] = deque(maxlen=capacity)
         self._tally: TallyCounter = TallyCounter()
         self.recorded = 0
+        self._cleared_at = 0
 
     @property
     def enabled(self) -> bool:
@@ -86,40 +129,65 @@ class EventTrace:
                **data: Any) -> TraceEvent:
         """Append one event; oldest events fall off past ``capacity``."""
         event = TraceEvent(kind=kind, time=time, data=data)
-        self._events.append(event)
+        self._run.append(event)
         self._tally[kind.value] += 1
         self.recorded += 1
         return event
 
-    def record_tail(self, kind: EventKind, count: int,
-                    tail: list[TraceEvent]) -> None:
-        """Account ``count`` events of one kind, buffering only ``tail``.
+    def record_tail(self, kind: EventKind, time: float = 0.0,
+                    **columns: np.ndarray) -> None:
+        """Append one event per row of ``columns``, all at ``time``.
 
-        The batch datapath produces runs of events far longer than the
-        ring buffer; only the last ``capacity`` of a run could survive it
-        anyway.  Callers therefore build just the trailing
-        ``min(count, capacity)`` events and pass them here: the tally and
-        ``recorded`` advance by the full ``count`` (so ``dropped`` and
-        ``counts_by_kind`` match a sequence of :meth:`record` calls) while
-        the buffer receives only ``tail``.
+        Equivalent to ``record(kind, time, name=column[i], ...)`` for
+        each row ``i`` in order, without building the events: the batch
+        datapath produces runs far longer than the ring, so only copies
+        of the trailing ``min(rows, capacity)`` rows are kept, as one
+        block, and turned into :class:`TraceEvent` objects when the ring
+        is read.  Tallies advance by the full row count.
         """
-        if count < len(tail):
+        lengths = {len(column) for column in columns.values()}
+        if len(lengths) != 1:
             raise ValueError(
-                f"tail of {len(tail)} events exceeds count {count}")
-        self._events.extend(tail[-self.capacity:] if self.capacity else [])
+                "record_tail needs one or more equally long columns, got "
+                f"lengths {sorted(lengths)}")
+        count = lengths.pop()
+        if not count:
+            return
+        keep = min(count, self.capacity)
+        if keep:
+            if self._run:
+                self._close(self._run)
+                self._run = deque(maxlen=self.capacity)
+            self._close(_EventBlock(kind, time, {
+                name: np.array(column[count - keep:])
+                for name, column in columns.items()}))
+            # Whole segments leave once the ones behind them fill the
+            # window; a partly visible oldest segment is cut on read.
+            while (self._closed_len - len(self._closed[0])
+                   >= self.capacity):
+                self._closed_len -= len(self._closed.popleft())
         self._tally[kind.value] += count
         self.recorded += count
+
+    def _close(self, segment: "deque[TraceEvent] | _EventBlock") -> None:
+        self._closed.append(segment)
+        self._closed_len += len(segment)
 
     @property
     def dropped(self) -> int:
         """Events that fell off the ring buffer."""
-        return self.recorded - len(self._events)
+        return self.recorded - len(self)
 
     def events(self, kind: EventKind | None = None) -> list[TraceEvent]:
         """Buffered events, optionally filtered to one kind."""
+        held: list[TraceEvent] = []
+        for segment in (*self._closed, self._run):
+            held.extend(segment.events() if isinstance(segment, _EventBlock)
+                        else segment)
+        window = held[len(held) - len(self):]
         if kind is None:
-            return list(self._events)
-        return [event for event in self._events if event.kind is kind]
+            return window
+        return [event for event in window if event.kind is kind]
 
     def counts_by_kind(self) -> dict[str, int]:
         """Total occurrences per event kind (including dropped events)."""
@@ -127,17 +195,20 @@ class EventTrace:
 
     def to_list(self) -> list[dict[str, Any]]:
         """Buffered events as JSON-ready dicts (oldest first)."""
-        return [event.to_dict() for event in self._events]
+        return [event.to_dict() for event in self.events()]
 
     def clear(self) -> None:
         """Drop buffered events (totals in :meth:`counts_by_kind` remain)."""
-        self._events.clear()
+        self._closed.clear()
+        self._closed_len = 0
+        self._run.clear()
+        self._cleared_at = self.recorded
 
     def __len__(self) -> int:
-        return len(self._events)
+        return min(self.capacity, self.recorded - self._cleared_at)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return iter(self.events())
 
 
 class NullEventTrace(EventTrace):
@@ -158,8 +229,8 @@ class NullEventTrace(EventTrace):
                **data: Any) -> TraceEvent:
         return TraceEvent(kind=kind, time=time, data=data)
 
-    def record_tail(self, kind: EventKind, count: int,
-                    tail: list[TraceEvent]) -> None:
+    def record_tail(self, kind: EventKind, time: float = 0.0,
+                    **columns: np.ndarray) -> None:
         pass
 
 

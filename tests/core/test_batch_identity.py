@@ -21,8 +21,7 @@ from repro.core.controller import (SCALAR_ACCESS_WARN_THRESHOLD,
 from repro.core.segment_cache import SegmentCacheConfig
 from repro.dram.geometry import DramGeometry
 from repro.errors import PerformanceWarning
-from repro.telemetry import (EventKind, EventTrace, MetricsRegistry,
-                             TraceEvent)
+from repro.telemetry import EventKind, EventTrace, MetricsRegistry
 from repro.units import MIB
 
 SMALL_GEOMETRY = DramGeometry(channels=2, ranks_per_channel=4,
@@ -87,6 +86,13 @@ def assert_results_match(scalar_results, batch_result):
                           batch_result.routed_to_new_dsn)
 
 
+def access_events(controller: DtlController) -> list[dict]:
+    """The ring's ``ACCESS`` events, oldest first (docs/PERF.md: "the
+    final ring contents match the scalar loop")."""
+    return [event.to_dict()
+            for event in controller.trace.events(EventKind.ACCESS)]
+
+
 def assert_state_match(scalar: DtlController, batch: DtlController):
     s_smc, b_smc = scalar.translation.smc, batch.translation.smc
     for level in ("l1", "l2"):
@@ -109,6 +115,7 @@ def assert_state_match(scalar: DtlController, batch: DtlController):
         assert s_rank.state is b_rank.state, rank_id
     assert (scalar.trace.counts_by_kind()
             == batch.trace.counts_by_kind())
+    assert access_events(scalar) == access_events(batch)
     if scalar.self_refresh is not None:
         s_sr, b_sr = scalar.self_refresh, batch.self_refresh
         assert np.array_equal(s_sr.access_bits, b_sr.access_bits)
@@ -244,17 +251,18 @@ def test_histogram_observe_batch_matches_loop():
 
 def test_record_tail_tally_matches_record_loop():
     loop, tail = EventTrace(capacity=8), EventTrace(capacity=8)
-    events = [TraceEvent(kind=EventKind.ACCESS, time=float(i),
-                         data={"dsn": i}) for i in range(30)]
-    for event in events:
-        loop.record(EventKind.ACCESS, time=event.time, **event.data)
-    tail.record_tail(EventKind.ACCESS, len(events), events[-8:])
+    dsns = np.arange(30)
+    for dsn in dsns:
+        loop.record(EventKind.ACCESS, time=5.0, dsn=int(dsn))
+    tail.record_tail(EventKind.ACCESS, time=5.0, dsn=dsns)
     assert loop.counts_by_kind() == tail.counts_by_kind()
     assert loop.recorded == tail.recorded
     assert loop.dropped == tail.dropped
-    assert [e.data for e in loop] == [e.data for e in tail]
+    assert loop.to_list() == tail.to_list()
     with pytest.raises(ValueError):
-        tail.record_tail(EventKind.ACCESS, 1, events[:3])
+        tail.record_tail(EventKind.ACCESS, dsn=dsns, hsn=dsns[:3])
+    with pytest.raises(ValueError):
+        tail.record_tail(EventKind.ACCESS)
 
 
 def test_scalar_loop_performance_warning():

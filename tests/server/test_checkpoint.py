@@ -98,8 +98,11 @@ def other_kind(path: str) -> None:
 
 
 def stale_version(path: str) -> None:
+    """A version-2 file: that format pickled the event ring as a deque
+    of ``TraceEvent`` objects, which this build's ring cannot adopt."""
+    assert CHECKPOINT_VERSION > 2
     save_checkpoint(Checkpoint(kind="server", step=0, blob=b"old layout",
-                               version=CHECKPOINT_VERSION - 1), path)
+                               version=2), path)
 
 
 @pytest.mark.parametrize("write_file, target_config, match", [

@@ -9,6 +9,8 @@ the always-on chaos injector armed.
 
 import asyncio
 
+import pytest
+
 from repro.server import DtlServer, ServerConfig, shard_of
 from repro.server.admission import AdmissionConfig
 
@@ -133,6 +135,59 @@ class TestRejectionPurity:
 
     def test_rejections_leave_fingerprint_untouched(self):
         self.rejection_battery(AdmissionConfig(quota_bytes=4 << 20))
+
+    @pytest.mark.parametrize("field, payload", [
+        pytest.param("segments", [1.9, 2], id="segments-float"),
+        pytest.param("segments", [1, "2"], id="segments-string"),
+        pytest.param("segments", [2 ** 70, 0], id="segments-bigint"),
+        pytest.param("segments", [2 ** 63, 0], id="segments-uint64"),
+        pytest.param("segments", [[1, 2], [3, 4]], id="segments-nested"),
+        pytest.param("segments", [[1, 2], [3]], id="segments-ragged"),
+        pytest.param("segments", [None, 1], id="segments-null"),
+        pytest.param("segments", [True, False], id="segments-bool"),
+        pytest.param("lines", [0.5, 1], id="lines-float"),
+        pytest.param("lines", [[0], [1]], id="lines-nested"),
+        pytest.param("lines", ["0", 1], id="lines-string"),
+        pytest.param("writes", ["x", 0], id="writes-string"),
+        pytest.param("writes", [1.0, 0], id="writes-float"),
+        pytest.param("writes", [[True], [False]], id="writes-nested"),
+        pytest.param("writes", [2 ** 70, 0], id="writes-bigint"),
+    ])
+    def test_malformed_access_batch_bounces_before_the_shard(self, field,
+                                                             payload):
+        """Hostile element types and shapes are a typed BAD_REQUEST at the
+        server boundary: not coerced and served, not an ``internal``
+        error from inside the shard, and nothing is charged for them."""
+        first, second, target = colliding_names(2)
+
+        async def scenario():
+            server = await populated_server(ServerConfig(), (first, second))
+            shard = server.shards[target]
+            bucket = server.admission._buckets[first]
+
+            def charged() -> tuple:
+                return (shard.fingerprint(), shard.applied,
+                        server.admission.reserved_bytes(first),
+                        bucket.tokens, bucket.updated_s)
+
+            before = charged()
+            request = {"op": "access_batch", "tenant": first,
+                       "vm": sorted(server.tenants[first].vm_ids)[0],
+                       "segments": [0, 1], "t": 3.0}
+            request[field] = payload
+            response = await server.handle_request(request)
+            assert response["error"] == "bad_request", response
+            assert field in response["message"]
+            assert charged() == before
+            counters = server.metrics.counter_values()
+            assert counters.get("server.internal_errors", 0) == 0
+            assert counters["server.rejected.bad_request"] == 1
+            # Integers for writes stay welcome; the tenant is not wedged.
+            request.update(segments=[0, 1], lines=[0, 1], writes=[1, 0])
+            assert (await server.handle_request(request))["ok"]
+            await server.drain()
+            assert not server.audit_violations()
+        asyncio.run(scenario())
 
     def test_rejected_tenant_counters_are_typed(self):
         async def scenario():

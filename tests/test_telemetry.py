@@ -7,9 +7,15 @@ subsystems still expose.
 """
 
 import json
+import pickle
+import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.checkpoint import restore, snapshot
 from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
 from repro.dram.geometry import DramGeometry
@@ -98,6 +104,108 @@ class TestEventTrace:
 
     def test_default_capacity(self):
         assert EventTrace().capacity == DEFAULT_TRACE_CAPACITY
+
+
+def record_columns(trace: EventTrace, reference: EventTrace, rows: int,
+                   base: int) -> None:
+    """One columnar ``record_tail`` on ``trace``; the same rows as a
+    loop of ``record()`` on ``reference``."""
+    hsn = np.arange(base, base + rows, dtype=np.int64)
+    write = hsn % 3 == 0
+    latency_ns = hsn * 0.5
+    trace.record_tail(EventKind.ACCESS, time=float(base), hsn=hsn,
+                      write=write, latency_ns=latency_ns)
+    for i in range(rows):
+        reference.record(EventKind.ACCESS, time=float(base), hsn=base + i,
+                         write=(base + i) % 3 == 0,
+                         latency_ns=(base + i) * 0.5)
+    # The ring owns copies: the caller's arrays are free to change.
+    hsn[:] = -1
+    write[:] = True
+    latency_ns[:] = -1.0
+
+
+def assert_rings_equal(trace: EventTrace, reference: EventTrace) -> None:
+    assert trace.to_list() == reference.to_list()
+    json.dumps(trace.to_list())  # plain Python scalars only
+    for kind in (EventKind.ACCESS, EventKind.SMC_FILL):
+        assert ([event.to_dict() for event in trace.events(kind)]
+                == [event.to_dict() for event in reference.events(kind)])
+    assert ([event.to_dict() for event in trace]
+            == [event.to_dict() for event in reference])
+    # np.float64 would pass both checks above; demand the exact types.
+    assert ([[type(value) for value in event.data.values()]
+             for event in trace]
+            == [[type(value) for value in event.data.values()]
+                for event in reference])
+    assert len(trace) == len(reference)
+    assert trace.dropped == reference.dropped
+    assert trace.recorded == reference.recorded
+    assert trace.counts_by_kind() == reference.counts_by_kind()
+
+
+#: Blocks shorter than, equal to and longer than every capacity below.
+ring_ops = st.lists(st.one_of(
+    st.tuples(st.just("record"), st.sampled_from(
+        [EventKind.ACCESS, EventKind.SMC_FILL])),
+    st.tuples(st.just("tail"), st.sampled_from([0, 1, 3, 8, 9, 20])),
+    st.tuples(st.just("clear"), st.none()),
+    st.tuples(st.just("checkpoint"), st.none())), max_size=30)
+
+
+class TestColumnarRing:
+    """``record_tail`` reads back exactly as a loop of ``record()``."""
+
+    @pytest.mark.parametrize("capacity", [0, 1, 8])
+    @settings(max_examples=60, deadline=None)
+    @given(ops=ring_ops)
+    def test_interleavings_match_a_record_only_ring(self, capacity, ops):
+        trace, reference = EventTrace(capacity), EventTrace(capacity)
+        for step, (op, arg) in enumerate(ops):
+            if op == "record":
+                for ring in (trace, reference):
+                    ring.record(arg, time=float(step), hsn=step)
+            elif op == "tail":
+                record_columns(trace, reference, rows=arg, base=100 * step)
+            elif op == "clear":
+                trace.clear()
+                reference.clear()
+            else:
+                trace = restore(snapshot("ring", step, trace))
+            assert_rings_equal(trace, reference)
+
+    def test_half_full_ring_survives_a_checkpoint(self):
+        trace, reference = EventTrace(capacity=8), EventTrace(capacity=8)
+        for ring in (trace, reference):
+            ring.record(EventKind.SMC_FILL, hsn=1, dsn=2)
+        record_columns(trace, reference, rows=3, base=10)
+        assert len(trace) == 4
+        trace = restore(snapshot("ring", 0, trace))
+        assert_rings_equal(trace, reference)
+        # ... and keeps recording where it left off.
+        record_columns(trace, reference, rows=6, base=20)
+        for ring in (trace, reference):
+            ring.record(EventKind.SMC_FILL, hsn=3, dsn=4)
+        assert trace.dropped == 3
+        assert_rings_equal(trace, reference)
+
+    def test_retained_state_is_bounded_by_capacity(self):
+        """Neither a long batch behind a short tail nor an endless run
+        of small blocks and singles stays reachable from the ring."""
+        trace = EventTrace(capacity=16)
+        column = np.arange(200_000, dtype=np.int64)
+        alive = weakref.ref(column)
+        trace.record_tail(EventKind.ACCESS, hsn=column)
+        del column
+        assert alive() is None
+        assert trace.to_list()[0]["hsn"] == 200_000 - 16
+        sizes = []
+        for step in range(2_000):
+            trace.record(EventKind.SMC_FILL, hsn=step)
+            trace.record_tail(EventKind.ACCESS, hsn=np.arange(step % 5))
+            sizes.append(len(pickle.dumps(trace)))
+        assert max(sizes[1_000:]) <= max(sizes[:1_000])
+        assert len(trace) == 16 and trace.dropped == 206_000 - 16
 
 
 class TestSnapshot:
