@@ -12,11 +12,11 @@ existing ``run()``:
 * ``finish(state) -> result`` — summarise the state into the same
   result object ``run()`` returns.
 
-``run()`` itself is (re)written as exactly
-``finish(drive(begin()))`` wherever feasible, so the stepped and
-monolithic paths cannot drift: bit-identity of a restored run is a
-property of construction, then *proven* by the restore-at-step-k suite
-in ``tests/checkpoint/``.
+``run()`` and ``advance()`` share one drive in every experiment — the
+fan-out experiments hand ``run_tasks`` one planned task per advance and
+all remaining tasks per run — so the stepped and monolithic paths cannot
+drift: bit-identity of a restored run is a property of construction,
+then *proven* by the restore-at-step-k suite in ``tests/checkpoint/``.
 
 The run *state* object must be picklable; :func:`checkpoint_state`
 captures it, :func:`resume_state` reconstructs it, and

@@ -15,15 +15,15 @@ a single L2 invalidation (plus the back-invalidate it triggers) is enough
 to purge a stale mapping.  :meth:`SegmentMappingCache.fill` enforces this
 by back-invalidating L1 whenever an entry is evicted from L2.
 
-Layouts: the default cache classes use a **structure-of-arrays** layout —
-preallocated tag/DSN/stamp arrays addressed by pure index arithmetic (the
-gem5 cache-model idiom), with a small hash index for O(1) scalar probes.
+Both levels use a **structure-of-arrays** layout — preallocated
+tag/DSN/stamp arrays addressed by pure index arithmetic (the gem5
+cache-model idiom), with a small hash index for O(1) scalar probes.
 LRU order is a monotonic stamp per entry instead of dict ordering, which
 is what lets the batch datapath classify a whole chunk of lookups against
-the arrays and commit the resulting LRU state in bulk.  The previous
-OrderedDict-backed classes survive as ``Dict*`` variants selected with
-``SegmentCacheConfig(layout="dict")`` so the two implementations can be
-differential-tested against each other.
+the arrays and commit the resulting LRU state in bulk.  The
+dict-ordered reference implementation the two cache classes are
+differential-tested against lives with its only consumer, in
+``tests/core/dict_cache_reference.py``.
 
 Counters live in a :class:`~repro.telemetry.MetricsRegistry`;
 :class:`CacheStats` is a thin view over those registry counters so legacy
@@ -33,7 +33,6 @@ callers keep reading ``cache.stats.hits`` unchanged.
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -189,11 +188,7 @@ class FullyAssociativeCache:
         return True
 
     def touch(self, hsn: int) -> bool:
-        """Refresh ``hsn``'s LRU position without touching the stats.
-
-        Used by the replay batch datapath to reapply the LRU effect of
-        repeat hits whose counting was done in bulk.
-        """
+        """Refresh ``hsn``'s LRU position without touching the stats."""
         slot = self._slot_of.get(hsn)
         if slot is None:
             return False
@@ -317,143 +312,9 @@ class SetAssociativeCache:
         return len(self._way_of)
 
 
-class DictFullyAssociativeCache:
-    """OrderedDict-backed fully-associative LRU cache (legacy layout).
-
-    Kept as the reference implementation for differential tests against
-    :class:`FullyAssociativeCache`; selected with
-    ``SegmentCacheConfig(layout="dict")``.
-    """
-
-    def __init__(self, entries: int, stats: CacheStats | None = None):
-        if entries <= 0:
-            raise ConfigurationError("cache must have at least one entry")
-        self.entries = entries
-        self._data: OrderedDict[int, int] = OrderedDict()
-        self.stats = stats if stats is not None else CacheStats()
-
-    def lookup(self, hsn: int) -> int | None:
-        """Return the cached DSN for ``hsn`` or ``None`` on a miss."""
-        if hsn in self._data:
-            self._data.move_to_end(hsn)
-            self.stats.hits += 1
-            return self._data[hsn]
-        self.stats.misses += 1
-        return None
-
-    def insert(self, hsn: int, dsn: int) -> tuple[int, int] | None:
-        """Insert a mapping; returns the evicted ``(hsn, dsn)`` if any."""
-        evicted = None
-        if hsn not in self._data and len(self._data) >= self.entries:
-            evicted = self._data.popitem(last=False)
-        self._data[hsn] = dsn
-        self._data.move_to_end(hsn)
-        return evicted
-
-    def invalidate(self, hsn: int) -> bool:
-        """Drop the mapping for ``hsn``; returns True if it was present."""
-        if hsn in self._data:
-            del self._data[hsn]
-            self.stats.invalidations += 1
-            return True
-        return False
-
-    def touch(self, hsn: int) -> bool:
-        """Refresh ``hsn``'s LRU position without touching the stats."""
-        if hsn in self._data:
-            self._data.move_to_end(hsn)
-            return True
-        return False
-
-    def hsns(self) -> list[int]:
-        """HSNs currently cached (LRU first)."""
-        return list(self._data)
-
-    def items(self) -> list[tuple[int, int]]:
-        """``(hsn, dsn)`` pairs currently cached."""
-        return list(self._data.items())
-
-    def __contains__(self, hsn: int) -> bool:
-        return hsn in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
-class DictSetAssociativeCache:
-    """OrderedDict-backed set-associative LRU cache (legacy layout)."""
-
-    def __init__(self, entries: int, ways: int,
-                 stats: CacheStats | None = None):
-        if entries <= 0 or ways <= 0:
-            raise ConfigurationError("entries and ways must be positive")
-        if entries % ways:
-            raise ConfigurationError(
-                f"entries ({entries}) must be a multiple of ways ({ways})")
-        self.entries = entries
-        self.ways = ways
-        self.sets = entries // ways
-        self._sets: list[OrderedDict[int, int]] = [
-            OrderedDict() for _ in range(self.sets)]
-        self.stats = stats if stats is not None else CacheStats()
-
-    def _set_for(self, hsn: int) -> OrderedDict[int, int]:
-        return self._sets[hsn % self.sets]
-
-    def lookup(self, hsn: int) -> int | None:
-        """Return the cached DSN for ``hsn`` or ``None`` on a miss."""
-        cache_set = self._set_for(hsn)
-        if hsn in cache_set:
-            cache_set.move_to_end(hsn)
-            self.stats.hits += 1
-            return cache_set[hsn]
-        self.stats.misses += 1
-        return None
-
-    def insert(self, hsn: int, dsn: int) -> tuple[int, int] | None:
-        """Insert a mapping; returns the evicted ``(hsn, dsn)`` if any."""
-        cache_set = self._set_for(hsn)
-        evicted = None
-        if hsn not in cache_set and len(cache_set) >= self.ways:
-            evicted = cache_set.popitem(last=False)
-        cache_set[hsn] = dsn
-        cache_set.move_to_end(hsn)
-        return evicted
-
-    def invalidate(self, hsn: int) -> bool:
-        """Drop the mapping for ``hsn``; returns True if it was present."""
-        cache_set = self._set_for(hsn)
-        if hsn in cache_set:
-            del cache_set[hsn]
-            self.stats.invalidations += 1
-            return True
-        return False
-
-    def hsns(self) -> list[int]:
-        """HSNs currently cached (set by set, LRU first within a set)."""
-        return [hsn for cache_set in self._sets for hsn in cache_set]
-
-    def items(self) -> list[tuple[int, int]]:
-        """``(hsn, dsn)`` pairs currently cached."""
-        return [pair for cache_set in self._sets
-                for pair in cache_set.items()]
-
-    def __contains__(self, hsn: int) -> bool:
-        return hsn in self._set_for(hsn)
-
-    def __len__(self) -> int:
-        return sum(len(cache_set) for cache_set in self._sets)
-
-
 @dataclass(frozen=True)
 class SegmentCacheConfig:
-    """SMC sizing (Table 3 defaults).
-
-    ``layout`` selects the cache implementation: ``"soa"`` (default) uses
-    the structure-of-arrays classes with the fully vectorised batch
-    datapath; ``"dict"`` uses the legacy OrderedDict classes with the
-    chunked per-distinct replay, kept for differential testing.
-    """
+    """SMC sizing (Table 3 defaults)."""
 
     l1_entries: int = 64
     l2_entries: int = 1024
@@ -461,7 +322,6 @@ class SegmentCacheConfig:
     clock_ghz: float = CONTROLLER_CLOCK_GHZ
     l1_hit_cycles: int = L1_SMC_HIT_CYCLES
     l2_hit_cycles: int = L2_SMC_HIT_CYCLES
-    layout: str = "soa"
 
     @property
     def l1_hit_ns(self) -> float:
@@ -499,7 +359,7 @@ class LookupResult:
 
 
 class _SetState:
-    """Per-L2-set fill state for one batch chunk (SoA datapath).
+    """Per-L2-set fill state for one batch chunk.
 
     Built lazily, only for sets that actually take a fill — promotion
     traffic never touches numpy per set.  Construction snapshots the
@@ -552,29 +412,16 @@ class SegmentMappingCache:
                  registry: MetricsRegistry | None = None,
                  trace: EventTrace | None = None):
         self.config = config or SegmentCacheConfig()
-        layout = getattr(self.config, "layout", "soa")
-        if layout not in ("soa", "dict"):
-            raise ConfigurationError(
-                f"unknown cache layout {layout!r} (expected 'soa' or 'dict')")
-        self.layout = layout
         registry = registry if registry is not None else MetricsRegistry()
         # A permanently-disabled trace (the telemetry fast path) is
         # dropped here so fill/invalidate skip the record call outright.
         self._trace = trace if trace is not None and trace.enabled else None
-        l1_stats = CacheStats(registry=registry, prefix="smc.l1")
-        l2_stats = CacheStats(registry=registry, prefix="smc.l2")
-        if layout == "soa":
-            self.l1 = FullyAssociativeCache(self.config.l1_entries,
-                                            stats=l1_stats)
-            self.l2 = SetAssociativeCache(self.config.l2_entries,
-                                          self.config.l2_ways,
-                                          stats=l2_stats)
-        else:
-            self.l1 = DictFullyAssociativeCache(self.config.l1_entries,
-                                                stats=l1_stats)
-            self.l2 = DictSetAssociativeCache(self.config.l2_entries,
-                                              self.config.l2_ways,
-                                              stats=l2_stats)
+        self.l1 = FullyAssociativeCache(
+            self.config.l1_entries,
+            stats=CacheStats(registry=registry, prefix="smc.l1"))
+        self.l2 = SetAssociativeCache(
+            self.config.l2_entries, self.config.l2_ways,
+            stats=CacheStats(registry=registry, prefix="smc.l2"))
         self._back_invalidations = registry.counter("smc.back_invalidations")
 
     @property
@@ -637,41 +484,22 @@ class SegmentMappingCache:
         table walk per chunk) when given; ``resolve(hsn)`` serves the
         rare mid-chunk eviction of a pre-chunk resident.
 
-        The SoA layout classifies each chunk against the tag arrays and
-        simulates only the *insertion* events in order; the dict layout
-        replays the scalar path per distinct HSN (see
-        :meth:`_lookup_batch_replay`).
-        """
-        hsns = np.asarray(hsns, dtype=np.int64)
-        if self.layout == "soa":
-            return self._lookup_batch_soa(hsns, resolve, resolve_batch)
-        return self._lookup_batch_replay(hsns, resolve, resolve_batch)
-
-    # -- SoA batch datapath ---------------------------------------------------
-
-    def _lookup_batch_soa(self, hsns: np.ndarray,
-                          resolve: Callable[[int], int],
-                          resolve_batch) -> tuple[np.ndarray, np.ndarray,
-                                                  np.ndarray]:
-        """Vectorised lookup over the SoA arrays.
-
         One stable sort of the whole batch yields, for every position,
         its previous occurrence and a dense distinct ID (uid); both
         cache levels are then probed **once per uid** for the whole
         batch, and the per-uid residency snapshot (``uid_in_l1``,
         ``uid_slot``, ``uid_in_l2``, ``uid_way``) is kept current
-        incrementally as each chunk commits.  Chunks cut along the same
-        three invariants as the replay planner (:meth:`_plan_chunk`
-        documents them); within a chunk the DSN value, hit class, and
-        final LRU stamp of every distinct are computed from the
-        start-of-chunk state, and only *insertions* (L2 promotions and
-        fills, the rare events) run through a small ordered event loop.
-        That loop also absorbs the corner cases the replay path punted
-        to scalar code: entries evicted from L1 or L2 by an earlier
-        in-chunk insertion are reclassified on the fly (L2 hit, or full
-        miss with a fresh table walk) exactly as the scalar sequence
-        would have produced.
+        incrementally as each chunk commits.  :meth:`_soa_chunk` cuts
+        the chunks and documents the three invariants they uphold;
+        within a chunk the DSN value, hit class, and final LRU stamp of
+        every distinct are computed from the start-of-chunk state, and
+        only *insertions* (L2 promotions and fills, the rare events) run
+        through a small ordered event loop.  Entries evicted from L1 or
+        L2 by an earlier in-chunk insertion are reclassified on the fly
+        (L2 hit, or full miss with a fresh table walk) exactly as the
+        scalar sequence would have produced.
         """
+        hsns = np.asarray(hsns, dtype=np.int64)
         n = len(hsns)
         out_dsns = np.empty(n, dtype=np.int64)
         out_l1 = np.empty(n, dtype=bool)
@@ -728,6 +556,28 @@ class SegmentMappingCache:
 
     def _soa_chunk(self, hsns, uid, prev, start, window, uid_to_d, ctx,
                    out_dsns, out_l1, out_l2, resolve, resolve_batch) -> int:
+        """Plan, resolve, and commit one chunk; returns its end position.
+
+        The chunk is cut just before the first distinct HSN (in
+        first-occurrence order) that would break one of three
+        invariants:
+
+        * **L1 capacity** — at most ``l1_entries`` distinct HSNs, so no
+          in-chunk entry, once touched, can be the L1 LRU victim;
+        * **L2 associativity** — at most ``l2_ways`` distinct HSNs per
+          L2 set, so touched in-chunk entries cannot be L2 victims;
+        * **back-invalidation hazard** — an L1 hit refreshes L1 recency
+          but *not* L2 recency, so a chunk HSN already resident in L1
+          keeps its pre-chunk L2 age; a fill by another chunk HSN in
+          the same L2 set could then evict it from L2 and
+          back-invalidate it out of L1 mid-chunk, making a later repeat
+          a full miss where the bulk accounting assumed an L1 hit.  The
+          hazard needs, in one set, a chunk HSN resident in L1 plus a
+          different chunk HSN absent from L2 (by inclusion never the
+          same HSN), so a set may not collect both.
+
+        Within such a chunk every repeat occurrence is an L1 hit.
+        """
         l1: FullyAssociativeCache = self.l1
         l2: SetAssociativeCache = self.l2
         (uid_map, uid_slot, uid_in_l1, uid_set, uid_in_l2, uid_way,
@@ -1062,144 +912,6 @@ class SegmentMappingCache:
                     trace.record(EventKind.SMC_FILL, hsn=hsn_v, dsn=dsn_v)
         return end
 
-    # -- replay batch datapath (dict layout) ----------------------------------
-
-    def _plan_chunk(self, hsns: np.ndarray, start: int, window: int,
-                    ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray,
-                               list[int]]:
-        """Greedy one-pass chunk plan upholding the replay invariants.
-
-        Walks the window's distinct HSNs in first-occurrence order and
-        cuts the chunk just before the first HSN that would break one of
-        three invariants:
-
-        * **L1 capacity** — at most ``l1_entries`` distinct HSNs, so no
-          in-chunk entry, once touched, can be the L1 LRU victim;
-        * **L2 associativity** — at most ``l2_ways`` distinct HSNs per
-          L2 set, so touched in-chunk entries cannot be L2 victims;
-        * **back-invalidation hazard** — an L1 hit refreshes L1 recency
-          but *not* L2 recency, so a chunk HSN already resident in L1
-          keeps its pre-chunk L2 age; a fill by another chunk HSN in
-          the same L2 set could then evict it from L2 and
-          back-invalidate it out of L1 mid-chunk, making a later repeat
-          a full miss where the bulk accounting assumed an L1 hit.  The
-          hazard needs, in one set, a chunk HSN resident in L1 plus a
-          different chunk HSN absent from L2 (by inclusion never the
-          same HSN), so a set may not collect both.
-
-        Within such a chunk every repeat occurrence is an L1 hit and
-        per-distinct replay in first-occurrence order reproduces the
-        scalar cache state exactly.
-
-        Returns ``(end, uniq, first_idx, inverse, miss_candidates)``
-        with the unique data restricted to the chunk;
-        ``miss_candidates`` are the distinct HSNs absent from both
-        levels at plan time (their replay lookups will walk the
-        tables).
-        """
-        segment = hsns[start:start + window]
-        uniq, first_idx, inverse = np.unique(
-            segment, return_index=True, return_inverse=True)
-        sets = self.l2.sets
-        per_set: dict[int, int] = {}
-        l1_sets: set[int] = set()
-        miss_sets: set[int] = set()
-        miss_candidates: list[int] = []
-        cut = window
-        for position, k in enumerate(np.argsort(first_idx, kind="stable")):
-            if position >= self.config.l1_entries:
-                cut = int(first_idx[k])
-                break
-            hsn = int(uniq[k])
-            set_index = hsn % sets
-            count = per_set.get(set_index, 0) + 1
-            in_l1 = hsn in self.l1
-            not_in_l2 = hsn not in self.l2
-            if (count > self.l2.ways
-                    or ((in_l1 or set_index in l1_sets)
-                        and (not_in_l2 or set_index in miss_sets))):
-                cut = int(first_idx[k])
-                break
-            per_set[set_index] = count
-            if in_l1:
-                l1_sets.add(set_index)
-            if not_in_l2:
-                miss_sets.add(set_index)
-                miss_candidates.append(hsn)
-        if cut < window:
-            keep = first_idx < cut
-            remap = np.cumsum(keep) - 1
-            inverse = remap[inverse[:cut]]
-            uniq = uniq[keep]
-            first_idx = first_idx[keep]
-        return start + cut, uniq, first_idx, inverse, miss_candidates
-
-    def _lookup_batch_replay(self, hsns: np.ndarray,
-                             resolve: Callable[[int], int],
-                             resolve_batch) -> tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray]:
-        """Chunked per-distinct scalar replay (legacy dict layout).
-
-        The batch is cut into chunks (see :meth:`_plan_chunk`); inside a
-        chunk only the distinct HSNs go through the sequential
-        lookup/fill path (``np.unique`` collapses repeats), repeats are
-        accounted as L1 hits in bulk, and the final L1 LRU order is
-        restored by re-touching distinct HSNs in last-occurrence order.
-        """
-        n = len(hsns)
-        dsns = np.empty(n, dtype=np.int64)
-        l1_hits = np.empty(n, dtype=bool)
-        l2_hits = np.empty(n, dtype=bool)
-        max_window = 4 * self.config.l2_entries
-        window = min(n, max_window)
-        start = 0
-        while start < n:
-            end, uniq, first_idx, inverse, candidates = self._plan_chunk(
-                hsns, start, min(window, n - start))
-            # Adapt the plan window to the workload: chunks bounded by
-            # the invariants keep the np.unique cost proportional to the
-            # chunk actually consumed; unbounded chunks grow it back.
-            chunk_len = end - start
-            window = min(max_window,
-                         max(64, 4 * chunk_len))
-            resolved: dict[int, int] = {}
-            if resolve_batch is not None and candidates:
-                walked = resolve_batch(
-                    np.asarray(candidates, dtype=np.int64))
-                resolved = dict(zip(candidates, (int(d) for d in walked)))
-            d_dsn = np.empty(len(uniq), dtype=np.int64)
-            d_l1 = np.empty(len(uniq), dtype=bool)
-            d_l2 = np.empty(len(uniq), dtype=bool)
-            for k in np.argsort(first_idx, kind="stable"):
-                hsn = int(uniq[k])
-                result = self.lookup(hsn)
-                if result.dsn is None:
-                    dsn = resolved.get(hsn)
-                    if dsn is None:
-                        dsn = resolve(hsn)
-                    self.fill(hsn, dsn)
-                else:
-                    dsn = result.dsn
-                d_dsn[k] = dsn
-                d_l1[k] = result.l1_hit
-                d_l2[k] = result.l2_hit
-            repeats = chunk_len - len(uniq)
-            if repeats:
-                # Every repeat is an L1 hit (chunk invariant); their LRU
-                # effect is replayed below, their counting lands here.
-                self.l1.stats.hits += repeats
-                last_idx = np.empty(len(uniq), dtype=np.int64)
-                last_idx[inverse] = np.arange(chunk_len)
-                for k in np.argsort(last_idx, kind="stable"):
-                    self.l1.touch(int(uniq[k]))
-            is_first = np.zeros(chunk_len, dtype=bool)
-            is_first[first_idx] = True
-            dsns[start:end] = d_dsn[inverse]
-            l1_hits[start:end] = np.where(is_first, d_l1[inverse], True)
-            l2_hits[start:end] = np.where(is_first, d_l2[inverse], False)
-            start = end
-        return dsns, l1_hits, l2_hits
-
     def latency_ns_batch(self, l1_hits: np.ndarray,
                          l2_hits: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`hit_latency_ns` over hit-class arrays."""
@@ -1233,8 +945,6 @@ __all__ = [
     "CacheStats",
     "FullyAssociativeCache",
     "SetAssociativeCache",
-    "DictFullyAssociativeCache",
-    "DictSetAssociativeCache",
     "SegmentCacheConfig",
     "LookupResult",
     "SegmentMappingCache",

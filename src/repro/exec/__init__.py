@@ -19,7 +19,7 @@ from repro.exec.cache import CACHE_DIR_ENV, ResultCache
 from repro.exec.hashing import canonical, derive_seed, stable_hash, task_key
 from repro.exec.runner import (EXEC_METRICS, ExecConfig, NESTED_ENV,
                                TaskOutcome, TaskSpec, WORKERS_ENV,
-                               default_workers, run_tasks)
+                               default_workers, run_next_tasks, run_tasks)
 from repro.exec.sharding import (ShardPlan, ShardReducer, run_shard,
                                  shard_slices, shard_tasks)
 from repro.exec.warmstart import (PrefixSpec, WarmStartPlan,
@@ -47,6 +47,7 @@ __all__ = [
     "clear_prefix_memo",
     "default_workers",
     "prefix_memo_size",
+    "run_next_tasks",
     "run_shard",
     "run_tasks",
     "run_warm_task",

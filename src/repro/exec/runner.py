@@ -83,18 +83,12 @@ class ExecConfig:
             running task and ignores it).  Chunked submissions wait
             ``timeout_s * len(chunk)`` per chunk.
         retries: Extra attempts after a failure or timeout.
-        fallback_serial: Run leftover tasks in-process when the pool
-            cannot be created or breaks.
         chunk_size: Tasks submitted per pool job, so each worker
             amortises pickling and dispatch overhead over several tasks.
             ``None`` splits the pending tasks evenly over the workers
             (one chunk each).
-        min_parallel_cost_s: Skip the pool and run serially when every
-            pending task carries a ``cost_hint_s`` and the estimated
-            per-worker share of the batch is below this threshold — the
-            pool's setup cost would dominate.
         force_pool: Always use the pool when ``workers > 1``, even when
-            the cost-hint / single-CPU heuristics would skip it.  Used by
+            the single-CPU heuristic would skip it.  Used by
             bit-identity tests and soak verification legs that must
             exercise the cross-process path regardless of host shape.
     """
@@ -102,9 +96,7 @@ class ExecConfig:
     workers: int | None = None
     timeout_s: float | None = None
     retries: int = 1
-    fallback_serial: bool = True
     chunk_size: int | None = None
-    min_parallel_cost_s: float = 0.2
     force_pool: bool = False
 
     def resolved_workers(self) -> int:
@@ -133,9 +125,6 @@ class TaskSpec:
     #: host (the pool only adds pickling + context-switch overhead), so
     #: the runner keeps them in-process there.
     cpu_bound: bool = False
-    #: Estimated wall time; lets the runner skip the pool for batches
-    #: cheaper than ``ExecConfig.min_parallel_cost_s`` per worker.
-    cost_hint_s: float | None = None
 
 
 @dataclass
@@ -203,7 +192,7 @@ def _payload_size(value: Any) -> int:
     Measured in the worker — it is exactly what crosses the process
     boundary — and on the serial path too, so ``exec.result_bytes``
     stays comparable when a batch never reaches the pool (single-core
-    hosts, cost-hint skips).
+    hosts).
     """
     try:
         return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
@@ -298,8 +287,7 @@ def _run_pool(tasks: list[TaskSpec], pending: list[int],
             initializer=_worker_init)
     except (OSError, ValueError, NotImplementedError):
         meter.count("serial_fallbacks")
-        return pending if config.fallback_serial else _mark_failed(
-            tasks, pending, outcomes, meter, "process pool unavailable")
+        return pending
 
     def submit(chunk: list[int]):
         return executor.submit(
@@ -373,42 +361,20 @@ def _run_pool(tasks: list[TaskSpec], pending: list[int],
                 drain()
     except BrokenProcessPool:
         meter.count("serial_fallbacks")
-        leftovers = [index for index in pending if outcomes[index] is None]
-        if config.fallback_serial:
-            return leftovers
-        return _mark_failed(tasks, leftovers, outcomes, meter,
-                            "process pool broke")
+        return [index for index in pending if outcomes[index] is None]
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
     return []
 
 
-def _mark_failed(tasks: list[TaskSpec], indices: list[int],
-                 outcomes: list[TaskOutcome | None], meter: _Meter,
-                 reason: str) -> list[int]:
-    for index in indices:
-        meter.count("tasks.failed")
-        outcomes[index] = TaskOutcome(label=tasks[index].label, error=reason)
-    return []
-
-
-def _should_skip_pool(tasks: list[TaskSpec], pending: list[int],
-                      config: ExecConfig, workers: int) -> bool:
+def _should_skip_pool(tasks: list[TaskSpec], pending: list[int]) -> bool:
     """True when a process pool can only slow this batch down.
 
-    Two cases: every pending task carries a cost hint and the estimated
-    per-worker share is below ``min_parallel_cost_s`` (pool setup would
-    dominate), or the host has a single CPU and every pending task is
-    CPU-bound (no overlap to win, only pickling to pay).
+    The host has a single CPU and every pending task is CPU-bound: no
+    overlap to win, only pickling to pay.
     """
-    hints = [tasks[index].cost_hint_s for index in pending]
-    if all(hint is not None for hint in hints):
-        if sum(hints) / workers < config.min_parallel_cost_s:
-            return True
-    if (os.cpu_count() or 1) == 1 and all(tasks[index].cpu_bound
-                                          for index in pending):
-        return True
-    return False
+    return (os.cpu_count() or 1) == 1 and all(tasks[index].cpu_bound
+                                              for index in pending)
 
 
 def run_tasks(tasks: list[TaskSpec], config: ExecConfig | None = None,
@@ -463,10 +429,10 @@ def run_tasks(tasks: list[TaskSpec], config: ExecConfig | None = None,
 
     pool_drain = drain if stream is not None else None
     use_pool = workers > 1 and len(pending) > 1
-    if use_pool and not config.force_pool:
-        if _should_skip_pool(tasks, pending, config, workers):
-            meter.count("pool_skips")
-            use_pool = False
+    if (use_pool and not config.force_pool
+            and _should_skip_pool(tasks, pending)):
+        meter.count("pool_skips")
+        use_pool = False
     if use_pool:
         pending = _run_pool(tasks, pending, outcomes, config, workers,
                             meter, drain=pool_drain)
@@ -488,11 +454,39 @@ def run_tasks(tasks: list[TaskSpec], config: ExecConfig | None = None,
     return outcomes  # type: ignore[return-value]
 
 
+def run_next_tasks(tasks: list[TaskSpec], done: int,
+                   fold: Callable[[int, TaskOutcome], None],
+                   limit: int | None = None,
+                   config: ExecConfig | None = None,
+                   cache: ResultCache | None = None,
+                   metrics: MetricsRegistry | None = None) -> int:
+    """Run the next ``limit`` tasks of a planned list, folding as they land.
+
+    ``tasks[:done]`` have already been folded; this runs
+    ``tasks[done:done + limit]`` (every remaining task when ``limit`` is
+    ``None``) through :func:`run_tasks` and hands each outcome to
+    ``fold(index, outcome)`` in submission order, ``index`` counting
+    from the start of ``tasks``.  Returns the new ``done``.
+
+    An experiment that plans its tasks once and keeps ``done`` in its
+    run state gets ``run()`` (no limit) and a stepped ``advance()``
+    (limit 1) from this one call, so the two cannot disagree on labels,
+    retries, error strings, or fold order.
+    """
+    stop = len(tasks) if limit is None else min(len(tasks), done + limit)
+    if stop > done:
+        run_tasks(tasks[done:stop], config=config, cache=cache,
+                  metrics=metrics,
+                  stream=lambda offset, outcome: fold(done + offset, outcome))
+    return stop
+
+
 __all__ = [
     "ExecConfig",
     "TaskSpec",
     "TaskOutcome",
     "run_tasks",
+    "run_next_tasks",
     "default_workers",
     "EXEC_METRICS",
     "WORKERS_ENV",

@@ -106,7 +106,6 @@ def shard_tasks(item_fn: Callable[[int], Any], reducer: ShardReducer,
                 count: int, shard_size: int,
                 key_fn: Callable[[int, int], str | None] | None = None,
                 label: str = "shard", cpu_bound: bool = True,
-                cost_hint_s: float | None = None,
                 item_retries: int = 0) -> tuple[ShardPlan, list[TaskSpec]]:
     """Build one :class:`TaskSpec` per shard of ``range(count)``.
 
@@ -120,8 +119,6 @@ def shard_tasks(item_fn: Callable[[int], Any], reducer: ShardReducer,
         label: Task label prefix; shards are labelled
             ``{label}[start:stop]``.
         cpu_bound: Forwarded to :class:`TaskSpec`.
-        cost_hint_s: Estimated wall time *per item*; the shard's hint is
-            ``cost_hint_s * len(shard)``.
         item_retries: In-worker retries per item before the item is
             recorded as failed.
     """
@@ -131,9 +128,7 @@ def shard_tasks(item_fn: Callable[[int], Any], reducer: ShardReducer,
                  args=(item_fn, reducer, start, stop, item_retries),
                  key=key_fn(start, stop) if key_fn is not None else None,
                  label=f"{label}[{start}:{stop}]",
-                 cpu_bound=cpu_bound,
-                 cost_hint_s=(None if cost_hint_s is None
-                              else cost_hint_s * (stop - start)))
+                 cpu_bound=cpu_bound)
         for start, stop in slices
     ]
     plan = ShardPlan(count=count, shard_size=shard_size,

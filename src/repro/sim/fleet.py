@@ -44,8 +44,7 @@ import numpy as np
 from repro.analysis.tco import TcoModel
 from repro.cxl.pool import (PoolContention, PoolContentionConfig, PoolStats,
                             pool_contention)
-from repro.exec import (ExecConfig, TaskOutcome, run_shard, run_tasks,
-                        shard_slices, shard_tasks)
+from repro.exec import ExecConfig, TaskSpec, run_next_tasks, shard_tasks
 from repro.host.scheduler import SchedulerConfig
 from repro.sim.powerdown_sim import (ComparisonSimulator,
                                      PowerDownComparisonResult,
@@ -458,96 +457,69 @@ class FleetSimulator:
             config = dataclasses.replace(config, chunk_size=1)
         return config
 
-    def run(self) -> FleetResult:
-        """Simulate every node; returns the aggregate.
-
-        Nodes run through :func:`repro.exec.run_tasks` as shard tasks —
-        serially by default, in parallel when the exec config (or
-        ``REPRO_EXEC_WORKERS``) asks for workers.  A node that fails
-        after its retry budget lands in ``FleetResult.failures`` instead
-        of aborting the shard; a shard-level failure (worker loss,
-        unpicklable result) fails all of its nodes.
-        """
+    def begin(self) -> "FleetRunState":
+        """Plan the shard tasks and open the streaming accumulator."""
         config = self.config
-        exec_config = self._exec_config()
         runner = _NodeRunner(node=config.node, base_seed=config.base_seed,
                              fail_seeds=tuple(self.fail_seeds))
         reducer = _FleetShardReducer(base_seed=config.base_seed)
         plan, tasks = shard_tasks(
             runner, reducer, count=config.num_nodes,
             shard_size=config.shard_size, label="fleet-shard",
-            cpu_bound=True, item_retries=exec_config.retries)
-        accumulator = _FleetAccumulator(slices=list(plan.slices),
-                                        base_seed=config.base_seed)
-        metrics = MetricsRegistry()
-        run_tasks(tasks, config=exec_config, metrics=metrics,
-                  stream=accumulator.stream)
-        return FleetResult(config=config, nodes=accumulator.nodes,
-                           failures=accumulator.failures,
-                           exec_telemetry=metrics.snapshot().to_dict(),
-                           counter_fold=accumulator.counter_fold)
-
-    # -- stepped execution -----------------------------------------------------
-    # One shard per advance, executed in-process through the exact same
-    # worker-side fold (:func:`repro.exec.sharding.run_shard`) and the
-    # same submission-order streaming fold, so the stepped fleet result
-    # is bit-identical to :meth:`run` in every execution mode (the
-    # determinism contract of the shard fan-out).  Only the
-    # ``exec_telemetry`` side channel differs — it is explicitly not
-    # part of :meth:`FleetResult.to_record`.
-
-    def begin(self) -> "FleetRunState":
-        """Plan the shards and open the streaming accumulator."""
-        config = self.config
-        exec_config = self._exec_config()
-        runner = _NodeRunner(node=config.node, base_seed=config.base_seed,
-                             fail_seeds=tuple(self.fail_seeds))
-        reducer = _FleetShardReducer(base_seed=config.base_seed)
-        slices = shard_slices(config.num_nodes, config.shard_size)
+            cpu_bound=True, item_retries=self._exec_config().retries)
         return FleetRunState(
-            runner=runner, reducer=reducer, slices=slices,
-            item_retries=exec_config.retries,
-            accumulator=_FleetAccumulator(slices=slices,
-                                          base_seed=config.base_seed))
+            tasks=tasks,
+            accumulator=_FleetAccumulator(slices=list(plan.slices),
+                                          base_seed=config.base_seed),
+            metrics=MetricsRegistry())
+
+    def _drive(self, state: "FleetRunState",
+               limit: int | None = None) -> bool:
+        """Run the next ``limit`` shards (all when ``None``); True while
+        more remain.
+
+        The one schedule behind both :meth:`run` and :meth:`advance`:
+        shards go through :func:`repro.exec.run_tasks` — serially by
+        default, in parallel when the exec config (or
+        ``REPRO_EXEC_WORKERS``) asks for workers — and stream into the
+        accumulator in submission order.  A node that fails after its
+        retry budget lands in ``FleetResult.failures`` instead of
+        aborting the shard; a shard-level failure (worker loss,
+        unpicklable result) fails all of its nodes.
+        """
+        state.done = run_next_tasks(
+            state.tasks, state.done, state.accumulator.stream, limit,
+            config=self._exec_config(), metrics=state.metrics)
+        return state.done < len(state.tasks)
 
     def advance(self, state: "FleetRunState") -> bool:
         """Run one pending shard; True while more remain after."""
-        if state.shard_index >= len(state.slices):
-            return False
-        start, stop = state.slices[state.shard_index]
-        try:
-            aggregate = run_shard(state.runner, state.reducer, start, stop,
-                                  item_retries=state.item_retries)
-        except Exception as exc:  # shard-level failure: all nodes fail
-            outcome = TaskOutcome(label=f"fleet-shard[{start}:{stop}]",
-                                  error=f"{type(exc).__name__}: {exc}")
-        else:
-            outcome = TaskOutcome(label=f"fleet-shard[{start}:{stop}]",
-                                  value=aggregate)
-        state.accumulator.stream(state.shard_index, outcome)
-        state.shard_index += 1
-        return state.shard_index < len(state.slices)
+        return self._drive(state, limit=1)
 
     def finish(self, state: "FleetRunState") -> FleetResult:
         """Assemble the aggregate from the streamed shard folds."""
         accumulator = state.accumulator
         return FleetResult(config=self.config, nodes=accumulator.nodes,
                            failures=accumulator.failures,
-                           exec_telemetry=MetricsRegistry()
-                           .snapshot().to_dict(),
+                           exec_telemetry=state.metrics.snapshot().to_dict(),
                            counter_fold=accumulator.counter_fold)
+
+    def run(self) -> FleetResult:
+        """Simulate every node; returns the aggregate."""
+        state = self.begin()
+        self._drive(state)
+        return self.finish(state)
 
 
 @dataclass
 class FleetRunState:
-    """Shard progress of one stepped fleet run."""
+    """Shard progress of one fleet run."""
 
-    runner: _NodeRunner
-    reducer: _FleetShardReducer
-    slices: list[tuple[int, int]]
-    item_retries: int
+    tasks: list[TaskSpec]
     accumulator: _FleetAccumulator
-    shard_index: int = 0
+    #: Executor accounting of every shard run so far.
+    metrics: MetricsRegistry
+    done: int = 0
 
 
 __all__ = [

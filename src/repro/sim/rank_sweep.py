@@ -22,7 +22,8 @@ import numpy as np
 from repro.dram.banks import AddressDecoder, BankState
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DDR4_2933, DramTiming, NATIVE_DRAM_LATENCY_NS
-from repro.exec import ExecConfig, TaskSpec, run_tasks
+from repro.exec import (ExecConfig, TaskOutcome, TaskSpec, run_next_tasks,
+                        run_tasks)
 from repro.sim.base import SeededConfig
 from repro.units import GIB
 from repro.workloads.cloudsuite import PROFILES, TraceGenerator, WorkloadProfile
@@ -143,15 +144,17 @@ class TraceRankSweep:
         deterministic pure function of the trace, so serial and parallel
         sweeps are bit-identical.
         """
-        ordered = _needed_power_of_two(rank_counts)
-        outcomes = run_tasks(
-            [TaskSpec(fn=_measure_task, args=(self, ranks),
-                      label=f"rank-sweep-{ranks}", cpu_bound=True)
-             for ranks in ordered],
-            config=exec_config)
-        measured = {ranks: outcome.unwrap()
-                    for ranks, outcome in zip(ordered, outcomes)}
-        return _resolve_points(rank_counts, measured)
+        outcomes = run_tasks(self.measure_tasks(rank_counts),
+                             config=exec_config)
+        points = [outcome.unwrap() for outcome in outcomes]
+        return _resolve_points(
+            rank_counts, {point.active_ranks: point for point in points})
+
+    def measure_tasks(self, rank_counts: tuple[int, ...]) -> list[TaskSpec]:
+        """One executor task per power-of-two count ``rank_counts`` needs."""
+        return [TaskSpec(fn=_measure_task, args=(self, ranks),
+                         label=f"rank-sweep-{ranks}", cpu_bound=True)
+                for ranks in _needed_power_of_two(rank_counts)]
 
     def slowdowns(self, rank_counts: tuple[int, ...] = (8, 6, 4, 2),
                   baseline_ranks: int = 8,
@@ -271,22 +274,6 @@ class RankSweepExperiment:
         self.config = config or TraceRankSweepConfig()
         self.exec_config = exec_config
 
-    def run(self) -> TraceRankSweepResult:
-        """Generate the trace and measure every configured rank count."""
-        config = self.config
-        sweep = TraceRankSweep(PROFILES[config.workload], config.machine,
-                               num_accesses=config.num_accesses,
-                               seed=config.seed)
-        counts = tuple(sorted(set(config.rank_counts)
-                              | {config.baseline_ranks}))
-        points = sweep.sweep(counts, exec_config=self.exec_config)
-        return TraceRankSweepResult(config=config, points=points)
-
-    # -- stepped execution -----------------------------------------------------
-    # One power-of-two measurement per advance.  ``measure`` is a pure
-    # function of the trace, so the serial stepped path is bit-identical
-    # to the run_tasks fan-out in :meth:`run`.
-
     def begin(self) -> "RankSweepRunState":
         """Generate the trace and plan the measurements."""
         config = self.config
@@ -295,34 +282,49 @@ class RankSweepExperiment:
                                seed=config.seed)
         counts = tuple(sorted(set(config.rank_counts)
                               | {config.baseline_ranks}))
-        return RankSweepRunState(sweep=sweep, counts=counts,
-                                 ordered=_needed_power_of_two(counts),
-                                 measured={})
+        return RankSweepRunState(counts=counts,
+                                 tasks=sweep.measure_tasks(counts))
+
+    def _drive(self, state: "RankSweepRunState",
+               limit: int | None = None) -> bool:
+        """Run the next ``limit`` measurements (all when ``None``); True
+        while more remain.
+
+        The one schedule behind :meth:`run` and :meth:`advance`.
+        """
+        def fold(_index: int, outcome: TaskOutcome) -> None:
+            point = outcome.unwrap()
+            state.measured[point.active_ranks] = point
+
+        state.done = run_next_tasks(state.tasks, state.done, fold, limit,
+                                    config=self.exec_config)
+        return state.done < len(state.tasks)
 
     def advance(self, state: "RankSweepRunState") -> bool:
         """Measure one pending rank count; True while more remain after."""
-        if state.index >= len(state.ordered):
-            return False
-        ranks = state.ordered[state.index]
-        state.measured[ranks] = state.sweep.measure(ranks)
-        state.index += 1
-        return state.index < len(state.ordered)
+        return self._drive(state, limit=1)
 
     def finish(self, state: "RankSweepRunState") -> TraceRankSweepResult:
         """Interpolate odd counts and assemble the sweep result."""
         points = _resolve_points(state.counts, state.measured)
         return TraceRankSweepResult(config=self.config, points=points)
 
+    def run(self) -> TraceRankSweepResult:
+        """Generate the trace and measure every configured rank count."""
+        state = self.begin()
+        self._drive(state)
+        return self.finish(state)
+
 
 @dataclass
 class RankSweepRunState:
-    """Measurement progress of one stepped rank sweep."""
+    """Measurement progress of one rank sweep."""
 
-    sweep: TraceRankSweep
     counts: tuple[int, ...]
-    ordered: list[int]
-    measured: dict[int, RankSweepPoint]
-    index: int = 0
+    #: One task per power-of-two count; each carries the shared sweep.
+    tasks: list[TaskSpec]
+    measured: dict[int, RankSweepPoint] = field(default_factory=dict)
+    done: int = 0
 
 
 def interleaving_comparison(profile: WorkloadProfile,

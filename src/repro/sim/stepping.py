@@ -3,7 +3,7 @@
 Every experiment registered in :data:`repro.sim.experiments.EXPERIMENTS`
 implements the :class:`~repro.checkpoint.stepping.Stepper` protocol —
 ``begin() -> state`` / ``advance(state) -> bool`` / ``finish(state) ->
-result`` — and its ``run()`` is ``finish(drive(begin()))``, so a run
+result`` — and its ``run()`` drives the same schedule, so a run
 resumed from a mid-flight checkpoint is bit-identical to an
 uninterrupted one by construction (and proven by the restore-at-step-k
 suite in ``tests/checkpoint/``).

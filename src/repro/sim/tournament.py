@@ -20,21 +20,20 @@ high *and* overhead at least as low, with one of the two strict.
 
 The module deliberately imports nothing from
 :mod:`repro.sim.experiments` at module level — the registry imports
-*this* module to register the ``tournament`` experiment, so the fan-out
-import happens lazily inside :meth:`PolicyTournament.run`.
+*this* module to register the ``tournament`` experiment, so the
+``experiment_task`` import happens lazily inside
+:meth:`PolicyTournament.begin`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from repro.exec import (ExecConfig, ResultCache, TaskOutcome, TaskSpec,
+                        run_next_tasks)
 from repro.sim.base import SeededConfig
 from repro.sim.selfrefresh_sim import SelfRefreshResult, SelfRefreshSimConfig
 from repro.workloads.cloudsuite import TRACED_BENCHMARKS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec import ExecConfig, ResultCache
 
 
 @dataclass(frozen=True)
@@ -161,72 +160,66 @@ class PolicyTournament:
                 grid.append((policy, f"mix{index}", sim))
         return grid
 
-    def run(self, exec_config: "ExecConfig | None" = None,
-            cache: "ResultCache | None" = None) -> TournamentResult:
-        """Fan the grid out and collect the Pareto-ranked result.
-
-        Failed cells land in ``result.failures`` rather than raising, so
-        one pathological policy cannot sink the whole tournament.
-        """
+    def begin(self) -> TournamentRunState:
+        """Plan one executor task per grid cell; none have run yet."""
         # Imported lazily: repro.sim.experiments imports this module to
         # register the "tournament" spec.
-        from repro.sim.experiments import run_experiments
+        from repro.sim.experiments import experiment_task
 
         grid = self.cell_configs()
-        outcomes = run_experiments(
-            [("selfrefresh", sim) for _, _, sim in grid],
-            exec_config=exec_config, cache=cache)
-        cells: list[TournamentCell] = []
-        failures: list[tuple[str, str, str]] = []
-        for (policy, label, _), outcome in zip(grid, outcomes):
+        return TournamentRunState(
+            grid=grid,
+            tasks=[experiment_task("selfrefresh", sim) for _, _, sim in grid])
+
+    def _drive(self, state: TournamentRunState, limit: int | None = None,
+               exec_config: ExecConfig | None = None,
+               cache: ResultCache | None = None) -> bool:
+        """Run the next ``limit`` cells (all when ``None``); True while
+        more remain.
+
+        The one schedule behind :meth:`run` and :meth:`advance`.  Failed
+        cells land in ``state.failures`` rather than raising, so one
+        pathological policy cannot sink the whole tournament.
+        """
+        def fold(index: int, outcome: TaskOutcome) -> None:
+            policy, label, _ = state.grid[index]
             if outcome.error is not None:
-                failures.append((policy, label, outcome.error))
-                continue
-            cells.append(cell_from_result(policy, label, outcome.value))
-        return TournamentResult(config=self.config, cells=cells,
-                                failures=failures)
+                state.failures.append((policy, label, outcome.error))
+            else:
+                state.cells.append(
+                    cell_from_result(policy, label, outcome.value))
 
-    # -- stepped execution -----------------------------------------------------
-    # One grid cell per advance, through the same ``run_experiments``
-    # entry point (serially) so failed cells produce the exact error
-    # strings the fan-out would record.
+        state.done = run_next_tasks(state.tasks, state.done, fold, limit,
+                                    config=exec_config, cache=cache)
+        return state.done < len(state.tasks)
 
-    def begin(self) -> "TournamentRunState":
-        """Materialise the grid; no cells have run yet."""
-        return TournamentRunState(grid=self.cell_configs())
-
-    def advance(self, state: "TournamentRunState") -> bool:
+    def advance(self, state: TournamentRunState) -> bool:
         """Run one pending cell; True while more remain after."""
-        if state.index >= len(state.grid):
-            return False
-        from repro.exec import ExecConfig
-        from repro.sim.experiments import run_experiments
+        return self._drive(state, limit=1)
 
-        policy, label, sim = state.grid[state.index]
-        outcome = run_experiments([("selfrefresh", sim)],
-                                  exec_config=ExecConfig(workers=1))[0]
-        if outcome.error is not None:
-            state.failures.append((policy, label, outcome.error))
-        else:
-            state.cells.append(
-                cell_from_result(policy, label, outcome.value))
-        state.index += 1
-        return state.index < len(state.grid)
-
-    def finish(self, state: "TournamentRunState") -> TournamentResult:
+    def finish(self, state: TournamentRunState) -> TournamentResult:
         """Assemble the Pareto-ranked result from the completed cells."""
         return TournamentResult(config=self.config, cells=state.cells,
                                 failures=state.failures)
 
+    def run(self, exec_config: ExecConfig | None = None,
+            cache: ResultCache | None = None) -> TournamentResult:
+        """Fan the grid out and collect the Pareto-ranked result."""
+        state = self.begin()
+        self._drive(state, exec_config=exec_config, cache=cache)
+        return self.finish(state)
+
 
 @dataclass
 class TournamentRunState:
-    """Cell progress of one stepped tournament."""
+    """Cell progress of one tournament."""
 
     grid: list[tuple[str, str, SelfRefreshSimConfig]]
+    #: One ``selfrefresh`` experiment task per grid entry, in grid order.
+    tasks: list[TaskSpec]
     cells: list[TournamentCell] = field(default_factory=list)
     failures: list[tuple[str, str, str]] = field(default_factory=list)
-    index: int = 0
+    done: int = 0
 
 
 __all__ = [

@@ -1,12 +1,11 @@
-"""Seam coverage for the vectorised fallbacks and SoA cache layouts.
+"""Seam coverage for the vectorised fallbacks and the SoA caches.
 
 The batch datapath has three "seams" where vectorised code hands work to
-order-sensitive protocol code: replay-chunk boundaries in the SMC lookup,
+order-sensitive protocol code: chunk boundaries in the SMC lookup,
 migration write routing, and the self-refresh event loop.  These tests
 pin the seams exactly — chunk-edge migration writes, PROFILING channels
 with a rank dropping to MPSM mid-batch, rank decodes with non-zero
-segment-index bits — under both the SoA and the legacy dict cache
-layouts.
+segment-index bits.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ import pytest
 from repro.core.addressing import DeviceAddressLayout, SegmentLocation
 from repro.core.controller import (SCALAR_ACCESS_WARN_THRESHOLD,
                                    DtlController)
-from repro.core.segment_cache import (DictFullyAssociativeCache,
-                                      DictSetAssociativeCache,
-                                      FullyAssociativeCache,
+from repro.core.segment_cache import (FullyAssociativeCache,
                                       SegmentCacheConfig,
                                       SetAssociativeCache)
 from repro.core.self_refresh import ChannelPhase
@@ -29,17 +26,15 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.errors import PerformanceWarning, PowerStateError
 
+from tests.core.dict_cache_reference import (DictFullyAssociativeCache,
+                                             DictSetAssociativeCache)
 from tests.core.test_batch_identity import (SMALL_GEOMETRY, assert_results_match,
                                             assert_state_match, build_pair,
                                             random_trace, run_scalar,
                                             small_config)
 
-LAYOUTS = ("soa", "dict")
-
-
-def layout_config(layout: str, **overrides):
-    cache = SegmentCacheConfig(l1_entries=4, l2_entries=8, l2_ways=2,
-                               layout=layout)
+def tiny_cache_config(**overrides):
+    cache = SegmentCacheConfig(l1_entries=4, l2_entries=8, l2_ways=2)
     return small_config(cache=cache, **overrides)
 
 
@@ -73,18 +68,17 @@ def submit_migrations(controller: DtlController, count: int = 3) -> list[int]:
 # -- chunk-boundary migration writes (satellite: boundary-exact coverage) ----
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_migration_write_exactly_at_chunk_boundaries(layout):
-    """Writes to a migrating segment at every replay-chunk edge.
+def test_migration_write_exactly_at_chunk_boundaries():
+    """Writes to a migrating segment at every chunk edge.
 
-    With ``l1_entries=4`` the SMC cuts a replay chunk every 4 distinct
+    With ``l1_entries=4`` the SMC cuts a chunk every 4 distinct
     HSNs, so a trace cycling >4 distinct segments crosses a boundary
     every 4 distincts.  The migrating segment is planted as both the
     *last* distinct of one chunk and the *first* distinct of the next —
     the exact seam where the write-routing protocol and the vectorised
     lookup hand off — and every touch of it is a write.
     """
-    config = layout_config(layout)
+    config = tiny_cache_config()
     scalar, batch = build_pair(config)
     hot_dsn = None
     for controller in (scalar, batch):
@@ -119,10 +113,10 @@ def test_migration_write_exactly_at_chunk_boundaries(layout):
             == batch.migration.stats.foreground_redirects)
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("seed", [0, 11])
-def test_identity_with_migrations_random_trace_per_layout(layout, seed):
-    config = layout_config(layout)
+# The ids (here and below) are the ones these cases have always printed.
+@pytest.mark.parametrize("seed", [0, 11], ids=["0-soa", "11-soa"])
+def test_identity_with_migrations_random_trace_per_layout(seed):
+    config = tiny_cache_config()
     scalar, batch = build_pair(config)
     for controller in (scalar, batch):
         submit_migrations(controller)
@@ -144,12 +138,11 @@ def drive_to_profiling(*controllers: DtlController) -> None:
                    for c in range(controller.geometry.channels))
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("seed", [0, 3])
-def test_identity_while_profiling_per_layout(layout, seed):
+@pytest.mark.parametrize("seed", [0, 3], ids=["0-soa", "3-soa"])
+def test_identity_while_profiling_per_layout(seed):
     """CLOCK planner events fire mid-batch; identity must survive them."""
-    config = layout_config(layout, window_ns=1000.0,
-                          profiling_threshold_ns=5000.0)
+    config = tiny_cache_config(window_ns=1000.0,
+                               profiling_threshold_ns=5000.0)
     scalar, batch = build_pair(config)
     drive_to_profiling(scalar, batch)
     hpas, writes = random_trace(config, 400, seed)

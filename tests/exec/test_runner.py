@@ -195,26 +195,6 @@ def test_chunked_retry_and_failure_reporting(tmp_path):
     assert outcomes[2].value == 16
 
 
-def test_cost_hint_pool_skip():
-    metrics = MetricsRegistry()
-    outcomes = run_tasks(
-        [TaskSpec(fn=_square, args=(x,), cost_hint_s=0.001)
-         for x in range(4)],
-        config=ExecConfig(workers=2), metrics=metrics)
-    assert [o.value for o in outcomes] == [0, 1, 4, 9]
-    assert metrics.counter_values()["exec.pool_skips"] == 1
-    # Cheap batches run in-process: no worker pids.
-    assert all(o.worker_pid == os.getpid() for o in outcomes)
-
-
-def test_cost_hint_above_threshold_uses_pool():
-    metrics = MetricsRegistry()
-    run_tasks([TaskSpec(fn=_square, args=(x,), cost_hint_s=10.0)
-               for x in range(4)],
-              config=ExecConfig(workers=2), metrics=metrics)
-    assert "exec.pool_skips" not in metrics.counter_values()
-
-
 def test_cpu_bound_skips_pool_on_single_core(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     metrics = MetricsRegistry()

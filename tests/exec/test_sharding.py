@@ -123,11 +123,6 @@ class TestShardTasks:
         assert [task.label for task in tasks] == \
             ["demo[0:2]", "demo[2:4]", "demo[4:5]"]
 
-    def test_cost_hint_scales_with_shard_length(self):
-        _, tasks = shard_tasks(_square, _SumReducer(), count=5,
-                               shard_size=2, cost_hint_s=1.5)
-        assert [task.cost_hint_s for task in tasks] == [3.0, 3.0, 1.5]
-
     def test_key_fn_wires_cache_keys(self):
         _, tasks = shard_tasks(
             _square, _SumReducer(), count=4, shard_size=2,
@@ -211,13 +206,6 @@ class TestForcePool:
         import os
         assert all(outcome.worker_pid != os.getpid()
                    for outcome in outcomes)
-
-    def test_default_heuristics_still_apply_without_force(self):
-        metrics = MetricsRegistry()
-        tasks = [TaskSpec(fn=_square, args=(i,), cost_hint_s=0.0001)
-                 for i in range(4)]
-        run_tasks(tasks, config=ExecConfig(workers=2), metrics=metrics)
-        assert metrics.counter_values().get("exec.pool_skips", 0) == 1
 
 
 def _worker_pid() -> int:

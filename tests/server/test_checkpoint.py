@@ -98,11 +98,11 @@ def other_kind(path: str) -> None:
 
 
 def stale_version(path: str) -> None:
-    """A version-2 file: that format pickled the event ring as a deque
-    of ``TraceEvent`` objects, which this build's ring cannot adopt."""
-    assert CHECKPOINT_VERSION > 2
+    """A version-3 file: that format pickled an SMC (and its config)
+    carrying a ``layout`` field this build's classes no longer have."""
+    assert CHECKPOINT_VERSION > 3
     save_checkpoint(Checkpoint(kind="server", step=0, blob=b"old layout",
-                               version=2), path)
+                               version=3), path)
 
 
 @pytest.mark.parametrize("write_file, target_config, match", [

@@ -1,0 +1,135 @@
+"""run() == full advance() drive == checkpoint-at-1-and-resume, with failures.
+
+The fan-out experiments plan their tasks once in ``begin()`` and fold
+outcomes in one place; ``run()`` and ``advance()`` differ only in how
+many tasks they hand the executor at a time.  These tests hold the three
+ways of driving that schedule to the same records, the same failures
+(seeds and exact error strings), and the same cell order — including
+when nodes, cells, or whole shards fail.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+
+from repro.checkpoint import (checkpoint_state, load_checkpoint, resume_state,
+                              save_checkpoint)
+from repro.exec import ExecConfig
+from repro.host.scheduler import SchedulerConfig
+from repro.sim import fleet as fleet_mod
+from repro.sim.fleet import FleetConfig, FleetSimulator
+from repro.sim.powerdown_sim import PowerDownSimConfig
+from repro.sim.rank_sweep import RankSweepExperiment, TraceRankSweepConfig
+from repro.sim.tournament import PolicyTournament, TournamentConfig
+from repro.workloads.azure import AzureTraceConfig
+
+# force_pool: on a single-CPU host the cpu_bound heuristic would keep
+# run() in-process and the comparison would stop crossing processes.
+POOL = ExecConfig(workers=2, force_pool=True)
+
+
+def make_fleet(exec_config=POOL) -> FleetSimulator:
+    node = PowerDownSimConfig(
+        azure=AzureTraceConfig(num_vms=4, duration_s=600.0),
+        scheduler=SchedulerConfig(duration_s=600.0))
+    simulator = FleetSimulator(
+        FleetConfig(num_nodes=5, node=node, shard_size=2), exec_config)
+    simulator.fail_seeds = (2,)
+    return simulator
+
+
+def make_rank_sweep() -> RankSweepExperiment:
+    return RankSweepExperiment(
+        TraceRankSweepConfig(num_accesses=3_000, rank_counts=(8, 6, 2)), POOL)
+
+
+def make_tournament() -> PolicyTournament:
+    return PolicyTournament(
+        TournamentConfig(policies=("paper", "bogus"), duration_s=1.0))
+
+
+#: name -> (factory, run(), cell order of a result)
+CASES = {
+    "fleet": (make_fleet, lambda experiment: experiment.run(),
+              lambda result: [node.seed for node in result.nodes]),
+    "rank_sweep": (make_rank_sweep, lambda experiment: experiment.run(),
+                   lambda result: list(result.points)),
+    "tournament": (make_tournament,
+                   lambda experiment: experiment.run(exec_config=POOL),
+                   lambda result: [(cell.policy, cell.workload)
+                                   for cell in result.cells]),
+}
+
+
+def stepped(experiment):
+    state = experiment.begin()
+    while experiment.advance(state):
+        pass
+    return experiment.finish(state)
+
+
+def resumed_at_step_1(make, path: str):
+    first = make()
+    state = first.begin()
+    assert first.advance(state), "nothing left to resume"
+    save_checkpoint(checkpoint_state(first, state, 1), path)
+    second = make()
+    state = resume_state(second, load_checkpoint(path))
+    while second.advance(state):
+        pass
+    return second.finish(state)
+
+
+def failures_of(result) -> list[tuple]:
+    return [dataclasses.astuple(failure)
+            if dataclasses.is_dataclass(failure) else tuple(failure)
+            for failure in getattr(result, "failures", [])]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_equals_stepped_equals_resumed(name, tmp_path):
+    make, run, order = CASES[name]
+    reference = run(make())
+    expected = (reference.to_record().to_dict(), failures_of(reference),
+                order(reference))
+    for other in (stepped(make()),
+                  resumed_at_step_1(make, str(tmp_path / "run.ckpt"))):
+        assert (other.to_record().to_dict(), failures_of(other),
+                order(other)) == expected
+    # The failing node / cell really failed, so the equality above
+    # covered the failure path and not three clean runs.
+    if name == "fleet":
+        assert failures_of(reference) == [
+            (2, "RuntimeError: injected failure for node 2")]
+    if name == "tournament":
+        assert {policy for policy, _, _ in reference.failures} == {"bogus"}
+
+
+def test_stepped_fleet_reports_the_executor_counters_of_its_shards():
+    serial = ExecConfig(workers=1)
+    ran = make_fleet(serial).run().exec_telemetry["counters"]
+    walked = stepped(make_fleet(serial)).exec_telemetry["counters"]
+    assert walked["exec.tasks.completed"] == 3  # three shard tasks
+    assert walked["exec.result_bytes"] > 0
+    assert walked["exec.tasks.completed"] == ran["exec.tasks.completed"]
+    assert walked["exec.result_bytes"] == ran["exec.result_bytes"]
+
+
+def test_shard_level_failure_takes_the_same_retry_and_error_path(monkeypatch):
+    def broken(self):
+        raise ValueError("reducer broke")
+
+    # The shard fails before any node runs; in-process (workers=1) so
+    # the patch reaches the shard task.
+    monkeypatch.setattr(fleet_mod._FleetShardReducer, "fresh", broken)
+    serial = ExecConfig(workers=1, retries=1)
+    ran = make_fleet(serial).run()
+    walked = stepped(make_fleet(serial))
+    assert failures_of(walked) == failures_of(ran) == [
+        (seed, "ValueError: reducer broke") for seed in range(5)]
+    for result in (ran, walked):
+        counters = result.exec_telemetry["counters"]
+        assert counters["exec.tasks.retries"] == 3  # one retry per shard
+        assert counters["exec.tasks.failed"] == 3
