@@ -99,7 +99,10 @@ def run_with_checkpoints(stepper: Stepper, path: str | None = None,
             is then just :func:`run_stepped`).
         every: Save every N advances (0 = only on completion).
         resume: Start from the state in ``path`` when it exists; a
-            missing file falls back to a fresh ``begin()``.
+            missing file falls back to a fresh ``begin()``.  A file
+            whose run already completed (``meta["complete"]``) comes
+            straight back through ``finish()``: no advance, no step
+            count drift, no rewrite.
         on_step: Optional progress callback, called with the step count
             after each advance.
 
@@ -111,6 +114,8 @@ def run_with_checkpoints(stepper: Stepper, path: str | None = None,
     if resume and path is not None and os.path.exists(path):
         checkpoint = load_checkpoint(path)
         state = resume_state(stepper, checkpoint)
+        if checkpoint.meta.get("complete"):
+            return stepper.finish(state)
         step = checkpoint.step
     if state is None:
         state = stepper.begin()
@@ -121,7 +126,9 @@ def run_with_checkpoints(stepper: Stepper, path: str | None = None,
         if on_step is not None:
             on_step(step)
         if path is not None and ((every and step % every == 0) or not more):
-            save_checkpoint(checkpoint_state(stepper, state, step), path)
+            save_checkpoint(checkpoint_state(stepper, state, step,
+                                             meta={"complete": not more}),
+                            path)
     return stepper.finish(state)
 
 

@@ -23,17 +23,21 @@ Usage::
     python -m repro loadgen --tenants 8 --port 7123  # drive a server
     python -m repro all [--quick]       # everything, JSON to --output
 
-Each subcommand prints a paper-vs-measured table; ``--output results.json``
-additionally writes machine-readable records.
+Each subcommand prints ``metric | measured | paper`` tables rendered from
+its :class:`~repro.sim.results.ExperimentRecord` (the one place a paper
+reference value is written); ``--output results.json`` writes the same
+records, and a record reporting ``ok: False`` makes the exit code 1.
 
-The heavy simulations dispatch through the unified experiment registry
-(:mod:`repro.sim.experiments`) and the parallel executor
-(:mod:`repro.exec`): ``--workers N`` (or ``REPRO_EXEC_WORKERS``) fans
-multi-point commands out over processes, and a per-invocation result
-cache keeps ``repro all`` from simulating the same capacity point twice
-(fig14 and fig15 share their self-refresh runs).
+``fig12``/``fig14``/``fig15``/``fleet``/``fleet-soak``/``chaos``/
+``tournament``, ``exp --name`` and ``all`` share one route
+(:func:`run_registered`): the spec's ``flag_configs`` turns the flags
+into configs, :func:`repro.sim.experiments.run_experiments` runs them
+behind a per-invocation result cache (``repro all`` simulates each
+capacity point once for fig14 and fig15), and ``--workers N`` (or
+``REPRO_EXEC_WORKERS``) fans a multi-config command — or a lone
+experiment's own shards/cells — out over processes.
 
-``repro exp --checkpoint PATH`` runs the named experiment through the
+``--checkpoint PATH`` on a single-experiment command runs it through the
 stepping protocol (:mod:`repro.checkpoint`), persisting its state every
 ``--checkpoint-every`` units of work; ``--resume`` restarts a preempted
 run from the saved state and is bit-identical to the uninterrupted run.
@@ -43,6 +47,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
+import os
 import sys
 from typing import Any, Callable
 
@@ -50,31 +56,24 @@ import numpy as np
 
 from repro.analysis import (AmatModel, CONTROLLER_384GB, CONTROLLER_4TB,
                             MODEL_384GB, MODEL_4TB)
+from repro.checkpoint import run_with_checkpoints
 from repro.exec import ExecConfig, ResultCache
-from repro.faults import ChaosSoakConfig, armed
-from repro.host.scheduler import SchedulerConfig, VmScheduler
-from repro.sim.combined import figure15_summary
+from repro.host.scheduler import VmScheduler
+from repro.sim.combined import combine
 from repro.sim.experiments import EXPERIMENTS, run_experiments
-from repro.sim.fleet import FleetSimulator, RackConfig
-from repro.sim.fleet_soak import (FleetSoakConfig, FleetSoakExperiment,
-                                  quick_soak_config)
 from repro.sim.figures import (ascii_chart, figure1_series,
                                figure12a_series, figure14_series)
 from repro.sim.perf_model import PerformanceModel
-from repro.sim.powerdown_sim import (PowerDownSimConfig,
-                                     background_power_savings, energy_savings,
-                                     power_savings)
-from repro.sim.results import (ExperimentRecord, flatten_powerdown,
-                               flatten_selfrefresh, flatten_telemetry,
-                               render_table, save_records)
-from repro.sim.selfrefresh_sim import PAPER_CAPACITY_POINTS, config_for_point
-from repro.units import GIB, format_bytes
-from repro.workloads.azure import AzureTraceConfig, generate_vm_trace
+from repro.sim.results import (ExperimentRecord, flatten_telemetry,
+                               render_record, render_table, save_records)
+from repro.sim.selfrefresh_sim import PAPER_CAPACITY_POINTS
+from repro.sim.stepping import make_stepper
+from repro.units import GIB
+from repro.workloads.azure import generate_vm_trace
 from repro.workloads.validation import validate_workloads
 
-#: Results computed earlier in this invocation (e.g. ``repro all``
-#: warming every heavy simulation in parallel before the subcommands
-#: format them; fig15 reusing fig14's self-refresh runs).
+#: Results computed earlier in this invocation (``repro all`` and
+#: ``fig15`` reuse ``fig14``'s self-refresh runs).
 _SESSION_CACHE = ResultCache()
 
 
@@ -83,241 +82,190 @@ def _print(title: str, rows: list[tuple], header: tuple = ()) -> None:
     print(render_table(rows, header))
 
 
-def _exec_config(args: argparse.Namespace) -> ExecConfig:
-    """The executor config the CLI flags ask for."""
-    return ExecConfig(workers=getattr(args, "workers", None))
+def _usage_error(message: str) -> None:
+    build_parser().error(message)
 
 
-def _run_experiments(requests: list[tuple[str, Any]],
-                     args: argparse.Namespace) -> list[Any]:
-    """Registry dispatch with the session cache; raises on failure."""
-    outcomes = run_experiments(requests, exec_config=_exec_config(args),
-                               cache=_SESSION_CACHE)
-    return [outcome.unwrap() for outcome in outcomes]
+# -- registered experiments: one route -------------------------------------------
 
 
-def _run_experiment(name: str, config: Any,
-                    args: argparse.Namespace) -> Any:
-    """One cached experiment run."""
-    return _run_experiments([(name, config)], args)[0]
+@dataclasses.dataclass(frozen=True)
+class ShellCommand:
+    """A shell command that fronts one registered experiment.
+
+    Attributes:
+        experiment: Registry name; its spec's ``flag_configs`` turns the
+            flags into the config(s) to run.
+        record: ``--output`` record name where it is not the
+            experiment's own (suffixed ``_<label>`` per config when the
+            command fans out).
+        derive: ``result -> object with to_record()`` for a figure
+            computed *from* the experiment's result (Figure 15).
+        series: ``result -> FigureSeries`` drawn under ``--plot``.
+    """
+
+    experiment: str
+    record: str | None = None
+    derive: Callable[[Any], Any] | None = None
+    series: Callable[[Any], Any] | None = None
 
 
-# -- subcommands -----------------------------------------------------------------
+SHELL_COMMANDS: dict[str, ShellCommand] = {
+    "fig12": ShellCommand(
+        "powerdown_comparison", record="fig12",
+        series=lambda pair: figure12a_series(pair.dtl)),
+    "fig14": ShellCommand("selfrefresh", record="fig14",
+                          series=figure14_series),
+    "fig15": ShellCommand("selfrefresh", derive=combine),
+    "fleet": ShellCommand("fleet"),
+    "fleet-soak": ShellCommand("fleet-soak"),
+    "chaos": ShellCommand("chaos"),
+    "tournament": ShellCommand("tournament"),
+}
+
+
+def _flag_configs(command: str, args: argparse.Namespace,
+                  ) -> tuple[ShellCommand, dict[str, Any]]:
+    """The one flags -> config path: ``(front, {label: config})``.
+
+    A spec's own ``flag_configs`` decides where it has one; otherwise
+    (and always for ``exp --name``) it is the smoke-test config — or,
+    for a shell command without ``--quick``, the default config — with
+    ``--seed`` applied.
+    """
+    front = (ShellCommand(args.name) if command == "exp"
+             else SHELL_COMMANDS[command])
+    spec = EXPERIMENTS[front.experiment]
+    if command != "exp" and spec.flag_configs:
+        return front, spec.flag_configs(args)
+    config = (spec.tiny_config() if command == "exp" or args.quick
+              else spec.config_type())
+    if args.seed:
+        if not hasattr(config, "with_seed"):
+            _usage_error(f"--seed: {spec.name}'s "
+                         f"{type(config).__name__} has no single seed")
+        config = config.with_seed(args.seed)
+    return front, {"": config}
+
+
+def _run_requests(requests: list[tuple[str, Any]],
+                  args: argparse.Namespace) -> list[Any]:
+    """Run ``(experiment, config)`` requests; raises on a failed run.
+
+    One executor batch behind the session cache — or, under
+    ``--checkpoint``, one stepped run persisted through
+    :mod:`repro.checkpoint`.
+    """
+    exec_config = ExecConfig(workers=args.workers)
+    if not args.checkpoint:
+        print(f"Running {len(requests)} simulation(s) "
+              f"({exec_config.resolved_workers()} worker(s))...")
+        outcomes = run_experiments(requests, exec_config=exec_config,
+                                   cache=_SESSION_CACHE)
+        return [outcome.unwrap() for outcome in outcomes]
+    if len(requests) != 1:
+        _usage_error("--checkpoint holds one run; this command asks "
+                     f"for {len(requests)}")
+    (name, config), = requests
+    resuming = args.resume and os.path.exists(args.checkpoint)
+    every = args.checkpoint_every
+    print(f"{'Resuming' if resuming else 'Running'} {name} with "
+          f"checkpoints at {args.checkpoint!r} "
+          f"({'every ' + str(every) + ' steps' if every else 'final only'})"
+          "...")
+    return [run_with_checkpoints(make_stepper(name, config),
+                                 path=args.checkpoint, every=every,
+                                 resume=args.resume)]
+
+
+def run_registered(commands: list[str],
+                   args: argparse.Namespace) -> list[ExperimentRecord]:
+    """Flags -> configs -> registry -> rendered records, for every
+    command that fronts a registered experiment.
+
+    The commands' distinct ``(experiment, config)`` requests run as one
+    batch, so ``repro all --workers N`` overlaps fig12 with fig14's
+    capacity points and fig15 reuses fig14's runs.
+    """
+    plans = []
+    requests: list[tuple[str, Any]] = []
+    for command in commands:
+        front, configs = _flag_configs(command, args)
+        for label, config in configs.items():
+            request = (front.experiment, config)
+            if request not in requests:
+                requests.append(request)
+            plans.append((front, label, requests.index(request)))
+    results = _run_requests(requests, args)
+    records = []
+    for front, label, index in plans:
+        result = results[index]
+        shown = front.derive(result) if front.derive else result
+        record = shown.to_record()
+        if front.record:
+            record = dataclasses.replace(
+                record, experiment="_".join(filter(None, (front.record,
+                                                          label))))
+        if hasattr(shown, "summary_rows"):
+            print("\n" + render_table(shown.summary_rows()))
+        summary = EXPERIMENTS[front.experiment].summary
+        print(render_record(record, record.experiment if front.derive
+                            else f"{record.experiment}: {summary}"))
+        if args.plot and front.series:
+            print("\n" + ascii_chart(front.series(result)))
+        records.append(record)
+    return records
+
+
+def cmd_exp(args: argparse.Namespace) -> list[ExperimentRecord]:
+    """Run a registered experiment by name (on its smoke-test config)."""
+    if args.name and not args.list:
+        return run_registered(["exp"], args)
+    rows = [(spec.name, spec.config_type.__name__, spec.summary)
+            for spec in EXPERIMENTS.values()]
+    _print("Experiment registry", sorted(rows),
+           header=("name", "config", "summary"))
+    return []
+
+
+# -- analytic commands: compute, then hand the renderer a record ------------------
 
 
 def cmd_fig1(args: argparse.Namespace) -> list[ExperimentRecord]:
     result = VmScheduler().run(generate_vm_trace(seed=args.seed))
     fractions = [sample.memory_fraction(result.config.memory_bytes)
                  for sample in result.samples]
-    mean = float(np.mean(fractions))
-    _print("Figure 1: Azure schedule memory usage",
-           [("mean usage", f"{mean:.1%}", "paper: <50%"),
-            ("peak usage", f"{max(fractions):.1%}", ""),
-            ("VMs admitted", str(result.admitted), "400 offered")],
-           header=("metric", "measured", "paper"))
+    record = ExperimentRecord(
+        "fig1", {"mean_usage": float(np.mean(fractions)),
+                 "peak_usage": max(fractions),
+                 "vms_admitted": result.admitted},
+        {"mean_usage": "<0.5"})
+    print(render_record(record, "Figure 1: Azure schedule memory usage"))
     if args.plot:
-        print()
-        print(ascii_chart(figure1_series(seed=args.seed)))
-    return [ExperimentRecord("fig1", {"mean_usage": mean,
-                                      "peak_usage": max(fractions)},
-                             {"mean_usage": "<0.5"})]
+        print("\n" + ascii_chart(figure1_series(seed=args.seed)))
+    return [record]
 
 
 def cmd_fig2(args: argparse.Namespace) -> list[ExperimentRecord]:
     model = PerformanceModel()
-    rows = [(f"{ranks} ranks/ch",
-             f"{model.mean_rank_sweep_slowdown(ranks):+.2%}")
-            for ranks in (8, 6, 4, 2)]
-    rows.append(("paper @2", "+0.7%"))
-    _print("Figure 2: slowdown vs active ranks", rows,
-           header=("config", "slowdown"))
-    return [ExperimentRecord(
+    record = ExperimentRecord(
         "fig2",
         {f"slowdown_{r}ranks": model.mean_rank_sweep_slowdown(r)
          for r in (8, 6, 4, 2)},
-        {"slowdown_2ranks": 0.007})]
+        {"slowdown_2ranks": 0.007})
+    print(render_record(record, "Figure 2: slowdown vs active ranks"))
+    return [record]
 
 
 def cmd_fig5(args: argparse.Namespace) -> list[ExperimentRecord]:
     model = PerformanceModel()
-    local = model.mean_interleaving_slowdown(cxl=False)
-    cxl = model.mean_interleaving_slowdown(cxl=True)
-    _print("Figure 5: rank-interleaving off",
-           [("local DRAM", f"{local:+.2%}", "+1.7%"),
-            ("CXL memory", f"{cxl:+.2%}", "+1.4%")],
-           header=("latency", "measured", "paper"))
-    return [ExperimentRecord("fig5", {"local": local, "cxl": cxl},
-                             {"local": 0.017, "cxl": 0.014})]
-
-
-def _fig12_config(args: argparse.Namespace) -> PowerDownSimConfig:
-    if args.quick:
-        return PowerDownSimConfig(
-            azure=AzureTraceConfig(num_vms=80, duration_s=3600.0),
-            scheduler=SchedulerConfig(duration_s=3600.0), seed=args.seed)
-    return PowerDownSimConfig(seed=args.seed)
-
-
-def _fig14_points(args: argparse.Namespace) -> list[str]:
-    return [args.point] if args.point else sorted(PAPER_CAPACITY_POINTS)
-
-
-def _fig14_config(point: str, args: argparse.Namespace):
-    return config_for_point(point, seed=args.seed,
-                            duration_s=args.duration)
-
-
-def cmd_fig12(args: argparse.Namespace) -> list[ExperimentRecord]:
-    config = _fig12_config(args)
-    print("Running the VM-schedule power-down simulation "
-          f"({'1h quick' if args.quick else 'full 6h'})...")
-    pair = _run_experiment("powerdown_comparison", config, args)
-    baseline, dtl = pair.baseline, pair.dtl
-    _print("Figures 12-13: rank-level power-down",
-           [("energy savings", f"{energy_savings(baseline, dtl):.1%}",
-             "31.6%"),
-            ("power savings", f"{power_savings(baseline, dtl):.1%}",
-             "32.7%"),
-            ("background savings",
-             f"{background_power_savings(baseline, dtl):.1%}", "35.3%"),
-            ("exec-time cost", f"{dtl.execution_time_factor - 1:.2%}",
-             "1.6%"),
-            ("migrated", format_bytes(dtl.migrated_bytes), "")],
-           header=("metric", "measured", "paper"))
     record = ExperimentRecord(
-        "fig12", {"energy_savings": energy_savings(baseline, dtl),
-                  "power_savings": power_savings(baseline, dtl),
-                  "background_savings":
-                      background_power_savings(baseline, dtl),
-                  **{f"dtl_{k}": v
-                     for k, v in flatten_powerdown(dtl).items()}},
-        {"energy_savings": 0.316, "power_savings": 0.327,
-         "background_savings": 0.353})
-    if args.plot:
-        print()
-        print(ascii_chart(figure12a_series(dtl), label="total"))
+        "fig5", {"local": model.mean_interleaving_slowdown(cxl=False),
+                 "cxl": model.mean_interleaving_slowdown(cxl=True)},
+        {"local": 0.017, "cxl": 0.014})
+    print(render_record(record, "Figure 5: rank-interleaving off, slowdown "
+                                "on local DRAM vs CXL memory"))
     return [record]
-
-
-def cmd_fig14(args: argparse.Namespace) -> list[ExperimentRecord]:
-    points = _fig14_points(args)
-    paper = {"208gb": "20.3%", "224gb": "mixed", "240gb": "fails",
-             "304gb": "14.9%"}
-    workers = _exec_config(args).resolved_workers()
-    print(f"Simulating {len(points)} capacity point(s) "
-          f"({args.duration:.0f}s replay, {workers} worker(s))...")
-    results = _run_experiments(
-        [("selfrefresh", _fig14_config(point, args)) for point in points],
-        args)
-    records = []
-    rows = []
-    for point, result in zip(points, results):
-        warmup = (f"{result.warmup_s:.1f}s" if result.ever_stable
-                  else "never")
-        rows.append((point, f"{result.stable_savings:.1%}", warmup,
-                     paper[point]))
-        records.append(ExperimentRecord(
-            f"fig14_{point}", flatten_selfrefresh(result),
-            {"paper": paper[point]}))
-        if args.plot:
-            print()
-            print(ascii_chart(figure14_series(result), label="savings"))
-    _print("Figure 14: hotness-aware self-refresh", rows,
-           header=("point", "stable savings", "warmup", "paper"))
-    return records
-
-
-def cmd_fig15(args: argparse.Namespace) -> list[ExperimentRecord]:
-    print("Computing the combined Figure 15 summary...")
-    summary = figure15_summary(
-        seed=args.seed, duration_s=args.duration,
-        run=lambda config: _run_experiment("selfrefresh", config, args))
-    rows = [(entry.point, f"{entry.powerdown_savings:.1%}",
-             f"{entry.selfrefresh_additional:.1%}",
-             f"{entry.total_savings:.1%}") for entry in summary]
-    rows.append(("paper", "20.2%", "-", "25.6-32.3% (6-rank)"))
-    _print("Figure 15: combined savings", rows,
-           header=("point", "power-down", "+self-refresh", "total"))
-    return [ExperimentRecord(
-        f"fig15_{entry.point}",
-        {"powerdown": entry.powerdown_savings,
-         "selfrefresh_additional": entry.selfrefresh_additional,
-         "total": entry.total_savings}) for entry in summary]
-
-
-def _fleet_config(args: argparse.Namespace) -> RackConfig:
-    nodes = 2 if args.quick else 6
-    node = PowerDownSimConfig(
-        azure=AzureTraceConfig(num_vms=60, duration_s=3600.0),
-        scheduler=SchedulerConfig(duration_s=3600.0))
-    return RackConfig(num_nodes=nodes, node=node, base_seed=args.seed,
-                      shard_size=2, hosts_per_rack=2)
-
-
-def cmd_fleet(args: argparse.Namespace) -> list[ExperimentRecord]:
-    config = _fleet_config(args)
-    workers = _exec_config(args).resolved_workers()
-    print(f"Simulating a {config.num_nodes}-node fleet "
-          f"({config.hosts_per_rack} hosts/rack, 1-hour schedules each, "
-          f"{workers} worker(s))...")
-    fleet = FleetSimulator(config, exec_config=_exec_config(args)).run()
-    rows = fleet.summary_rows()
-    _print("Fleet-level DRAM savings", rows,
-           header=("node", "savings", "mean ranks/ch"))
-    rack = fleet.rack_report()
-    _print("Rack-level CXL pool contention", [
-        ("racks", f"{rack['num_racks']:.0f}", ""),
-        ("contended savings", f"{rack['contended_fleet_savings']:.1%}",
-         f"uncontended {rack['fleet_savings']:.1%}"),
-        ("mean pool slowdown", f"{rack['mean_pool_slowdown']:.4f}x", ""),
-        ("max pool utilization", f"{rack['max_pool_utilization']:.1%}",
-         f"{rack['saturated_racks']:.0f} saturated"),
-    ], header=("metric", "value", "note"))
-    tco = fleet.tco_report()
-    _print("Datacenter TCO roll-up", [
-        ("server power saved", f"{tco['server_power_saved_w']:.1f} W",
-         f"({tco['server_share_saved']:.1%} of server)"),
-        ("facility power", f"{tco['fleet_power_saved_kw']:.0f} kW", ""),
-        ("annual cost", f"${tco['annual_cost_saved_usd']:,.0f}", ""),
-    ], header=("metric", "value", "note"))
-    return [fleet.to_record()]
-
-
-def cmd_fleet_soak(args: argparse.Namespace) -> list[ExperimentRecord]:
-    """Sharded fleet soak: RSS ceiling + serial/parallel bit-identity."""
-    if args.quick:
-        config = quick_soak_config()
-    else:
-        config = FleetSoakConfig()
-    if args.workers:
-        config = dataclasses.replace(config, workers=args.workers)
-    print(f"Fleet soak: {config.num_nodes} nodes in shards of "
-          f"{config.shard_size}, RSS ceiling {config.rss_ceiling_mb:.0f} "
-          f"MiB, parallel verify with {config.workers} worker(s)...")
-    result = FleetSoakExperiment(config).run()
-    parallel_wall = (f"{result.parallel_wall_s:.1f}s"
-                     if result.parallel_wall_s is not None else "skipped")
-    _print("Fleet soak", [
-        ("fleet savings", f"{result.fleet_savings:.3%}", ""),
-        ("bit-identical", str(result.bit_identical),
-         "sharded-serial vs sharded-parallel"),
-        ("peak RSS", f"{result.peak_rss_mb:.0f} MiB",
-         f"ceiling {result.config.rss_ceiling_mb:.0f} MiB"),
-        ("nodes ok / failed", f"{result.nodes_ok} / {result.nodes_failed}",
-         ""),
-        ("serial / parallel wall", f"{result.serial_wall_s:.1f}s / "
-         f"{parallel_wall}", ""),
-        ("bytes shipped", f"{result.result_bytes:,.0f}",
-         f"{result.result_bytes / max(result.nodes_ok, 1):,.0f} per node"),
-    ], header=("metric", "value", "note"))
-    if not result.ok:
-        raise SystemExit("fleet soak FAILED: "
-                         + ("RSS over ceiling " if not result.within_ceiling
-                            else "")
-                         + ("savings not bit-identical"
-                            if not result.bit_identical else ""))
-    print("\nSoak passed: within memory ceiling, bit-identical savings.")
-    return [result.to_record()]
 
 
 def _quickstart_snapshot():
@@ -354,7 +302,6 @@ def _watch_stats(args: argparse.Namespace) -> None:
     form); otherwise it re-renders the quickstart scenario.  Bounded by
     ``--iterations`` when given (CI/smoke), else runs until Ctrl-C.
     """
-    import itertools
     import time as time_module
 
     from repro.server.protocol import render_snapshot
@@ -383,29 +330,21 @@ def cmd_stats(args: argparse.Namespace) -> list[ExperimentRecord]:
         _watch_stats(args)
         return []
     snapshot = _quickstart_snapshot()
+    data = snapshot.to_dict()
+    record = ExperimentRecord("stats", flatten_telemetry(data))
     if args.json:
         print(snapshot.to_json(indent=2))
     else:
-        data = snapshot.to_dict()
-        rows = [(name, f"{value:g}")
-                for name, value in sorted(data["counters"].items())]
-        _print("Telemetry counters", rows, header=("counter", "value"))
-        gauges = [(name, f"{value:.4g}")
-                  for name, value in sorted(data["gauges"].items())
-                  if not name.startswith("dram.rank.")]
-        _print("Gauges", gauges, header=("gauge", "value"))
-        residency = data["detail"]["rank_residency_s"]
+        print(render_record(record, "Telemetry counters, gauges, "
+                                    "histograms and trace events"))
         rank_rows = [(key, *(f"{states.get(state, 0.0):.1f}"
                              for state in ("standby", "mpsm",
                                            "self_refresh")))
-                     for key, states in sorted(residency.items())]
+                     for key, states in sorted(
+                         data["detail"]["rank_residency_s"].items())]
         _print("Per-rank residency (s)", rank_rows,
                header=("rank", "standby", "mpsm", "self_refresh"))
-        events = [(kind, str(count))
-                  for kind, count in sorted(data["events"].items())]
-        _print("Trace events", events, header=("event", "count"))
-    return [ExperimentRecord("stats", flatten_telemetry(
-        snapshot.to_dict()))]
+    return [record]
 
 
 def cmd_serve(args: argparse.Namespace) -> list[ExperimentRecord]:
@@ -434,53 +373,27 @@ def cmd_loadgen(args: argparse.Namespace) -> list[ExperimentRecord]:
           f"{config.requests_per_tenant} batches of {config.batch} "
           f"against {args.host}:{args.port}...", file=sys.stderr)
     report = run_loadgen_sync(config, args.host, args.port)
-    if args.json:
-        print(report.to_json())
-    else:
-        _print("Load generator", [
-            ("requests", str(report.requests),
-             f"{report.requests_per_s:,.0f}/s"),
-            ("accesses", str(report.accesses),
-             f"{report.accesses_per_s:,.0f}/s"),
-            ("ok / rejected", f"{report.ok} / "
-             f"{report.requests - report.ok}",
-             ", ".join(f"{code}={count}" for code, count
-                       in sorted(report.rejected.items())) or "-"),
-            ("latency p50/p95/p99",
-             f"{report.percentile(50):,.0f} / "
-             f"{report.percentile(95):,.0f} / "
-             f"{report.percentile(99):,.0f} us", ""),
-        ], header=("metric", "value", "note"))
     summary = report.to_dict()
-    summary.pop("latency_us", None)
-    return [ExperimentRecord("loadgen", summary)]
+    del summary["latency_us"]["histogram"]
+    record = ExperimentRecord("loadgen", summary)
+    print(report.to_json() if args.json
+          else render_record(record, "Load generator"))
+    return [record]
 
 
 def cmd_tables(args: argparse.Namespace) -> list[ExperimentRecord]:
-    rows = [(name, format_bytes(size))
-            for name, size in MODEL_384GB.report().items()]
-    _print("Table 5 (384 GB column)", rows, header=("structure", "size"))
-    rows = [(name, format_bytes(size))
-            for name, size in MODEL_4TB.report().items()]
-    _print("Table 5 (4 TB column)", rows, header=("structure", "size"))
-    small, large = CONTROLLER_384GB.report(), CONTROLLER_4TB.report()
-    _print("Table 6: controller @7nm",
-           [("power", f"{small['total_mw']:.1f} mW",
-             f"{large['total_mw']:.1f} mW"),
-            ("area", f"{small['total_mm2']:.3f} mm2",
-             f"{large['total_mm2']:.3f} mm2")],
-           header=("metric", "384GB", "4TB"))
     amat = AmatModel()
-    _print("Section 6.1: AMAT",
-           [("overhead", f"{amat.translation_overhead_ns():.2f} ns",
-             "4.2 ns"),
-            ("AMAT", f"{amat.amat_ns():.1f} ns", "214.2 ns")],
-           header=("metric", "measured", "paper"))
-    return [ExperimentRecord("tables", {
+    record = ExperimentRecord("tables", {
         "table5_384gb": MODEL_384GB.report(),
         "table5_4tb": MODEL_4TB.report(),
-        "table6_384gb": small, "table6_4tb": large,
-        "amat_ns": amat.amat_ns()})]
+        "table6_384gb": CONTROLLER_384GB.report(),
+        "table6_4tb": CONTROLLER_4TB.report(),
+        "translation_overhead_ns": amat.translation_overhead_ns(),
+        "amat_ns": amat.amat_ns()},
+        {"translation_overhead_ns": 4.2, "amat_ns": 214.2})
+    print(render_record(record, "Table 5 (structure bytes), Table 6 "
+                                "(controller @7nm), Section 6.1 AMAT"))
+    return [record]
 
 
 def cmd_validate(args: argparse.Namespace) -> list[ExperimentRecord]:
@@ -490,138 +403,19 @@ def cmd_validate(args: argparse.Namespace) -> list[ExperimentRecord]:
     rows = [(check.name, f"{check.mapki:.2f}/{check.mapki_target:.1f}",
              f"{check.large_stride_share:.0%}", f"{check.cold_2mb:.0%}",
              f"{check.cold_4mb:.0%}") for check in result.checks]
-    rows.append(("mean cold", "", "", f"{result.mean_cold_2mb:.1%} (61.5%)",
-                 f"{result.mean_cold_4mb:.1%} (33.2%)"))
     _print("Workload calibration", rows,
            header=("workload", "MAPKI m/t", ">=4MB", "cold@2M", "cold@4M"))
     problems = result.problems()
-    if problems:
-        print("\nCALIBRATION PROBLEMS:")
-        for problem in problems:
-            print(f"  - {problem}")
-    else:
-        print("\nAll workloads within calibration tolerances.")
-    return [ExperimentRecord("validate", {
+    record = ExperimentRecord("validate", {
         "max_mapki_error": result.max_mapki_error,
         "mean_cold_2mb": result.mean_cold_2mb,
         "mean_cold_4mb": result.mean_cold_4mb,
-        "problems": problems})]
-
-
-def _run_checkpointed(spec: Any, args: argparse.Namespace) -> Any:
-    """Run one experiment through the stepping protocol with persistence."""
-    import os
-
-    from repro.sim.stepping import make_stepper, run_with_checkpoints
-    resuming = args.resume and os.path.exists(args.checkpoint)
-    every = args.checkpoint_every
-    print(f"{'Resuming' if resuming else 'Running'} {spec.name} with "
-          f"checkpoints at {args.checkpoint!r} "
-          f"({'every ' + str(every) + ' steps' if every else 'final only'})"
-          "...")
-    stepper = make_stepper(spec.name, spec.tiny_config())
-    return run_with_checkpoints(stepper, path=args.checkpoint,
-                                every=every, resume=args.resume)
-
-
-def cmd_exp(args: argparse.Namespace) -> list[ExperimentRecord]:
-    """Run a registered experiment by name (on its smoke-test config)."""
-    if args.list or not args.name:
-        rows = [(spec.name, spec.config_type.__name__, spec.summary)
-                for spec in EXPERIMENTS.values()]
-        _print("Experiment registry", sorted(rows),
-               header=("name", "config", "summary"))
-        return []
-    spec = EXPERIMENTS.get(args.name)
-    if spec is None:
-        raise SystemExit(f"unknown experiment {args.name!r}; "
-                         f"choices: {sorted(EXPERIMENTS)}")
-    if args.checkpoint:
-        result = _run_checkpointed(spec, args)
-    else:
-        print(f"Running {spec.name} on its smoke-test config...")
-        result = _run_experiment(spec.name, spec.tiny_config(), args)
-    record = result.to_record()
-    rows = [(key, f"{value:.6g}" if isinstance(value, float) else str(value))
-            for key, value in sorted(record.metrics.items())]
-    _print(f"Experiment: {spec.name}", rows, header=("metric", "value"))
+        "problems": problems},
+        {"mean_cold_2mb": 0.615, "mean_cold_4mb": 0.332})
+    print(render_record(record, "Calibration vs Figures 9-10"))
+    print("\nCALIBRATION PROBLEMS above." if problems
+          else "\nAll workloads within calibration tolerances.")
     return [record]
-
-
-def cmd_chaos(args: argparse.Namespace) -> list[ExperimentRecord]:
-    """Fault-injection soak: escalating faults + consistency audits."""
-    config = ChaosSoakConfig(seed=args.seed)
-    if args.quick:
-        config = config.replace(levels=2, batches_per_phase=4,
-                                batch_size=32)
-    plan = config.base_plan()
-    print(f"Chaos soak: plan {plan.name!r} ({len(plan.specs)} fault "
-          f"specs), {config.levels} escalation level(s)...")
-    # Arm the plan ambiently so it participates in the result-cache key
-    # (a cached fault-free run must never answer for a faulted one).
-    with armed(plan):
-        result = _run_experiment("chaos", config, args)
-    report = result.report
-    rows: list[tuple] = [
-        ("faults injected", str(report.injected_total)),
-        ("faults detected", str(report.detected)),
-        ("faults recovered", str(report.recovered)),
-        ("ecc corrected / uncorrected",
-         f"{report.ecc_corrected} / {report.ecc_uncorrected}"),
-        ("power-exit failures", str(report.power_exit_failures)),
-        ("data-loss events", str(report.data_loss_events)),
-        ("checker audits", str(report.checker_audits)),
-        ("checker violations", str(len(report.checker_violations))),
-    ]
-    rows.extend((f"injected @ {point}", str(count))
-                for point, count in sorted(report.injected.items()))
-    if report.cxl_retry_counts:
-        retries = ", ".join(f"{n}x{c}" for n, c in
-                            sorted(report.cxl_retry_counts.items()))
-        rows.append(("cxl retry histogram", retries))
-    _print(f"Chaos soak reliability report ({plan.name})", rows,
-           header=("metric", "value"))
-    if report.checker_violations:
-        print("\nCONSISTENCY VIOLATIONS:")
-        for violation in report.checker_violations[:10]:
-            print(f"  - {violation}")
-        raise SystemExit(1)
-    print(f"\nSoak passed: {report.checker_audits} audits, "
-          "zero invariant violations, zero data loss.")
-    return [result.to_record()]
-
-
-def cmd_tournament(args: argparse.Namespace) -> list[ExperimentRecord]:
-    """Policy tournament: savings/overhead Pareto front over the grid."""
-    from repro.sim.tournament import (PolicyTournament, TournamentConfig,
-                                      quick_tournament_config)
-    config = (quick_tournament_config(seed=args.seed) if args.quick
-              else TournamentConfig(seed=args.seed))
-    cells = len(config.policies) * len(config.workloads)
-    workers = _exec_config(args).resolved_workers()
-    print(f"Tournament: {len(config.policies)} policies x "
-          f"{len(config.workloads)} workload mixes = {cells} cells "
-          f"({config.duration_s:.0f}s each, {workers} worker(s))...")
-    result = PolicyTournament(config).run(exec_config=_exec_config(args),
-                                          cache=_SESSION_CACHE)
-    front = {(cell.policy, cell.workload) for cell in result.pareto_front()}
-    rows = [(cell.policy, cell.workload, f"{cell.savings:.2%}",
-             f"{cell.overhead:.4f}", str(cell.sr_entries),
-             format_bytes(cell.migrated_bytes),
-             "*" if (cell.policy, cell.workload) in front else "")
-            for cell in result.cells]
-    _print("Policy tournament (energy savings vs performance overhead)",
-           rows, header=("policy", "mix", "savings", "overhead",
-                         "sr entries", "migrated", "pareto"))
-    mean_rows = [(policy, f"{means[0]:.2%}", f"{means[1]:.4f}")
-                 for policy, means in result.policy_means().items()]
-    _print("Per-policy means", mean_rows,
-           header=("policy", "mean savings", "mean overhead"))
-    for policy, label, error in result.failures:
-        print(f"FAILED cell {policy}/{label}: {error}")
-    if result.failures:
-        raise SystemExit(1)
-    return [result.to_record()]
 
 
 def cmd_cache(args: argparse.Namespace) -> list[ExperimentRecord]:
@@ -644,50 +438,22 @@ def cmd_cache(args: argparse.Namespace) -> list[ExperimentRecord]:
         raise SystemExit(f"unknown cache action {action!r}; "
                          "choices: ['prune', 'stats']")
     EXEC_METRICS.gauge("exec.cache_bytes").set(total)
-    rows = [("directory", str(cache.directory), ""),
-            ("entries", str(len(cache)), ""),
-            ("size", format_bytes(total), "")]
-    if action == "prune":
-        rows.append(("evicted", str(evicted),
-                     f"LRU by mtime, cap {args.max_mb:g} MiB"))
-    _print("Result cache", rows, header=("metric", "value", "note"))
-    return [ExperimentRecord("cache", {"cache_bytes": total,
-                                       "entries": len(cache),
-                                       "evicted": evicted})]
+    record = ExperimentRecord("cache", {"directory": str(cache.directory),
+                                        "cache_bytes": total,
+                                        "entries": len(cache),
+                                        "evicted": evicted})
+    print(render_record(record, "Result cache (prune: LRU by mtime to "
+                                "--max-mb)"))
+    return [record]
 
 
-def cmd_all(args: argparse.Namespace) -> list[ExperimentRecord]:
-    # Warm the session cache: every heavy simulation the subcommands
-    # below will ask for, fanned out in one executor batch.  The
-    # subcommands then format cache hits; fig15 additionally reuses
-    # fig14's self-refresh runs outright.
-    heavy: list[tuple[str, Any]] = [
-        ("powerdown_comparison", _fig12_config(args))]
-    heavy.extend(("selfrefresh", _fig14_config(point, args))
-                 for point in _fig14_points(args))
-    workers = _exec_config(args).resolved_workers()
-    print(f"Precomputing {len(heavy)} simulations ({workers} worker(s))...")
-    run_experiments(heavy, exec_config=_exec_config(args),
-                    cache=_SESSION_CACHE)  # failures resurface below
-    records = []
-    for command in (cmd_fig1, cmd_fig2, cmd_fig5, cmd_fig12, cmd_fig14,
-                    cmd_fig15, cmd_tables, cmd_stats):
-        records.extend(command(args))
-    return records
-
-
+#: Commands that compute (or serve) something other than a registered
+#: experiment; the rest of the shell surface is :data:`SHELL_COMMANDS`.
 COMMANDS: dict[str, Callable[[argparse.Namespace],
                              list[ExperimentRecord]]] = {
     "fig1": cmd_fig1,
     "fig2": cmd_fig2,
     "fig5": cmd_fig5,
-    "fig12": cmd_fig12,
-    "fig14": cmd_fig14,
-    "fig15": cmd_fig15,
-    "fleet": cmd_fleet,
-    "fleet-soak": cmd_fleet_soak,
-    "chaos": cmd_chaos,
-    "tournament": cmd_tournament,
     "exp": cmd_exp,
     "serve": cmd_serve,
     "loadgen": cmd_loadgen,
@@ -695,8 +461,26 @@ COMMANDS: dict[str, Callable[[argparse.Namespace],
     "validate": cmd_validate,
     "tables": cmd_tables,
     "stats": cmd_stats,
-    "all": cmd_all,
 }
+
+#: ``repro all``, in print (and ``--output``) order.
+ALL_COMMANDS = ("fig1", "fig2", "fig5", "fig12", "fig14", "fig15", "tables",
+                "stats")
+
+
+def run_commands(names: tuple[str, ...],
+                 args: argparse.Namespace) -> list[ExperimentRecord]:
+    """Run ``names`` in order; neighbouring registered-experiment
+    commands share one :func:`run_registered` batch."""
+    records: list[ExperimentRecord] = []
+    for registered, group in itertools.groupby(
+            names, key=SHELL_COMMANDS.__contains__):
+        if registered:
+            records.extend(run_registered(list(group), args))
+        else:
+            for name in group:
+                records.extend(COMMANDS[name](args))
+    return records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -704,14 +488,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the DTL paper's experiments (ISCA 2023).")
-    parser.add_argument("command", choices=sorted(COMMANDS),
+    parser.add_argument("command",
+                        choices=sorted({*COMMANDS, *SHELL_COMMANDS, "all"}),
                         help="experiment to run")
     parser.add_argument("action", nargs="?", default=None,
                         help="subaction for 'cache' (prune|stats)")
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed (default 0)")
     parser.add_argument("--quick", action="store_true",
-                        help="shrink the fig12 schedule to one hour")
+                        help="seconds-scale run: fig12/all a 1 h 80-VM "
+                             "schedule, fleet 2 nodes, fleet-soak 64 "
+                             "nodes, chaos 2 small levels, tournament "
+                             "2 s cells")
     parser.add_argument("--point", choices=sorted(PAPER_CAPACITY_POINTS),
                         default=None,
                         help="single fig14 capacity point")
@@ -759,11 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch", type=int, default=256,
                         help="'loadgen': accesses per batch (default 256)")
     parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="'exp': persist stepped run state to PATH; "
-                             "'serve': drain checkpoint path")
+                        help="single-experiment commands: persist the "
+                             "stepped run state to PATH; 'serve': drain "
+                             "checkpoint path")
     parser.add_argument("--resume", action="store_true",
-                        help="resume 'exp'/'serve' from the --checkpoint "
-                             "file when it exists")
+                        help="resume an experiment/'serve' from the "
+                             "--checkpoint file when it exists")
     parser.add_argument("--checkpoint-every", type=int, default=0,
                         metavar="N",
                         help="save every N units of work "
@@ -776,13 +565,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code (1 when a record
+    reports ``ok: False``)."""
     args = build_parser().parse_args(argv)
-    records = COMMANDS[args.command](args)
+    names = ALL_COMMANDS if args.command == "all" else (args.command,)
+    records = run_commands(names, args)
     if args.output:
         path = save_records(records, args.output)
         print(f"\nWrote {len(records)} records to {path}")
-    return 0
+    failed = [record.experiment for record in records
+              if record.metrics.get("ok") is False]
+    if failed:
+        print(f"\nFAILED: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

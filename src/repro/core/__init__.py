@@ -16,7 +16,6 @@ from repro.core.segment_cache import (CacheStats, LookupResult,
                                       SegmentCacheConfig, SegmentMappingCache)
 from repro.core.self_refresh import (ChannelPhase, HotnessSelfRefreshPolicy,
                                      SelfRefreshEvent)
-from repro.core.stats import StatsSnapshot, snapshot
 from repro.core.tables import TranslationTables, WalkResult
 from repro.core.translation import Translation, TranslationEngine
 
@@ -33,8 +32,6 @@ __all__ = [
     "ConsistencyChecker",
     "ConsistencyError",
     "check",
-    "StatsSnapshot",
-    "snapshot",
     "AccessResult",
     "DtlController",
     "VmHandle",

@@ -216,10 +216,6 @@ class DtlController:
         """Total host accesses served (registry counter view)."""
         return self._accesses.value
 
-    @access_count.setter
-    def access_count(self, value: int) -> None:
-        self._accesses.set(value)
-
     # -- VM lifecycle -----------------------------------------------------------
 
     def _free_aus(self, host_id: int) -> deque[int]:

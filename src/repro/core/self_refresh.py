@@ -210,18 +210,10 @@ class HotnessSelfRefreshPolicy:
         """Cumulative SR exit penalty (registry counter view)."""
         return self._exit_penalty_ns.value
 
-    @exit_penalty_total_ns.setter
-    def exit_penalty_total_ns(self, value: float) -> None:
-        self._exit_penalty_ns.set(value)
-
     @property
     def migrated_bytes_total(self) -> int:
         """Bytes moved by executed swap plans (registry counter view)."""
         return self._migrated_bytes.value
-
-    @migrated_bytes_total.setter
-    def migrated_bytes_total(self, value: int) -> None:
-        self._migrated_bytes.set(value)
 
     # -- address helpers ---------------------------------------------------------
 

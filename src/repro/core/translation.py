@@ -70,18 +70,10 @@ class TranslationEngine:
         """Translations performed (registry counter view)."""
         return self._translations.value
 
-    @translation_count.setter
-    def translation_count(self, value: int) -> None:
-        self._translations.set(value)
-
     @property
     def total_latency_ns(self) -> float:
         """Cumulative translation latency (registry counter view)."""
         return self._latency_total.value
-
-    @total_latency_ns.setter
-    def total_latency_ns(self, value: float) -> None:
-        self._latency_total.set(value)
 
     @property
     def table_walks(self) -> int:

@@ -153,6 +153,7 @@ class ChaosSoakResult:
             "data_loss_events": report.data_loss_events,
             "checker_audits": report.checker_audits,
             "checker_violations": len(report.checker_violations),
+            "first_violations": report.checker_violations[:10],
             "ok": self.ok,
         }
         for point, count in sorted(report.injected.items()):

@@ -4,121 +4,20 @@ self-refresh replay, and the combined Figure 15 summary.
 Every simulator exposes the unified ``run(config) -> Result`` shape
 (:class:`~repro.sim.base.Experiment`) and registers in
 :data:`~repro.sim.experiments.EXPERIMENTS` — the registry both the CLI
-and :mod:`repro.exec` dispatch from."""
+and :mod:`repro.exec` dispatch from.  The package re-exports only that
+registry surface; everything else imports from its own submodule
+(``repro.sim.fleet``, ``repro.sim.results``, ...)."""
 
-from repro.sim.base import Experiment, ExperimentResult, SeededConfig
-from repro.sim.combined import (CombinedSavings, combined_savings,
-                                figure15_summary)
-from repro.sim.comparison import (ComparisonResult,
-                                  PolicyComparisonExperiment,
-                                  RamzzzSimulator, compare_policies)
-from repro.sim.fleet import (CounterFold, FleetConfig, FleetResult,
-                             FleetSimulator, NodeFailure, NodeSummary,
-                             RackConfig, RackSummary, ShardAggregate)
-from repro.sim.fleet_soak import (FleetSoakConfig, FleetSoakExperiment,
-                                  FleetSoakResult)
-from repro.sim.figures import (FigureSeries, ascii_chart, figure1_series,
-                               figure2_series, figure11a_series,
-                               figure12a_series, figure14_series)
-from repro.sim.perf_model import (INTERLEAVING_OFF_PENALTY_CXL,
-                                  PerfModelConfig, PerformanceModel,
-                                  TRANSLATION_OVERHEAD)
-from repro.sim.rank_sweep import (RankSweepConfig, RankSweepExperiment,
-                                  RankSweepPoint, TraceRankSweep,
-                                  TraceRankSweepConfig, TraceRankSweepResult,
-                                  mean_trace_driven_slowdown)
-from repro.sim.results import (ExperimentRecord, flatten_powerdown,
-                               flatten_selfrefresh, flatten_tournament,
-                               load_records, render_table, save_records)
-from repro.sim.powerdown_sim import (ComparisonSimulator, IntervalRecord,
-                                     PowerDownComparisonResult,
-                                     PowerDownResult,
-                                     PowerDownSimConfig, PowerDownSimulator,
-                                     background_power_savings, energy_savings,
-                                     power_savings)
-from repro.sim.selfrefresh_sim import (PAPER_CAPACITY_POINTS,
-                                       SelfRefreshResult, SelfRefreshSimConfig,
-                                       SelfRefreshSimulator, StepRecord,
-                                       config_for_point)
-from repro.sim.tournament import (PolicyTournament, TournamentCell,
-                                  TournamentConfig, TournamentResult)
-from repro.sim.experiments import (EXPERIMENTS, ExperimentSpec,
-                                   experiment_task, get_spec,
-                                   make_experiment, run_experiment,
+from repro.sim.experiments import (EXPERIMENTS, run_experiment,
                                    run_experiments)
+from repro.sim.selfrefresh_sim import config_for_point
+from repro.sim.tournament import PolicyTournament, TournamentConfig
 
 __all__ = [
-    "Experiment",
-    "ExperimentResult",
-    "SeededConfig",
     "EXPERIMENTS",
-    "ExperimentSpec",
-    "experiment_task",
-    "get_spec",
-    "make_experiment",
     "run_experiment",
     "run_experiments",
-    "ComparisonResult",
-    "PolicyComparisonExperiment",
-    "RamzzzSimulator",
-    "compare_policies",
-    "CounterFold",
-    "FleetConfig",
-    "FleetResult",
-    "FleetSimulator",
-    "FleetSoakConfig",
-    "FleetSoakExperiment",
-    "FleetSoakResult",
-    "NodeFailure",
-    "NodeSummary",
-    "RackConfig",
-    "RackSummary",
-    "ShardAggregate",
-    "FigureSeries",
-    "ascii_chart",
-    "figure1_series",
-    "figure2_series",
-    "figure11a_series",
-    "figure12a_series",
-    "figure14_series",
-    "RankSweepConfig",
-    "RankSweepExperiment",
-    "RankSweepPoint",
-    "TraceRankSweep",
-    "TraceRankSweepConfig",
-    "TraceRankSweepResult",
-    "mean_trace_driven_slowdown",
-    "ExperimentRecord",
-    "flatten_powerdown",
-    "flatten_selfrefresh",
-    "flatten_tournament",
-    "load_records",
-    "render_table",
-    "save_records",
-    "CombinedSavings",
-    "combined_savings",
-    "figure15_summary",
-    "PerfModelConfig",
-    "PerformanceModel",
-    "INTERLEAVING_OFF_PENALTY_CXL",
-    "TRANSLATION_OVERHEAD",
-    "ComparisonSimulator",
-    "IntervalRecord",
-    "PowerDownComparisonResult",
-    "PowerDownResult",
-    "PowerDownSimConfig",
-    "PowerDownSimulator",
-    "background_power_savings",
-    "energy_savings",
-    "power_savings",
-    "PAPER_CAPACITY_POINTS",
-    "SelfRefreshResult",
-    "SelfRefreshSimConfig",
-    "SelfRefreshSimulator",
-    "StepRecord",
     "config_for_point",
     "PolicyTournament",
-    "TournamentCell",
     "TournamentConfig",
-    "TournamentResult",
 ]

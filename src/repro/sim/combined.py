@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.dram.power import DramPowerModel, PowerState
 from repro.sim.selfrefresh_sim import (SelfRefreshResult, SelfRefreshSimulator,
-                                       config_for_point)
+                                       capacity_point, config_for_point)
 
 
 @dataclass
@@ -32,6 +32,18 @@ class CombinedSavings:
     selfrefresh_additional: float
     total_savings: float
     sr_result: SelfRefreshResult
+
+    def to_record(self):
+        """The ``fig15_<point>`` record; the paper's Figure 15 values
+        are for the points that keep six ranks per channel active."""
+        from repro.sim.results import ExperimentRecord
+        paper = ({"powerdown": 0.202, "total": "25.6-32.3% (6-rank)"}
+                 if self.active_ranks_per_channel == 6 else {})
+        return ExperimentRecord(
+            f"fig15_{self.point}",
+            {"powerdown": self.powerdown_savings,
+             "selfrefresh_additional": self.selfrefresh_additional,
+             "total": self.total_savings}, paper)
 
     def row(self) -> str:
         """One formatted Figure 15 row."""
@@ -48,26 +60,15 @@ def _mean_power(result: SelfRefreshResult) -> float:
     return sum(step.total_power for step in steps[-tail:]) / tail
 
 
-def combined_savings(point: str, seed: int = 0,
-                     duration_s: float = 60.0,
-                     run=None) -> CombinedSavings:
-    """Run the SR simulation for ``point`` and fold in power-down savings.
+def combine(result: SelfRefreshResult) -> CombinedSavings:
+    """Fold the power-down savings into one capacity point's SR run.
 
     The 8-rank baseline has every rank in standby; the power-down
     configuration parks the idle rank-groups in MPSM; the combined
     configuration additionally holds the SR simulation's stable-phase rank
     states.
-
-    ``run`` (optional) overrides how the SR simulation executes — a
-    callable taking the :class:`SelfRefreshSimConfig` and returning a
-    :class:`SelfRefreshResult`.  The CLI passes a cache-backed runner so
-    ``repro all`` computes each capacity point once across fig14/fig15.
     """
-    config = config_for_point(point, seed=seed, duration_s=duration_s)
-    if run is None:
-        result = SelfRefreshSimulator(config).run()
-    else:
-        result = run(config)
+    config = result.config
     geometry = config.geometry
     power_model = DramPowerModel(geometry=geometry)
     active = result.active_ranks_per_channel
@@ -88,7 +89,7 @@ def combined_savings(point: str, seed: int = 0,
     powerdown_savings = 1.0 - powerdown_power / baseline_8rank
     total_savings = 1.0 - combined_power / baseline_8rank
     return CombinedSavings(
-        point=point,
+        point=capacity_point(config) or "custom",
         active_ranks_per_channel=active,
         powerdown_savings=powerdown_savings,
         selfrefresh_additional=max(0.0, total_savings - powerdown_savings),
@@ -96,16 +97,21 @@ def combined_savings(point: str, seed: int = 0,
         sr_result=result)
 
 
+def combined_savings(point: str, seed: int = 0,
+                     duration_s: float = 60.0) -> CombinedSavings:
+    """Run the SR simulation for ``point`` and :func:`combine` it."""
+    config = config_for_point(point, seed=seed, duration_s=duration_s)
+    return combine(SelfRefreshSimulator(config).run())
+
+
 def figure15_summary(points: tuple[str, ...] = ("208gb", "224gb", "240gb",
                                                 "304gb"),
                      seed: int = 0,
-                     duration_s: float = 60.0,
-                     run=None) -> list[CombinedSavings]:
-    """Compute the full Figure 15 table (``run`` as in
-    :func:`combined_savings`)."""
-    return [combined_savings(point, seed=seed, duration_s=duration_s,
-                             run=run)
+                     duration_s: float = 60.0) -> list[CombinedSavings]:
+    """Compute the full Figure 15 table."""
+    return [combined_savings(point, seed=seed, duration_s=duration_s)
             for point in points]
 
 
-__all__ = ["CombinedSavings", "combined_savings", "figure15_summary"]
+__all__ = ["CombinedSavings", "combine", "combined_savings",
+           "figure15_summary"]

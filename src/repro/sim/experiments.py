@@ -20,6 +20,7 @@ into a cacheable :class:`~repro.exec.runner.TaskSpec`, and
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -32,14 +33,15 @@ from repro.server.soak import (ServerSoakConfig, ServerSoakExperiment,
                                quick_server_soak_config)
 from repro.sim.base import Experiment, ExperimentResult
 from repro.sim.comparison import PolicyComparisonExperiment
-from repro.sim.fleet import FleetConfig, FleetSimulator
+from repro.sim.fleet import FleetConfig, FleetSimulator, RackConfig
 from repro.sim.fleet_soak import (FleetSoakConfig, FleetSoakExperiment,
                                   quick_soak_config)
 from repro.sim.powerdown_sim import (ComparisonSimulator,
                                      PowerDownSimConfig, PowerDownSimulator)
 from repro.sim.rank_sweep import RankSweepExperiment, TraceRankSweepConfig
-from repro.sim.selfrefresh_sim import (SelfRefreshSimConfig,
-                                       SelfRefreshSimulator)
+from repro.sim.selfrefresh_sim import (PAPER_CAPACITY_POINTS,
+                                       SelfRefreshSimConfig,
+                                       SelfRefreshSimulator, config_for_point)
 from repro.sim.tournament import (PolicyTournament, TournamentConfig,
                                   quick_tournament_config)
 from repro.workloads.azure import AzureTraceConfig
@@ -58,6 +60,13 @@ class ExperimentSpec:
         tiny_config: Builds a seconds-scale config for smoke tests and
             the registry round-trip suite.
         summary: One-line description for ``repro exp --list``.
+        flag_configs: ``flags -> {label: config}`` for the shell
+            commands that front this experiment: the config(s) that
+            ``--seed/--quick/--duration/--point/--workers`` ask for
+            (``flags`` is the parsed argument namespace).  The label is
+            ``""`` unless one command fans out over several configs
+            (Figure 14's capacity points).  ``None``: ``--quick`` means
+            ``tiny_config``, otherwise the default config, seeded.
     """
 
     name: str
@@ -65,6 +74,7 @@ class ExperimentSpec:
     factory: Callable[[Any], Experiment]
     tiny_config: Callable[[], Any]
     summary: str
+    flag_configs: Callable[[Any], dict[str, Any]] | None = None
 
 
 #: The registry: experiment name -> spec.
@@ -96,26 +106,32 @@ def make_experiment(name: str, config: Any | None = None) -> Experiment:
     return spec.factory(config)
 
 
-def run_experiment(name: str, config: Any | None = None) -> ExperimentResult:
+def run_experiment(name: str, config: Any | None = None,
+                   exec_config: ExecConfig | None = None) -> ExperimentResult:
     """Build and run the named experiment.
 
     Module-level and fully determined by its (picklable) arguments —
     this is the function the process-pool workers execute.
+    ``exec_config`` reaches the experiments that fan out internally
+    (fleet shards, sweep points, tournament cells); it never changes a
+    result, only how many processes compute it.
     """
-    return make_experiment(name, config).run()
+    experiment = make_experiment(name, config)
+    if exec_config is not None and hasattr(experiment, "exec_config"):
+        experiment.exec_config = exec_config
+    return experiment.run()
 
 
-def experiment_task(name: str, config: Any, label: str | None = None,
-                    cacheable: bool = True) -> TaskSpec:
-    """Wrap one ``(name, config)`` pair as an executor task."""
+def experiment_task(name: str, config: Any,
+                    exec_config: ExecConfig | None = None) -> TaskSpec:
+    """Wrap one ``(name, config)`` pair as a cacheable executor task."""
     get_spec(name)  # fail fast on unknown names, before fan-out
     # An ambiently armed fault plan changes what the experiment computes,
     # so it participates in the cache key; the fault-free default yields
     # context=None, preserving every historical key.
-    key = (task_key(name, config, context=hashing_context())
-           if cacheable else None)
-    return TaskSpec(fn=run_experiment, args=(name, config),
-                    key=key, label=label or name)
+    return TaskSpec(fn=run_experiment, args=(name, config, exec_config),
+                    key=task_key(name, config, context=hashing_context()),
+                    label=name)
 
 
 def run_experiments(requests: list[tuple[str, Any]],
@@ -125,19 +141,57 @@ def run_experiments(requests: list[tuple[str, Any]],
 
     Returns one :class:`TaskOutcome` per request, in order; failed
     experiments report through ``outcome.error`` instead of raising, so
-    one bad run cannot sink a batch.
+    one bad run cannot sink a batch.  A lone request runs in-process, so
+    it is handed ``exec_config`` for its own internal fan-out; a batch
+    spends the workers on the requests themselves.
     """
-    tasks = [experiment_task(name, config) for name, config in requests]
+    inner = exec_config if len(requests) == 1 else None
+    tasks = [experiment_task(name, config, exec_config=inner)
+             for name, config in requests]
     return run_tasks(tasks, config=exec_config, cache=cache)
 
 
 # -- registrations -----------------------------------------------------------------
+# Each spec's configs sit together: ``tiny_config`` (smoke tests,
+# ``repro exp --name``) and ``flag_configs`` (what the shell command's
+# flags ask for).
+
+
+def _schedule(num_vms: int, duration_s: float = 3600.0,
+              seed: int = 0) -> PowerDownSimConfig:
+    """A short VM schedule (one hour: ``--quick`` fig12, fleet nodes)."""
+    return PowerDownSimConfig(
+        azure=AzureTraceConfig(num_vms=num_vms, duration_s=duration_s),
+        scheduler=SchedulerConfig(duration_s=duration_s), seed=seed)
 
 
 def _tiny_powerdown_config() -> PowerDownSimConfig:
-    return PowerDownSimConfig(
-        azure=AzureTraceConfig(num_vms=8, duration_s=900.0),
-        scheduler=SchedulerConfig(duration_s=900.0))
+    return _schedule(8, duration_s=900.0)
+
+
+def _fig12_configs(flags: Any) -> dict[str, PowerDownSimConfig]:
+    return {"": (_schedule(80, seed=flags.seed) if flags.quick
+                 else PowerDownSimConfig(seed=flags.seed))}
+
+
+def _fleet_configs(flags: Any) -> dict[str, RackConfig]:
+    return {"": RackConfig(num_nodes=2 if flags.quick else 6,
+                           node=_schedule(60), base_seed=flags.seed,
+                           shard_size=2, hosts_per_rack=2)}
+
+
+def _fleet_soak_configs(flags: Any) -> dict[str, FleetSoakConfig]:
+    config = quick_soak_config() if flags.quick else FleetSoakConfig()
+    return {"": dataclasses.replace(
+        config, base_seed=flags.seed,
+        workers=flags.workers or config.workers)}
+
+
+def _fig14_configs(flags: Any) -> dict[str, SelfRefreshSimConfig]:
+    points = [flags.point] if flags.point else sorted(PAPER_CAPACITY_POINTS)
+    return {point: config_for_point(point, seed=flags.seed,
+                                    duration_s=flags.duration)
+            for point in points}
 
 
 register(ExperimentSpec(
@@ -152,7 +206,8 @@ register(ExperimentSpec(
     config_type=PowerDownSimConfig,
     factory=ComparisonSimulator,
     tiny_config=_tiny_powerdown_config,
-    summary="baseline-vs-DTL pair on one VM trace (Figures 12-13)"))
+    summary="baseline-vs-DTL pair on one VM trace (Figures 12-13)",
+    flag_configs=_fig12_configs))
 
 register(ExperimentSpec(
     name="fleet",
@@ -160,14 +215,16 @@ register(ExperimentSpec(
     factory=FleetSimulator,
     tiny_config=lambda: FleetConfig(num_nodes=2,
                                     node=_tiny_powerdown_config()),
-    summary="multi-node fleet fan-out with datacenter TCO roll-up"))
+    summary="multi-node fleet fan-out with datacenter TCO roll-up",
+    flag_configs=_fleet_configs))
 
 register(ExperimentSpec(
     name="fleet-soak",
     config_type=FleetSoakConfig,
     factory=FleetSoakExperiment,
     tiny_config=lambda: quick_soak_config(num_nodes=6),
-    summary="sharded fleet soak: RSS ceiling + serial/parallel identity"))
+    summary="sharded fleet soak: RSS ceiling + serial/parallel identity",
+    flag_configs=_fleet_soak_configs))
 
 register(ExperimentSpec(
     name="rank_sweep",
@@ -183,7 +240,8 @@ register(ExperimentSpec(
     factory=SelfRefreshSimulator,
     tiny_config=lambda: SelfRefreshSimConfig(
         workloads=TRACED_BENCHMARKS[:3], duration_s=2.0),
-    summary="hotness-aware self-refresh replay (Figure 14)"))
+    summary="hotness-aware self-refresh replay (Figure 14)",
+    flag_configs=_fig14_configs))
 
 register(ExperimentSpec(
     name="ramzzz_comparison",

@@ -412,15 +412,19 @@ class FleetResult:
         return rows
 
     def to_record(self):
-        """Flatten into an :class:`~repro.sim.results.ExperimentRecord`."""
+        """Flatten into an :class:`~repro.sim.results.ExperimentRecord`
+        (a racked fleet adds its ``rack_*`` contention roll-up)."""
         from repro.sim.results import ExperimentRecord
+        rack = (self.rack_report() if isinstance(self.config, RackConfig)
+                else {})
         return ExperimentRecord("fleet", {
             "fleet_savings": self.fleet_savings,
             "per_node": self.per_node_savings.tolist(),
             "node_seeds": [node.seed for node in self.nodes],
             "failed_seeds": [failure.seed for failure in self.failures],
             **{f"tco_{key}": value
-               for key, value in self.tco_report().items()}})
+               for key, value in self.tco_report().items()},
+            **{f"rack_{key}": value for key, value in rack.items()}})
 
 
 class FleetSimulator:

@@ -125,6 +125,7 @@ class FleetSoakResult:
             "within_ceiling": self.within_ceiling,
             "nodes_ok": self.nodes_ok,
             "nodes_failed": self.nodes_failed,
+            "ok": self.ok,
             **{f"rack_{key}": value
                for key, value in self.rack_report.items()}})
 

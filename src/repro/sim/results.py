@@ -18,7 +18,15 @@ from repro.sim.selfrefresh_sim import SelfRefreshResult
 
 @dataclass
 class ExperimentRecord:
-    """One experiment's identity plus its flattened metrics."""
+    """One experiment's identity, its flattened metrics, and the paper's
+    value for each metric it reports one for.
+
+    Every ``paper`` key names a key of ``metrics``: a number where the
+    paper gives one, a string where it only annotates ("mixed", "<0.5").
+    This is the only place a paper reference value is written down; the
+    CLI's :func:`render_record` and ``--output`` both read it from here.
+    A record whose metrics carry ``ok: False`` fails its command.
+    """
 
     experiment: str
     metrics: dict[str, Any] = field(default_factory=dict)
@@ -101,6 +109,8 @@ def flatten_tournament(result) -> dict[str, Any]:
         "cells": len(result.cells),
         "pareto": [(cell.policy, cell.workload)
                    for cell in result.pareto_front()],
+        "failed_cells": [list(failure) for failure in result.failures],
+        "ok": not result.failures,
     }
     for cell in result.cells:
         prefix = f"{cell.policy}.{cell.workload}"
@@ -158,6 +168,30 @@ def render_table(rows: list[tuple], header: tuple = (),
     return "\n".join(lines)
 
 
+def render_record(record: ExperimentRecord, title: str | None = None) -> str:
+    """One record as a titled ``metric | measured | paper`` table.
+
+    A dict-valued metric (the Table 5/6 reports) contributes one
+    ``metric.key`` row per entry.
+    """
+    def cell(value: Any) -> str:
+        return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+    def row(key: str, value: Any) -> tuple:
+        return (key.replace("_", " "), cell(value),
+                cell(record.paper.get(key, "")))
+
+    rows: list[tuple] = []
+    for key, value in record.metrics.items():
+        if isinstance(value, dict):
+            rows.extend(row(f"{key}.{name}", leaf)
+                        for name, leaf in value.items())
+        else:
+            rows.append(row(key, value))
+    return (f"\n=== {title or record.experiment} ===\n"
+            + render_table(rows, header=("metric", "measured", "paper")))
+
+
 __all__ = [
     "ExperimentRecord",
     "flatten_powerdown",
@@ -167,4 +201,5 @@ __all__ = [
     "save_records",
     "load_records",
     "render_table",
+    "render_record",
 ]

@@ -127,9 +127,14 @@ class SelfRefreshResult:
         return times, savings
 
     def to_record(self):
-        """Flatten into an :class:`~repro.sim.results.ExperimentRecord`."""
+        """Flatten into an :class:`~repro.sim.results.ExperimentRecord`;
+        a run at one of the Figure 14 capacity points carries the
+        paper's stable savings for that point."""
         from repro.sim.results import ExperimentRecord, flatten_selfrefresh
-        return ExperimentRecord("selfrefresh", flatten_selfrefresh(self))
+        point = capacity_point(self.config)
+        return ExperimentRecord(
+            "selfrefresh", flatten_selfrefresh(self),
+            {"stable_savings": PAPER_STABLE_SAVINGS[point]} if point else {})
 
 
 @dataclass
@@ -442,6 +447,26 @@ PAPER_CAPACITY_POINTS = {
 }
 
 
+#: Figure 14's stable-phase savings per capacity point: a number where
+#: the paper reports one, its verdict where self-refresh never settles.
+PAPER_STABLE_SAVINGS = {"208gb": 0.203, "224gb": "mixed", "240gb": "fails",
+                        "304gb": 0.149}
+
+
+def _allocated_bytes(point: str, geometry: DramGeometry) -> int:
+    allocated = int(PAPER_CAPACITY_POINTS[point] * geometry.total_bytes)
+    return allocated - allocated % (512 * MIB)
+
+
+def capacity_point(config: SelfRefreshSimConfig) -> str | None:
+    """The Figure 14 point ``config`` allocates for (None: off-figure)."""
+    for point in PAPER_CAPACITY_POINTS:
+        if config.allocated_bytes == _allocated_bytes(point,
+                                                      config.geometry):
+            return point
+    return None
+
+
 def config_for_point(point: str, seed: int = 0,
                      workloads: tuple[str, ...] | None = None,
                      duration_s: float = 90.0) -> SelfRefreshSimConfig:
@@ -450,9 +475,7 @@ def config_for_point(point: str, seed: int = 0,
         raise KeyError(f"unknown point {point!r}; "
                        f"choices: {sorted(PAPER_CAPACITY_POINTS)}")
     geometry = DramGeometry(rank_bytes=1 * GIB)
-    fraction = PAPER_CAPACITY_POINTS[point]
-    allocated = int(fraction * geometry.total_bytes)
-    allocated -= allocated % (512 * MIB)
+    allocated = _allocated_bytes(point, geometry)
     bandwidth = 30.0 * geometry.total_bytes / (384 * GIB)
     return SelfRefreshSimConfig(
         geometry=geometry,
@@ -470,5 +493,7 @@ __all__ = [
     "SelfRefreshRunState",
     "SelfRefreshSimulator",
     "PAPER_CAPACITY_POINTS",
+    "PAPER_STABLE_SAVINGS",
+    "capacity_point",
     "config_for_point",
 ]

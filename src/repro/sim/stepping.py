@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.checkpoint import (Checkpoint, Stepper, checkpoint_state,
-                              resume_state, run_stepped, run_to_step,
-                              run_with_checkpoints)
+from repro.checkpoint import Stepper
 from repro.sim.experiments import EXPERIMENTS, make_experiment
 
 
@@ -44,14 +42,4 @@ def stepper_names() -> list[str]:
                 name, EXPERIMENTS[name].tiny_config()), Stepper)]
 
 
-__all__ = [
-    "Checkpoint",
-    "Stepper",
-    "checkpoint_state",
-    "make_stepper",
-    "resume_state",
-    "run_stepped",
-    "run_to_step",
-    "run_with_checkpoints",
-    "stepper_names",
-]
+__all__ = ["make_stepper", "stepper_names"]

@@ -144,8 +144,10 @@ class PolicyTournament:
 
     name = "tournament"
 
-    def __init__(self, config: TournamentConfig | None = None):
+    def __init__(self, config: TournamentConfig | None = None,
+                 exec_config: ExecConfig | None = None):
         self.config = config or TournamentConfig()
+        self.exec_config = exec_config
 
     def cell_configs(self) -> list[tuple[str, str, SelfRefreshSimConfig]]:
         """The grid as ``(policy, mix label, sim config)`` triples."""
@@ -206,7 +208,8 @@ class PolicyTournament:
             cache: ResultCache | None = None) -> TournamentResult:
         """Fan the grid out and collect the Pareto-ranked result."""
         state = self.begin()
-        self._drive(state, exec_config=exec_config, cache=cache)
+        self._drive(state, exec_config=exec_config or self.exec_config,
+                    cache=cache)
         return self.finish(state)
 
 

@@ -14,20 +14,25 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import checkpoint_state, resume_state, run_to_step
+from repro.checkpoint import (checkpoint_state, load_checkpoint,
+                              resume_state, run_to_step,
+                              run_with_checkpoints)
 from repro.exec.hashing import stable_hash
 from repro.sim.experiments import EXPERIMENTS
 from repro.sim.stepping import make_stepper, stepper_names
 
 #: Record keys that legitimately differ between two runs of the same
-#: config (host memory readings); everything else must match exactly.
+#: config (host memory readings, and the fleet-soak verdict that folds
+#: one in); everything else must match exactly.
 _NONDETERMINISTIC_KEYS = {"peak_rss_mb", "within_ceiling"}
 
 
 def comparable(result) -> dict:
     record = result.to_record()
+    skipped = _NONDETERMINISTIC_KEYS | (
+        {"ok"} if "within_ceiling" in record.metrics else set())
     metrics = {key: value for key, value in record.metrics.items()
-               if key not in _NONDETERMINISTIC_KEYS}
+               if key not in skipped}
     return {"experiment": record.experiment, "metrics": metrics}
 
 
@@ -96,3 +101,22 @@ def test_restore_past_the_end_is_safe():
     # same result: advance() is a no-op returning False once complete.
     cold, resumed = restore_at_k("rank_sweep", 10_000)
     assert_identical(cold, resumed)
+
+
+def test_resuming_a_finished_run_leaves_its_checkpoint_alone(tmp_path):
+    # A completed state comes back through finish(): repeated --resume
+    # runs must not advance, re-count the step, or rewrite the file.
+    path = tmp_path / "run.ckpt"
+    config = EXPERIMENTS["rank_sweep"].tiny_config()
+    first = run_with_checkpoints(make_stepper("rank_sweep", config),
+                                 path=str(path), every=1)
+    step, written = load_checkpoint(str(path)).step, path.read_bytes()
+    for _ in range(3):
+        steps_seen: list[int] = []
+        again = run_with_checkpoints(make_stepper("rank_sweep", config),
+                                     path=str(path), every=1, resume=True,
+                                     on_step=steps_seen.append)
+        assert_identical(first, again)
+        assert steps_seen == []
+        assert load_checkpoint(str(path)).step == step
+        assert path.read_bytes() == written

@@ -100,6 +100,22 @@ def test_fleet_serial_parallel_bit_identical():
     assert serial.telemetry_totals() == parallel.telemetry_totals()
 
 
+def test_lone_request_hands_the_experiment_its_exec_config(monkeypatch):
+    # `repro fleet --workers 2` reaches the fleet's own shard fan-out
+    # through the registry; a batch keeps the workers for its requests.
+    monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
+    config = FleetConfig(num_nodes=2, node=_small_node(), shard_size=1)
+    pooled = ExecConfig(workers=2, force_pool=True)
+    lone, = run_experiments([("fleet", config)], exec_config=pooled)
+    assert lone.value.exec_telemetry["gauges"]["exec.workers"] == 2
+    serial = FleetSimulator(config, ExecConfig(workers=1)).run()
+    assert _record_json(lone.value) == _record_json(serial)
+    other = FleetConfig(num_nodes=1, node=_small_node())
+    for outcome in run_experiments([("fleet", config), ("fleet", other)],
+                                   exec_config=ExecConfig(workers=2)):
+        assert outcome.value.exec_telemetry["gauges"]["exec.workers"] == 1
+
+
 def test_rank_sweep_serial_parallel_bit_identical():
     config = TraceRankSweepConfig(num_accesses=2_000, rank_counts=(8, 2))
     serial = RankSweepExperiment(config, ExecConfig(workers=1)).run()

@@ -1,10 +1,20 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.exec import TaskOutcome
+from repro.sim.experiments import EXPERIMENTS
+
+#: ``--output`` records captured at the parent of the one-route refactor
+#: (seed 0): argv -> [{"experiment", "metrics"}], deterministic metrics
+#: only.  The shell surface must keep reproducing them.
+PARENT_RECORDS = json.loads(
+    (Path(__file__).parent / "cli_records_parent.json").read_text())
 
 
 class TestParser:
@@ -105,7 +115,7 @@ class TestPlotFlag:
         from repro.cli import main
         assert main(["fleet", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "Fleet-level DRAM savings" in out
+        assert "node 0" in out and "fleet savings" in out
         assert "annual cost" in out
 
     def test_validate(self, capsys):
@@ -166,3 +176,150 @@ class TestCacheCli:
         monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
         with pytest.raises(SystemExit):
             main(["cache", "flush"])
+
+
+def run_cli(argv: str, tmp_path) -> tuple[int, list[dict]]:
+    path = tmp_path / "records.json"
+    code = main(argv.split() + ["--output", str(path)])
+    return code, json.loads(path.read_text())
+
+
+class TestRecordsContract:
+    @pytest.mark.parametrize("argv", sorted(PARENT_RECORDS))
+    def test_reproduces_parent_records(self, argv, tmp_path, capsys):
+        code, records = run_cli(argv, tmp_path)
+        assert code == 0
+        expected = PARENT_RECORDS[argv]
+        assert ([record["experiment"] for record in records]
+                == [record["experiment"] for record in expected])
+        for record, parent in zip(records, expected):
+            # Extra metric keys are allowed; every parent key and value
+            # must survive.
+            kept = {key: record["metrics"].get(key)
+                    for key in parent["metrics"]}
+            assert kept == parent["metrics"], record["experiment"]
+            # Paper values are keyed by the metric they reference.
+            assert set(record["paper"]) <= set(record["metrics"])
+
+    def test_paper_values_are_numbers_where_the_paper_gives_one(
+            self, tmp_path, capsys):
+        _, (record,) = run_cli("fig14 --point 208gb --duration 3", tmp_path)
+        assert record["paper"] == {"stable_savings": 0.203}
+        _, (record,) = run_cli("fig14 --point 224gb --duration 3", tmp_path)
+        assert record["paper"] == {"stable_savings": "mixed"}
+
+    def test_rendered_table_shows_paper_next_to_measured(self, capsys):
+        assert main(["fig5"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert ["metric", "measured", "paper"] in rows
+        assert any(row[0] == "cxl" and row[2] == "0.014" for row in rows
+                   if len(row) == 3)
+
+
+class TestOneRoute:
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_every_registered_experiment_runs_from_the_shell(
+            self, name, tmp_path, capsys):
+        code, (record,) = run_cli(f"exp --name {name}", tmp_path)
+        assert code == int(record["metrics"].get("ok") is False)
+        # fleet-soak gates on this process's lifetime peak RSS, which
+        # late in a full pytest run is the suite's, not the soak's.
+        assert code == 0 or name == "fleet-soak"
+        assert record["experiment"].replace("_", "-") == \
+            name.replace("_", "-")
+        assert record["metrics"]
+
+    @pytest.mark.parametrize("quick", [[], ["--quick"]])
+    def test_every_shell_command_builds_seeded_configs(self, quick):
+        args = build_parser().parse_args(["fig14", "--seed", "3", *quick])
+        for command in cli.SHELL_COMMANDS:
+            front, configs = cli._flag_configs(command, args)
+            spec = EXPERIMENTS[front.experiment]
+            assert configs, command
+            for config in configs.values():
+                assert isinstance(config, spec.config_type), command
+                seed = getattr(config, "seed", None)
+                assert (config.base_seed if seed is None else seed) == 3
+
+    def test_exp_seed_changes_the_record(self, tmp_path, capsys):
+        records = [run_cli(f"exp --name rank_sweep --seed {seed}",
+                           tmp_path)[1][0] for seed in (0, 1, 2)]
+        assert records[0]["metrics"] == \
+            PARENT_RECORDS["exp --name rank_sweep"][0]["metrics"]
+        assert records[1]["metrics"] != records[0]["metrics"]
+        assert records[2]["metrics"] != records[1]["metrics"]
+
+    def test_exp_seed_is_a_usage_error_where_it_cannot_apply(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["exp", "--name", "fleet", "--seed", "1"])
+        assert info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_checkpoint_needs_a_single_run(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["fig14", "--duration", "1",
+                  "--checkpoint", str(tmp_path / "x.ckpt")])
+        assert info.value.code == 2
+
+    def test_resuming_a_finished_run_keeps_its_step(self, tmp_path, capsys):
+        from repro.checkpoint import load_checkpoint
+        path = str(tmp_path / "run.ckpt")
+        argv = ["exp", "--name", "rank_sweep", "--checkpoint", path]
+        assert main(argv) == 0
+        step = load_checkpoint(path).step
+        for _ in range(2):
+            assert main(argv + ["--resume"]) == 0
+            assert load_checkpoint(path).step == step
+
+    def test_all_shares_fig14_runs_with_fig15(self, monkeypatch, tmp_path,
+                                              capsys):
+        batches = []
+        real = cli.run_experiments
+
+        def spy(requests, **kwargs):
+            batches.append([name for name, _ in requests])
+            return real(requests, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiments", spy)
+        code, records = run_cli("all --quick --duration 1 --point 208gb",
+                                tmp_path)
+        assert code == 0
+        assert batches == [["powerdown_comparison", "selfrefresh"]]
+        assert [record["experiment"] for record in records] == [
+            "fig1", "fig2", "fig5", "fig12", "fig14_208gb", "fig15_208gb",
+            "tables", "stats"]
+        for record in records:
+            assert set(record["paper"]) <= set(record["metrics"])
+
+
+def failing_result(command: str):
+    from repro.faults.chaos import ChaosSoakConfig, ChaosSoakResult
+    from repro.faults.injector import ReliabilityReport
+    from repro.sim.fleet_soak import FleetSoakConfig, FleetSoakResult
+    from repro.sim.tournament import TournamentConfig, TournamentResult
+    if command == "chaos":
+        return ChaosSoakResult(ChaosSoakConfig(), ReliabilityReport(
+            checker_audits=1, checker_violations=["hsn 3 mapped twice"]))
+    if command == "tournament":
+        return TournamentResult(TournamentConfig(), cells=[],
+                                failures=[("bogus", "mix0", "no policy")])
+    return FleetSoakResult(
+        config=FleetSoakConfig(), fleet_savings=0.3, parallel_savings=0.31,
+        bit_identical=False, rss_before_mb=1.0, peak_rss_mb=2.0,
+        within_ceiling=True, serial_wall_s=0.0, parallel_wall_s=0.0,
+        nodes_ok=1, nodes_failed=0, rack_report={}, result_bytes=0.0)
+
+
+class TestFailingRecords:
+    @pytest.mark.parametrize("command", ["chaos", "tournament",
+                                         "fleet-soak"])
+    def test_failing_record_exits_non_zero(self, command, monkeypatch,
+                                           tmp_path, capsys):
+        monkeypatch.setattr(
+            cli, "run_experiments",
+            lambda requests, **kwargs: [TaskOutcome(
+                label=command, value=failing_result(command))])
+        code, (record,) = run_cli(f"{command} --quick", tmp_path)
+        assert code == 1
+        assert record["metrics"]["ok"] is False
+        assert "FAILED" in capsys.readouterr().err
