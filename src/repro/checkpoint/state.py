@@ -2,10 +2,9 @@
 
 A :class:`Checkpoint` wraps one pickled run-state payload together with
 the format version, the experiment kind, the step count at capture, and
-the SHA-256 of the blob.  The hash is what makes prefix sharing sound:
-:func:`repro.exec.hashing.task_key` folds it into warm-started task keys
-so a cache entry can never be confused with a cold-started run of a
-different prefix (see docs/CHECKPOINT.md).
+the SHA-256 of the blob.  The hash is stored in the file header and
+checked on load, so a corrupted blob is refused instead of restored
+(see docs/CHECKPOINT.md).
 
 Pickle is the serialisation substrate deliberately: the controller
 object graph is cycle- and alias-heavy (per-AU mapping slices alias the
@@ -15,8 +14,7 @@ pickle's memo preserves every one of those identities.  The one graph
 fix-up this needs lives in
 :meth:`repro.core.tables.TranslationTables.__setstate__`, which rebuilds
 the numpy views after load.  It is the repo's only persistence scheme:
-experiments, warm-start forks, and the server's drain checkpoint all
-come through here.
+experiments and the server's drain checkpoint both come through here.
 
 Checkpoints are *not* a cross-version interchange format: a blob is
 only guaranteed to load in the repo revision that wrote it, and
@@ -64,7 +62,7 @@ class Checkpoint:
 
     @property
     def content_hash(self) -> str:
-        """SHA-256 of the blob; the identity warm-start keys fold in."""
+        """SHA-256 of the blob; written to the file header, checked on load."""
         return hashlib.sha256(self.blob).hexdigest()
 
 

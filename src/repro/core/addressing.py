@@ -259,13 +259,6 @@ class DeviceAddressLayout:
                          + self.geometry.segment_index_bits))
                 & ((1 << self.geometry.rank_bits) - 1))
 
-    def dsns_in_rank(self, channel: int, rank: int) -> range:
-        """Iterate all DSNs of a rank — note they are *not* contiguous.
-
-        Returns a range over segment indices; combine with :meth:`pack_dsn`.
-        """
-        return range(self.geometry.segments_per_rank)
-
     # -- batch codecs ---------------------------------------------------------
 
     def pack_dsn_batch(self, channel: int, rank: int,

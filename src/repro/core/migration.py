@@ -69,11 +69,6 @@ class MigrationRequest:
     retries: int = 0
     requeues: int = 0
 
-    @property
-    def bytes_total(self) -> int:
-        """Segment size in bytes."""
-        return self.lines_total * CACHELINE_BYTES
-
     def reset_progress(self) -> None:
         """Restart the copy from the first line (after an abort)."""
         self.lines_done = 0

@@ -340,17 +340,6 @@ class TranslationTables:
         """All DSNs currently backing segments."""
         return sorted(self._reverse)
 
-    def live_mask(self, dsns: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`is_dsn_live` over a DSN array."""
-        dsns = np.asarray(dsns, dtype=np.int64)
-        if not len(dsns):
-            return np.zeros(0, dtype=bool)
-        if not self._reverse:
-            return np.zeros(len(dsns), dtype=bool)
-        live = np.fromiter(self._reverse, dtype=np.int64,
-                           count=len(self._reverse))
-        return np.isin(dsns, live)
-
     @property
     def mapped_segment_count(self) -> int:
         """Number of live HSN -> DSN mappings."""

@@ -96,10 +96,6 @@ class DramPowerModel:
 
     # -- background ---------------------------------------------------------
 
-    def rank_background_power(self, state: PowerState) -> float:
-        """Background power of a single rank in ``state`` (RSU)."""
-        return self.state_power[state]
-
     def background_power(self, state_counts: dict[PowerState, int]) -> float:
         """Total background power for a population of ranks (RSU).
 

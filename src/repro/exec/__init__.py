@@ -22,10 +22,6 @@ from repro.exec.runner import (EXEC_METRICS, ExecConfig, NESTED_ENV,
                                default_workers, run_next_tasks, run_tasks)
 from repro.exec.sharding import (ShardPlan, ShardReducer, run_shard,
                                  shard_slices, shard_tasks)
-from repro.exec.warmstart import (PrefixSpec, WarmStartPlan,
-                                  clear_prefix_memo, prefix_memo_size,
-                                  run_warm_task, warm_task_key,
-                                  warm_task_spec)
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -37,22 +33,15 @@ __all__ = [
     "EXEC_METRICS",
     "ExecConfig",
     "NESTED_ENV",
-    "PrefixSpec",
     "ShardPlan",
     "ShardReducer",
     "TaskOutcome",
     "TaskSpec",
     "WORKERS_ENV",
-    "WarmStartPlan",
-    "clear_prefix_memo",
     "default_workers",
-    "prefix_memo_size",
     "run_next_tasks",
     "run_shard",
     "run_tasks",
-    "run_warm_task",
     "shard_slices",
     "shard_tasks",
-    "warm_task_key",
-    "warm_task_spec",
 ]

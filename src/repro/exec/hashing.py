@@ -60,20 +60,15 @@ def stable_hash(value: Any) -> str:
     return hashlib.sha256(document.encode()).hexdigest()
 
 
-def task_key(experiment: str, config: Any, context: Any = None) -> str:
+def task_key(experiment: str, config: Any) -> str:
     """Cache key for running ``experiment`` on ``config``.
 
-    ``context`` carries execution state that changes the result without
-    living in the config — e.g. the ambiently armed
-    :class:`~repro.faults.plan.FaultPlan` (see
-    :func:`repro.faults.arming.hashing_context`).  ``None`` (the
-    fault-free default) preserves the historical key format, so existing
+    The config is the whole identity of a run: anything that changes the
+    result (seed, fault plan, policy) is a field of it.  The format is
+    pinned byte for byte (``tests/exec/test_hashing.py``), so existing
     cached results stay addressable.
     """
-    if context is None:
-        return f"{experiment}-{stable_hash(config)[:32]}"
-    combined = {"config": config, "context": context}
-    return f"{experiment}-{stable_hash(combined)[:32]}"
+    return f"{experiment}-{stable_hash(config)[:32]}"
 
 
 def derive_seed(base_seed: int, *parts: Any) -> int:

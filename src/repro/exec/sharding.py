@@ -4,8 +4,8 @@ The flat fan-out path (one :class:`~repro.exec.runner.TaskSpec` per
 item) pays process dispatch, ``task_key`` hashing, and result pickling
 *per item* — and ships each item's full result object back to the
 parent.  For fleet-scale batches (thousands of cheap simulations) both
-costs dominate the work itself; `BENCH_exec.json` recorded a 0.81x
-fleet "speedup" from exactly this.
+costs dominate the work itself; the flat path once measured a 0.81x
+fleet "speedup" from exactly this (docs/PERF.md).
 
 A **shard** is a contiguous run of item indices executed inside one
 worker invocation.  The worker folds every item's result into a compact

@@ -13,12 +13,11 @@ The subsystem has four layers (see docs/FAULTS.md):
 * :mod:`repro.faults.chaos` — :class:`ChaosSoakExperiment`: an
   escalating soak cross-checked by the consistency checker.
 
-Arming is explicit (``controller.arm_faults(injector)``) or ambient via
-:func:`repro.faults.arming.armed`, which also folds the plan into the
-experiment cache key through :func:`~repro.faults.arming.hashing_context`.
+Arming is explicit: ``controller.arm_faults(injector)``.  An experiment
+that injects faults derives its plan from its config, so the config hash
+that keys the result cache already covers the plan.
 """
 
-from repro.faults.arming import armed, current_plan, hashing_context
 from repro.faults.chaos import (ChaosSoakConfig, ChaosSoakExperiment,
                                 ChaosSoakResult)
 from repro.faults.hooks import HOOK_CATALOG, HookInfo, HookPoint
@@ -41,9 +40,6 @@ __all__ = [
     "hook_point_of",
     "FaultInjector",
     "ReliabilityReport",
-    "armed",
-    "current_plan",
-    "hashing_context",
     "ChaosSoakConfig",
     "ChaosSoakExperiment",
     "ChaosSoakResult",

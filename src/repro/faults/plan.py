@@ -20,8 +20,9 @@ polling it: :meth:`FaultSpec.fire_offsets` answers "which of the next
 
 Plans are plain nested frozen dataclasses, so
 :func:`repro.exec.hashing.canonical` hashes them with no special
-casing; an armed plan folds into the executor's cache keys through
-:func:`repro.faults.arming.hashing_context`.
+casing; an experiment derives its plan from its config (e.g.
+:meth:`ChaosSoakConfig.base_plan`), so the config hash that keys the
+executor's cache already covers the plan.
 """
 
 from __future__ import annotations

@@ -112,11 +112,6 @@ class AdmissionController:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @property
-    def tenant_count(self) -> int:
-        """Tenants currently registered."""
-        return len(self._buckets)
-
     def admit_open(self, tenant: str, now_s: float) -> Rejection | None:
         """Gate ``open_tenant``; registers the tenant on admission."""
         if tenant in self._buckets:

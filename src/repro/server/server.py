@@ -327,7 +327,8 @@ class DtlServer:
         t = request.get("t")
         if t is None:
             return None
-        if not isinstance(t, (int, float)):
+        # bool is an int subclass: JSON ``true`` is not a timestamp.
+        if isinstance(t, bool) or not isinstance(t, (int, float)):
             raise _RequestError(Rejection(
                 ErrorCode.BAD_REQUEST, "'t' must be a number"))
         return float(t)
@@ -408,9 +409,11 @@ class DtlServer:
         record = self._tenant_of(request)
         t_s = self._time_of(request)
         num_bytes = request.get("bytes")
-        if not isinstance(num_bytes, int) or num_bytes <= 0:
+        if isinstance(num_bytes, bool) or not isinstance(num_bytes, int) \
+                or num_bytes <= 0:
             raise _RequestError(Rejection(
-                ErrorCode.BAD_REQUEST, "allocate needs positive 'bytes'"))
+                ErrorCode.BAD_REQUEST,
+                "allocate needs a positive integer 'bytes'"))
         self._rate_gate(record, t_s)
         shard = self.shards[record.shard]
         reserve = shard.controller.aus_for_bytes(num_bytes) \
@@ -434,7 +437,7 @@ class DtlServer:
     def _vm_of(self, record: TenantRecord,
                request: dict[str, Any]):
         vm_id = request.get("vm")
-        if not isinstance(vm_id, int):
+        if isinstance(vm_id, bool) or not isinstance(vm_id, int):
             raise _RequestError(Rejection(
                 ErrorCode.BAD_REQUEST, "request needs an integer 'vm'"))
         if vm_id not in record.vm_ids:
@@ -446,8 +449,8 @@ class DtlServer:
     async def _op_free(self, request: dict[str, Any]) -> dict[str, Any]:
         record = self._tenant_of(request)
         t_s = self._time_of(request)
-        self._rate_gate(record, t_s)
         vm = self._vm_of(record, request)
+        self._rate_gate(record, t_s)
         shard = self.shards[record.shard]
         freed = await shard.submit(shard.apply_free, vm, t_s)
         self.admission.release(record.name, freed)

@@ -26,7 +26,6 @@ from typing import Any, Callable
 
 from repro.exec import (ExecConfig, ResultCache, TaskOutcome, TaskSpec,
                         run_tasks, task_key)
-from repro.faults.arming import hashing_context
 from repro.faults.chaos import ChaosSoakConfig, ChaosSoakExperiment
 from repro.host.scheduler import SchedulerConfig
 from repro.server.soak import (ServerSoakConfig, ServerSoakExperiment,
@@ -126,12 +125,8 @@ def experiment_task(name: str, config: Any,
                     exec_config: ExecConfig | None = None) -> TaskSpec:
     """Wrap one ``(name, config)`` pair as a cacheable executor task."""
     get_spec(name)  # fail fast on unknown names, before fan-out
-    # An ambiently armed fault plan changes what the experiment computes,
-    # so it participates in the cache key; the fault-free default yields
-    # context=None, preserving every historical key.
     return TaskSpec(fn=run_experiment, args=(name, config, exec_config),
-                    key=task_key(name, config, context=hashing_context()),
-                    label=name)
+                    key=task_key(name, config), label=name)
 
 
 def run_experiments(requests: list[tuple[str, Any]],

@@ -144,8 +144,8 @@ class SelfRefreshRunState:
     Picklable as one graph: the RNG is shared between the state and the
     drifters, and the controller graph keeps its internal sharing, so a
     ``pickle`` round-trip of the whole state resumes bit-identically.
-    ``num_steps`` lives here (not on the config) so a warm-start fork can
-    retarget a prefix snapshot at a longer duration.
+    ``num_steps`` lives here (not on the config), so a restored run is
+    extended by raising it before the next ``advance``.
     """
 
     rng: np.random.Generator
@@ -287,14 +287,6 @@ class SelfRefreshSimulator:
             seg_rates[generator.deep_cold_segments] = 0.0
             rates.append(seg_rates)
         return np.concatenate(rates)
-
-    def _segment_rates(self, controller: DtlController,
-                       handles: list[VmHandle],
-                       rng: np.random.Generator,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-VM-segment rate vector and its HSN list."""
-        hsns, generators = self._build_workloads(controller, handles, rng)
-        return hsns, self._rates_hz(generators)
 
     def _dsn_of(self, controller: DtlController,
                 hsns: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import dataclasses
 
 from repro.checkpoint import checkpoint_state, resume_state
 from repro.exec.hashing import stable_hash
-from repro.faults import ChaosSoakConfig, armed
+from repro.faults import ChaosSoakConfig
 from repro.sim.experiments import EXPERIMENTS
 from repro.sim.stepping import make_stepper
 
@@ -102,19 +102,17 @@ def test_chaos_snapshot_with_armed_plan_partially_consumed():
     # consumed counters.  Cold and resumed runs arm identically.
     config = ChaosSoakConfig(seed=3, levels=2, batches_per_phase=3,
                              batch_size=24)
-    plan = config.base_plan()
-    with armed(plan):
-        cold = make_stepper("chaos", config).run()
+    cold = make_stepper("chaos", config).run()
 
-        stepper = make_stepper("chaos", config)
-        state = stepper.begin()
-        assert stepper.advance(state)  # level 0 done, level 1 pending
-        assert state.level == 1 and len(state.reports) == 1
-        assert state.reports[0].injected_total > 0, \
-            "level 0 injected nothing; armed-counter coverage lost"
-        checkpoint = checkpoint_state(stepper, state, 1)
+    stepper = make_stepper("chaos", config)
+    state = stepper.begin()
+    assert stepper.advance(state)  # level 0 done, level 1 pending
+    assert state.level == 1 and len(state.reports) == 1
+    assert state.reports[0].injected_total > 0, \
+        "level 0 injected nothing; armed-counter coverage lost"
+    checkpoint = checkpoint_state(stepper, state, 1)
 
-        resumed = resume_and_finish("chaos", config, checkpoint)
+    resumed = resume_and_finish("chaos", config, checkpoint)
     assert records_equal(cold, resumed)
     assert resumed.report.injected_total == cold.report.injected_total
 

@@ -11,6 +11,8 @@ aliasing that can differ between two value-identical graphs.
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -101,6 +103,27 @@ def test_restore_past_the_end_is_safe():
     # same result: advance() is a no-op returning False once complete.
     cold, resumed = restore_at_k("rank_sweep", 10_000)
     assert_identical(cold, resumed)
+
+
+def test_restored_selfrefresh_run_extends_by_raising_num_steps():
+    # ``duration_s`` enters the run state only as ``num_steps``, so a
+    # finished short run restored under the longer config and given the
+    # longer step count *is* the longer run (docs/CHECKPOINT.md).
+    short = EXPERIMENTS["selfrefresh"].tiny_config()
+    longer = dataclasses.replace(short, duration_s=short.duration_s * 1.5)
+    cold = make_stepper("selfrefresh", longer).run()
+
+    prefix = make_stepper("selfrefresh", short)
+    state, taken, _more = run_to_step(prefix, 10_000)
+    checkpoint = checkpoint_state(prefix, state, taken)
+
+    resumer = make_stepper("selfrefresh", longer)
+    resumed_state = resume_state(resumer, checkpoint)
+    resumed_state.num_steps = int(longer.duration_s / resumed_state.step_s)
+    assert resumed_state.num_steps > taken
+    while resumer.advance(resumed_state):
+        pass
+    assert_identical(cold, resumer.finish(resumed_state))
 
 
 def test_resuming_a_finished_run_leaves_its_checkpoint_alone(tmp_path):

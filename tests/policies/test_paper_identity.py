@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faults import armed
 from repro.faults.chaos import ChaosSoakConfig
 from repro.policies import available_policies
 from repro.sim.experiments import get_spec, run_experiment
@@ -152,8 +151,7 @@ class TestChaosWithNonDefaultPolicy:
         run decides through a non-default policy."""
         config = ChaosSoakConfig(levels=1, batches_per_phase=4,
                                  batch_size=32, policy="adaptive")
-        with armed(config.base_plan()):
-            result = run_experiment("chaos", config)
+        result = run_experiment("chaos", config)
         report = result.report
         assert report.injected_total > 0
         assert not report.checker_violations

@@ -152,12 +152,19 @@ class TestRejectionPurity:
         pytest.param("writes", [1.0, 0], id="writes-float"),
         pytest.param("writes", [[True], [False]], id="writes-nested"),
         pytest.param("writes", [2 ** 70, 0], id="writes-bigint"),
+        # Scalar fields, as "op.field" where the op is not access_batch:
+        # JSON true is a Python bool, and bool is an int subclass.
+        pytest.param("allocate.bytes", True, id="bytes-bool"),
+        pytest.param("vm", True, id="vm-bool"),
+        pytest.param("free.vm", True, id="free-vm-bool"),
+        pytest.param("t", True, id="t-bool"),
     ])
     def test_malformed_access_batch_bounces_before_the_shard(self, field,
                                                              payload):
         """Hostile element types and shapes are a typed BAD_REQUEST at the
         server boundary: not coerced and served, not an ``internal``
-        error from inside the shard, and nothing is charged for them."""
+        error from inside the shard, and nothing is charged for them.
+        ``bytes``, ``vm`` and ``t`` refuse booleans the same way."""
         first, second, target = colliding_names(2)
 
         async def scenario():
@@ -171,19 +178,20 @@ class TestRejectionPurity:
                         bucket.tokens, bucket.updated_s)
 
             before = charged()
-            request = {"op": "access_batch", "tenant": first,
+            op, _, name = field.rpartition(".")
+            request = {"op": op or "access_batch", "tenant": first,
                        "vm": sorted(server.tenants[first].vm_ids)[0],
-                       "segments": [0, 1], "t": 3.0}
-            request[field] = payload
-            response = await server.handle_request(request)
+                       "bytes": 1 << 20, "segments": [0, 1], "t": 3.0}
+            response = await server.handle_request(
+                {**request, name: payload})
             assert response["error"] == "bad_request", response
-            assert field in response["message"]
+            assert name in response["message"]
             assert charged() == before
             counters = server.metrics.counter_values()
             assert counters.get("server.internal_errors", 0) == 0
             assert counters["server.rejected.bad_request"] == 1
             # Integers for writes stay welcome; the tenant is not wedged.
-            request.update(segments=[0, 1], lines=[0, 1], writes=[1, 0])
+            request.update(lines=[0, 1], writes=[1, 0])
             assert (await server.handle_request(request))["ok"]
             await server.drain()
             assert not server.audit_violations()
