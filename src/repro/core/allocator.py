@@ -68,9 +68,23 @@ class SegmentAllocator:
         """``(channel, rank)`` pairs owning each segment in ``dsns``."""
         if not dsns:
             return []
+        if len(dsns) == 1:
+            # A lone DSN (every background-pumped retire, every scalar
+            # move) skips the list -> array -> list round trip.
+            return [self.rank_of_dsn(dsns[0])]
         channels, ranks, _ = self.layout.unpack_dsn_batch(
             np.asarray(dsns, dtype=np.int64))
         return list(zip(channels.tolist(), ranks.tolist()))
+
+    def _split_by_rank(self, dsns: list[int],
+                       ) -> list[tuple[RankId, list[int]]]:
+        """``dsns`` split by owning rank, input order kept within a rank."""
+        array = np.asarray(dsns, dtype=np.int64)
+        channels, ranks, _ = self.layout.unpack_dsn_batch(array)
+        width = self.geometry.channels
+        keys = ranks * width + channels
+        return [((key % width, key // width), array[keys == key].tolist())
+                for key in np.flatnonzero(np.bincount(keys)).tolist()]
 
     def usage(self, rank_id: RankId) -> RankUsage:
         """Allocation snapshot of one rank."""
@@ -168,17 +182,13 @@ class SegmentAllocator:
                 if rank_id is None:  # pragma: no cover - guarded above
                     raise AllocationError("allocator invariant violated")
                 take = min(remaining, len(self._free[rank_id]))
-                for _ in range(take):
-                    dsn = self._free[rank_id].popleft()
-                    self._allocated[rank_id].add(dsn)
-                    dsns.append(dsn)
+                dsns.extend(self._take(rank_id, take))
                 remaining -= take
             per_channel_dsns.append(dsns)
         # Interleave round-robin so consecutive host segments land on
         # consecutive channels (Figure 6's segment-granular channel
         # interleaving).
-        return [per_channel_dsns[index % channels][index // channels]
-                for index in range(num_segments)]
+        return [dsn for stripe in zip(*per_channel_dsns) for dsn in stripe]
 
     def allocate_in_rank(self, rank_id: RankId, num_segments: int) -> list[int]:
         """Allocate segments from a single specific rank (migration target)."""
@@ -187,7 +197,12 @@ class SegmentAllocator:
             raise AllocationError(
                 f"rank {rank_id} has {len(queue)} free segments, "
                 f"need {num_segments}")
-        dsns = [queue.popleft() for _ in range(num_segments)]
+        return self._take(rank_id, num_segments)
+
+    def _take(self, rank_id: RankId, num_segments: int) -> list[int]:
+        """Allocate the head of ``rank_id``'s free queue."""
+        popleft = self._free[rank_id].popleft
+        dsns = [popleft() for _ in range(num_segments)]
         self._allocated[rank_id].update(dsns)
         return dsns
 
@@ -201,13 +216,32 @@ class SegmentAllocator:
         self._allocated[rank_id].add(dsn)
 
     def free(self, dsns: list[int]) -> None:
-        """Return segments to their ranks' free queues."""
+        """Return segments to their ranks' free queues, in input order.
+
+        The first DSN that is not allocated (or is named a second time)
+        raises, with the ones before it freed.
+        """
+        if len(dsns) > 1:
+            # A whole AU: when every segment checks out, each rank's
+            # share moves at once.
+            shares = self._split_by_rank(dsns)
+            if all(len(set(share)) == len(share)
+                   and self._allocated[rank_id].issuperset(share)
+                   for rank_id, share in shares):
+                for rank_id, share in shares:
+                    self._allocated[rank_id].difference_update(share)
+                    self._free[rank_id].extend(share)
+                return
         for dsn, rank_id in zip(dsns, self.ranks_of_dsns(dsns)):
-            allocated = self._allocated[rank_id]
-            if dsn not in allocated:
-                raise AllocationError(f"DSN {dsn:#x} is not allocated")
-            allocated.remove(dsn)
-            self._free[rank_id].append(dsn)
+            self._release(dsn, rank_id)
+
+    def _release(self, dsn: int, rank_id: RankId) -> None:
+        """Move one allocated segment of ``rank_id`` to its free queue."""
+        allocated = self._allocated[rank_id]
+        if dsn not in allocated:
+            raise AllocationError(f"DSN {dsn:#x} is not allocated")
+        allocated.remove(dsn)
+        self._free[rank_id].append(dsn)
 
     def move_allocation(self, old_dsn: int, new_dsn: int) -> None:
         """Transfer an allocation between segments after a migration copy.
@@ -215,10 +249,26 @@ class SegmentAllocator:
         ``new_dsn`` must already be allocated (reserved by the migration
         engine); ``old_dsn`` is released.
         """
-        new_rank = self.rank_of_dsn(new_dsn)
-        if new_dsn not in self._allocated[new_rank]:
-            raise AllocationError(f"target DSN {new_dsn:#x} is not reserved")
-        self.free([old_dsn])
+        self.move_allocations([old_dsn], [new_dsn])
+
+    def move_allocations(self, old_dsns: list[int],
+                         new_dsns: list[int]) -> None:
+        """:meth:`move_allocation` over paired lists, in order.
+
+        The first pair whose target is not reserved or whose source is
+        not allocated raises, with the pairs before it already moved.
+        """
+        if len(old_dsns) != len(new_dsns):
+            raise ValueError(
+                f"{len(old_dsns)} sources paired with {len(new_dsns)} "
+                "targets")
+        moves = zip(old_dsns, new_dsns, self.ranks_of_dsns(old_dsns),
+                    self.ranks_of_dsns(new_dsns))
+        for old_dsn, new_dsn, old_rank, new_rank in moves:
+            if new_dsn not in self._allocated[new_rank]:
+                raise AllocationError(
+                    f"target DSN {new_dsn:#x} is not reserved")
+            self._release(old_dsn, old_rank)
 
 
 __all__ = ["RankId", "RankUsage", "SegmentAllocator"]

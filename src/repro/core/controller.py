@@ -284,16 +284,25 @@ class DtlController:
         if vm.vm_id not in self._vms:
             raise AllocationError(f"VM {vm.vm_id} is not live")
         segments_per_au = self.host_layout.segments_per_au
-        au_offsets = np.arange(segments_per_au, dtype=np.int64)
+        self.translation.invalidate_batch(self.host_layout.pack_hsn_batch(
+            vm.host_id,
+            np.repeat(np.asarray(vm.au_ids, dtype=np.int64),
+                      segments_per_au),
+            np.tile(np.arange(segments_per_au, dtype=np.int64),
+                    len(vm.au_ids))))
+        # Background consolidation copies may still be pending for this
+        # VM's segments.  Retiring one later would remap an AU that no
+        # longer exists, so they are cancelled and their reserved targets
+        # handed back; a pending power-down whose copies were all
+        # cancelled still parks on the next pump.
+        copies_pending = self.migration.has_tracked_requests
+        free_aus = self._free_aus(vm.host_id)
         for au_id in vm.au_ids:
-            hsns = self.host_layout.pack_hsn_batch(
-                vm.host_id, np.full(segments_per_au, au_id, dtype=np.int64),
-                au_offsets)
-            for hsn in hsns:
-                self.translation.invalidate(int(hsn))
             dsns = self.tables.free_au(vm.host_id, au_id)
+            if copies_pending:
+                self.allocator.free(self.migration.cancel(dsns))
             self.allocator.free(dsns)
-            self._free_aus(vm.host_id).append(au_id)
+            free_aus.append(au_id)
         del self._vms[vm.vm_id]
         if self.power_down is not None:
             return self.power_down.maybe_power_down(now_s)
@@ -539,8 +548,10 @@ class DtlController:
         The VM's initialisation writes follow immediately, and a rank in
         self-refresh cannot accept commands.
         """
-        ranks = set(self.allocator.ranks_of_dsns(dsns))
-        for rank_id in ranks:
+        if not any(rank.state is PowerState.SELF_REFRESH
+                   for rank in self.device.ranks.values()):
+            return  # the usual case: nothing to wake, nothing to decode
+        for rank_id in set(self.allocator.ranks_of_dsns(dsns)):
             if self.device.ranks[rank_id].state is PowerState.SELF_REFRESH:
                 self.device.set_rank_state(rank_id, PowerState.STANDBY,
                                            now_s)
@@ -629,17 +640,20 @@ class DtlController:
 
     # -- internals -------------------------------------------------------------------
 
-    def _on_migration_complete(self, request) -> None:
-        """Mapping update after a migration copy finishes (Section 4.2)."""
-        self.tables.remap_segment(request.hsn, request.new_dsn)
-        self.translation.invalidate(request.hsn)
-        self.allocator.move_allocation(request.old_dsn, request.new_dsn)
+    def _on_migration_complete(self, requests) -> None:
+        """Mapping updates after migration copies finish (Section 4.2)."""
+        hsns = [request.hsn for request in requests]
+        old_dsns = [request.old_dsn for request in requests]
+        new_dsns = [request.new_dsn for request in requests]
+        self.tables.remap_segments(hsns, new_dsns)
+        self.translation.invalidate_batch(hsns)
+        self.allocator.move_allocations(old_dsns, new_dsns)
         if self.self_refresh is not None:
             # The CLOCK access bit tracks the segment's contents, so it
             # moves with the data; otherwise the TSP would read stale
             # hotness for both the vacated and the filled slot.
-            self.self_refresh.on_segment_moved(request.old_dsn,
-                                               request.new_dsn)
+            for old_dsn, new_dsn in zip(old_dsns, new_dsns):
+                self.self_refresh.on_segment_moved(old_dsn, new_dsn)
 
 
 __all__ = ["SCALAR_ACCESS_WARN_THRESHOLD", "VmHandle", "AccessResult",

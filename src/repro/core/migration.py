@@ -124,9 +124,10 @@ class MigrationStats:
         return f"MigrationStats({fields})"
 
 
-#: Callback invoked when a request's copy and mapping update complete:
-#: ``on_complete(request)``.
-CompletionCallback = Callable[[MigrationRequest], None]
+#: Callback invoked when requests retire (copy finished, mapping update
+#: due): ``on_complete(requests)`` — one request from a stepped retire,
+#: a channel's whole queue in queue order from a bulk :meth:`drain`.
+CompletionCallback = Callable[[list[MigrationRequest]], None]
 
 
 class MigrationEngine:
@@ -171,7 +172,40 @@ class MigrationEngine:
         Both DSNs must live on the same channel — migration never crosses
         channels because channel capacity is balanced by construction.
         """
-        src_channel = self.channel_of(old_dsn)
+        channel = self.channel_of(old_dsn)
+        request = self._enqueue(channel, hsn, old_dsn, new_dsn)
+        if self._trace is not None:
+            self._trace.record(EventKind.MIGRATION_SUBMIT, hsn=hsn,
+                               old_dsn=old_dsn, new_dsn=new_dsn,
+                               channel=channel)
+        return request
+
+    def submit_batch(self, hsns: list[int], old_dsns: list[int],
+                     new_dsns: list[int]) -> list[MigrationRequest]:
+        """:meth:`submit` over parallel lists, in order.
+
+        The first bad triple raises :meth:`submit`'s error with the
+        triples before it queued; the ``MIGRATION_SUBMIT`` events of the
+        queued ones enter the ring as one columnar run.
+        """
+        channels = list(map(self.channel_of, old_dsns))
+        requests: list[MigrationRequest] = []
+        try:
+            for copy in zip(channels, hsns, old_dsns, new_dsns,
+                            strict=True):
+                requests.append(self._enqueue(*copy))
+        finally:
+            if requests and self._trace is not None:
+                done = len(requests)
+                self._trace.record_tail(
+                    EventKind.MIGRATION_SUBMIT, hsn=hsns[:done],
+                    old_dsn=old_dsns[:done], new_dsn=new_dsns[:done],
+                    channel=channels[:done])
+        return requests
+
+    def _enqueue(self, src_channel: int, hsn: int, old_dsn: int,
+                 new_dsn: int) -> MigrationRequest:
+        """Validate and queue one copy from ``src_channel`` (no event)."""
         if src_channel != self.channel_of(new_dsn):
             raise MigrationError(
                 f"cross-channel migration {old_dsn:#x} -> {new_dsn:#x}")
@@ -181,11 +215,36 @@ class MigrationEngine:
                                    lines_total=self.lines_per_segment)
         self._queues[src_channel].append(request)
         self._by_old_dsn[old_dsn] = request
-        if self._trace is not None:
-            self._trace.record(EventKind.MIGRATION_SUBMIT, hsn=hsn,
-                               old_dsn=old_dsn, new_dsn=new_dsn,
-                               channel=src_channel)
         return request
+
+    def cancel(self, old_dsns: list[int]) -> list[int]:
+        """Stop tracking the copies whose source is in ``old_dsns``.
+
+        For sources that are being freed rather than moved: their
+        requests leave the queue, the in-flight register and the
+        conflict index whatever their progress, and nothing is remapped.
+        Returns the reserved destinations, which the caller owns again
+        (``allocator.free``).
+        """
+        cancelled = [self._by_old_dsn.pop(dsn) for dsn in old_dsns
+                     if dsn in self._by_old_dsn]
+        if not cancelled:
+            return []
+        gone = {request.old_dsn for request in cancelled}
+        for channel, queue in self._queues.items():
+            inflight = self._inflight[channel]
+            if inflight is not None and inflight.old_dsn in gone:
+                self._inflight[channel] = None
+            self._queues[channel] = deque(
+                request for request in queue if request.old_dsn not in gone)
+        if self._trace is not None:
+            self._trace.record_tail(
+                EventKind.MIGRATION_CANCEL,
+                hsn=[request.hsn for request in cancelled],
+                old_dsn=[request.old_dsn for request in cancelled],
+                new_dsn=[request.new_dsn for request in cancelled],
+                lines_done=[request.lines_done for request in cancelled])
+        return [request.new_dsn for request in cancelled]
 
     def pending_count(self) -> int:
         """Requests queued or in flight."""
@@ -379,13 +438,63 @@ class MigrationEngine:
     def drain(self) -> int:
         """Run all queued migrations to completion.
 
+        Nothing can interrupt a synchronous drain except an injected
+        abort: no foreground write arrives mid-call, so no request
+        aborts or requeues and every channel retires in queue order.
+        Each channel's queue is therefore finished in one pass
+        (:meth:`_finish_channel`); only under an armed plan that can
+        abort a copy is it stepped one request at a time.
+
         Returns:
             Cumulative count of segments migrated by this engine.
         """
+        stepped = (self._faults is not None
+                   and self._faults.aborts_migration_copies)
         for channel in self._queues:
-            while self._inflight[channel] or self._queues[channel]:
-                self.step_channel(channel, lines=self.lines_per_segment)
+            if stepped:
+                while self._inflight[channel] or self._queues[channel]:
+                    self.step_channel(channel, lines=self.lines_per_segment)
+            else:
+                self._finish_channel(channel)
         return self.stats.segments_migrated
+
+    def _finish_channel(self, channel: int) -> None:
+        """Copy and retire everything on ``channel`` in one pass.
+
+        What the stepped loop of :meth:`drain` does when nothing fires:
+        the same requests in the same order, the same counters, one
+        ``MIGRATION_RETIRE`` run and one ``on_complete`` call.
+        """
+        inflight = self._inflight[channel]
+        requests = [] if inflight is None else [inflight]
+        requests.extend(self._queues[channel])
+        if not requests:
+            return
+        self._inflight[channel] = None
+        self._queues[channel].clear()
+        copying = 0
+        lines = 0
+        for request in requests:
+            if not request.completion:
+                copying += 1
+                lines += request.lines_total - request.lines_done
+                request.lines_done = request.lines_total
+                request.completion = True
+            del self._by_old_dsn[request.old_dsn]
+        if self._faults is not None:
+            # The stepped loop consults the hook once per copying request.
+            self._faults.count_migration_copies(copying)
+        self.stats.lines_copied += lines
+        self.stats.segments_migrated += len(requests)
+        if self._trace is not None:
+            self._trace.record_tail(
+                EventKind.MIGRATION_RETIRE,
+                hsn=[request.hsn for request in requests],
+                old_dsn=[request.old_dsn for request in requests],
+                new_dsn=[request.new_dsn for request in requests],
+                channel=[channel] * len(requests))
+        if self.on_complete is not None:
+            self.on_complete(requests)
 
     def _retire(self, channel: int, request: MigrationRequest) -> None:
         """Finish a request: mapping update then removal from registers."""
@@ -397,7 +506,7 @@ class MigrationEngine:
                                old_dsn=request.old_dsn,
                                new_dsn=request.new_dsn, channel=channel)
         if self.on_complete is not None:
-            self.on_complete(request)
+            self.on_complete([request])
 
     # -- cost model ---------------------------------------------------------------------
 

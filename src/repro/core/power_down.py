@@ -323,37 +323,55 @@ class RankPowerDownPolicy:
         first) restricted to the surviving active ranks of the same
         channel.
         """
-        migrated_bytes = 0
+        migrated_segments = 0
         for rank_id, dsns in live.items():
             channel = rank_id[0]
-            allowed = {other for other in remaining_active
-                       if other[0] == channel}
-            for old_dsn in dsns:
-                new_dsn = self._reserve_target(channel, allowed, now_s)
-                hsn = self.tables.hsn_of_dsn(old_dsn)
-                self.migration.submit(hsn, old_dsn, new_dsn)
-                migrated_bytes += self.geometry.segment_bytes
-                self._consolidated_segments.inc()
+            self.evacuate(dsns, {other for other in remaining_active
+                                 if other[0] == channel}, now_s)
+            migrated_segments += len(dsns)
+        migrated_bytes = migrated_segments * self.geometry.segment_bytes
+        self._consolidated_segments.inc(migrated_segments)
         self._consolidated_bytes.inc(migrated_bytes)
         if not self.background_migration:
             self.migration.drain()
         return migrated_bytes
 
-    def _reserve_target(self, channel: int, allowed: set[RankId],
-                        now_s: float) -> int:
-        candidates = [self._rank_stats(*rank_id) for rank_id in allowed
-                      if self.allocator.free_in_rank(rank_id)]
-        chosen = (self.policy.consolidation_target(candidates)
-                  if candidates else None)
-        if chosen is None:
-            raise AllocationError(
-                f"no free target segments on channel {channel}")
-        best = chosen.rank_id
-        # Writing into a self-refreshed rank wakes it (the DRAM cannot
-        # accept commands in SR).
-        if self.device.ranks[best].state is PowerState.SELF_REFRESH:
-            self.device.set_rank_state(best, PowerState.STANDBY, now_s)
-        return self.allocator.allocate_in_rank(best, 1)[0]
+    def evacuate(self, dsns: list[int], targets: set[RankId],
+                 now_s: float) -> None:
+        """Queue a copy of every segment in ``dsns`` into ``targets``.
+
+        Targets are reserved in runs: the policy picks a rank
+        (:meth:`Policy.consolidation_target`), the run fills it as far
+        as the remaining segments reach, and the policy is asked again
+        only once that rank is full.  Each run is submitted as soon as
+        it is reserved, so a refusal part-way leaves nothing reserved
+        that the migration engine is not tracking.  All ``dsns`` and
+        ``targets`` must live on one channel.
+
+        Raises:
+            AllocationError: when the policy finds no acceptable target
+                with free capacity.
+        """
+        start = 0
+        while start < len(dsns):
+            candidates = [self._rank_stats(*rank_id) for rank_id in targets
+                          if self.allocator.free_in_rank(rank_id)]
+            chosen = (self.policy.consolidation_target(candidates)
+                      if candidates else None)
+            if chosen is None:
+                raise AllocationError(
+                    "no free target segments on channel "
+                    f"{self.migration.channel_of(dsns[start])}")
+            best = chosen.rank_id
+            # Writing into a self-refreshed rank wakes it (the DRAM cannot
+            # accept commands in SR).
+            if self.device.ranks[best].state is PowerState.SELF_REFRESH:
+                self.device.set_rank_state(best, PowerState.STANDBY, now_s)
+            run = dsns[start:start + self.allocator.free_in_rank(best)]
+            self.migration.submit_batch(
+                self.tables.hsns_of_dsns(run), run,
+                self.allocator.allocate_in_rank(best, len(run)))
+            start += len(run)
 
     # -- reactivation ------------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from repro.core.power_down import RankPowerDownPolicy
 from repro.core.tables import TranslationTables
 from repro.dram.device import DramDevice
 from repro.dram.power import PowerState
-from repro.errors import AllocationError, PowerStateError
+from repro.errors import PowerStateError
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,11 @@ class RankRetirementManager:
         """
         if rank_id in self.retired:
             raise PowerStateError(f"rank {rank_id} is already retired")
+        if self.migration.has_tracked_requests:
+            # Background consolidation copies may have this rank as their
+            # source or target; finished, every segment allocated in it
+            # is a mapped one that can be evacuated.
+            self.migration.drain()
         channel, rank = rank_id
         rank_obj = self.device.rank(channel, rank)
         was_powered_down = rank_obj.state is PowerState.MPSM
@@ -120,28 +125,9 @@ class RankRetirementManager:
             survivors = {other for other in self.power_down.active_rank_ids()
                          if other[0] == channel and other != rank_id
                          and other not in self.retired}
-        migrated = 0
-        for old_dsn in live:
-            new_dsn = self._reserve_target(survivors)
-            hsn = self.tables.hsn_of_dsn(old_dsn)
-            self.migration.submit(hsn, old_dsn, new_dsn)
-            migrated += self.geometry.segment_bytes
+        self.power_down.evacuate(live, survivors, now_s)
         self.migration.drain()
-        return migrated
-
-    def _reserve_target(self, survivors: set[RankId]) -> int:
-        best: RankId | None = None
-        best_util = -1.0
-        for rank_id in survivors:
-            if not self.allocator.free_in_rank(rank_id):
-                continue
-            util = self.allocator.usage(rank_id).utilization
-            if util > best_util:
-                best, best_util = rank_id, util
-        if best is None:
-            raise AllocationError(
-                "no capacity left to evacuate the failing rank")
-        return self.allocator.allocate_in_rank(best, 1)[0]
+        return len(live) * self.geometry.segment_bytes
 
 
 __all__ = ["RetirementRecord", "RankRetirementManager"]

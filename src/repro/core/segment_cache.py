@@ -465,6 +465,24 @@ class SegmentMappingCache:
             self._trace.record(EventKind.SMC_INVALIDATE, hsn=hsn)
         return in_l1 or in_l2
 
+    def invalidate_batch(self, hsns: list[int] | np.ndarray) -> int:
+        """:meth:`invalidate` for every element of ``hsns`` in order.
+
+        Returns how many were resident.  A non-resident HSN costs one
+        dict probe per level and an empty cache costs nothing — the
+        control plane tears down whole VMs whose segments were mostly
+        never accessed.  Resident HSNs go through :meth:`invalidate`
+        itself, so L1 free-slot reuse, the per-level counters and the
+        ``SMC_INVALIDATE`` events match the element-wise loop.
+        """
+        in_l1, in_l2 = self.l1._slot_of, self.l2._way_of
+        if not in_l1 and not in_l2:
+            return 0
+        if isinstance(hsns, np.ndarray):
+            hsns = hsns.tolist()
+        return sum(self.invalidate(hsn) for hsn in hsns
+                   if hsn in in_l2 or hsn in in_l1)
+
     # -- batch datapath -------------------------------------------------------
 
     def lookup_batch(self, hsns: np.ndarray,

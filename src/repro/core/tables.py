@@ -85,10 +85,11 @@ class AuMappingSlice:
         self._dsns[au_offset] = UNMAPPED
         return old
 
-    def mapped_offsets(self) -> list[int]:
-        """AU offsets currently backed by a segment."""
-        return [int(offset)
-                for offset in np.nonzero(self._dsns != UNMAPPED)[0]]
+    def clear_all(self) -> list[int]:
+        """Unmap every offset; returns the previous DSNs in offset order."""
+        dsns = self._dsns[self._dsns != UNMAPPED].tolist()
+        self._dsns.fill(UNMAPPED)
+        return dsns
 
     def __len__(self) -> int:
         return len(self._dsns)
@@ -181,12 +182,9 @@ class TranslationTables:
 
     def free_au(self, host_id: int, au_id: int) -> list[int]:
         """Tear down an AU; returns the DSNs of its mapped segments."""
-        au_slice = self._au_slice(host_id, au_id)
-        dsns = []
-        for au_offset in au_slice.mapped_offsets():
-            dsn = au_slice.clear(au_offset)
+        dsns = self._au_slice(host_id, au_id).clear_all()
+        for dsn in dsns:
             self._reverse.pop(dsn, None)
-            dsns.append(dsn)
         del self._hosts[host_id][au_id]
         self._au_allocated[self._prefix(host_id, au_id)] = False
         return dsns
@@ -234,11 +232,12 @@ class TranslationTables:
         if (au_slice.get_batch(au_offsets) != UNMAPPED).any():
             raise TranslationError(
                 f"AU {au_id} of host {host_id} has mapped segments")
-        if len(np.unique(dsns)) != len(dsns) or any(
-                int(dsn) in self._reverse for dsn in dsns):
+        dsn_list = dsns.tolist()
+        if len(set(dsn_list)) != len(dsn_list) \
+                or not self._reverse.keys().isdisjoint(dsn_list):
             raise TranslationError("DSN already in use in batch mapping")
         au_slice.set_batch(au_offsets, dsns)
-        self._reverse.update(zip(map(int, dsns), map(int, hsns)))
+        self._reverse.update(zip(dsn_list, hsns.tolist()))
         return hsns
 
     def remap_segment(self, hsn: int, new_dsn: int) -> int:
@@ -254,6 +253,40 @@ class TranslationTables:
         del self._reverse[old_dsn]
         self._reverse[new_dsn] = hsn
         return old_dsn
+
+    def remap_segments(self, hsns: list[int],
+                       new_dsns: list[int]) -> list[int]:
+        """:meth:`remap_segment` over paired lists; returns the old DSNs.
+
+        A batch of distinct mapped HSNs moving to distinct DSNs nobody
+        uses — every migration drain — is one gather, one scatter and
+        one pass over the reverse map.  Anything else (an unmapped or
+        repeated HSN, a target in use or named twice, a chain where one
+        pair's target is an earlier pair's source) goes pair by pair
+        through the scalar method, which raises its own diagnostic for
+        the first bad pair with the earlier pairs applied.
+        """
+        if len(hsns) != len(new_dsns):
+            raise ValueError(
+                f"{len(hsns)} HSNs paired with {len(new_dsns)} DSNs")
+        if not hsns:
+            return []
+        clean = (len(set(hsns)) == len(hsns)
+                 and len(set(new_dsns)) == len(new_dsns)
+                 and self._reverse.keys().isdisjoint(new_dsns)
+                 and 0 <= min(hsns) and max(hsns) < len(self._forward))
+        if clean:
+            index = np.asarray(hsns, dtype=np.int64)
+            old_dsns = self._forward[index].tolist()
+            clean = UNMAPPED not in old_dsns
+        if not clean:
+            return [self.remap_segment(hsn, new_dsn)
+                    for hsn, new_dsn in zip(hsns, new_dsns)]
+        self._forward[index] = new_dsns
+        for old_dsn in old_dsns:
+            del self._reverse[old_dsn]
+        self._reverse.update(zip(new_dsns, hsns))
+        return old_dsns
 
     def swap_segments(self, hsn_a: int, hsn_b: int) -> None:
         """Exchange the DSNs of two mapped HSNs (hot/cold swap)."""
@@ -331,6 +364,14 @@ class TranslationTables:
             return self._reverse[dsn]
         except KeyError:
             raise TranslationError(f"DSN {dsn:#x} holds no segment") from None
+
+    def hsns_of_dsns(self, dsns: list[int]) -> list[int]:
+        """:meth:`hsn_of_dsn` for every element of ``dsns``."""
+        try:
+            return [self._reverse[dsn] for dsn in dsns]
+        except KeyError as missing:
+            raise TranslationError(
+                f"DSN {missing.args[0]:#x} holds no segment") from None
 
     def is_dsn_live(self, dsn: int) -> bool:
         """True if ``dsn`` currently backs some HSN."""

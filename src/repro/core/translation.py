@@ -145,6 +145,12 @@ class TranslationEngine:
         """Invalidate the SMC entry for ``hsn`` (after a mapping update)."""
         return self.smc.invalidate(hsn)
 
+    def invalidate_batch(self, hsns: list[int] | np.ndarray) -> int:
+        """:meth:`invalidate` over ``hsns`` in order; returns how many
+        entries were resident (see
+        :meth:`SegmentMappingCache.invalidate_batch`)."""
+        return self.smc.invalidate_batch(hsns)
+
     # -- measured AMAT (Section 6.1) -------------------------------------------
 
     def measured_amat_ns(self) -> float:

@@ -166,6 +166,15 @@ class FaultInjector:
         """
         return bool(self._by_hook[HookPoint.SR_EXIT])
 
+    @property
+    def aborts_migration_copies(self) -> bool:
+        """True when the plan has a ``migration.copy`` spec.
+
+        Only then can anything interrupt a synchronous migration drain,
+        so only then does the engine step it one request at a time.
+        """
+        return bool(self._by_hook[HookPoint.MIGRATION_COPY])
+
     def visits(self, point: HookPoint) -> int:
         """Events the datapath exposed at ``point`` so far."""
         return self._visits[point]
@@ -373,6 +382,13 @@ class FaultInjector:
                         lines_done=request.lines_done, channel=channel)
             return True
         return False
+
+    def count_migration_copies(self, copies: int) -> None:
+        """``copies`` copy steps of a drain no spec can abort: the
+        ``migration.copy`` visit counter moves as that many
+        :meth:`on_migration_copy` calls would (which is all they do when
+        :attr:`aborts_migration_copies` is False)."""
+        self._visits[HookPoint.MIGRATION_COPY] += copies
 
     def on_power_exit(self, target: str, penalty_ns: float = 0.0) -> float:
         """Power-exit fault check; returns extra wake penalty (ns)."""

@@ -243,11 +243,23 @@ class Policy:
 
     def consolidation_target(self, candidates: Sequence[RankStats],
                              ) -> RankStats | None:
-        """Score targets for one evacuated segment (hotness prediction).
+        """Pick the rank the next run of evacuated segments goes to
+        (hotness prediction).
 
         ``candidates`` all have free capacity and live on the victim's
         channel.  Return the chosen entry, or ``None`` when no target
         is acceptable (the host raises ``AllocationError``).
+
+        Run-filling contract: the host does not ask once per segment.
+        It fills the returned rank as far as the segments left to move
+        reach and asks again only once that rank is full, so the answer
+        must be one that would stand while the rank fills and nothing
+        else changes.  Both shipped rules are unchanged by this — the
+        paper's first maximum of utilisation only gains utilisation as
+        it fills, and ``rank_aware``'s heat does not move because no
+        access is served while a consolidation reserves.  A rule whose
+        pick depends on the fill it causes (least-utilised-first) does
+        not fit (docs/POLICIES.md, "Run-filling").
         """
         raise NotImplementedError
 

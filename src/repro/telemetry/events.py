@@ -33,6 +33,7 @@ class EventKind(enum.Enum):
     MIGRATION_ABORT = "migration_abort"
     MIGRATION_REQUEUE = "migration_requeue"
     MIGRATION_RETIRE = "migration_retire"
+    MIGRATION_CANCEL = "migration_cancel"
     POWER_TRANSITION = "power_transition"
     SR_ENTER = "sr_enter"
     SR_EXIT = "sr_exit"

@@ -89,6 +89,93 @@ class TestDeferredPowerDown:
         check(controller, balance_tolerance=10 ** 9)
 
 
+class TestFreeingAVmWithCopiesPending:
+    """Regression: freeing a VM whose segments wait for a consolidation
+    copy used to leave the requests tracked; the next pump then retired
+    them into an AU that no longer existed (``TranslationError`` out of
+    ``remap_segment``) and their reserved targets leaked."""
+
+    def test_pending_copies_are_cancelled_with_the_vm(self, controller):
+        vm_b = force_consolidation(controller)
+        engine = controller.migration
+        submitted = engine.pending_count()
+        assert submitted == 16
+        victims = controller.power_down.pending_power_downs()[0].victims
+        controller.deallocate_vm(vm_b, now_s=3.0)
+        # Cancelled, not retired: nothing to copy, nothing reserved.
+        assert engine.pending_count() == 0
+        assert not engine.has_tracked_requests
+        assert engine.stats.segments_migrated == 0
+        assert controller.allocator.allocated_count() == 0
+        assert controller.trace.counts_by_kind()["migration_cancel"] \
+            == submitted
+        check(controller)
+        # The pending power-down has nothing left to wait for.
+        controller.pump_migrations(now_s=4.0, lines=4096)
+        assert not controller.power_down.pending_power_downs()
+        for rank_id in victims:
+            assert controller.device.ranks[rank_id].state is PowerState.MPSM
+        check(controller)
+
+    def test_copy_in_flight_is_cancelled_too(self, controller):
+        vm_b = force_consolidation(controller)
+        engine = controller.migration
+        # Start both channels' first copy: one request each now sits in
+        # the in-flight register, part-way through.
+        controller.pump_migrations(now_s=2.5, lines=100)
+        assert engine.stats.lines_copied == 200
+        controller.deallocate_vm(vm_b, now_s=3.0)
+        assert engine.pending_count() == 0
+        assert controller.allocator.allocated_count() == 0
+        for _ in range(3):
+            controller.pump_migrations(now_s=4.0, lines=4096)
+        assert engine.stats.lines_copied == 200
+        assert engine.stats.segments_migrated == 0
+        check(controller)
+
+    def test_other_vms_copies_keep_going(self, controller):
+        vm_b = force_consolidation(controller)
+        # A third VM lands next to vm_b's not-yet-moved segments.
+        vm_c = controller.allocate_vm(1, 16 * MIB, now_s=2.5)
+        moving = {request.hsn
+                  for request in controller.migration.tracked_requests()}
+        controller.deallocate_vm(vm_c, now_s=3.0)
+        assert {request.hsn for request
+                in controller.migration.tracked_requests()} == moving
+        for _ in range(10_000):
+            if not controller.power_down.pending_power_downs():
+                break
+            controller.pump_migrations(now_s=4.0, lines=4096)
+        assert controller.migration.stats.segments_migrated == len(moving)
+        for au_id in vm_b.au_ids:
+            controller.access(0, controller.hpa_of(au_id, 0))
+        check(controller, balance_tolerance=10 ** 9)
+
+
+class TestRetiringARankWithCopiesPending:
+    """Regression: a rank that is the source or target of a background
+    copy holds segments that are allocated but not (or no longer solely)
+    mapped; retiring it used to raise ``TranslationError: DSN ... holds
+    no segment`` out of the evacuation."""
+
+    @pytest.mark.parametrize("role", ["old_dsn", "new_dsn"])
+    def test_pending_copies_finish_before_the_evacuation(self, controller,
+                                                         role):
+        vm_b = force_consolidation(controller)
+        request = controller.migration.tracked_requests()[0]
+        rank_id = controller.allocator.rank_of_dsn(getattr(request, role))
+        record = controller.retire_rank(*rank_id, now_s=3.0)
+        assert controller.migration.pending_count() == 0
+        assert controller.migration.stats.segments_migrated \
+            == 16 + record.migrated_segments
+        assert controller.device.ranks[rank_id].state is PowerState.MPSM
+        controller.pump_migrations(now_s=4.0)
+        assert not controller.power_down.pending_power_downs()
+        for au_id in vm_b.au_ids:
+            controller.access(0, controller.hpa_of(au_id, 0))
+        check(controller, balance_tolerance=10 ** 9)
+
+
 class TestCompletionWindow:
     def test_write_during_completion_window_routes_to_new_dsn(self,
                                                               controller):

@@ -78,9 +78,10 @@ class TestProgress:
         assert request.completion
         assert not completed
         engine.step_channel(0, lines=1)
-        assert len(completed) == 1
-        assert completed[0].hsn == 7
-        assert completed[0].completion
+        # The callback takes a list: one request from a stepped retire.
+        assert completed == [[request]]
+        assert request.hsn == 7
+        assert request.completion
 
     def test_completion_window_routes_writes_to_new_dsn(self, geometry,
                                                         layout):

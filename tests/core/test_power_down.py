@@ -24,9 +24,10 @@ def make_stack(ranks_per_channel=4, group_granularity=1):
     tables = TranslationTables(layout)
     migration = MigrationEngine(geometry)
 
-    def on_complete(request):
-        tables.remap_segment(request.hsn, request.new_dsn)
-        allocator.move_allocation(request.old_dsn, request.new_dsn)
+    def on_complete(requests):
+        for request in requests:
+            tables.remap_segment(request.hsn, request.new_dsn)
+            allocator.move_allocation(request.old_dsn, request.new_dsn)
 
     migration.on_complete = on_complete
     policy = RankPowerDownPolicy(

@@ -3,7 +3,8 @@
 A hypothesis rule-based state machine drives random interleavings of VM
 allocation, deallocation, memory accesses, time ticks, and rank
 retirement, and audits every cross-structure invariant after each step
-via :mod:`repro.core.checker`.
+via :mod:`repro.core.checker` — once with consolidation drained inline
+(the default config) and once with it left to a background pump.
 """
 
 import numpy as np
@@ -22,13 +23,17 @@ from repro.units import MIB
 class DtlMachine(RuleBasedStateMachine):
     """Random controller workloads with invariant audits after each rule."""
 
+    #: ``DtlConfig.background_migration`` of the controller under test.
+    background_migration = False
+
     @initialize()
     def setup(self):
         self.controller = DtlController(DtlConfig(
             geometry=DramGeometry(channels=2, ranks_per_channel=4,
                                   rank_bytes=64 * MIB),
             au_bytes=16 * MIB,
-            profiling_threshold_ns=1e6))
+            profiling_threshold_ns=1e6,
+            background_migration=self.background_migration))
         self.checker = ConsistencyChecker(self.controller)
         self.vms = []
         self.clock_s = 0.0
@@ -103,6 +108,32 @@ class DtlMachine(RuleBasedStateMachine):
         assert max(counts) - min(counts) <= 2
 
 
+class BackgroundDtlMachine(DtlMachine):
+    """The same rules with consolidation copies left pending between
+    them (the server's and the chaos soak's shipped default), plus the
+    pump that grants them bandwidth."""
+
+    background_migration = True
+
+    @rule(lines=st.sampled_from([1, 4096, 32768, 10 ** 6]),
+          busy=st.sets(st.integers(0, 1)))
+    def pump(self, lines, busy):
+        self._advance(0.01)
+        self.controller.pump_migrations(self.clock_s, lines=lines,
+                                        busy_channels=busy)
+
+    @invariant()
+    def balance_within_reason(self):
+        # Reserved copy targets sit on their channel until the copy
+        # retires or is cancelled; only the untracked state is balanced.
+        if hasattr(self, "controller") \
+                and not self.controller.migration.has_tracked_requests:
+            super().balance_within_reason()
+
+
+STATEFUL_SETTINGS = settings(max_examples=25, stateful_step_count=30,
+                             deadline=None)
 TestDtlStateMachine = DtlMachine.TestCase
-TestDtlStateMachine.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None)
+TestDtlStateMachine.settings = STATEFUL_SETTINGS
+TestBackgroundDtlStateMachine = BackgroundDtlMachine.TestCase
+TestBackgroundDtlStateMachine.settings = STATEFUL_SETTINGS
