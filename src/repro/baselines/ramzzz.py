@@ -14,9 +14,11 @@ ranks into self-refresh.  Two structural differences from the DTL matter:
    quiet, so residually-warm data causes wakeup ping-pong instead of
    being planned out before demotion.
 
-The implementation reuses the same device/allocator/tables substrate so
-the comparison with :class:`~repro.core.self_refresh.
-HotnessSelfRefreshPolicy` is apples-to-apples.
+The implementation reuses the same device/allocator/tables substrate
+and serves the same windowed replay contract (``on_batch`` →
+``end_window`` → ``tick``, an ``events`` log and the two cost counters)
+as :class:`~repro.core.self_refresh.HotnessSelfRefreshPolicy`, so one
+simulator loop drives either and the comparison is apples-to-apples.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.addressing import DeviceAddressLayout, SegmentLocation
+from repro.core.addressing import DeviceAddressLayout
 from repro.core.allocator import SegmentAllocator
+from repro.core.self_refresh import SelfRefreshEvent
 from repro.core.tables import TranslationTables
 from repro.core.translation import TranslationEngine
 from repro.dram.device import DramDevice
@@ -74,13 +77,20 @@ class RamzzzPolicy:
         self.epoch_index = 0
         self.demotions = 0
         self.wakeups = 0
+        #: One "enter_sr" per demoted block, one "exit_sr" per wakeup.
+        self.events: list[SelfRefreshEvent] = []
         self.migrated_bytes_total = 0
         self.exit_penalty_total_ns = 0.0
 
     # -- access path -----------------------------------------------------------
 
-    def on_batch(self, dsns: np.ndarray, now_ns: float) -> float:
-        """Record one window's distinct touched segments; wake SR ranks."""
+    def on_batch(self, dsns: np.ndarray, now_ns: float,
+                 bit_dsns: np.ndarray | None = None) -> float:
+        """Record one window's distinct touched segments; wake SR ranks.
+
+        ``bit_dsns`` (the sub-window access-bit sample) is ignored:
+        RAMZzz counts accesses per epoch and keeps no CLOCK bits.
+        """
         if not len(dsns):
             return 0.0
         dsns = np.asarray(dsns, dtype=np.int64)
@@ -90,47 +100,42 @@ class RamzzzPolicy:
                                     dsns >> self._rank_shift], axis=1),
                           axis=0)
         for channel, rank in ranks:
-            rank_obj = self.device.rank(int(channel), int(rank))
+            channel, rank = int(channel), int(rank)
+            rank_obj = self.device.rank(channel, rank)
             if rank_obj.state is PowerState.SELF_REFRESH:
-                block = (int(rank) // self.config.victim_granularity
-                         * self.config.victim_granularity)
-                for member in range(block,
-                                    block + self.config.victim_granularity):
-                    member_obj = self.device.rank(int(channel), member)
-                    if member_obj.state is PowerState.SELF_REFRESH:
-                        penalty = max(penalty, self.device.set_rank_state(
-                            (int(channel), member), PowerState.STANDBY,
-                            now_ns / 1e9))
+                penalty = max(penalty, self.device.wake_block(
+                    channel, rank, self.config.victim_granularity,
+                    now_ns / 1e9)[0])
                 self.wakeups += 1
+                self.events.append(SelfRefreshEvent(
+                    time_ns=now_ns, channel=channel, kind="exit_sr",
+                    victim_rank=rank))
             rank_obj.record_access()
         self.exit_penalty_total_ns += penalty
         return penalty
 
+    def end_window(self) -> None:
+        """Windowed-contract hook; RAMZzz keeps no per-window state."""
+
+    def tick(self, now_ns: float) -> None:
+        """Windowed-contract timer: reorganise once ``now_ns`` reaches
+        the end of the current epoch."""
+        if now_ns // self.config.epoch_ns > self.epoch_index:
+            self.end_epoch(now_ns)
+
     # -- epoch reorganisation -----------------------------------------------------
 
-    def _rank_dsns(self, channel: int, rank: int) -> np.ndarray:
-        base = self.layout.pack_dsn(SegmentLocation(channel, rank, 0))
-        return base + np.arange(self.geometry.segments_per_rank) \
-            * self.geometry.channels
-
     def _rank_count(self, channel: int, rank: int) -> int:
-        return int(self.segment_counts[self._rank_dsns(channel, rank)].sum())
+        return int(self.segment_counts[
+            self.layout.rank_dsns(channel, rank)].sum())
 
     def end_epoch(self, now_ns: float) -> int:
         """Reorganise and demote; returns ranks demoted this epoch."""
         self.epoch_index += 1
         demoted = 0
-        granularity = self.config.victim_granularity
         for channel in range(self.geometry.channels):
-            standby = [rank for rank
-                       in range(self.geometry.ranks_per_channel)
-                       if self.device.rank(channel, rank).state
-                       is PowerState.STANDBY]
-            blocks = [tuple(range(start, start + granularity))
-                      for start in range(0, self.geometry.ranks_per_channel,
-                                         granularity)
-                      if all(rank in standby for rank
-                             in range(start, start + granularity))]
+            blocks = self.device.standby_blocks(
+                channel, self.config.victim_granularity)
             if len(blocks) < 2:
                 continue
             block_counts = {block: sum(self._rank_count(channel, rank)
@@ -144,6 +149,9 @@ class RamzzzPolicy:
                                                PowerState.SELF_REFRESH,
                                                now_ns / 1e9)
                 self.demotions += 1
+                self.events.append(SelfRefreshEvent(
+                    time_ns=now_ns, channel=channel, kind="enter_sr",
+                    victim_rank=coldest[0]))
                 demoted += len(coldest)
         self.segment_counts[:] = 0
         return demoted
@@ -157,7 +165,7 @@ class RamzzzPolicy:
         indistinguishable.
         """
         budget = self.config.migrations_per_epoch
-        victim_dsns = np.concatenate([self._rank_dsns(channel, rank)
+        victim_dsns = np.concatenate([self.layout.rank_dsns(channel, rank)
                                       for rank in block])
         counts = self.segment_counts[victim_dsns]
         hot_order = np.argsort(counts)[::-1]
@@ -167,49 +175,22 @@ class RamzzzPolicy:
             return
         # Cold destinations: least-touched segments in the other standby
         # ranks of the channel.
-        others = [rank for rank in range(self.geometry.ranks_per_channel)
-                  if rank not in block
-                  and self.device.rank(channel, rank).state
-                  is PowerState.STANDBY]
+        others = [rank for rank in self.device.standby_ranks(channel)
+                  if rank not in block]
         if not others:
             return
-        other_dsns = np.concatenate([self._rank_dsns(channel, rank)
+        other_dsns = np.concatenate([self.layout.rank_dsns(channel, rank)
                                      for rank in others])
         cold_order = np.argsort(self.segment_counts[other_dsns])
         cold = other_dsns[cold_order][:len(hot)]
         for hot_dsn, cold_dsn in zip(hot.tolist(), cold.tolist()):
-            self._exchange(int(hot_dsn), int(cold_dsn))
-
-    def _exchange(self, dsn_a: int, dsn_b: int) -> None:
-        """Swap/move two segments' contents and mappings."""
-        live_a = self.tables.is_dsn_live(dsn_a)
-        live_b = self.tables.is_dsn_live(dsn_b)
-        moved = 0
-        if live_a and live_b:
-            hsn_a = self.tables.hsn_of_dsn(dsn_a)
-            hsn_b = self.tables.hsn_of_dsn(dsn_b)
-            self.tables.swap_segments(hsn_a, hsn_b)
-            self.translation.invalidate(hsn_a)
-            self.translation.invalidate(hsn_b)
-            moved = 2
-        elif live_a:
-            self.allocator.reserve_specific(dsn_b)
-            hsn = self.tables.hsn_of_dsn(dsn_a)
-            self.tables.remap_segment(hsn, dsn_b)
-            self.translation.invalidate(hsn)
-            self.allocator.free([dsn_a])
-            moved = 1
-        elif live_b:
-            self.allocator.reserve_specific(dsn_a)
-            hsn = self.tables.hsn_of_dsn(dsn_b)
-            self.tables.remap_segment(hsn, dsn_a)
-            self.translation.invalidate(hsn)
-            self.allocator.free([dsn_b])
-            moved = 1
-        # Keep the hotness bookkeeping consistent with the move.
-        self.segment_counts[dsn_a], self.segment_counts[dsn_b] = (
-            self.segment_counts[dsn_b], self.segment_counts[dsn_a])
-        self.migrated_bytes_total += moved * self.geometry.segment_bytes
+            copies = self.translation.exchange_segments(
+                self.allocator, hot_dsn, cold_dsn)
+            # Keep the hotness bookkeeping consistent with the move.
+            self.segment_counts[hot_dsn], self.segment_counts[cold_dsn] = (
+                self.segment_counts[cold_dsn], self.segment_counts[hot_dsn])
+            self.migrated_bytes_total += (len(copies)
+                                          * self.geometry.segment_bytes)
 
     # -- introspection ---------------------------------------------------------------
 

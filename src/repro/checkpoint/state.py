@@ -7,13 +7,12 @@ checked on load, so a corrupted blob is refused instead of restored
 (see docs/CHECKPOINT.md).
 
 Pickle is the serialisation substrate deliberately: the controller
-object graph is cycle- and alias-heavy (per-AU mapping slices alias the
-flat forward table, migration requests are shared between queues and
-the conflict index, both policy hosts share one plug-in instance), and
-pickle's memo preserves every one of those identities.  The one graph
-fix-up this needs lives in
-:meth:`repro.core.tables.TranslationTables.__setstate__`, which rebuilds
-the numpy views after load.  It is the repo's only persistence scheme:
+object graph is cycle- and alias-heavy (migration requests are shared
+between queues and the conflict index, both policy hosts share one
+plug-in instance, a simulator's run state shares its RNG with the
+workload drifters), and pickle's memo preserves every one of those
+identities with no fix-up after load: nothing under :mod:`repro.core`
+defines ``__setstate__``.  It is the repo's only persistence scheme:
 experiments and the server's drain checkpoint both come through here.
 
 Checkpoints are *not* a cross-version interchange format: a blob is
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: Format version; bump whenever the serialised state layout changes.
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: Identifies a checkpoint file's header dict on disk.
 _FILE_FORMAT = "repro-checkpoint"

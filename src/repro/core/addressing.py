@@ -134,27 +134,11 @@ class HostAddressLayout:
 
     # -- batch codecs ---------------------------------------------------------
 
-    def hsn_of_hpa_batch(self, hpas: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`hsn_of_hpa` over an int64 HPA array."""
-        hpas = np.asarray(hpas, dtype=np.int64)
-        if len(hpas) and int(hpas.min()) < 0:
-            raise AddressError("negative HPA in batch")
-        return hpas >> self.segment_offset_bits
-
-    def offset_of_hpa_batch(self, hpas: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`offset_of_hpa` over an int64 HPA array."""
-        hpas = np.asarray(hpas, dtype=np.int64)
-        if len(hpas) and int(hpas.min()) < 0:
-            raise AddressError("negative HPA in batch")
-        return hpas & (self.geometry.segment_bytes - 1)
-
     def split_hpa_batch(self, hpas: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray]:
-        """``(hsns, offsets)`` in one pass.
-
-        Equivalent to calling :meth:`hsn_of_hpa_batch` and
-        :meth:`offset_of_hpa_batch` on the same array, but the input is
-        validated and read once.
+        """Vectorised :meth:`hsn_of_hpa` and :meth:`offset_of_hpa` over
+        an int64 HPA array: ``(hsns, offsets)``, the input validated and
+        read once.
         """
         hpas = np.asarray(hpas, dtype=np.int64)
         if len(hpas) and int(hpas.min()) < 0:
@@ -261,24 +245,17 @@ class DeviceAddressLayout:
 
     # -- batch codecs ---------------------------------------------------------
 
-    def pack_dsn_batch(self, channel: int, rank: int,
-                       indices: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`pack_dsn` for one rank's segment indices.
-
-        Bit-identical to packing each ``SegmentLocation(channel, rank,
-        index)`` scalar-wise; range checks run once on the bounds instead
-        of per element.
-        """
+    def rank_dsns(self, channel: int, rank: int) -> np.ndarray:
+        """Every DSN of rank ``rank`` on ``channel``, in segment-index
+        order: bit-identical to packing each ``SegmentLocation(channel,
+        rank, index)`` scalar-wise (consecutive segments of a rank sit
+        ``channels`` apart)."""
         geo = self.geometry
         if not 0 <= channel < geo.channels:
             raise AddressError(f"channel {channel} out of range")
         if not 0 <= rank < geo.ranks_per_channel:
             raise AddressError(f"rank {rank} out of range")
-        indices = np.asarray(indices, dtype=np.int64)
-        if len(indices) and not (0 <= int(indices.min())
-                                 and int(indices.max())
-                                 < geo.segments_per_rank):
-            raise AddressError("segment index out of range in batch")
+        indices = np.arange(geo.segments_per_rank, dtype=np.int64)
         base = rank << (geo.segment_index_bits + geo.channel_bits)
         return (base | (indices << geo.channel_bits)) | channel
 

@@ -50,11 +50,10 @@ class SegmentAllocator:
         self.layout = DeviceAddressLayout(geometry)
         self._free: dict[RankId, deque[int]] = {}
         self._allocated: dict[RankId, set[int]] = {}
-        indices = np.arange(geometry.segments_per_rank, dtype=np.int64)
         for channel in range(geometry.channels):
             for rank in range(geometry.ranks_per_channel):
-                packed = self.layout.pack_dsn_batch(channel, rank, indices)
-                self._free[(channel, rank)] = deque(packed.tolist())
+                self._free[(channel, rank)] = deque(
+                    self.layout.rank_dsns(channel, rank).tolist())
                 self._allocated[(channel, rank)] = set()
 
     # -- queries --------------------------------------------------------------

@@ -160,16 +160,8 @@ class RankPowerDownPolicy:
 
     def _rank_stats(self, channel: int, rank: int) -> RankStats:
         """Snapshot one rank for a policy decision."""
-        usage = self.allocator.usage((channel, rank))
-        rank_obj = self.device.rank(channel, rank)
-        return RankStats(
-            channel=channel, rank=rank,
-            allocated=usage.allocated,
-            free=usage.capacity - usage.allocated,
-            utilization=usage.utilization,
-            access_count=rank_obj.access_count,
-            window_count=0, last_window_count=0,
-            state=rank_obj.state)
+        return RankStats.snapshot(self.allocator.usage((channel, rank)),
+                                  self.device.rank(channel, rank))
 
     # -- victim selection -------------------------------------------------------
 

@@ -236,25 +236,14 @@ class HotnessSelfRefreshPolicy:
 
     # -- phase control --------------------------------------------------------------
 
-    def active_ranks(self, channel: int) -> list[int]:
-        """Ranks on ``channel`` not in MPSM (standby or self-refresh)."""
-        return [rank.index for rank in self.device.ranks_in_channel(channel)
-                if rank.state is not PowerState.MPSM]
-
     def _rank_stats(self, channel: int, rank: int,
                     state: _ChannelState) -> RankStats:
         """Snapshot one rank (window counters included) for the policy."""
-        usage = self.allocator.usage((channel, rank))
-        rank_obj = self.device.rank(channel, rank)
-        return RankStats(
-            channel=channel, rank=rank,
-            allocated=usage.allocated,
-            free=usage.capacity - usage.allocated,
-            utilization=usage.utilization,
-            access_count=rank_obj.access_count,
+        return RankStats.snapshot(
+            self.allocator.usage((channel, rank)),
+            self.device.rank(channel, rank),
             window_count=state.window_counts.get(rank, 0),
-            last_window_count=state.last_window_counts.get(rank, 0),
-            state=rank_obj.state)
+            last_window_count=state.last_window_counts.get(rank, 0))
 
     def start_profiling(self, channel: int, now_ns: float) -> int | None:
         """Enter the profiling phase and pick a victim rank.
@@ -265,18 +254,7 @@ class HotnessSelfRefreshPolicy:
         (nothing to consolidate into).
         """
         state = self._channels[channel]
-        candidates = [rank for rank in self.active_ranks(channel)
-                      if self.device.rank(channel, rank).state
-                      is PowerState.STANDBY]
-        # A victim unit is an aligned block of ``victim_granularity`` ranks
-        # (a CKE pair on the paper's testbed, Section 5.1); every member
-        # must be in standby.
-        granularity = self.victim_granularity
-        blocks = [tuple(range(start, start + granularity))
-                  for start in range(0, self.geometry.ranks_per_channel,
-                                     granularity)
-                  if all(rank in candidates
-                         for rank in range(start, start + granularity))]
+        blocks = self.device.standby_blocks(channel, self.victim_granularity)
         if len(blocks) < 2:
             state.phase = ChannelPhase.IDLE
             return None
@@ -296,7 +274,8 @@ class HotnessSelfRefreshPolicy:
         state.victim_rank = victim
         state.victim_ranks = victims
         state.quiet_since_ns = now_ns
-        state.target_ranks = [rank for rank in candidates
+        state.target_ranks = [rank for rank
+                              in self.device.standby_ranks(channel)
                               if rank not in victims]
         # The TSP is a CLOCK hand: it persists across profiling rounds so
         # repeated searches keep exploring the target ranks instead of
@@ -336,8 +315,8 @@ class HotnessSelfRefreshPolicy:
         slot: leaving a hot bit on the vacated slot (and a cold bit on
         the destination) makes the TSP mis-classify both on the next
         scan.  Called by the controller after every migration-engine
-        completion; :meth:`_execute_swaps` and :meth:`_move` apply the
-        same rule for the policy's own plan execution.
+        completion; :meth:`_execute_swaps` applies the same rule for
+        the policy's own plan execution.
         """
         self.access_bits[new_dsn] = self.access_bits[old_dsn]
         self.access_bits[old_dsn] = False
@@ -546,16 +525,9 @@ class HotnessSelfRefreshPolicy:
         rank_obj = self.device.rank(channel, rank)
         if rank_obj.state is not PowerState.SELF_REFRESH:
             return 0.0
-        # The whole victim block wakes together: on the paper's testbed two
-        # ranks share a CKE pin, so self-refresh exit is a pair operation.
-        block_start = (rank // self.victim_granularity) * self.victim_granularity
-        penalty = 0.0
-        for member in range(block_start, block_start + self.victim_granularity):
-            member_obj = self.device.rank(channel, member)
-            if member_obj.state is not PowerState.SELF_REFRESH:
-                continue
-            penalty = max(penalty, self.device.set_rank_state(
-                (channel, member), PowerState.STANDBY, now_ns / 1e9))
+        penalty, woken = self.device.wake_block(
+            channel, rank, self.victim_granularity, now_ns / 1e9)
+        for member in woken:
             self.events.append(SelfRefreshEvent(
                 time_ns=now_ns, channel=channel, kind="exit_sr",
                 victim_rank=member))
@@ -607,48 +579,32 @@ class HotnessSelfRefreshPolicy:
                 self._swap_entries(partner_victim_dsn, replacement)
 
     def _tsp_find_cold(self, channel: int, state: _ChannelState) -> int | None:
-        """CLOCK scan for a cold, not-yet-planned entry in the target rank.
-
-        Clears access bits as it passes hot entries (second chance);
-        bounded by ``tsp_scan_limit`` examined entries, after which the TSP
-        rotates to the next target rank (the paper's 40 ns timeout).
+        """The paper's TSP walk: :meth:`_tsp_scan_rank` on the current
+        target rank, then on to the next one round-robin — after a find
+        and after a timeout (the paper's 40 ns bound) alike.
         """
         if not state.target_ranks:
             return None
-        target = state.target_ranks[state.target_cursor]
-        segments = self.geometry.segments_per_rank
-        pointer = state.tsp[target]
-        for _ in range(self.tsp_scan_limit):
-            index = pointer % segments
-            pointer += 1
-            dsn = self._dsn(channel, target, index)
-            if int(self.planned[dsn]) != dsn:
-                continue  # already involved in a planned swap
-            if self.access_bits[dsn]:
-                self.access_bits[dsn] = False  # second chance
-                continue
-            state.tsp[target] = pointer
-            # "A target rank is chosen in a round-robin manner among the
-            # other active ranks": rotate after every selection so cold
-            # segments are collected from all target ranks, not just the
-            # first one with a cold-looking entry.
-            state.target_cursor = ((state.target_cursor + 1)
-                                   % len(state.target_ranks))
-            return dsn
-        # Timeout: remember progress and rotate to the next target rank.
-        state.tsp[target] = pointer
-        state.target_cursor = (state.target_cursor + 1) % len(state.target_ranks)
-        return None
+        dsn = self._tsp_scan_rank(
+            channel, state, state.target_ranks[state.target_cursor])
+        # "A target rank is chosen in a round-robin manner among the
+        # other active ranks": rotate after every selection so cold
+        # segments are collected from all target ranks, not just the
+        # first one with a cold-looking entry.
+        state.target_cursor = ((state.target_cursor + 1)
+                               % len(state.target_ranks))
+        return dsn
 
     def _tsp_scan_rank(self, channel: int, state: _ChannelState,
                        target: int) -> int | None:
-        """Bounded CLOCK scan of one *specific* target rank.
+        """Bounded CLOCK scan of one target rank for a cold entry that
+        no planned swap involves yet.
 
-        Same walk as :meth:`_tsp_find_cold` — persistent per-rank
-        pointer, second-chance bit clearing, ``tsp_scan_limit`` bound —
-        but the rank is the caller's choice and the round-robin cursor
-        is left alone.  Policies that order target ranks themselves
-        (e.g. DReAM's coldest-first) use this via ``ColdSearch``.
+        The rank's pointer persists across scans; access bits are
+        cleared in passing (second chance); at most ``tsp_scan_limit``
+        entries are examined.  The round-robin cursor is left alone:
+        policies that order target ranks themselves (e.g. DReAM's
+        coldest-first) scan through here via ``ColdSearch``.
         """
         if target not in state.target_ranks:
             return None
@@ -659,13 +615,13 @@ class HotnessSelfRefreshPolicy:
             pointer += 1
             dsn = self._dsn(channel, target, index)
             if int(self.planned[dsn]) != dsn:
-                continue
+                continue  # already involved in a planned swap
             if self.access_bits[dsn]:
-                self.access_bits[dsn] = False
+                self.access_bits[dsn] = False  # second chance
                 continue
             state.tsp[target] = pointer
             return dsn
-        state.tsp[target] = pointer
+        state.tsp[target] = pointer  # timeout: remember progress
         return None
 
     # -- windows and timers ----------------------------------------------------------
@@ -705,11 +661,10 @@ class HotnessSelfRefreshPolicy:
         """(victim_dsn, partner_dsn) pairs whose plan differs from identity."""
         swaps = []
         for victim in state.victim_ranks:
-            for index in range(self.geometry.segments_per_rank):
-                dsn = self._dsn(channel, victim, index)
-                planned = int(self.planned[dsn])
-                if planned != dsn:
-                    swaps.append((dsn, planned))
+            dsns = self.layout.rank_dsns(channel, victim)
+            planned = self.planned[dsns]
+            moved = planned != dsns
+            swaps.extend(zip(dsns[moved].tolist(), planned[moved].tolist()))
         return swaps
 
     def _reset_channel_table(self, channel: int) -> None:
@@ -718,10 +673,8 @@ class HotnessSelfRefreshPolicy:
         Only the rank/segment (planned) fields are reset, as in the paper;
         access bits are CLOCK state and persist.
         """
-        geo = self.geometry
-        for rank in range(geo.ranks_per_channel):
-            base = self._dsn(channel, rank, 0)
-            dsns = base + np.arange(geo.segments_per_rank) * geo.channels
+        for rank in range(self.geometry.ranks_per_channel):
+            dsns = self.layout.rank_dsns(channel, rank)
             self.planned[dsns] = dsns
 
     def _enter_self_refresh(self, channel: int, state: _ChannelState,
@@ -797,35 +750,18 @@ class HotnessSelfRefreshPolicy:
             if self.device.rank(*partner_rank).state \
                     is not PowerState.STANDBY:
                 continue
-            victim_live = self.tables.is_dsn_live(victim_dsn)
-            partner_live = self.tables.is_dsn_live(partner_dsn)
-            if victim_live and partner_live:
-                hsn_v = self.tables.hsn_of_dsn(victim_dsn)
-                hsn_p = self.tables.hsn_of_dsn(partner_dsn)
-                self.tables.swap_segments(hsn_v, hsn_p)
-                self.translation.invalidate(hsn_v)
-                self.translation.invalidate(hsn_p)
-                # Access bits travel with the exchanged data.
+            copies = self.translation.exchange_segments(
+                self.allocator, victim_dsn, partner_dsn)
+            # Access bits travel with the data.
+            if len(copies) == 2:
                 bits = self.access_bits
                 bits[victim_dsn], bits[partner_dsn] = (
                     bool(bits[partner_dsn]), bool(bits[victim_dsn]))
-                migrated += 2 * self.geometry.segment_bytes
-            elif victim_live:
-                self._move(victim_dsn, partner_dsn)
-                migrated += self.geometry.segment_bytes
-            elif partner_live:
-                self._move(partner_dsn, victim_dsn)
-                migrated += self.geometry.segment_bytes
+            else:
+                for src_dsn, dst_dsn in copies:
+                    self.on_segment_moved(src_dsn, dst_dsn)
+            migrated += len(copies) * self.geometry.segment_bytes
         return migrated
-
-    def _move(self, src_dsn: int, dst_dsn: int) -> None:
-        """One-way copy of a live segment into a free slot."""
-        self.allocator.reserve_specific(dst_dsn)
-        hsn = self.tables.hsn_of_dsn(src_dsn)
-        self.tables.remap_segment(hsn, dst_dsn)
-        self.translation.invalidate(hsn)
-        self.allocator.free([src_dsn])
-        self.on_segment_moved(src_dsn, dst_dsn)
 
     # -- introspection ------------------------------------------------------------------
 
@@ -851,11 +787,9 @@ class HotnessSelfRefreshPolicy:
         state = self._channels[channel]
         if not state.victim_ranks:
             return 0
-        geo = self.geometry
         count = 0
-        for rank in range(geo.ranks_per_channel):
-            base = self._dsn(channel, rank, 0)
-            dsns = base + np.arange(geo.segments_per_rank) * geo.channels
+        for rank in range(self.geometry.ranks_per_channel):
+            dsns = self.layout.rank_dsns(channel, rank)
             count += int(np.isin((self.planned[dsns] >> self._rank_shift)
                                  & self._rank_mask,
                                  list(state.victim_ranks)).sum())

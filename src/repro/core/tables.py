@@ -13,20 +13,20 @@ mapping updates after data migration (Section 4.2).
 
 Layout note (structure-of-arrays): the whole forward table is **one flat
 preallocated int64 array** indexed directly by the packed HSN — exactly
-how the hardware table is a flat region of reserved DRAM.  Per-AU
-"slices" (:class:`AuMappingSlice`) are numpy views into that array, so
+how the hardware table is a flat region of reserved DRAM.  One AU's
+slice of it is ``segments_per_au`` consecutive entries, so
 the three-level walk collapses to a bounds check plus a single gather:
 ``dsns = forward[hsns]``.  An ``UNMAPPED`` sentinel marks both
 never-allocated and unmapped entries; a per-AU allocation bitmap keeps
 "AU not allocated" and "segment not mapped" distinguishable for error
-reporting.  The reverse table stays an ordinary dict: it is not on the
-access hot path and callers (tests included) may probe arbitrary DSN
-keys outside the device range.
+reporting and is the only record of which AUs exist.  The reverse table
+stays an ordinary dict: it is not on the access hot path and callers
+(tests included) may probe arbitrary DSN keys outside the device range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,56 +45,6 @@ class WalkResult:
     dram_accesses: int
 
 
-class AuMappingSlice:
-    """The segment mapping table slice for one allocated AU.
-
-    Maps AU offsets (0 .. segments_per_au-1) to DSNs; ``UNMAPPED`` marks
-    segments not yet backed by DRAM.  Backed by an int64 array — normally
-    a view into :class:`TranslationTables`' flat forward table, so slice
-    updates and whole-table gathers see the same storage — standalone
-    construction with just a length keeps working for unit tests.
-    """
-
-    def __init__(self, au_id: int, segments_per_au: int,
-                 backing: np.ndarray | None = None):
-        self.au_id = au_id
-        if backing is not None:
-            self._dsns = backing
-        else:
-            self._dsns = np.full(segments_per_au, UNMAPPED, dtype=np.int64)
-
-    def get(self, au_offset: int) -> int:
-        """DSN for ``au_offset`` (may be :data:`UNMAPPED`)."""
-        return int(self._dsns[au_offset])
-
-    def set(self, au_offset: int, dsn: int) -> None:
-        """Record that ``au_offset`` is backed by segment ``dsn``."""
-        self._dsns[au_offset] = dsn
-
-    def set_batch(self, au_offsets: np.ndarray, dsns: np.ndarray) -> None:
-        """Scatter ``dsns`` into the slice at ``au_offsets``."""
-        self._dsns[au_offsets] = dsns
-
-    def get_batch(self, au_offsets: np.ndarray) -> np.ndarray:
-        """Gather the DSNs at ``au_offsets`` (may contain UNMAPPED)."""
-        return self._dsns[au_offsets]
-
-    def clear(self, au_offset: int) -> int:
-        """Unmap ``au_offset``; returns the previous DSN."""
-        old = int(self._dsns[au_offset])
-        self._dsns[au_offset] = UNMAPPED
-        return old
-
-    def clear_all(self) -> list[int]:
-        """Unmap every offset; returns the previous DSNs in offset order."""
-        dsns = self._dsns[self._dsns != UNMAPPED].tolist()
-        self._dsns.fill(UNMAPPED)
-        return dsns
-
-    def __len__(self) -> int:
-        return len(self._dsns)
-
-
 class TranslationTables:
     """All DTL mapping state for one device.
 
@@ -111,106 +61,74 @@ class TranslationTables:
         # scale, and one gather resolves any HSN batch.
         self._forward = np.full(1 << layout.hsn_bits, UNMAPPED,
                                 dtype=np.int64)
-        # Allocation bitmap indexed by the (host_id | au_id) prefix, so
-        # batch walks can distinguish "AU not allocated" from "segment
-        # not mapped" without touching the per-AU objects.
+        # Allocation bitmap, [host_id, au_id]: the one record of which
+        # AUs exist, and what tells "AU not allocated" from "segment not
+        # mapped" on the error paths.
         self._au_allocated = np.zeros(
-            layout.max_hosts * layout.max_aus_per_host, dtype=bool)
-        # host_id -> {au_id -> AuMappingSlice} view objects (lifecycle /
-        # introspection; the slices alias _forward).
-        self._hosts: dict[int, dict[int, AuMappingSlice]] = {}
+            (layout.max_hosts, layout.max_aus_per_host), dtype=bool)
         # DSN -> HSN reverse map.
         self._reverse: dict[int, int] = {}
 
-    # -- prefix helpers -------------------------------------------------------
+    def _require_au(self, host_id: int, au_id: int) -> None:
+        """Raise ``TranslationError`` unless the AU is allocated (an ID
+        outside the layout names an AU that cannot be)."""
+        hosts, aus_per_host = self._au_allocated.shape
+        if not (0 <= host_id < hosts and 0 <= au_id < aus_per_host
+                and self._au_allocated[host_id, au_id]):
+            raise TranslationError(
+                f"AU {au_id} of host {host_id} is not allocated")
 
-    def _prefix(self, host_id: int, au_id: int) -> int:
-        return (host_id << self.layout.au_id_bits) | au_id
-
-    def _slice_base(self, host_id: int, au_id: int) -> int:
-        return self._prefix(host_id, au_id) << self.layout.au_offset_bits
-
-    def _make_slice(self, host_id: int, au_id: int) -> AuMappingSlice:
-        """Build the view object aliasing ``_forward`` for one AU."""
-        base = self._slice_base(host_id, au_id)
-        segments = self.layout.segments_per_au
-        return AuMappingSlice(au_id, segments,
-                              backing=self._forward[base:base + segments])
-
-    # -- serialisation --------------------------------------------------------
-
-    def __getstate__(self):
-        # The AuMappingSlice objects alias _forward; pickling them as-is
-        # would materialise independent copies and silently break the
-        # aliasing on load.  Serialise just the AU ids and rebuild the
-        # views in __setstate__.
-        state = self.__dict__.copy()
-        state["_hosts"] = {host_id: sorted(aus)
-                          for host_id, aus in self._hosts.items()}
-        return state
-
-    def __setstate__(self, state):
-        host_aus = state.pop("_hosts")
-        self.__dict__.update(state)
-        self._hosts = {
-            host_id: {au_id: self._make_slice(host_id, au_id)
-                      for au_id in au_ids}
-            for host_id, au_ids in host_aus.items()}
+    def _au_slice(self, host_id: int, au_id: int) -> np.ndarray:
+        """View of one AU's ``segments_per_au`` forward-table entries."""
+        base = self.layout.pack_hsn(host_id, au_id, 0)
+        return self._forward[base:base + self.layout.segments_per_au]
 
     # -- AU lifecycle ---------------------------------------------------------
 
     def register_host(self, host_id: int) -> None:
-        """Create the AU table for ``host_id`` if not present."""
+        """Check that ``host_id`` names a host the tables can serve."""
         if not 0 <= host_id < self.layout.max_hosts:
             raise AddressError(f"host_id {host_id} out of range")
-        self._hosts.setdefault(host_id, {})
 
-    def allocate_au(self, host_id: int, au_id: int) -> AuMappingSlice:
-        """Create the mapping slice for a newly allocated AU."""
+    def allocate_au(self, host_id: int, au_id: int) -> None:
+        """Create the (all-unmapped) mapping slice of a newly allocated AU."""
         self.register_host(host_id)
-        aus = self._hosts[host_id]
-        if au_id in aus:
-            raise AllocationError(
-                f"AU {au_id} of host {host_id} already allocated")
         if not 0 <= au_id < self.layout.max_aus_per_host:
             raise AddressError(f"au_id {au_id} out of range")
-        au_slice = self._make_slice(host_id, au_id)
-        au_slice._dsns[:] = UNMAPPED
-        aus[au_id] = au_slice
-        self._au_allocated[self._prefix(host_id, au_id)] = True
-        return aus[au_id]
+        if self._au_allocated[host_id, au_id]:
+            raise AllocationError(
+                f"AU {au_id} of host {host_id} already allocated")
+        self._au_slice(host_id, au_id).fill(UNMAPPED)
+        self._au_allocated[host_id, au_id] = True
 
     def free_au(self, host_id: int, au_id: int) -> list[int]:
         """Tear down an AU; returns the DSNs of its mapped segments."""
-        dsns = self._au_slice(host_id, au_id).clear_all()
+        self._require_au(host_id, au_id)
+        au_slice = self._au_slice(host_id, au_id)
+        dsns = au_slice[au_slice != UNMAPPED].tolist()
+        au_slice.fill(UNMAPPED)
         for dsn in dsns:
             self._reverse.pop(dsn, None)
-        del self._hosts[host_id][au_id]
-        self._au_allocated[self._prefix(host_id, au_id)] = False
+        self._au_allocated[host_id, au_id] = False
         return dsns
 
     def au_ids(self, host_id: int) -> list[int]:
         """AU IDs currently allocated for ``host_id``."""
-        return sorted(self._hosts.get(host_id, {}))
-
-    def _au_slice(self, host_id: int, au_id: int) -> AuMappingSlice:
-        try:
-            return self._hosts[host_id][au_id]
-        except KeyError:
-            raise TranslationError(
-                f"AU {au_id} of host {host_id} is not allocated") from None
+        if not 0 <= host_id < len(self._au_allocated):
+            return []
+        return np.flatnonzero(self._au_allocated[host_id]).tolist()
 
     # -- mapping --------------------------------------------------------------
 
     def map_segment(self, hsn: int, dsn: int) -> None:
         """Install the HSN -> DSN mapping (and its reverse)."""
-        host_id, au_id, au_offset = self.layout.unpack_hsn(hsn)
-        au_slice = self._au_slice(host_id, au_id)
-        if au_slice.get(au_offset) != UNMAPPED:
+        host_id, au_id, _ = self.layout.unpack_hsn(hsn)
+        self._require_au(host_id, au_id)
+        if self._forward[hsn] != UNMAPPED:
             raise TranslationError(f"HSN {hsn:#x} is already mapped")
         if dsn in self._reverse:
             raise TranslationError(f"DSN {dsn:#x} is already in use")
-        au_slice.set(au_offset, dsn)
+        self._forward[hsn] = dsn
         self._reverse[dsn] = hsn
 
     def map_au_segments(self, host_id: int, au_id: int,
@@ -222,34 +140,34 @@ class TranslationTables:
         (already-mapped offsets and in-use DSNs are rejected before any
         state changes).  Returns the packed HSNs of the mapped segments.
         """
-        au_slice = self._au_slice(host_id, au_id)
+        self._require_au(host_id, au_id)
         dsns = np.asarray(dsns, dtype=np.int64)
         au_offsets = np.arange(len(dsns), dtype=np.int64)
         hsns = self.layout.pack_hsn_batch(host_id,
                                           np.full(len(dsns), au_id,
                                                   dtype=np.int64),
                                           au_offsets)
-        if (au_slice.get_batch(au_offsets) != UNMAPPED).any():
+        if (self._forward[hsns] != UNMAPPED).any():
             raise TranslationError(
                 f"AU {au_id} of host {host_id} has mapped segments")
         dsn_list = dsns.tolist()
         if len(set(dsn_list)) != len(dsn_list) \
                 or not self._reverse.keys().isdisjoint(dsn_list):
             raise TranslationError("DSN already in use in batch mapping")
-        au_slice.set_batch(au_offsets, dsns)
+        self._forward[hsns] = dsns
         self._reverse.update(zip(dsn_list, hsns.tolist()))
         return hsns
 
     def remap_segment(self, hsn: int, new_dsn: int) -> int:
         """Point ``hsn`` at ``new_dsn`` after migration; returns the old DSN."""
-        host_id, au_id, au_offset = self.layout.unpack_hsn(hsn)
-        au_slice = self._au_slice(host_id, au_id)
-        old_dsn = au_slice.get(au_offset)
+        host_id, au_id, _ = self.layout.unpack_hsn(hsn)
+        self._require_au(host_id, au_id)
+        old_dsn = int(self._forward[hsn])
         if old_dsn == UNMAPPED:
             raise TranslationError(f"HSN {hsn:#x} is not mapped")
         if new_dsn in self._reverse:
             raise TranslationError(f"DSN {new_dsn:#x} is already in use")
-        au_slice.set(au_offset, new_dsn)
+        self._forward[hsn] = new_dsn
         del self._reverse[old_dsn]
         self._reverse[new_dsn] = hsn
         return old_dsn
@@ -299,11 +217,12 @@ class TranslationTables:
 
     def unmap_segment(self, hsn: int) -> int:
         """Remove the mapping for ``hsn``; returns the freed DSN."""
-        host_id, au_id, au_offset = self.layout.unpack_hsn(hsn)
-        au_slice = self._au_slice(host_id, au_id)
-        dsn = au_slice.clear(au_offset)
+        host_id, au_id, _ = self.layout.unpack_hsn(hsn)
+        self._require_au(host_id, au_id)
+        dsn = int(self._forward[hsn])
         if dsn == UNMAPPED:
             raise TranslationError(f"HSN {hsn:#x} is not mapped")
+        self._forward[hsn] = UNMAPPED
         del self._reverse[dsn]
         return dsn
 
@@ -321,7 +240,7 @@ class TranslationTables:
                 return WalkResult(dsn=dsn, sram_accesses=2, dram_accesses=1)
         # Error path: reproduce the level-by-level diagnostics.
         host_id, au_id, _ = self.layout.unpack_hsn(hsn)
-        self._au_slice(host_id, au_id)
+        self._require_au(host_id, au_id)
         raise TranslationError(f"HSN {hsn:#x} is not mapped")
 
     def walk_batch(self, hsns: np.ndarray) -> np.ndarray:
@@ -390,6 +309,5 @@ class TranslationTables:
 __all__ = [
     "UNMAPPED",
     "WalkResult",
-    "AuMappingSlice",
     "TranslationTables",
 ]

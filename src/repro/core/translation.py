@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.addressing import HostAddressLayout
+from repro.core.allocator import SegmentAllocator
 from repro.core.segment_cache import (SegmentCacheConfig, SegmentMappingCache,
                                       cycles_to_ns)
 from repro.core.tables import TranslationTables
@@ -150,6 +151,38 @@ class TranslationEngine:
         entries were resident (see
         :meth:`SegmentMappingCache.invalidate_batch`)."""
         return self.smc.invalidate_batch(hsns)
+
+    def exchange_segments(self, allocator: SegmentAllocator, dsn_a: int,
+                          dsn_b: int) -> list[tuple[int, int]]:
+        """Instantly exchange the contents of two device segments.
+
+        Two live segments swap their mappings; a live segment moves into
+        the other, free, slot (reserved for it, its old slot freed); two
+        free slots are left alone.  Every HSN whose mapping changed is
+        invalidated in the SMC.  Returns the ``(src_dsn, dst_dsn)``
+        copies made — two for a swap, one for a move, none — so the
+        caller can charge the bytes and carry its own per-segment
+        hotness state along with the data.
+        """
+        tables = self.tables
+        live_a = tables.is_dsn_live(dsn_a)
+        live_b = tables.is_dsn_live(dsn_b)
+        if live_a and live_b:
+            hsn_a = tables.hsn_of_dsn(dsn_a)
+            hsn_b = tables.hsn_of_dsn(dsn_b)
+            tables.swap_segments(hsn_a, hsn_b)
+            self.invalidate(hsn_a)
+            self.invalidate(hsn_b)
+            return [(dsn_a, dsn_b), (dsn_b, dsn_a)]
+        if not (live_a or live_b):
+            return []
+        src, dst = (dsn_a, dsn_b) if live_a else (dsn_b, dsn_a)
+        allocator.reserve_specific(dst)
+        hsn = tables.hsn_of_dsn(src)
+        tables.remap_segment(hsn, dst)
+        self.invalidate(hsn)
+        allocator.free([src])
+        return [(src, dst)]
 
     # -- measured AMAT (Section 6.1) -------------------------------------------
 

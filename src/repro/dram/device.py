@@ -99,10 +99,26 @@ class DramDevice:
             counts[rank.state] += 1
         return counts
 
+    def standby_ranks(self, channel: int) -> list[int]:
+        """Indices of the standby (active) ranks on ``channel``."""
+        return [rank.index for rank in self.ranks_in_channel(channel)
+                if rank.state is PowerState.STANDBY]
+
     def standby_ranks_per_channel(self, channel: int) -> int:
         """Count of standby (active) ranks on ``channel``."""
-        return sum(1 for rank in self.ranks_in_channel(channel)
-                   if rank.state is PowerState.STANDBY)
+        return len(self.standby_ranks(channel))
+
+    def standby_blocks(self, channel: int,
+                       granularity: int) -> list[tuple[int, ...]]:
+        """Aligned blocks of ``granularity`` ranks, every member in standby.
+
+        A block is the unit that enters and leaves self-refresh together
+        (a CKE pair on the paper's testbed, Section 5.1).
+        """
+        standby = set(self.standby_ranks(channel))
+        blocks = (tuple(range(start, start + granularity)) for start
+                  in range(0, self.geometry.ranks_per_channel, granularity))
+        return [block for block in blocks if standby.issuperset(block)]
 
     # -- telemetry -----------------------------------------------------------
 
@@ -169,6 +185,24 @@ class DramDevice:
                        now_s: float) -> float:
         """Transition a single rank; returns exit penalty in ns."""
         return self._transition(self.ranks[rank_id], state, now_s)
+
+    def wake_block(self, channel: int, rank: int, granularity: int,
+                   now_s: float) -> tuple[float, list[int]]:
+        """Wake every self-refreshed member of ``rank``'s aligned block.
+
+        The whole block wakes together: two ranks share a CKE pin on
+        the paper's testbed, so self-refresh exit is a pair operation.
+        Returns the exit penalty (ns; the members' exits overlap, so the
+        largest, not the sum) and the ranks woken, in index order.
+        """
+        start = rank // granularity * granularity
+        woken = [member for member in range(start, start + granularity)
+                 if self.ranks[(channel, member)].state
+                 is PowerState.SELF_REFRESH]
+        penalty = max((self.set_rank_state((channel, member),
+                                           PowerState.STANDBY, now_s)
+                       for member in woken), default=0.0)
+        return penalty, woken
 
     def set_rank_group_state(self, group_index: int, state: PowerState,
                              now_s: float) -> float:

@@ -17,7 +17,6 @@ and surfaced by the ``repro chaos`` CLI command.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,6 +33,7 @@ from repro.faults.injector import FaultInjector, ReliabilityReport
 from repro.faults.plan import (CxlLinkFault, EccFault, FaultPlan,
                                MigrationAbortFault, PowerExitFault,
                                SmcCorruptionFault)
+from repro.seeded import SeededConfig
 from repro.units import MIB
 
 #: Safety bound on drain pumping: an injector can abort copies, but every
@@ -43,13 +43,8 @@ DRAIN_STEP_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
-class ChaosSoakConfig:
+class ChaosSoakConfig(SeededConfig):
     """Configuration of one chaos soak campaign.
-
-    Structurally conforms to :class:`repro.sim.base.SeededConfig`
-    (``replace`` / ``with_seed``) without importing it: the registry in
-    :mod:`repro.sim.experiments` imports this module, so this module
-    must not import :mod:`repro.sim`.
 
     Attributes:
         seed: Drives the workload RNG and names the plan; one integer
@@ -82,14 +77,6 @@ class ChaosSoakConfig:
     profiling_threshold_ns: float = 200_000.0
     access_period_ns: float = 100.0
     policy: str = "paper"
-
-    def replace(self, **changes: Any) -> ChaosSoakConfig:
-        """A copy with ``changes`` applied (``dataclasses.replace``)."""
-        return dataclasses.replace(self, **changes)
-
-    def with_seed(self, seed: int) -> ChaosSoakConfig:
-        """A copy of this config that only differs in its ``seed``."""
-        return dataclasses.replace(self, seed=seed)
 
     def geometry(self) -> DramGeometry:
         """The soak's DRAM geometry."""

@@ -12,7 +12,8 @@ experiment in :mod:`repro.sim.tournament`).
 
 Import boundary (enforced by ``tests/policies/test_policy_lint.py``):
 this package may import only the standard library, ``numpy``,
-:mod:`repro.units`, :mod:`repro.errors`, and :mod:`repro.dram.power`.
+:mod:`repro.units`, :mod:`repro.errors`, :mod:`repro.seeded`, and
+:mod:`repro.dram.power`.
 ``repro.core.power_down`` / ``repro.core.self_refresh`` import *us*, so
 importing any ``repro.core`` or ``repro.sim`` module here would be a
 cycle — and, more importantly, a policy that decides through privileged
@@ -34,12 +35,12 @@ The hosts hand policies three kinds of read-only state:
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.dram.power import PowerState
+from repro.seeded import SeededConfig
 from repro.units import NS_PER_MS
 
 #: Self-refresh access-count window (0.5 ms, Section 3.4).
@@ -101,6 +102,20 @@ class RankStats:
     last_window_count: int
     state: PowerState
 
+    @classmethod
+    def snapshot(cls, usage, rank, window_count: int = 0,
+                 last_window_count: int = 0) -> "RankStats":
+        """Snapshot one rank from the allocator's usage record and the
+        device's rank object (duck-typed: this package may not import
+        either); hosts that track access windows pass the counts."""
+        return cls(channel=rank.channel, rank=rank.index,
+                   allocated=usage.allocated, free=usage.free,
+                   utilization=usage.utilization,
+                   access_count=rank.access_count,
+                   window_count=window_count,
+                   last_window_count=last_window_count,
+                   state=rank.state)
+
     @property
     def rank_id(self) -> tuple[int, int]:
         """The ``(channel, rank)`` pair allocator APIs key on."""
@@ -108,13 +123,8 @@ class RankStats:
 
 
 @dataclass(frozen=True)
-class PolicyConfig:
+class PolicyConfig(SeededConfig):
     """Every policy-adjacent knob, in one seeded, ``replace()``-able bag.
-
-    Structurally conforms to :class:`repro.sim.base.SeededConfig`
-    (``replace`` / ``with_seed``) without importing it — ``repro.sim``
-    imports the controllers, which import this module, so this module
-    must not import ``repro.sim``.
 
     The first block configures the power-down host, the second the
     self-refresh host, the third the adaptive policies; each host reads
@@ -161,14 +171,6 @@ class PolicyConfig:
     short_park_ns: float = 1e9
     sr_thrash_ns: float = 2.5e8
     seed: int = 0
-
-    def replace(self, **changes) -> "PolicyConfig":
-        """A copy with ``changes`` applied (``dataclasses.replace``)."""
-        return dataclasses.replace(self, **changes)
-
-    def with_seed(self, seed: int) -> "PolicyConfig":
-        """A copy of this config that only differs in its ``seed``."""
-        return dataclasses.replace(self, seed=seed)
 
 
 @runtime_checkable

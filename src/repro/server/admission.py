@@ -22,15 +22,14 @@ plain state, so it serialises into the server checkpoint unchanged.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any
 
+from repro.seeded import SeededConfig
 from repro.server.protocol import ErrorCode
 
 
 @dataclass(frozen=True)
-class AdmissionConfig:
+class AdmissionConfig(SeededConfig):
     """Admission-control knobs (one instance for the whole server).
 
     Attributes:
@@ -52,10 +51,6 @@ class AdmissionConfig:
     burst: float = 200.0
     batch_cost_divisor: int = 256
     queue_depth: int = 128
-
-    def replace(self, **changes: Any) -> "AdmissionConfig":
-        """A copy with ``changes`` applied (``dataclasses.replace``)."""
-        return dataclasses.replace(self, **changes)
 
 
 class TokenBucket:

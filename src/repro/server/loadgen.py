@@ -20,7 +20,6 @@ Wall-clock latency per request lands in a fixed-bounds histogram; the
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from typing import Any, Awaitable, Callable
 
 import numpy as np
 
+from repro.seeded import SeededConfig
 from repro.server.protocol import MAX_LINE_BYTES, decode_line, encode
 from repro.units import MIB
 
@@ -38,7 +38,7 @@ LATENCY_BOUNDS_US = (
 
 
 @dataclass(frozen=True)
-class LoadgenConfig:
+class LoadgenConfig(SeededConfig):
     """One load-generation campaign.
 
     Attributes:
@@ -69,10 +69,6 @@ class LoadgenConfig:
     seed: int = 1234
     tick_s: float = 0.01
     tenant_prefix: str = "tenant-"
-
-    def replace(self, **changes: Any) -> "LoadgenConfig":
-        """A copy with ``changes`` applied (``dataclasses.replace``)."""
-        return dataclasses.replace(self, **changes)
 
 
 @dataclass

@@ -46,6 +46,7 @@ from repro.exec.hashing import derive_seed, stable_hash
 from repro.faults.plan import (CxlLinkFault, EccFault, FaultPlan,
                                MigrationAbortFault, PowerExitFault,
                                SmcCorruptionFault)
+from repro.seeded import SeededConfig
 from repro.server.admission import (AdmissionConfig, AdmissionController,
                                     Rejection)
 from repro.server.protocol import (MAX_LINE_BYTES, ErrorCode, ProtocolError,
@@ -101,7 +102,7 @@ def server_fault_plan(seed: int, shard: int) -> FaultPlan:
 
 
 @dataclass(frozen=True)
-class ServerConfig:
+class ServerConfig(SeededConfig):
     """Everything a :class:`DtlServer` needs, in one replayable bag.
 
     Attributes:
@@ -137,11 +138,6 @@ class ServerConfig:
     telemetry_interval_s: float = 5.0
     checkpoint_path: str | None = None
     seed: int = 0
-
-    def replace(self, **changes: Any) -> "ServerConfig":
-        """A copy with ``changes`` applied (``dataclasses.replace``)."""
-        import dataclasses
-        return dataclasses.replace(self, **changes)
 
     def structure_hash(self) -> str:
         """Digest of the fields a checkpoint must agree on to restore.

@@ -27,7 +27,6 @@ is small and trivially restorable.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -36,6 +35,7 @@ from typing import Any
 import numpy as np
 
 from repro.exec.hashing import derive_seed
+from repro.seeded import SeededConfig
 from repro.server.admission import AdmissionConfig
 from repro.server.loadgen import LoadgenConfig, run_loadgen
 from repro.server.server import DtlServer, ServerConfig
@@ -46,12 +46,8 @@ PHASES = ("concurrent", "drain_restore", "isolation")
 
 
 @dataclass(frozen=True)
-class ServerSoakConfig:
+class ServerSoakConfig(SeededConfig):
     """Configuration of one server soak.
-
-    Structurally conforms to :class:`repro.sim.base.SeededConfig`
-    (``replace`` / ``with_seed``) without importing :mod:`repro.sim`
-    (the registry imports this module).
 
     Attributes:
         seed: One integer reproduces the whole soak bit-for-bit.
@@ -82,14 +78,6 @@ LoadgenConfig`).
     script_tenants: int = 4
     script_requests: int = 24
     script_batch: int = 48
-
-    def replace(self, **changes: Any) -> "ServerSoakConfig":
-        """A copy with ``changes`` applied (``dataclasses.replace``)."""
-        return dataclasses.replace(self, **changes)
-
-    def with_seed(self, seed: int) -> "ServerSoakConfig":
-        """A copy of this config that only differs in its ``seed``."""
-        return dataclasses.replace(self, seed=seed)
 
     def server_config(self, checkpoint_path: str | None = None,
                       ) -> ServerConfig:

@@ -6,16 +6,15 @@ both the CLI and :mod:`repro.exec` dispatch through.  The protocols here
 are structural (``typing.Protocol``): simulators do not inherit from
 them, they simply fit.
 
-:class:`SeededConfig` is the config-side counterpart: a mixin for frozen
-config dataclasses that derives variants via :func:`dataclasses.replace`
-so fan-out code (fleet nodes, sweeps) can never hand-copy fields and
-silently drop a newly added one.
+:class:`~repro.seeded.SeededConfig`, the config-side counterpart, is
+re-exported here for the simulators' configs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Protocol, runtime_checkable
+
+from repro.seeded import SeededConfig
 
 
 @runtime_checkable
@@ -37,18 +36,6 @@ class Experiment(Protocol):
     def run(self) -> ExperimentResult:
         """Execute the experiment for ``self.config``."""
         ...
-
-
-class SeededConfig:
-    """Mixin for frozen config dataclasses with a ``seed`` field."""
-
-    def replace(self, **changes: Any):
-        """A copy with ``changes`` applied (``dataclasses.replace``)."""
-        return dataclasses.replace(self, **changes)  # type: ignore[type-var]
-
-    def with_seed(self, seed: int):
-        """A copy of this config that only differs in its ``seed``."""
-        return dataclasses.replace(self, seed=seed)  # type: ignore[type-var]
 
 
 __all__ = ["Experiment", "ExperimentResult", "SeededConfig"]

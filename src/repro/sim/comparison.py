@@ -8,16 +8,14 @@ planning buy over epoch-based hot/cold separation.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.baselines.ramzzz import RamzzzConfig, RamzzzPolicy
-from repro.dram.power import PowerState
-from repro.sim.selfrefresh_sim import (SelfRefreshResult, SelfRefreshSimConfig,
-                                       SelfRefreshSimulator, StepRecord)
-from repro.units import NS_PER_S
+from repro.core.controller import DtlController
+from repro.sim.selfrefresh_sim import (SelfRefreshResult, SelfRefreshRunState,
+                                       SelfRefreshSimConfig,
+                                       SelfRefreshSimulator)
 
 
 @dataclass
@@ -47,163 +45,25 @@ class ComparisonResult:
                 flatten_selfrefresh(self.ramzzz).items()}})
 
 
-@dataclass
-class RamzzzRunState:
-    """Loop state of one RAMZzz replay — one window step per advance."""
-
-    rng: np.random.Generator
-    inner: SelfRefreshSimulator
-    controller: object
-    policy: RamzzzPolicy
-    hsns: np.ndarray
-    dsns: np.ndarray
-    step_s: float
-    p_touch: np.ndarray
-    active_per_channel: int
-    baseline_power: float
-    active_power: float
-    steps: list[StepRecord]
-    num_steps: int
-    epoch_steps: int
-    migrated_before: int = 0
-    step: int = 0
-
-
-class RamzzzSimulator:
-    """Drives :class:`RamzzzPolicy` with the windowed replay model."""
-
-    def __init__(self, config: SelfRefreshSimConfig,
-                 ramzzz: RamzzzConfig | None = None):
-        # Reuse the DTL simulator's setup (controller, placement, rates)
-        # but with the DTL's own self-refresh disabled.
-        self.config = config
-        self.ramzzz_config = ramzzz or RamzzzConfig(
-            victim_granularity=config.group_granularity)
-        self._dtl_sim = SelfRefreshSimulator(config)
-
-    def begin(self) -> RamzzzRunState:
-        """Build the shared substrate with RAMZzz in place of DTL SR."""
-        config = self.config
-        rng = np.random.default_rng(config.seed)
-        # Build the same substrate, minus the DTL SR policy.
-        inner = SelfRefreshSimulator(dataclasses.replace(config))
-        controller, handles = inner._build_controller()
-        if controller.self_refresh is not None:
-            controller.self_refresh = None  # RAMZzz replaces it
-        policy = RamzzzPolicy(controller.device, controller.allocator,
-                              controller.tables, controller.translation,
-                              self.ramzzz_config)
-        hsns, generators = inner._build_workloads(controller, handles, rng)
-        rates_hz = inner._rates_hz(generators)
-        dsns = inner._dsn_of(controller, hsns)
-        step_s = config.step_ns / NS_PER_S
-        p_touch = 1.0 - np.exp(-rates_hz * step_s)
-
-        device = controller.device
-        power_model = device.power_model
-        active_per_channel = device.standby_ranks_per_channel(0)
-        baseline_power = (power_model.background_power(device.state_counts())
-                          + power_model.active_power(
-                              config.aggregate_bandwidth_gbs))
-        active_power = power_model.active_power(
-            config.aggregate_bandwidth_gbs)
-        return RamzzzRunState(
-            rng=rng, inner=inner, controller=controller, policy=policy,
-            hsns=hsns, dsns=dsns, step_s=step_s, p_touch=p_touch,
-            active_per_channel=active_per_channel,
-            baseline_power=baseline_power, active_power=active_power,
-            steps=[], num_steps=int(config.duration_s / step_s),
-            epoch_steps=max(1, int(self.ramzzz_config.epoch_ns
-                                   / config.step_ns)))
-
-    def advance(self, state: RamzzzRunState) -> bool:
-        """Replay one step if any remain; True while more remain after."""
-        if state.step >= state.num_steps:
-            return False
-        config = self.config
-        controller = state.controller
-        policy = state.policy
-        device = controller.device
-        power_model = device.power_model
-
-        step = state.step
-        now_ns = (step + 1) * config.step_ns
-        touched_mask = state.rng.random(len(state.dsns)) < state.p_touch
-        policy.on_batch(state.dsns[touched_mask], now_ns)
-        if (step + 1) % state.epoch_steps == 0:
-            policy.end_epoch(now_ns)
-            state.dsns = state.inner._dsn_of(controller, state.hsns)
-        migrated_now = policy.migrated_bytes_total
-        step_migrated = migrated_now - state.migrated_before
-        state.migrated_before = migrated_now
-        counts = device.state_counts()
-        migration_power = (power_model.active_power_per_gbs
-                           * step_migrated / 1e9) / state.step_s
-        state.steps.append(StepRecord(
-            time_s=step * state.step_s,
-            sr_ranks=counts[PowerState.SELF_REFRESH],
-            background_power=power_model.background_power(counts)
-            + state.active_power,
-            migration_power=migration_power))
-        state.step += 1
-        return state.step < state.num_steps
-
-    def finish(self, state: RamzzzRunState
-               ) -> tuple[SelfRefreshResult, RamzzzPolicy]:
-        """Summarise a fully-advanced state; returns (result, policy)."""
-        result = self._summarise(self.config, state.steps,
-                                 state.baseline_power,
-                                 state.active_per_channel, state.policy)
-        return result, state.policy
-
-    def run(self) -> tuple[SelfRefreshResult, RamzzzPolicy]:
-        """Replay the experiment; returns (result, policy)."""
-        state = self.begin()
-        while self.advance(state):
-            pass
-        return self.finish(state)
-
-    def _summarise(self, config, steps, baseline_power, active_per_channel,
-                   policy) -> SelfRefreshResult:
-        savings = np.array([1.0 - step.total_power / baseline_power
-                            for step in steps])
-        tail = max(1, len(steps) // 3)
-        stable = float(savings[-tail:].mean())
-        ever = stable > 0.01
-        warmup = float("inf")
-        if ever:
-            reached = np.nonzero(savings >= 0.9 * stable)[0]
-            if len(reached):
-                warmup = steps[reached[0]].time_s
-        return SelfRefreshResult(
-            config=config, steps=steps, baseline_power=baseline_power,
-            active_ranks_per_channel=active_per_channel,
-            warmup_s=warmup, stable_savings=stable,
-            mean_savings=float(savings.mean()),
-            sr_entries=policy.demotions, sr_exits=policy.wakeups,
-            migrated_bytes=policy.migrated_bytes_total, ever_stable=ever)
-
-
-def compare_policies(config: SelfRefreshSimConfig,
-                     ramzzz: RamzzzConfig | None = None) -> ComparisonResult:
-    """Run both policies on identical inputs."""
-    dtl_result = SelfRefreshSimulator(config).run()
-    ramzzz_result, policy = RamzzzSimulator(config, ramzzz).run()
-    return ComparisonResult(dtl=dtl_result, ramzzz=ramzzz_result,
-                            ramzzz_demotions=policy.demotions,
-                            ramzzz_wakeups=policy.wakeups)
+def install_ramzzz(controller: DtlController,
+                   config: RamzzzConfig) -> RamzzzPolicy:
+    """Put RAMZzz on ``controller``'s substrate in the DTL policy's place."""
+    controller.self_refresh = None
+    return RamzzzPolicy(controller.device, controller.allocator,
+                        controller.tables, controller.translation, config)
 
 
 @dataclass
 class PolicyComparisonRunState:
     """Both policies' replays, advanced one step at a time: the DTL leg
-    runs to completion first (matching :func:`compare_policies`' serial
-    order), then the RAMZzz leg."""
+    runs to completion first, then the RAMZzz leg.  The two simulators
+    differ only in the policy they install, so their step loops draw the
+    same random numbers and apply the same drift."""
 
     dtl_sim: SelfRefreshSimulator
-    dtl_state: object
-    ramzzz_sim: RamzzzSimulator
-    ramzzz_state: RamzzzRunState
+    dtl_state: SelfRefreshRunState
+    ramzzz_sim: SelfRefreshSimulator
+    ramzzz_state: SelfRefreshRunState
     dtl_done: bool = False
 
 
@@ -215,12 +75,15 @@ class PolicyComparisonExperiment:
     def __init__(self, config: SelfRefreshSimConfig | None = None,
                  ramzzz: RamzzzConfig | None = None):
         self.config = config or SelfRefreshSimConfig()
-        self.ramzzz = ramzzz
+        self.ramzzz = ramzzz or RamzzzConfig(
+            victim_granularity=self.config.group_granularity)
 
     def begin(self) -> PolicyComparisonRunState:
         """Open both legs on identical configurations."""
         dtl_sim = SelfRefreshSimulator(self.config)
-        ramzzz_sim = RamzzzSimulator(self.config, self.ramzzz)
+        ramzzz_sim = SelfRefreshSimulator(
+            self.config, functools.partial(install_ramzzz,
+                                           config=self.ramzzz))
         return PolicyComparisonRunState(
             dtl_sim=dtl_sim, dtl_state=dtl_sim.begin(),
             ramzzz_sim=ramzzz_sim, ramzzz_state=ramzzz_sim.begin())
@@ -235,11 +98,12 @@ class PolicyComparisonExperiment:
 
     def finish(self, state: PolicyComparisonRunState) -> ComparisonResult:
         """Pair both fully-advanced legs into the comparison result."""
-        dtl_result = state.dtl_sim.finish(state.dtl_state)
-        ramzzz_result, policy = state.ramzzz_sim.finish(state.ramzzz_state)
-        return ComparisonResult(dtl=dtl_result, ramzzz=ramzzz_result,
-                                ramzzz_demotions=policy.demotions,
-                                ramzzz_wakeups=policy.wakeups)
+        policy = state.ramzzz_state.policy
+        return ComparisonResult(
+            dtl=state.dtl_sim.finish(state.dtl_state),
+            ramzzz=state.ramzzz_sim.finish(state.ramzzz_state),
+            ramzzz_demotions=policy.demotions,
+            ramzzz_wakeups=policy.wakeups)
 
     def run(self) -> ComparisonResult:
         """Run both policies on the configured experiment."""
@@ -249,6 +113,11 @@ class PolicyComparisonExperiment:
         return self.finish(state)
 
 
-__all__ = ["ComparisonResult", "RamzzzRunState", "RamzzzSimulator",
-           "PolicyComparisonRunState", "PolicyComparisonExperiment",
-           "compare_policies"]
+def compare_policies(config: SelfRefreshSimConfig,
+                     ramzzz: RamzzzConfig | None = None) -> ComparisonResult:
+    """Run both policies on identical inputs."""
+    return PolicyComparisonExperiment(config, ramzzz).run()
+
+
+__all__ = ["ComparisonResult", "install_ramzzz", "PolicyComparisonRunState",
+           "PolicyComparisonExperiment", "compare_policies"]

@@ -74,9 +74,6 @@ class FleetSoakConfig:
         base_seed: Node ``i`` uses seed ``base_seed + i``.
         rss_ceiling_mb: Peak-RSS gate for the whole soak (both legs).
         workers: Worker count of the parallel leg.
-        verify_parallel: Also run the sharded-parallel leg (pool forced
-            on) and compare bit-for-bit; the serial leg alone still
-            gates on the ceiling.
     """
 
     num_nodes: int = 10_000
@@ -86,7 +83,6 @@ class FleetSoakConfig:
     base_seed: int = 0
     rss_ceiling_mb: float = 512.0
     workers: int = 2
-    verify_parallel: bool = True
 
 
 @dataclass
@@ -146,7 +142,7 @@ class FleetSoakExperiment:
                           hosts_per_rack=config.hosts_per_rack)
 
     # -- stepped execution -----------------------------------------------------
-    # One whole fleet leg per advance (serial, then the optional
+    # One whole fleet leg per advance (serial, then the
     # parallel-verification leg).  Wall times and RSS are measured, not
     # simulated — they are the only fields that differ between a stepped
     # and a one-shot soak.
@@ -172,8 +168,8 @@ class FleetSoakExperiment:
             state.result_bytes = float(
                 counters.get("exec.result_bytes", 0.0))
             state.serial_done = True
-            return config.verify_parallel
-        if config.verify_parallel and not state.parallel_done:
+            return True
+        if not state.parallel_done:
             # Same fleet, pool forced on even on a single-core host —
             # the identity claim is about the cross-process path.
             start = time.perf_counter()

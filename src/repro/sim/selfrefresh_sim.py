@@ -13,6 +13,13 @@ touched segments through the real
 interface.  Access *bits* are sampled at the hardware's 0.5 ms window so
 the CLOCK planner sees the same bit density it would in hardware.
 
+The loop is the one driver of that *windowed contract* —
+``on_batch(dsns, now_ns, bit_dsns)`` → ``end_window()`` →
+``tick(now_ns)``, then ``migrated_bytes_total``, ``exit_penalty_total_ns``
+and the ``events`` log read back — and the policy under replay is a
+constructor seam: :mod:`repro.sim.comparison` installs the RAMZzz
+baseline in the DTL policy's place, so both see identical inputs.
+
 A crucial replay-boost effect is modelled explicitly: at >30 GB/s the
 paper's 10 M-instruction coldness horizon is only ~0.3 ms of wall time,
 so even "cold" resident data is touched occasionally.  The simulator
@@ -24,7 +31,9 @@ victim rank quiet, exactly as in the paper.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -150,10 +159,11 @@ class SelfRefreshRunState:
 
     rng: np.random.Generator
     controller: DtlController
-    handles: list[VmHandle]
+    #: The policy under replay (shared with the controller graph when it
+    #: is the controller's own).
+    policy: Any
     hsns: np.ndarray
     generators: list[TraceGenerator]
-    rates_hz: np.ndarray
     drifters: list[DriftingWorkload]
     dsns: np.ndarray
     step_s: float
@@ -169,12 +179,21 @@ class SelfRefreshRunState:
 
 
 class SelfRefreshSimulator:
-    """Windowed trace-driven driver for the hotness-aware SR policy."""
+    """Windowed trace-driven driver for a self-refresh policy.
+
+    ``policy_of`` picks the policy under replay off the freshly built
+    controller: by default its own hotness-aware policy; a baseline
+    passes a picklable callable that builds itself on the controller's
+    substrate instead.
+    """
 
     name = "selfrefresh"
 
-    def __init__(self, config: SelfRefreshSimConfig | None = None):
+    def __init__(self, config: SelfRefreshSimConfig | None = None,
+                 policy_of: Callable[[DtlController], Any]
+                 = operator.attrgetter("self_refresh")):
         self.config = config or SelfRefreshSimConfig()
+        self.policy_of = policy_of
 
     # -- setup -----------------------------------------------------------------
 
@@ -270,8 +289,10 @@ class SelfRefreshSimulator:
                 hsns.append(layout.pack_hsn(handle.host_id, au_id, au_offset))
         return np.asarray(hsns, dtype=np.int64), generators
 
-    def _rates_hz(self, generators: list[TraceGenerator]) -> np.ndarray:
-        """Per-VM-segment touch rates under the replay boost."""
+    def _touch_probabilities(self, generators: list[TraceGenerator],
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-VM-segment chance of a touch within one step, and within
+        one access-bit window, under the replay boost."""
         config = self.config
         total_access_rate = (config.aggregate_bandwidth_gbs * 1e9
                              / CACHELINE_BYTES)
@@ -286,12 +307,9 @@ class SelfRefreshSimulator:
                 config.frozen_touch_rate_hz
             seg_rates[generator.deep_cold_segments] = 0.0
             rates.append(seg_rates)
-        return np.concatenate(rates)
-
-    def _dsn_of(self, controller: DtlController,
-                hsns: np.ndarray) -> np.ndarray:
-        return controller.tables.walk_batch(np.asarray(hsns,
-                                                       dtype=np.int64))
+        rates_hz = np.concatenate(rates)
+        return (1.0 - np.exp(-rates_hz * (config.step_ns / NS_PER_S)),
+                1.0 - np.exp(-rates_hz * (config.window_ns / NS_PER_S)))
 
     # -- run -------------------------------------------------------------------
 
@@ -300,20 +318,17 @@ class SelfRefreshSimulator:
         config = self.config
         rng = np.random.default_rng(config.seed)
         controller, handles = self._build_controller()
-        assert controller.self_refresh is not None
+        policy = self.policy_of(controller)
         device = controller.device
         power_model = device.power_model
 
         hsns, generators = self._build_workloads(controller, handles, rng)
-        rates_hz = self._rates_hz(generators)
+        p_touch, p_bit = self._touch_probabilities(generators)
         drifters: list[DriftingWorkload] = []
         if config.drift is not None:
             drifters = [DriftingWorkload.wrap(generator, config.drift, rng)
                         for generator in generators]
-        dsns = self._dsn_of(controller, hsns)
         step_s = config.step_ns / NS_PER_S
-        p_touch = 1.0 - np.exp(-rates_hz * step_s)
-        p_bit = 1.0 - np.exp(-rates_hz * (config.window_ns / NS_PER_S))
 
         active_per_channel = device.standby_ranks_per_channel(0)
         baseline_counts = device.state_counts()
@@ -322,9 +337,10 @@ class SelfRefreshSimulator:
                               config.aggregate_bandwidth_gbs))
         active_power = power_model.active_power(config.aggregate_bandwidth_gbs)
         return SelfRefreshRunState(
-            rng=rng, controller=controller, handles=handles, hsns=hsns,
-            generators=generators, rates_hz=rates_hz, drifters=drifters,
-            dsns=dsns, step_s=step_s, p_touch=p_touch, p_bit=p_bit,
+            rng=rng, controller=controller, policy=policy, hsns=hsns,
+            generators=generators, drifters=drifters,
+            dsns=controller.tables.walk_batch(hsns), step_s=step_s,
+            p_touch=p_touch, p_bit=p_bit,
             active_per_channel=active_per_channel,
             baseline_power=baseline_power, active_power=active_power,
             steps=[], num_steps=int(config.duration_s / step_s))
@@ -335,8 +351,7 @@ class SelfRefreshSimulator:
             return False
         config = self.config
         controller = state.controller
-        policy = controller.self_refresh
-        assert policy is not None
+        policy = state.policy
         device = controller.device
         power_model = device.power_model
 
@@ -346,26 +361,22 @@ class SelfRefreshSimulator:
             drifted = sum(d.advance_to(now_ns / NS_PER_S)
                           for d in state.drifters)
             if drifted:
-                state.rates_hz = self._rates_hz(state.generators)
-                state.p_touch = 1.0 - np.exp(-state.rates_hz * state.step_s)
-                state.p_bit = 1.0 - np.exp(
-                    -state.rates_hz * (config.window_ns / NS_PER_S))
+                state.p_touch, state.p_bit = self._touch_probabilities(
+                    state.generators)
         touched_mask = state.rng.random(len(state.dsns)) < state.p_touch
         bit_mask = touched_mask & (state.rng.random(len(state.dsns)) < (
             state.p_bit / np.maximum(state.p_touch, 1e-12)))
         policy.on_batch(state.dsns[touched_mask], now_ns,
                         bit_dsns=state.dsns[bit_mask])
         policy.end_window()
-        events = policy.tick(now_ns)
-        if events:
-            state.dsns = self._dsn_of(controller, state.hsns)
-        # A wake mid-batch can also remap at the *next* SR entry; track
-        # migrations via the policy's byte counter instead.
+        policy.tick(now_ns)
+        # Mappings move only with migrated bytes (an SR entry's swaps, a
+        # baseline's epoch reorganisation): re-walk exactly then.
         migrated_now = policy.migrated_bytes_total
         step_migrated = migrated_now - state.migrated_before
         state.migrated_before = migrated_now
         if step_migrated:
-            state.dsns = self._dsn_of(controller, state.hsns)
+            state.dsns = controller.tables.walk_batch(state.hsns)
         counts = device.state_counts()
         background = power_model.background_power(counts)
         migration_energy = (power_model.active_power_per_gbs
@@ -381,7 +392,7 @@ class SelfRefreshSimulator:
 
     def finish(self, state: SelfRefreshRunState) -> SelfRefreshResult:
         """Summarise a fully-advanced state into the experiment result."""
-        return self._summarise(state.controller, state.steps,
+        return self._summarise(state.policy, state.steps,
                                state.baseline_power, state.active_per_channel)
 
     def run(self) -> SelfRefreshResult:
@@ -396,11 +407,9 @@ class SelfRefreshSimulator:
             pass
         return self.finish(state)
 
-    def _summarise(self, controller: DtlController, steps: list[StepRecord],
+    def _summarise(self, policy: Any, steps: list[StepRecord],
                    baseline_power: float,
                    active_per_channel: int) -> SelfRefreshResult:
-        policy = controller.self_refresh
-        assert policy is not None
         savings = np.array([1.0 - step.total_power / baseline_power
                             for step in steps])
         times = np.array([step.time_s for step in steps])

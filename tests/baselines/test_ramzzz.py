@@ -51,11 +51,36 @@ class TestAccessCounting:
         assert policy.segment_counts[0] == 0
 
 
+class TestWindowedContract:
+    def test_tick_ends_epochs_on_the_step_schedule(self):
+        """At the simulator's 50 ms steps and the default 100 ms epoch,
+        ``tick`` ends an epoch at steps 2, 4, ... — the schedule the
+        replay loop itself used to count out."""
+        policy, _ = make_policy()
+        step_ns = 50e6
+        epoch_steps = max(1, int(policy.config.epoch_ns / step_ns))
+        fired = []
+        for step in range(1, 21):
+            before = policy.epoch_index
+            policy.end_window()
+            policy.tick(step * step_ns)
+            if policy.epoch_index != before:
+                fired.append(step)
+        assert fired == [step for step in range(1, 21)
+                         if step % epoch_steps == 0] == list(range(2, 21, 2))
+
+    def test_bit_sample_is_ignored(self):
+        policy, _ = make_policy()
+        policy.on_batch(np.array([0, 2]), now_ns=0.0,
+                        bit_dsns=np.array([2]))
+        assert policy.segment_counts[[0, 2]].tolist() == [1, 1]
+
+
 class TestDemotion:
     def test_quiet_block_demotes(self):
         policy, _ = make_policy(threshold=1000)
         # Touch only rank 0 segments; ranks 1-3 are epoch-quiet.
-        policy.on_batch(np.array([policy._rank_dsns(0, 0)[0]]), now_ns=0.0)
+        policy.on_batch(np.array([policy.layout.rank_dsns(0, 0)[0]]), now_ns=0.0)
         demoted = policy.end_epoch(now_ns=1e8)
         assert demoted >= 1
         assert policy.sr_rank_count() >= 1
@@ -63,7 +88,7 @@ class TestDemotion:
     def test_strict_threshold_blocks_demotion(self):
         policy, _ = make_policy(threshold=0)
         # Touch one segment in EVERY rank so nothing is fully quiet.
-        touches = [policy._rank_dsns(ch, rank)[0]
+        touches = [policy.layout.rank_dsns(ch, rank)[0]
                    for ch in range(2) for rank in range(4)]
         policy.on_batch(np.array(touches), now_ns=0.0)
         assert policy.end_epoch(now_ns=1e8) == 0
@@ -75,7 +100,7 @@ class TestDemotion:
         sleeping = next((ch, r.index)
                         for (ch, _), r in policy.device.ranks.items()
                         if r.state is PowerState.SELF_REFRESH)
-        dsn = policy._rank_dsns(*sleeping)[0]
+        dsn = policy.layout.rank_dsns(*sleeping)[0]
         penalty = policy.on_batch(np.array([dsn]), now_ns=2e8)
         assert penalty > 0
         assert policy.wakeups == 1
@@ -105,7 +130,7 @@ class TestMigration:
         policy, layout = make_policy(threshold=0)
         allocate(policy, layout, 0)
         before = policy.migrated_bytes_total
-        policy.on_batch(np.array(policy._rank_dsns(0, 0)[:4]), now_ns=0.0)
+        policy.on_batch(np.array(policy.layout.rank_dsns(0, 0)[:4]), now_ns=0.0)
         policy.end_epoch(now_ns=1e8)
         assert policy.migrated_bytes_total >= before
 

@@ -27,6 +27,7 @@ ALLOWED_MODULES = {
     "numpy",
     "repro.units",
     "repro.errors",
+    "repro.seeded",
     "repro.dram.power",
 }
 #: Intra-package imports are always fine.

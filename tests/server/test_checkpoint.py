@@ -98,11 +98,11 @@ def other_kind(path: str) -> None:
 
 
 def stale_version(path: str) -> None:
-    """A version-3 file: that format pickled an SMC (and its config)
-    carrying a ``layout`` field this build's classes no longer have."""
-    assert CHECKPOINT_VERSION > 3
+    """A version-4 file: that format pickled per-AU slice views inside
+    the translation tables, which this build's class no longer has."""
+    assert CHECKPOINT_VERSION > 4
     save_checkpoint(Checkpoint(kind="server", step=0, blob=b"old layout",
-                               version=3), path)
+                               version=4), path)
 
 
 @pytest.mark.parametrize("write_file, target_config, match", [
