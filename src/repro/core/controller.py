@@ -468,12 +468,14 @@ class DtlController:
         dsns, xlat_ns, l1_hits, l2_hits = \
             self.translation.translate_hsn_batch(hsns)
         routed_new = np.zeros(n, dtype=bool)
+        num_writes = int(np.count_nonzero(writes))
+        num_redirects = 0
         # Write routing: segments without a tracked migration route
         # OLD_DSN with no side effects, so only writes hitting tracked
         # segments run the conflict protocol, and those run it in bulk —
         # the engine collapses the order-sensitivity (one abort per
         # request, completion-bit redirects) internally.
-        if writes.any() and self.migration.has_tracked_requests:
+        if num_writes and self.migration.has_tracked_requests:
             tracked = np.fromiter(self.migration.tracked_dsns(),
                                   dtype=np.int64)
             hot = np.nonzero(writes & np.isin(dsns, tracked))[0]
@@ -487,6 +489,7 @@ class DtlController:
                          for dsn in dsns[redirected]),
                         dtype=np.int64, count=len(redirected))
                     routed_new[redirected] = True
+                    num_redirects = len(redirected)
         channels, ranks, _ = self.device_layout.unpack_dsn_batch(dsns)
         if self.self_refresh is not None:
             wake_ns = self.self_refresh.on_access_batch(dsns, now_ns)
@@ -506,8 +509,8 @@ class DtlController:
             self._faults.on_dram_access_batch(channels, ranks, self.device,
                                               now_s=now_ns / 1e9)
         self._accesses.inc(n)
-        self._writes.inc(int(writes.sum()))
-        self._redirects.inc(int(routed_new.sum()))
+        self._writes.inc(num_writes)
+        self._redirects.inc(num_redirects)
         self._access_latency.observe_batch(latency_ns)
         if self.trace.enabled:
             self.trace.record_tail(EventKind.ACCESS, time=now_ns, hsn=hsns,

@@ -400,6 +400,37 @@ class _SetState:
             return entry
 
 
+class _Chunk:
+    """One chunk of a batch lookup, from plan through events to commit.
+
+    Everything is indexed by *distinct*: the chunk's distinct HSNs in
+    first-occurrence order.  ``first`` is each distinct's first position
+    relative to the chunk start; ``slots`` / ``ways`` its L1 slot and L2
+    way at chunk entry (``None`` = not resident), ``sets`` its L2 set and
+    ``vals`` the DSN its occurrences read.  ``events`` is the heap of
+    distincts still to insert; the event loop moves them to ``promos``
+    or ``fills`` (with the way each fill took) and records the entries
+    its insertions removed.
+    """
+
+    __slots__ = ("hsns", "first", "slots", "ways", "sets", "vals",
+                 "events", "promos", "fills", "fill_ways", "removed_l1",
+                 "l2_removed", "back_invalidations", "trace_ops")
+
+    def __init__(self, hsns: list[int], first: list[int]):
+        self.hsns = hsns
+        self.first = first
+        self.slots = self.ways = self.sets = self.vals = None
+        self.events: list[int] = []
+        self.promos: list[int] = []
+        self.fills: list[int] = []
+        self.fill_ways: list[int] = []
+        self.removed_l1: list[tuple[int, int]] = []
+        self.l2_removed: list[tuple[int, int, int]] = []
+        self.back_invalidations = 0
+        self.trace_ops: list[tuple[str, int, int]] | None = None
+
+
 class SegmentMappingCache:
     """The two-level SMC: inclusive L1 over L2, both LRU.
 
@@ -502,86 +533,98 @@ class SegmentMappingCache:
         table walk per chunk) when given; ``resolve(hsn)`` serves the
         rare mid-chunk eviction of a pre-chunk resident.
 
-        One stable sort of the whole batch yields, for every position,
-        its previous occurrence and a dense distinct ID (uid); both
-        cache levels are then probed **once per uid** for the whole
-        batch, and the per-uid residency snapshot (``uid_in_l1``,
-        ``uid_slot``, ``uid_in_l2``, ``uid_way``) is kept current
-        incrementally as each chunk commits.  :meth:`_soa_chunk` cuts
-        the chunks and documents the three invariants they uphold;
-        within a chunk the DSN value, hit class, and final LRU stamp of
-        every distinct are computed from the start-of-chunk state, and
-        only *insertions* (L2 promotions and fills, the rare events) run
-        through a small ordered event loop.  Entries evicted from L1 or
-        L2 by an earlier in-chunk insertion are reclassified on the fly
+        The batch is consumed in *chunks*.  A chunk is planned over its
+        distinct HSNs in first-occurrence order (:meth:`_plan_chunk`:
+        residency from the two hash indexes, DSN values, and the cut
+        that keeps the chunk invariants), its *insertions* — L2
+        promotions and fills, the rare events — run through a small
+        ordered event loop (:meth:`_run_events`), and the resulting LRU
+        state is committed in bulk (:meth:`_commit_chunk`).  Within a
+        chunk every repeat occurrence is an L1 hit, so those three work
+        per distinct, never per access; entries evicted from L1 or L2
+        by an earlier in-chunk insertion are reclassified on the fly
         (L2 hit, or full miss with a fresh table walk) exactly as the
         scalar sequence would have produced.
+
+        What is per access is done here, off one stable sort of the
+        whole batch.  The sort yields, for every position, its previous
+        occurrence (``prev``) and a dense distinct ID (``uid``): a
+        position starts a distinct of the chunk beginning at ``start``
+        iff its ``prev`` lies before ``start``, and ``uid`` maps every
+        position of the chunk to its distinct with one scatter and one
+        gather.  A served 128-access request is the base case: one
+        pass through the loop below.
         """
         hsns = np.asarray(hsns, dtype=np.int64)
         n = len(hsns)
         out_dsns = np.empty(n, dtype=np.int64)
-        out_l1 = np.empty(n, dtype=bool)
-        out_l2 = np.empty(n, dtype=bool)
+        # Hit classes start as "repeat": the commit flips the first
+        # occurrence of every distinct an event inserted.
+        out = (out_dsns, np.ones(n, dtype=bool), np.zeros(n, dtype=bool))
         if not n:
-            return out_dsns, out_l1, out_l2
-        l1: FullyAssociativeCache = self.l1
-        l2: SetAssociativeCache = self.l2
+            return out
+        entries = self.l1.entries
         order = np.argsort(hsns, kind="stable")
         sorted_hsns = hsns[order]
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        if n > 1:
-            new_group[1:] = sorted_hsns[1:] != sorted_hsns[:-1]
+        repeat = sorted_hsns[1:] == sorted_hsns[:-1]
+        group = np.zeros(n, dtype=np.int64)
+        np.cumsum(~repeat, out=group[1:])
         uid = np.empty(n, dtype=np.int64)
-        uid[order] = np.cumsum(new_group) - 1
+        uid[order] = group
         prev = np.full(n, -1, dtype=np.int64)
-        if n > 1:
-            repeat = ~new_group[1:]
-            prev[order[1:][repeat]] = order[:-1][repeat]
-        # One residency probe per distinct HSN for the entire batch;
-        # chunk commits below keep the snapshot exact.
-        unique_hsns = sorted_hsns[new_group]
-        num_uids = len(unique_hsns)
-        unique_list = unique_hsns.tolist()
-        uid_map = {h: k for k, h in enumerate(unique_list)}
-        uid_slot = np.fromiter(
-            (l1._slot_of.get(h, -1) for h in unique_list),
-            dtype=np.int64, count=num_uids)
-        uid_in_l1 = uid_slot >= 0
-        uid_set = unique_hsns % l2.sets
-        eq = l2._tags[uid_set] == unique_hsns[:, None]
-        uid_in_l2 = eq.any(axis=1)
-        uid_way = np.argmax(eq, axis=1)
+        prev[order[1:][repeat]] = order[:-1][repeat]
         # Scratch: uid -> chunk distinct index.  Only entries written by
         # the current chunk are ever read back.
-        uid_to_d = np.empty(num_uids, dtype=np.int64)
+        uid_to_d = np.empty(int(group[-1]) + 1, dtype=np.int64)
         max_window = 4 * self.config.l2_entries
         arange = np.arange(min(n, max_window) + 1)
-        ctx = (uid_map, uid_slot, uid_in_l1, uid_set, uid_in_l2, uid_way,
-               arange)
         window = min(n, max_window)
         start = 0
         while start < n:
-            end = self._soa_chunk(hsns, uid, prev, start,
-                                  min(window, n - start), uid_to_d, ctx,
-                                  out_dsns, out_l1, out_l2,
-                                  resolve, resolve_batch)
+            span = min(window, n - start)
+            d_rel = np.flatnonzero(prev[start:start + span] < start)
+            if len(d_rel) > entries:
+                # L1 capacity: the chunk ends where the (entries+1)-th
+                # distinct would appear.
+                span = int(d_rel[entries])
+                d_rel = d_rel[:entries]
+            first = d_rel.tolist()
+            d_pos = start + d_rel
+            chunk = self._plan_chunk(hsns[d_pos].tolist(), first,
+                                     resolve, resolve_batch)
+            num_d = len(chunk.hsns)
+            if num_d < len(first):
+                # The chunk ends where the first distinct it does not
+                # keep first appears.
+                span = first[num_d]
+            self._run_events(chunk, resolve)
+            end = start + span
+            uid_to_d[uid[d_pos[:num_d]]] = arange[:num_d]
+            d_of_pos = uid_to_d[uid[start:end]]
+            last = np.empty(num_d, dtype=np.int64)
+            last[d_of_pos] = arange[:span]
+            self._commit_chunk(chunk, start, span, last, out)
+            out_dsns[start:end] = np.array(chunk.vals,
+                                           dtype=np.int64)[d_of_pos]
             # Adapt the plan window to the workload so the plan scan
             # stays proportional to the chunk actually consumed.
-            window = min(max_window, max(256, 4 * (end - start)))
+            window = min(max_window, max(256, 4 * span))
             start = end
-        return out_dsns, out_l1, out_l2
+        return out
 
-    def _soa_chunk(self, hsns, uid, prev, start, window, uid_to_d, ctx,
-                   out_dsns, out_l1, out_l2, resolve, resolve_batch) -> int:
-        """Plan, resolve, and commit one chunk; returns its end position.
+    def _plan_chunk(self, d_hsns: list[int], first: list[int], resolve,
+                    resolve_batch) -> _Chunk:
+        """Classify a chunk's distinct HSNs and cut it to the invariants.
 
-        The chunk is cut just before the first distinct HSN (in
-        first-occurrence order) that would break one of three
-        invariants:
+        ``d_hsns`` are the candidate distincts in first-occurrence
+        order, already limited by the caller to the first invariant:
 
         * **L1 capacity** — at most ``l1_entries`` distinct HSNs, so no
-          in-chunk entry, once touched, can be the L1 LRU victim;
+          in-chunk entry, once touched, can be the L1 LRU victim.
+
+        The plan cuts the chunk just before the first distinct that
+        would break one of the other two:
+
         * **L2 associativity** — at most ``l2_ways`` distinct HSNs per
           L2 set, so touched in-chunk entries cannot be L2 victims;
         * **back-invalidation hazard** — an L1 hit refreshes L1 recency
@@ -594,341 +637,297 @@ class SegmentMappingCache:
           different chunk HSN absent from L2 (by inclusion never the
           same HSN), so a set may not collect both.
 
-        Within such a chunk every repeat occurrence is an L1 hit.
+        Residency is read from the levels' hash indexes (chunk-entry
+        state: nothing mutates before the commit).  Values come from
+        the level that holds the distinct; full misses walk the tables
+        in one ``resolve_batch`` call.  Returns the chunk with every
+        non-L1-resident distinct queued as an event.
         """
-        l1: FullyAssociativeCache = self.l1
-        l2: SetAssociativeCache = self.l2
-        (uid_map, uid_slot, uid_in_l1, uid_set, uid_in_l2, uid_way,
-         arange) = ctx
-        slot_of = l1._slot_of
-        # -- plan: distincts and invariant cuts -------------------------------
-        first = prev[start:start + window] < start
-        d_rel = np.flatnonzero(first)
-        if len(d_rel) > l1.entries:
-            # L1 capacity: the chunk ends where the (entries+1)-th
-            # distinct would appear.
-            window = int(d_rel[l1.entries])
-            first = first[:window]
-            d_rel = d_rel[:l1.entries]
-        d_uid = uid[start + d_rel]
-        num_d = len(d_uid)
-        in_l1 = uid_in_l1[d_uid]
-        l1_slots = uid_slot[d_uid]
-        all_l1 = bool(in_l1.all())
-        if not all_l1:
-            d_hsns = hsns[start + d_rel]
-            set_idx = uid_set[d_uid]
-            in_l2 = uid_in_l2[d_uid]
-            l2_way = uid_way[d_uid]
-            not_l2 = ~in_l2
-            cut_d = num_d
-            if num_d > 1:
-                # L2 associativity: > ways distincts in one set.  The
-                # bincount screen skips the sort on clean chunks.
-                counts = np.bincount(set_idx)
-                if int(counts.max()) > l2.ways:
-                    order_s = np.argsort(set_idx, kind="stable")
-                    sorted_sets = set_idx[order_s]
-                    rank_in_set = arange[:num_d] - np.searchsorted(
-                        sorted_sets, sorted_sets, side="left")
-                    over = rank_in_set >= l2.ways
-                    cut_d = int(order_s[over].min())
-                # Back-invalidation hazard: one set collecting both an
-                # L1-resident distinct and a distinct absent from L2.
-                # The isin screen (set overlap between the two kinds)
-                # is a necessary condition for the ordered formula.
-                l1_sets = set_idx[in_l1]
-                if len(l1_sets):
-                    miss_sets = set_idx[not_l2]
-                    if len(miss_sets) and np.isin(miss_sets, l1_sets).any():
-                        arange_d = arange[:num_d]
-                        first_l1 = np.full(l2.sets, num_d, dtype=np.int64)
-                        np.minimum.at(first_l1, l1_sets, arange_d[in_l1])
-                        first_miss = np.full(l2.sets, num_d, dtype=np.int64)
-                        np.minimum.at(first_miss, miss_sets,
-                                      arange_d[not_l2])
-                        hazard = (((first_l1[set_idx] < arange_d) & not_l2)
-                                  | ((first_miss[set_idx] < arange_d)
-                                     & in_l1))
-                        if hazard.any():
-                            cut_d = min(cut_d, int(np.argmax(hazard)))
-            if cut_d < num_d:
-                window = int(d_rel[cut_d])
-                first = first[:window]
-                num_d = cut_d
-                d_rel = d_rel[:num_d]
-                d_uid = d_uid[:num_d]
-                d_hsns = d_hsns[:num_d]
-                l1_slots = l1_slots[:num_d]
-                in_l1 = in_l1[:num_d]
-                set_idx = set_idx[:num_d]
-                in_l2 = in_l2[:num_d]
-                l2_way = l2_way[:num_d]
-                not_l2 = not_l2[:num_d]
-        # -- values and static classification ---------------------------------
-        d_val = np.empty(num_d, dtype=np.int64)
-        if in_l1.any():
-            d_val[in_l1] = l1._dsns[l1_slots[in_l1]]
-        if all_l1:
-            d_l1 = in_l1
-            d_l2 = np.zeros(num_d, dtype=bool)
-            events: list[int] = []
-        else:
-            d_l1 = in_l1.copy()
-            # Inclusion (L1 subset of L2) makes ~in_l2 exactly the full
-            # misses and in_l2 & ~in_l1 the L2 hits.
-            hit2 = in_l2 & ~in_l1
-            if hit2.any():
-                d_val[hit2] = l2._dsns[set_idx[hit2], l2_way[hit2]]
-            d_l2 = hit2
-            if not_l2.any():
-                candidates = d_hsns[not_l2]
-                if resolve_batch is not None:
-                    d_val[not_l2] = resolve_batch(candidates)
-                else:
-                    d_val[not_l2] = np.fromiter(
-                        (resolve(int(h)) for h in candidates),
-                        dtype=np.int64, count=len(candidates))
-            # flatnonzero yields ascending order: already a valid heap.
-            events = np.flatnonzero(~in_l1).tolist()
-        # -- event loop: insertions in first-occurrence order ------------------
-        num_promote = num_fill = bi_count = 0
-        removed_l1: list[tuple[int, int]] = []
-        trace_ops: list[tuple[str, int, int]] | None = (
-            [] if self._trace is not None else None)
-        promo_idx: list[int] = []
-        fill_idx: list[int] = []
-        pushed: list[int] = []
-        l2_removed: list[tuple[int, int, int]] = []
-        l2_fills: list[tuple[int, int, int, int, int]] = []
-        l2_promos: list[tuple[int, int, int]] = []
-        dyn_cut = -1
-        if events:
-            d_hsns_list = d_hsns.tolist()
-            set_list = set_idx.tolist()
-            in_l1_list = in_l1.tolist()
-            in_l2_list = in_l2.tolist()
-            way_list = l2_way.tolist()
-            rel_list = d_rel.tolist()
-            chunk_pos = dict(zip(d_hsns_list, range(num_d)))
-            cp_get = chunk_pos.get
-            consumed: set[int] = set()
-            l1_removed: set[int] = set()
-            set_states: dict[int, _SetState] = {}
-            free_l1 = len(l1._free)
-            pool_tags: list[int] | None = None
-            pool_slots: list[int] | None = None
-            pool_ptr = 0
-            heappop = heapq.heappop
-            heappush = heapq.heappush
-            while events:
-                i = heappop(events)
-                h = d_hsns_list[i]
-                if in_l2_list[i] and h not in consumed:
-                    # L2 hit (possibly a reclassified pre-turn L1
-                    # eviction): promote into L1.
-                    num_promote += 1
-                    promo_idx.append(i)
-                    s = set_list[i]
-                    if in_l1_list[i]:
-                        # Pushed event: take the value from the L2 copy
-                        # (static hit2 distincts were gathered already).
-                        d_val[i] = l2._dsns[s, way_list[i]]
-                        pushed.append(i)
-                    consumed.add(h)
-                    l2_promos.append((s, way_list[i], rel_list[i]))
-                else:
-                    # Full miss: pick the fill slot first — evicting the
-                    # L2 copy of a chunk distinct that already hit in L1
-                    # (its L2 stamp is stale) would falsify the bulk
-                    # repeat accounting, so the chunk ends before it.
-                    s = set_list[i]
-                    state = set_states.get(s)
-                    if state is None:
-                        state = _SetState(l2, s)
-                        set_states[s] = state
-                    victim = None
-                    if state.free_ways:
-                        way = state.free_ways.pop()
-                    else:
-                        victim = state.next_victim(consumed)
-                        tag = victim[0]
-                        j = cp_get(tag)
-                        if (j is not None and j < i and tag in slot_of
-                                and tag not in l1_removed):
-                            dyn_cut = rel_list[i]
-                            break
-                        way = victim[2]
-                    num_fill += 1
-                    fill_idx.append(i)
-                    if in_l1_list[i]:
-                        pushed.append(i)
-                    if in_l2_list[i]:
-                        # Planned as an L2 hit but evicted pre-turn: the
-                        # scalar sequence walks the tables here.
-                        d_val[i] = resolve(h)
-                    if victim is not None:
-                        state.ptr += 1
-                        tag, vdsn, _vway = victim
-                        consumed.add(tag)
-                        l2_removed.append((s, tag, _vway))
-                        if trace_ops is not None:
-                            trace_ops.append(("evict", tag, vdsn))
-                        vslot = slot_of.get(tag)
-                        if vslot is not None and tag not in l1_removed:
-                            # Back-invalidation (scalar: l1.invalidate).
-                            l1_removed.add(tag)
-                            removed_l1.append((tag, vslot))
-                            bi_count += 1
-                            free_l1 += 1
-                            j = cp_get(tag)
-                            if j is not None:
-                                # A later chunk distinct lost both its
-                                # copies: replan it as a full miss.
-                                heappush(events, j)
-                    consumed.add(h)
-                    l2_fills.append((s, h, int(d_val[i]), way, rel_list[i]))
-                    if trace_ops is not None:
-                        trace_ops.append(("fill", h, int(d_val[i])))
-                # L1 insertion (promotions and fills alike).
-                if free_l1 > 0:
-                    free_l1 -= 1
-                else:
-                    if pool_tags is None:
-                        occ = np.flatnonzero(l1._tags != l1.EMPTY)
-                        lru = occ[np.argsort(l1._stamps[occ])]
-                        pool_tags = l1._tags[lru].tolist()
-                        pool_slots = lru.tolist()
-                    while True:
-                        if pool_ptr >= len(pool_tags):
-                            raise RuntimeError(
-                                "SMC batch invariant violated: L1 out of "
-                                "victims")
-                        tag = pool_tags[pool_ptr]
-                        slot = pool_slots[pool_ptr]
-                        pool_ptr += 1
-                        if tag in l1_removed:
-                            continue
-                        j = cp_get(tag)
-                        if j is not None and j < i:
-                            continue  # touched this chunk: LRU-protected
+        l1, l2 = self.l1, self.l2
+        chunk = _Chunk(d_hsns, first)
+        slots = chunk.slots = list(map(l1._slot_of.get, d_hsns))
+        if None not in slots:
+            # All L1 hits: nothing is inserted, so nothing can be cut.
+            chunk.vals = l1._dsns[slots].tolist()
+            return chunk
+        ways = list(map(l2._way_of.get, d_hsns))
+        sets = l2.sets
+        set_of = [hsn % sets for hsn in d_hsns]
+        num_d = len(d_hsns)
+        if len(set(set_of)) < num_d:
+            # Some set holds two distincts: only then can a cut apply.
+            per_set: dict[int, int] = {}
+            l1_sets: set[int] = set()
+            miss_sets: set[int] = set()
+            for i, s in enumerate(set_of):
+                count = per_set.get(s, 0) + 1
+                if count > l2.ways:
+                    num_d = i
+                    break
+                per_set[s] = count
+                if slots[i] is not None:
+                    if s in miss_sets:
+                        num_d = i
                         break
-                    l1_removed.add(tag)
-                    removed_l1.append((tag, slot))
-                    if j is not None:
-                        # Pre-turn L1 eviction of a later chunk distinct:
-                        # its lookup becomes an L2 hit (hazard invariant
-                        # keeps its L2 copy safe from in-chunk fills).
-                        heappush(events, j)
-            if dyn_cut >= 0:
-                window = dyn_cut
-                first = first[:window]
-                num_d = int(np.searchsorted(d_rel, window, side="left"))
-                d_rel = d_rel[:num_d]
-                d_uid = d_uid[:num_d]
-                d_hsns = d_hsns[:num_d]
-                d_l1 = d_l1[:num_d]
-                d_l2 = d_l2[:num_d]
-                d_val = d_val[:num_d]
-                in_l1 = in_l1[:num_d]
-                l1_slots = l1_slots[:num_d]
-            if promo_idx:
-                d_l1[promo_idx] = False
-                d_l2[promo_idx] = True
-            if fill_idx:
-                d_l1[fill_idx] = False
-                d_l2[fill_idx] = False
-        # -- commit ------------------------------------------------------------
-        end = start + window
-        uid_to_d[d_uid] = arange[:num_d]
-        d_of_pos = uid_to_d[uid[start:end]]
-        out_dsns[start:end] = d_val[d_of_pos]
-        out_l1[start:end] = np.where(first, d_l1[d_of_pos], True)
-        out_l2[start:end] = np.where(first, d_l2[d_of_pos], False)
-        num_events = num_promote + num_fill
-        l1.stats.hits += window - num_events
-        if num_events:
-            l1.stats.misses += num_events
-            l2.stats.hits += num_promote
-            l2.stats.misses += num_fill
-        if bi_count:
-            l1.stats.invalidations += bi_count
-            self._back_invalidations.inc(bi_count)
-        # L1: remove, then insert and restamp with one scatter each.  The
-        # scatter stamps every distinct at its last-occurrence position,
-        # which is exactly the scalar end-of-chunk LRU order; slot choice
-        # for new entries is free (slot identity is invisible to LRU).
-        last_of_d = np.empty(num_d, dtype=np.int64)
-        last_of_d[d_of_pos] = arange[:window]
-        base = l1._clock
-        l1._clock = base + window
-        tags1, dsns1, stamps1 = l1._tags, l1._dsns, l1._stamps
-        for tag, slot in removed_l1:
-            del slot_of[tag]
-            tags1[slot] = l1.EMPTY
-            l1._free.append(slot)
-            u = uid_map.get(tag)
-            if u is not None:
-                uid_in_l1[u] = False
-        stamp_vals = base + 1 + last_of_d
-        if num_events:
-            need_new = ~in_l1
-            if pushed:
-                need_new[pushed] = True
-            new_idx = np.flatnonzero(need_new)
-            free = l1._free
-            new_slots = np.asarray(free[-num_events:], dtype=np.int64)
-            del free[-num_events:]
-            tags1[new_slots] = d_hsns[new_idx]
-            dsns1[new_slots] = d_val[new_idx]
-            slots_all = np.empty(num_d, dtype=np.int64)
-            slots_all[new_idx] = new_slots
-            keep_idx = np.flatnonzero(~need_new)
-            slots_all[keep_idx] = l1_slots[keep_idx]
-            slot_of.update(zip(d_hsns[new_idx].tolist(), new_slots.tolist()))
-            stamps1[slots_all] = stamp_vals
-            uid_in_l1[d_uid] = True
-            uid_slot[d_uid] = slots_all
-        else:
-            stamps1[l1_slots] = stamp_vals
-        # L2: removals, then fills, then promotion restamps — scattered
-        # per kind ((set, way) pairs never collide within a kind because
-        # filled and promoted tags are chunk-touched, hence unevictable).
-        if num_events:
-            base2 = l2._clock
-            l2._clock = base2 + window
-            way_of = l2._way_of
-            if l2_removed:
-                r_set, r_tag, r_way = zip(*l2_removed)
-                for tag in r_tag:
-                    del way_of[tag]
-                    u = uid_map.get(tag)
-                    if u is not None:
-                        uid_in_l2[u] = False
-                l2._tags[r_set, r_way] = l2.EMPTY
-                np.subtract.at(l2._sizes, list(r_set), 1)
-            if l2_fills:
-                f_set, f_tag, f_val, f_way, f_pos = zip(*l2_fills)
-                way_of.update(zip(f_tag, f_way))
-                l2._tags[f_set, f_way] = f_tag
-                l2._dsns[f_set, f_way] = f_val
-                l2._stamps[f_set, f_way] = np.asarray(f_pos) + (base2 + 1)
-                np.add.at(l2._sizes, list(f_set), 1)
-                fill_uids = d_uid[fill_idx]
-                uid_in_l2[fill_uids] = True
-                uid_way[fill_uids] = f_way
-            if l2_promos:
-                p_set, p_way, p_pos = zip(*l2_promos)
-                l2._stamps[p_set, p_way] = np.asarray(p_pos) + (base2 + 1)
-        if trace_ops:
-            trace = self._trace
-            for kind, hsn_v, dsn_v in trace_ops:
-                if kind == "evict":
-                    trace.record(EventKind.SMC_EVICT, hsn=hsn_v, dsn=dsn_v,
-                                 level="l2")
+                    l1_sets.add(s)
+                elif ways[i] is None:
+                    if s in l1_sets:
+                        num_d = i
+                        break
+                    miss_sets.add(s)
+            if num_d < len(d_hsns):
+                d_hsns = chunk.hsns = d_hsns[:num_d]
+                slots = chunk.slots = slots[:num_d]
+                del ways[num_d:], set_of[num_d:]
+        chunk.ways = ways
+        chunk.sets = set_of
+        # Inclusion (L1 subset of L2) makes "no L2 way" exactly the full
+        # misses and "L2 way but no L1 slot" the L2 hits.
+        vals = chunk.vals = [0] * num_d
+        resident = [i for i in range(num_d) if slots[i] is not None]
+        # Ascending, so already a valid heap.
+        events = chunk.events = [i for i in range(num_d) if slots[i] is None]
+        hits2 = [i for i in events if ways[i] is not None]
+        misses = [i for i in events if ways[i] is None]
+        if resident:
+            found = l1._dsns[[slots[i] for i in resident]].tolist()
+            for i, dsn in zip(resident, found):
+                vals[i] = dsn
+        if hits2:
+            found = l2._dsns[[set_of[i] for i in hits2],
+                             [ways[i] for i in hits2]].tolist()
+            for i, dsn in zip(hits2, found):
+                vals[i] = dsn
+        if misses:
+            candidates = [d_hsns[i] for i in misses]
+            if resolve_batch is not None:
+                found = resolve_batch(
+                    np.array(candidates, dtype=np.int64)).tolist()
+            else:
+                found = [int(resolve(hsn)) for hsn in candidates]
+            for i, dsn in zip(misses, found):
+                vals[i] = dsn
+        return chunk
+
+    def _run_events(self, chunk: _Chunk, resolve) -> None:
+        """Run the chunk's insertions in first-occurrence order.
+
+        Each event is one distinct's first occurrence missing L1: an L2
+        promotion, or a fill (L2 insert, possible eviction with
+        back-invalidation, then the L1 insert).  Nothing is written to
+        the caches here — evictions are chosen from chunk-entry state
+        plus what earlier events consumed, and recorded on the chunk for
+        the commit.  The invariants make that sufficient:
+
+        * **L1 capacity** — a distinct touched earlier in the chunk is
+          never the L1 victim, so the victim scan skips them; an
+          L1-resident distinct evicted *before* its turn is pushed back
+          as an event (it becomes an L2 hit);
+        * **L2 associativity** — a set's victims come from its
+          chunk-entry residents, never from entries this chunk
+          promoted, filled or evicted (``consumed``);
+        * **back-invalidation hazard** — the first fill into a set is
+          a planned miss, and the plan keeps those out of sets holding
+          an L1-resident distinct, so no fill evicts the L2 copy of a
+          distinct that already hit in L1 (stale L2 stamp); the loop
+          checks it all the same and raises, as it does when a level
+          runs out of victims.
+        """
+        events = chunk.events
+        if not events:
+            return
+        l1, l2 = self.l1, self.l2
+        slot_of = l1._slot_of
+        d_hsns, slots, ways, set_of, vals = (
+            chunk.hsns, chunk.slots, chunk.ways, chunk.sets, chunk.vals)
+        promos, fills, fill_ways = chunk.promos, chunk.fills, chunk.fill_ways
+        removed_l1, l2_removed = chunk.removed_l1, chunk.l2_removed
+        trace_ops = chunk.trace_ops = [] if self._trace is not None else None
+        cp_get = dict(zip(d_hsns, range(len(d_hsns)))).get
+        consumed: set[int] = set()
+        l1_removed: set[int] = set()
+        set_states: dict[int, _SetState] = {}
+        free_l1 = len(l1._free)
+        pool = None  # L1 (tag, slot) pairs, LRU first; scanned once
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        while events:
+            i = heappop(events)
+            h = d_hsns[i]
+            s = set_of[i]
+            if ways[i] is not None and h not in consumed:
+                # L2 hit (possibly a reclassified pre-turn L1
+                # eviction): promote into L1.
+                promos.append(i)
+                if slots[i] is not None:
+                    # Pushed event: take the value from the L2 copy
+                    # (planned L2 hits were gathered already).
+                    vals[i] = int(l2._dsns[s, ways[i]])
+            else:
+                # Full miss: pick the fill slot first.  Evicting the
+                # L2 copy of a chunk distinct that already hit in L1
+                # (its L2 stamp is stale) would falsify the bulk repeat
+                # accounting; the plan's hazard cut rules it out.
+                state = set_states.get(s)
+                if state is None:
+                    state = set_states[s] = _SetState(l2, s)
+                victim = None
+                if state.free_ways:
+                    way = state.free_ways.pop()
                 else:
-                    trace.record(EventKind.SMC_FILL, hsn=hsn_v, dsn=dsn_v)
-        return end
+                    victim = state.next_victim(consumed)
+                    tag = victim[0]
+                    j = cp_get(tag)
+                    if (j is not None and j < i and tag in slot_of
+                            and tag not in l1_removed):
+                        raise RuntimeError(
+                            "SMC batch invariant violated: fill evicts a "
+                            "distinct that already hit in L1")
+                    way = victim[2]
+                fills.append(i)
+                fill_ways.append(way)
+                if ways[i] is not None:
+                    # Planned as an L2 hit but evicted pre-turn: the
+                    # scalar sequence walks the tables here.
+                    vals[i] = int(resolve(h))
+                if victim is not None:
+                    state.ptr += 1
+                    tag, vdsn, vway = victim
+                    consumed.add(tag)
+                    l2_removed.append((s, tag, vway))
+                    if trace_ops is not None:
+                        trace_ops.append(("evict", tag, vdsn))
+                    vslot = slot_of.get(tag)
+                    if vslot is not None and tag not in l1_removed:
+                        # Back-invalidation (scalar: l1.invalidate).
+                        l1_removed.add(tag)
+                        removed_l1.append((tag, vslot))
+                        chunk.back_invalidations += 1
+                        free_l1 += 1
+                        j = cp_get(tag)
+                        if j is not None:
+                            # A later chunk distinct lost both its
+                            # copies: replan it as a full miss.
+                            heappush(events, j)
+                if trace_ops is not None:
+                    trace_ops.append(("fill", h, vals[i]))
+            consumed.add(h)
+            # L1 insertion (promotions and fills alike).
+            if free_l1 > 0:
+                free_l1 -= 1
+                continue
+            if pool is None:
+                # Every slot in stamp order; the scan skips empty ones
+                # (stale stamps) along with this chunk's removals.
+                lru = np.argsort(l1._stamps)
+                pool = zip(l1._tags[lru].tolist(), lru.tolist())
+            for tag, slot in pool:
+                if tag in l1_removed or tag == l1.EMPTY:
+                    continue
+                j = cp_get(tag)
+                if j is None or j > i:
+                    break  # not touched this chunk yet: evictable
+            else:
+                raise RuntimeError(
+                    "SMC batch invariant violated: L1 out of victims")
+            l1_removed.add(tag)
+            removed_l1.append((tag, slot))
+            if j is not None:
+                # Pre-turn L1 eviction of a later chunk distinct: its
+                # lookup becomes an L2 hit (hazard invariant keeps its
+                # L2 copy safe from in-chunk fills).
+                heappush(events, j)
+
+    def _commit_chunk(self, chunk: _Chunk, start: int, window: int,
+                      last: np.ndarray, out) -> None:
+        """Write one chunk's counters, LRU state and hit classes.
+
+        ``window`` is the chunk's length in accesses and ``last`` the
+        last position (relative to ``start``) of each distinct it keeps.
+        The invariants are what make a bulk commit exact:
+
+        * **L1 capacity** — every kept distinct is in L1 at the end of
+          the chunk, so stamping each at its last position reproduces
+          the scalar end-of-chunk L1 LRU order, and every occurrence
+          that is not an event's first occurrence is an L1 hit;
+        * **L2 associativity** — filled and promoted tags are
+          chunk-touched, hence unevictable, so the (set, way) pairs of
+          one kind never collide and each kind scatters at once
+          (removals, then fills, then promotion restamps);
+        * **back-invalidation hazard** — no kept distinct lost its L2
+          copy after hitting in L1, so L2 recency only moves at events,
+          each stamped at its distinct's *first* position.
+
+        Slot choice for new L1 entries is free (slot identity is
+        invisible to LRU).
+        """
+        l1, l2 = self.l1, self.l2
+        promos, fills = chunk.promos, chunk.fills
+        # One new L1 entry per event (a first-time resident, or a
+        # pre-turn eviction coming back), in distinct order.
+        inserted = sorted(promos + fills)
+        slots = chunk.slots
+        l1.stats._hits.inc(window - len(inserted))
+        stamps = last + (l1._clock + 1)
+        l1._clock += window
+        if not inserted:
+            l1._stamps[slots] = stamps
+            return
+        d_hsns, first, vals = chunk.hsns, chunk.first, chunk.vals
+        l1.stats._misses.inc(len(inserted))
+        l2.stats._hits.inc(len(promos))
+        l2.stats._misses.inc(len(fills))
+        _, out_l1, out_l2 = out
+        out_l1[[start + first[i] for i in inserted]] = False
+        out_l2[[start + first[i] for i in promos]] = True
+        if chunk.back_invalidations:
+            l1.stats._invalidations.inc(chunk.back_invalidations)
+            self._back_invalidations.inc(chunk.back_invalidations)
+        # L1: removals, then the new entries, then every distinct's stamp.
+        slot_of, free = l1._slot_of, l1._free
+        for tag, slot in chunk.removed_l1:
+            del slot_of[tag]
+            l1._tags[slot] = l1.EMPTY
+            free.append(slot)
+        new_slots = free[-len(inserted):]
+        del free[-len(inserted):]
+        for i, slot in zip(inserted, new_slots):
+            slots[i] = slot
+        new_hsns = [d_hsns[i] for i in inserted]
+        l1._tags[new_slots] = new_hsns
+        l1._dsns[new_slots] = [vals[i] for i in inserted]
+        slot_of.update(zip(new_hsns, new_slots))
+        l1._stamps[slots] = stamps
+        # L2: removals, then fills, then promotion restamps.
+        base = l2._clock + 1
+        l2._clock += window
+        way_of = l2._way_of
+        if chunk.l2_removed:
+            r_set, r_tag, r_way = zip(*chunk.l2_removed)
+            for tag in r_tag:
+                del way_of[tag]
+            l2._tags[r_set, r_way] = l2.EMPTY
+            np.subtract.at(l2._sizes, list(r_set), 1)
+        sets, ways = chunk.sets, chunk.ways
+        if fills:
+            f_set = [sets[i] for i in fills]
+            f_tag = [d_hsns[i] for i in fills]
+            f_way = chunk.fill_ways
+            way_of.update(zip(f_tag, f_way))
+            l2._tags[f_set, f_way] = f_tag
+            l2._dsns[f_set, f_way] = [vals[i] for i in fills]
+            l2._stamps[f_set, f_way] = [base + first[i] for i in fills]
+            np.add.at(l2._sizes, f_set, 1)
+        if promos:
+            l2._stamps[[sets[i] for i in promos],
+                       [ways[i] for i in promos]] = [
+                           base + first[i] for i in promos]
+        for kind, hsn_v, dsn_v in chunk.trace_ops or ():
+            if kind == "evict":
+                self._trace.record(EventKind.SMC_EVICT, hsn=hsn_v,
+                                   dsn=dsn_v, level="l2")
+            else:
+                self._trace.record(EventKind.SMC_FILL, hsn=hsn_v, dsn=dsn_v)
 
     def latency_ns_batch(self, l1_hits: np.ndarray,
                          l2_hits: np.ndarray) -> np.ndarray:

@@ -350,6 +350,12 @@ class HotnessSelfRefreshPolicy:
         channel that somehow exceeds ``_batch_event_limit`` events
         replays its remaining tail element-wise.
 
+        Most calls hold no event at all, and a per-(channel, rank)
+        histogram of the call proves it without touching an element: a
+        channel with no victim block planned whose sleeping and MPSM
+        ranks the call does not touch takes its counters straight from
+        the histogram, and only the others are split out and scanned.
+
         The event screen is policy-independent: a policy only changes
         *which* segments are planned into the victim ranks, and the
         screen reads the live ``planned`` array, so scalar/batch
@@ -372,12 +378,64 @@ class HotnessSelfRefreshPolicy:
                 penalties[:stop] = self.on_access_batch(dsns[:stop], now_ns)
                 penalties[stop:] = self.on_access_batch(dsns[stop:], now_ns)
                 return penalties
-        for channel in np.unique(channels):
-            channel = int(channel)
-            idx = np.nonzero(channels == channel)[0]
+        # One histogram over (channel, rank) keys is the bulk
+        # bookkeeping of every channel the call holds no event for, and
+        # finds those channels before any per-channel array exists: an
+        # event needs a touched rank that is asleep or in MPSM, or an
+        # access planned into the victim block of a profiling channel.
+        num_ranks = self.geometry.ranks_per_channel
+        keys = channels * num_ranks + ranks
+        touches = np.bincount(
+            keys, minlength=len(self._channels) * num_ranks).tolist()
+        eventful: set[int] = set()
+        victim_keys: list[int] = []
+        for channel, state in self._channels.items():
+            base = channel * num_ranks
+            if any(touches[base + rank]
+                   for rank in self._stateful_ranks(channel)):
+                eventful.add(channel)
+            elif (state.phase is ChannelPhase.PROFILING
+                  and any(touches[base:base + num_ranks])):
+                victim_keys.extend(base + rank
+                                   for rank in state.victim_ranks)
+        if victim_keys:
+            # ``planned`` swaps entries within a channel, so the planned
+            # rank is keyed with the access's own channel.
+            planned_keys = channels * num_ranks + (
+                (self.planned[dsns] >> self._rank_shift) & self._rank_mask)
+            hits = self._member_mask(victim_keys)[planned_keys]
+            eventful.update(channels[hits].tolist())
+        for channel, state in self._channels.items():
+            if channel not in eventful:
+                base = channel * num_ranks
+                self._count_accesses(channel, state,
+                                     touches[base:base + num_ranks])
+        if not eventful:
+            self.access_bits[dsns] = True
+            return penalties
+        quiet = np.ones(len(dsns), dtype=bool)
+        for channel in sorted(eventful):
+            idx = np.flatnonzero(channels == channel)
+            quiet[idx] = False
             self._run_channel_batch(channel, dsns[idx], ranks[idx], idx,
                                     penalties, now_ns)
+        self.access_bits[dsns[quiet]] = True
         return penalties
+
+    def _stateful_ranks(self, channel: int) -> list[int]:
+        """Ranks of ``channel`` whose next access changes their state."""
+        return [rank.index for rank in self.device.ranks_in_channel(channel)
+                if rank.state is PowerState.SELF_REFRESH
+                or rank.state is PowerState.MPSM]
+
+    def _member_mask(self, members) -> np.ndarray:
+        """Boolean mask with ``members`` set: ``mask[array]`` tests a
+        whole array of ranks — or of ``channel * ranks_per_channel +
+        rank`` keys — for membership in that small set."""
+        mask = np.zeros(len(self._channels) * (self._rank_mask + 1),
+                        dtype=bool)
+        mask[list(members)] = True
+        return mask
 
     def _single_wake_channel_prefix(self, channels: np.ndarray,
                                     ranks: np.ndarray) -> int:
@@ -395,7 +453,8 @@ class HotnessSelfRefreshPolicy:
         touches = np.zeros(len(channels), dtype=bool)
         for channel, asleep in sleeping.items():
             if asleep:
-                touches |= (channels == channel) & np.isin(ranks, asleep)
+                touches |= ((channels == channel)
+                            & self._member_mask(asleep)[ranks])
         hits = np.flatnonzero(touches)
         if not len(hits):
             return len(channels)
@@ -415,13 +474,18 @@ class HotnessSelfRefreshPolicy:
         ``pack_dsn``), and ``on_batch`` all use, so one bit per device
         segment, not per rank-local index.
         """
-        counts = np.bincount(run_ranks)
+        self._count_accesses(channel, state,
+                             np.bincount(run_ranks).tolist())
+        self.access_bits[run_dsns] = True
+
+    def _count_accesses(self, channel: int, state: _ChannelState,
+                        counts: list[int]) -> None:
+        """Add ``counts[rank]`` accesses to each rank's counters."""
         window = state.window_counts
-        for rank, count in enumerate(counts.tolist()):
+        for rank, count in enumerate(counts):
             if count:
                 self.device.rank(channel, rank).record_access(count)
                 window[rank] = window.get(rank, 0) + count
-        self.access_bits[run_dsns] = True
 
     def _run_channel_batch(self, channel: int, ch_dsns: np.ndarray,
                            ch_ranks: np.ndarray, idx: np.ndarray,
@@ -432,23 +496,18 @@ class HotnessSelfRefreshPolicy:
         p = 0
         events = 0
         while p < n:
-            stateful_ranks = [
-                rank.index for rank in self.device.ranks_in_channel(channel)
-                if rank.state is PowerState.SELF_REFRESH
-                or rank.state is PowerState.MPSM]
+            stateful_ranks = self._stateful_ranks(channel)
             profiling = (state.phase is ChannelPhase.PROFILING
                          and bool(state.victim_ranks))
             if not stateful_ranks and not profiling:
                 self._bulk_apply(channel, state, ch_dsns[p:], ch_ranks[p:])
                 return
             tail_dsns = ch_dsns[p:]
-            ev = np.zeros(n - p, dtype=bool)
-            if stateful_ranks:
-                ev |= np.isin(ch_ranks[p:], stateful_ranks)
+            ev = self._member_mask(stateful_ranks)[ch_ranks[p:]]
             if profiling:
                 planned_ranks = ((self.planned[tail_dsns] >> self._rank_shift)
                                  & self._rank_mask)
-                ev |= np.isin(planned_ranks, list(state.victim_ranks))
+                ev |= self._member_mask(state.victim_ranks)[planned_ranks]
             if not ev.any():
                 self._bulk_apply(channel, state, tail_dsns, ch_ranks[p:])
                 return
@@ -513,8 +572,8 @@ class HotnessSelfRefreshPolicy:
             # update the migration table / reset the timer.
             planned_ranks = ((self.planned[channel_dsns] >> self._rank_shift)
                              & self._rank_mask)
-            hits = channel_dsns[np.isin(planned_ranks,
-                                        list(state.victim_ranks))]
+            hits = channel_dsns[
+                self._member_mask(state.victim_ranks)[planned_ranks]]
             for dsn in hits:
                 self._profiling_update(int(dsn), state,
                                        self._rank_of(int(dsn)), now_ns)
@@ -787,12 +846,12 @@ class HotnessSelfRefreshPolicy:
         state = self._channels[channel]
         if not state.victim_ranks:
             return 0
+        victim = self._member_mask(state.victim_ranks)
         count = 0
         for rank in range(self.geometry.ranks_per_channel):
             dsns = self.layout.rank_dsns(channel, rank)
-            count += int(np.isin((self.planned[dsns] >> self._rank_shift)
-                                 & self._rank_mask,
-                                 list(state.victim_ranks)).sum())
+            count += int(victim[(self.planned[dsns] >> self._rank_shift)
+                                & self._rank_mask].sum())
         return count
 
 

@@ -507,9 +507,10 @@ class DtlServer:
             "access_batch", request, n=n,
             total_latency_ns=float(result.latency_ns.sum()),
             wake_ns=float(result.wake_penalty_ns.sum()),
-            smc_l1_hits=int(result.smc_l1_hits.sum()),
-            smc_l2_hits=int(result.smc_l2_hits.sum()),
-            redirected_writes=int(result.routed_to_new_dsn.sum()))
+            smc_l1_hits=int(np.count_nonzero(result.smc_l1_hits)),
+            smc_l2_hits=int(np.count_nonzero(result.smc_l2_hits)),
+            redirected_writes=int(
+                np.count_nonzero(result.routed_to_new_dsn)))
 
     async def _op_stats(self, request: dict[str, Any]) -> dict[str, Any]:
         return ok_response("stats", request,

@@ -13,6 +13,7 @@ subsystems depend on telemetry, never the other way around.
 
 from __future__ import annotations
 
+import functools
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -26,6 +27,18 @@ from repro.errors import ConfigurationError
 #: (~0.7 ns) through a CXL round-trip with a table walk (~400 ns).
 DEFAULT_LATENCY_BUCKETS_NS = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 200.0, 400.0, 800.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _edges(bounds: tuple[float, ...]) -> np.ndarray:
+    """``bounds`` as a read-only array, built once per distinct tuple.
+
+    Kept outside :class:`Histogram` so the histogram's (pickled) fields
+    stay the plain tuple ``to_dict`` labels its buckets from.
+    """
+    edges = np.array(bounds, dtype=np.float64)
+    edges.setflags(write=False)
+    return edges
 
 
 class Counter:
@@ -103,11 +116,11 @@ class Histogram:
         values = np.asarray(values, dtype=np.float64)
         if not len(values):
             return
-        indices = np.searchsorted(self.bounds, values, side="left")
-        per_bucket = np.bincount(indices, minlength=len(self.counts))
-        for bucket, count in enumerate(per_bucket):
+        indices = np.searchsorted(_edges(self.bounds), values, side="left")
+        counts = self.counts
+        for bucket, count in enumerate(np.bincount(indices).tolist()):
             if count:
-                self.counts[bucket] += int(count)
+                counts[bucket] += count
         self.count += len(values)
         self.total += float(values.sum())
 

@@ -37,13 +37,22 @@ def small_config(**overrides) -> DtlConfig:
     return DtlConfig(**defaults)
 
 
-def build_pair(config: DtlConfig, num_aus: int = 4,
+def build_pair(config: DtlConfig, num_aus: int = 4, hosts: int = 1,
+               vms: int = 1, ring: int | None = None,
                ) -> tuple[DtlController, DtlController]:
-    """Two identically prepared controllers (one per datapath)."""
+    """Two identically prepared controllers (one per datapath), each
+    with ``vms`` VMs of ``num_aus`` AUs on every one of ``hosts`` hosts
+    (a host's ``k``-th VM holds its AUs ``k * num_aus`` onwards).
+    ``ring`` sizes the event ring for calls longer than the default
+    one: which ``ACCESS`` events survive an overflow depends on how the
+    other kinds interleave with them, which is not promised."""
     pair = []
     for _ in range(2):
-        controller = DtlController(config)
-        controller.allocate_vm(0, num_aus * config.au_bytes)
+        controller = DtlController(
+            config, trace=EventTrace(ring) if ring else None)
+        for host_id in range(hosts):
+            for _ in range(vms):
+                controller.allocate_vm(host_id, num_aus * config.au_bytes)
         pair.append(controller)
     return pair[0], pair[1]
 
@@ -60,8 +69,9 @@ def random_trace(config: DtlConfig, n: int, seed: int,
     return hpas.astype(np.int64), rng.random(n) < 0.3
 
 
-def run_scalar(controller: DtlController, hpas, writes, now_ns=0.0):
-    return [controller.access(0, int(hpa), bool(write), now_ns=now_ns)
+def run_scalar(controller: DtlController, hpas, writes, now_ns=0.0,
+               host_id=0):
+    return [controller.access(host_id, int(hpa), bool(write), now_ns=now_ns)
             for hpa, write in zip(hpas, writes)]
 
 
@@ -211,6 +221,170 @@ def test_identity_across_self_refresh_phases(seed):
     phases = {scalar.self_refresh.phase(c).value
               for c in range(config.geometry.channels)}
     assert phases != {"idle"}, "test never left IDLE; tighten the timers"
+
+
+# -- short calls in the served traffic shape ---------------------------------
+
+#: What ``repro serve`` puts behind one shard (bench/wl_serve.py), scaled
+#: so one VM spans several 256-segment AUs: with the default 64-entry L1
+#: and 256-set x 4-way L2, segment ``k`` of every AU of every host lands
+#: in L2 set ``k``, and six VMs' requests evict each other from L1
+#: between calls.
+SERVED_GEOMETRY = DramGeometry(channels=2, ranks_per_channel=4,
+                               rank_bytes=256 * MIB,
+                               segment_bytes=MIB // 8)
+SERVED_HOSTS, SERVED_VMS, SERVED_AUS = 3, 2, 6
+#: Around the 64-entry L1, around the served 128, and one long call.
+CALL_LENGTHS = (1, 2, 63, 64, 65, 128, 129, 4096)
+
+
+def served_config(**overrides) -> DtlConfig:
+    defaults = dict(geometry=SERVED_GEOMETRY, au_bytes=32 * MIB,
+                    profiling_threshold_ns=200_000.0,
+                    background_migration=True)
+    defaults.update(overrides)
+    return DtlConfig(**defaults)
+
+
+def serve_step(controller: DtlController, clock_ns: float, n: int) -> float:
+    """What a shard does after every applied request
+    (``ControllerShard.apply_access_batch``); returns the new clock."""
+    clock_ns += n * 100.0
+    controller.tick(clock_ns)
+    controller.end_window()
+    controller.pump_migrations(clock_ns / 1e9, lines=8)
+    return clock_ns
+
+
+def chunks_per_lookup(controller: DtlController) -> list[int]:
+    """Shadow the SMC's chunk planner: the returned list gains one
+    entry per ``lookup_batch`` call, the number of chunks it planned."""
+    smc = controller.translation.smc
+    tally: list[int] = []
+    plan, lookup = smc._plan_chunk, smc.lookup_batch
+
+    def counted_plan(*args):
+        tally[-1] += 1
+        return plan(*args)
+
+    def counted_lookup(*args, **kwargs):
+        tally.append(0)
+        return lookup(*args, **kwargs)
+
+    smc._plan_chunk, smc.lookup_batch = counted_plan, counted_lookup
+    return tally
+
+
+@pytest.mark.parametrize("migrating", [False, True],
+                         ids=["quiet", "migrating"])
+@pytest.mark.parametrize("self_refresh", [True, False],
+                         ids=["sr-on", "sr-off"])
+def test_short_call_identity_in_served_shape(self_refresh, migrating):
+    """Hosts x VMs interleave short calls on one controller."""
+    config = served_config(enable_self_refresh=self_refresh)
+    scalar, batch = build_pair(config, SERVED_AUS, SERVED_HOSTS, SERVED_VMS,
+                               ring=4 * max(CALL_LENGTHS))
+    if migrating:
+        for controller in (scalar, batch):
+            layout = controller.device_layout
+            free = [dsn for dsn in range(controller.geometry.total_segments)
+                    if not controller.tables.is_dsn_live(dsn)]
+            # Host 0's segments 1-3: the hottest ones of its traces.
+            for hsn_local in (1, 2, 3):
+                hsn = controller.host_layout.pack_hsn(0, 0, hsn_local)
+                dsn = controller.tables.walk(hsn).dsn
+                partner = next(f for f in free if layout.channel_of_dsn(f)
+                               == layout.channel_of_dsn(dsn))
+                free.remove(partner)
+                controller.allocator.reserve_specific(partner)
+                controller.migration.submit(hsn, dsn, partner)
+            # One channel's head copy completes (writes redirect), the
+            # other's stops halfway (writes below the watermark abort).
+            lines = config.geometry.segment_bytes // 64
+            controller.migration.step_channel(0, lines=lines)
+            controller.migration.step_channel(1, lines=lines // 2)
+    chunks = chunks_per_lookup(batch)
+    vm_bytes = SERVED_AUS * config.au_bytes
+    clock_ns = 0.0
+    l1_misses_at_64 = []
+    for call in range(3 * len(CALL_LENGTHS)):
+        host_id = call % SERVED_HOSTS
+        vm = (call // SERVED_HOSTS) % SERVED_VMS
+        n = CALL_LENGTHS[(call + call // len(CALL_LENGTHS))
+                         % len(CALL_LENGTHS)]
+        hpas, writes = random_trace(config, n, call, num_aus=SERVED_AUS)
+        hpas += vm * vm_bytes
+        scalar_results = run_scalar(scalar, hpas, writes, now_ns=clock_ns,
+                                    host_id=host_id)
+        batch_result = batch.access_batch(host_id, hpas, writes,
+                                          now_ns=clock_ns)
+        assert_results_match(scalar_results, batch_result)
+        if n in (63, 64, 65):
+            l1_misses_at_64.append(int((~batch_result.smc_l1_hits).sum()))
+        for controller in (scalar, batch):
+            serve_step(controller, clock_ns, n)
+        clock_ns += n * 100.0
+        assert_state_match(scalar, batch)
+        scalar.trace.clear()
+        batch.trace.clear()
+        if migrating:
+            assert (scalar.migration.stats.aborts
+                    == batch.migration.stats.aborts)
+            assert (scalar.migration.stats.foreground_redirects
+                    == batch.migration.stats.foreground_redirects)
+    # The shape held: short calls were mostly one chunk, the tenants
+    # did evict each other from L1 between calls, and (when asked)
+    # copies were in flight under them.
+    assert len(chunks) == 3 * len(CALL_LENGTHS)
+    assert sorted(chunks)[len(chunks) // 2] == 1
+    assert min(l1_misses_at_64) > 8
+    if migrating:
+        assert batch.migration.has_tracked_requests
+        assert (batch.migration.stats.aborts
+                + batch.migration.stats.foreground_redirects) > 0
+
+
+def test_short_call_chunk_cuts_on_congruent_hsns():
+    """Every chunk cut, inside calls of a dozen accesses."""
+    config = served_config()
+    scalar, batch = build_pair(config, SERVED_AUS)
+    smc = batch.translation.smc
+    assert (smc.l1.entries, smc.l2.sets, smc.l2.ways) == (64, 256, 4)
+    chunks = chunks_per_lookup(batch)
+    segment_bytes = config.geometry.segment_bytes
+    per_au = config.au_bytes // segment_bytes
+
+    def call(segments, expect_chunks):
+        hpas = np.asarray(segments, dtype=np.int64) * segment_bytes
+        writes = np.zeros(len(hpas), dtype=bool)
+        scalar_results = run_scalar(scalar, hpas, writes)
+        batch_result = batch.access_batch(0, hpas, writes)
+        assert_results_match(scalar_results, batch_result)
+        assert_state_match(scalar, batch)
+        assert chunks[-1] == expect_chunks
+        return batch_result
+
+    # Segment 7 of each of the VM's six AUs: one L2 set, six HSNs.
+    same_set = [au * per_au + 7 for au in range(SERVED_AUS)]
+    assert len({batch.host_layout.pack_hsn(0, au, 7) % smc.l2.sets
+                for au in range(SERVED_AUS)}) == 1
+    # L2 associativity: the fifth distinct of a set ends the chunk; its
+    # fill evicts the first out of both levels, so the first's return
+    # (L1-resident when planned, in a set taking fills) ends the next.
+    result = call(same_set + same_set[:2], expect_chunks=3)
+    assert not result.smc_l1_hits[6] and not result.smc_l2_hits[6]
+    # Back-invalidation hazard: an L1-resident HSN and a full miss in
+    # its set never share a chunk, whichever comes first (segment 9:
+    # AU 0's is resident, AU 1's never seen).
+    call([9], expect_chunks=1)
+    result = call([9, per_au + 9, 9], expect_chunks=3)
+    assert result.smc_l1_hits.tolist() == [True, False, True]
+    # L1 capacity: 100 distinct segments in a 128-access call.
+    wide = np.arange(128) % 100 + 16
+    call(wide, expect_chunks=2)
+    # ...and a repeat of the last 64 of them is one all-hit chunk.
+    result = call(wide[-64:], expect_chunks=1)
+    assert result.smc_l1_hits.all()
 
 
 def test_null_telemetry_same_datapath_results():

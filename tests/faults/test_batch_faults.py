@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.checker import ConsistencyChecker
-from repro.core.controller import _MIN_VECTOR_SPAN, DtlController
+from repro.core.controller import (_MIN_VECTOR_SPAN, BatchAccessResult,
+                                   DtlController)
 from repro.dram.power import PowerState
 from repro.faults import (CxlLinkFault, EccFault, FaultInjector, FaultPlan,
                           HookPoint, PowerExitFault, SmcCorruptionFault)
@@ -128,13 +129,21 @@ plans = st.builds(
     specs=st.lists(specs(), min_size=1, max_size=5).map(tuple))
 
 
+#: One call, or the same trace cut into served-size calls (the lengths
+#: of tests/core/test_batch_identity.py::CALL_LENGTHS below 400).
+call_lengths = st.sampled_from([400, 1, 2, 63, 64, 65, 128, 129])
+
+
 @settings(max_examples=40, deadline=None)
-@given(plan=plans, seed=st.integers(0, 2**16))
-def test_identity_under_drawn_plans(plan, seed):
+@given(plan=plans, seed=st.integers(0, 2**16), call=call_lengths)
+def test_identity_under_drawn_plans(plan, seed, call):
     scalar, batch = build_armed_pair(plan)
     hpas, writes = random_trace(small_config(), 400, seed, num_aus=NUM_AUS)
     scalar_results = run_scalar(scalar, hpas, writes, now_ns=500.0)
-    batch_result = batch.access_batch(0, hpas, writes, now_ns=500.0)
+    batch_result = BatchAccessResult.concat([
+        batch.access_batch(0, hpas[at:at + call], writes[at:at + call],
+                           now_ns=500.0)
+        for at in range(0, len(hpas), call)])
     assert_results_match(scalar_results, batch_result)
     assert_armed_match(scalar, batch)
 
