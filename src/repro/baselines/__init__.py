@@ -1,8 +1,5 @@
 """Baseline systems the paper compares against (or relates to)."""
 
-from repro.baselines.interleaving import InterleavedMapping, SequentialMapping
 from repro.baselines.ramzzz import RamzzzConfig, RamzzzPolicy
-from repro.baselines.static import StaticCxlDevice
 
-__all__ = ["InterleavedMapping", "SequentialMapping", "RamzzzConfig",
-           "RamzzzPolicy", "StaticCxlDevice"]
+__all__ = ["RamzzzConfig", "RamzzzPolicy"]

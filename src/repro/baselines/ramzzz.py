@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.addressing import DeviceAddressLayout
 from repro.core.allocator import SegmentAllocator
 from repro.core.self_refresh import SelfRefreshEvent
 from repro.core.tables import TranslationTables
@@ -64,16 +63,13 @@ class RamzzzPolicy:
                  config: RamzzzConfig | None = None):
         self.device = device
         self.geometry = device.geometry
-        self.layout = DeviceAddressLayout(self.geometry)
         self.allocator = allocator
+        self.layout = allocator.layout
         self.tables = tables
         self.translation = translation
         self.config = config or RamzzzConfig()
         total = self.geometry.total_segments
         self.segment_counts = np.zeros(total, dtype=np.int64)
-        self._rank_shift = (self.geometry.channel_bits
-                            + self.geometry.segment_index_bits)
-        self._channel_mask = self.geometry.channels - 1
         self.epoch_index = 0
         self.demotions = 0
         self.wakeups = 0
@@ -96,8 +92,8 @@ class RamzzzPolicy:
         dsns = np.asarray(dsns, dtype=np.int64)
         np.add.at(self.segment_counts, dsns, 1)
         penalty = 0.0
-        ranks = np.unique(np.stack([dsns & self._channel_mask,
-                                    dsns >> self._rank_shift], axis=1),
+        ranks = np.unique(np.stack([self.layout.channel_of_dsn(dsns),
+                                    self.layout.rank_of_dsn(dsns)], axis=1),
                           axis=0)
         for channel, rank in ranks:
             channel, rank = int(channel), int(rank)

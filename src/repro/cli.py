@@ -28,14 +28,18 @@ its :class:`~repro.sim.results.ExperimentRecord` (the one place a paper
 reference value is written); ``--output results.json`` writes the same
 records, and a record reporting ``ok: False`` makes the exit code 1.
 
-``fig12``/``fig14``/``fig15``/``fleet``/``fleet-soak``/``chaos``/
-``tournament``, ``exp --name`` and ``all`` share one route
-(:func:`run_registered`): the spec's ``flag_configs`` turns the flags
-into configs, :func:`repro.sim.experiments.run_experiments` runs them
-behind a per-invocation result cache (``repro all`` simulates each
-capacity point once for fig14 and fig15), and ``--workers N`` (or
+Every command that emits a paper row — ``fig1``/``fig2``/``fig5``/
+``fig12``/``fig14``/``fig15``/``tables``/``validate``/``fleet``/
+``fleet-soak``/``chaos``/``tournament``, ``exp --name`` and ``all`` —
+shares one route (:func:`run_registered`): the spec's ``flag_configs``
+turns the flags into configs,
+:func:`repro.sim.experiments.run_experiments` runs them behind a
+per-invocation result cache (``repro all`` simulates each capacity
+point once for fig14 and fig15), and ``--workers N`` (or
 ``REPRO_EXEC_WORKERS``) fans a multi-config command — or a lone
-experiment's own shards/cells — out over processes.
+experiment's own shards/cells — out over processes.  This module keeps
+the parser, that route's renderer, and the commands that emit no paper
+row (``exp --list``, ``serve``, ``loadgen``, ``cache``, ``stats``).
 
 ``--checkpoint PATH`` on a single-experiment command runs it through the
 stepping protocol (:mod:`repro.checkpoint`), persisting its state every
@@ -52,13 +56,8 @@ import os
 import sys
 from typing import Any, Callable
 
-import numpy as np
-
-from repro.analysis import (AmatModel, CONTROLLER_384GB, CONTROLLER_4TB,
-                            MODEL_384GB, MODEL_4TB)
 from repro.checkpoint import run_with_checkpoints
 from repro.exec import ExecConfig, ResultCache
-from repro.host.scheduler import VmScheduler
 from repro.sim.combined import combine
 from repro.sim.experiments import EXPERIMENTS, run_experiments
 from repro.sim.figures import (ascii_chart, figure1_series,
@@ -69,8 +68,6 @@ from repro.sim.results import (ExperimentRecord, flatten_telemetry,
 from repro.sim.selfrefresh_sim import PAPER_CAPACITY_POINTS
 from repro.sim.stepping import make_stepper
 from repro.units import GIB
-from repro.workloads.azure import generate_vm_trace
-from repro.workloads.validation import validate_workloads
 
 #: Results computed earlier in this invocation (``repro all`` and
 #: ``fig15`` reuse ``fig14``'s self-refresh runs).
@@ -111,6 +108,10 @@ class ShellCommand:
 
 
 SHELL_COMMANDS: dict[str, ShellCommand] = {
+    "fig1": ShellCommand(
+        "fig1", series=lambda result: figure1_series(result.config.seed)),
+    "fig2": ShellCommand("fig2"),
+    "fig5": ShellCommand("fig5"),
     "fig12": ShellCommand(
         "powerdown_comparison", record="fig12",
         series=lambda pair: figure12a_series(pair.dtl)),
@@ -121,6 +122,8 @@ SHELL_COMMANDS: dict[str, ShellCommand] = {
     "fleet-soak": ShellCommand("fleet-soak"),
     "chaos": ShellCommand("chaos"),
     "tournament": ShellCommand("tournament"),
+    "tables": ShellCommand("tables"),
+    "validate": ShellCommand("validate"),
 }
 
 
@@ -228,44 +231,7 @@ def cmd_exp(args: argparse.Namespace) -> list[ExperimentRecord]:
     return []
 
 
-# -- analytic commands: compute, then hand the renderer a record ------------------
-
-
-def cmd_fig1(args: argparse.Namespace) -> list[ExperimentRecord]:
-    result = VmScheduler().run(generate_vm_trace(seed=args.seed))
-    fractions = [sample.memory_fraction(result.config.memory_bytes)
-                 for sample in result.samples]
-    record = ExperimentRecord(
-        "fig1", {"mean_usage": float(np.mean(fractions)),
-                 "peak_usage": max(fractions),
-                 "vms_admitted": result.admitted},
-        {"mean_usage": "<0.5"})
-    print(render_record(record, "Figure 1: Azure schedule memory usage"))
-    if args.plot:
-        print("\n" + ascii_chart(figure1_series(seed=args.seed)))
-    return [record]
-
-
-def cmd_fig2(args: argparse.Namespace) -> list[ExperimentRecord]:
-    model = PerformanceModel()
-    record = ExperimentRecord(
-        "fig2",
-        {f"slowdown_{r}ranks": model.mean_rank_sweep_slowdown(r)
-         for r in (8, 6, 4, 2)},
-        {"slowdown_2ranks": 0.007})
-    print(render_record(record, "Figure 2: slowdown vs active ranks"))
-    return [record]
-
-
-def cmd_fig5(args: argparse.Namespace) -> list[ExperimentRecord]:
-    model = PerformanceModel()
-    record = ExperimentRecord(
-        "fig5", {"local": model.mean_interleaving_slowdown(cxl=False),
-                 "cxl": model.mean_interleaving_slowdown(cxl=True)},
-        {"local": 0.017, "cxl": 0.014})
-    print(render_record(record, "Figure 5: rank-interleaving off, slowdown "
-                                "on local DRAM vs CXL memory"))
-    return [record]
+# -- commands that emit no paper row -------------------------------------------
 
 
 def _quickstart_snapshot():
@@ -381,43 +347,6 @@ def cmd_loadgen(args: argparse.Namespace) -> list[ExperimentRecord]:
     return [record]
 
 
-def cmd_tables(args: argparse.Namespace) -> list[ExperimentRecord]:
-    amat = AmatModel()
-    record = ExperimentRecord("tables", {
-        "table5_384gb": MODEL_384GB.report(),
-        "table5_4tb": MODEL_4TB.report(),
-        "table6_384gb": CONTROLLER_384GB.report(),
-        "table6_4tb": CONTROLLER_4TB.report(),
-        "translation_overhead_ns": amat.translation_overhead_ns(),
-        "amat_ns": amat.amat_ns()},
-        {"translation_overhead_ns": 4.2, "amat_ns": 214.2})
-    print(render_record(record, "Table 5 (structure bytes), Table 6 "
-                                "(controller @7nm), Section 6.1 AMAT"))
-    return [record]
-
-
-def cmd_validate(args: argparse.Namespace) -> list[ExperimentRecord]:
-    print("Validating workload calibration against Table 4 / Fig. 9 / "
-          "Fig. 10...")
-    result = validate_workloads()
-    rows = [(check.name, f"{check.mapki:.2f}/{check.mapki_target:.1f}",
-             f"{check.large_stride_share:.0%}", f"{check.cold_2mb:.0%}",
-             f"{check.cold_4mb:.0%}") for check in result.checks]
-    _print("Workload calibration", rows,
-           header=("workload", "MAPKI m/t", ">=4MB", "cold@2M", "cold@4M"))
-    problems = result.problems()
-    record = ExperimentRecord("validate", {
-        "max_mapki_error": result.max_mapki_error,
-        "mean_cold_2mb": result.mean_cold_2mb,
-        "mean_cold_4mb": result.mean_cold_4mb,
-        "problems": problems},
-        {"mean_cold_2mb": 0.615, "mean_cold_4mb": 0.332})
-    print(render_record(record, "Calibration vs Figures 9-10"))
-    print("\nCALIBRATION PROBLEMS above." if problems
-          else "\nAll workloads within calibration tolerances.")
-    return [record]
-
-
 def cmd_cache(args: argparse.Namespace) -> list[ExperimentRecord]:
     """Inspect or prune the on-disk result cache (REPRO_EXEC_CACHE_DIR)."""
     from repro.exec import EXEC_METRICS
@@ -447,19 +376,15 @@ def cmd_cache(args: argparse.Namespace) -> list[ExperimentRecord]:
     return [record]
 
 
-#: Commands that compute (or serve) something other than a registered
-#: experiment; the rest of the shell surface is :data:`SHELL_COMMANDS`.
+#: Commands that emit no paper row: the registry front door, the
+#: service and its tools.  Every figure and table of the paper is a
+#: registered experiment behind :data:`SHELL_COMMANDS`.
 COMMANDS: dict[str, Callable[[argparse.Namespace],
                              list[ExperimentRecord]]] = {
-    "fig1": cmd_fig1,
-    "fig2": cmd_fig2,
-    "fig5": cmd_fig5,
     "exp": cmd_exp,
     "serve": cmd_serve,
     "loadgen": cmd_loadgen,
     "cache": cmd_cache,
-    "validate": cmd_validate,
-    "tables": cmd_tables,
     "stats": cmd_stats,
 }
 

@@ -15,11 +15,19 @@ Two address spaces are involved (Figures 4 and 6 of the paper):
 
 The *DRAM segment number* (DSN) is the DPA stripped of its segment offset;
 it uniquely names one 2 MiB segment in the device.
+
+The two layout classes are the only owners of these formats.  Field
+widths, shifts and masks are derived once per instance (cached outside
+the dataclass fields, so equality, hashing and old pickles are
+unaffected); other modules decode through ``rank_of_dsn`` /
+``channel_of_dsn`` (pure bit operations, valid on int64 arrays too) and
+the batch codecs, never through shifts of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,32 +69,32 @@ class HostAddressLayout:
         """Bits addressing a byte within a segment."""
         return self.geometry.segment_offset_bits
 
-    @property
+    @cached_property
     def au_offset_bits(self) -> int:
         """Bits selecting a segment within an AU."""
-        return log2_int(self.au_bytes // self.geometry.segment_bytes)
+        return log2_int(self.segments_per_au)
 
-    @property
+    @cached_property
     def segments_per_au(self) -> int:
         """Number of segments per allocation unit."""
         return self.au_bytes // self.geometry.segment_bytes
 
-    @property
+    @cached_property
     def max_aus_per_host(self) -> int:
         """AUs addressable per host if the device were owned by one host."""
         return max(1, self.geometry.total_bytes // self.au_bytes)
 
-    @property
+    @cached_property
     def au_id_bits(self) -> int:
         """Bits selecting an AU within a host's address space."""
         return log2_int(self.max_aus_per_host)
 
-    @property
+    @cached_property
     def host_id_bits(self) -> int:
         """Bits selecting the host."""
         return log2_int(self.max_hosts)
 
-    @property
+    @cached_property
     def hsn_bits(self) -> int:
         """Total width of a host segment number."""
         return self.host_id_bits + self.au_id_bits + self.au_offset_bits
@@ -185,11 +193,25 @@ class DeviceAddressLayout:
 
     geometry: DramGeometry
 
+    @cached_property
+    def channel_mask(self) -> int:
+        """Mask of the channel field (the low bits of a DSN)."""
+        return self.geometry.channels - 1
+
+    @cached_property
+    def rank_shift(self) -> int:
+        """Position of the rank field (the high bits of a DSN)."""
+        return self.geometry.channel_bits + self.geometry.segment_index_bits
+
+    @cached_property
+    def rank_mask(self) -> int:
+        """Mask of the rank field once shifted down."""
+        return self.geometry.ranks_per_channel - 1
+
     @property
     def dsn_bits(self) -> int:
         """Total width of a DRAM segment number."""
-        return (self.geometry.rank_bits + self.geometry.segment_index_bits
-                + self.geometry.channel_bits)
+        return self.rank_shift + self.geometry.rank_bits
 
     def pack_dsn(self, location: SegmentLocation) -> int:
         """Assemble a DSN from a segment location."""
@@ -200,7 +222,7 @@ class DeviceAddressLayout:
             raise AddressError(f"rank {location.rank} out of range")
         if not 0 <= location.index < geo.segments_per_rank:
             raise AddressError(f"segment index {location.index} out of range")
-        return ((location.rank << (geo.segment_index_bits + geo.channel_bits))
+        return ((location.rank << self.rank_shift)
                 | (location.index << geo.channel_bits)
                 | location.channel)
 
@@ -209,11 +231,10 @@ class DeviceAddressLayout:
         geo = self.geometry
         if not 0 <= dsn < geo.total_segments:
             raise AddressError(f"DSN {dsn:#x} out of range")
-        channel = dsn & (geo.channels - 1)
-        index = (dsn >> geo.channel_bits) & (geo.segments_per_rank - 1)
-        rank = ((dsn >> (geo.channel_bits + geo.segment_index_bits))
-                & ((1 << geo.rank_bits) - 1))
-        return SegmentLocation(channel=channel, rank=rank, index=index)
+        return SegmentLocation(
+            channel=dsn & self.channel_mask,
+            rank=(dsn >> self.rank_shift) & self.rank_mask,
+            index=(dsn >> geo.channel_bits) & (geo.segments_per_rank - 1))
 
     def dpa_of(self, dsn: int, offset: int = 0) -> int:
         """DPA of byte ``offset`` within segment ``dsn``."""
@@ -227,21 +248,21 @@ class DeviceAddressLayout:
             raise AddressError(f"DPA {dpa:#x} out of range")
         return dpa >> self.geometry.segment_offset_bits
 
-    def channel_of_dsn(self, dsn: int) -> int:
-        """Channel owning segment ``dsn``."""
-        return dsn & (self.geometry.channels - 1)
+    def channel_of_dsn(self, dsn):
+        """Channel owning segment ``dsn`` (an int, or an int64 array of
+        DSNs decoded element-wise)."""
+        return dsn & self.channel_mask
 
-    def rank_of_dsn(self, dsn: int) -> int:
-        """Rank index (within its channel) owning segment ``dsn``.
+    def rank_of_dsn(self, dsn):
+        """Rank index (within its channel) owning segment ``dsn`` (an
+        int, or an int64 array of DSNs decoded element-wise).
 
         The shifted value is masked to ``rank_bits``: a well-formed DSN
         has nothing above the rank field, but callers that hand in wider
         packed values (DPAs shifted down, sentinel-tagged DSNs) must not
         see the stray high bits come back as a rank index.
         """
-        return ((dsn >> (self.geometry.channel_bits
-                         + self.geometry.segment_index_bits))
-                & ((1 << self.geometry.rank_bits) - 1))
+        return (dsn >> self.rank_shift) & self.rank_mask
 
     # -- batch codecs ---------------------------------------------------------
 
@@ -256,8 +277,8 @@ class DeviceAddressLayout:
         if not 0 <= rank < geo.ranks_per_channel:
             raise AddressError(f"rank {rank} out of range")
         indices = np.arange(geo.segments_per_rank, dtype=np.int64)
-        base = rank << (geo.segment_index_bits + geo.channel_bits)
-        return (base | (indices << geo.channel_bits)) | channel
+        return (((rank << self.rank_shift) | (indices << geo.channel_bits))
+                | channel)
 
     def unpack_dsn_batch(self, dsns: np.ndarray,
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,11 +288,9 @@ class DeviceAddressLayout:
         if len(dsns) and not (0 <= int(dsns.min())
                               and int(dsns.max()) < geo.total_segments):
             raise AddressError("DSN out of range in batch")
-        channels = dsns & (geo.channels - 1)
-        indices = (dsns >> geo.channel_bits) & (geo.segments_per_rank - 1)
-        ranks = ((dsns >> (geo.channel_bits + geo.segment_index_bits))
-                 & ((1 << geo.rank_bits) - 1))
-        return channels, ranks, indices
+        return (dsns & self.channel_mask,
+                (dsns >> self.rank_shift) & self.rank_mask,
+                (dsns >> geo.channel_bits) & (geo.segments_per_rank - 1))
 
     def dpa_of_batch(self, dsns: np.ndarray,
                      offsets: np.ndarray) -> np.ndarray:

@@ -348,10 +348,10 @@ class DtlController:
     def _access_one(self, host_id: int, hpa: int, is_write: bool,
                     now_ns: float) -> AccessResult:
         """The :meth:`access` body (also the batch path's scalar replay)."""
-        hsn_local = self.host_layout.hsn_of_hpa(hpa)
+        host = self.host_layout
         # HPAs arriving from a host are host-local; fold in the host ID.
-        _, au_id, au_offset = self._split_local_hsn(hsn_local)
-        hsn = self.host_layout.pack_hsn(host_id, au_id, au_offset)
+        au_id, au_offset = divmod(host.hsn_of_hpa(hpa), host.segments_per_au)
+        hsn = host.pack_hsn(host_id, au_id, au_offset)
         dsn, xlat_ns, l1_hit, l2_hit = self.translation.translate_hsn(hsn)
         fault_ns = 0.0
         if self._faults is not None:
@@ -558,13 +558,6 @@ class DtlController:
             if self.device.ranks[rank_id].state is PowerState.SELF_REFRESH:
                 self.device.set_rank_state(rank_id, PowerState.STANDBY,
                                            now_s)
-
-    def _split_local_hsn(self, hsn_local: int) -> tuple[int, int, int]:
-        """Split a host-local HSN (no host-ID bits) into table indices."""
-        segments_per_au = self.host_layout.segments_per_au
-        au_offset = hsn_local % segments_per_au
-        au_id = hsn_local // segments_per_au
-        return 0, au_id, au_offset
 
     def hpa_of(self, au_index: int, au_offset: int, byte_offset: int = 0) -> int:
         """Build a host-local HPA for AU ``au_index``, segment ``au_offset``."""

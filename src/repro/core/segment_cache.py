@@ -20,10 +20,10 @@ tag/DSN/stamp arrays addressed by pure index arithmetic (the gem5
 cache-model idiom), with a small hash index for O(1) scalar probes.
 LRU order is a monotonic stamp per entry instead of dict ordering, which
 is what lets the batch datapath classify a whole chunk of lookups against
-the arrays and commit the resulting LRU state in bulk.  The
-dict-ordered reference implementation the two cache classes are
-differential-tested against lives with its only consumer, in
-``tests/core/dict_cache_reference.py``.
+the arrays and commit the resulting LRU state in bulk.  The reference
+model the two cache classes are differential-tested against (per-set
+lists of ways, linear scans) lives with its only consumer, in
+``tests/core/way_list_cache_reference.py``.
 
 Counters live in a :class:`~repro.telemetry.MetricsRegistry`;
 :class:`CacheStats` is a thin view over those registry counters so legacy
@@ -185,15 +185,6 @@ class FullyAssociativeCache:
         self._tags[slot] = self.EMPTY
         self._free.append(slot)
         self.stats.invalidations += 1
-        return True
-
-    def touch(self, hsn: int) -> bool:
-        """Refresh ``hsn``'s LRU position without touching the stats."""
-        slot = self._slot_of.get(hsn)
-        if slot is None:
-            return False
-        self._clock += 1
-        self._stamps[slot] = self._clock
         return True
 
     def hsns(self) -> list[int]:

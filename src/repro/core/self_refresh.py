@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from repro.core.addressing import DeviceAddressLayout, SegmentLocation
 from repro.core.allocator import SegmentAllocator
 from repro.core.migration import MigrationEngine
 from repro.core.tables import TranslationTables
@@ -145,8 +145,8 @@ class HotnessSelfRefreshPolicy:
             config = PolicyConfig()
         self.device = device
         self.geometry = device.geometry
-        self.layout = DeviceAddressLayout(self.geometry)
         self.allocator = allocator
+        self.layout = allocator.layout
         self.tables = tables
         self.translation = translation
         self.migration = migration
@@ -171,14 +171,6 @@ class HotnessSelfRefreshPolicy:
         # Migration table (Figure 8): one row per device segment.
         self.access_bits = np.zeros(total, dtype=bool)
         self.planned = np.arange(total, dtype=np.int64)
-        self._rank_shift = (self.geometry.channel_bits
-                            + self.geometry.segment_index_bits)
-        #: Masks the shifted value down to the rank field.  A well-formed
-        #: DSN has nothing above the rank bits, but decodes must not turn
-        #: stray high bits (wider packed values, sentinel tags) into
-        #: phantom rank indices — see DeviceAddressLayout.rank_of_dsn.
-        self._rank_mask = (1 << self.geometry.rank_bits) - 1
-        self._channel_mask = self.geometry.channels - 1
         #: Cap on scalar event replays per channel per batch before
         #: :meth:`on_access_batch` stops rescanning the tail and replays
         #: the remainder element-wise (pathological event density).
@@ -217,18 +209,24 @@ class HotnessSelfRefreshPolicy:
 
     # -- address helpers ---------------------------------------------------------
 
-    def _rank_of(self, dsn: int) -> int:
-        return (dsn >> self._rank_shift) & self._rank_mask
-
-    def _channel_of(self, dsn: int) -> int:
-        return dsn & self._channel_mask
+    @cached_property
+    def _scanned_dsns(self) -> dict[tuple[int, int], np.ndarray]:
+        # A property, not an ``__init__`` field: a run state pickled
+        # before this cache existed restores without it and refills it.
+        return {}
 
     def _dsn(self, channel: int, rank: int, index: int) -> int:
-        return self.layout.pack_dsn(SegmentLocation(channel, rank, index))
+        """DSN of ``index`` in a rank the CLOCK hand scans: the rank's
+        ``rank_dsns`` array is built on its first scan, then indexed."""
+        cache = self._scanned_dsns
+        dsns = cache.get((channel, rank))
+        if dsns is None:
+            dsns = cache[channel, rank] = self.layout.rank_dsns(channel, rank)
+        return int(dsns[index])
 
     def planned_rank(self, dsn: int) -> int:
         """Rank index the plan currently sends segment ``dsn`` to."""
-        return self._rank_of(int(self.planned[dsn]))
+        return self.layout.rank_of_dsn(int(self.planned[dsn]))
 
     def _swap_entries(self, dsn_a: int, dsn_b: int) -> None:
         self.planned[dsn_a], self.planned[dsn_b] = (self.planned[dsn_b],
@@ -297,8 +295,8 @@ class HotnessSelfRefreshPolicy:
         Returns the latency penalty (ns) if the access woke a rank out of
         self-refresh, else 0.0.
         """
-        channel = self._channel_of(dsn)
-        rank = self._rank_of(dsn)
+        channel = self.layout.channel_of_dsn(dsn)
+        rank = self.layout.rank_of_dsn(dsn)
         state = self._channels[channel]
         penalty = self._wake_if_needed(channel, rank, state, now_ns)
         self.device.rank(channel, rank).record_access()
@@ -366,8 +364,8 @@ class HotnessSelfRefreshPolicy:
         penalties = np.zeros(len(dsns), dtype=np.float64)
         if not len(dsns):
             return penalties
-        channels = dsns & self._channel_mask
-        ranks = (dsns >> self._rank_shift) & self._rank_mask
+        channels = self.layout.channel_of_dsn(dsns)
+        ranks = self.layout.rank_of_dsn(dsns)
         if self._faults is not None and self._faults.counts_sr_exits:
             # An sr.exit spec counts wakes across channels, which makes
             # their global order observable; the per-channel loop below
@@ -401,8 +399,8 @@ class HotnessSelfRefreshPolicy:
         if victim_keys:
             # ``planned`` swaps entries within a channel, so the planned
             # rank is keyed with the access's own channel.
-            planned_keys = channels * num_ranks + (
-                (self.planned[dsns] >> self._rank_shift) & self._rank_mask)
+            planned_keys = (channels * num_ranks
+                            + self.layout.rank_of_dsn(self.planned[dsns]))
             hits = self._member_mask(victim_keys)[planned_keys]
             eventful.update(channels[hits].tolist())
         for channel, state in self._channels.items():
@@ -432,8 +430,7 @@ class HotnessSelfRefreshPolicy:
         """Boolean mask with ``members`` set: ``mask[array]`` tests a
         whole array of ranks — or of ``channel * ranks_per_channel +
         rank`` keys — for membership in that small set."""
-        mask = np.zeros(len(self._channels) * (self._rank_mask + 1),
-                        dtype=bool)
+        mask = np.zeros(self.geometry.total_ranks, dtype=bool)
         mask[list(members)] = True
         return mask
 
@@ -505,8 +502,8 @@ class HotnessSelfRefreshPolicy:
             tail_dsns = ch_dsns[p:]
             ev = self._member_mask(stateful_ranks)[ch_ranks[p:]]
             if profiling:
-                planned_ranks = ((self.planned[tail_dsns] >> self._rank_shift)
-                                 & self._rank_mask)
+                planned_ranks = self.layout.rank_of_dsn(
+                    self.planned[tail_dsns])
                 ev |= self._member_mask(state.victim_ranks)[planned_ranks]
             if not ev.any():
                 self._bulk_apply(channel, state, tail_dsns, ch_ranks[p:])
@@ -549,8 +546,8 @@ class HotnessSelfRefreshPolicy:
             self.access_bits[dsns] = True
         elif len(bit_dsns):
             self.access_bits[np.asarray(bit_dsns, dtype=np.int64)] = True
-        channels = dsns & self._channel_mask
-        ranks = (dsns >> self._rank_shift) & self._rank_mask
+        channels = self.layout.channel_of_dsn(dsns)
+        ranks = self.layout.rank_of_dsn(dsns)
         penalty = 0.0
         for channel in range(self.geometry.channels):
             mask = channels == channel
@@ -570,13 +567,12 @@ class HotnessSelfRefreshPolicy:
                 continue
             # Only touches whose *planned* location is the victim rank
             # update the migration table / reset the timer.
-            planned_ranks = ((self.planned[channel_dsns] >> self._rank_shift)
-                             & self._rank_mask)
-            hits = channel_dsns[
-                self._member_mask(state.victim_ranks)[planned_ranks]]
-            for dsn in hits:
-                self._profiling_update(int(dsn), state,
-                                       self._rank_of(int(dsn)), now_ns)
+            planned_ranks = self.layout.rank_of_dsn(
+                self.planned[channel_dsns])
+            hits = self._member_mask(state.victim_ranks)[planned_ranks]
+            for dsn, rank in zip(channel_dsns[hits].tolist(),
+                                 channel_ranks[hits].tolist()):
+                self._profiling_update(dsn, state, rank, now_ns)
         return penalty
 
     def _wake_if_needed(self, channel: int, rank: int, state: _ChannelState,
@@ -613,13 +609,13 @@ class HotnessSelfRefreshPolicy:
     def _profiling_update(self, dsn: int, state: _ChannelState, rank: int,
                           now_ns: float) -> None:
         victims = state.victim_ranks
-        if self._rank_of(int(self.planned[dsn])) not in victims:
+        if self.planned_rank(dsn) not in victims:
             return
         # Access hits the hypothetical victim rank: reset the quiet timer.
         state.quiet_since_ns = now_ns
         if not self.enable_planning:
             return
-        channel = self._channel_of(dsn)
+        channel = self.layout.channel_of_dsn(dsn)
         search = _TspSearch(self, channel, state)
         if rank in victims and int(self.planned[dsn]) == dsn:
             # Case (b): hot segment physically in the victim rank, not yet
@@ -804,8 +800,8 @@ class HotnessSelfRefreshPolicy:
         for victim_dsn, partner_dsn in swaps:
             if victim_dsn in busy or partner_dsn in busy:
                 continue
-            partner_rank = (self._channel_of(partner_dsn),
-                            self._rank_of(partner_dsn))
+            partner_rank = (self.layout.channel_of_dsn(partner_dsn),
+                            self.layout.rank_of_dsn(partner_dsn))
             if self.device.rank(*partner_rank).state \
                     is not PowerState.STANDBY:
                 continue
@@ -850,8 +846,8 @@ class HotnessSelfRefreshPolicy:
         count = 0
         for rank in range(self.geometry.ranks_per_channel):
             dsns = self.layout.rank_dsns(channel, rank)
-            count += int(victim[(self.planned[dsns] >> self._rank_shift)
-                                & self._rank_mask].sum())
+            count += int(
+                victim[self.layout.rank_of_dsn(self.planned[dsns])].sum())
         return count
 
 

@@ -1,8 +1,9 @@
 """Experiment simulators: performance model, power-down schedule,
 self-refresh replay, and the combined Figure 15 summary.
 
-Every simulator exposes the unified ``run(config) -> Result`` shape
-(:class:`~repro.sim.base.Experiment`) and registers in
+Every simulator — and every closed-form row of the paper
+(:mod:`repro.sim.analytic`) — exposes the unified ``run(config) ->
+Result`` shape (:class:`~repro.sim.base.Experiment`) and registers in
 :data:`~repro.sim.experiments.EXPERIMENTS` — the registry both the CLI
 and :mod:`repro.exec` dispatch from.  The package re-exports only that
 registry surface; everything else imports from its own submodule

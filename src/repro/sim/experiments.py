@@ -21,6 +21,7 @@ into a cacheable :class:`~repro.exec.runner.TaskSpec`, and
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -30,6 +31,8 @@ from repro.faults.chaos import ChaosSoakConfig, ChaosSoakExperiment
 from repro.host.scheduler import SchedulerConfig
 from repro.server.soak import (ServerSoakConfig, ServerSoakExperiment,
                                quick_server_soak_config)
+from repro.sim.analytic import (ANALYTIC_ROWS, AnalyticConfig,
+                                AnalyticExperiment)
 from repro.sim.base import Experiment, ExperimentResult
 from repro.sim.comparison import PolicyComparisonExperiment
 from repro.sim.fleet import FleetConfig, FleetSimulator, RackConfig
@@ -267,6 +270,14 @@ register(ExperimentSpec(
     factory=ServerSoakExperiment,
     tiny_config=quick_server_soak_config,
     summary="multi-tenant service soak: chaos, drain/restore, isolation"))
+
+for _name, (_row, _summary) in ANALYTIC_ROWS.items():
+    register(ExperimentSpec(
+        name=_name,
+        config_type=AnalyticConfig,
+        factory=functools.partial(AnalyticExperiment, _name, _row),
+        tiny_config=AnalyticConfig,
+        summary=_summary))
 
 
 __all__ = [

@@ -125,13 +125,14 @@ def check_workload(profile: WorkloadProfile, footprint_bytes: int = 2 * GIB,
 def validate_workloads(names: tuple[str, ...] = TRACED_BENCHMARKS,
                        footprint_bytes: int = 2 * GIB,
                        target_instructions: float = 120e6,
-                       ) -> ValidationReport:
-    """Validate every named workload; returns the aggregate report."""
+                       seed: int = 0) -> ValidationReport:
+    """Validate every named workload (workload ``i`` draws its trace
+    from ``seed + i``); returns the aggregate report."""
     report = ValidationReport()
     for index, name in enumerate(names):
         report.checks.append(check_workload(
             PROFILES[name], footprint_bytes=footprint_bytes,
-            target_instructions=target_instructions, seed=index))
+            target_instructions=target_instructions, seed=seed + index))
     return report
 
 

@@ -117,8 +117,6 @@ class TestMigration:
         dsns = allocate(policy, layout, 0)
         # Heat one segment inside what will be the coldest block.
         target = dsns[0]
-        channel = policy._channel_of(target) if hasattr(policy, '_channel_of') \
-            else target & 1
         policy.on_batch(np.array([target] * 1), now_ns=0.0)
         hsn = policy.tables.hsn_of_dsn(target)
         policy.end_epoch(now_ns=1e8)

@@ -10,6 +10,7 @@ segment-index bits.
 
 from __future__ import annotations
 
+import pickle
 import warnings
 
 import numpy as np
@@ -26,8 +27,7 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.errors import PerformanceWarning, PowerStateError
 
-from tests.core.dict_cache_reference import (DictFullyAssociativeCache,
-                                             DictSetAssociativeCache)
+from tests.core.way_list_cache_reference import WayListCache
 from tests.core.test_batch_identity import (SMALL_GEOMETRY, assert_results_match,
                                             assert_state_match, build_pair,
                                             random_trace, run_scalar,
@@ -217,21 +217,39 @@ def test_rank_decode_masks_stray_high_bits():
 
 
 def test_unpack_dsn_batch_matches_scalar_with_nonzero_segment_bits():
-    layout = DeviceAddressLayout(SMALL_GEOMETRY)
+    fresh = DeviceAddressLayout(SMALL_GEOMETRY)
+    # Shifts and masks are derived once and cached beside the one
+    # dataclass field: a layout that has them travels through a pickle
+    # with them, and still equals (and hashes as) one that has not.
+    cached = DeviceAddressLayout(SMALL_GEOMETRY)
+    cached.unpack_dsn(0), cached.dsn_bits
+    restored = pickle.loads(pickle.dumps(cached))
+    assert restored == fresh and hash(restored) == hash(fresh)
+    for layout in (fresh, restored):
+        check_scalar_and_batch_codecs_agree(layout)
+
+
+def check_scalar_and_batch_codecs_agree(layout: DeviceAddressLayout) -> None:
     geo = SMALL_GEOMETRY
     # Every (channel, rank) with the *maximum* segment index: all the
     # bits below the rank field are set, which is exactly the shape that
     # leaked into rank decodes before masking.
-    dsns = np.array([layout.pack_dsn(SegmentLocation(c, r,
-                                                     geo.segments_per_rank - 1))
-                     for c in range(geo.channels)
-                     for r in range(geo.ranks_per_channel)], dtype=np.int64)
+    locations = [SegmentLocation(c, r, geo.segments_per_rank - 1)
+                 for c in range(geo.channels)
+                 for r in range(geo.ranks_per_channel)]
+    dsns = np.array([layout.pack_dsn(loc) for loc in locations],
+                    dtype=np.int64)
     channels, ranks, indices = layout.unpack_dsn_batch(dsns)
-    for i, dsn in enumerate(dsns.tolist()):
-        loc = layout.unpack_dsn(dsn)
-        assert channels[i] == loc.channel
-        assert ranks[i] == loc.rank
-        assert indices[i] == loc.index
+    for i, (dsn, loc) in enumerate(zip(dsns.tolist(), locations)):
+        assert layout.unpack_dsn(dsn) == loc
+        assert (channels[i], ranks[i], indices[i]) == (
+            loc.channel, loc.rank, loc.index)
+        assert layout.rank_of_dsn(dsn) == loc.rank
+        assert layout.channel_of_dsn(dsn) == loc.channel
+        assert layout.rank_dsns(loc.channel, loc.rank)[loc.index] == dsn
+    # The scalar decoders are the batch decoders: pure bit operations.
+    assert np.array_equal(layout.rank_of_dsn(dsns), ranks)
+    assert np.array_equal(layout.channel_of_dsn(dsns), channels)
     assert int(ranks.max()) < geo.ranks_per_channel
 
 
@@ -322,24 +340,21 @@ def test_batch_path_never_counts_toward_scalar_warning():
     assert not controller._scalar_access_warned
 
 
-# -- dict vs SoA cache classes (property test) -------------------------------
+# -- way-list reference vs SoA cache classes (property test) -----------------
 
 
-def _mirror_ops(soa, ref, hsn_space: int, seed: int, steps: int = 2000,
-                with_touch: bool = True):
+def _mirror_ops(soa, ref, hsn_space: int, seed: int, steps: int = 2000):
     rng = np.random.default_rng(seed)
     for _ in range(steps):
-        op = rng.integers(0, 4 if with_touch else 3)
+        op = rng.integers(0, 3)
         hsn = int(rng.integers(0, hsn_space))
         if op == 0:
             assert soa.lookup(hsn) == ref.lookup(hsn)
         elif op == 1:
             dsn = int(rng.integers(0, 1 << 16))
             assert soa.insert(hsn, dsn) == ref.insert(hsn, dsn)
-        elif op == 2:
-            assert soa.invalidate(hsn) == ref.invalidate(hsn)
         else:
-            assert soa.touch(hsn) == ref.touch(hsn)
+            assert soa.invalidate(hsn) == ref.invalidate(hsn)
         assert (hsn in soa) == (hsn in ref)
         assert len(soa) == len(ref)
     assert soa.hsns() == ref.hsns()
@@ -352,12 +367,10 @@ def _mirror_ops(soa, ref, hsn_space: int, seed: int, steps: int = 2000,
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fully_associative_soa_matches_dict(seed):
     _mirror_ops(FullyAssociativeCache(entries=8),
-                DictFullyAssociativeCache(entries=8),
-                hsn_space=32, seed=seed)
+                WayListCache(entries=8, ways=8), hsn_space=32, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_set_associative_soa_matches_dict(seed):
     _mirror_ops(SetAssociativeCache(entries=16, ways=2),
-                DictSetAssociativeCache(entries=16, ways=2),
-                hsn_space=64, seed=seed, with_touch=False)
+                WayListCache(entries=16, ways=2), hsn_space=64, seed=seed)

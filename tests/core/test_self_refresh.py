@@ -265,7 +265,7 @@ class TestMigrationPhase:
         victim = policy.start_profiling(0, 0.0)
         assert victim == 0
         hot = next(dsn for dsn in dsns
-                   if policy._channel_of(dsn) == 0)
+                   if policy.layout.channel_of_dsn(dsn) == 0)
         hsn_before = tables.hsn_of_dsn(hot)
         policy.on_access(hot, now_ns=5.0)
         events = policy.tick(now_ns=30.0)
@@ -273,7 +273,7 @@ class TestMigrationPhase:
         # The hot segment physically moved out of the victim rank and the
         # mapping followed it.
         new_dsn = tables.walk(hsn_before).dsn
-        assert policy._rank_of(new_dsn) != victim
+        assert policy.layout.rank_of_dsn(new_dsn) != victim
         assert not allocator.is_allocated(hot)
 
     def test_migrated_bytes_accounted(self):
@@ -284,7 +284,7 @@ class TestMigrationPhase:
         policy.end_window()
         policy._channels[0].last_window_counts = {0: 0, 1: 5, 2: 5, 3: 5}
         policy.start_profiling(0, 0.0)
-        hot = next(dsn for dsn in dsns if policy._channel_of(dsn) == 0)
+        hot = next(dsn for dsn in dsns if policy.layout.channel_of_dsn(dsn) == 0)
         policy.on_access(hot, now_ns=5.0)
         policy.tick(now_ns=30.0)
         assert policy.migrated_bytes_total >= geometry.segment_bytes

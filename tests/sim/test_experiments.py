@@ -29,7 +29,8 @@ from repro.workloads.azure import AzureTraceConfig
 
 EXPECTED_NAMES = {"powerdown", "powerdown_comparison", "fleet",
                   "rank_sweep", "selfrefresh", "ramzzz_comparison",
-                  "tournament"}
+                  "tournament", "fig1", "fig2", "fig5", "tables",
+                  "validate"}
 
 
 def _small_node() -> PowerDownSimConfig:

@@ -123,7 +123,11 @@ class TestPlotFlag:
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "Workload calibration" in out
-        assert "within calibration tolerances" in out
+        # The per-workload table, then a record that passes its gate.
+        rows = [line.split() for line in out.splitlines()]
+        assert ["workload", "MAPKI", "m/t", ">=4MB", "cold@2M",
+                "cold@4M"] in rows
+        assert ["problems", "[]"] in rows and ["ok", "True"] in rows
 
 
 class TestCheckpointCli:
@@ -217,6 +221,13 @@ class TestRecordsContract:
 
 
 class TestOneRoute:
+    def test_commands_holds_only_what_emits_no_paper_row(self):
+        assert set(cli.COMMANDS) == {"exp", "serve", "loadgen", "cache",
+                                     "stats"}
+
+    def test_all_is_registered_experiments_plus_stats(self):
+        assert set(cli.ALL_COMMANDS) - {"stats"} <= set(cli.SHELL_COMMANDS)
+
     @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
     def test_every_registered_experiment_runs_from_the_shell(
             self, name, tmp_path, capsys):
@@ -248,6 +259,20 @@ class TestOneRoute:
             PARENT_RECORDS["exp --name rank_sweep"][0]["metrics"]
         assert records[1]["metrics"] != records[0]["metrics"]
         assert records[2]["metrics"] != records[1]["metrics"]
+
+    def test_seed_reaches_only_the_rows_that_draw(self, tmp_path, capsys):
+        # One rule: a command takes --seed when its config has one.  The
+        # analytic rows share a seeded config; the closed-form ones draw
+        # nothing, so `repro all --seed N` moves fig1 and leaves them be.
+        def records(seed):
+            _, found = run_cli("all --quick --duration 1 --point 208gb "
+                               f"--seed {seed}", tmp_path)
+            return {record["experiment"]: record["metrics"]
+                    for record in found}
+        base, reseeded = records(0), records(3)
+        assert reseeded["fig1"] != base["fig1"]
+        for name in ("fig2", "fig5", "tables"):
+            assert reseeded[name] == base[name]
 
     def test_exp_seed_is_a_usage_error_where_it_cannot_apply(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -284,7 +309,8 @@ class TestOneRoute:
         code, records = run_cli("all --quick --duration 1 --point 208gb",
                                 tmp_path)
         assert code == 0
-        assert batches == [["powerdown_comparison", "selfrefresh"]]
+        assert batches == [["fig1", "fig2", "fig5", "powerdown_comparison",
+                            "selfrefresh", "tables"]]
         assert [record["experiment"] for record in records] == [
             "fig1", "fig2", "fig5", "fig12", "fig14_208gb", "fig15_208gb",
             "tables", "stats"]
@@ -295,8 +321,15 @@ class TestOneRoute:
 def failing_result(command: str):
     from repro.faults.chaos import ChaosSoakConfig, ChaosSoakResult
     from repro.faults.injector import ReliabilityReport
+    from repro.sim.analytic import AnalyticConfig, CalibrationResult
     from repro.sim.fleet_soak import FleetSoakConfig, FleetSoakResult
     from repro.sim.tournament import TournamentConfig, TournamentResult
+    from repro.workloads.validation import ValidationReport, WorkloadCheck
+    if command == "validate":
+        return CalibrationResult(AnalyticConfig(), ValidationReport([
+            WorkloadCheck("data-serving", mapki=8.4, mapki_target=4.2,
+                          large_stride_share=0.2, cold_2mb=0.6,
+                          cold_4mb=0.3)]))
     if command == "chaos":
         return ChaosSoakResult(ChaosSoakConfig(), ReliabilityReport(
             checker_audits=1, checker_violations=["hsn 3 mapped twice"]))
@@ -312,7 +345,7 @@ def failing_result(command: str):
 
 class TestFailingRecords:
     @pytest.mark.parametrize("command", ["chaos", "tournament",
-                                         "fleet-soak"])
+                                         "fleet-soak", "validate"])
     def test_failing_record_exits_non_zero(self, command, monkeypatch,
                                            tmp_path, capsys):
         monkeypatch.setattr(

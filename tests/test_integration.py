@@ -6,7 +6,7 @@ import pytest
 from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
 from repro.cxl import CxlMemoryDevice
-from repro.dram import DramGeometry, PowerState
+from repro.dram import DramDevice, DramGeometry, PowerState
 from repro.host.caches import CacheHierarchy, CacheLevelConfig
 from repro.units import CACHELINE_BYTES, GIB, MIB
 from repro.workloads.cloudsuite import make_trace
@@ -153,10 +153,10 @@ class TestEndToEndEnergyStory:
         """The headline claim in miniature: a DTL device holding a
         half-empty pool consumes less background power than a vanilla
         device of the same size."""
-        from repro.baselines import StaticCxlDevice
         geometry = DramGeometry(rank_bytes=512 * MIB)
-        static = StaticCxlDevice(geometry)
-        static.allocate(8 * GIB)
+        # No DTL: a fixed HPA-to-DPA mapping can address any rank at any
+        # time, so every rank stays in standby whatever is allocated.
+        static = DramDevice(geometry)
 
         dtl = CxlMemoryDevice(config=DtlConfig(
             geometry=geometry, au_bytes=128 * MIB, group_granularity=2))

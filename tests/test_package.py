@@ -47,13 +47,15 @@ NO_IMPORTER_IN_SRC = {
     "repro.host.tracing":
         "DESIGN.md's Sec. 5.2 post-cache trace recorder (docs/API.md)",
     "repro.analysis.sensitivity":
-        "benchmarks/test_fig12_powerdown.py calibration-sensitivity row",
-    "repro.baselines.static":
-        "the no-DTL baseline device of tests/test_integration.py",
+        "benchmarks/test_fig12_powerdown.py's calibration-sensitivity row: "
+        "how far Fig. 12 savings move per constant (ROADMAP item 1's "
+        "cause-of-gap input for 'per-channel fixed overhead')",
     "repro.policies.dream":
-        "@register_policy('dream'), loaded by importing repro.policies",
+        "in TournamentConfig.policies' default: every `repro tournament` "
+        "runs it (registered on import of repro.policies)",
     "repro.policies.rank_aware":
-        "@register_policy('rank_aware'), loaded by importing repro.policies",
+        "in TournamentConfig.policies' default: every `repro tournament` "
+        "runs it (registered on import of repro.policies)",
 }
 
 
