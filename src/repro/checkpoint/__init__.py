@@ -7,8 +7,9 @@ Two layers:
   atomic save/load to disk.
 * :mod:`repro.checkpoint.stepping` — the stepping protocol every
   registered experiment implements (``begin`` / ``advance`` /
-  ``finish``) plus drive helpers: run to completion, snapshot at step
-  *k*, resume from a saved checkpoint.
+  ``finish``, and the one shared ``run()`` over them) plus drive
+  helpers: run to completion, snapshot at step *k*, resume from a
+  saved checkpoint.
 
 The contract is **bit-identity**: a run restored at step *k* produces
 byte-identical records, telemetry totals, and checker audits to the
@@ -18,9 +19,10 @@ uninterrupted run (see ``tests/checkpoint/`` and docs/CHECKPOINT.md).
 from repro.checkpoint.state import (CHECKPOINT_VERSION, Checkpoint,
                                     CheckpointError, load_checkpoint,
                                     restore, save_checkpoint, snapshot)
-from repro.checkpoint.stepping import (Stepper, checkpoint_state,
-                                       resume_state, run_stepped,
-                                       run_to_step, run_with_checkpoints)
+from repro.checkpoint.stepping import (SteppedExperiment, Stepper,
+                                       checkpoint_state, resume_state,
+                                       run_stepped, run_to_step,
+                                       run_with_checkpoints)
 
 __all__ = [
     "checkpoint_state",
@@ -33,6 +35,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "Stepper",
+    "SteppedExperiment",
     "run_stepped",
     "run_to_step",
     "run_with_checkpoints",

@@ -1,7 +1,8 @@
 """The stepping protocol: experiments as resumable state machines.
 
-Every registered experiment implements three methods on top of its
-existing ``run()``:
+A registered experiment *is* a :class:`Stepper` — that is the one
+contract the registry, the CLI, the executor and the checkpoint drivers
+share:
 
 * ``begin() -> state`` — build the full run state (controller,
   workload generators, RNG streams, accumulators) without advancing it.
@@ -9,14 +10,22 @@ existing ``run()``:
   step, one sweep cell, one fleet shard...); returns True while more
   work remains.  Must be a no-op returning False once the run is
   complete, so resuming from a final checkpoint is safe.
-* ``finish(state) -> result`` — summarise the state into the same
-  result object ``run()`` returns.
+* ``finish(state) -> result`` — summarise the state into the result
+  (an object with ``to_record()``).
+* ``run() -> result`` — the whole run in one call.
 
-``run()`` and ``advance()`` share one drive in every experiment — the
-fan-out experiments hand ``run_tasks`` one planned task per advance and
+``run()`` is written once: :class:`SteppedExperiment` gives it to every
+experiment as :func:`run_stepped` (begin, advance until False, finish).
+The three fan-out experiments (fleet, rank sweep, tournament) override
+it with one executor batch through the ``_drive`` their ``advance()``
+uses too — a round of ``resolved_workers()`` planned tasks per advance,
 all remaining tasks per run — so the stepped and monolithic paths cannot
 drift: bit-identity of a restored run is a property of construction,
 then *proven* by the restore-at-step-k suite in ``tests/checkpoint/``.
+
+This lives here rather than under :mod:`repro.sim` because
+``repro.faults.chaos`` and ``repro.server.soak`` are steppers too, and
+:mod:`repro.sim` imports both.
 
 The run *state* object must be picklable; :func:`checkpoint_state`
 captures it, :func:`resume_state` reconstructs it, and
@@ -49,13 +58,25 @@ class Stepper(Protocol):
     def finish(self, state: Any) -> Any:
         """Summarise a completed (or to-be-abandoned) run state."""
 
+    def run(self) -> Any:
+        """The whole run in one call; same result as the stepped drive."""
 
-def run_stepped(stepper: Stepper) -> Any:
+
+def run_stepped(stepper: Stepper, *begin_args: Any) -> Any:
     """Drive a stepper from ``begin`` to ``finish``; returns the result."""
-    state = stepper.begin()
+    state = stepper.begin(*begin_args)
     while stepper.advance(state):
         pass
     return stepper.finish(state)
+
+
+class SteppedExperiment:
+    """Base class giving a :class:`Stepper` its one-shot ``run()``."""
+
+    def run(self, *begin_args: Any) -> Any:
+        """``begin(*begin_args)``, ``advance`` until done, ``finish`` —
+        the stepped path and the one-shot path are the same code."""
+        return run_stepped(self, *begin_args)
 
 
 def run_to_step(stepper: Stepper, steps: int) -> tuple[Any, int, bool]:
@@ -134,6 +155,7 @@ def run_with_checkpoints(stepper: Stepper, path: str | None = None,
 
 __all__ = [
     "Stepper",
+    "SteppedExperiment",
     "run_stepped",
     "run_to_step",
     "checkpoint_state",

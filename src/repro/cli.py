@@ -43,8 +43,9 @@ row (``exp --list``, ``serve``, ``loadgen``, ``cache``, ``stats``).
 
 ``--checkpoint PATH`` on a single-experiment command runs it through the
 stepping protocol (:mod:`repro.checkpoint`), persisting its state every
-``--checkpoint-every`` units of work; ``--resume`` restarts a preempted
-run from the saved state and is bit-identical to the uninterrupted run.
+``--checkpoint-every`` units of work (a fan-out's unit is one round of
+``--workers`` tasks); ``--resume`` restarts a preempted run from the
+saved state and is bit-identical to the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -59,14 +60,14 @@ from typing import Any, Callable
 from repro.checkpoint import run_with_checkpoints
 from repro.exec import ExecConfig, ResultCache
 from repro.sim.combined import combine
-from repro.sim.experiments import EXPERIMENTS, run_experiments
+from repro.sim.experiments import (EXPERIMENTS, make_experiment,
+                                   run_experiments)
 from repro.sim.figures import (ascii_chart, figure1_series,
                                figure12a_series, figure14_series)
 from repro.sim.perf_model import PerformanceModel
 from repro.sim.results import (ExperimentRecord, flatten_telemetry,
                                render_record, render_table, save_records)
 from repro.sim.selfrefresh_sim import PAPER_CAPACITY_POINTS
-from repro.sim.stepping import make_stepper
 from repro.units import GIB
 
 #: Results computed earlier in this invocation (``repro all`` and
@@ -176,9 +177,9 @@ def _run_requests(requests: list[tuple[str, Any]],
           f"checkpoints at {args.checkpoint!r} "
           f"({'every ' + str(every) + ' steps' if every else 'final only'})"
           "...")
-    return [run_with_checkpoints(make_stepper(name, config),
-                                 path=args.checkpoint, every=every,
-                                 resume=args.resume)]
+    return [run_with_checkpoints(
+        make_experiment(name, config, exec_config),
+        path=args.checkpoint, every=every, resume=args.resume)]
 
 
 def run_registered(commands: list[str],

@@ -5,8 +5,8 @@ fleet is independent node simulations, a rank sweep is independent rank
 counts, a sensitivity grid is independent constant pairs.  This package
 gives them one shared executor:
 
-* :func:`run_tasks` — ordered fan-out over a process pool with per-task
-  timeout, bounded retry, serial fallback, and telemetry accounting;
+* :func:`run_tasks` — ordered fan-out over a process pool with
+  per-task error capture, serial fallback, and telemetry accounting;
 * :class:`ResultCache` — on-disk result cache keyed by a stable hash of
   the experiment's config dataclass;
 * :func:`derive_seed` — deterministic per-task seed derivation.

@@ -16,20 +16,21 @@ Execution model:
   code path for results.
 * Worker processes are marked via an initializer so nested ``run_tasks``
   calls inside a worker (e.g. a fleet task whose nodes would themselves
-  fan out) degrade to serial instead of forking grandchild pools.
-* A task that raises is retried up to ``retries`` times; a task that
-  exceeds ``timeout_s`` is resubmitted (bounded by the same budget) and
-  finally reported as a timeout error.  The per-task clock starts when
-  the runner begins waiting on that task, so queueing behind earlier
-  tasks does not count against it.
+  fan out) degrade to serial instead of forking grandchild pools —
+  whatever ``workers`` the nested config names; only ``force_pool``
+  asks for the crossing anyway.
+* Every pending task is one pool job, run once.  A task is a pure
+  function of pickled arguments, so one that raises would raise again:
+  it becomes ``outcome.error`` (``"<Type>: <message>"``, the same
+  string on both paths) and the rest of the batch carries on.
 * If the pool cannot be created or breaks mid-batch (a worker died, the
   platform lacks working process support), the unfinished tasks fall
   back to serial execution.
 
 Accounting goes to a :class:`~repro.telemetry.registry.MetricsRegistry`
 (the module-level :data:`EXEC_METRICS` by default): per-task wall time
-as a histogram, plus counters for completions, failures, retries,
-timeouts, cache hits, and serial fallbacks.
+as a histogram, plus counters for completions, failures, cache hits,
+pool skips, and serial fallbacks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -78,29 +78,24 @@ class ExecConfig:
 
     Attributes:
         workers: Process count; ``None`` defers to ``REPRO_EXEC_WORKERS``.
-        timeout_s: Per-task wall-clock budget on the parallel path
-            (``None`` = unlimited; the serial path cannot interrupt a
-            running task and ignores it).  Chunked submissions wait
-            ``timeout_s * len(chunk)`` per chunk.
-        retries: Extra attempts after a failure or timeout.
-        chunk_size: Tasks submitted per pool job, so each worker
-            amortises pickling and dispatch overhead over several tasks.
-            ``None`` splits the pending tasks evenly over the workers
-            (one chunk each).
         force_pool: Always use the pool when ``workers > 1``, even when
-            the single-CPU heuristic would skip it.  Used by
-            bit-identity tests and soak verification legs that must
-            exercise the cross-process path regardless of host shape.
+            the single-CPU heuristic would skip it or the batch is
+            itself running inside a pool worker.  Used by bit-identity
+            tests and soak verification legs that must exercise the
+            cross-process path regardless of host shape.
+
+    Neither value can change a result or an error: the serial path is
+    the parallel path minus the pool.
     """
 
     workers: int | None = None
-    timeout_s: float | None = None
-    retries: int = 1
-    chunk_size: int | None = None
     force_pool: bool = False
 
     def resolved_workers(self) -> int:
-        """The effective worker count for this config."""
+        """The effective worker count for this config (1 inside a pool
+        worker, unless ``force_pool``)."""
+        if os.environ.get(NESTED_ENV) and not self.force_pool:
+            return 1
         if self.workers is None:
             return default_workers()
         return max(1, int(self.workers))
@@ -135,7 +130,6 @@ class TaskOutcome:
     value: Any = None
     error: str | None = None
     wall_time_s: float = 0.0
-    attempts: int = 0
     from_cache: bool = False
     worker_pid: int | None = None
     #: Pickled size of ``value`` — what the task shipped (or would ship)
@@ -164,13 +158,17 @@ class _Meter:
     def count(self, name: str, amount: float = 1) -> None:
         self.metrics.counter(f"exec.{name}").inc(amount)
 
-    def task_done(self, wall_s: float, result_bytes: int = 0) -> None:
+    def task_resolved(self, outcome: TaskOutcome) -> None:
+        if not outcome.ok:
+            self.count("tasks.failed")
+            return
         self.count("tasks.completed")
         self.metrics.histogram(
-            "exec.task_wall_s", bounds=TASK_WALL_BUCKETS_S).observe(wall_s)
-        self.metrics.counter("exec.wall_time_s").inc(wall_s)
-        if result_bytes:
-            self.count("result_bytes", result_bytes)
+            "exec.task_wall_s",
+            bounds=TASK_WALL_BUCKETS_S).observe(outcome.wall_time_s)
+        self.metrics.counter("exec.wall_time_s").inc(outcome.wall_time_s)
+        if outcome.result_bytes:
+            self.count("result_bytes", outcome.result_bytes)
 
 
 def _worker_init() -> None:
@@ -178,12 +176,8 @@ def _worker_init() -> None:
     os.environ[NESTED_ENV] = "1"
 
 
-def _invoke(fn: Callable[..., Any], args: tuple,
-            kwargs: dict) -> tuple[Any, float, int]:
-    """Run one task, timing it; executes in the worker (or in-process)."""
-    start = time.perf_counter()
-    value = fn(*args, **kwargs)
-    return value, time.perf_counter() - start, os.getpid()
+def _describe_error(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _payload_size(value: Any) -> int:
@@ -200,170 +194,67 @@ def _payload_size(value: Any) -> int:
         return 0
 
 
-def _invoke_chunk(specs: list[tuple[Callable[..., Any], tuple, dict]],
-                  retries: int
-                  ) -> list[tuple[bool, Any, float, int, int, int]]:
-    """Run several tasks in one worker job, with in-worker retries.
-
-    Returns one ``(ok, value_or_error, wall_s, pid, attempts,
-    result_bytes)`` record per spec, in order.  Retrying inside the
-    worker keeps a transient failure from costing a round trip through
-    the parent.
-    """
-    records = []
-    for fn, args, kwargs in specs:
-        attempts = 0
-        while True:
-            attempts += 1
-            start = time.perf_counter()
-            try:
-                value = fn(*args, **kwargs)
-            except Exception as exc:
-                if attempts <= retries:
-                    continue
-                records.append((False, _describe_error(exc),
-                                time.perf_counter() - start, os.getpid(),
-                                attempts, 0))
-                break
-            records.append((True, value, time.perf_counter() - start,
-                            os.getpid(), attempts, _payload_size(value)))
-            break
-    return records
-
-
-def _describe_error(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _run_one_serial(task: TaskSpec, config: ExecConfig,
-                    meter: _Meter) -> TaskOutcome:
-    """In-process execution with the retry budget (no timeout)."""
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            value, wall_s, pid = _invoke(task.fn, task.args, task.kwargs)
-        except Exception as exc:
-            if attempts <= config.retries:
-                meter.count("tasks.retries")
-                continue
-            meter.count("tasks.failed")
-            return TaskOutcome(label=task.label, error=_describe_error(exc),
-                               attempts=attempts)
-        size = _payload_size(value)
-        meter.task_done(wall_s, size)
-        return TaskOutcome(label=task.label, value=value, wall_time_s=wall_s,
-                           attempts=attempts, worker_pid=pid,
-                           result_bytes=size)
-
-
-def _chunk_pending(pending: list[int], config: ExecConfig,
-                   workers: int) -> list[list[int]]:
-    """Cut pending indices into submission chunks (order-preserving)."""
-    size = config.chunk_size
-    if size is None:
-        size = max(1, -(-len(pending) // workers))
-    size = max(1, size)
-    return [pending[start:start + size]
-            for start in range(0, len(pending), size)]
+def _invoke(fn: Callable[..., Any], args: tuple, kwargs: dict,
+            label: str) -> TaskOutcome:
+    """Run one task to its outcome; executes in the worker or in-process."""
+    start = time.perf_counter()
+    try:
+        value = fn(*args, **kwargs)
+    except Exception as exc:
+        return TaskOutcome(label=label, error=_describe_error(exc))
+    return TaskOutcome(label=label, value=value,
+                       wall_time_s=time.perf_counter() - start,
+                       worker_pid=os.getpid(),
+                       result_bytes=_payload_size(value))
 
 
 def _run_pool(tasks: list[TaskSpec], pending: list[int],
-              outcomes: list[TaskOutcome | None], config: ExecConfig,
-              workers: int, meter: _Meter,
+              outcomes: list[TaskOutcome | None], workers: int,
+              meter: _Meter,
               drain: Callable[[], None] | None = None) -> list[int]:
     """Run ``pending`` task indices on a pool; fill ``outcomes``.
 
-    Tasks are submitted in chunks (see :meth:`ExecConfig.chunk_size`) so
-    each worker amortises pool dispatch and argument pickling over
-    several tasks.  Returns the indices that still need (serial)
-    execution — empty on a clean run, the unfinished tail when the pool
-    broke.
+    One task per pool job, resolved in submission order so a streaming
+    caller sees each outcome as soon as every earlier one has landed.
+    Returns the indices that still need (serial) execution — empty on a
+    clean run, the unfinished tail when the pool broke.
     """
-    chunks = _chunk_pending(pending, config, workers)
     try:
         executor = ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks)),
+            max_workers=min(workers, len(pending)),
             initializer=_worker_init)
     except (OSError, ValueError, NotImplementedError):
         meter.count("serial_fallbacks")
         return pending
-
-    def submit(chunk: list[int]):
-        return executor.submit(
-            _invoke_chunk,
-            [(tasks[index].fn, tasks[index].args, tasks[index].kwargs)
-             for index in chunk],
-            config.retries)
-
-    attempts = dict.fromkeys(range(len(chunks)), 1)
     try:
-        futures = {position: submit(chunk)
-                   for position, chunk in enumerate(chunks)}
-        for position, chunk in enumerate(chunks):
-            timeout = (None if config.timeout_s is None
-                       else config.timeout_s * len(chunk))
-            while any(outcomes[index] is None for index in chunk):
-                try:
-                    records = futures[position].result(timeout=timeout)
-                except FutureTimeoutError:
-                    meter.count("tasks.timeouts")
-                    futures[position].cancel()
-                    if attempts[position] <= config.retries:
-                        attempts[position] += 1
-                        meter.count("tasks.retries")
-                        futures[position] = submit(chunk)
-                        continue
-                    for index in chunk:
-                        meter.count("tasks.failed")
-                        outcomes[index] = TaskOutcome(
-                            label=tasks[index].label,
-                            error=(f"timeout after {config.timeout_s}s "
-                                   f"({attempts[position]} attempts)"),
-                            attempts=attempts[position])
-                except BrokenProcessPool:
-                    raise
-                except Exception as exc:
-                    # Chunk-level failure outside the tasks themselves
-                    # (e.g. an unpicklable result).
-                    if attempts[position] <= config.retries:
-                        attempts[position] += 1
-                        meter.count("tasks.retries")
-                        futures[position] = submit(chunk)
-                        continue
-                    for index in chunk:
-                        meter.count("tasks.failed")
-                        outcomes[index] = TaskOutcome(
-                            label=tasks[index].label,
-                            error=_describe_error(exc),
-                            attempts=attempts[position])
-                else:
-                    for index, record in zip(chunk, records):
-                        (ok, payload, wall_s, pid, task_attempts,
-                         result_bytes) = record
-                        if task_attempts > 1:
-                            meter.count("tasks.retries", task_attempts - 1)
-                        if ok:
-                            meter.task_done(wall_s, result_bytes)
-                            outcomes[index] = TaskOutcome(
-                                label=tasks[index].label, value=payload,
-                                wall_time_s=wall_s, attempts=task_attempts,
-                                worker_pid=pid, result_bytes=result_bytes)
-                        else:
-                            meter.count("tasks.failed")
-                            outcomes[index] = TaskOutcome(
-                                label=tasks[index].label, error=payload,
-                                attempts=task_attempts)
-            # The chunk is fully resolved: release its future (and the
-            # result payload it pins) before streaming the outcomes.
-            futures.pop(position, None)
+        futures = {index: executor.submit(
+                       _invoke, tasks[index].fn, tasks[index].args,
+                       tasks[index].kwargs, tasks[index].label)
+                   for index in pending}
+        for index in pending:
+            # Popped so the future (and the result payload it pins) is
+            # released before the outcome streams.
+            try:
+                outcome = futures.pop(index).result()
+            except BrokenProcessPool:
+                raise
+            except Exception as exc:
+                # Failure outside the task itself (e.g. an unpicklable
+                # result).
+                outcome = TaskOutcome(label=tasks[index].label,
+                                      error=_describe_error(exc))
+            outcomes[index] = outcome
+            meter.task_resolved(outcome)
             if drain is not None:
                 drain()
     except BrokenProcessPool:
         meter.count("serial_fallbacks")
         return [index for index in pending if outcomes[index] is None]
     finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+        # Every job still running is one this batch would have waited
+        # for; joining the workers here keeps the pool's teardown out
+        # of interpreter exit.
+        executor.shutdown(wait=True, cancel_futures=True)
     return []
 
 
@@ -434,10 +325,13 @@ def run_tasks(tasks: list[TaskSpec], config: ExecConfig | None = None,
         meter.count("pool_skips")
         use_pool = False
     if use_pool:
-        pending = _run_pool(tasks, pending, outcomes, config, workers,
-                            meter, drain=pool_drain)
+        pending = _run_pool(tasks, pending, outcomes, workers, meter,
+                            drain=pool_drain)
     for index in pending:
-        outcomes[index] = _run_one_serial(tasks[index], config, meter)
+        task = tasks[index]
+        outcomes[index] = _invoke(task.fn, task.args, task.kwargs,
+                                  task.label)
+        meter.task_resolved(outcomes[index])
         if stream is not None:
             drain()
     if stream is not None:
@@ -456,27 +350,29 @@ def run_tasks(tasks: list[TaskSpec], config: ExecConfig | None = None,
 
 def run_next_tasks(tasks: list[TaskSpec], done: int,
                    fold: Callable[[int, TaskOutcome], None],
-                   limit: int | None = None,
+                   one_round: bool = False,
                    config: ExecConfig | None = None,
-                   cache: ResultCache | None = None,
                    metrics: MetricsRegistry | None = None) -> int:
-    """Run the next ``limit`` tasks of a planned list, folding as they land.
+    """Run the rest of a planned task list, folding outcomes as they land.
 
-    ``tasks[:done]`` have already been folded; this runs
-    ``tasks[done:done + limit]`` (every remaining task when ``limit`` is
-    ``None``) through :func:`run_tasks` and hands each outcome to
-    ``fold(index, outcome)`` in submission order, ``index`` counting
-    from the start of ``tasks``.  Returns the new ``done``.
+    ``tasks[:done]`` have already been folded; this runs every remaining
+    task — or, with ``one_round``, only the next ``resolved_workers()``
+    of them (one when serial) — through :func:`run_tasks` and hands each
+    outcome to ``fold(index, outcome)`` in submission order, ``index``
+    counting from the start of ``tasks``.  Returns the new ``done``.
 
     An experiment that plans its tasks once and keeps ``done`` in its
-    run state gets ``run()`` (no limit) and a stepped ``advance()``
-    (limit 1) from this one call, so the two cannot disagree on labels,
-    retries, error strings, or fold order.
+    run state gets ``run()`` (everything) and a stepped ``advance()``
+    (one round, so a checkpointed run keeps its workers busy) from this
+    one call, and the two cannot disagree on labels, error strings, or
+    fold order.
     """
-    stop = len(tasks) if limit is None else min(len(tasks), done + limit)
+    config = config or ExecConfig()
+    stop = len(tasks)
+    if one_round:
+        stop = min(stop, done + config.resolved_workers())
     if stop > done:
-        run_tasks(tasks[done:stop], config=config, cache=cache,
-                  metrics=metrics,
+        run_tasks(tasks[done:stop], config=config, metrics=metrics,
                   stream=lambda offset, outcome: fold(done + offset, outcome))
     return stop
 

@@ -64,28 +64,21 @@ class ShardReducer(Protocol):
 
 
 def run_shard(item_fn: Callable[[int], Any], reducer: ShardReducer,
-              start: int, stop: int, item_retries: int = 0) -> Any:
+              start: int, stop: int) -> Any:
     """Execute items ``start..stop`` in order, reduced to one aggregate.
 
     Runs inside the worker (or in-process on the serial path — same
-    code, same result).  A failing item is retried ``item_retries``
-    times, then recorded via :meth:`ShardReducer.failure`; it never
-    fails the whole shard.
+    code, same result).  A failing item is recorded via
+    :meth:`ShardReducer.failure`; it never fails the whole shard.
     """
     state = reducer.fresh()
     for index in range(start, stop):
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                value = item_fn(index)
-            except Exception as exc:
-                if attempts <= item_retries:
-                    continue
-                reducer.failure(state, index, _describe_error(exc))
-                break
+        try:
+            value = item_fn(index)
+        except Exception as exc:
+            reducer.failure(state, index, _describe_error(exc))
+        else:
             reducer.item(state, index, value)
-            break
     return reducer.finish(state)
 
 
@@ -106,7 +99,7 @@ def shard_tasks(item_fn: Callable[[int], Any], reducer: ShardReducer,
                 count: int, shard_size: int,
                 key_fn: Callable[[int, int], str | None] | None = None,
                 label: str = "shard", cpu_bound: bool = True,
-                item_retries: int = 0) -> tuple[ShardPlan, list[TaskSpec]]:
+                ) -> tuple[ShardPlan, list[TaskSpec]]:
     """Build one :class:`TaskSpec` per shard of ``range(count)``.
 
     Args:
@@ -119,13 +112,10 @@ def shard_tasks(item_fn: Callable[[int], Any], reducer: ShardReducer,
         label: Task label prefix; shards are labelled
             ``{label}[start:stop]``.
         cpu_bound: Forwarded to :class:`TaskSpec`.
-        item_retries: In-worker retries per item before the item is
-            recorded as failed.
     """
     slices = shard_slices(count, shard_size)
     tasks = [
-        TaskSpec(fn=run_shard,
-                 args=(item_fn, reducer, start, stop, item_retries),
+        TaskSpec(fn=run_shard, args=(item_fn, reducer, start, stop),
                  key=key_fn(start, stop) if key_fn is not None else None,
                  label=f"{label}[{start}:{stop}]",
                  cpu_bound=cpu_bound)

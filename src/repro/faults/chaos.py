@@ -22,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.checkpoint import SteppedExperiment
 from repro.core.checker import ConsistencyChecker
 from repro.core.config import DtlConfig
 from repro.core.controller import DtlController, VmHandle
@@ -175,20 +176,13 @@ class ChaosRunState:
     level: int = 0
 
 
-class ChaosSoakExperiment:
+class ChaosSoakExperiment(SteppedExperiment):
     """Escalating fault-injection soak over the full DTL datapath."""
 
     name = "chaos"
 
     def __init__(self, config: ChaosSoakConfig | None = None):
         self.config = config if config is not None else ChaosSoakConfig()
-
-    def run(self) -> ChaosSoakResult:
-        """Run every escalation level; returns the combined result."""
-        state = self.begin()
-        while self.advance(state):
-            pass
-        return self.finish(state)
 
     # -- stepped execution -------------------------------------------------------
     # One escalation level per advance.  Each level builds its own fresh

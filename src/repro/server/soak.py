@@ -34,6 +34,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.checkpoint import SteppedExperiment
 from repro.exec.hashing import derive_seed
 from repro.seeded import SeededConfig
 from repro.server.admission import AdmissionConfig
@@ -163,7 +164,7 @@ class ServerSoakState:
     isolation: dict[str, Any] = field(default_factory=dict)
 
 
-class ServerSoakExperiment:
+class ServerSoakExperiment(SteppedExperiment):
     """Multi-tenant service soak: chaos, drain/restore, isolation."""
 
     name = "server-soak"
@@ -171,13 +172,6 @@ class ServerSoakExperiment:
     def __init__(self, config: ServerSoakConfig | None = None):
         self.config = config if config is not None \
             else ServerSoakConfig()
-
-    def run(self) -> ServerSoakResult:
-        """Run every phase; returns the combined result."""
-        state = self.begin()
-        while self.advance(state):
-            pass
-        return self.finish(state)
 
     # -- stepped execution -------------------------------------------------
 

@@ -19,9 +19,9 @@ import numpy as np
 from repro.analysis.amat import AmatModel
 from repro.analysis.area_power import CONTROLLER_384GB, CONTROLLER_4TB
 from repro.analysis.structures import MODEL_384GB, MODEL_4TB
-from repro.checkpoint import run_stepped
+from repro.checkpoint import SteppedExperiment
 from repro.host.scheduler import VmScheduler
-from repro.sim.base import SeededConfig
+from repro.seeded import SeededConfig
 from repro.sim.perf_model import PerformanceModel
 from repro.sim.results import ExperimentRecord
 from repro.workloads.azure import generate_vm_trace
@@ -139,18 +139,14 @@ class AnalyticRunState:
     result: Any = None
 
 
-class AnalyticExperiment:
-    """One analytic row behind the experiment and stepping protocols."""
+class AnalyticExperiment(SteppedExperiment):
+    """One analytic row behind the stepping protocol."""
 
     def __init__(self, name: str, row: Callable[[AnalyticConfig], Any],
                  config: AnalyticConfig | None = None):
         self.name = name
         self.row = row
         self.config = config if config is not None else AnalyticConfig()
-
-    def run(self) -> Any:
-        """Compute the row."""
-        return run_stepped(self)
 
     def begin(self) -> AnalyticRunState:
         return AnalyticRunState()

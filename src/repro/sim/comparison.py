@@ -12,6 +12,7 @@ import functools
 from dataclasses import dataclass
 
 from repro.baselines.ramzzz import RamzzzConfig, RamzzzPolicy
+from repro.checkpoint import SteppedExperiment
 from repro.core.controller import DtlController
 from repro.sim.selfrefresh_sim import (SelfRefreshResult, SelfRefreshRunState,
                                        SelfRefreshSimConfig,
@@ -67,7 +68,7 @@ class PolicyComparisonRunState:
     dtl_done: bool = False
 
 
-class PolicyComparisonExperiment:
+class PolicyComparisonExperiment(SteppedExperiment):
     """Registry adapter: DTL-vs-RAMZzz head-to-head from one SR config."""
 
     name = "ramzzz_comparison"
@@ -104,13 +105,6 @@ class PolicyComparisonExperiment:
             ramzzz=state.ramzzz_sim.finish(state.ramzzz_state),
             ramzzz_demotions=policy.demotions,
             ramzzz_wakeups=policy.wakeups)
-
-    def run(self) -> ComparisonResult:
-        """Run both policies on the configured experiment."""
-        state = self.begin()
-        while self.advance(state):
-            pass
-        return self.finish(state)
 
 
 def compare_policies(config: SelfRefreshSimConfig,

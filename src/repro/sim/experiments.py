@@ -1,10 +1,11 @@
 """The single experiment registry behind the CLI and the executor.
 
-Every simulator in :mod:`repro.sim` conforms to the
-:class:`~repro.sim.base.Experiment` protocol — ``name``, ``config``,
-``run()`` returning a result with ``to_record()`` — and registers here
-as an :class:`ExperimentSpec`.  Anything that can name an experiment and
-build (or load) its config dataclass can then run it the same way:
+Every registered experiment is a
+:class:`~repro.checkpoint.stepping.Stepper` — ``name``, ``begin`` /
+``advance`` / ``finish`` and the ``run()`` over them, returning a result
+with ``to_record()`` — built from an :class:`ExperimentSpec`.  Anything
+that can name an experiment and build (or load) its config dataclass
+can then run it the same way, in one call or a step at a time:
 
 >>> from repro.sim.experiments import EXPERIMENTS, run_experiment
 >>> spec = EXPERIMENTS["selfrefresh"]
@@ -25,6 +26,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.checkpoint import Stepper
 from repro.exec import (ExecConfig, ResultCache, TaskOutcome, TaskSpec,
                         run_tasks, task_key)
 from repro.faults.chaos import ChaosSoakConfig, ChaosSoakExperiment
@@ -33,7 +35,6 @@ from repro.server.soak import (ServerSoakConfig, ServerSoakExperiment,
                                quick_server_soak_config)
 from repro.sim.analytic import (ANALYTIC_ROWS, AnalyticConfig,
                                 AnalyticExperiment)
-from repro.sim.base import Experiment, ExperimentResult
 from repro.sim.comparison import PolicyComparisonExperiment
 from repro.sim.fleet import FleetConfig, FleetSimulator, RackConfig
 from repro.sim.fleet_soak import (FleetSoakConfig, FleetSoakExperiment,
@@ -58,7 +59,7 @@ class ExperimentSpec:
         name: Registry key (also the experiment's ``name`` attribute and
             the prefix of its cache keys).
         config_type: The config dataclass the factory accepts.
-        factory: ``config -> Experiment`` constructor.
+        factory: ``config -> Stepper`` constructor.
         tiny_config: Builds a seconds-scale config for smoke tests and
             the registry round-trip suite.
         summary: One-line description for ``repro exp --list``.
@@ -73,7 +74,7 @@ class ExperimentSpec:
 
     name: str
     config_type: type
-    factory: Callable[[Any], Experiment]
+    factory: Callable[[Any], Stepper]
     tiny_config: Callable[[], Any]
     summary: str
     flag_configs: Callable[[Any], dict[str, Any]] | None = None
@@ -100,28 +101,32 @@ def get_spec(name: str) -> ExperimentSpec:
                        f"choices: {sorted(EXPERIMENTS)}") from None
 
 
-def make_experiment(name: str, config: Any | None = None) -> Experiment:
-    """Instantiate the named experiment (default config when ``None``)."""
+def make_experiment(name: str, config: Any | None = None,
+                    exec_config: ExecConfig | None = None) -> Stepper:
+    """Instantiate the named experiment (default config when ``None``).
+
+    ``exec_config`` reaches the experiments that fan out internally
+    (fleet shards, sweep points, tournament cells), for ``run()`` and
+    for a stepped ``advance()`` alike; it never changes a result, only
+    how many processes compute it.
+    """
     spec = get_spec(name)
     if config is None:
         config = spec.config_type()
-    return spec.factory(config)
+    experiment = spec.factory(config)
+    if exec_config is not None and hasattr(experiment, "exec_config"):
+        experiment.exec_config = exec_config
+    return experiment
 
 
 def run_experiment(name: str, config: Any | None = None,
-                   exec_config: ExecConfig | None = None) -> ExperimentResult:
+                   exec_config: ExecConfig | None = None) -> Any:
     """Build and run the named experiment.
 
     Module-level and fully determined by its (picklable) arguments —
     this is the function the process-pool workers execute.
-    ``exec_config`` reaches the experiments that fan out internally
-    (fleet shards, sweep points, tournament cells); it never changes a
-    result, only how many processes compute it.
     """
-    experiment = make_experiment(name, config)
-    if exec_config is not None and hasattr(experiment, "exec_config"):
-        experiment.exec_config = exec_config
-    return experiment.run()
+    return make_experiment(name, config, exec_config).run()
 
 
 def experiment_task(name: str, config: Any,

@@ -448,19 +448,6 @@ class FleetSimulator:
         return [self.config.node.with_seed(self.config.base_seed + index)
                 for index in range(self.config.num_nodes)]
 
-    def _exec_config(self) -> ExecConfig:
-        """The effective executor config for the shard fan-out.
-
-        Shard tasks are already chunky, so pool chunking is forced to
-        one shard per pool job — that is what gives the parent
-        shard-granular streaming (and bounds how much result data a
-        single pool round trip can pin).
-        """
-        config = self.exec_config or ExecConfig()
-        if config.chunk_size is None:
-            config = dataclasses.replace(config, chunk_size=1)
-        return config
-
     def begin(self) -> "FleetRunState":
         """Plan the shard tasks and open the streaming accumulator."""
         config = self.config
@@ -470,7 +457,7 @@ class FleetSimulator:
         plan, tasks = shard_tasks(
             runner, reducer, count=config.num_nodes,
             shard_size=config.shard_size, label="fleet-shard",
-            cpu_bound=True, item_retries=self._exec_config().retries)
+            cpu_bound=True)
         return FleetRunState(
             tasks=tasks,
             accumulator=_FleetAccumulator(slices=list(plan.slices),
@@ -478,27 +465,27 @@ class FleetSimulator:
             metrics=MetricsRegistry())
 
     def _drive(self, state: "FleetRunState",
-               limit: int | None = None) -> bool:
-        """Run the next ``limit`` shards (all when ``None``); True while
-        more remain.
+               one_round: bool = False) -> bool:
+        """Run every pending shard (one round of ``workers`` shards when
+        ``one_round``); True while more remain.
 
         The one schedule behind both :meth:`run` and :meth:`advance`:
         shards go through :func:`repro.exec.run_tasks` — serially by
         default, in parallel when the exec config (or
-        ``REPRO_EXEC_WORKERS``) asks for workers — and stream into the
-        accumulator in submission order.  A node that fails after its
-        retry budget lands in ``FleetResult.failures`` instead of
-        aborting the shard; a shard-level failure (worker loss,
-        unpicklable result) fails all of its nodes.
+        ``REPRO_EXEC_WORKERS``) asks for workers, one shard per pool
+        job — and stream into the accumulator in submission order.  A
+        node that fails lands in ``FleetResult.failures`` instead of
+        aborting the shard; a shard-level failure (unpicklable result, a
+        reducer that raises) fails all of its nodes.
         """
         state.done = run_next_tasks(
-            state.tasks, state.done, state.accumulator.stream, limit,
-            config=self._exec_config(), metrics=state.metrics)
+            state.tasks, state.done, state.accumulator.stream, one_round,
+            config=self.exec_config, metrics=state.metrics)
         return state.done < len(state.tasks)
 
     def advance(self, state: "FleetRunState") -> bool:
-        """Run one pending shard; True while more remain after."""
-        return self._drive(state, limit=1)
+        """Run one round of pending shards; True while more remain after."""
+        return self._drive(state, one_round=True)
 
     def finish(self, state: "FleetRunState") -> FleetResult:
         """Assemble the aggregate from the streamed shard folds."""

@@ -23,6 +23,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+from repro.checkpoint import SteppedExperiment
 from repro.dram.geometry import DramGeometry
 from repro.exec import ExecConfig
 from repro.host.scheduler import SchedulerConfig
@@ -126,7 +127,7 @@ class FleetSoakResult:
                for key, value in self.rack_report.items()}})
 
 
-class FleetSoakExperiment:
+class FleetSoakExperiment(SteppedExperiment):
     """Run the soak: sharded-serial, then sharded-parallel, then gate."""
 
     name = "fleet-soak"
@@ -202,12 +203,6 @@ class FleetSoakExperiment:
             nodes_failed=state.nodes_failed,
             rack_report=state.rack_report,
             result_bytes=state.result_bytes)
-
-    def run(self) -> FleetSoakResult:
-        state = self.begin()
-        while self.advance(state):
-            pass
-        return self.finish(state)
 
 
 @dataclass

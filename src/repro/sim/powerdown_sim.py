@@ -23,13 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checkpoint import SteppedExperiment
 from repro.core.config import DtlConfig
 from repro.core.controller import DtlController, VmHandle
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import EnergyAccumulator, PowerState
 from repro.host.scheduler import SchedulerConfig, VmScheduler
 from repro.host.vm import VmSpec
-from repro.sim.base import SeededConfig
+from repro.seeded import SeededConfig
 from repro.sim.perf_model import (INTERLEAVING_OFF_PENALTY_CXL,
                                   PerformanceModel, TRANSLATION_OVERHEAD)
 from repro.units import GIB
@@ -168,7 +169,7 @@ class PowerDownRunState:
     pending_migration_bytes: float = 0.0
 
 
-class PowerDownSimulator:
+class PowerDownSimulator(SteppedExperiment):
     """Replays a VM schedule through the DTL controller."""
 
     name = "powerdown"
@@ -314,17 +315,6 @@ class PowerDownSimulator:
             telemetry=telemetry,
             window_snapshots=state.window_snapshots)
 
-    def run(self, specs: list[VmSpec] | None = None) -> PowerDownResult:
-        """Simulate the schedule; returns interval records and energy.
-
-        Implemented as ``finish(drive(begin()))`` so the stepped path
-        and the one-shot path are the same code.
-        """
-        state = self.begin(specs)
-        while self.advance(state):
-            pass
-        return self.finish(state)
-
     def _execution_time_factor(self, mean_active_ranks: float) -> float:
         """Section 5.1 post-processing of the execution time.
 
@@ -406,7 +396,7 @@ class ComparisonRunState:
     baseline_done: bool = False
 
 
-class ComparisonSimulator:
+class ComparisonSimulator(SteppedExperiment):
     """Baseline-vs-DTL pair on one VM trace — the fleet's unit of work.
 
     The baseline config is derived with :func:`dataclasses.replace`, so
@@ -446,13 +436,6 @@ class ComparisonSimulator:
             config=self.config,
             baseline=state.baseline_sim.finish(state.baseline_state),
             dtl=state.dtl_sim.finish(state.dtl_state))
-
-    def run(self) -> PowerDownComparisonResult:
-        """Run both configurations on the same generated VM trace."""
-        state = self.begin()
-        while self.advance(state):
-            pass
-        return self.finish(state)
 
 
 __all__ = [

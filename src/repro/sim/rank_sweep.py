@@ -24,7 +24,7 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DDR4_2933, DramTiming, NATIVE_DRAM_LATENCY_NS
 from repro.exec import (ExecConfig, TaskOutcome, TaskSpec, run_next_tasks,
                         run_tasks)
-from repro.sim.base import SeededConfig
+from repro.seeded import SeededConfig
 from repro.units import GIB
 from repro.workloads.cloudsuite import PROFILES, TraceGenerator, WorkloadProfile
 from repro.workloads.trace import Trace
@@ -286,9 +286,9 @@ class RankSweepExperiment:
                                  tasks=sweep.measure_tasks(counts))
 
     def _drive(self, state: "RankSweepRunState",
-               limit: int | None = None) -> bool:
-        """Run the next ``limit`` measurements (all when ``None``); True
-        while more remain.
+               one_round: bool = False) -> bool:
+        """Run every pending measurement (one round of ``workers`` when
+        ``one_round``); True while more remain.
 
         The one schedule behind :meth:`run` and :meth:`advance`.
         """
@@ -296,13 +296,13 @@ class RankSweepExperiment:
             point = outcome.unwrap()
             state.measured[point.active_ranks] = point
 
-        state.done = run_next_tasks(state.tasks, state.done, fold, limit,
-                                    config=self.exec_config)
+        state.done = run_next_tasks(state.tasks, state.done, fold,
+                                    one_round, config=self.exec_config)
         return state.done < len(state.tasks)
 
     def advance(self, state: "RankSweepRunState") -> bool:
-        """Measure one pending rank count; True while more remain after."""
-        return self._drive(state, limit=1)
+        """Measure one round of rank counts; True while more remain after."""
+        return self._drive(state, one_round=True)
 
     def finish(self, state: "RankSweepRunState") -> TraceRankSweepResult:
         """Interpolate odd counts and assemble the sweep result."""

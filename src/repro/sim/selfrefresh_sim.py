@@ -37,11 +37,12 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.checkpoint import SteppedExperiment
 from repro.core.config import DtlConfig
 from repro.core.controller import DtlController, VmHandle
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
-from repro.sim.base import SeededConfig
+from repro.seeded import SeededConfig
 from repro.units import CACHELINE_BYTES, GIB, MIB, NS_PER_MS, NS_PER_S
 from repro.workloads.cloudsuite import PROFILES, TRACED_BENCHMARKS, TraceGenerator
 from repro.workloads.drift import DriftConfig, DriftingWorkload
@@ -178,7 +179,7 @@ class SelfRefreshRunState:
     step: int = 0
 
 
-class SelfRefreshSimulator:
+class SelfRefreshSimulator(SteppedExperiment):
     """Windowed trace-driven driver for a self-refresh policy.
 
     ``policy_of`` picks the policy under replay off the freshly built
@@ -394,18 +395,6 @@ class SelfRefreshSimulator:
         """Summarise a fully-advanced state into the experiment result."""
         return self._summarise(state.policy, state.steps,
                                state.baseline_power, state.active_per_channel)
-
-    def run(self) -> SelfRefreshResult:
-        """Simulate ``duration_s`` of replay; returns savings trajectories.
-
-        Implemented as ``finish(drive(begin()))`` so the stepped path
-        and the one-shot path are the same code — a run resumed from a
-        mid-flight checkpoint is bit-identical by construction.
-        """
-        state = self.begin()
-        while self.advance(state):
-            pass
-        return self.finish(state)
 
     def _summarise(self, policy: Any, steps: list[StepRecord],
                    baseline_power: float,

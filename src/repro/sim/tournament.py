@@ -29,9 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.exec import (ExecConfig, ResultCache, TaskOutcome, TaskSpec,
-                        run_next_tasks)
-from repro.sim.base import SeededConfig
+from repro.exec import ExecConfig, TaskOutcome, TaskSpec, run_next_tasks
+from repro.seeded import SeededConfig
 from repro.sim.selfrefresh_sim import SelfRefreshResult, SelfRefreshSimConfig
 from repro.workloads.cloudsuite import TRACED_BENCHMARKS
 
@@ -173,11 +172,10 @@ class PolicyTournament:
             grid=grid,
             tasks=[experiment_task("selfrefresh", sim) for _, _, sim in grid])
 
-    def _drive(self, state: TournamentRunState, limit: int | None = None,
-               exec_config: ExecConfig | None = None,
-               cache: ResultCache | None = None) -> bool:
-        """Run the next ``limit`` cells (all when ``None``); True while
-        more remain.
+    def _drive(self, state: TournamentRunState,
+               one_round: bool = False) -> bool:
+        """Run every pending cell (one round of ``workers`` cells when
+        ``one_round``); True while more remain.
 
         The one schedule behind :meth:`run` and :meth:`advance`.  Failed
         cells land in ``state.failures`` rather than raising, so one
@@ -191,25 +189,23 @@ class PolicyTournament:
                 state.cells.append(
                     cell_from_result(policy, label, outcome.value))
 
-        state.done = run_next_tasks(state.tasks, state.done, fold, limit,
-                                    config=exec_config, cache=cache)
+        state.done = run_next_tasks(state.tasks, state.done, fold,
+                                    one_round, config=self.exec_config)
         return state.done < len(state.tasks)
 
     def advance(self, state: TournamentRunState) -> bool:
-        """Run one pending cell; True while more remain after."""
-        return self._drive(state, limit=1)
+        """Run one round of pending cells; True while more remain after."""
+        return self._drive(state, one_round=True)
 
     def finish(self, state: TournamentRunState) -> TournamentResult:
         """Assemble the Pareto-ranked result from the completed cells."""
         return TournamentResult(config=self.config, cells=state.cells,
                                 failures=state.failures)
 
-    def run(self, exec_config: ExecConfig | None = None,
-            cache: ResultCache | None = None) -> TournamentResult:
+    def run(self) -> TournamentResult:
         """Fan the grid out and collect the Pareto-ranked result."""
         state = self.begin()
-        self._drive(state, exec_config=exec_config or self.exec_config,
-                    cache=cache)
+        self._drive(state)
         return self.finish(state)
 
 

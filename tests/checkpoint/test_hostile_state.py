@@ -15,8 +15,7 @@ import dataclasses
 from repro.checkpoint import checkpoint_state, resume_state
 from repro.exec.hashing import stable_hash
 from repro.faults import ChaosSoakConfig
-from repro.sim.experiments import EXPERIMENTS
-from repro.sim.stepping import make_stepper
+from repro.sim.experiments import EXPERIMENTS, make_experiment
 
 
 def drive_from(stepper, state):
@@ -26,7 +25,7 @@ def drive_from(stepper, state):
 
 
 def resume_and_finish(name, config, checkpoint):
-    resumer = make_stepper(name, config)
+    resumer = make_experiment(name, config)
     return drive_from(resumer, resume_state(resumer, checkpoint))
 
 
@@ -46,10 +45,10 @@ def test_powerdown_snapshot_with_migration_in_flight():
     config = PowerDownSimConfig(
         azure=AzureTraceConfig(num_vms=40, duration_s=1800.0),
         scheduler=SchedulerConfig(duration_s=1800.0))
-    cold = make_stepper("powerdown", config).run()
+    cold = make_experiment("powerdown", config).run()
     assert cold.migrated_bytes > 0
 
-    stepper = make_stepper("powerdown", config)
+    stepper = make_experiment("powerdown", config)
     state = stepper.begin()
     step = 0
     hostile_step = None
@@ -75,10 +74,10 @@ def test_selfrefresh_snapshot_during_sr_phase_transitions():
     # while exits are still to come: the rank state machines, pending
     # swaps, and policy accumulators are all mid-flight.
     config = EXPERIMENTS["selfrefresh"].tiny_config()
-    cold = make_stepper("selfrefresh", config).run()
+    cold = make_experiment("selfrefresh", config).run()
     assert cold.sr_entries > 0 and cold.sr_exits > 0
 
-    stepper = make_stepper("selfrefresh", config)
+    stepper = make_experiment("selfrefresh", config)
     state = stepper.begin()
     checkpoint = None
     more = True
@@ -102,9 +101,9 @@ def test_chaos_snapshot_with_armed_plan_partially_consumed():
     # consumed counters.  Cold and resumed runs arm identically.
     config = ChaosSoakConfig(seed=3, levels=2, batches_per_phase=3,
                              batch_size=24)
-    cold = make_stepper("chaos", config).run()
+    cold = make_experiment("chaos", config).run()
 
-    stepper = make_stepper("chaos", config)
+    stepper = make_experiment("chaos", config)
     state = stepper.begin()
     assert stepper.advance(state)  # level 0 done, level 1 pending
     assert state.level == 1 and len(state.reports) == 1
@@ -122,9 +121,9 @@ def test_restore_identity_under_every_policy():
     from repro.policies import POLICIES
     for policy in sorted(POLICIES):
         config = dataclasses.replace(base, policy=policy, duration_s=1.0)
-        cold = make_stepper("selfrefresh", config).run()
+        cold = make_experiment("selfrefresh", config).run()
 
-        stepper = make_stepper("selfrefresh", config)
+        stepper = make_experiment("selfrefresh", config)
         state = stepper.begin()
         for _ in range(3):
             stepper.advance(state)
@@ -138,9 +137,9 @@ def test_comparison_snapshot_between_legs():
     # config is inside the baseline leg, and the snapshot must carry
     # the not-yet-started DTL leg's full begin() state.
     config = EXPERIMENTS["powerdown_comparison"].tiny_config()
-    cold = make_stepper("powerdown_comparison", config).run()
+    cold = make_experiment("powerdown_comparison", config).run()
 
-    stepper = make_stepper("powerdown_comparison", config)
+    stepper = make_experiment("powerdown_comparison", config)
     state = stepper.begin()
     while not state.baseline_done:
         stepper.advance(state)

@@ -16,12 +16,11 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.checkpoint import (checkpoint_state, load_checkpoint,
+from repro.checkpoint import (Stepper, checkpoint_state, load_checkpoint,
                               resume_state, run_to_step,
                               run_with_checkpoints)
 from repro.exec.hashing import stable_hash
-from repro.sim.experiments import EXPERIMENTS
-from repro.sim.stepping import make_stepper, stepper_names
+from repro.sim.experiments import EXPERIMENTS, make_experiment
 
 #: Record keys that legitimately differ between two runs of the same
 #: config (host memory readings, and the fleet-soak verdict that folds
@@ -51,7 +50,8 @@ _COLD: dict[str, object] = {}
 
 def cold_run(name: str):
     if name not in _COLD:
-        _COLD[name] = make_stepper(name, EXPERIMENTS[name].tiny_config()).run()
+        _COLD[name] = make_experiment(
+            name, EXPERIMENTS[name].tiny_config()).run()
     return _COLD[name]
 
 
@@ -60,11 +60,11 @@ def restore_at_k(name: str, k: int):
     config = EXPERIMENTS[name].tiny_config()
     cold = cold_run(name)
 
-    prefix = make_stepper(name, config)
+    prefix = make_experiment(name, config)
     state, taken, _more = run_to_step(prefix, k)
     checkpoint = checkpoint_state(prefix, state, taken)
 
-    resumer = make_stepper(name, config)
+    resumer = make_experiment(name, config)
     resumed_state = resume_state(resumer, checkpoint)
     while resumer.advance(resumed_state):
         pass
@@ -72,7 +72,9 @@ def restore_at_k(name: str, k: int):
 
 
 def test_every_experiment_implements_stepping():
-    assert stepper_names() == sorted(EXPERIMENTS)
+    for name in sorted(EXPERIMENTS):
+        assert isinstance(
+            make_experiment(name, EXPERIMENTS[name].tiny_config()), Stepper)
 
 
 def test_restore_at_step_2_all_experiments():
@@ -111,13 +113,13 @@ def test_restored_selfrefresh_run_extends_by_raising_num_steps():
     # longer step count *is* the longer run (docs/CHECKPOINT.md).
     short = EXPERIMENTS["selfrefresh"].tiny_config()
     longer = dataclasses.replace(short, duration_s=short.duration_s * 1.5)
-    cold = make_stepper("selfrefresh", longer).run()
+    cold = make_experiment("selfrefresh", longer).run()
 
-    prefix = make_stepper("selfrefresh", short)
+    prefix = make_experiment("selfrefresh", short)
     state, taken, _more = run_to_step(prefix, 10_000)
     checkpoint = checkpoint_state(prefix, state, taken)
 
-    resumer = make_stepper("selfrefresh", longer)
+    resumer = make_experiment("selfrefresh", longer)
     resumed_state = resume_state(resumer, checkpoint)
     resumed_state.num_steps = int(longer.duration_s / resumed_state.step_s)
     assert resumed_state.num_steps > taken
@@ -131,12 +133,12 @@ def test_resuming_a_finished_run_leaves_its_checkpoint_alone(tmp_path):
     # runs must not advance, re-count the step, or rewrite the file.
     path = tmp_path / "run.ckpt"
     config = EXPERIMENTS["rank_sweep"].tiny_config()
-    first = run_with_checkpoints(make_stepper("rank_sweep", config),
+    first = run_with_checkpoints(make_experiment("rank_sweep", config),
                                  path=str(path), every=1)
     step, written = load_checkpoint(str(path)).step, path.read_bytes()
     for _ in range(3):
         steps_seen: list[int] = []
-        again = run_with_checkpoints(make_stepper("rank_sweep", config),
+        again = run_with_checkpoints(make_experiment("rank_sweep", config),
                                      path=str(path), every=1, resume=True,
                                      on_step=steps_seen.append)
         assert_identical(first, again)

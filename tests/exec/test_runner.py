@@ -1,14 +1,14 @@
-"""The task runner: ordering, retries, timeouts, caching, fallback.
+"""The task runner: ordering, error capture, caching, nesting, fallback.
 
 The task functions live at module level so the parallel path can pickle
-them; coordination between attempts/processes goes through files in
+them; coordination between runs/processes goes through files in
 ``tmp_path`` (shared by fork and spawn alike).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
-import time
 
 import pytest
 
@@ -25,11 +25,6 @@ def _boom():
     raise ValueError("boom")
 
 
-def _sleep(seconds):
-    time.sleep(seconds)
-    return seconds
-
-
 def _pid():
     return os.getpid()
 
@@ -43,7 +38,7 @@ def _touch_and_count(path):
 
 
 def _flaky(marker_path):
-    """Fail on the first attempt, succeed once the marker exists."""
+    """Fail on the first run, succeed once the marker exists."""
     if not os.path.exists(marker_path):
         with open(marker_path, "w"):
             pass
@@ -51,12 +46,31 @@ def _flaky(marker_path):
     return "recovered"
 
 
+def _die_in_a_worker(parent_pid, x):
+    """Kill the hosting process unless it is the parent."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return x * x
+
+
+def _inner_pids(workers):
+    """A task that fans out itself, naming a worker count explicitly."""
+    outcomes = run_tasks([TaskSpec(fn=_pid) for _ in range(3)],
+                         config=ExecConfig(workers=workers),
+                         metrics=MetricsRegistry())
+    return os.getpid(), [o.worker_pid for o in outcomes]
+
+
+def test_exec_config_has_two_options():
+    assert [f.name for f in dataclasses.fields(ExecConfig)] == \
+        ["workers", "force_pool"]
+
+
 def test_serial_values_in_submission_order():
     outcomes = run_tasks([TaskSpec(fn=_square, args=(x,), label=f"sq-{x}")
-                          for x in range(6)])
+                          for x in range(6)], config=ExecConfig(workers=1))
     assert [o.value for o in outcomes] == [x * x for x in range(6)]
-    assert all(o.ok and o.attempts == 1 and not o.from_cache
-               for o in outcomes)
+    assert all(o.ok and not o.from_cache for o in outcomes)
     assert outcomes[0].worker_pid == os.getpid()
 
 
@@ -74,41 +88,37 @@ def test_parallel_runs_in_worker_processes():
     assert os.getpid() not in pids
 
 
-def test_retry_recovers_serial(tmp_path):
-    marker = str(tmp_path / "marker")
-    [outcome] = run_tasks([TaskSpec(fn=_flaky, args=(marker,))],
-                          config=ExecConfig(retries=1))
-    assert outcome.ok and outcome.value == "recovered"
-    assert outcome.attempts == 2
-
-
-def test_retry_recovers_parallel(tmp_path):
-    marker = str(tmp_path / "marker")
-    outcomes = run_tasks([TaskSpec(fn=_flaky, args=(marker,)),
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raising_task_reports_the_same_error_on_both_paths(workers):
+    outcomes = run_tasks([TaskSpec(fn=_boom, label="doomed"),
                           TaskSpec(fn=_square, args=(3,))],
-                         config=ExecConfig(workers=2, retries=1))
-    assert outcomes[0].ok and outcomes[0].value == "recovered"
-    assert outcomes[1].value == 9
-
-
-def test_retry_budget_exhausted():
-    [outcome] = run_tasks([TaskSpec(fn=_boom, label="doomed")],
-                          config=ExecConfig(retries=2))
-    assert not outcome.ok
-    assert outcome.attempts == 3
-    assert "ValueError: boom" in outcome.error
-    with pytest.raises(RuntimeError, match="doomed"):
-        outcome.unwrap()
-
-
-def test_timeout_reported(tmp_path):
-    outcomes = run_tasks(
-        [TaskSpec(fn=_sleep, args=(5.0,), label="hang"),
-         TaskSpec(fn=_square, args=(2,))],
-        config=ExecConfig(workers=2, timeout_s=0.2, retries=0))
+                         config=ExecConfig(workers=workers))
     assert not outcomes[0].ok
-    assert "timeout" in outcomes[0].error
-    assert outcomes[1].ok and outcomes[1].value == 4
+    assert outcomes[0].error == "ValueError: boom"
+    assert outcomes[1].value == 9
+    with pytest.raises(RuntimeError, match="doomed"):
+        outcomes[0].unwrap()
+
+
+def test_explicit_workers_inside_a_worker_stay_serial():
+    """A nested batch degrades to serial whatever ``workers`` it names."""
+    outcomes = run_tasks([TaskSpec(fn=_inner_pids, args=(2,))
+                          for _ in range(2)],
+                         config=ExecConfig(workers=2))
+    for outcome in outcomes:
+        worker, inner = outcome.unwrap()
+        assert worker != os.getpid()
+        assert inner == [worker] * 3
+
+
+def test_broken_pool_falls_back_to_serial():
+    metrics = MetricsRegistry()
+    outcomes = run_tasks([TaskSpec(fn=_die_in_a_worker,
+                                   args=(os.getpid(), x)) for x in range(3)],
+                         config=ExecConfig(workers=2), metrics=metrics)
+    assert [o.value for o in outcomes] == [0, 1, 4]
+    assert all(o.worker_pid == os.getpid() for o in outcomes)
+    assert metrics.counter_values()["exec.serial_fallbacks"] == 1
 
 
 def test_cache_hit_skips_execution(tmp_path):
@@ -126,9 +136,9 @@ def test_failures_are_not_cached(tmp_path):
     marker = str(tmp_path / "marker")
     cache = ResultCache()
     task = TaskSpec(fn=_flaky, args=(marker,), key="flaky-key")
-    [first] = run_tasks([task], cache=cache, config=ExecConfig(retries=0))
+    [first] = run_tasks([task], cache=cache)
     assert not first.ok
-    [second] = run_tasks([task], cache=cache, config=ExecConfig(retries=0))
+    [second] = run_tasks([task], cache=cache)
     assert second.ok and not second.from_cache  # re-ran, marker now exists
 
 
@@ -149,17 +159,19 @@ def test_nested_marker_forces_serial(monkeypatch):
     monkeypatch.setenv(NESTED_ENV, "1")
     assert default_workers() == 1
     assert ExecConfig().resolved_workers() == 1
+    assert ExecConfig(workers=3).resolved_workers() == 1
+    assert ExecConfig(workers=3, force_pool=True).resolved_workers() == 3
 
 
 def test_metrics_accounting():
     metrics = MetricsRegistry()
     run_tasks([TaskSpec(fn=_square, args=(2,)),
                TaskSpec(fn=_boom)],
-              config=ExecConfig(retries=1), metrics=metrics)
+              config=ExecConfig(workers=1), metrics=metrics)
     counters = metrics.counter_values()
     assert counters["exec.tasks.completed"] == 1
     assert counters["exec.tasks.failed"] == 1
-    assert counters["exec.tasks.retries"] == 1
+    assert "exec.tasks.retries" not in counters
     assert metrics.gauge_values()["exec.workers"] == 1
     assert metrics.gauge_values()["exec.last_batch_wall_s"] >= 0.0
 
@@ -172,27 +184,6 @@ def test_default_registry_receives_accounting():
 
 def test_empty_batch():
     assert run_tasks([]) == []
-
-
-def test_chunked_parallel_matches_serial():
-    tasks = lambda: [TaskSpec(fn=_square, args=(x,)) for x in range(9)]
-    serial = run_tasks(tasks(), config=ExecConfig(workers=1))
-    chunked = run_tasks(tasks(), config=ExecConfig(workers=2, chunk_size=3))
-    assert [o.value for o in serial] == [o.value for o in chunked]
-    assert all(o.ok for o in chunked)
-
-
-def test_chunked_retry_and_failure_reporting(tmp_path):
-    marker = str(tmp_path / "marker")
-    outcomes = run_tasks(
-        [TaskSpec(fn=_flaky, args=(marker,)),
-         TaskSpec(fn=_boom, label="doomed"),
-         TaskSpec(fn=_square, args=(4,))],
-        config=ExecConfig(workers=2, retries=1, chunk_size=3))
-    assert outcomes[0].ok and outcomes[0].value == "recovered"
-    assert outcomes[0].attempts == 2
-    assert not outcomes[1].ok and "ValueError: boom" in outcomes[1].error
-    assert outcomes[2].value == 16
 
 
 def test_cpu_bound_skips_pool_on_single_core(monkeypatch):

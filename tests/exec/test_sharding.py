@@ -1,7 +1,7 @@
 """Tests for shard-granular fan-out and streaming aggregation.
 
 Covers the slicing/plan helpers, the in-worker reduction loop (item
-order, retries, failure isolation), the shard-task factory, the
+order, failure isolation), the shard-task factory, the
 ``exec.result_bytes`` accounting, ``ExecConfig.force_pool``, and the
 ``run_tasks(stream=...)`` contract: strict submission-order emission,
 payload release after each fold, and cache writes before the drop.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import gc
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import pytest
 
@@ -29,25 +29,6 @@ def _square(index: int) -> int:
 
 def _big_payload(index: int) -> bytes:
     return bytes([index % 256]) * 65536
-
-
-@dataclass(frozen=True)
-class _FlakyItem:
-    """Fails the first ``failures_before_success`` calls per index.
-
-    Frozen + a mutable shared dict so the instance stays hashable and
-    picklable while still counting attempts (serial path only).
-    """
-
-    failures_before_success: int
-    calls: dict = field(default_factory=dict, hash=False)
-
-    def __call__(self, index: int) -> int:
-        seen = self.calls.get(index, 0)
-        self.calls[index] = seen + 1
-        if seen < self.failures_before_success:
-            raise ValueError(f"flaky {index}")
-        return index
 
 
 @dataclass(frozen=True)
@@ -99,16 +80,9 @@ class TestRunShard:
         assert state["total"] == 4 + 9 + 16 + 25
         assert state["failures"] == []
 
-    def test_item_retry_recovers(self):
-        flaky = _FlakyItem(failures_before_success=1)
-        state = run_shard(flaky, _SumReducer(), 0, 3, item_retries=1)
-        assert state["order"] == [0, 1, 2]
-        assert state["failures"] == []
-        assert flaky.calls == {0: 2, 1: 2, 2: 2}
-
     def test_exhausted_retries_record_failure_not_abort(self):
-        state = run_shard(_AlwaysFails(), _SumReducer(), 0, 2,
-                          item_retries=1)
+        """A failing item is recorded, not fatal."""
+        state = run_shard(_AlwaysFails(), _SumReducer(), 0, 2)
         assert state["order"] == []
         assert [index for index, _ in state["failures"]] == [0, 1]
         assert "RuntimeError: boom 0" in state["failures"][0][1]
@@ -141,7 +115,7 @@ class TestShardTasks:
         expected = sum(i * i for i in range(10))
         assert totals(10, ExecConfig(workers=1)) == expected
         assert totals(3, ExecConfig(workers=1)) == expected
-        assert totals(3, ExecConfig(workers=2, chunk_size=1,
+        assert totals(3, ExecConfig(workers=2,
                                     force_pool=True)) == expected
 
 
@@ -168,8 +142,7 @@ class TestResultBytesAccounting:
     def test_failed_task_ships_nothing(self):
         metrics = MetricsRegistry()
         tasks = [TaskSpec(fn=_AlwaysFails(), args=(0,))]
-        [outcome] = run_tasks(tasks, config=ExecConfig(workers=1,
-                                                       retries=0),
+        [outcome] = run_tasks(tasks, config=ExecConfig(workers=1),
                               metrics=metrics)
         assert not outcome.ok
         assert outcome.result_bytes == 0
@@ -228,8 +201,7 @@ class TestStreaming:
         seen = []
         tasks = [TaskSpec(fn=_square, args=(i,)) for i in range(6)]
         run_tasks(tasks,
-                  config=ExecConfig(workers=2, chunk_size=1,
-                                    force_pool=True),
+                  config=ExecConfig(workers=2, force_pool=True),
                   metrics=MetricsRegistry(),
                   stream=lambda index, outcome: seen.append(index))
         assert seen == list(range(6))
@@ -277,7 +249,7 @@ class TestStreaming:
         seen = []
         tasks = [TaskSpec(fn=_square, args=(2,), key="warm"),
                  TaskSpec(fn=_AlwaysFails(), args=(0,))]
-        run_tasks(tasks, config=ExecConfig(workers=1, retries=0),
+        run_tasks(tasks, config=ExecConfig(workers=1),
                   cache=cache, metrics=MetricsRegistry(),
                   stream=lambda index, outcome: seen.append(
                       (index, outcome.from_cache, outcome.ok)))

@@ -14,9 +14,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.checkpoint import SteppedExperiment, Stepper
 from repro.exec import ExecConfig
 from repro.host.scheduler import SchedulerConfig
-from repro.sim.base import Experiment, ExperimentResult
 from repro.sim.experiments import (EXPERIMENTS, experiment_task, get_spec,
                                    make_experiment, run_experiment,
                                    run_experiments)
@@ -55,9 +55,16 @@ def test_get_spec_unknown_name_lists_choices():
 def test_specs_conform_to_protocol():
     for spec in EXPERIMENTS.values():
         experiment = make_experiment(spec.name, spec.tiny_config())
-        assert isinstance(experiment, Experiment)
+        assert isinstance(experiment, Stepper)
         assert experiment.name == spec.name
         assert isinstance(experiment.config, spec.config_type)
+
+
+def test_run_is_the_shared_drive_except_for_the_fan_outs():
+    own_run = {name for name in sorted(EXPERIMENTS)
+               if type(make_experiment(name, EXPERIMENTS[name].tiny_config())
+                       ).run is not SteppedExperiment.run}
+    assert own_run == {"fleet", "rank_sweep", "tournament"}
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
@@ -65,7 +72,6 @@ def test_registry_round_trip(name):
     """Every registered experiment runs on its tiny config and records."""
     spec = get_spec(name)
     result = run_experiment(name, spec.tiny_config())
-    assert isinstance(result, ExperimentResult)
     record = result.to_record()
     assert record.experiment
     assert record.metrics

@@ -1,21 +1,24 @@
-"""run() == full advance() drive == checkpoint-at-1-and-resume, with failures.
+"""run() == full advance() drive == checkpoint-at-1-and-resume ==
+checkpoint-every-round, with failures.
 
 The fan-out experiments plan their tasks once in ``begin()`` and fold
 outcomes in one place; ``run()`` and ``advance()`` differ only in how
-many tasks they hand the executor at a time.  These tests hold the three
-ways of driving that schedule to the same records, the same failures
-(seeds and exact error strings), and the same cell order — including
-when nodes, cells, or whole shards fail.
+many tasks they hand the executor at a time (everything, or one round of
+``workers``).  These tests hold the four ways of driving that schedule
+to the same records, the same failures (seeds and exact error strings),
+and the same cell order — including when nodes, cells, or whole shards
+fail.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import pytest
 
 from repro.checkpoint import (checkpoint_state, load_checkpoint, resume_state,
-                              save_checkpoint)
+                              run_with_checkpoints, save_checkpoint)
 from repro.exec import ExecConfig
 from repro.host.scheduler import SchedulerConfig
 from repro.sim import fleet as fleet_mod
@@ -47,17 +50,15 @@ def make_rank_sweep() -> RankSweepExperiment:
 
 def make_tournament() -> PolicyTournament:
     return PolicyTournament(
-        TournamentConfig(policies=("paper", "bogus"), duration_s=1.0))
+        TournamentConfig(policies=("paper", "bogus"), duration_s=1.0), POOL)
 
 
-#: name -> (factory, run(), cell order of a result)
+#: name -> (factory, cell order of a result)
 CASES = {
-    "fleet": (make_fleet, lambda experiment: experiment.run(),
+    "fleet": (make_fleet,
               lambda result: [node.seed for node in result.nodes]),
-    "rank_sweep": (make_rank_sweep, lambda experiment: experiment.run(),
-                   lambda result: list(result.points)),
+    "rank_sweep": (make_rank_sweep, lambda result: list(result.points)),
     "tournament": (make_tournament,
-                   lambda experiment: experiment.run(exec_config=POOL),
                    lambda result: [(cell.policy, cell.workload)
                                    for cell in result.cells]),
 }
@@ -68,6 +69,17 @@ def stepped(experiment):
     while experiment.advance(state):
         pass
     return experiment.finish(state)
+
+
+def stepped_rounds(experiment) -> list[int]:
+    """``state.done`` after every advance of a full stepped drive."""
+    state = experiment.begin()
+    rounds = []
+    more = True
+    while more:
+        more = experiment.advance(state)
+        rounds.append(state.done)
+    return rounds
 
 
 def resumed_at_step_1(make, path: str):
@@ -90,12 +102,14 @@ def failures_of(result) -> list[tuple]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_run_equals_stepped_equals_resumed(name, tmp_path):
-    make, run, order = CASES[name]
-    reference = run(make())
+    make, order = CASES[name]
+    reference = make().run()
     expected = (reference.to_record().to_dict(), failures_of(reference),
                 order(reference))
     for other in (stepped(make()),
-                  resumed_at_step_1(make, str(tmp_path / "run.ckpt"))):
+                  resumed_at_step_1(make, str(tmp_path / "run.ckpt")),
+                  run_with_checkpoints(make(), str(tmp_path / "every.ckpt"),
+                                       every=1)):
         assert (other.to_record().to_dict(), failures_of(other),
                 order(other)) == expected
     # The failing node / cell really failed, so the equality above
@@ -105,6 +119,26 @@ def test_run_equals_stepped_equals_resumed(name, tmp_path):
             (2, "RuntimeError: injected failure for node 2")]
     if name == "tournament":
         assert {policy for policy, _, _ in reference.failures} == {"bogus"}
+
+
+def test_checkpointed_fleet_keeps_its_workers(monkeypatch, tmp_path):
+    """A step of a fan-out is one round of ``workers`` tasks, so a run
+    under ``--checkpoint`` still crosses into the pool."""
+    pids = []
+    fold = fleet_mod._FleetAccumulator.stream
+
+    def recording(self, index, outcome):
+        pids.append(outcome.worker_pid)
+        fold(self, index, outcome)
+
+    monkeypatch.setattr(fleet_mod._FleetAccumulator, "stream", recording)
+    path = str(tmp_path / "fleet.ckpt")
+    run_with_checkpoints(make_fleet(), path, every=1)
+    # Three shards: a round of two on the pool, then the odd one out.
+    assert len(pids) == 3 and os.getpid() not in pids[:2]
+    assert load_checkpoint(path).step == 2
+    assert stepped_rounds(make_fleet()) == [2, 3]
+    assert stepped_rounds(make_fleet(ExecConfig(workers=1))) == [1, 2, 3]
 
 
 def test_stepped_fleet_reports_the_executor_counters_of_its_shards():
@@ -124,12 +158,11 @@ def test_shard_level_failure_takes_the_same_retry_and_error_path(monkeypatch):
     # The shard fails before any node runs; in-process (workers=1) so
     # the patch reaches the shard task.
     monkeypatch.setattr(fleet_mod._FleetShardReducer, "fresh", broken)
-    serial = ExecConfig(workers=1, retries=1)
+    serial = ExecConfig(workers=1)
     ran = make_fleet(serial).run()
     walked = stepped(make_fleet(serial))
     assert failures_of(walked) == failures_of(ran) == [
         (seed, "ValueError: reducer broke") for seed in range(5)]
     for result in (ran, walked):
         counters = result.exec_telemetry["counters"]
-        assert counters["exec.tasks.retries"] == 3  # one retry per shard
         assert counters["exec.tasks.failed"] == 3

@@ -109,8 +109,8 @@ def _one_cell_config():
 class TestTournamentRun:
     @pytest.fixture(scope="class")
     def result(self):
-        tournament = PolicyTournament(quick_tournament_config())
-        return tournament.run(exec_config=ExecConfig(workers=1))
+        return PolicyTournament(quick_tournament_config(),
+                                ExecConfig(workers=1)).run()
 
     def test_grid_covers_policies_times_mixes(self, result):
         config = result.config
@@ -149,8 +149,7 @@ class TestTournamentRun:
     def test_unknown_policy_fails_its_cells_only(self):
         config = TournamentConfig(policies=("paper", "bogus"),
                                   duration_s=1.0)
-        result = PolicyTournament(config).run(
-            exec_config=ExecConfig(workers=1))
+        result = PolicyTournament(config, ExecConfig(workers=1)).run()
         assert {cell.policy for cell in result.cells} == {"paper"}
         assert {policy for policy, _, _ in result.failures} == {"bogus"}
         assert all("bogus" in error for _, _, error in result.failures)
