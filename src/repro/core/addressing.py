@@ -154,10 +154,15 @@ class HostAddressLayout:
         return (hpas >> self.segment_offset_bits,
                 hpas & (self.geometry.segment_bytes - 1))
 
-    def pack_hsn_batch(self, host_id: int, au_ids: np.ndarray,
+    def pack_hsn_batch(self, host_id: int | np.ndarray, au_ids: np.ndarray,
                        au_offsets: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`pack_hsn` for one host over paired arrays."""
-        if not 0 <= host_id < self.max_hosts:
+        """Vectorised :meth:`pack_hsn` over paired arrays, for one host
+        or with a host ID per element."""
+        if type(host_id) is np.ndarray:  # a column, one host per element
+            if len(host_id) and not (0 <= int(host_id.min())
+                                     and int(host_id.max()) < self.max_hosts):
+                raise AddressError("host_id out of range in batch")
+        elif not 0 <= host_id < self.max_hosts:
             raise AddressError(f"host_id {host_id} out of range")
         au_ids = np.asarray(au_ids, dtype=np.int64)
         au_offsets = np.asarray(au_offsets, dtype=np.int64)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -51,6 +52,12 @@ SCALAR_ACCESS_WARN_THRESHOLD = 100_000
 #: docs/PERF.md), so a dense plan never pays a numpy pass per handful of
 #: accesses and a sparse one never leaves the vector path.
 _MIN_VECTOR_SPAN = 8
+
+#: Accesses one :meth:`DtlController.look_ahead` may hold when it spans
+#: several calls.  What sharing the pass saves per 128-access call stops
+#: growing around eight calls (docs/PERF.md, "Look-ahead across calls"),
+#: and the bound keeps the transient arrays small whatever is queued.
+LOOK_AHEAD_ACCESSES = 1024
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,33 @@ class BatchAccessResult:
     def total_latency_ns(self) -> float:
         """Sum of per-access latencies."""
         return float(self.latency_ns.sum())
+
+
+@dataclass
+class LookAhead:
+    """What :meth:`DtlController.look_ahead` resolved, one element per
+    access: the columns no between-call hook can change while
+    :meth:`DtlController.look_ahead_calls` holds."""
+
+    hpas: np.ndarray
+    hsns: np.ndarray
+    offsets: np.ndarray
+    dsns: np.ndarray
+    xlat_ns: np.ndarray
+    l1_hits: np.ndarray
+    l2_hits: np.ndarray
+    channels: np.ndarray
+    ranks: np.ndarray
+    dpas: np.ndarray
+
+    def call(self, start: int, stop: int) -> "LookAhead":
+        """The columns of the call occupying ``[start:stop]``, as views."""
+        span = slice(start, stop)
+        return LookAhead(self.hpas[span], self.hsns[span],
+                         self.offsets[span], self.dsns[span],
+                         self.xlat_ns[span], self.l1_hits[span],
+                         self.l2_hits[span], self.channels[span],
+                         self.ranks[span], self.dpas[span])
 
 
 class DtlController:
@@ -313,6 +347,10 @@ class DtlController:
         """Currently allocated VMs."""
         return list(self._vms.values())
 
+    def is_live(self, vm: VmHandle) -> bool:
+        """True until ``vm`` is deallocated (VM IDs are never reused)."""
+        return vm.vm_id in self._vms
+
     def vm_handle(self, vm_id: int) -> VmHandle:
         """Look up a live VM by ID (raises ``AllocationError`` if gone)."""
         try:
@@ -457,16 +495,93 @@ class DtlController:
     def _access_vector(self, host_id: int, hpas: np.ndarray,
                        writes: np.ndarray,
                        now_ns: float) -> BatchAccessResult:
-        """One vector pass; with an armed injector ``hpas`` must not
+        """One vector pass — the one-call case of :meth:`look_ahead` and
+        :meth:`serve_call`; with an armed injector ``hpas`` must not
         reach past the next SMC corruption (``smc_lookup_span``)."""
-        n = len(hpas)
+        return self.serve_call(self.look_ahead(host_id, hpas, (len(hpas),)),
+                               writes, now_ns)
+
+    def look_ahead(self, host_ids: int | np.ndarray, hpas: np.ndarray,
+                   stops: Sequence[int]) -> LookAhead:
+        """The order-free half of the vector path, over one call or the
+        concatenated accesses of several (:meth:`look_ahead_calls` says
+        how many): address split, HSN packing, one SMC lookup, DSN
+        decode and DPA math.
+
+        ``stops`` are the calls' exclusive end offsets in ``hpas``, and
+        ``host_ids`` is one host or a host ID per access.  The SMC and
+        the translation counters end where translating the calls one by
+        one would leave them; everything a call can observe the time of
+        happens in :meth:`serve_call`, one call's slice at a time
+        (:meth:`LookAhead.call`).
+        """
         host = self.host_layout
         hsn_locals, offsets = host.split_hpa_batch(hpas)
         au_ids = hsn_locals // host.segments_per_au
         au_offsets = hsn_locals % host.segments_per_au
-        hsns = host.pack_hsn_batch(host_id, au_ids, au_offsets)
+        hsns = host.pack_hsn_batch(host_ids, au_ids, au_offsets)
         dsns, xlat_ns, l1_hits, l2_hits = \
-            self.translation.translate_hsn_batch(hsns)
+            self.translation.translate_hsn_batch(hsns, stops)
+        channels, ranks, _ = self.device_layout.unpack_dsn_batch(dsns)
+        dpas = self.device_layout.dpa_of_batch(dsns, offsets)
+        return LookAhead(hpas, hsns, offsets, dsns, xlat_ns, l1_hits, l2_hits,
+                         channels, ranks, dpas)
+
+    def look_ahead_calls(self, lengths: Sequence[int],
+                         ticks_ns: Sequence[float], now_ns: float) -> int:
+        """How many of the next calls one :meth:`look_ahead` may cover.
+
+        The caller holds ``len(lengths)`` calls in arrival order, serves
+        the first at ``now_ns``, and after call ``j`` fires only
+        ``tick(ticks_ns[j])``, :meth:`end_window` and
+        :meth:`pump_migrations` before the next.  A look-ahead
+        translates every call against the mappings and the SMC of this
+        instant, so the answer is the longest prefix (at least one call)
+        whose hooks provably cannot move a mapping or drop an SMC entry:
+
+        * a queued or tracked migration retires inside a pump, so any
+          one ends the prefix at the first call;
+        * a tick enters self-refresh (executing the planned swaps) only
+          once a channel has been quiet for the profiling threshold, so
+          the prefix ends at the first boundary whose tick could
+          (:meth:`HotnessSelfRefreshPolicy.quiet_floor_ns`);
+        * under an armed injector the prefix ends with the next
+          ``smc.lookup`` fire, and a call :meth:`access_batch` would cut
+          there or serve element-wise is left to it;
+        * ``LOOK_AHEAD_ACCESSES`` bounds what one look-ahead holds.
+        """
+        if (len(lengths) < 2 or self.migration.has_tracked_requests
+                or self.migration.pending_count()):
+            return 1
+        span = LOOK_AHEAD_ACCESSES
+        shortest = 0
+        if self._faults is not None:
+            span = self._faults.smc_lookup_span(span)
+            shortest = _MIN_VECTOR_SPAN
+        policy = self.self_refresh
+        floor_ns = None if policy is None else policy.quiet_floor_ns(now_ns)
+        count = held = 0
+        for length in lengths:
+            held += length
+            if held > span or length < shortest:
+                break
+            if count and floor_ns is not None and (
+                    ticks_ns[count - 1] - floor_ns
+                    >= policy.profiling_threshold_ns):
+                break
+            count += 1
+        return max(1, count)
+
+    def serve_call(self, call: LookAhead, writes: np.ndarray,
+                   now_ns: float) -> BatchAccessResult:
+        """The ordered half of the vector path for one call — a whole
+        :meth:`look_ahead`, or its :meth:`LookAhead.call` slice of one:
+        write routing, the self-refresh screen, the fault hooks and the
+        ``dtl.*`` telemetry, all at ``now_ns``.
+        """
+        hsns, dsns = call.hsns, call.dsns
+        channels, ranks, dpas = call.channels, call.ranks, call.dpas
+        n = dsns.size
         routed_new = np.zeros(n, dtype=bool)
         num_writes = int(np.count_nonzero(writes))
         num_redirects = 0
@@ -480,6 +595,7 @@ class DtlController:
                                   dtype=np.int64)
             hot = np.nonzero(writes & np.isin(dsns, tracked))[0]
             if len(hot):
+                offsets = call.offsets
                 routed = self.migration.on_foreground_write_batch(
                     dsns[hot], offsets[hot] // CACHELINE_BYTES)
                 if routed.any():
@@ -490,14 +606,17 @@ class DtlController:
                         dtype=np.int64, count=len(redirected))
                     routed_new[redirected] = True
                     num_redirects = len(redirected)
-        channels, ranks, _ = self.device_layout.unpack_dsn_batch(dsns)
+                    # The look-ahead decoded the old DSNs.
+                    channels[redirected], ranks[redirected], _ = \
+                        self.device_layout.unpack_dsn_batch(dsns[redirected])
+                    dpas[redirected] = self.device_layout.dpa_of_batch(
+                        dsns[redirected], offsets[redirected])
         if self.self_refresh is not None:
             wake_ns = self.self_refresh.on_access_batch(dsns, now_ns)
         else:
             self.device.record_accesses(channels, ranks)
             wake_ns = np.zeros(n, dtype=np.float64)
-        dpas = self.device_layout.dpa_of_batch(dsns, offsets)
-        latency_ns = self.cxl_latency_ns + xlat_ns + wake_ns
+        latency_ns = self.cxl_latency_ns + call.xlat_ns + wake_ns
         if self._faults is not None:
             # Hooks, none of which feeds back into the steps above:
             # smc.lookup (only the span's last lookup can fire, and its
@@ -517,9 +636,10 @@ class DtlController:
                                    dsn=dsns, write=writes,
                                    latency_ns=latency_ns)
         return BatchAccessResult(
-            hpas=hpas, dsns=dsns, dpas=dpas, channels=channels, ranks=ranks,
-            latency_ns=latency_ns, smc_l1_hits=l1_hits, smc_l2_hits=l2_hits,
-            wake_penalty_ns=wake_ns, routed_to_new_dsn=routed_new)
+            hpas=call.hpas, dsns=dsns, dpas=dpas, channels=channels,
+            ranks=ranks, latency_ns=latency_ns, smc_l1_hits=call.l1_hits,
+            smc_l2_hits=call.l2_hits, wake_penalty_ns=wake_ns,
+            routed_to_new_dsn=routed_new)
 
     def _access_elementwise(self, host_id: int, hpas: np.ndarray,
                             writes: np.ndarray,
@@ -652,5 +772,5 @@ class DtlController:
                 self.self_refresh.on_segment_moved(old_dsn, new_dsn)
 
 
-__all__ = ["SCALAR_ACCESS_WARN_THRESHOLD", "VmHandle", "AccessResult",
-           "BatchAccessResult", "DtlController"]
+__all__ = ["SCALAR_ACCESS_WARN_THRESHOLD", "LOOK_AHEAD_ACCESSES", "VmHandle",
+           "AccessResult", "BatchAccessResult", "LookAhead", "DtlController"]

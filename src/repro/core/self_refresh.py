@@ -709,6 +709,21 @@ class HotnessSelfRefreshPolicy:
                     fired.append(event)
         return fired
 
+    def quiet_floor_ns(self, now_ns: float) -> float:
+        """The earliest any channel's quiet timer can read from now on.
+
+        For a caller whose next access or tick comes at ``now_ns`` or
+        later: a ``PROFILING`` channel's ``quiet_since_ns`` only moves
+        later, and any other channel starts profiling (on a tick, or on
+        the access that wakes it) no earlier than ``now_ns``.  So a
+        :meth:`tick` at ``t`` cannot enter self-refresh — the one place
+        this policy moves a mapping — while ``t`` minus this floor is
+        below ``profiling_threshold_ns``.
+        """
+        return min(state.quiet_since_ns
+                   if state.phase is ChannelPhase.PROFILING else now_ns
+                   for state in self._channels.values())
+
     # -- migration phase --------------------------------------------------------------
 
     def _planned_swaps(self, channel: int,

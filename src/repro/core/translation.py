@@ -13,6 +13,7 @@ equations (1)–(2) over the engine's own measured hit/miss ratios.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,7 @@ class TranslationEngine:
         return dsn, latency_ns, result.l1_hit, result.l2_hit
 
     def translate_hsn_batch(self, hsns: np.ndarray,
+                            stops: Sequence[int] | None = None,
                             ) -> tuple[np.ndarray, np.ndarray,
                                        np.ndarray, np.ndarray]:
         """Vectorised :meth:`translate_hsn` over an HSN array.
@@ -117,6 +119,12 @@ class TranslationEngine:
         state are identical to the scalar loop; the registry's latency
         *total* accumulates in one addition per batch, so it can differ
         from the sequential sum in the last ULPs (see docs/PERF.md).
+
+        ``stops`` says that ``hsns`` is several batches end to end
+        (their exclusive end offsets, the last one ``len(hsns)``): one
+        SMC lookup serves them all and the float accumulators advance
+        once per batch, so every counter ends where translating the
+        batches one call at a time leaves it.
         """
         def _resolve(hsn: int) -> int:
             return self.tables.walk(hsn).dsn
@@ -129,8 +137,12 @@ class TranslationEngine:
             latencies = latencies + misses * self.miss_penalty_ns
             self._table_walks.inc(int(misses.sum()))
         self._translations.inc(len(dsns))
-        self._latency_total.inc(float(latencies.sum()))
-        self._latency_hist.observe_batch(latencies)
+        start = 0
+        for stop in stops or (len(dsns),):
+            batch = latencies[start:stop]
+            self._latency_total.inc(float(batch.sum()))
+            self._latency_hist.observe_batch(batch)
+            start = stop
         return dsns, latencies, l1_hits, l2_hits
 
     def translate(self, hpa: int) -> Translation:

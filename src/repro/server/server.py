@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import os
 import signal
 import tempfile
@@ -52,7 +53,8 @@ from repro.server.admission import (AdmissionConfig, AdmissionController,
 from repro.server.protocol import (MAX_LINE_BYTES, ErrorCode, ProtocolError,
                                    decode_line, encode, error_response,
                                    ok_response, render_snapshot)
-from repro.server.shards import ControllerShard, TenantRecord, shard_of
+from repro.server.shards import (ControllerShard, TenantRecord, VmGone,
+                                 shard_of)
 from repro.telemetry import MetricsRegistry, Snapshot
 from repro.units import MIB
 
@@ -302,6 +304,11 @@ class DtlServer:
             return await handler(self, request)
         except _RequestError as exc:
             return self._reject(request, exc.rejection)
+        except VmGone as exc:
+            # Ownership held when the request was enqueued; a free (or
+            # close) from another connection of the tenant got in first.
+            return self._reject(request, Rejection(ErrorCode.NOT_OWNER,
+                                                   str(exc)))
         except Exception as exc:  # noqa: BLE001 - fault barrier
             self.metrics.counter("server.internal_errors").inc()
             return error_response(ErrorCode.INTERNAL,
@@ -327,7 +334,16 @@ class DtlServer:
         if isinstance(t, bool) or not isinstance(t, (int, float)):
             raise _RequestError(Rejection(
                 ErrorCode.BAD_REQUEST, "'t' must be a number"))
-        return float(t)
+        # ``json`` reads Infinity, NaN and 1e400; a shard clock never
+        # runs backwards, so one of them would stay for every tenant.
+        try:
+            t = float(t)
+        except OverflowError:  # an integer beyond the float range
+            t = math.inf
+        if not math.isfinite(t):
+            raise _RequestError(Rejection(
+                ErrorCode.BAD_REQUEST, "'t' must be a finite number"))
+        return t
 
     @staticmethod
     def _column_of(name: str, values: list, dtype: type) -> np.ndarray:
@@ -523,7 +539,8 @@ class DtlServer:
         freed = 0
         for vm_id in sorted(record.vm_ids):
             vm = shard.controller.vm_handle(vm_id)
-            freed += await shard.submit(shard.apply_free, vm, t_s)
+            with contextlib.suppress(VmGone):  # a racing free has it
+                freed += await shard.submit(shard.apply_free, vm, t_s)
         self.admission.release(record.name, freed)
         self.admission.forget(record.name)
         self._free_hosts[record.shard].append(record.host_id)
@@ -554,6 +571,9 @@ class DtlServer:
                 shard.queue_depth)
             self.metrics.gauge(f"{prefix}.applied").set(shard.applied)
             self.metrics.gauge(f"{prefix}.audits").set(shard.audits)
+            self.metrics.gauge(f"{prefix}.lookaheads").set(shard.lookaheads)
+            self.metrics.gauge(f"{prefix}.lookahead_calls").set(
+                shard.lookahead_calls)
             self.metrics.gauge(f"{prefix}.violations").set(
                 len(shard.violations))
             violations += len(shard.violations)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -30,8 +31,10 @@ import numpy as np
 
 from repro.core.checker import ConsistencyChecker
 from repro.core.config import DtlConfig
-from repro.core.controller import BatchAccessResult, DtlController, VmHandle
+from repro.core.controller import (LOOK_AHEAD_ACCESSES, BatchAccessResult,
+                                   DtlController, VmHandle)
 from repro.cxl.link import CxlLinkConfig
+from repro.errors import ReproError
 from repro.faults.chaos import DRAIN_STEP_LIMIT
 from repro.faults.hooks import HookPoint
 from repro.faults.injector import FaultInjector
@@ -54,7 +57,17 @@ class TenantRecord:
     vm_ids: set[int] = field(default_factory=set)
 
 
+class VmGone(ReproError):
+    """A request reached its shard after the VM it names was freed."""
+
+
 _STOP = object()
+
+
+def _access_call(vm: VmHandle, segments: np.ndarray, lines: np.ndarray,
+                 writes: np.ndarray, t_s: float | None = None) -> tuple:
+    """A queued ``apply_access_batch``'s arguments, default filled in."""
+    return vm, segments, lines, writes, t_s
 
 
 class ControllerShard:
@@ -64,6 +77,13 @@ class ControllerShard:
     shard's apply task — that is the single-writer contract.  Async
     callers go through :meth:`submit`.
     """
+
+    #: Process-lifetime tallies: look-aheads that served two or more
+    #: queued access batches, and the requests served inside them.  They
+    #: depend on arrival timing, so they are class-level defaults that
+    #: stay out of :meth:`fingerprint` and of the pickled state.
+    lookaheads = 0
+    lookahead_calls = 0
 
     def __init__(self, index: int, config: DtlConfig,
                  fault_plan: FaultPlan | None = None,
@@ -104,20 +124,47 @@ class ControllerShard:
 
     async def _drain_queue(self) -> None:
         assert self._queue is not None
+        queue = self._queue
         while True:
-            item = await self._queue.get()
+            # Everything already waiting is served before the task
+            # yields again (``get()`` does not suspend on a non-empty
+            # queue), so taking it all at once changes no ordering.
+            items = [await queue.get()]
+            while not queue.empty():
+                items.append(queue.get_nowait())
             try:
-                if item is _STOP:
+                if self._serve(items):
                     return
-                fn, args, future = item
-                if future.cancelled():
-                    continue
-                try:
-                    future.set_result(fn(*args))
-                except Exception as exc:  # typed by the server layer
-                    future.set_exception(exc)
             finally:
-                self._queue.task_done()
+                for _ in items:
+                    queue.task_done()
+
+    def _serve(self, items: list) -> bool:
+        """Serve what the apply task found queued, in order; True once
+        ``_STOP`` is reached.  Runs of access batches go through
+        :meth:`_apply_lookahead` as far as :meth:`_quiet_prefix` allows;
+        every other request is a barrier served on its own."""
+        index = 0
+        while index < len(items):
+            if items[index] is _STOP:
+                return True
+            count = self._quiet_prefix(items, index)
+            if count > 1:
+                self._apply_lookahead(items[index:index + count])
+            else:
+                self._serve_one(items[index])
+            index += count
+        return False
+
+    @staticmethod
+    def _serve_one(item: tuple) -> None:
+        fn, args, future = item
+        if future.cancelled():
+            return
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # typed by the server layer
+            future.set_exception(exc)
 
     async def submit(self, fn: Callable, *args: Any) -> Any:
         """Run ``fn(*args)`` on the apply task; awaits the result.
@@ -153,8 +200,13 @@ class ControllerShard:
 
     def observe_time(self, t_s: float | None) -> None:
         """Fold a request timestamp into the clock (never backwards)."""
-        if t_s is not None:
-            self.clock_ns = max(self.clock_ns, float(t_s) * 1e9)
+        self.clock_ns = self._observed(self.clock_ns, t_s)
+
+    @staticmethod
+    def _observed(clock_ns: float, t_s: float | None) -> float:
+        if t_s is None:
+            return clock_ns
+        return max(clock_ns, float(t_s) * 1e9)
 
     # -- single-writer operations ------------------------------------------
 
@@ -177,6 +229,7 @@ class ControllerShard:
         discipline the consistency checker's migration-tracking audit
         enforces.
         """
+        self._check_live(vm)
         self.observe_time(t_s)
         self._drain_migrations()
         self.controller.deallocate_vm(vm, now_s=self.now_s)
@@ -206,21 +259,117 @@ class ControllerShard:
         ownership-checked them, so nothing here can reach another
         tenant's mapping.
         """
+        self._check_live(vm)
         self.observe_time(t_s)
-        controller = self.controller
-        layout = controller.host_layout
+        hpas = self._hpas_of(vm, segments, lines)
+        result = self.controller.access_batch(vm.host_id, hpas, writes,
+                                              now_ns=self.clock_ns)
+        self._after_access(len(hpas))
+        return result
+
+    def _check_live(self, vm: VmHandle) -> None:
+        """The handle was checked when the request was enqueued; a free
+        queued ahead of it (another connection of the same tenant) may
+        have been applied since."""
+        if not self.controller.is_live(vm):
+            raise VmGone(f"VM {vm.vm_id} was freed before this request "
+                         "reached its shard")
+
+    def _hpas_of(self, vm: VmHandle, segments: np.ndarray,
+                 lines: np.ndarray) -> np.ndarray:
+        layout = self.controller.host_layout
         per_au = layout.segments_per_au
         au_ids = np.asarray(vm.au_ids, dtype=np.int64)[segments // per_au]
         hsn_local = au_ids * per_au + segments % per_au
-        hpas = (hsn_local << layout.segment_offset_bits) + lines * 64
-        result = controller.access_batch(vm.host_id, hpas, writes,
-                                         now_ns=self.clock_ns)
-        self.clock_ns += len(hpas) * self.access_period_ns
+        return (hsn_local << layout.segment_offset_bits) + lines * 64
+
+    def _after_access(self, n: int) -> None:
+        """The hooks between one applied access batch and the next."""
+        controller = self.controller
+        self.clock_ns += n * self.access_period_ns
         controller.tick(self.clock_ns)
         controller.end_window()
         controller.pump_migrations(self.now_s, lines=self.pump_lines)
         self._after_apply()
-        return result
+
+    # -- look-ahead --------------------------------------------------------
+
+    def _quiet_prefix(self, items: list, index: int) -> int:
+        """How many queued requests from ``items[index]`` on one
+        look-ahead may serve: consecutive, uncancelled calls of this
+        shard's own :meth:`apply_access_batch` against live VMs, as far
+        as :meth:`DtlController.look_ahead_calls` vouches for the hooks
+        between them.  One means ``items[index]`` is served on its own."""
+        if len(items) - index < 2:
+            return 1  # nothing queued behind it: today's path, untouched
+        lengths: list[int] = []
+        ticks_ns: list[float] = []
+        clock_ns = now_ns = self.clock_ns
+        held = 0
+        for item in itertools.islice(items, index, None):
+            # No use scanning past what one look-ahead may hold.
+            if item is _STOP or held >= LOOK_AHEAD_ACCESSES:
+                break
+            fn, args, future = item
+            if fn != self.apply_access_batch or future.cancelled():
+                break
+            vm, segments, _, _, t_s = _access_call(*args)
+            if not self.controller.is_live(vm):
+                break
+            # The clock apply_access_batch would serve it at, and tick on.
+            clock_ns = self._observed(clock_ns, t_s)
+            if not lengths:
+                now_ns = clock_ns
+            clock_ns += len(segments) * self.access_period_ns
+            lengths.append(len(segments))
+            ticks_ns.append(clock_ns)
+            held += len(segments)
+        if len(lengths) < 2:
+            return 1
+        return self.controller.look_ahead_calls(lengths, ticks_ns, now_ns)
+
+    def _apply_lookahead(self, run: list) -> None:
+        """Serve ``run`` — at least two calls :meth:`_quiet_prefix`
+        vouched for — through one look-ahead, each exactly as
+        :meth:`apply_access_batch` would have on its own: its clock,
+        its slice, its hooks, its audit.
+
+        An exception is delivered to the request whose slice raised;
+        the requests before it keep their results and the ones after it
+        are served one by one (as is the whole run, should the
+        look-ahead itself raise).
+        """
+        controller = self.controller
+        calls = [_access_call(*args) for _, args, _ in run]
+        hpas = [self._hpas_of(vm, segments, lines)
+                for vm, segments, lines, _, _ in calls]
+        lengths = [len(call_hpas) for call_hpas in hpas]
+        stops = list(itertools.accumulate(lengths))
+        try:
+            ahead = controller.look_ahead(
+                np.repeat([call[0].host_id for call in calls], lengths),
+                np.concatenate(hpas), stops)
+        except Exception:  # served singly, the raiser gets its own
+            for item in run:
+                self._serve_one(item)
+            return
+        self.lookaheads += 1
+        self.lookahead_calls += len(run)
+        start = 0
+        for position, ((_, _, future), (_, _, _, writes, t_s), stop) \
+                in enumerate(zip(run, calls, stops)):
+            self.observe_time(t_s)
+            try:
+                result = controller.serve_call(ahead.call(start, stop),
+                                               writes, self.clock_ns)
+                self._after_access(stop - start)
+            except Exception as exc:  # typed by the server layer
+                future.set_exception(exc)
+                for item in run[position + 1:]:
+                    self._serve_one(item)
+                return
+            future.set_result(result)
+            start = stop
 
     def apply_stats(self) -> dict[str, Any]:
         """The shard controller's telemetry snapshot, as a dict."""
@@ -309,8 +458,12 @@ class ControllerShard:
     def __getstate__(self) -> dict[str, Any]:
         # The durable-field selection for server checkpoints: everything
         # but the asyncio plumbing, which belongs to the running event
-        # loop.  A restored shard is idle until ``start()``.
-        return {**self.__dict__, "_queue": None, "_worker": None}
+        # loop.  A restored shard is idle until ``start()``, its
+        # look-ahead tallies back at zero.
+        state = {**self.__dict__, "_queue": None, "_worker": None}
+        state.pop("lookaheads", None)
+        state.pop("lookahead_calls", None)
+        return state
 
 
-__all__ = ["shard_of", "TenantRecord", "ControllerShard"]
+__all__ = ["shard_of", "TenantRecord", "VmGone", "ControllerShard"]

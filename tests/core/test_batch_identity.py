@@ -10,17 +10,23 @@ one reduction; everything integer is compared exactly (docs/PERF.md).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.config import DtlConfig
-from repro.core.controller import (SCALAR_ACCESS_WARN_THRESHOLD,
+from repro.core.controller import (_MIN_VECTOR_SPAN, LOOK_AHEAD_ACCESSES,
+                                   SCALAR_ACCESS_WARN_THRESHOLD,
                                    DtlController)
 from repro.core.segment_cache import SegmentCacheConfig
+from repro.core.self_refresh import ChannelPhase
 from repro.dram.geometry import DramGeometry
 from repro.errors import PerformanceWarning
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, SmcCorruptionFault
+from repro.server.server import server_fault_plan
 from repro.telemetry import EventKind, EventTrace, MetricsRegistry
 from repro.units import MIB
 
@@ -256,6 +262,25 @@ def serve_step(controller: DtlController, clock_ns: float, n: int) -> float:
     return clock_ns
 
 
+def served_call(controller: DtlController, call: int, n: int = 128):
+    """Call number ``call`` of the interleaved stream: the host, the
+    HPAs and the write mask.  Six VMs take turns; each draws its ``n``
+    accesses like a ``serve_clean`` tenant (bench/wl_serve.py: zipf 1.2
+    over 16 segments, 30 % writes) from its own 16 segments — and so
+    its own 16 L2 sets — of its first AU: the six hot sets fit the L2
+    and together overflow the 64-entry L1."""
+    config = controller.config
+    tenant = call % (SERVED_HOSTS * SERVED_VMS)
+    host_id, vm = tenant % SERVED_HOSTS, tenant // SERVED_HOSTS
+    rng = np.random.default_rng(call)
+    weights = np.arange(1, 17, dtype=np.float64) ** -1.2
+    segments = 16 * tenant + rng.choice(16, size=n,
+                                        p=weights / weights.sum())
+    hpas = (segments * config.geometry.segment_bytes
+            + vm * SERVED_AUS * config.au_bytes)
+    return host_id, hpas, rng.random(n) < 0.3
+
+
 def chunks_per_lookup(controller: DtlController) -> list[int]:
     """Shadow the SMC's chunk planner: the returned list gains one
     entry per ``lookup_batch`` call, the number of chunks it planned."""
@@ -385,6 +410,287 @@ def test_short_call_chunk_cuts_on_congruent_hsns():
     # ...and a repeat of the last 64 of them is one all-hit chunk.
     result = call(wide[-64:], expect_chunks=1)
     assert result.smc_l1_hits.all()
+
+
+# -- look-ahead across calls ---------------------------------------------------
+#
+# A queued call is ``(host_id, hpas, writes, t_ns)``: ``t_ns`` is the
+# request timestamp a shard folds into its clock before the call
+# (``None``: untimed).  The reference serves calls one by one; its twin
+# serves the same calls as a shard's apply task does when it finds them
+# all queued (``ControllerShard._apply_lookahead``).
+
+
+def _run(datapath_call):
+    return datapath_call()
+
+
+def serve_one_by_one(controller: DtlController, calls, clock_ns: float,
+                     run=_run):
+    """``run`` receives every datapath call (never a hook) as a thunk;
+    tests/core/test_call_budget.py counts dispatches through it."""
+    results = []
+    for host_id, hpas, writes, t_ns in calls:
+        if t_ns is not None:
+            clock_ns = max(clock_ns, t_ns)
+        results.append(run(lambda: controller.access_batch(
+            host_id, hpas, writes, now_ns=clock_ns)))
+        clock_ns = serve_step(controller, clock_ns, len(hpas))
+    return results, clock_ns
+
+
+def serve_looking_ahead(controller: DtlController, calls, clock_ns: float,
+                        run=_run):
+    """Returns the results, the clock and the prefix lengths taken."""
+    results, prefixes = [], []
+    while calls:
+        lengths = [len(hpas) for _, hpas, _, _ in calls]
+        ticks_ns, tick_ns, now_ns = [], clock_ns, None
+        for (_, _, _, t_ns), length in zip(calls, lengths):
+            if t_ns is not None:
+                tick_ns = max(tick_ns, t_ns)
+            if now_ns is None:
+                now_ns = tick_ns
+            tick_ns += length * 100.0
+            ticks_ns.append(tick_ns)
+        count = controller.look_ahead_calls(lengths, ticks_ns, now_ns)
+        prefix, calls = calls[:count], calls[count:]
+        prefixes.append(count)
+        if count == 1:
+            served, clock_ns = serve_one_by_one(controller, prefix, clock_ns,
+                                                run)
+            results += served
+            continue
+        stops = list(itertools.accumulate(lengths[:count]))
+        ahead = run(lambda: controller.look_ahead(
+            np.repeat([host_id for host_id, _, _, _ in prefix],
+                      lengths[:count]),
+            np.concatenate([hpas for _, hpas, _, _ in prefix]), stops))
+        start = 0
+        for (_, _, writes, t_ns), stop in zip(prefix, stops):
+            if t_ns is not None:
+                clock_ns = max(clock_ns, t_ns)
+            results.append(run(lambda: controller.serve_call(
+                ahead.call(start, stop), writes, clock_ns)))
+            clock_ns = serve_step(controller, clock_ns, stop - start)
+            start = stop
+    return results, clock_ns, prefixes
+
+
+def assert_twins_identical(one: DtlController, other: DtlController):
+    """Everything observable, exactly — float accumulators included."""
+    from tests.faults.test_batch_faults import injector_state
+    assert one.metrics.counter_values() == other.metrics.counter_values()
+    assert (one.metrics.histogram_values()
+            == other.metrics.histogram_values())
+    for level in ("l1", "l2"):
+        mine = getattr(one.translation.smc, level)
+        theirs = getattr(other.translation.smc, level)
+        assert mine.hsns() == theirs.hsns()  # contents in LRU order
+        assert sorted(mine.items()) == sorted(theirs.items())
+    assert ({dsn: one.tables.hsn_of_dsn(dsn)
+             for dsn in one.tables.live_dsns()}
+            == {dsn: other.tables.hsn_of_dsn(dsn)
+                for dsn in other.tables.live_dsns()})
+    for rank_id, rank in one.device.ranks.items():
+        twin = other.device.ranks[rank_id]
+        assert (rank.state, rank.access_count) \
+            == (twin.state, twin.access_count), rank_id
+    assert one.trace.counts_by_kind() == other.trace.counts_by_kind()
+    assert access_events(one) == access_events(other)
+    if one.self_refresh is not None:
+        mine, theirs = one.self_refresh, other.self_refresh
+        assert mine.events == theirs.events
+        assert mine._channels == theirs._channels
+        assert np.array_equal(mine.access_bits, theirs.access_bits)
+        assert np.array_equal(mine.planned, theirs.planned)
+    if one._faults is not None:
+        assert injector_state(one._faults) == injector_state(other._faults)
+
+
+def assert_results_identical(expected, results):
+    assert len(expected) == len(results)
+    for want, got in zip(expected, results):
+        for column in ("dsns", "dpas", "channels", "ranks", "latency_ns",
+                       "smc_l1_hits", "smc_l2_hits", "wake_penalty_ns",
+                       "routed_to_new_dsn"):
+            assert np.array_equal(getattr(want, column),
+                                  getattr(got, column)), column
+
+
+def served_pair(plan: FaultPlan | None = None, **overrides):
+    """A reference and its twin in the served shape, armed with their
+    own injector over ``plan`` when one is given."""
+    pair = build_pair(served_config(**overrides), SERVED_AUS, SERVED_HOSTS,
+                      SERVED_VMS, ring=4 * max(CALL_LENGTHS))
+    if plan is not None:
+        for controller in pair:
+            controller.arm_faults(FaultInjector(
+                plan, registry=controller.metrics, trace=controller.trace))
+    return pair
+
+
+def queued(controller: DtlController, call: int, n: int = 128,
+           t_ns: float | None = None):
+    return (*served_call(controller, call, n), t_ns)
+
+
+def check_group(reference, twin, calls, clock_ns):
+    """Serve ``calls`` both ways from ``clock_ns``; returns the twin's
+    prefix lengths and the clock both end on."""
+    expected, clock = serve_one_by_one(reference, calls, clock_ns)
+    results, twin_clock, prefixes = serve_looking_ahead(twin, calls,
+                                                        clock_ns)
+    assert twin_clock == clock
+    assert_results_identical(expected, results)
+    assert_twins_identical(reference, twin)
+    return prefixes, clock
+
+
+@pytest.mark.parametrize("mode", ["clean", "chaos", "sr-off"])
+def test_look_ahead_identity_in_served_shape(mode):
+    """Any grouping of the same call order leaves the same controller."""
+    reference, twin = served_pair(
+        server_fault_plan(0, 0) if mode == "chaos" else None,
+        enable_self_refresh=mode != "sr-off")
+    rng = np.random.default_rng(23)
+    clock_ns, call, prefixes = 0.0, 0, []
+    while call < 15 * len(CALL_LENGTHS):
+        calls = []
+        for _ in range(int(rng.integers(1, 9))):
+            n = CALL_LENGTHS[(call + call // len(CALL_LENGTHS))
+                             % len(CALL_LENGTHS)]
+            # Every ninth request carries a timestamp ahead of the clock.
+            t_ns = (clock_ns + 30_000.0 * len(calls) if call % 9 == 4
+                    else None)
+            calls.append(queued(reference, call, n, t_ns))
+            call += 1
+        taken, clock_ns = check_group(reference, twin, calls, clock_ns)
+        prefixes += taken
+        reference.trace.clear()
+        twin.trace.clear()
+    # The shape held: look-aheads of several calls served a good share
+    # (armed, calls shorter than a vector span never join one) and, where
+    # it can, self-refresh ran its whole cycle under them.
+    assert sum(taken for taken in prefixes if taken > 1) > call // 3
+    assert max(prefixes) >= 4
+    counters = reference.metrics.counter_values()
+    if mode != "sr-off":
+        assert counters["sr.entries"] and counters["sr.swaps"]
+        assert counters["sr.exits"]
+    if mode == "chaos":
+        assert counters["faults.injected.smc.lookup"] >= 3
+        assert counters["faults.injected.cxl.access"] >= 3
+
+
+def test_look_ahead_stops_at_a_pending_migration():
+    reference, twin = served_pair()
+    for controller in (reference, twin):
+        hsn = controller.host_layout.pack_hsn(0, 0, 1)
+        dsn = controller.tables.walk(hsn).dsn
+        layout = controller.device_layout
+        partner = next(
+            free for free in range(controller.geometry.total_segments)
+            if not controller.tables.is_dsn_live(free)
+            and layout.channel_of_dsn(free) == layout.channel_of_dsn(dsn))
+        controller.allocator.reserve_specific(partner)
+        controller.migration.submit(hsn, dsn, partner)
+    calls = [queued(reference, call) for call in range(4)]
+    prefixes, _ = check_group(reference, twin, calls, 0.0)
+    assert prefixes == [1, 1, 1, 1]
+    assert twin.migration.has_tracked_requests
+
+
+def test_look_ahead_stops_where_a_queued_timestamp_lets_profiling_end():
+    """The over-eager case: a clock jump carried by the third queued
+    request — shorter than the profiling threshold, but channel 0 has
+    been quiet for a while already — lets its timer run out at that
+    request's tick, the planned swaps execute, and segments the fourth
+    request touches move."""
+    reference, twin = served_pair()
+    warm = [queued(reference, call) for call in range(12)]
+    _, clock_ns = check_group(reference, twin, warm[:6], 0.0)
+    _, clock_ns = check_group(reference, twin, warm[6:], clock_ns)
+    policy = twin.self_refresh
+    assert all(policy.phase(channel) is ChannelPhase.PROFILING
+               and policy._planned_swaps(channel, policy._channels[channel])
+               for channel in range(2))
+    calls = [queued(reference, call) for call in range(12, 16)]
+    calls[2] = (*calls[2][:3], clock_ns + 130_000.0)
+    host_id, hpas, _, _ = calls[3]
+    layout = twin.host_layout
+    hsn_locals, _ = layout.split_hpa_batch(hpas)
+    mapped_before = twin.tables.walk_batch(layout.pack_hsn_batch(
+        host_id, hsn_locals // layout.segments_per_au,
+        hsn_locals % layout.segments_per_au))
+    swaps_before = twin.metrics.counter_values()["sr.swaps"]
+    prefixes, _ = check_group(reference, twin, calls, clock_ns)
+    assert prefixes == [3, 1]
+    assert twin.metrics.counter_values()["sr.swaps"] > swaps_before
+    last = twin.trace.events(EventKind.ACCESS)[-len(hpas):]
+    assert any(event.data["dsn"] != int(dsn)
+               for event, dsn in zip(last, mapped_before))
+
+
+def test_look_ahead_stops_before_an_idle_channel_can_enter():
+    """Both channels are IDLE when the group starts, start profiling at
+    its first tick and enter self-refresh at its fourth."""
+    reference, twin = served_pair()
+    policy = twin.self_refresh
+    assert all(policy.phase(channel) is ChannelPhase.IDLE
+               for channel in range(2))
+    calls = [queued(reference, call) for call in range(0, 36, 6)]
+    calls[3] = (*calls[3][:3], 400_000.0)
+    prefixes, _ = check_group(reference, twin, calls, 0.0)
+    assert prefixes == [4, 2]
+    assert [event.kind for event in policy.events[:2]] \
+        == ["victim_selected"] * 2
+    entries = [event for event in policy.events if event.kind == "enter_sr"]
+    assert {event.time_ns for event in entries} == {412_800.0}
+    assert sum(event.swaps for event in entries) > 0
+
+
+@pytest.mark.parametrize("fire_at, expected", [(300, [2, 1, 1]),
+                                               (255, [2, 2])])
+def test_look_ahead_stops_at_an_smc_corruption(fire_at, expected):
+    """The corrupted entry matters to the next lookup, so a look-ahead
+    ends with the firing one — inside a call, the call is left to
+    ``access_batch``'s own cut."""
+    plan = FaultPlan(specs=(SmcCorruptionFault(start=fire_at,
+                                               period=10 ** 6),),
+                     name=f"corrupt-{fire_at}")
+    reference, twin = served_pair(plan)
+    calls = [queued(reference, call) for call in range(4)]
+    prefixes, _ = check_group(reference, twin, calls, 0.0)
+    assert prefixes == expected
+    assert twin.metrics.counter_values()["faults.injected.smc.lookup"] == 1
+
+
+@pytest.mark.parametrize("armed", [False, True], ids=["clean", "armed"])
+def test_look_ahead_with_a_call_of_one_access(armed):
+    """Unarmed, every call is one vector pass and the short one rides
+    along; armed, ``access_batch`` serves it element-wise, so it stays
+    a call of its own."""
+    plan = FaultPlan(specs=(SmcCorruptionFault(start=10 ** 6,
+                                               period=10 ** 6),),
+                     name="never")
+    reference, twin = served_pair(plan if armed else None)
+    assert 1 < _MIN_VECTOR_SPAN
+    calls = [queued(reference, 0), queued(reference, 1, n=1),
+             queued(reference, 2), queued(reference, 3)]
+    prefixes, _ = check_group(reference, twin, calls, 0.0)
+    assert prefixes == ([1, 1, 2] if armed else [4])
+
+
+def test_look_ahead_holds_a_bounded_number_of_accesses():
+    reference, twin = served_pair()
+    calls = [queued(reference, call) for call in range(10)]
+    prefixes, clock_ns = check_group(reference, twin, calls, 0.0)
+    assert prefixes == [LOOK_AHEAD_ACCESSES // 128, 2]
+    calls = [queued(reference, 10), queued(reference, 11, n=4096),
+             queued(reference, 12)]
+    prefixes, _ = check_group(reference, twin, calls, clock_ns)
+    assert prefixes == [1, 1, 1]
 
 
 def test_null_telemetry_same_datapath_results():

@@ -18,7 +18,9 @@ from repro.core.controller import DtlController
 
 from tests.core.test_batch_identity import (SERVED_AUS, SERVED_HOSTS,
                                             SERVED_VMS, build_pair,
-                                            serve_step, served_config)
+                                            serve_looking_ahead,
+                                            serve_one_by_one, serve_step,
+                                            served_call, served_config)
 
 #: C-level calls the measured steady-state 128-access call may make.
 #: The parent commit (PR 19) makes 435 and this tree 280 (Python 3.11,
@@ -44,25 +46,6 @@ def c_calls(function) -> int:
     finally:
         sys.setprofile(previous)
     return count
-
-
-def served_call(controller: DtlController, call: int):
-    """Call number ``call`` of the interleaved stream: the host, the
-    HPAs and the write mask.  Six VMs take turns; each draws its 128
-    accesses like a ``serve_clean`` tenant (bench/wl_serve.py: zipf 1.2
-    over 16 segments, 30 % writes) from its own 16 segments — and so
-    its own 16 L2 sets — of its first AU: the six hot sets fit the L2
-    and together overflow the 64-entry L1."""
-    config = controller.config
-    tenant = call % (SERVED_HOSTS * SERVED_VMS)
-    host_id, vm = tenant % SERVED_HOSTS, tenant // SERVED_HOSTS
-    rng = np.random.default_rng(call)
-    weights = np.arange(1, 17, dtype=np.float64) ** -1.2
-    segments = 16 * tenant + rng.choice(16, size=128,
-                                        p=weights / weights.sum())
-    hpas = (segments * config.geometry.segment_bytes
-            + vm * SERVED_AUS * config.au_bytes)
-    return host_id, hpas, rng.random(128) < 0.3
 
 
 def warmed(controller: DtlController) -> float:
@@ -93,3 +76,35 @@ def test_served_call_stays_inside_its_dispatch_budget():
         assert 8 <= l1_misses <= controller.config.cache.l1_entries
     assert counts[0] == counts[1]  # a count, so it repeats exactly
     assert counts[0] <= C_CALL_BUDGET
+
+
+def test_look_ahead_over_four_calls_dispatches_less_than_four_calls():
+    """What a shard saves by serving four queued requests through one
+    look-ahead, hooks excluded (they run once per request either way):
+    the split, the packing, the SMC lookup and the decode are entered
+    once, not four times."""
+    def dispatches(serve) -> tuple[int, tuple]:
+        """C-level calls inside the datapath calls ``serve`` makes for
+        the next four requests of a freshly warmed controller, and what
+        ``serve`` returned."""
+        controller = build_pair(served_config(), SERVED_AUS, SERVED_HOSTS,
+                                SERVED_VMS)[0]
+        clock_ns = warmed(controller)
+        queued = [(*served_call(controller, call), None)
+                  for call in range(WARM_CALLS, WARM_CALLS + 4)]
+        total = 0
+
+        def counted(datapath_call):
+            nonlocal total
+            result = []
+            total += c_calls(lambda: result.append(datapath_call()))
+            return result[0]
+
+        served = serve(controller, queued, clock_ns, counted)
+        return total, served
+
+    singles, _ = dispatches(serve_one_by_one)
+    shared, (_, _, prefixes) = dispatches(serve_looking_ahead)
+    assert prefixes == [4]
+    assert dispatches(serve_looking_ahead)[0] == shared  # repeats exactly
+    assert shared <= 0.85 * singles

@@ -131,3 +131,47 @@ def test_refused_restore_leaves_the_server_untouched(tmp_path, write_file,
     with pytest.raises(CheckpointError, match=match):
         target.restore(path)
     assert observable_state(target) == before
+
+
+def test_look_ahead_tallies_stay_out_of_the_checkpoint(tmp_path):
+    """``lookaheads`` / ``lookahead_calls`` depend on arrival timing, so
+    they are neither fingerprinted nor pickled: the blob has the shape
+    the parent commit wrote (format version unchanged), and a server
+    restored from it starts its tallies again."""
+    assert CHECKPOINT_VERSION == 6
+    path = str(tmp_path / "server.ckpt")
+    ops = script()
+    accesses = [op for op in ops if op["op"] == "access_batch"]
+
+    async def scenario():
+        vms: dict[str, int] = {}
+        original = DtlServer(ServerConfig())
+        await original.start(serve_tcp=False)
+        await apply(original, ops[:len(ops) - len(accesses)], 0, vms)
+        quiet = [shard.fingerprint() for shard in original.shards]
+        replies = await asyncio.gather(*(
+            original.handle_request(dict(op, vm=vms[op["tenant"]], t=2.0))
+            for op in accesses[:6]))
+        assert all(reply["ok"] for reply in replies)
+        assert any(shard.lookaheads for shard in original.shards)
+        assert quiet != [shard.fingerprint() for shard in original.shards]
+        original.write_checkpoint(path)
+
+        for shard in original.shards:
+            assert not {"lookaheads", "lookahead_calls"} \
+                & shard.__getstate__().keys()
+        restored = DtlServer(ServerConfig())
+        restored.restore(path)
+        assert observable_state(restored) == observable_state(original)
+        assert [(shard.lookaheads, shard.lookahead_calls)
+                for shard in restored.shards] == [(0, 0)] * 2
+        await restored.start(serve_tcp=False)
+        tail = [dict(op, vm=vms[op["tenant"]], t=3.0 + 0.01 * index)
+                for index, op in enumerate(accesses[6:12])]
+        assert ([await original.handle_request(op) for op in tail]
+                == [await restored.handle_request(op) for op in tail])
+        await original.drain()
+        await restored.drain()
+        assert observable_state(restored) == observable_state(original)
+
+    asyncio.run(scenario())

@@ -8,6 +8,7 @@ the always-on chaos injector armed.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -158,13 +159,30 @@ class TestRejectionPurity:
         pytest.param("vm", True, id="vm-bool"),
         pytest.param("free.vm", True, id="free-vm-bool"),
         pytest.param("t", True, id="t-bool"),
+        # ``json`` reads Infinity, NaN and 1e400 (and an integer of any
+        # length); a shard clock never runs backwards, so a non-finite
+        # ``t`` from one tenant would stay for every tenant on the shard.
+        pytest.param("t", json.loads("Infinity"), id="t-infinity"),
+        pytest.param("t", json.loads("NaN"), id="t-nan"),
+        pytest.param("t", json.loads("1e400"), id="t-1e400"),
+        pytest.param("t", json.loads("-Infinity"), id="t-minus-infinity"),
+        pytest.param("t", json.loads("1" + "0" * 400), id="t-bigint"),
+        pytest.param("allocate.t", json.loads("Infinity"),
+                     id="allocate-t-infinity"),
+        pytest.param("allocate.t", json.loads("NaN"), id="allocate-t-nan"),
+        pytest.param("free.t", json.loads("1e400"), id="free-t-1e400"),
+        pytest.param("free.t", json.loads("NaN"), id="free-t-nan"),
+        pytest.param("open_tenant.t", json.loads("Infinity"),
+                     id="open-t-infinity"),
+        pytest.param("open_tenant.t", json.loads("NaN"), id="open-t-nan"),
     ])
     def test_malformed_access_batch_bounces_before_the_shard(self, field,
                                                              payload):
         """Hostile element types and shapes are a typed BAD_REQUEST at the
         server boundary: not coerced and served, not an ``internal``
         error from inside the shard, and nothing is charged for them.
-        ``bytes``, ``vm`` and ``t`` refuse booleans the same way."""
+        ``bytes``, ``vm`` and ``t`` refuse booleans the same way, and
+        ``t`` anything that is not a finite number."""
         first, second, target = colliding_names(2)
 
         async def scenario():
@@ -210,4 +228,76 @@ class TestRejectionPurity:
             counters = server.metrics.counter_values()
             assert counters["server.rejected.tenant_limit"] == 1
             await server.drain()
+        asyncio.run(scenario())
+
+
+class TestStaleHandles:
+    """Ownership is checked when a request is enqueued; a second
+    connection of the same tenant can have a ``free`` of that VM queued
+    ahead of it.  The apply task re-checks the handle: the late request
+    is a typed ``not_owner``, not an ``internal`` error from inside the
+    controller, and it leaves the shard as if it had never been sent."""
+
+    def race(self, late: dict):
+        first, second, target = colliding_names(2)
+
+        async def scenario():
+            raced = await populated_server(ServerConfig(), (first, second))
+            control = await populated_server(ServerConfig(),
+                                             (first, second))
+            vm = sorted(raced.tenants[first].vm_ids)[0]
+            free = {"op": "free", "tenant": first, "vm": vm, "t": 3.0}
+            freed, refused = await asyncio.gather(
+                raced.handle_request(free),
+                raced.handle_request({**late, "tenant": first, "vm": vm,
+                                      "t": 3.0}))
+            assert freed["ok"], freed
+            assert refused["error"] == "not_owner", refused
+            assert await control.handle_request(free) == freed
+            for shard, twin in zip(raced.shards, control.shards):
+                assert shard.fingerprint() == twin.fingerprint()
+                assert shard.applied == twin.applied
+            counters = raced.metrics.counter_values()
+            assert counters.get("server.internal_errors", 0) == 0
+            assert counters["server.rejected.not_owner"] == 1
+            assert (raced.admission.reserved_bytes(first)
+                    == control.admission.reserved_bytes(first))
+            # The neighbour on the shard is served as before.
+            neighbour = {"op": "access_batch", "tenant": second,
+                         "vm": sorted(raced.tenants[second].vm_ids)[0],
+                         "segments": [0, 1], "t": 3.1}
+            assert (await raced.handle_request(neighbour)
+                    == await control.handle_request(neighbour))
+            for server in (raced, control):
+                await server.drain()
+                assert not server.audit_violations()
+                assert not server.leak_report()
+        asyncio.run(scenario())
+
+    def test_free_racing_a_free_is_not_owner(self):
+        self.race({"op": "free"})
+
+    def test_access_racing_a_free_is_not_owner(self):
+        self.race({"op": "access_batch", "segments": [0, 1, 2],
+                   "writes": [True, False, True]})
+
+    def test_close_racing_a_free_closes_the_tenant(self):
+        first, second, _ = colliding_names(2)
+
+        async def scenario():
+            server = await populated_server(ServerConfig(), (first, second))
+            vm = sorted(server.tenants[first].vm_ids)[0]
+            freed, closed = await asyncio.gather(
+                server.handle_request({"op": "free", "tenant": first,
+                                       "vm": vm, "t": 3.0}),
+                server.handle_request({"op": "close", "tenant": first,
+                                       "t": 3.0}))
+            assert freed["ok"] and closed["ok"], (freed, closed)
+            assert freed["freed"] and closed["freed"] == 0
+            assert first not in server.tenants
+            assert server.admission.reserved_bytes(first) == 0
+            counters = server.metrics.counter_values()
+            assert counters.get("server.internal_errors", 0) == 0
+            await server.drain()
+            assert not server.audit_violations()
         asyncio.run(scenario())
