@@ -7,9 +7,9 @@ checked on load, so a corrupted blob is refused instead of restored
 (see docs/CHECKPOINT.md).
 
 Pickle is the serialisation substrate deliberately: the controller
-object graph is cycle- and alias-heavy (migration requests are shared
-between queues and the conflict index, both policy hosts share one
-plug-in instance, a simulator's run state shares its RNG with the
+object graph is cycle- and alias-heavy (a migration-request handle
+points back at the engine whose table it reads, both policy hosts share
+one plug-in instance, a simulator's run state shares its RNG with the
 workload drifters), and pickle's memo preserves every one of those
 identities with no fix-up after load: nothing under :mod:`repro.core`
 defines ``__setstate__``.  It is the repo's only persistence scheme:
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: Format version; bump whenever the serialised state layout changes.
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 #: Identifies a checkpoint file's header dict on disk.
 _FILE_FORMAT = "repro-checkpoint"

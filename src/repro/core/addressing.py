@@ -179,6 +179,30 @@ class HostAddressLayout:
 
 
 @dataclass(frozen=True)
+class StructureSize:
+    """What a live structure declares against its Table 5 row: how many
+    entries it holds and how wide the paper makes one."""
+
+    entries: int
+    paper_entry_bits: int
+
+    @property
+    def paper_bytes(self) -> int:
+        """The row's size the way Table 5 counts it."""
+        return self.entries * self.paper_entry_bits // 8
+
+
+def all_distinct(numbers: np.ndarray) -> bool:
+    """True when no segment number occurs twice in ``numbers``.
+
+    Sort and compare neighbours: ``np.unique`` costs ten times as much
+    on an AU's worth of DSNs (docs/PERF.md, "Control plane").
+    """
+    ordered = np.sort(numbers)
+    return not (ordered[1:] == ordered[:-1]).any()
+
+
+@dataclass(frozen=True)
 class SegmentLocation:
     """Physical placement of one segment: ``(channel, rank, index)``."""
 
@@ -315,4 +339,6 @@ __all__ = [
     "HostAddressLayout",
     "DeviceAddressLayout",
     "SegmentLocation",
+    "StructureSize",
+    "all_distinct",
 ]

@@ -7,18 +7,26 @@ Implements the paper's balancing policy (Section 4.3):
 * Within a channel, the free queue of the rank with the **highest capacity
   utilisation** (among ranks allowed to serve allocations) has priority —
   this packs data into few ranks and minimises later migration.
+
+Layout (Table 5's "free" and "allocated segment queues"): every rank's
+free queue is one row of a flat ring-buffer array — ``segments_per_rank``
+DSN slots, a head and a count — and "allocated" is one flag per DSN.
+Every segment of a rank is in exactly one of the two, so a rank's
+allocated count is its capacity minus its free count.  The FIFO order of
+each free queue is part of the contract: it decides which DSN the next
+allocation is handed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.addressing import DeviceAddressLayout
+from repro.core.addressing import (DeviceAddressLayout, StructureSize,
+                                   all_distinct)
 from repro.dram.geometry import DramGeometry
-from repro.errors import AllocationError
+from repro.errors import AddressError, AllocationError
 
 RankId = tuple[int, int]
 
@@ -43,103 +51,137 @@ class RankUsage:
 
 
 class SegmentAllocator:
-    """Tracks free and allocated segments for every rank in the device."""
+    """Tracks free and allocated segments for every rank in the device.
+
+    Bulk methods take DSNs as a list or an int64 array and hand them out
+    as int64 arrays, so an AU's segments pass between the allocator, the
+    tables and the migration engine without becoming Python objects.
+    """
 
     def __init__(self, geometry: DramGeometry):
         self.geometry = geometry
         self.layout = DeviceAddressLayout(geometry)
-        self._free: dict[RankId, deque[int]] = {}
-        self._allocated: dict[RankId, set[int]] = {}
-        for channel in range(geometry.channels):
-            for rank in range(geometry.ranks_per_channel):
-                self._free[(channel, rank)] = deque(
-                    self.layout.rank_dsns(channel, rank).tolist())
-                self._allocated[(channel, rank)] = set()
+        ranks = geometry.ranks_per_channel
+        # Ring row of each rank (channel-major).
+        self._row_of: dict[RankId, int] = {
+            (channel, rank): channel * ranks + rank
+            for channel in range(geometry.channels)
+            for rank in range(ranks)}
+        # Free queues: row r holds rank r's free DSNs in FIFO order, from
+        # slot ``_head[r]``, ``_free[r]`` of them, wrapping at the end.
+        self._ring = np.stack([self.layout.rank_dsns(*rank_id)
+                               for rank_id in self._row_of])
+        self._head = [0] * len(self._row_of)
+        self._free = [geometry.segments_per_rank] * len(self._row_of)
+        # Allocated "queue": one flag per DSN.
+        self._in_use = np.zeros(geometry.total_segments, dtype=bool)
+
+    def table5_rows(self) -> dict[str, StructureSize]:
+        """The Table 5 rows these books are: one DSN per device segment
+        in each queue (the allocated queue is held as a 1-bit-per-DSN
+        map, one byte per flag in numpy)."""
+        dsn_bits = self.layout.dsn_bits
+        return {
+            "free_segment_queues": StructureSize(self._ring.size, dsn_bits),
+            "allocated_segment_queues": StructureSize(self._in_use.size,
+                                                      dsn_bits),
+        }
 
     # -- queries --------------------------------------------------------------
 
     def rank_of_dsn(self, dsn: int) -> RankId:
         """``(channel, rank)`` owning segment ``dsn``."""
-        location = self.layout.unpack_dsn(dsn)
-        return location.rank_id
+        if not 0 <= dsn < self.geometry.total_segments:
+            raise AddressError(f"DSN {dsn:#x} out of range")
+        return (self.layout.channel_of_dsn(dsn), self.layout.rank_of_dsn(dsn))
 
-    def ranks_of_dsns(self, dsns: list[int]) -> list[RankId]:
+    def ranks_of_dsns(self, dsns: list[int] | np.ndarray) -> list[RankId]:
         """``(channel, rank)`` pairs owning each segment in ``dsns``."""
-        if not dsns:
+        if not len(dsns):
             return []
         if len(dsns) == 1:
             # A lone DSN (every background-pumped retire, every scalar
-            # move) skips the list -> array -> list round trip.
-            return [self.rank_of_dsn(dsns[0])]
-        channels, ranks, _ = self.layout.unpack_dsn_batch(
-            np.asarray(dsns, dtype=np.int64))
+            # move) is decoded without building arrays.
+            return [self.rank_of_dsn(int(dsns[0]))]
+        channels, ranks, _ = self.layout.unpack_dsn_batch(dsns)
         return list(zip(channels.tolist(), ranks.tolist()))
 
-    def _split_by_rank(self, dsns: list[int],
-                       ) -> list[tuple[RankId, list[int]]]:
-        """``dsns`` split by owning rank, input order kept within a rank."""
-        array = np.asarray(dsns, dtype=np.int64)
-        channels, ranks, _ = self.layout.unpack_dsn_batch(array)
-        width = self.geometry.channels
-        keys = ranks * width + channels
-        return [((key % width, key // width), array[keys == key].tolist())
-                for key in np.flatnonzero(np.bincount(keys)).tolist()]
+    def _rows_of(self, dsns: np.ndarray) -> np.ndarray:
+        """Ring row of each DSN's rank (range-checked)."""
+        channels, ranks, _ = self.layout.unpack_dsn_batch(dsns)
+        return channels * self.geometry.ranks_per_channel + ranks
+
+    def _queue(self, row: int, count: int | None = None) -> np.ndarray:
+        """The first ``count`` entries (default: all) of a rank's free
+        queue, in order — a view of the ring unless they wrap."""
+        head = self._head[row]
+        end = head + (self._free[row] if count is None else count)
+        ring = self._ring[row]
+        if end <= len(ring):
+            return ring[head:end]
+        return np.concatenate((ring[head:], ring[:end - len(ring)]))
 
     def usage(self, rank_id: RankId) -> RankUsage:
         """Allocation snapshot of one rank."""
+        free = self._free[self._row_of[rank_id]]
         return RankUsage(rank_id=rank_id,
-                         allocated=len(self._allocated[rank_id]),
-                         free=len(self._free[rank_id]))
+                         allocated=self.geometry.segments_per_rank - free,
+                         free=free)
 
-    def allocated_in_rank(self, rank_id: RankId) -> list[int]:
-        """DSNs currently allocated in ``rank_id`` (sorted)."""
-        return sorted(self._allocated[rank_id])
+    def allocated_in_rank(self, rank_id: RankId) -> np.ndarray:
+        """DSNs currently allocated in ``rank_id`` (ascending)."""
+        dsns = self.layout.rank_dsns(*rank_id)
+        return dsns[self._in_use[dsns]]
 
-    def free_dsns_in_rank(self, rank_id: RankId) -> list[int]:
+    def free_dsns_in_rank(self, rank_id: RankId) -> np.ndarray:
         """Free DSNs of ``rank_id`` in queue order."""
-        return list(self._free[rank_id])
+        return self._queue(self._row_of[rank_id]).copy()
 
     def free_in_rank(self, rank_id: RankId) -> int:
         """Number of free segments in ``rank_id``."""
-        return len(self._free[rank_id])
+        return self._free[self._row_of[rank_id]]
 
     def allocated_count(self) -> int:
         """Total allocated segments in the device."""
-        return sum(len(dsns) for dsns in self._allocated.values())
+        return self.geometry.total_segments - sum(self._free)
 
     def free_count(self, allowed_ranks: set[RankId] | None = None) -> int:
         """Total free segments (optionally restricted to ``allowed_ranks``)."""
-        items = self._free.items()
-        return sum(len(queue) for rank_id, queue in items
-                   if allowed_ranks is None or rank_id in allowed_ranks)
+        if allowed_ranks is None:
+            return sum(self._free)
+        return sum(self._free[row] for rank_id, row in self._row_of.items()
+                   if rank_id in allowed_ranks)
 
     def channel_allocated(self, channel: int) -> int:
         """Allocated segments on one channel."""
-        return sum(len(self._allocated[(channel, rank)])
-                   for rank in range(self.geometry.ranks_per_channel))
+        ranks = self.geometry.ranks_per_channel
+        return (self.geometry.segments_per_channel
+                - sum(self._free[channel * ranks:(channel + 1) * ranks]))
 
     def is_allocated(self, dsn: int) -> bool:
         """True if segment ``dsn`` is currently allocated."""
-        return dsn in self._allocated[self.rank_of_dsn(dsn)]
+        if not 0 <= dsn < self.geometry.total_segments:
+            raise AddressError(f"DSN {dsn:#x} out of range")
+        return self._in_use.item(dsn)
 
     # -- allocation -------------------------------------------------------------
 
-    def _pick_rank(self, channel: int,
-                   allowed_ranks: set[RankId]) -> RankId | None:
-        """Most-utilised allowed rank on ``channel`` that still has space."""
-        best: RankId | None = None
-        best_util = -1.0
+    def _pick_row(self, channel: int, allowed_ranks) -> int | None:
+        """Ring row of the most-utilised allowed rank on ``channel`` that
+        still has space (ranks are equally large, so: the fewest free
+        segments; the lowest rank index among equals)."""
+        best: int | None = None
+        best_free = self.geometry.segments_per_rank + 1
         for rank in range(self.geometry.ranks_per_channel):
-            rank_id = (channel, rank)
-            if rank_id not in allowed_ranks or not self._free[rank_id]:
-                continue
-            util = self.usage(rank_id).utilization
-            if util > best_util:
-                best, best_util = rank_id, util
+            row = self._row_of[(channel, rank)]
+            free = self._free[row]
+            if (free and free < best_free
+                    and (channel, rank) in allowed_ranks):
+                best, best_free = row, free
         return best
 
     def allocate(self, num_segments: int,
-                 allowed_ranks: set[RankId] | None = None) -> list[int]:
+                 allowed_ranks: set[RankId] | None = None) -> np.ndarray:
         """Allocate ``num_segments`` segments, spread evenly over channels.
 
         Args:
@@ -161,86 +203,134 @@ class SegmentAllocator:
                 f"allocation of {num_segments} segments does not divide "
                 f"evenly over {channels} channels")
         if allowed_ranks is None:
-            allowed_ranks = set(self._free)
+            allowed_ranks = self._row_of.keys()
         per_channel = num_segments // channels
         for channel in range(channels):
             available = sum(
-                len(self._free[(channel, rank)])
+                self._free[self._row_of[(channel, rank)]]
                 for rank in range(self.geometry.ranks_per_channel)
                 if (channel, rank) in allowed_ranks)
             if available < per_channel:
                 raise AllocationError(
                     f"channel {channel} has only {available} free segments "
                     f"in allowed ranks, need {per_channel}")
-        per_channel_dsns: list[list[int]] = []
+        per_channel_dsns: list[np.ndarray] = []
         for channel in range(channels):
-            dsns: list[int] = []
+            taken: list[np.ndarray] = []
             remaining = per_channel
             while remaining:
-                rank_id = self._pick_rank(channel, allowed_ranks)
-                if rank_id is None:  # pragma: no cover - guarded above
+                row = self._pick_row(channel, allowed_ranks)
+                if row is None:  # pragma: no cover - guarded above
                     raise AllocationError("allocator invariant violated")
-                take = min(remaining, len(self._free[rank_id]))
-                dsns.extend(self._take(rank_id, take))
+                take = min(remaining, self._free[row])
+                taken.append(self._take(row, take))
                 remaining -= take
-            per_channel_dsns.append(dsns)
+            per_channel_dsns.append(np.concatenate(taken) if taken
+                                    else np.empty(0, dtype=np.int64))
         # Interleave round-robin so consecutive host segments land on
         # consecutive channels (Figure 6's segment-granular channel
         # interleaving).
-        return [dsn for stripe in zip(*per_channel_dsns) for dsn in stripe]
+        return np.stack(per_channel_dsns, axis=1).ravel()
 
-    def allocate_in_rank(self, rank_id: RankId, num_segments: int) -> list[int]:
+    def allocate_in_rank(self, rank_id: RankId,
+                         num_segments: int) -> np.ndarray:
         """Allocate segments from a single specific rank (migration target)."""
-        queue = self._free[rank_id]
-        if len(queue) < num_segments:
+        row = self._row_of[rank_id]
+        if self._free[row] < num_segments:
             raise AllocationError(
-                f"rank {rank_id} has {len(queue)} free segments, "
+                f"rank {rank_id} has {self._free[row]} free segments, "
                 f"need {num_segments}")
-        return self._take(rank_id, num_segments)
+        return self._take(row, num_segments)
 
-    def _take(self, rank_id: RankId, num_segments: int) -> list[int]:
-        """Allocate the head of ``rank_id``'s free queue."""
-        popleft = self._free[rank_id].popleft
-        dsns = [popleft() for _ in range(num_segments)]
-        self._allocated[rank_id].update(dsns)
+    def _take(self, row: int, num_segments: int) -> np.ndarray:
+        """Allocate the head of a rank's free queue: one wrapping slice."""
+        dsns = self._queue(row, num_segments).copy()
+        self._head[row] = ((self._head[row] + num_segments)
+                           % self.geometry.segments_per_rank)
+        self._free[row] -= num_segments
+        self._in_use[dsns] = True
         return dsns
+
+    def _append(self, row: int, dsns: np.ndarray) -> None:
+        """Put ``dsns`` at the tail of a rank's free queue: one wrapping
+        write."""
+        ring = self._ring[row]
+        tail = (self._head[row] + self._free[row]) % len(ring)
+        room = len(ring) - tail
+        ring[tail:tail + len(dsns)] = dsns[:room]
+        ring[:max(0, len(dsns) - room)] = dsns[room:]
+        self._free[row] += len(dsns)
+
+    def _append_shares(self, dsns: np.ndarray, rows: np.ndarray) -> None:
+        """Hand ``dsns`` to their ranks' free queues, input order kept
+        within a rank."""
+        for row in np.flatnonzero(np.bincount(rows)).tolist():
+            self._append(row, dsns[rows == row])
 
     def reserve_specific(self, dsn: int) -> None:
         """Allocate one specific free segment (migration destinations)."""
         rank_id = self.rank_of_dsn(dsn)
-        try:
-            self._free[rank_id].remove(dsn)
-        except ValueError:
-            raise AllocationError(f"DSN {dsn:#x} is not free") from None
-        self._allocated[rank_id].add(dsn)
+        if self._in_use.item(dsn):
+            raise AllocationError(f"DSN {dsn:#x} is not free")
+        self._in_use[dsn] = True
+        self._drop_reserved(self._row_of[rank_id])
 
-    def free(self, dsns: list[int]) -> None:
+    def reserve_batch(self, dsns: list[int] | np.ndarray) -> None:
+        """:meth:`reserve_specific` for every element of ``dsns``, in
+        order.
+
+        Distinct free segments leave their queues together; otherwise
+        the first DSN that is not free (or is named a second time)
+        raises, with the ones before it reserved.
+        """
+        dsns = np.asarray(dsns, dtype=np.int64)
+        if len(dsns) > 1:
+            rows = self._rows_of(dsns)
+            if not self._in_use[dsns].any() and all_distinct(dsns):
+                self._in_use[dsns] = True
+                for row in np.flatnonzero(np.bincount(rows)).tolist():
+                    self._drop_reserved(row)
+                return
+        for dsn in dsns.tolist():
+            self.reserve_specific(dsn)
+
+    def _drop_reserved(self, row: int) -> None:
+        """Close the gaps left in a rank's free queue by segments just
+        marked allocated; the others keep their order."""
+        queue = self._queue(row)
+        rest = queue[~self._in_use[queue]]
+        self._head[row] = 0
+        self._free[row] = len(rest)
+        self._ring[row, :len(rest)] = rest
+
+    def free(self, dsns: list[int] | np.ndarray) -> None:
         """Return segments to their ranks' free queues, in input order.
 
         The first DSN that is not allocated (or is named a second time)
         raises, with the ones before it freed.
         """
+        dsns = np.asarray(dsns, dtype=np.int64)
         if len(dsns) > 1:
             # A whole AU: when every segment checks out, each rank's
             # share moves at once.
-            shares = self._split_by_rank(dsns)
-            if all(len(set(share)) == len(share)
-                   and self._allocated[rank_id].issuperset(share)
-                   for rank_id, share in shares):
-                for rank_id, share in shares:
-                    self._allocated[rank_id].difference_update(share)
-                    self._free[rank_id].extend(share)
+            rows = self._rows_of(dsns)
+            if self._in_use[dsns].all() and all_distinct(dsns):
+                self._in_use[dsns] = False
+                self._append_shares(dsns, rows)
                 return
-        for dsn, rank_id in zip(dsns, self.ranks_of_dsns(dsns)):
-            self._release(dsn, rank_id)
+        for dsn in dsns.tolist():
+            self._release(dsn)
 
-    def _release(self, dsn: int, rank_id: RankId) -> None:
-        """Move one allocated segment of ``rank_id`` to its free queue."""
-        allocated = self._allocated[rank_id]
-        if dsn not in allocated:
+    def _release(self, dsn: int) -> None:
+        """Move one allocated segment to its rank's free queue."""
+        rank_id = self.rank_of_dsn(dsn)
+        if not self._in_use.item(dsn):
             raise AllocationError(f"DSN {dsn:#x} is not allocated")
-        allocated.remove(dsn)
-        self._free[rank_id].append(dsn)
+        self._in_use[dsn] = False
+        row = self._row_of[rank_id]
+        ring = self._ring[row]
+        ring[(self._head[row] + self._free[row]) % len(ring)] = dsn
+        self._free[row] += 1
 
     def move_allocation(self, old_dsn: int, new_dsn: int) -> None:
         """Transfer an allocation between segments after a migration copy.
@@ -248,26 +338,40 @@ class SegmentAllocator:
         ``new_dsn`` must already be allocated (reserved by the migration
         engine); ``old_dsn`` is released.
         """
-        self.move_allocations([old_dsn], [new_dsn])
+        self.rank_of_dsn(old_dsn)  # the source is range-checked first
+        if not self.is_allocated(new_dsn):
+            raise AllocationError(f"target DSN {new_dsn:#x} is not reserved")
+        self._release(old_dsn)
 
-    def move_allocations(self, old_dsns: list[int],
-                         new_dsns: list[int]) -> None:
+    def move_allocations(self, old_dsns: list[int] | np.ndarray,
+                         new_dsns: list[int] | np.ndarray) -> None:
         """:meth:`move_allocation` over paired lists, in order.
 
-        The first pair whose target is not reserved or whose source is
-        not allocated raises, with the pairs before it already moved.
+        Distinct allocated sources with reserved targets that are none
+        of those sources — every migration drain — are released
+        together.  Otherwise the first pair whose target is not reserved
+        or whose source is not allocated raises, with the pairs before
+        it already moved.
         """
         if len(old_dsns) != len(new_dsns):
             raise ValueError(
                 f"{len(old_dsns)} sources paired with {len(new_dsns)} "
                 "targets")
-        moves = zip(old_dsns, new_dsns, self.ranks_of_dsns(old_dsns),
-                    self.ranks_of_dsns(new_dsns))
-        for old_dsn, new_dsn, old_rank, new_rank in moves:
-            if new_dsn not in self._allocated[new_rank]:
-                raise AllocationError(
-                    f"target DSN {new_dsn:#x} is not reserved")
-            self._release(old_dsn, old_rank)
+        old_dsns = np.asarray(old_dsns, dtype=np.int64)
+        new_dsns = np.asarray(new_dsns, dtype=np.int64)
+        if len(old_dsns) > 1:
+            rows = self._rows_of(old_dsns)
+            self.layout.unpack_dsn_batch(new_dsns)  # range check
+            in_use = self._in_use
+            if (in_use[new_dsns].all() and in_use[old_dsns].all()
+                    and all_distinct(old_dsns)):
+                in_use[old_dsns] = False
+                if in_use[new_dsns].all():  # no target is a source
+                    self._append_shares(old_dsns, rows)
+                    return
+                in_use[old_dsns] = True
+        for old_dsn, new_dsn in zip(old_dsns.tolist(), new_dsns.tolist()):
+            self.move_allocation(old_dsn, new_dsn)
 
 
 __all__ = ["RankId", "RankUsage", "SegmentAllocator"]

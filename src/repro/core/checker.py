@@ -81,10 +81,9 @@ class ConsistencyChecker:
         for channel in range(geometry.channels):
             for rank in range(geometry.ranks_per_channel):
                 allocated.update(
-                    allocator.allocated_in_rank((channel, rank)))
-        inflight_targets = {
-            request.new_dsn
-            for request in self.controller.migration.tracked_requests()}
+                    allocator.allocated_in_rank((channel, rank)).tolist())
+        inflight_targets = set(
+            self.controller.migration.tracked_copies()[2].tolist())
         for dsn in mapped - allocated:
             report.violations.append(
                 f"DSN {dsn:#x} is mapped but not allocated")
@@ -93,16 +92,19 @@ class ConsistencyChecker:
                 f"DSN {dsn:#x} is allocated but not mapped")
 
     def check_segment_conservation(self, report: AuditReport) -> None:
-        """allocated + free == capacity, per rank."""
+        """allocated + free == capacity, per rank: the segments flagged
+        allocated and the ones waiting in the free queue, counted from
+        the two structures."""
         allocator = self.controller.allocator
         geometry = self.controller.geometry
         for channel in range(geometry.channels):
             for rank in range(geometry.ranks_per_channel):
-                usage = allocator.usage((channel, rank))
-                if usage.capacity != geometry.segments_per_rank:
+                allocated = len(allocator.allocated_in_rank((channel, rank)))
+                free = allocator.free_in_rank((channel, rank))
+                if allocated + free != geometry.segments_per_rank:
                     report.violations.append(
-                        f"rank ({channel},{rank}): allocated {usage.allocated}"
-                        f" + free {usage.free} != "
+                        f"rank ({channel},{rank}): allocated {allocated}"
+                        f" + free {free} != "
                         f"{geometry.segments_per_rank}")
 
     def check_mpsm_ranks_empty(self, report: AuditReport) -> None:

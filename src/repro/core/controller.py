@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from repro.core.addressing import (DeviceAddressLayout, HostAddressLayout,
-                                   SegmentLocation)
+                                   SegmentLocation, StructureSize)
 from repro.core.allocator import SegmentAllocator
 from repro.core.config import DtlConfig
 from repro.core.migration import MigrationEngine, WriteRouting
@@ -250,6 +250,31 @@ class DtlController:
         """Total host accesses served (registry counter view)."""
         return self._accesses.value
 
+    def table5_rows(self) -> dict[str, StructureSize]:
+        """What each live structure declares against its Table 5 row.
+
+        Entry counts are read from the arrays the controller runs on and
+        entry widths from the two address layouts, so
+        ``analysis.structures`` can be held against the implementation
+        (``tests/core/test_table5_live.py``).  The host-base and
+        AU-base tables have no live counterpart: the flat forward table
+        is indexed by the packed HSN and needs neither.  The migration
+        engine's outstanding-copy table is Section 4.2's migration
+        registers, not a Table 5 row.
+        """
+        layout = self.host_layout
+        rows = self.translation.smc.table5_rows(layout.hsn_bits,
+                                                self.device_layout.dsn_bits)
+        rows.update(self.tables.table5_rows())
+        rows.update(self.allocator.table5_rows())
+        if self.self_refresh is not None:
+            rows.update(self.self_refresh.table5_rows())
+        # One AU ID per AU of the device; kept per host (created on a
+        # host's first allocation), each as long as the paper's queue.
+        rows["free_au_queue"] = StructureSize(layout.max_aus_per_host,
+                                              layout.au_id_bits)
+        return rows
+
     # -- VM lifecycle -----------------------------------------------------------
 
     def _free_aus(self, host_id: int) -> deque[int]:
@@ -289,8 +314,7 @@ class DtlController:
                 dsns = self.allocator.allocate(
                     self.host_layout.segments_per_au, allowed)
                 self._wake_ranks_holding(dsns, now_s)
-                self.tables.map_au_segments(
-                    host_id, au_id, np.asarray(dsns, dtype=np.int64))
+                self.tables.map_au_segments(host_id, au_id, dsns)
         except AllocationError:
             # Unwind every AU this call touched: segments mapped for the
             # AUs that completed (and the AU-table slice of the one that
@@ -591,9 +615,8 @@ class DtlController:
         # the engine collapses the order-sensitivity (one abort per
         # request, completion-bit redirects) internally.
         if num_writes and self.migration.has_tracked_requests:
-            tracked = np.fromiter(self.migration.tracked_dsns(),
-                                  dtype=np.int64)
-            hot = np.nonzero(writes & np.isin(dsns, tracked))[0]
+            hot = np.nonzero(
+                writes & np.isin(dsns, self.migration.tracked_dsns()))[0]
             if len(hot):
                 offsets = call.offsets
                 routed = self.migration.on_foreground_write_batch(
@@ -665,7 +688,7 @@ class DtlController:
             routed_to_new_dsn=np.array([r.routed_to_new_dsn
                                         for r in results], dtype=bool))
 
-    def _wake_ranks_holding(self, dsns: list[int], now_s: float) -> None:
+    def _wake_ranks_holding(self, dsns: np.ndarray, now_s: float) -> None:
         """Exit self-refresh on any rank receiving fresh allocations.
 
         The VM's initialisation writes follow immediately, and a rank in
@@ -756,11 +779,9 @@ class DtlController:
 
     # -- internals -------------------------------------------------------------------
 
-    def _on_migration_complete(self, requests) -> None:
+    def _on_migration_complete(self, hsns: np.ndarray, old_dsns: np.ndarray,
+                               new_dsns: np.ndarray) -> None:
         """Mapping updates after migration copies finish (Section 4.2)."""
-        hsns = [request.hsn for request in requests]
-        old_dsns = [request.old_dsn for request in requests]
-        new_dsns = [request.new_dsn for request in requests]
         self.tables.remap_segments(hsns, new_dsns)
         self.translation.invalidate_batch(hsns)
         self.allocator.move_allocations(old_dsns, new_dsns)
@@ -768,7 +789,8 @@ class DtlController:
             # The CLOCK access bit tracks the segment's contents, so it
             # moves with the data; otherwise the TSP would read stale
             # hotness for both the vacated and the filled slot.
-            for old_dsn, new_dsn in zip(old_dsns, new_dsns):
+            for old_dsn, new_dsn in zip(old_dsns.tolist(),
+                                        new_dsns.tolist()):
                 self.self_refresh.on_segment_moved(old_dsn, new_dsn)
 
 

@@ -23,19 +23,24 @@ requests.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from repro.core.addressing import DeviceAddressLayout
+from repro.core.addressing import DeviceAddressLayout, all_distinct
 from repro.dram.geometry import DramGeometry
-from repro.errors import MigrationError
+from repro.errors import AddressError, MigrationError
 from repro.telemetry import EventKind, EventTrace, MetricsRegistry
 from repro.units import CACHELINE_BYTES
 
 DEFAULT_MAX_RETRIES = 3
+
+#: Rows of the outstanding-copy table (one column per slot).  ``SERIAL``
+#: numbers copies in submission order; ``LIVE`` is 1 while the copy is
+#: queued or in flight.
+(_HSN, _OLD_DSN, _NEW_DSN, _LINES_DONE, _COMPLETION, _RETRIES, _REQUEUES,
+ _SERIAL, _LIVE) = range(9)
+_NO_SLOT = -1
 
 
 class WriteRouting(enum.Enum):
@@ -45,9 +50,26 @@ class WriteRouting(enum.Enum):
     NEW_DSN = "new"
 
 
-@dataclass
+def _column(index: int, doc: str, flag: bool = False) -> property:
+    """A :class:`MigrationRequest` field: one cell of its table row."""
+
+    def read(self):
+        table = self._engine._table
+        if table.item(_SERIAL, self._slot) != self._serial:
+            raise MigrationError(
+                "migration request retired and its table row was reused")
+        value = table.item(index, self._slot)
+        return value != 0 if flag else value
+
+    def write(self, value) -> None:
+        read(self)  # refuses a reused row
+        self._engine._table[index, self._slot] = value
+
+    return property(read, write, doc=doc)
+
+
 class MigrationRequest:
-    """One in-flight segment copy.
+    """One segment copy: a handle on its row of the engine's table.
 
     Attributes:
         hsn: Host segment whose mapping will move.
@@ -58,21 +80,100 @@ class MigrationRequest:
         completion: Set once all lines are copied; the mapping update is
             still pending at that point.
         retries: Abort count for the current execution attempt.
+        requeues: Times the request went back to the tail of its queue.
+
+    The fields read and write the engine's columns, so a handle obtained
+    earlier sees the copy's progress.  After the copy retires (or is
+    cancelled) its handles keep answering with the final values until a
+    later submission reuses the row; from then on they raise
+    ``MigrationError``.  Handles of the same copy compare equal.
     """
 
-    hsn: int
-    old_dsn: int
-    new_dsn: int
-    lines_total: int
-    lines_done: int = 0
-    completion: bool = False
-    retries: int = 0
-    requeues: int = 0
+    __slots__ = ("_engine", "_slot", "_serial")
 
-    def reset_progress(self) -> None:
-        """Restart the copy from the first line (after an abort)."""
-        self.lines_done = 0
-        self.completion = False
+    def __init__(self, engine: "MigrationEngine", slot: int):
+        self._engine = engine
+        self._slot = slot
+        self._serial = engine._table.item(_SERIAL, slot)
+
+    hsn = _column(_HSN, "Host segment whose mapping will move.")
+    old_dsn = _column(_OLD_DSN, "Source segment.")
+    new_dsn = _column(_NEW_DSN, "Destination segment.")
+    lines_done = _column(_LINES_DONE, "Progress counter.")
+    completion = _column(_COMPLETION, "All lines copied, remap pending.",
+                         flag=True)
+    retries = _column(_RETRIES, "Aborts of the current attempt.")
+    requeues = _column(_REQUEUES, "Moves to the tail of the queue.")
+
+    @property
+    def lines_total(self) -> int:
+        """Cachelines in one segment."""
+        return self._engine.lines_per_segment
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MigrationRequest)
+                and self._engine is other._engine
+                and self._slot == other._slot
+                and self._serial == other._serial)
+
+    def __hash__(self) -> int:
+        return hash((id(self._engine), self._slot, self._serial))
+
+    def __repr__(self) -> str:
+        return (f"MigrationRequest(hsn={self.hsn}, old_dsn={self.old_dsn}, "
+                f"new_dsn={self.new_dsn}, lines_done={self.lines_done}, "
+                f"completion={self.completion}, retries={self.retries}, "
+                f"requeues={self.requeues})")
+
+
+class _SlotFifo:
+    """One channel's migration queue: table slots in FIFO order."""
+
+    def __init__(self) -> None:
+        self._slots = np.empty(16, dtype=np.int64)
+        self._head = 0
+        self._tail = 0
+
+    def __len__(self) -> int:
+        return self._tail - self._head
+
+    def slots(self) -> np.ndarray:
+        """The queued slots, oldest first (a view)."""
+        return self._slots[self._head:self._tail]
+
+    def extend(self, slots: np.ndarray) -> None:
+        """Queue ``slots`` behind what is waiting."""
+        waiting = len(self)
+        if self._tail + len(slots) > len(self._slots):
+            # Out of room at the end: move what waits to the front of a
+            # buffer that holds it all (a larger one only if needed).
+            capacity = len(self._slots)
+            while capacity < waiting + len(slots):
+                capacity *= 2
+            grown = np.empty(capacity, dtype=np.int64)
+            grown[:waiting] = self.slots()
+            self._slots, self._head, self._tail = grown, 0, waiting
+        self._slots[self._tail:self._tail + len(slots)] = slots
+        self._tail += len(slots)
+
+    def popleft(self) -> int:
+        """Take the oldest slot."""
+        slot = self._slots.item(self._head)
+        self._head += 1
+        if self._head == self._tail:
+            self._head = self._tail = 0
+        return slot
+
+    def take_all(self) -> np.ndarray:
+        """Empty the queue; returns what was waiting, oldest first."""
+        slots = self.slots().copy()
+        self._head = self._tail = 0
+        return slots
+
+    def replace(self, slots: np.ndarray) -> None:
+        """Make ``slots`` (a copy, not a view of this queue) the queue."""
+        self._head = self._tail = 0
+        self.extend(slots)
 
 
 class MigrationStats:
@@ -124,14 +225,25 @@ class MigrationStats:
         return f"MigrationStats({fields})"
 
 
-#: Callback invoked when requests retire (copy finished, mapping update
-#: due): ``on_complete(requests)`` — one request from a stepped retire,
-#: a channel's whole queue in queue order from a bulk :meth:`drain`.
-CompletionCallback = Callable[[list[MigrationRequest]], None]
+#: Callback invoked when copies retire (copy finished, mapping update
+#: due): ``on_complete(hsns, old_dsns, new_dsns)``, three int64 arrays —
+#: one element each from a stepped retire, a channel's whole queue in
+#: queue order from a bulk :meth:`MigrationEngine.drain`.
+CompletionCallback = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 class MigrationEngine:
-    """Per-channel migration queues with the atomic write-conflict protocol."""
+    """Per-channel migration queues with the atomic write-conflict protocol.
+
+    Every outstanding copy is one slot of a columnar table (``hsn``,
+    ``old_dsn``, ``new_dsn``, ``lines_done``, ``completion``, ``retries``,
+    ``requeues``); a channel's queue is a FIFO of slots and a DSN-indexed
+    array finds the slot copying a given source.  These are Section
+    4.2's "outstanding migration registers" grown to hold a whole
+    consolidation — *not* a Table 5 row (Table 5's "migration table" is
+    the self-refresh policy's hot/cold plan).  :class:`MigrationRequest`
+    is a handle on one slot.
+    """
 
     def __init__(self, geometry: DramGeometry,
                  on_complete: CompletionCallback | None = None,
@@ -143,14 +255,21 @@ class MigrationEngine:
         self.max_retries = max_retries
         self.on_complete = on_complete
         self.lines_per_segment = geometry.segment_bytes // CACHELINE_BYTES
-        self._queues: dict[int, deque[MigrationRequest]] = {
-            channel: deque() for channel in range(geometry.channels)}
-        # The "outstanding migration registers" of Section 4.2: at most one
-        # in-flight request per channel.
-        self._inflight: dict[int, MigrationRequest | None] = {
-            channel: None for channel in range(geometry.channels)}
-        # old_dsn -> request, for O(1) foreground conflict checks.
-        self._by_old_dsn: dict[int, MigrationRequest] = {}
+        self._table = np.zeros((_LIVE + 1, 64), dtype=np.int64)
+        self._table[_SERIAL] = _NO_SLOT
+        # Slots below ``_rows`` have been handed out since the table was
+        # last empty; ``_tracked`` of them hold outstanding copies.
+        self._rows = 0
+        self._tracked = 0
+        self._next_serial = 0
+        # Slots of the outstanding copies, oldest first; None = stale.
+        self._order: np.ndarray | None = None
+        self._queues = [_SlotFifo() for _ in range(geometry.channels)]
+        # The slot each channel is copying (at most one in flight).
+        self._inflight = [_NO_SLOT] * geometry.channels
+        # Source DSN -> slot, for O(1) foreground conflict checks.
+        self._slot_of = np.full(geometry.total_segments, _NO_SLOT,
+                                dtype=np.int64)
         self._trace = trace
         self.stats = MigrationStats(registry=registry)
         # Armed fault injector (None = zero-overhead no-op hooks).
@@ -159,6 +278,51 @@ class MigrationEngine:
     def arm_faults(self, injector) -> None:
         """Attach (or with ``None`` detach) a fault injector."""
         self._faults = injector
+
+    # -- the table ---------------------------------------------------------------
+
+    def _claim(self, count: int) -> np.ndarray:
+        """``count`` unused slots.  Fresh ones from the end while the
+        table has room (restarting at slot 0 whenever nothing is
+        outstanding), then retired ones, then a larger table."""
+        if not self._tracked:
+            self._rows = 0
+        capacity = self._table.shape[1]
+        if self._rows + count > capacity:
+            retired = np.flatnonzero(self._table[_LIVE, :self._rows] == 0)
+            if len(retired) >= count:
+                return retired[:count]
+            grown = np.zeros((len(self._table),
+                              max(2 * capacity, self._rows + count)),
+                             dtype=np.int64)
+            grown[_SERIAL] = _NO_SLOT
+            grown[:, :capacity] = self._table
+            self._table = grown
+        slots = np.arange(self._rows, self._rows + count)
+        self._rows += count
+        return slots
+
+    def _slot_copying(self, dsn: int) -> int:
+        """Slot of the copy whose source is ``dsn`` (``_NO_SLOT``: none)."""
+        if 0 <= dsn < len(self._slot_of):
+            return self._slot_of.item(dsn)
+        return _NO_SLOT
+
+    def _tracked_slots(self) -> np.ndarray:
+        """Slots of all outstanding copies, in submission order (kept
+        between changes: the datapath asks once per call with writes)."""
+        if self._order is None:
+            slots = np.flatnonzero(self._table[_LIVE, :self._rows])
+            self._order = slots[np.argsort(self._table[_SERIAL, slots],
+                                           kind="stable")]
+        return self._order
+
+    def _untrack(self, slots: np.ndarray) -> None:
+        """Drop ``slots`` from the books (their rows keep their values)."""
+        self._table[_LIVE, slots] = 0
+        self._slot_of[self._table[_OLD_DSN, slots]] = _NO_SLOT
+        self._tracked -= len(slots)
+        self._order = None
 
     # -- submission --------------------------------------------------------------
 
@@ -172,52 +336,79 @@ class MigrationEngine:
         Both DSNs must live on the same channel — migration never crosses
         channels because channel capacity is balanced by construction.
         """
+        hsn, old_dsn, new_dsn = int(hsn), int(old_dsn), int(new_dsn)
         channel = self.channel_of(old_dsn)
-        request = self._enqueue(channel, hsn, old_dsn, new_dsn)
+        self._check(channel, old_dsn, new_dsn)
+        slots = self._claim(1)
+        self._fill(slots, hsn, old_dsn, new_dsn)
+        self._queues[channel].extend(slots)
         if self._trace is not None:
             self._trace.record(EventKind.MIGRATION_SUBMIT, hsn=hsn,
                                old_dsn=old_dsn, new_dsn=new_dsn,
                                channel=channel)
-        return request
+        return MigrationRequest(self, slots.item(0))
 
-    def submit_batch(self, hsns: list[int], old_dsns: list[int],
-                     new_dsns: list[int]) -> list[MigrationRequest]:
+    def submit_batch(self, hsns: list[int] | np.ndarray,
+                     old_dsns: list[int] | np.ndarray,
+                     new_dsns: list[int] | np.ndarray) -> None:
         """:meth:`submit` over parallel lists, in order.
 
-        The first bad triple raises :meth:`submit`'s error with the
-        triples before it queued; the ``MIGRATION_SUBMIT`` events of the
-        queued ones enter the ring as one columnar run.
+        A run of same-channel pairs with distinct, in-range sources
+        nobody is copying yet is appended to the table at once, its
+        ``MIGRATION_SUBMIT`` events one columnar run.  Otherwise the
+        first bad triple raises :meth:`submit`'s error with the triples
+        before it queued.
         """
-        channels = list(map(self.channel_of, old_dsns))
-        requests: list[MigrationRequest] = []
-        try:
-            for copy in zip(channels, hsns, old_dsns, new_dsns,
-                            strict=True):
-                requests.append(self._enqueue(*copy))
-        finally:
-            if requests and self._trace is not None:
-                done = len(requests)
-                self._trace.record_tail(
-                    EventKind.MIGRATION_SUBMIT, hsn=hsns[:done],
-                    old_dsn=old_dsns[:done], new_dsn=new_dsns[:done],
-                    channel=channels[:done])
-        return requests
+        count = len(hsns)
+        if count > 1 and count == len(old_dsns) == len(new_dsns):
+            hsns = np.asarray(hsns, dtype=np.int64)
+            old_dsns = np.asarray(old_dsns, dtype=np.int64)
+            new_dsns = np.asarray(new_dsns, dtype=np.int64)
+            channels = self.channel_of(old_dsns)
+            if ((channels == self.channel_of(new_dsns)).all()
+                    and 0 <= int(old_dsns.min())
+                    and int(old_dsns.max()) < len(self._slot_of)
+                    and (self._slot_of[old_dsns] == _NO_SLOT).all()
+                    and all_distinct(old_dsns)):
+                slots = self._claim(count)
+                self._fill(slots, hsns, old_dsns, new_dsns)
+                for channel in np.flatnonzero(np.bincount(channels)).tolist():
+                    self._queues[channel].extend(slots[channels == channel])
+                if self._trace is not None:
+                    self._trace.record_tail(
+                        EventKind.MIGRATION_SUBMIT, hsn=hsns,
+                        old_dsn=old_dsns, new_dsn=new_dsns, channel=channels)
+                return
+        for copy in zip(hsns, old_dsns, new_dsns, strict=True):
+            self.submit(*copy)
 
-    def _enqueue(self, src_channel: int, hsn: int, old_dsn: int,
-                 new_dsn: int) -> MigrationRequest:
-        """Validate and queue one copy from ``src_channel`` (no event)."""
+    def _check(self, src_channel: int, old_dsn: int, new_dsn: int) -> None:
+        """Raise unless ``old_dsn`` on ``src_channel`` may start a copy
+        to ``new_dsn``."""
         if src_channel != self.channel_of(new_dsn):
             raise MigrationError(
                 f"cross-channel migration {old_dsn:#x} -> {new_dsn:#x}")
-        if old_dsn in self._by_old_dsn:
+        if not 0 <= old_dsn < len(self._slot_of):
+            raise AddressError(f"DSN {old_dsn:#x} out of range")
+        if self._slot_of.item(old_dsn) != _NO_SLOT:
             raise MigrationError(f"DSN {old_dsn:#x} is already migrating")
-        request = MigrationRequest(hsn=hsn, old_dsn=old_dsn, new_dsn=new_dsn,
-                                   lines_total=self.lines_per_segment)
-        self._queues[src_channel].append(request)
-        self._by_old_dsn[old_dsn] = request
-        return request
 
-    def cancel(self, old_dsns: list[int]) -> list[int]:
+    def _fill(self, slots: np.ndarray, hsns, old_dsns, new_dsns) -> None:
+        """Start tracking one copy per slot (scalars or columns)."""
+        table = self._table
+        table[_HSN, slots] = hsns
+        table[_OLD_DSN, slots] = old_dsns
+        table[_NEW_DSN, slots] = new_dsns
+        table[_LINES_DONE:_SERIAL, slots] = 0
+        table[_SERIAL, slots] = np.arange(self._next_serial,
+                                          self._next_serial + len(slots))
+        table[_LIVE, slots] = 1
+        self._next_serial += len(slots)
+        self._slot_of[table[_OLD_DSN, slots]] = slots
+        self._tracked += len(slots)
+        self._order = None
+
+    def cancel(self, old_dsns: list[int] | np.ndarray) -> np.ndarray:
         """Stop tracking the copies whose source is in ``old_dsns``.
 
         For sources that are being freed rather than moved: their
@@ -226,34 +417,38 @@ class MigrationEngine:
         Returns the reserved destinations, which the caller owns again
         (``allocator.free``).
         """
-        cancelled = [self._by_old_dsn.pop(dsn) for dsn in old_dsns
-                     if dsn in self._by_old_dsn]
-        if not cancelled:
-            return []
-        gone = {request.old_dsn for request in cancelled}
-        for channel, queue in self._queues.items():
+        old_dsns = np.asarray(old_dsns, dtype=np.int64)
+        known = old_dsns[(old_dsns >= 0) & (old_dsns < len(self._slot_of))]
+        slots = self._slot_of[known]
+        slots = slots[slots != _NO_SLOT]
+        if not len(slots):
+            return slots
+        if not all_distinct(slots):  # a source named twice counts once
+            slots = slots[np.sort(np.unique(slots, return_index=True)[1])]
+        table = self._table
+        self._untrack(slots)
+        for channel, queue in enumerate(self._queues):
             inflight = self._inflight[channel]
-            if inflight is not None and inflight.old_dsn in gone:
-                self._inflight[channel] = None
-            self._queues[channel] = deque(
-                request for request in queue if request.old_dsn not in gone)
+            if inflight != _NO_SLOT and not table.item(_LIVE, inflight):
+                self._inflight[channel] = _NO_SLOT
+            waiting = queue.slots()
+            queue.replace(waiting[table[_LIVE, waiting] != 0])
         if self._trace is not None:
             self._trace.record_tail(
-                EventKind.MIGRATION_CANCEL,
-                hsn=[request.hsn for request in cancelled],
-                old_dsn=[request.old_dsn for request in cancelled],
-                new_dsn=[request.new_dsn for request in cancelled],
-                lines_done=[request.lines_done for request in cancelled])
-        return [request.new_dsn for request in cancelled]
+                EventKind.MIGRATION_CANCEL, hsn=table[_HSN, slots],
+                old_dsn=table[_OLD_DSN, slots],
+                new_dsn=table[_NEW_DSN, slots],
+                lines_done=table[_LINES_DONE, slots])
+        return table[_NEW_DSN, slots]
 
     def pending_count(self) -> int:
         """Requests queued or in flight."""
-        inflight = sum(1 for request in self._inflight.values() if request)
-        return inflight + sum(len(queue) for queue in self._queues.values())
+        return self._tracked
 
     def request_for(self, dsn: int) -> MigrationRequest | None:
         """The migration request whose source is ``dsn``, if any."""
-        return self._by_old_dsn.get(dsn)
+        slot = self._slot_copying(dsn)
+        return None if slot == _NO_SLOT else MigrationRequest(self, slot)
 
     @property
     def has_tracked_requests(self) -> bool:
@@ -263,15 +458,31 @@ class MigrationEngine:
         tracked set only changes from the engine's own step/abort paths,
         never from a read access, so it is stable across one batch.
         """
-        return bool(self._by_old_dsn)
+        return self._tracked > 0
 
-    def tracked_dsns(self) -> list[int]:
+    def in_flight(self, channel: int) -> MigrationRequest | None:
+        """The request ``channel`` is copying, if any."""
+        slot = self._inflight[channel]
+        return None if slot == _NO_SLOT else MigrationRequest(self, slot)
+
+    def queued(self, channel: int) -> list[MigrationRequest]:
+        """The requests waiting on ``channel``, next to run first."""
+        return [MigrationRequest(self, slot)
+                for slot in self._queues[channel].slots().tolist()]
+
+    def tracked_copies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(hsns, old_dsns, new_dsns)`` of all queued or in-flight
+        migrations, oldest first."""
+        return tuple(self._table[_HSN:_NEW_DSN + 1, self._tracked_slots()])
+
+    def tracked_dsns(self) -> np.ndarray:
         """Source DSNs of all queued or in-flight migrations."""
-        return list(self._by_old_dsn)
+        return self._table[_OLD_DSN, self._tracked_slots()]
 
     def tracked_requests(self) -> list[MigrationRequest]:
-        """All queued or in-flight migration requests."""
-        return list(self._by_old_dsn.values())
+        """All queued or in-flight migration requests, oldest first."""
+        return [MigrationRequest(self, slot)
+                for slot in self._tracked_slots().tolist()]
 
     # -- foreground interface -------------------------------------------------------
 
@@ -285,19 +496,19 @@ class MigrationEngine:
         Returns:
             Which copy of the segment the write must be issued to.
         """
-        request = self._by_old_dsn.get(dsn)
-        if request is None:
+        slot = self._slot_copying(dsn)
+        if slot == _NO_SLOT:
             return WriteRouting.OLD_DSN
-        if not 0 <= line_index < request.lines_total:
+        if not 0 <= line_index < self.lines_per_segment:
             raise MigrationError(f"line index {line_index} out of range")
-        if request.completion:
+        if self._table.item(_COMPLETION, slot):
             self.stats.foreground_redirects += 1
             return WriteRouting.NEW_DSN
-        if line_index >= request.lines_done:
+        if line_index >= self._table.item(_LINES_DONE, slot):
             # Not migrated yet; the copy will pick up the new value later.
             return WriteRouting.OLD_DSN
         # Already-migrated line is being overwritten: abort and retry.
-        self._abort(request)
+        self._abort(slot)
         return WriteRouting.OLD_DSN
 
     def on_foreground_write_batch(self, dsns: np.ndarray,
@@ -318,16 +529,16 @@ class MigrationEngine:
         dsns = np.asarray(dsns, dtype=np.int64)
         line_indices = np.asarray(line_indices, dtype=np.int64)
         routed_new = np.zeros(len(dsns), dtype=bool)
-        if not len(dsns) or not self._by_old_dsn:
+        if not len(dsns) or not self._tracked:
             return routed_new
-        aborts: list[tuple[int, MigrationRequest]] = []
+        aborts: list[tuple[int, int]] = []
         for dsn in np.unique(dsns).tolist():
-            request = self._by_old_dsn.get(dsn)
-            if request is None:
+            slot = self._slot_copying(dsn)
+            if slot == _NO_SLOT:
                 continue
             positions = np.nonzero(dsns == dsn)[0]
             lines = line_indices[positions]
-            bad = (lines < 0) | (lines >= request.lines_total)
+            bad = (lines < 0) | (lines >= self.lines_per_segment)
             if bad.any():
                 # Reproduce the scalar error position: apply nothing for
                 # this request past the first invalid write.  (Earlier
@@ -337,44 +548,48 @@ class MigrationEngine:
                 raise MigrationError(
                     f"line index {int(line_indices[first_bad])} "
                     "out of range")
-            if request.completion:
+            if self._table.item(_COMPLETION, slot):
                 self.stats.foreground_redirects += len(positions)
                 routed_new[positions] = True
                 continue
-            conflicts = lines < request.lines_done
+            conflicts = lines < self._table.item(_LINES_DONE, slot)
             if conflicts.any():
                 first = int(positions[int(np.argmax(conflicts))])
-                aborts.append((first, request))
-        for _, request in sorted(aborts, key=lambda item: item[0]):
-            self._abort(request)
+                aborts.append((first, slot))
+        for _, slot in sorted(aborts):
+            self._abort(slot)
         return routed_new
 
-    def _abort(self, request: MigrationRequest) -> None:
-        request.reset_progress()
-        request.retries += 1
+    def _abort(self, slot: int) -> None:
+        """Restart the copy in ``slot``; past ``max_retries`` aborts it
+        goes to the tail of its channel's queue."""
+        table = self._table
+        table[_LINES_DONE, slot] = 0
+        table[_COMPLETION, slot] = 0
+        retries = table.item(_RETRIES, slot) + 1
+        table[_RETRIES, slot] = retries
         self.stats.aborts += 1
+        hsn, old_dsn = table.item(_HSN, slot), table.item(_OLD_DSN, slot)
         if self._trace is not None:
-            self._trace.record(EventKind.MIGRATION_ABORT, hsn=request.hsn,
-                               old_dsn=request.old_dsn,
-                               retries=request.retries)
-        if request.retries > self.max_retries:
+            self._trace.record(EventKind.MIGRATION_ABORT, hsn=hsn,
+                               old_dsn=old_dsn, retries=retries)
+        if retries > self.max_retries:
             # Move to the tail of its channel's migration queue.
-            channel = self.channel_of(request.old_dsn)
-            if self._inflight[channel] is request:
-                self._inflight[channel] = None
+            channel = self.channel_of(old_dsn)
+            queue = self._queues[channel]
+            if self._inflight[channel] == slot:
+                self._inflight[channel] = _NO_SLOT
             else:
-                try:
-                    self._queues[channel].remove(request)
-                except ValueError:
-                    pass
-            request.retries = 0
-            request.requeues += 1
+                waiting = queue.slots()
+                queue.replace(waiting[waiting != slot])
+            table[_RETRIES, slot] = 0
+            table[_REQUEUES, slot] += 1
             self.stats.requeues += 1
-            self._queues[channel].append(request)
+            queue.extend(np.array([slot]))
             if self._trace is not None:
                 self._trace.record(EventKind.MIGRATION_REQUEUE,
-                                   hsn=request.hsn, old_dsn=request.old_dsn,
-                                   requeues=request.requeues,
+                                   hsn=hsn, old_dsn=old_dsn,
+                                   requeues=table.item(_REQUEUES, slot),
                                    channel=channel)
 
     # -- progress --------------------------------------------------------------------
@@ -399,32 +614,34 @@ class MigrationEngine:
         if foreground_busy:
             return 0
         copied = 0
+        queue = self._queues[channel]
         while copied < lines:
-            request = self._inflight[channel]
-            if request is None:
-                if not self._queues[channel]:
+            slot = self._inflight[channel]
+            if slot == _NO_SLOT:
+                if not len(queue):
                     break
-                request = self._queues[channel].popleft()
-                self._inflight[channel] = request
-            if request.completion:
+                slot = self._inflight[channel] = queue.popleft()
+            table = self._table
+            if table.item(_COMPLETION, slot):
                 # Deferred from the step that copied the last line.
-                self._retire(channel, request)
+                self._retire(channel, slot)
                 continue
             # Injected abort (hook: migration.copy).  Only legal while the
             # completion bit is clear — past it, foreground writes are
             # already redirected to the new DSN and an abort would lose
             # them.  The abort may requeue the request, so stop stepping.
             if (self._faults is not None
-                    and self._faults.on_migration_copy(request, channel)):
-                self._abort(request)
+                    and self._faults.on_migration_copy(
+                        MigrationRequest(self, slot), channel)):
+                self._abort(slot)
                 break
-            remaining = request.lines_total - request.lines_done
-            take = min(lines - copied, remaining)
-            request.lines_done += take
+            done = table.item(_LINES_DONE, slot)
+            take = min(lines - copied, self.lines_per_segment - done)
+            table[_LINES_DONE, slot] = done + take
             copied += take
             self.stats.lines_copied += take
-            if request.lines_done == request.lines_total:
-                request.completion = True
+            if done + take == self.lines_per_segment:
+                table[_COMPLETION, slot] = 1
                 break
         return copied
 
@@ -433,7 +650,7 @@ class MigrationEngine:
         """Copy up to ``lines`` lines on every non-busy channel."""
         busy = busy_channels or set()
         return sum(self.step_channel(channel, channel in busy, lines)
-                   for channel in self._queues)
+                   for channel in range(len(self._queues)))
 
     def drain(self) -> int:
         """Run all queued migrations to completion.
@@ -450,9 +667,9 @@ class MigrationEngine:
         """
         stepped = (self._faults is not None
                    and self._faults.aborts_migration_copies)
-        for channel in self._queues:
+        for channel, queue in enumerate(self._queues):
             if stepped:
-                while self._inflight[channel] or self._queues[channel]:
+                while self._inflight[channel] != _NO_SLOT or len(queue):
                     self.step_channel(channel, lines=self.lines_per_segment)
             else:
                 self._finish_channel(channel)
@@ -466,47 +683,51 @@ class MigrationEngine:
         ``MIGRATION_RETIRE`` run and one ``on_complete`` call.
         """
         inflight = self._inflight[channel]
-        requests = [] if inflight is None else [inflight]
-        requests.extend(self._queues[channel])
-        if not requests:
+        slots = self._queues[channel].take_all()
+        if inflight != _NO_SLOT:
+            slots = np.concatenate(([inflight], slots))
+        if not len(slots):
             return
-        self._inflight[channel] = None
-        self._queues[channel].clear()
-        copying = 0
-        lines = 0
-        for request in requests:
-            if not request.completion:
-                copying += 1
-                lines += request.lines_total - request.lines_done
-                request.lines_done = request.lines_total
-                request.completion = True
-            del self._by_old_dsn[request.old_dsn]
+        self._inflight[channel] = _NO_SLOT
+        table = self._table
+        copying = table[_COMPLETION, slots] == 0
+        lines = int((self.lines_per_segment
+                     - table[_LINES_DONE, slots][copying]).sum())
+        table[_LINES_DONE, slots] = self.lines_per_segment
+        table[_COMPLETION, slots] = 1
         if self._faults is not None:
             # The stepped loop consults the hook once per copying request.
-            self._faults.count_migration_copies(copying)
+            self._faults.count_migration_copies(int(copying.sum()))
         self.stats.lines_copied += lines
-        self.stats.segments_migrated += len(requests)
+        hsns, old_dsns, new_dsns = self._retired(slots)
         if self._trace is not None:
             self._trace.record_tail(
-                EventKind.MIGRATION_RETIRE,
-                hsn=[request.hsn for request in requests],
-                old_dsn=[request.old_dsn for request in requests],
-                new_dsn=[request.new_dsn for request in requests],
-                channel=[channel] * len(requests))
+                EventKind.MIGRATION_RETIRE, hsn=hsns, old_dsn=old_dsns,
+                new_dsn=new_dsns,
+                channel=np.full(len(slots), channel, dtype=np.int64))
         if self.on_complete is not None:
-            self.on_complete(requests)
+            self.on_complete(hsns, old_dsns, new_dsns)
 
-    def _retire(self, channel: int, request: MigrationRequest) -> None:
-        """Finish a request: mapping update then removal from registers."""
-        self._inflight[channel] = None
-        del self._by_old_dsn[request.old_dsn]
-        self.stats.segments_migrated += 1
+    def _retire(self, channel: int, slot: int) -> None:
+        """Finish the request in flight on ``channel``: removal from the
+        registers, then the mapping update."""
+        self._inflight[channel] = _NO_SLOT
+        hsns, old_dsns, new_dsns = self._retired(np.array([slot]))
         if self._trace is not None:
-            self._trace.record(EventKind.MIGRATION_RETIRE, hsn=request.hsn,
-                               old_dsn=request.old_dsn,
-                               new_dsn=request.new_dsn, channel=channel)
+            self._trace.record(EventKind.MIGRATION_RETIRE, hsn=hsns.item(),
+                               old_dsn=old_dsns.item(),
+                               new_dsn=new_dsns.item(), channel=channel)
         if self.on_complete is not None:
-            self.on_complete([request])
+            self.on_complete(hsns, old_dsns, new_dsns)
+
+    def _retired(self, slots: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stop tracking the finished copies in ``slots``; returns their
+        ``(hsns, old_dsns, new_dsns)`` for the completion callback."""
+        columns = self._table[_HSN:_NEW_DSN + 1, slots]
+        self._untrack(slots)
+        self.stats.segments_migrated += len(slots)
+        return tuple(columns)
 
     # -- cost model ---------------------------------------------------------------------
 

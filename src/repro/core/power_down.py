@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.allocator import RankId, SegmentAllocator
 from repro.core.migration import MigrationEngine
 from repro.core.tables import TranslationTables
@@ -173,11 +175,9 @@ class RankPowerDownPolicy:
         evacuate, data still arriving) and its *source* segments are
         already being migrated (a second submit would conflict).
         """
-        busy: set[RankId] = set()
-        for request in self.migration.tracked_requests():
-            busy.add(self.allocator.rank_of_dsn(request.old_dsn))
-            busy.add(self.allocator.rank_of_dsn(request.new_dsn))
-        return busy
+        _, old_dsns, new_dsns = self.migration.tracked_copies()
+        return (set(self.allocator.ranks_of_dsns(old_dsns))
+                | set(self.allocator.ranks_of_dsns(new_dsns)))
 
     def _victim_group(self) -> list[RankId] | None:
         """Ask the policy for a virtual victim rank-group.
@@ -216,7 +216,8 @@ class RankPowerDownPolicy:
             victims.extend((channel, rank) for rank in chosen)
         return victims
 
-    def _victim_live_segments(self, victims: list[RankId]) -> dict[RankId, list[int]]:
+    def _victim_live_segments(self, victims: list[RankId],
+                              ) -> dict[RankId, np.ndarray]:
         return {rank_id: self.allocator.allocated_in_rank(rank_id)
                 for rank_id in victims}
 
@@ -307,7 +308,7 @@ class RankPowerDownPolicy:
         else:
             self._sr_parks.inc(ranks)
 
-    def _consolidate(self, live: dict[RankId, list[int]],
+    def _consolidate(self, live: dict[RankId, np.ndarray],
                      remaining_active: set[RankId], now_s: float) -> int:
         """Copy every live segment off the victim ranks.
 
@@ -328,7 +329,7 @@ class RankPowerDownPolicy:
             self.migration.drain()
         return migrated_bytes
 
-    def evacuate(self, dsns: list[int], targets: set[RankId],
+    def evacuate(self, dsns: list[int] | np.ndarray, targets: set[RankId],
                  now_s: float) -> None:
         """Queue a copy of every segment in ``dsns`` into ``targets``.
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.allocator import RankId, SegmentAllocator
 from repro.core.migration import MigrationEngine
 from repro.core.power_down import RankPowerDownPolicy
@@ -90,7 +92,7 @@ class RankRetirementManager:
         was_powered_down = rank_obj.state is PowerState.MPSM
         live = self.allocator.allocated_in_rank(rank_id)
         migrated_bytes = 0
-        if live:
+        if len(live):
             if was_powered_down:  # pragma: no cover - invariant guard
                 raise PowerStateError(
                     f"rank {rank_id} is in MPSM yet holds data")
@@ -109,7 +111,7 @@ class RankRetirementManager:
         self.records.append(record)
         return record
 
-    def _evacuate(self, rank_id: RankId, live: list[int],
+    def _evacuate(self, rank_id: RankId, live: np.ndarray,
                   now_s: float) -> int:
         """Move every live segment to surviving ranks of the channel."""
         channel = rank_id[0]

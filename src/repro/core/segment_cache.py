@@ -38,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.addressing import StructureSize
 from repro.errors import ConfigurationError
 from repro.telemetry import EventKind, EventTrace, MetricsRegistry
 
@@ -450,6 +451,15 @@ class SegmentMappingCache:
     def back_invalidations(self) -> int:
         """L1 entries purged because their L2 copy was evicted."""
         return self._back_invalidations.value
+
+    def table5_rows(self, hsn_bits: int,
+                    dsn_bits: int) -> dict[str, StructureSize]:
+        """The Table 5 rows the two levels are: an entry is an HSN tag,
+        a DSN and a valid bit (the caches hold numbers, not widths, so
+        the layouts' widths come from the caller)."""
+        entry_bits = hsn_bits + dsn_bits + 1
+        return {"l1_smc": StructureSize(self.l1._tags.size, entry_bits),
+                "l2_smc": StructureSize(self.l2._tags.size, entry_bits)}
 
     def lookup(self, hsn: int) -> LookupResult:
         """Look up ``hsn`` in L1 then L2, promoting L2 hits into L1."""

@@ -43,6 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.core.addressing import StructureSize
 from repro.core.allocator import SegmentAllocator
 from repro.core.migration import MigrationEngine
 from repro.core.tables import TranslationTables
@@ -192,6 +193,15 @@ class HotnessSelfRefreshPolicy:
         self._idle_gap_hist = registry.histogram("policy.rank_idle_gap_ns")
         # Armed fault injector (None = zero-overhead no-op hooks).
         self._faults = None
+
+    def table5_rows(self) -> dict[str, StructureSize]:
+        """Table 5's (hot/cold) migration table: per device segment an
+        access bit and the planned rank and segment index.  The plan
+        never leaves its channel, so an entry is as wide as a DSN with
+        the access bit in place of a channel bit (18 bits at 384 GB)."""
+        assert len(self.planned) == len(self.access_bits)
+        return {"migration_table": StructureSize(len(self.planned),
+                                                 self.layout.dsn_bits)}
 
     def arm_faults(self, injector) -> None:
         """Attach (or with ``None`` detach) a fault injector."""
@@ -807,10 +817,8 @@ class HotnessSelfRefreshPolicy:
         keep its mapping until the engine retires it, and a tracked
         *target* is reserved (allocated but unmapped), not free.
         """
-        busy: set[int] = set()
-        for request in self.migration.tracked_requests():
-            busy.add(request.old_dsn)
-            busy.add(request.new_dsn)
+        _, old_dsns, new_dsns = self.migration.tracked_copies()
+        busy = set(old_dsns.tolist()) | set(new_dsns.tolist())
         migrated = 0
         for victim_dsn, partner_dsn in swaps:
             if victim_dsn in busy or partner_dsn in busy:

@@ -19,9 +19,20 @@ the three-level walk collapses to a bounds check plus a single gather:
 ``dsns = forward[hsns]``.  An ``UNMAPPED`` sentinel marks both
 never-allocated and unmapped entries; a per-AU allocation bitmap keeps
 "AU not allocated" and "segment not mapped" distinguishable for error
-reporting and is the only record of which AUs exist.  The reverse table
-stays an ordinary dict: it is not on the access hot path and callers
-(tests included) may probe arbitrary DSN keys outside the device range.
+reporting and is the only record of which AUs exist.
+
+The reverse table is the same kind of object: one flat int64 array
+indexed by DSN, one entry per device segment, ``UNMAPPED`` where the
+segment backs nothing; a counter holds the number of live entries.
+Tearing down or installing an AU, remapping a drained migration queue
+and resolving a victim rank's HSNs are each one gather or one scatter.
+A *query* for a DSN the device does not have answers as for any other
+dead segment (:meth:`TranslationTables.is_dsn_live` False,
+:meth:`TranslationTables.hsn_of_dsn` raising ``TranslationError("DSN
+0x... holds no segment")``); *mapping* one is an ``AddressError``.
+
+Bulk methods take segment numbers as a list or an int64 array and return
+int64 arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.addressing import HostAddressLayout
+from repro.core.addressing import (DeviceAddressLayout, HostAddressLayout,
+                                   StructureSize, all_distinct)
 from repro.errors import AddressError, AllocationError, TranslationError
 
 UNMAPPED = -1
@@ -64,19 +76,43 @@ class TranslationTables:
         # Allocation bitmap, [host_id, au_id]: the one record of which
         # AUs exist, and what tells "AU not allocated" from "segment not
         # mapped" on the error paths.
-        self._au_allocated = np.zeros(
+        self._au_live = np.zeros(
             (layout.max_hosts, layout.max_aus_per_host), dtype=bool)
-        # DSN -> HSN reverse map.
-        self._reverse: dict[int, int] = {}
+        # Reverse table, DSN -> HSN: one entry per device segment.
+        self._reverse_table = np.full(layout.geometry.total_segments,
+                                      UNMAPPED, dtype=np.int64)
+        self._mapped = 0  # live entries of the reverse table
+
+    def table5_rows(self) -> dict[str, StructureSize]:
+        """The Table 5 rows these tables are.  The paper's segment
+        mapping table holds one ``DSN + valid`` entry per *device*
+        segment; the flat forward table reserves that many per host
+        (any one host may own the whole device), of which at most one
+        device's worth is ever mapped."""
+        layout = self.layout
+        dsn_bits = DeviceAddressLayout(layout.geometry).dsn_bits
+        return {
+            "segment_mapping_table": StructureSize(
+                len(self._forward) // layout.max_hosts, dsn_bits + 1),
+            "reverse_mapping_table": StructureSize(
+                len(self._reverse_table), layout.hsn_bits + 1),
+        }
 
     def _require_au(self, host_id: int, au_id: int) -> None:
         """Raise ``TranslationError`` unless the AU is allocated (an ID
         outside the layout names an AU that cannot be)."""
-        hosts, aus_per_host = self._au_allocated.shape
+        hosts, aus_per_host = self._au_live.shape
         if not (0 <= host_id < hosts and 0 <= au_id < aus_per_host
-                and self._au_allocated[host_id, au_id]):
+                and self._au_live[host_id, au_id]):
             raise TranslationError(
                 f"AU {au_id} of host {host_id} is not allocated")
+
+    def _require_unused(self, dsn: int) -> None:
+        """Raise unless ``dsn`` is a device segment backing nothing."""
+        if not 0 <= dsn < len(self._reverse_table):
+            raise AddressError(f"DSN {dsn:#x} out of range")
+        if self._reverse_table.item(dsn) != UNMAPPED:
+            raise TranslationError(f"DSN {dsn:#x} is already in use")
 
     def _au_slice(self, host_id: int, au_id: int) -> np.ndarray:
         """View of one AU's ``segments_per_au`` forward-table entries."""
@@ -95,28 +131,28 @@ class TranslationTables:
         self.register_host(host_id)
         if not 0 <= au_id < self.layout.max_aus_per_host:
             raise AddressError(f"au_id {au_id} out of range")
-        if self._au_allocated[host_id, au_id]:
+        if self._au_live[host_id, au_id]:
             raise AllocationError(
                 f"AU {au_id} of host {host_id} already allocated")
         self._au_slice(host_id, au_id).fill(UNMAPPED)
-        self._au_allocated[host_id, au_id] = True
+        self._au_live[host_id, au_id] = True
 
-    def free_au(self, host_id: int, au_id: int) -> list[int]:
+    def free_au(self, host_id: int, au_id: int) -> np.ndarray:
         """Tear down an AU; returns the DSNs of its mapped segments."""
         self._require_au(host_id, au_id)
         au_slice = self._au_slice(host_id, au_id)
-        dsns = au_slice[au_slice != UNMAPPED].tolist()
+        dsns = au_slice[au_slice != UNMAPPED]
         au_slice.fill(UNMAPPED)
-        for dsn in dsns:
-            self._reverse.pop(dsn, None)
-        self._au_allocated[host_id, au_id] = False
+        self._reverse_table[dsns] = UNMAPPED
+        self._mapped -= len(dsns)
+        self._au_live[host_id, au_id] = False
         return dsns
 
     def au_ids(self, host_id: int) -> list[int]:
         """AU IDs currently allocated for ``host_id``."""
-        if not 0 <= host_id < len(self._au_allocated):
+        if not 0 <= host_id < len(self._au_live):
             return []
-        return np.flatnonzero(self._au_allocated[host_id]).tolist()
+        return np.flatnonzero(self._au_live[host_id]).tolist()
 
     # -- mapping --------------------------------------------------------------
 
@@ -126,10 +162,10 @@ class TranslationTables:
         self._require_au(host_id, au_id)
         if self._forward[hsn] != UNMAPPED:
             raise TranslationError(f"HSN {hsn:#x} is already mapped")
-        if dsn in self._reverse:
-            raise TranslationError(f"DSN {dsn:#x} is already in use")
+        self._require_unused(dsn)
         self._forward[hsn] = dsn
-        self._reverse[dsn] = hsn
+        self._reverse_table[dsn] = hsn
+        self._mapped += 1
 
     def map_au_segments(self, host_id: int, au_id: int,
                         dsns: np.ndarray) -> np.ndarray:
@@ -150,12 +186,15 @@ class TranslationTables:
         if (self._forward[hsns] != UNMAPPED).any():
             raise TranslationError(
                 f"AU {au_id} of host {host_id} has mapped segments")
-        dsn_list = dsns.tolist()
-        if len(set(dsn_list)) != len(dsn_list) \
-                or not self._reverse.keys().isdisjoint(dsn_list):
+        if len(dsns) and not (0 <= int(dsns.min()) and int(dsns.max())
+                              < len(self._reverse_table)):
+            raise AddressError("DSN out of range in batch")
+        if (self._reverse_table[dsns] != UNMAPPED).any() \
+                or not all_distinct(dsns):
             raise TranslationError("DSN already in use in batch mapping")
         self._forward[hsns] = dsns
-        self._reverse.update(zip(dsn_list, hsns.tolist()))
+        self._reverse_table[dsns] = hsns
+        self._mapped += len(dsns)
         return hsns
 
     def remap_segment(self, hsn: int, new_dsn: int) -> int:
@@ -165,46 +204,47 @@ class TranslationTables:
         old_dsn = int(self._forward[hsn])
         if old_dsn == UNMAPPED:
             raise TranslationError(f"HSN {hsn:#x} is not mapped")
-        if new_dsn in self._reverse:
-            raise TranslationError(f"DSN {new_dsn:#x} is already in use")
+        self._require_unused(new_dsn)
         self._forward[hsn] = new_dsn
-        del self._reverse[old_dsn]
-        self._reverse[new_dsn] = hsn
+        self._reverse_table[old_dsn] = UNMAPPED
+        self._reverse_table[new_dsn] = hsn
         return old_dsn
 
-    def remap_segments(self, hsns: list[int],
-                       new_dsns: list[int]) -> list[int]:
+    def remap_segments(self, hsns: list[int] | np.ndarray,
+                       new_dsns: list[int] | np.ndarray) -> np.ndarray:
         """:meth:`remap_segment` over paired lists; returns the old DSNs.
 
         A batch of distinct mapped HSNs moving to distinct DSNs nobody
-        uses — every migration drain — is one gather, one scatter and
-        one pass over the reverse map.  Anything else (an unmapped or
-        repeated HSN, a target in use or named twice, a chain where one
-        pair's target is an earlier pair's source) goes pair by pair
-        through the scalar method, which raises its own diagnostic for
-        the first bad pair with the earlier pairs applied.
+        uses — every migration drain — is one gather and three
+        scatters.  Anything else (an unmapped or repeated HSN, a target
+        in use, out of range or named twice, a chain where one pair's
+        target is an earlier pair's source) goes pair by pair through
+        the scalar method, which raises its own diagnostic for the first
+        bad pair with the earlier pairs applied.
         """
         if len(hsns) != len(new_dsns):
             raise ValueError(
                 f"{len(hsns)} HSNs paired with {len(new_dsns)} DSNs")
-        if not hsns:
-            return []
-        clean = (len(set(hsns)) == len(hsns)
-                 and len(set(new_dsns)) == len(new_dsns)
-                 and self._reverse.keys().isdisjoint(new_dsns)
-                 and 0 <= min(hsns) and max(hsns) < len(self._forward))
-        if clean:
-            index = np.asarray(hsns, dtype=np.int64)
-            old_dsns = self._forward[index].tolist()
-            clean = UNMAPPED not in old_dsns
-        if not clean:
-            return [self.remap_segment(hsn, new_dsn)
-                    for hsn, new_dsn in zip(hsns, new_dsns)]
-        self._forward[index] = new_dsns
-        for old_dsn in old_dsns:
-            del self._reverse[old_dsn]
-        self._reverse.update(zip(new_dsns, hsns))
-        return old_dsns
+        hsns = np.asarray(hsns, dtype=np.int64)
+        new_dsns = np.asarray(new_dsns, dtype=np.int64)
+        if len(hsns) > 1:
+            reverse = self._reverse_table
+            clean = (0 <= int(hsns.min())
+                     and int(hsns.max()) < len(self._forward)
+                     and 0 <= int(new_dsns.min())
+                     and int(new_dsns.max()) < len(reverse)
+                     and not (reverse[new_dsns] != UNMAPPED).any()
+                     and all_distinct(hsns) and all_distinct(new_dsns))
+            if clean:
+                old_dsns = self._forward[hsns]
+                if not (old_dsns == UNMAPPED).any():
+                    self._forward[hsns] = new_dsns
+                    reverse[old_dsns] = UNMAPPED
+                    reverse[new_dsns] = hsns
+                    return old_dsns
+        return np.array([self.remap_segment(hsn, new_dsn) for hsn, new_dsn
+                         in zip(hsns.tolist(), new_dsns.tolist())],
+                        dtype=np.int64)
 
     def swap_segments(self, hsn_a: int, hsn_b: int) -> None:
         """Exchange the DSNs of two mapped HSNs (hot/cold swap)."""
@@ -212,8 +252,8 @@ class TranslationTables:
         dsn_b = self.walk(hsn_b).dsn
         self._forward[hsn_a] = dsn_b
         self._forward[hsn_b] = dsn_a
-        self._reverse[dsn_a] = hsn_b
-        self._reverse[dsn_b] = hsn_a
+        self._reverse_table[dsn_a] = hsn_b
+        self._reverse_table[dsn_b] = hsn_a
 
     def unmap_segment(self, hsn: int) -> int:
         """Remove the mapping for ``hsn``; returns the freed DSN."""
@@ -223,7 +263,8 @@ class TranslationTables:
         if dsn == UNMAPPED:
             raise TranslationError(f"HSN {hsn:#x} is not mapped")
         self._forward[hsn] = UNMAPPED
-        del self._reverse[dsn]
+        self._reverse_table[dsn] = UNMAPPED
+        self._mapped -= 1
         return dsn
 
     # -- lookups --------------------------------------------------------------
@@ -279,31 +320,37 @@ class TranslationTables:
         Raises:
             TranslationError: if the DSN holds no live segment.
         """
-        try:
-            return self._reverse[dsn]
-        except KeyError:
-            raise TranslationError(f"DSN {dsn:#x} holds no segment") from None
+        if 0 <= dsn < len(self._reverse_table):
+            hsn = self._reverse_table.item(dsn)
+            if hsn != UNMAPPED:
+                return hsn
+        raise TranslationError(f"DSN {dsn:#x} holds no segment")
 
-    def hsns_of_dsns(self, dsns: list[int]) -> list[int]:
-        """:meth:`hsn_of_dsn` for every element of ``dsns``."""
-        try:
-            return [self._reverse[dsn] for dsn in dsns]
-        except KeyError as missing:
-            raise TranslationError(
-                f"DSN {missing.args[0]:#x} holds no segment") from None
+    def hsns_of_dsns(self, dsns: list[int] | np.ndarray) -> np.ndarray:
+        """:meth:`hsn_of_dsn` for every element of ``dsns``: one gather."""
+        dsns = np.asarray(dsns, dtype=np.int64)
+        if not len(dsns) or (0 <= int(dsns.min()) and int(dsns.max())
+                             < len(self._reverse_table)):
+            hsns = self._reverse_table[dsns]
+            if not (hsns == UNMAPPED).any():
+                return hsns
+        # Name the first dead DSN in input order.
+        return np.array([self.hsn_of_dsn(dsn) for dsn in dsns.tolist()],
+                        dtype=np.int64)
 
     def is_dsn_live(self, dsn: int) -> bool:
         """True if ``dsn`` currently backs some HSN."""
-        return dsn in self._reverse
+        return (0 <= dsn < len(self._reverse_table)
+                and self._reverse_table.item(dsn) != UNMAPPED)
 
     def live_dsns(self) -> list[int]:
-        """All DSNs currently backing segments."""
-        return sorted(self._reverse)
+        """All DSNs currently backing segments (ascending)."""
+        return np.flatnonzero(self._reverse_table != UNMAPPED).tolist()
 
     @property
     def mapped_segment_count(self) -> int:
         """Number of live HSN -> DSN mappings."""
-        return len(self._reverse)
+        return self._mapped
 
 
 __all__ = [

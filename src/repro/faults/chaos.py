@@ -234,7 +234,7 @@ class ChaosSoakExperiment(SteppedExperiment):
             # In-flight migrations legitimately double-allocate their
             # segment on one channel, so balance is audited to within
             # the tracked-request count (exact once drained).
-            tolerance = len(controller.migration.tracked_requests())
+            tolerance = controller.migration.pending_count()
             outcome = checker.audit(balance_tolerance=tolerance)
             violations.extend(outcome.violations)
 

@@ -635,11 +635,9 @@ class DtlServer:
         """
         leaks: list[str] = []
         for shard in self.shards:
-            inflight = {
-                int(request.old_dsn) for request
-                in shard.controller.migration.tracked_requests()} | {
-                int(request.new_dsn) for request
-                in shard.controller.migration.tracked_requests()}
+            _, old_dsns, new_dsns = \
+                shard.controller.migration.tracked_copies()
+            inflight = set(old_dsns.tolist()) | set(new_dsns.tolist())
             owners: dict[int, str] = {}
             for record in self.tenants.values():
                 if record.shard != shard.index:

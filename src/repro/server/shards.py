@@ -394,7 +394,7 @@ class ControllerShard:
     def audit(self) -> None:
         """Run one consistency audit (tolerating in-flight migrations)."""
         self.audits += 1
-        tolerance = len(self.controller.migration.tracked_requests())
+        tolerance = self.controller.migration.pending_count()
         outcome = self.checker.audit(balance_tolerance=tolerance)
         self.violations.extend(outcome.violations)
 
@@ -426,8 +426,8 @@ class ControllerShard:
         """
         controller = self.controller
         tables = controller.tables
-        mapping = [[dsn, tables.hsn_of_dsn(dsn)]
-                   for dsn in sorted(tables.live_dsns())]
+        live = tables.live_dsns()
+        mapping = list(zip(live, tables.hsns_of_dsns(live).tolist()))
         ranks = [[list(rank_id), rank.state.value, rank.access_count]
                  for rank_id, rank in sorted(controller.device.ranks.items())]
         vms = [[vm.vm_id, vm.host_id, list(vm.au_ids)]

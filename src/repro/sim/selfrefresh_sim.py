@@ -252,21 +252,23 @@ class SelfRefreshSimulator(SteppedExperiment):
             live_dsns: list[int] = []
             slots: list[int] = []
             for rank_id in channel_ranks:
-                live = allocator.allocated_in_rank(rank_id)
+                live = allocator.allocated_in_rank(rank_id).tolist()
                 live_dsns.extend(live)
                 slots.extend(live)
-                slots.extend(allocator.free_dsns_in_rank(rank_id))
+                slots.extend(allocator.free_dsns_in_rank(rank_id).tolist())
             chosen = rng.choice(len(slots), size=len(live_dsns),
                                 replace=False)
             new_dsns = [slots[index] for index in chosen]
-            hsns = [tables.hsn_of_dsn(dsn) for dsn in live_dsns]
+            hsns = tables.hsns_of_dsns(live_dsns).tolist()
             # Two-phase remap through a shadow space to avoid collisions.
             for hsn in hsns:
                 tables.unmap_segment(hsn)
             for rank_id in channel_ranks:
                 allocator.free(allocator.allocated_in_rank(rank_id))
+            # One bulk reservation: a ring-buffer free queue closes a gap
+            # in O(queue), once per rank here instead of once per slot.
+            allocator.reserve_batch(new_dsns)
             for hsn, dsn in zip(hsns, new_dsns):
-                allocator.reserve_specific(dsn)
                 tables.map_segment(hsn, dsn)
 
     def _build_workloads(self, controller: DtlController,

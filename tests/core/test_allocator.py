@@ -45,7 +45,7 @@ class TestPackingPriority:
         """Allocations pack into already-used ranks before opening new ones."""
         first = allocator.allocate(8)
         second = allocator.allocate(8)
-        ranks = {allocator.rank_of_dsn(dsn) for dsn in first + second}
+        ranks = {allocator.rank_of_dsn(dsn) for dsn in first.tolist() + second.tolist()}
         # 16 segments over 4 channels = 4 per channel: all fit in one rank
         # per channel.
         assert len(ranks) == 4

@@ -187,15 +187,15 @@ class TestCompletionWindow:
         engine = controller.migration
         request = None
         for channel in range(controller.geometry.channels):
-            if engine._queues[channel]:
-                request = engine._queues[channel][0]
+            if engine.queued(channel):
+                request = engine.queued(channel)[0]
                 break
         if request is None:
             pytest.skip("this layout needed no live-segment migration")
         channel = engine.channel_of(request.old_dsn)
         engine.step_channel(channel, lines=request.lines_total)
         assert request.completion
-        assert engine.request_for(request.old_dsn) is request
+        assert engine.request_for(request.old_dsn) == request
         host_id, au_id, au_offset = controller.host_layout.unpack_hsn(
             request.hsn)
         hpa = controller.hpa_of(au_id, au_offset)

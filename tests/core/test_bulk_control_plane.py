@@ -30,7 +30,7 @@ from repro.core.allocator import SegmentAllocator
 from repro.core.checker import check
 from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
-from repro.core.migration import MigrationEngine
+from repro.core.migration import MigrationEngine, MigrationRequest
 from repro.core.power_down import RankPowerDownPolicy
 from repro.core.segment_cache import SegmentCacheConfig, SegmentMappingCache
 from repro.core.tables import TranslationTables
@@ -71,23 +71,54 @@ def smc_state(smc: SegmentMappingCache) -> dict:
 
 
 def tables_state(tables: TranslationTables) -> dict:
-    return {"forward": tables._forward.tolist(),
-            "reverse": list(tables._reverse.items())}
+    """Every AU's forward slice and the whole reverse table, through
+    the public lookups."""
+    layout = tables.layout
+    forward = {
+        (host_id, au_id): [
+            tables.try_walk(layout.pack_hsn(host_id, au_id, offset))
+            for offset in range(layout.segments_per_au)]
+        for host_id in range(layout.max_hosts)
+        for au_id in tables.au_ids(host_id)}
+    live = tables.live_dsns()
+    assert tables.mapped_segment_count == len(live)
+    return {"forward": forward,
+            "reverse": list(zip(live, tables.hsns_of_dsns(live).tolist()))}
+
+
+def all_ranks(geometry: DramGeometry) -> list[tuple[int, int]]:
+    return [(channel, rank) for channel in range(geometry.channels)
+            for rank in range(geometry.ranks_per_channel)]
 
 
 def allocator_state(allocator: SegmentAllocator) -> dict:
     """Free-queue order and allocated set of every rank."""
-    return {rank_id: (list(queue), sorted(allocator._allocated[rank_id]))
-            for rank_id, queue in allocator._free.items()}
+    return {rank_id: (allocator.free_dsns_in_rank(rank_id).tolist(),
+                      allocator.allocated_in_rank(rank_id).tolist())
+            for rank_id in all_ranks(allocator.geometry)}
+
+
+REQUEST_FIELDS = ("hsn", "old_dsn", "new_dsn", "lines_total", "lines_done",
+                  "completion", "retries", "requeues")
+
+
+def row(request: MigrationRequest | None) -> dict | None:
+    """A request's fields as plain data."""
+    return request and {name: getattr(request, name)
+                        for name in REQUEST_FIELDS}
 
 
 def engine_state(engine: MigrationEngine) -> dict:
+    channels = range(engine.geometry.channels)
     return {
-        "queues": {channel: [vars(request) for request in queue]
-                   for channel, queue in engine._queues.items()},
-        "inflight": {channel: request and vars(request)
-                     for channel, request in engine._inflight.items()},
-        "tracked": list(engine._by_old_dsn),
+        "queues": {channel: [row(request)
+                             for request in engine.queued(channel)]
+                   for channel in channels},
+        "inflight": {channel: row(engine.in_flight(channel))
+                     for channel in channels},
+        "tracked": [row(request) for request in engine.tracked_requests()],
+        "tracked_dsns": engine.tracked_dsns().tolist(),
+        "pending": engine.pending_count(),
         "stats": {name: getattr(engine.stats, name)
                   for name in engine.stats._FIELDS},
     }
@@ -226,7 +257,7 @@ def test_partly_copied_and_completed_requests_finish_in_bulk():
         engine.step_channel(0, lines=lines // 3)
         engine.step_channel(1, lines=7)
         engine.step_channel(1, lines=lines)
-        assert engine._inflight[1].completion
+        assert engine.in_flight(1).completion
         engine.drain()
         assert engine.pending_count() == 0
         controller.pump_migrations(now_s=3.0)
@@ -280,7 +311,7 @@ def reserve_per_segment(host: RankPowerDownPolicy, targets, count: int,
         best = host.policy.consolidation_target(candidates).rank_id
         if host.device.ranks[best].state is PowerState.SELF_REFRESH:
             host.device.set_rank_state(best, PowerState.STANDBY, 0.0)
-        reserved.extend(host.allocator.allocate_in_rank(best, 1))
+        reserved.extend(host.allocator.allocate_in_rank(best, 1).tolist())
     return reserved
 
 
@@ -299,7 +330,7 @@ def test_run_filling_reserves_the_per_segment_sequence(policy_name, data):
     for rank, (fill, heat) in enumerate(zip(fills, heats)):
         dsns = host.allocator.allocate_in_rank((0, rank), fill)
         for dsn in dsns:
-            index = len(host.tables._reverse)
+            index = host.tables.mapped_segment_count
             au_id, offset = divmod(index, layout.segments_per_au)
             if not offset:
                 host.tables.allocate_au(0, au_id)
@@ -310,7 +341,7 @@ def test_run_filling_reserves_the_per_segment_sequence(policy_name, data):
             host.device.set_rank_state((0, rank), PowerState.SELF_REFRESH,
                                        0.0)
         if rank == 0:
-            live = sorted(dsns)
+            live = sorted(dsns.tolist())
     targets = {(0, rank) for rank in (1, 2, 3)}
     room = sum(host.allocator.free_in_rank(rank_id) for rank_id in targets)
     count = data.draw(st.integers(0, min(len(live), room)),
@@ -338,7 +369,7 @@ def test_policy_is_asked_once_per_run():
         lambda candidates: asked.append(len(candidates)) or target(candidates)
     host.tables.allocate_au(0, 0)
     host.tables.allocate_au(0, 1)
-    live = host.allocator.allocate_in_rank((0, 0), 12)
+    live = host.allocator.allocate_in_rank((0, 0), 12).tolist()
     for index, dsn in enumerate(live):
         host.tables.map_segment(
             layout.pack_hsn(0, *divmod(index, layout.segments_per_au)), dsn)
@@ -354,7 +385,7 @@ def test_policy_is_asked_once_per_run():
 def test_refused_target_leaves_nothing_reserved_untracked():
     host, layout = build_stack("paper")
     host.tables.allocate_au(0, 0)
-    live = host.allocator.allocate_in_rank((0, 0), 8)
+    live = host.allocator.allocate_in_rank((0, 0), 8).tolist()
     for offset, dsn in enumerate(live):
         host.tables.map_segment(layout.pack_hsn(0, 0, offset), dsn)
     host.allocator.allocate_in_rank((0, 1), 29)  # room for 3 of the 8
@@ -364,7 +395,7 @@ def test_refused_target_leaves_nothing_reserved_untracked():
     assert [request.old_dsn for request in tracked] == live[:3]
     assert host.allocator.usage((0, 1)).allocated == 32
     assert sorted(request.new_dsn for request in tracked) \
-        == sorted(set(host.allocator.allocated_in_rank((0, 1))))[-3:]
+        == host.allocator.allocated_in_rank((0, 1)).tolist()[-3:]
 
 
 # -- (d) invalidate_batch --------------------------------------------------------
@@ -479,7 +510,8 @@ def test_remap_segments_matches_the_scalar_loop(case):
     loop, batch = copy.deepcopy(tables), copy.deepcopy(tables)
     expected = outcome(lambda: [loop.remap_segment(*pair)
                                 for pair in zip(hsns, new_dsns)])
-    assert outcome(lambda: batch.remap_segments(hsns, new_dsns)) == expected
+    assert outcome(lambda: batch.remap_segments(hsns, new_dsns).tolist()) \
+        == expected
     assert tables_state(batch) == tables_state(loop)
     assert (expected[0] == "returned") == (case in (
         "clean", "empty", "hsn repeated", "chain onto an earlier source"))
@@ -495,17 +527,17 @@ def test_unmapped_slot_in_an_allocated_au_takes_the_scalar_path():
 
 def test_hsns_of_dsns_names_the_first_dead_dsn():
     tables, hsn = mapped_tables()
-    assert tables.hsns_of_dsns([3, 9]) == [hsn(0, 3), hsn(1, 1)]
+    assert tables.hsns_of_dsns([3, 9]).tolist() == [hsn(0, 3), hsn(1, 1)]
     with pytest.raises(TranslationError, match="DSN 0x63 holds no"):
         tables.hsns_of_dsns([3, 0x63, 0x64])
 
 
 def reserved_allocator():
     allocator = SegmentAllocator(GEOMETRY)
-    sources = allocator.allocate_in_rank((0, 0), 6) \
-        + allocator.allocate_in_rank((1, 2), 2)
-    targets = allocator.allocate_in_rank((0, 1), 6) \
-        + allocator.allocate_in_rank((1, 3), 2)
+    sources = allocator.allocate_in_rank((0, 0), 6).tolist() \
+        + allocator.allocate_in_rank((1, 2), 2).tolist()
+    targets = allocator.allocate_in_rank((0, 1), 6).tolist() \
+        + allocator.allocate_in_rank((1, 3), 2).tolist()
     return allocator, sources, targets
 
 
@@ -556,7 +588,7 @@ def test_bulk_free_matches_the_elementwise_loop(case):
     allocator = SegmentAllocator(GEOMETRY)
     allocator.allocate_in_rank((0, 0), 29)
     allocator.allocate_in_rank((1, 0), 30)
-    dsns = FREE_CASES[case](allocator.allocate(16))
+    dsns = FREE_CASES[case](allocator.allocate(16).tolist())
     loop, batch = copy.deepcopy(allocator), copy.deepcopy(allocator)
     expected = outcome(lambda: one_by_one(loop.free,
                                           [[dsn] for dsn in dsns]))
@@ -593,11 +625,10 @@ def test_submit_batch_matches_the_scalar_loop(case):
     for engine in engines:
         engine.submit(9, dsn_in((1, 3), 9), dsn_in((1, 2), 9))
     loop, batch = engines
-    expected = outcome(lambda: [vars(loop.submit(*copy_))
-                                for copy_ in zip(hsns, old_dsns, new_dsns)])
-    got = outcome(lambda: [vars(request) for request
-                           in batch.submit_batch(hsns, old_dsns, new_dsns)])
-    assert got == expected
+    expected = outcome(lambda: one_by_one(loop.submit,
+                                          hsns, old_dsns, new_dsns))
+    assert outcome(lambda: batch.submit_batch(hsns, old_dsns, new_dsns)) \
+        == expected
     assert engine_state(batch) == engine_state(loop)
     assert batch._trace.to_list() == loop._trace.to_list()
     assert (expected[0] is MigrationError) \
@@ -610,12 +641,12 @@ def test_cancel_drops_only_the_named_sources():
     engine.submit_batch(hsns, old_dsns, new_dsns)
     engine.step_channel(0, lines=5)  # hsn 1 in flight, 5 lines in
     returned = engine.cancel([old_dsns[0], old_dsns[3], 12345])
-    assert returned == [new_dsns[0], new_dsns[3]]
+    assert returned.tolist() == [new_dsns[0], new_dsns[3]]
     assert [request.hsn for request in engine.tracked_requests()] == [2, 3]
-    assert engine._inflight[0] is None
+    assert engine.in_flight(0) is None
     assert engine.pending_count() == 2
     cancelled = engine._trace.events(EventKind.MIGRATION_CANCEL)
     assert [(event.data["hsn"], event.data["lines_done"])
             for event in cancelled] == [(1, 5), (4, 0)]
-    assert engine.cancel([12345]) == []
+    assert engine.cancel([12345]).tolist() == []
     assert engine.drain() == 2

@@ -1,11 +1,16 @@
-"""Per-call dispatch budget of a served ``access_batch``, as a count.
+"""Per-call dispatch budgets, as counts: a served ``access_batch``, and
+the control plane's ``allocate_vm`` / ``deallocate_vm``.
 
 A 128-access request costs what its fixed per-call work costs, and most
 of that is dispatch: one C-level call per numpy function, array method,
 dict probe or list append the datapath makes.  ``sys.setprofile`` reports
 each as a ``c_call`` event, so "fewer dispatches" is a number that
 repeats exactly and needs no stopwatch (docs/PERF.md, "Short calls",
-records it for the parent commit and for this one).
+records it for the parent commit and for this one).  The control-plane
+pins at the bottom count the same way: the allocator, the tables and the
+migration engine move an AU's segments as arrays, so a per-segment loop
+creeping back into them shows as a thousand more dispatches per AU
+(docs/PERF.md, "Control plane").
 """
 
 from __future__ import annotations
@@ -14,7 +19,10 @@ import sys
 
 import numpy as np
 
+from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
+from repro.dram.geometry import DramGeometry
+from repro.units import GIB
 
 from tests.core.test_batch_identity import (SERVED_AUS, SERVED_HOSTS,
                                             SERVED_VMS, build_pair,
@@ -108,3 +116,50 @@ def test_look_ahead_over_four_calls_dispatches_less_than_four_calls():
     assert prefixes == [4]
     assert dispatches(serve_looking_ahead)[0] == shared  # repeats exactly
     assert shared <= 0.85 * singles
+
+
+# -- the control plane ---------------------------------------------------------
+
+#: C-level calls ``allocate_vm`` of one 2 GiB VM (one AU, 1 024
+#: segments) may make.  The deque/set/dict books of PR 23 made 1 103, the
+#: array books make 63.
+ALLOCATE_VM_BUDGET = 150
+#: ... and a ``deallocate_vm`` of a 12 GiB VM (six AUs) whose
+#: consolidation moves 2 048 live segments of another VM and parks three
+#: rank pairs: 17 085 before, 865 now.  One Python step per moved
+#: segment in any one of the three structures is 2 048 more.
+DEALLOCATE_VM_BUDGET = 1_800
+
+
+def consolidating_controller():
+    """Two VMs packed into ranks 0 and 1 of both channels; freeing the
+    first leaves the second's segments spread over both, so the
+    power-down policy has 1 024 live segments per channel to move."""
+    controller = DtlController(DtlConfig(
+        geometry=DramGeometry(channels=2, ranks_per_channel=4,
+                              rank_bytes=8 * GIB), au_bytes=2 * GIB))
+    first = controller.allocate_vm(0, 12 * GIB, now_s=0.0)
+    controller.allocate_vm(0, 10 * GIB, now_s=1.0)
+    return controller, first
+
+
+def test_control_plane_stays_inside_its_dispatch_budget():
+    counts = []
+    for _ in range(2):
+        controller, first = consolidating_controller()
+        allocated = []
+        allocate = c_calls(lambda: allocated.append(
+            controller.allocate_vm(1, 2 * GIB, now_s=1.0)))
+        assert len(allocated[0].au_ids) == 1
+        assert controller.host_layout.segments_per_au == 1024
+        transitions = []
+        deallocate = c_calls(lambda: transitions.extend(
+            controller.deallocate_vm(first, now_s=2.0)))
+        assert sum(t.migrated_segments for t in transitions) == 2048
+        assert controller.migration.stats.segments_migrated == 2048
+        assert len(transitions) == 3
+        counts.append((allocate, deallocate))
+    assert counts[0] == counts[1]  # counts, so they repeat exactly
+    allocate, deallocate = counts[0]
+    assert allocate <= ALLOCATE_VM_BUDGET
+    assert deallocate <= DEALLOCATE_VM_BUDGET

@@ -82,7 +82,7 @@ class TestDetectsCorruption:
         vm = controller.allocate_vm(0, 64 * MIB)
         # Forcibly park a data-holding rank in MPSM.
         rank_id = next(rank_id
-                       for rank_id in controller.allocator._allocated
+                       for rank_id in controller.device.ranks
                        if controller.allocator.usage(rank_id).allocated)
         controller.device.set_rank_state(rank_id, PowerState.MPSM, 1.0)
         with pytest.raises(ConsistencyError, match="MPSM"):

@@ -52,7 +52,7 @@ class TestSubmission:
     def test_request_lookup(self, engine, layout):
         src = dsn_at(layout, 0, 0, 0)
         request = engine.submit(1, src, dsn_at(layout, 0, 1, 0))
-        assert engine.request_for(src) is request
+        assert engine.request_for(src) == request
         assert engine.request_for(999999) is None
 
 
@@ -69,7 +69,9 @@ class TestProgress:
 
     def test_completion_fires_callback(self, geometry, layout):
         completed = []
-        engine = MigrationEngine(geometry, on_complete=completed.append)
+        engine = MigrationEngine(
+            geometry, on_complete=lambda *columns: completed.append(
+                [column.tolist() for column in columns]))
         request = engine.submit(7, dsn_at(layout, 0, 0, 0),
                                 dsn_at(layout, 0, 1, 0))
         engine.step_channel(0, lines=engine.lines_per_segment)
@@ -78,8 +80,9 @@ class TestProgress:
         assert request.completion
         assert not completed
         engine.step_channel(0, lines=1)
-        # The callback takes a list: one request from a stepped retire.
-        assert completed == [[request]]
+        # The callback takes three columns (HSNs, old DSNs, new DSNs):
+        # one row from a stepped retire.
+        assert completed == [[[7], [request.old_dsn], [request.new_dsn]]]
         assert request.hsn == 7
         assert request.completion
 
@@ -88,7 +91,8 @@ class TestProgress:
         """Regression: the completion->retirement window must be reachable
         in the live path (not only by hand-setting the completion bit)."""
         completed = []
-        engine = MigrationEngine(geometry, on_complete=completed.append)
+        engine = MigrationEngine(
+            geometry, on_complete=lambda *columns: completed.append(columns))
         src = dsn_at(layout, 0, 0, 0)
         dst = dsn_at(layout, 0, 1, 0)
         engine.submit(7, src, dst)
@@ -199,8 +203,8 @@ class TestAbortRequeue:
         engine.step_channel(0, lines=10)  # now in-flight
         request.retries = engine.max_retries
         engine.on_foreground_write(src, 5)  # abort pushes past the limit
-        assert engine._inflight[0] is None
-        assert engine._queues[0][-1] is request
+        assert engine.in_flight(0) is None
+        assert engine.queued(0)[-1] == request
         assert request.retries == 0
         assert request.requeues == 1
         assert engine.stats.requeues == 1
@@ -215,10 +219,11 @@ class TestAbortRequeue:
                               dsn_at(layout, 0, 1, 2))
         engine.step_channel(0, lines=10)  # first becomes in-flight
         second.retries = engine.max_retries
-        engine._abort(second)
+        second.lines_done = 5  # part-copied, then back in the queue
+        engine.on_foreground_write(second.old_dsn, 2)  # conflict: abort
         # Removed from its queue position and re-appended exactly once.
-        assert list(engine._queues[0]) == [third, second]
-        assert engine._inflight[0] is first
+        assert engine.queued(0) == [third, second]
+        assert engine.in_flight(0) == first
         assert second.requeues == 1
         assert second.retries == 0
         assert engine.drain() == 3
@@ -228,7 +233,7 @@ class TestAbortRequeue:
         request = engine.submit(1, src, dsn_at(layout, 0, 1, 0))
         engine.step_channel(0, lines=10)
         engine.on_foreground_write(src, 5)  # first abort: retries=1
-        assert engine._inflight[0] is request
+        assert engine.in_flight(0) == request
         assert engine.stats.requeues == 0
 
 

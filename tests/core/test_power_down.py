@@ -24,10 +24,11 @@ def make_stack(ranks_per_channel=4, group_granularity=1):
     tables = TranslationTables(layout)
     migration = MigrationEngine(geometry)
 
-    def on_complete(requests):
-        for request in requests:
-            tables.remap_segment(request.hsn, request.new_dsn)
-            allocator.move_allocation(request.old_dsn, request.new_dsn)
+    def on_complete(hsns, old_dsns, new_dsns):
+        for hsn, old_dsn, new_dsn in zip(hsns.tolist(), old_dsns.tolist(),
+                                         new_dsns.tolist()):
+            tables.remap_segment(hsn, new_dsn)
+            allocator.move_allocation(old_dsn, new_dsn)
 
     migration.on_complete = on_complete
     policy = RankPowerDownPolicy(
@@ -41,9 +42,8 @@ def allocate(layout, tables, allocator, policy, au_id, host=0):
     tables.allocate_au(host, au_id)
     dsns = allocator.allocate(layout.segments_per_au,
                               policy.active_rank_ids())
-    for offset, dsn in enumerate(dsns):
-        tables.map_segment(layout.pack_hsn(host, au_id, offset), dsn)
-    return dsns
+    tables.map_au_segments(host, au_id, dsns)
+    return dsns.tolist()
 
 
 def free(layout, tables, allocator, au_id, host=0):

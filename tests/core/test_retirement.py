@@ -55,7 +55,7 @@ class TestDataEvacuation:
     def test_live_data_survives(self, controller):
         vm = controller.allocate_vm(0, 512 * MIB)
         # Find a rank actually holding VM data.
-        target = next(rank_id for rank_id in controller.allocator._allocated
+        target = next(rank_id for rank_id in controller.device.ranks
                       if controller.allocator.usage(rank_id).allocated > 0)
         hsns = [controller.tables.hsn_of_dsn(dsn) for dsn in
                 controller.allocator.allocated_in_rank(target)]
@@ -72,7 +72,7 @@ class TestDataEvacuation:
 
     def test_accesses_after_retirement_avoid_rank(self, controller):
         vm = controller.allocate_vm(0, 512 * MIB)
-        target = next(rank_id for rank_id in controller.allocator._allocated
+        target = next(rank_id for rank_id in controller.device.ranks
                       if controller.allocator.usage(rank_id).allocated > 0)
         controller.retire_rank(*target, now_s=1.0)
         for au_index in vm.au_ids:
@@ -85,7 +85,7 @@ class TestDataEvacuation:
         """A full channel wakes a powered-down rank to absorb the data."""
         vm = controller.allocate_vm(0, 1 * GIB, now_s=0.0)
         controller.power_down.maybe_power_down(0.5)
-        target = next(rank_id for rank_id in controller.allocator._allocated
+        target = next(rank_id for rank_id in controller.device.ranks
                       if controller.allocator.usage(rank_id).allocated > 0)
         record = controller.retire_rank(*target, now_s=1.0)
         assert record.migrated_segments > 0

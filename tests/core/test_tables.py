@@ -145,3 +145,50 @@ class TestReverseMap:
         for hsn in hsns[:3] + hsns[4:]:
             dsn = tables.walk(hsn).dsn
             assert tables.hsn_of_dsn(dsn) == hsn
+
+
+class TestDsnsTheDeviceDoesNotHave:
+    """The reverse table has one entry per device segment.  Asking about
+    a DSN beyond it answers as for any dead segment; mapping one is an
+    address error, scalar or bulk, with nothing changed."""
+
+    BEYOND = (-1, 1 << 40)
+
+    @pytest.mark.parametrize("dsn", BEYOND)
+    def test_queries_answer_as_for_a_dead_segment(self, tables, layout,
+                                                  dsn):
+        assert dsn not in range(layout.geometry.total_segments)
+        assert not tables.is_dsn_live(dsn)
+        with pytest.raises(TranslationError,
+                           match=f"DSN {dsn:#x} holds no segment"):
+            tables.hsn_of_dsn(dsn)
+        tables.map_segment(layout.pack_hsn(0, 0, 0), 7)
+        with pytest.raises(TranslationError,
+                           match=f"DSN {dsn:#x} holds no segment"):
+            tables.hsns_of_dsns([7, dsn, 8])
+
+    @pytest.mark.parametrize("dsn", BEYOND)
+    def test_mapping_one_is_an_address_error(self, tables, layout, dsn):
+        hsn = layout.pack_hsn(0, 0, 0)
+        with pytest.raises(AddressError, match=f"DSN {dsn:#x} out of range"):
+            tables.map_segment(hsn, dsn)
+        assert tables.try_walk(hsn) is None
+        tables.map_segment(hsn, 7)
+        tables.map_segment(layout.pack_hsn(0, 0, 1), 9)
+        with pytest.raises(AddressError, match=f"DSN {dsn:#x} out of range"):
+            tables.remap_segment(hsn, dsn)
+        with pytest.raises(AddressError, match=f"DSN {dsn:#x} out of range"):
+            tables.remap_segments([hsn, layout.pack_hsn(0, 0, 1)],
+                                  [8, dsn])
+        assert tables.walk(hsn).dsn == 8  # the pair before it applied
+        tables.allocate_au(0, 1)
+        with pytest.raises(AddressError, match="DSN out of range in batch"):
+            tables.map_au_segments(0, 1, [20, dsn, 21])
+        assert tables.live_dsns() == [8, 9]
+        assert tables.mapped_segment_count == 2
+
+    def test_the_last_device_segment_maps(self, tables, layout):
+        last = layout.geometry.total_segments - 1
+        tables.map_segment(layout.pack_hsn(0, 0, 0), last)
+        assert tables.live_dsns() == [last]
+        assert tables.hsn_of_dsn(last) == layout.pack_hsn(0, 0, 0)

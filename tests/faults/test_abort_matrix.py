@@ -70,7 +70,7 @@ class TestAbortMatrix:
         assert request.lines_done == 0
         assert not request.completion
         assert request.retries == 1
-        assert controller.migration.request_for(old_dsn) is request
+        assert controller.migration.request_for(old_dsn) == request
 
         # Nothing else moved: the aborted copy perturbs neither rank
         # access counters nor CLOCK bits, and every invariant holds.

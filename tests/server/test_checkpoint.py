@@ -135,10 +135,11 @@ def test_refused_restore_leaves_the_server_untouched(tmp_path, write_file,
 
 def test_look_ahead_tallies_stay_out_of_the_checkpoint(tmp_path):
     """``lookaheads`` / ``lookahead_calls`` depend on arrival timing, so
-    they are neither fingerprinted nor pickled: the blob has the shape
-    the parent commit wrote (format version unchanged), and a server
-    restored from it starts its tallies again."""
-    assert CHECKPOINT_VERSION == 6
+    they are neither fingerprinted nor pickled: they add no field to
+    the blob (the format version is 7 for the control plane's array
+    books, docs/CHECKPOINT.md, not for them), and a server restored
+    from it starts its tallies again."""
+    assert CHECKPOINT_VERSION == 7
     path = str(tmp_path / "server.ckpt")
     ops = script()
     accesses = [op for op in ops if op["op"] == "access_batch"]
