@@ -57,7 +57,7 @@ import os
 import sys
 from typing import Any, Callable
 
-from repro.checkpoint import run_with_checkpoints
+from repro.checkpoint import CheckpointError, run_with_checkpoints
 from repro.exec import ExecConfig, ResultCache
 from repro.sim.combined import combine
 from repro.sim.experiments import (EXPERIMENTS, make_experiment,
@@ -319,11 +319,13 @@ def cmd_serve(args: argparse.Namespace) -> list[ExperimentRecord]:
     from repro.server import ServerConfig, serve_forever
     config = ServerConfig(
         host=args.host, port=args.port, num_shards=args.shards,
-        chaos=not args.no_chaos, chaos_seed=args.seed,
-        telemetry_path=args.telemetry,
+        chaos=not args.no_chaos, telemetry_path=args.telemetry,
         telemetry_interval_s=args.telemetry_interval,
         checkpoint_path=args.checkpoint, seed=args.seed)
-    code = serve_forever(config, resume=args.resume)
+    try:
+        code = serve_forever(config, resume=args.resume)
+    except CheckpointError as exc:  # a refused --resume, not a crash
+        raise SystemExit(f"repro serve: {exc}") from None
     if code:
         raise SystemExit(code)
     return []

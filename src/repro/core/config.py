@@ -6,10 +6,17 @@ from dataclasses import dataclass, field
 
 from repro.core.addressing import DEFAULT_AU_BYTES, DEFAULT_MAX_HOSTS
 from repro.core.segment_cache import SegmentCacheConfig
-from repro.core.self_refresh import (DEFAULT_PROFILING_THRESHOLD_NS,
-                                     DEFAULT_TSP_SCAN_LIMIT, DEFAULT_WINDOW_NS)
 from repro.dram.geometry import DramGeometry, PAPER_1TB_GEOMETRY
 from repro.errors import ConfigurationError
+from repro.units import MIB, NS_PER_MS
+
+#: Self-refresh access-count window (0.5 ms, Section 3.4).
+DEFAULT_WINDOW_NS = 0.5 * NS_PER_MS
+#: Quiet time required before a victim rank migrates + sleeps (50 ms).
+DEFAULT_PROFILING_THRESHOLD_NS = 50 * NS_PER_MS
+#: TSP entries examined per search; the paper bounds the search at 40 ns,
+#: which at one SRAM probe per 1.5 GHz cycle is 60 entries.
+DEFAULT_TSP_SCAN_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -67,4 +74,23 @@ class DtlConfig:
                 "an AU must split evenly across channels")
 
 
-__all__ = ["DtlConfig"]
+def small_dtl_config(policy: str = "paper") -> DtlConfig:
+    """The seconds-scale controller the chaos soak and the server run.
+
+    A 128 MiB device (2 channels x 4 ranks of 16 MiB, 128 KiB segments,
+    1 MiB AUs) with background consolidation and a 0.2 ms profiling
+    threshold, so self-refresh entry and wake, consolidation and MPSM
+    reactivation all happen within a soak or a server session.
+    """
+    return DtlConfig(
+        geometry=DramGeometry(channels=2, ranks_per_channel=4,
+                              rank_bytes=16 * MIB,
+                              segment_bytes=128 * 1024),
+        au_bytes=1 * MIB,
+        profiling_threshold_ns=200_000.0,
+        background_migration=True,
+        policy=policy)
+
+
+__all__ = ["DEFAULT_WINDOW_NS", "DEFAULT_PROFILING_THRESHOLD_NS",
+           "DEFAULT_TSP_SCAN_LIMIT", "DtlConfig", "small_dtl_config"]

@@ -36,7 +36,7 @@ from repro.dram.device import DramDevice
 from repro.dram.power import PowerState
 from repro.dram.timing import CXL_MEMORY_LATENCY_NS
 from repro.errors import AllocationError, PerformanceWarning
-from repro.policies import Policy, PolicyConfig, make_policy
+from repro.policies import Policy, make_policy
 from repro.telemetry import (EventKind, EventTrace, MetricsRegistry,
                              Snapshot)
 from repro.units import CACHELINE_BYTES
@@ -179,33 +179,23 @@ class DtlController:
         self.migration = MigrationEngine(
             geometry, on_complete=self._on_migration_complete,
             registry=self.metrics, trace=self.trace)
-        # One PolicyConfig + one shared Policy instance for both hosts, so
-        # idle-gap observations made on the power-down side inform
-        # self-refresh demotions and vice versa.
-        self.policy_config = PolicyConfig(
-            name=self.config.policy,
-            group_granularity=self.config.group_granularity,
-            min_active_groups=self.config.min_active_groups,
-            background_migration=self.config.background_migration,
-            window_ns=self.config.window_ns,
-            profiling_threshold_ns=self.config.profiling_threshold_ns,
-            tsp_scan_limit=self.config.tsp_scan_limit,
-            victim_granularity=self.config.sr_victim_granularity,
-            enable_planning=self.config.sr_planning)
+        # One shared Policy instance for both hosts, so idle-gap
+        # observations made on the power-down side inform self-refresh
+        # demotions and vice versa.
         self.policy: Policy | None = None
         if self.config.enable_power_down or self.config.enable_self_refresh:
-            self.policy = make_policy(self.policy_config)
+            self.policy = make_policy(self.config.policy)
         self.power_down: RankPowerDownPolicy | None = None
         if self.config.enable_power_down:
             self.power_down = RankPowerDownPolicy(
                 self.device, self.allocator, self.tables, self.migration,
-                self.policy_config, policy=self.policy,
+                self.config, policy=self.policy,
                 registry=self.metrics, trace=self.trace)
         self.self_refresh: HotnessSelfRefreshPolicy | None = None
         if self.config.enable_self_refresh:
             self.self_refresh = HotnessSelfRefreshPolicy(
                 self.device, self.allocator, self.tables, self.translation,
-                self.migration, self.policy_config, policy=self.policy,
+                self.migration, self.config, policy=self.policy,
                 registry=self.metrics, trace=self.trace)
         self.retirement: RankRetirementManager | None = None
         if self.power_down is not None:
@@ -789,9 +779,7 @@ class DtlController:
             # The CLOCK access bit tracks the segment's contents, so it
             # moves with the data; otherwise the TSP would read stale
             # hotness for both the vacated and the filled slot.
-            for old_dsn, new_dsn in zip(old_dsns.tolist(),
-                                        new_dsns.tolist()):
-                self.self_refresh.on_segment_moved(old_dsn, new_dsn)
+            self.self_refresh.on_segments_moved(old_dsns, new_dsns)
 
 
 __all__ = ["SCALAR_ACCESS_WARN_THRESHOLD", "LOOK_AHEAD_ACCESSES", "VmHandle",

@@ -31,18 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.allocator import RankId, SegmentAllocator
+from repro.core.config import DtlConfig
 from repro.core.migration import MigrationEngine
 from repro.core.tables import TranslationTables
 from repro.dram.device import DramDevice
 from repro.dram.power import PowerState
 from repro.errors import AllocationError
-from repro.policies import (
-    DemotionLevel,
-    Policy,
-    PolicyConfig,
-    RankStats,
-    make_policy,
-)
+from repro.policies import DemotionLevel, Policy, RankStats, make_policy
 from repro.telemetry import EventTrace, MetricsRegistry
 
 
@@ -75,16 +70,21 @@ class PendingPowerDown:
 
 
 class RankPowerDownPolicy:
-    """Consolidate-and-power-down controller for rank groups."""
+    """Consolidate-and-power-down controller for rank groups.
+
+    Reads ``group_granularity``, ``min_active_groups``,
+    ``background_migration`` and (unless ``policy`` is given) ``policy``
+    from the controller's :class:`~repro.core.config.DtlConfig`.
+    """
 
     def __init__(self, device: DramDevice, allocator: SegmentAllocator,
                  tables: TranslationTables, migration: MigrationEngine,
-                 config: PolicyConfig | None = None, *,
+                 config: DtlConfig | None = None, *,
                  policy: Policy | None = None,
                  registry: MetricsRegistry | None = None,
                  trace: EventTrace | None = None):
         if config is None:
-            config = PolicyConfig()
+            config = DtlConfig()
         geometry = device.geometry
         if geometry.ranks_per_channel % config.group_granularity:
             raise ValueError("group_granularity must divide ranks_per_channel")
@@ -95,8 +95,8 @@ class RankPowerDownPolicy:
         self.allocator = allocator
         self.tables = tables
         self.migration = migration
-        self.config = config
-        self.policy = policy if policy is not None else make_policy(config)
+        self.policy = (policy if policy is not None
+                       else make_policy(config.policy))
         self.group_granularity = config.group_granularity
         self.min_active_groups = config.min_active_groups
         # Active ranks, tracked per channel so virtual groups are possible.

@@ -45,23 +45,18 @@ import numpy as np
 
 from repro.core.addressing import StructureSize
 from repro.core.allocator import SegmentAllocator
+from repro.core.config import DtlConfig
 from repro.core.migration import MigrationEngine
 from repro.core.tables import TranslationTables
 from repro.core.translation import TranslationEngine
 from repro.dram.device import DramDevice
 from repro.dram.power import PowerState
-from repro.policies import (
-    DEFAULT_PROFILING_THRESHOLD_NS,
-    DEFAULT_REVISIT_DELAY_NS,
-    DEFAULT_TSP_SCAN_LIMIT,
-    DEFAULT_WINDOW_NS,
-    DemotionLevel,
-    Policy,
-    PolicyConfig,
-    RankStats,
-    make_policy,
-)
+from repro.policies import DemotionLevel, Policy, RankStats, make_policy
 from repro.telemetry import EventKind, EventTrace, MetricsRegistry
+
+#: Quiet time after a successful self-refresh entry before the channel
+#: profiles for an *additional* victim rank, in profiling thresholds.
+REVISIT_DELAY_THRESHOLDS = 20
 
 
 class ChannelPhase(enum.Enum):
@@ -132,18 +127,24 @@ class _TspSearch:
 
 
 class HotnessSelfRefreshPolicy:
-    """Per-channel hotness-aware self-refresh controller."""
+    """Per-channel hotness-aware self-refresh controller.
+
+    Reads ``window_ns``, ``profiling_threshold_ns``, ``tsp_scan_limit``,
+    ``sr_victim_granularity``, ``sr_planning`` and (unless ``policy`` is
+    given) ``policy`` from the controller's
+    :class:`~repro.core.config.DtlConfig`.
+    """
 
     def __init__(self, device: DramDevice, allocator: SegmentAllocator,
                  tables: TranslationTables,
                  translation: TranslationEngine,
                  migration: MigrationEngine,
-                 config: PolicyConfig | None = None, *,
+                 config: DtlConfig | None = None, *,
                  policy: Policy | None = None,
                  registry: MetricsRegistry | None = None,
                  trace: EventTrace | None = None):
         if config is None:
-            config = PolicyConfig()
+            config = DtlConfig()
         self.device = device
         self.geometry = device.geometry
         self.allocator = allocator
@@ -151,23 +152,22 @@ class HotnessSelfRefreshPolicy:
         self.tables = tables
         self.translation = translation
         self.migration = migration
-        self.config = config
-        self.policy = policy if policy is not None else make_policy(config)
+        self.policy = (policy if policy is not None
+                       else make_policy(config.policy))
         self.window_ns = config.window_ns
         self.profiling_threshold_ns = config.profiling_threshold_ns
         self.tsp_scan_limit = config.tsp_scan_limit
-        self.revisit_delay_ns = (config.revisit_delay_ns
-                                 if config.revisit_delay_ns is not None
-                                 else 20 * config.profiling_threshold_ns)
-        if device.geometry.ranks_per_channel % config.victim_granularity:
+        self.revisit_delay_ns = (REVISIT_DELAY_THRESHOLDS
+                                 * config.profiling_threshold_ns)
+        if device.geometry.ranks_per_channel % config.sr_victim_granularity:
             raise ValueError(
-                "victim_granularity must divide ranks_per_channel")
-        self.victim_granularity = config.victim_granularity
+                "sr_victim_granularity must divide ranks_per_channel")
+        self.victim_granularity = config.sr_victim_granularity
         #: With planning disabled the migration table never swaps entries:
         #: a victim only reaches self-refresh if it is *naturally* quiet.
         #: Exists for the ablation that isolates the CLOCK planner's
         #: contribution.
-        self.enable_planning = config.enable_planning
+        self.enable_planning = config.sr_planning
         total = self.geometry.total_segments
         # Migration table (Figure 8): one row per device segment.
         self.access_bits = np.zeros(total, dtype=bool)
@@ -316,18 +316,25 @@ class HotnessSelfRefreshPolicy:
             self._profiling_update(dsn, state, rank, now_ns)
         return penalty
 
-    def on_segment_moved(self, old_dsn: int, new_dsn: int) -> None:
-        """CLOCK state follows the data when a segment migrates.
+    def on_segments_moved(self, old_dsns: np.ndarray,
+                          new_dsns: np.ndarray) -> None:
+        """CLOCK state follows the data when segments migrate.
 
         The access bit tracks the *segment's contents*, not the physical
         slot: leaving a hot bit on the vacated slot (and a cold bit on
         the destination) makes the TSP mis-classify both on the next
-        scan.  Called by the controller after every migration-engine
-        completion; :meth:`_execute_swaps` applies the same rule for
-        the policy's own plan execution.
+        scan.  The sources' bits are gathered, cleared, and scattered to
+        the targets.  That equals moving one pair at a time in order
+        because callers pass distinct sources and distinct targets, none
+        of them a source: the controller calls this after every
+        migration-engine completion, once ``remap_segments`` and
+        ``move_allocations`` have refused anything else, and
+        :meth:`_execute_swaps` for each one-way move of its own plan.
         """
-        self.access_bits[new_dsn] = self.access_bits[old_dsn]
-        self.access_bits[old_dsn] = False
+        bits = self.access_bits
+        moved = bits[old_dsns]
+        bits[old_dsns] = False
+        bits[new_dsns] = moved
 
     def on_access_batch(self, dsns: np.ndarray, now_ns: float) -> np.ndarray:
         """Scalar-identical batch variant of :meth:`on_access`.
@@ -835,9 +842,8 @@ class HotnessSelfRefreshPolicy:
                 bits = self.access_bits
                 bits[victim_dsn], bits[partner_dsn] = (
                     bool(bits[partner_dsn]), bool(bits[victim_dsn]))
-            else:
-                for src_dsn, dst_dsn in copies:
-                    self.on_segment_moved(src_dsn, dst_dsn)
+            elif copies:
+                self.on_segments_moved(*np.array(copies, dtype=np.int64).T)
             migrated += len(copies) * self.geometry.segment_bytes
         return migrated
 
@@ -875,10 +881,7 @@ class HotnessSelfRefreshPolicy:
 
 
 __all__ = [
-    "DEFAULT_WINDOW_NS",
-    "DEFAULT_PROFILING_THRESHOLD_NS",
-    "DEFAULT_TSP_SCAN_LIMIT",
-    "DEFAULT_REVISIT_DELAY_NS",
+    "REVISIT_DELAY_THRESHOLDS",
     "ChannelPhase",
     "SelfRefreshEvent",
     "HotnessSelfRefreshPolicy",

@@ -24,10 +24,9 @@ import numpy as np
 
 from repro.checkpoint import SteppedExperiment
 from repro.core.checker import ConsistencyChecker
-from repro.core.config import DtlConfig
+from repro.core.config import DtlConfig, small_dtl_config
 from repro.core.controller import DtlController, VmHandle
 from repro.cxl.link import CxlLinkConfig
-from repro.dram.geometry import DramGeometry
 from repro.exec.hashing import derive_seed
 from repro.faults.hooks import HookPoint
 from repro.faults.injector import FaultInjector, ReliabilityReport
@@ -42,6 +41,14 @@ from repro.units import MIB
 #: is a livelock and is reported as a violation instead of hanging.
 DRAIN_STEP_LIMIT = 100_000
 
+# The soak's cadence, which the server's shards share (repro.server.shards).
+#: Simulated time per access.
+ACCESS_PERIOD_NS = 100.0
+#: Background-migration cachelines granted after each access batch.
+PUMP_LINES = 8
+#: Cachelines granted per pump step while draining to quiescence.
+DRAIN_PUMP_LINES = 16
+
 
 @dataclass(frozen=True)
 class ChaosSoakConfig(SeededConfig):
@@ -55,14 +62,12 @@ class ChaosSoakConfig(SeededConfig):
         batches_per_phase: Access batches in each workload phase.
         batch_size: Accesses per batch.
         write_fraction: Fraction of accesses that are writes.
-        channels / ranks_per_channel / rank_bytes / segment_bytes /
-            au_bytes: Small-geometry knobs (seconds-scale soak).
-        profiling_threshold_ns: Self-refresh quiet threshold, shrunk so
-            the soak actually reaches SR entry and wake.
-        access_period_ns: Simulated time per access.
-        policy: Registered migration/demotion policy the soak arms
-            (faults must compose with every policy, not just the
-            paper's — see repro.policies).
+        dtl: The controller the soak runs against; by default the
+            seconds-scale device the server runs
+            (:func:`~repro.core.config.small_dtl_config`), whose shrunk
+            profiling threshold lets the soak reach SR entry and wake.
+            Faults must compose with every policy, not just the
+            paper's: ``small_dtl_config("adaptive")`` arms another.
     """
 
     seed: int = 0
@@ -70,29 +75,7 @@ class ChaosSoakConfig(SeededConfig):
     batches_per_phase: int = 8
     batch_size: int = 64
     write_fraction: float = 0.25
-    channels: int = 2
-    ranks_per_channel: int = 4
-    rank_bytes: int = 16 * MIB
-    segment_bytes: int = 128 * 1024
-    au_bytes: int = 1 * MIB
-    profiling_threshold_ns: float = 200_000.0
-    access_period_ns: float = 100.0
-    policy: str = "paper"
-
-    def geometry(self) -> DramGeometry:
-        """The soak's DRAM geometry."""
-        return DramGeometry(channels=self.channels,
-                            ranks_per_channel=self.ranks_per_channel,
-                            rank_bytes=self.rank_bytes,
-                            segment_bytes=self.segment_bytes)
-
-    def dtl_config(self) -> DtlConfig:
-        """The controller config the soak runs against."""
-        return DtlConfig(
-            geometry=self.geometry(), au_bytes=self.au_bytes,
-            profiling_threshold_ns=self.profiling_threshold_ns,
-            background_migration=True,
-            policy=self.policy)
+    dtl: DtlConfig = field(default_factory=small_dtl_config)
 
     def base_plan(self) -> FaultPlan:
         """The level-0 fault schedule (every spec kind, spread out)."""
@@ -154,16 +137,15 @@ class ChaosSoakResult:
 class _Clock:
     """Monotonic simulated time for the soak (ns, with an s view)."""
 
-    def __init__(self, period_ns: float):
+    def __init__(self):
         self.now_ns = 0.0
-        self.period_ns = period_ns
 
     @property
     def now_s(self) -> float:
         return self.now_ns / 1e9
 
     def advance(self, accesses: int) -> None:
-        self.now_ns += accesses * self.period_ns
+        self.now_ns += accesses * ACCESS_PERIOD_NS
 
 
 @dataclass
@@ -217,14 +199,14 @@ class ChaosSoakExperiment(SteppedExperiment):
     def _run_level(self, plan: FaultPlan,
                    ) -> tuple[ReliabilityReport, dict[str, Any]]:
         cfg = self.config
-        controller = DtlController(cfg.dtl_config())
+        controller = DtlController(cfg.dtl)
         injector = FaultInjector(plan, registry=controller.metrics,
                                  trace=controller.trace,
                                  link=CxlLinkConfig())
         controller.arm_faults(injector)
         checker = ConsistencyChecker(controller)
         rng = np.random.default_rng(derive_seed(cfg.seed, plan.name))
-        clock = _Clock(cfg.access_period_ns)
+        clock = _Clock()
         audits = 0
         violations: list[str] = []
 
@@ -251,8 +233,8 @@ class ChaosSoakExperiment(SteppedExperiment):
 
         # Phase 2 — let the cold VM's ranks go quiet until self-refresh
         # entry (profiling threshold is shrunk in the config).
-        quiet_batches = int(cfg.profiling_threshold_ns
-                            // (cfg.batch_size * cfg.access_period_ns)) + 4
+        quiet_batches = int(cfg.dtl.profiling_threshold_ns
+                            // (cfg.batch_size * ACCESS_PERIOD_NS)) + 4
         self._drive(controller, hot, rng, clock, batches=quiet_batches)
         audit()
 
@@ -269,7 +251,7 @@ class ChaosSoakExperiment(SteppedExperiment):
         aborts_seen = injector.injected(HookPoint.MIGRATION_COPY)
         for _ in range(4 * cfg.batches_per_phase):
             self._drive(controller, hot, rng, clock, batches=1)
-            controller.pump_migrations(clock.now_s, lines=8)
+            controller.pump_migrations(clock.now_s, lines=PUMP_LINES)
             aborts = injector.injected(HookPoint.MIGRATION_COPY)
             if aborts > aborts_seen:
                 aborts_seen = aborts
@@ -282,7 +264,7 @@ class ChaosSoakExperiment(SteppedExperiment):
                     f"migration drain exceeded {DRAIN_STEP_LIMIT} pump "
                     "steps under fault injection")
                 break
-            controller.pump_migrations(clock.now_s, lines=16)
+            controller.pump_migrations(clock.now_s, lines=DRAIN_PUMP_LINES)
             clock.advance(1)
             aborts = injector.injected(HookPoint.MIGRATION_COPY)
             if aborts > aborts_seen:
@@ -339,5 +321,6 @@ class ChaosSoakExperiment(SteppedExperiment):
             dtype=np.int64)
 
 
-__all__ = ["DRAIN_STEP_LIMIT", "ChaosRunState", "ChaosSoakConfig",
+__all__ = ["DRAIN_STEP_LIMIT", "ACCESS_PERIOD_NS", "PUMP_LINES",
+           "DRAIN_PUMP_LINES", "ChaosRunState", "ChaosSoakConfig",
            "ChaosSoakResult", "ChaosSoakExperiment"]

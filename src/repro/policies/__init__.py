@@ -23,15 +23,10 @@ from repro.policies.dream import DreamRemapPolicy
 from repro.policies.idle import RankIdleTracker
 from repro.policies.paper import PaperPolicy
 from repro.policies.protocol import (
-    DEFAULT_PROFILING_THRESHOLD_NS,
-    DEFAULT_REVISIT_DELAY_NS,
-    DEFAULT_TSP_SCAN_LIMIT,
-    DEFAULT_WINDOW_NS,
     POLICIES,
     ColdSearch,
     DemotionLevel,
     Policy,
-    PolicyConfig,
     RankStats,
     available_policies,
     make_policy,
@@ -40,14 +35,9 @@ from repro.policies.protocol import (
 from repro.policies.rank_aware import RankAwareMigrationPolicy
 
 __all__ = [
-    "DEFAULT_WINDOW_NS",
-    "DEFAULT_PROFILING_THRESHOLD_NS",
-    "DEFAULT_TSP_SCAN_LIMIT",
-    "DEFAULT_REVISIT_DELAY_NS",
     "ColdSearch",
     "DemotionLevel",
     "Policy",
-    "PolicyConfig",
     "RankStats",
     "POLICIES",
     "available_policies",

@@ -11,12 +11,15 @@ untouched and swaps only :meth:`demotion_level`, reading the per-rank
 idle-gap histograms that both hosts feed via ``observe_idle_gap``:
 
 * power-down site: if the median observed park is shorter than
-  ``short_park_ns``, park in SELF_REFRESH (cheap 500 ns exit) instead
-  of MPSM; with no history yet, trust the paper's MPSM default.
+  :data:`SHORT_PARK_NS`, park in SELF_REFRESH (cheap 500 ns exit)
+  instead of MPSM; with no history yet, trust the paper's MPSM default.
 * self-refresh site: if the median residency is shorter than
-  ``sr_thrash_ns``, the block is wake-thrashing — answer STAY_ACTIVE
-  and let the quiet timer re-arm rather than paying another
+  :data:`SR_THRASH_NS`, the block is wake-thrashing — answer
+  STAY_ACTIVE and let the quiet timer re-arm rather than paying another
   entry/exit round-trip.
+
+The four thresholds are module constants, not knobs: the tournament
+compares policies by their decision rule, and no run tunes them.
 """
 
 from __future__ import annotations
@@ -25,12 +28,19 @@ from typing import Sequence
 
 from repro.policies.idle import RankIdleTracker
 from repro.policies.paper import PaperPolicy
-from repro.policies.protocol import (
-    DemotionLevel,
-    PolicyConfig,
-    RankStats,
-    register_policy,
-)
+from repro.policies.protocol import DemotionLevel, RankStats, register_policy
+
+#: Idle-gap observations retained per rank.
+IDLE_HISTORY = 32
+#: Observations required on every rank of a group before its idle
+#: distribution is trusted.
+MIN_IDLE_SAMPLES = 3
+#: Power-down demotion break-even: observed parks shorter than this
+#: prefer self-refresh (cheap 500 ns exit) over MPSM (deeper 0.068 RSU,
+#: 700 ns exit).
+SHORT_PARK_NS = 1e9
+#: Self-refresh residencies shorter than this signal wake-thrash.
+SR_THRASH_NS = 2.5e8
 
 
 @register_policy
@@ -39,9 +49,8 @@ class AdaptiveDemotionPolicy(PaperPolicy):
 
     name = "adaptive"
 
-    def __init__(self, config: PolicyConfig | None = None):
-        super().__init__(config)
-        self.idle = RankIdleTracker(self.config.idle_history)
+    def __init__(self):
+        self.idle = RankIdleTracker(IDLE_HISTORY)
 
     def observe_idle_gap(self, site: str, channel: int, rank: int,
                          gap_ns: float) -> None:
@@ -50,12 +59,12 @@ class AdaptiveDemotionPolicy(PaperPolicy):
     def _median_gap(self, site: str,
                     stats: Sequence[RankStats]) -> float | None:
         """Worst (smallest) per-rank median across the group, requiring
-        ``min_idle_samples`` history on every rank; the group parks and
-        wakes together, so its most restless member sets the depth."""
+        :data:`MIN_IDLE_SAMPLES` history on every rank; the group parks
+        and wakes together, so its most restless member sets the depth."""
         worst: float | None = None
         for entry in stats:
             if (self.idle.samples(site, entry.channel, entry.rank)
-                    < self.config.min_idle_samples):
+                    < MIN_IDLE_SAMPLES):
                 return None
             gap = self.idle.typical_gap_ns(site, entry.channel, entry.rank)
             if gap is None:
@@ -68,12 +77,13 @@ class AdaptiveDemotionPolicy(PaperPolicy):
                        stats: Sequence[RankStats]) -> DemotionLevel:
         gap = self._median_gap(site, stats)
         if site == "powerdown":
-            if gap is not None and gap < self.config.short_park_ns:
+            if gap is not None and gap < SHORT_PARK_NS:
                 return DemotionLevel.SELF_REFRESH
             return DemotionLevel.MPSM
-        if gap is not None and gap < self.config.sr_thrash_ns:
+        if gap is not None and gap < SR_THRASH_NS:
             return DemotionLevel.STAY_ACTIVE
         return DemotionLevel.SELF_REFRESH
 
 
-__all__ = ["AdaptiveDemotionPolicy"]
+__all__ = ["IDLE_HISTORY", "MIN_IDLE_SAMPLES", "SHORT_PARK_NS",
+           "SR_THRASH_NS", "AdaptiveDemotionPolicy"]

@@ -27,7 +27,7 @@ isolates the re-arrangement idea for the tournament.
 from __future__ import annotations
 
 from repro.policies.paper import PaperPolicy
-from repro.policies.protocol import ColdSearch, PolicyConfig, register_policy
+from repro.policies.protocol import ColdSearch, register_policy
 
 
 @register_policy
@@ -36,8 +36,7 @@ class DreamRemapPolicy(PaperPolicy):
 
     name = "dream"
 
-    def __init__(self, config: PolicyConfig | None = None):
-        super().__init__(config)
+    def __init__(self):
         #: Per-channel start position into the coldness-ordered rank list.
         self._cursors: dict[int, int] = {}
 

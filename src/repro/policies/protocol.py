@@ -40,19 +40,6 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
 from repro.dram.power import PowerState
-from repro.seeded import SeededConfig
-from repro.units import NS_PER_MS
-
-#: Self-refresh access-count window (0.5 ms, Section 3.4).
-DEFAULT_WINDOW_NS = 0.5 * NS_PER_MS
-#: Quiet time required before a victim rank migrates + sleeps (50 ms).
-DEFAULT_PROFILING_THRESHOLD_NS = 50 * NS_PER_MS
-#: TSP entries examined per search; the paper bounds the search at 40 ns,
-#: which at one SRAM probe per 1.5 GHz cycle is 60 entries.
-DEFAULT_TSP_SCAN_LIMIT = 60
-#: Quiet time after a successful self-refresh entry before the channel
-#: profiles for an *additional* victim rank.
-DEFAULT_REVISIT_DELAY_NS = 20 * DEFAULT_PROFILING_THRESHOLD_NS
 
 
 class DemotionLevel(enum.Enum):
@@ -122,57 +109,6 @@ class RankStats:
         return (self.channel, self.rank)
 
 
-@dataclass(frozen=True)
-class PolicyConfig(SeededConfig):
-    """Every policy-adjacent knob, in one seeded, ``replace()``-able bag.
-
-    The first block configures the power-down host, the second the
-    self-refresh host, the third the adaptive policies; each host reads
-    only its own fields, so one shared instance configures both.
-
-    Attributes:
-        name: Registry key of the policy to build (:data:`POLICIES`).
-        group_granularity: Ranks per power-down victim group (2 models
-            the paper's CKE-pair constraint, Section 5.1).
-        min_active_groups: Rank-groups that must stay in standby.
-        background_migration: Consolidation copies proceed only as idle
-            bandwidth is granted; MPSM entry waits for them.
-        window_ns / profiling_threshold_ns / tsp_scan_limit /
-            revisit_delay_ns / victim_granularity / enable_planning:
-            Self-refresh knobs (see
-            :class:`~repro.core.self_refresh.HotnessSelfRefreshPolicy`).
-        idle_history: Idle-gap observations retained per rank.
-        min_idle_samples: Observations required before adaptive demotion
-            trusts a rank's idle distribution.
-        short_park_ns: Power-down demotion break-even — observed parks
-            shorter than this prefer self-refresh (cheap 500 ns exit)
-            over MPSM (deeper 0.068 RSU, 700 ns exit).
-        sr_thrash_ns: Self-refresh residencies shorter than this signal
-            wake-thrash; adaptive demotion answers STAY_ACTIVE.
-        seed: Per-policy randomness seed (the built-in policies are
-            deterministic; custom policies should derive any RNG here).
-    """
-
-    name: str = "paper"
-    # -- power-down host ----------------------------------------------------
-    group_granularity: int = 1
-    min_active_groups: int = 1
-    background_migration: bool = False
-    # -- self-refresh host ---------------------------------------------------
-    window_ns: float = DEFAULT_WINDOW_NS
-    profiling_threshold_ns: float = DEFAULT_PROFILING_THRESHOLD_NS
-    tsp_scan_limit: int = DEFAULT_TSP_SCAN_LIMIT
-    revisit_delay_ns: float | None = None
-    victim_granularity: int = 1
-    enable_planning: bool = True
-    # -- adaptive policies ---------------------------------------------------
-    idle_history: int = 32
-    min_idle_samples: int = 3
-    short_park_ns: float = 1e9
-    sr_thrash_ns: float = 2.5e8
-    seed: int = 0
-
-
 @runtime_checkable
 class ColdSearch(Protocol):
     """Bounded cold-segment search surface handed to
@@ -218,6 +154,10 @@ class Policy:
     (the controller builds it once), so observations made on the
     power-down side inform self-refresh decisions and vice versa.
 
+    A policy is built from its registry name alone: the hosts' knobs
+    are the controller's :class:`~repro.core.config.DtlConfig`, and a
+    policy's own thresholds are constants of its module.
+
     Decision methods must be deterministic functions of their arguments
     and previously observed state: the executor's result cache and the
     scalar/batch identity suite both rely on replayability.
@@ -225,9 +165,6 @@ class Policy:
 
     #: Registry key; subclasses set their own.
     name = "abstract"
-
-    def __init__(self, config: PolicyConfig | None = None):
-        self.config = config if config is not None else PolicyConfig()
 
     # -- decisions ---------------------------------------------------------
 
@@ -333,28 +270,19 @@ def available_policies() -> tuple[str, ...]:
     return tuple(sorted(POLICIES))
 
 
-def make_policy(config: PolicyConfig | str | None = None) -> Policy:
-    """Build the policy ``config`` names (default: the paper's)."""
-    if config is None:
-        config = PolicyConfig()
-    elif isinstance(config, str):
-        config = PolicyConfig(name=config)
+def make_policy(name: str = "paper") -> Policy:
+    """Build the registered policy ``name`` (default: the paper's)."""
     try:
-        cls = POLICIES[config.name]
+        cls = POLICIES[name]
     except KeyError:
-        raise KeyError(f"unknown policy {config.name!r}; "
+        raise KeyError(f"unknown policy {name!r}; "
                        f"choices: {sorted(POLICIES)}") from None
-    return cls(config)
+    return cls()
 
 
 __all__ = [
-    "DEFAULT_WINDOW_NS",
-    "DEFAULT_PROFILING_THRESHOLD_NS",
-    "DEFAULT_TSP_SCAN_LIMIT",
-    "DEFAULT_REVISIT_DELAY_NS",
     "DemotionLevel",
     "RankStats",
-    "PolicyConfig",
     "ColdSearch",
     "Policy",
     "POLICIES",

@@ -40,8 +40,7 @@ import numpy as np
 from repro.checkpoint import (Checkpoint, CheckpointError, load_checkpoint,
                               restore as restore_payload, save_checkpoint,
                               snapshot as take_snapshot)
-from repro.core.config import DtlConfig
-from repro.dram.geometry import DramGeometry
+from repro.core.config import DtlConfig, small_dtl_config
 from repro.errors import AllocationError
 from repro.exec.hashing import derive_seed, stable_hash
 from repro.faults.plan import (CxlLinkFault, EccFault, FaultPlan,
@@ -56,24 +55,6 @@ from repro.server.protocol import (MAX_LINE_BYTES, ErrorCode, ProtocolError,
 from repro.server.shards import (ControllerShard, TenantRecord, VmGone,
                                  shard_of)
 from repro.telemetry import MetricsRegistry, Snapshot
-from repro.units import MIB
-
-
-def small_dtl_config(policy: str = "paper") -> DtlConfig:
-    """The service-scale controller config (seconds-scale geometry).
-
-    Mirrors the chaos soak's small geometry: the server is an online
-    system, so profiling thresholds are shrunk to make self-refresh and
-    consolidation actually happen within a session.
-    """
-    return DtlConfig(
-        geometry=DramGeometry(channels=2, ranks_per_channel=4,
-                              rank_bytes=16 * MIB,
-                              segment_bytes=128 * 1024),
-        au_bytes=1 * MIB,
-        profiling_threshold_ns=200_000.0,
-        background_migration=True,
-        policy=policy)
 
 
 def server_fault_plan(seed: int, shard: int) -> FaultPlan:
@@ -111,19 +92,17 @@ class ServerConfig(SeededConfig):
         host / port: TCP listen address (port 0 picks an ephemeral
             port; the bound port is on :attr:`DtlServer.port`).
         num_shards: Independent single-writer controller shards.
-        dtl: Per-shard controller config (every shard is identical).
+        dtl: Per-shard controller config (every shard is identical); the
+            chaos soak's default device.
         admission: Rate-limit / quota / backpressure knobs.
         chaos: Arm the always-on fault injector on every shard.
-        chaos_seed: Seed deriving each shard's fault plan.
-        access_period_ns: Simulated time per access on a shard clock.
-        audit_every: Consistency-audit cadence (applied requests per
-            shard); injected migration aborts always audit immediately.
-        pump_lines: Background-migration cachelines granted per applied
-            request.
         telemetry_path: Exporter output file (None disables the task).
         telemetry_interval_s: Exporter period.
         checkpoint_path: Where drain persists state (None skips).
-        seed: Folds into the per-shard fault-plan derivation.
+        seed: Derives each shard's fault plan.
+
+    A shard's access period, pump grant and audit cadence are constants
+    it shares with the chaos soak (:mod:`repro.server.shards`).
     """
 
     host: str = "127.0.0.1"
@@ -132,10 +111,6 @@ class ServerConfig(SeededConfig):
     dtl: DtlConfig = field(default_factory=small_dtl_config)
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     chaos: bool = True
-    chaos_seed: int = 0
-    access_period_ns: float = 100.0
-    audit_every: int = 64
-    pump_lines: int = 8
     telemetry_path: str | None = None
     telemetry_interval_s: float = 5.0
     checkpoint_path: str | None = None
@@ -146,17 +121,14 @@ class ServerConfig(SeededConfig):
 
         Listen address, telemetry paths, and intervals are deployment
         detail — a resumed server may move; shard count, controller
-        config, chaos arming, and admission limits are structural.
+        config, admission limits, chaos arming and the seed its fault
+        plans derive from are structural.
         """
         return stable_hash({
             "num_shards": self.num_shards,
             "dtl": self.dtl,
             "admission": self.admission,
             "chaos": self.chaos,
-            "chaos_seed": self.chaos_seed,
-            "access_period_ns": self.access_period_ns,
-            "audit_every": self.audit_every,
-            "pump_lines": self.pump_lines,
             "seed": self.seed,
         })
 
@@ -171,12 +143,8 @@ class DtlServer:
         self.shards = [
             ControllerShard(
                 index, cfg.dtl,
-                fault_plan=(server_fault_plan(
-                    derive_seed(cfg.seed, cfg.chaos_seed), index)
-                    if cfg.chaos else None),
-                access_period_ns=cfg.access_period_ns,
-                audit_every=cfg.audit_every,
-                pump_lines=cfg.pump_lines,
+                fault_plan=(server_fault_plan(derive_seed(cfg.seed, 0), index)
+                            if cfg.chaos else None),
                 queue_depth=cfg.admission.queue_depth)
             for index in range(cfg.num_shards)]
         self.admission = AdmissionController(cfg.admission)
@@ -456,7 +424,7 @@ class DtlServer:
             raise _RequestError(Rejection(
                 ErrorCode.NOT_OWNER,
                 f"VM {vm_id} does not belong to tenant {record.name!r}"))
-        return self.shards[record.shard].controller.vm_handle(vm_id)
+        return self.shards[record.shard].vm_handle(vm_id)
 
     async def _op_free(self, request: dict[str, Any]) -> dict[str, Any]:
         record = self._tenant_of(request)
@@ -538,9 +506,9 @@ class DtlServer:
         shard = self.shards[record.shard]
         freed = 0
         for vm_id in sorted(record.vm_ids):
-            vm = shard.controller.vm_handle(vm_id)
             with contextlib.suppress(VmGone):  # a racing free has it
-                freed += await shard.submit(shard.apply_free, vm, t_s)
+                freed += await shard.submit(shard.apply_free,
+                                            shard.vm_handle(vm_id), t_s)
         self.admission.release(record.name, freed)
         self.admission.forget(record.name)
         self._free_hosts[record.shard].append(record.host_id)
@@ -704,7 +672,7 @@ class DtlServer:
         if payload["structure"] != self.config.structure_hash():
             raise CheckpointError(
                 "checkpoint was taken by a structurally different server "
-                "config (shards / geometry / admission / chaos)")
+                "config (shards / geometry / admission / chaos / seed)")
         self.shards = payload["shards"]
         self.tenants = payload["tenants"]
         self.admission = payload["admission"]
@@ -757,5 +725,5 @@ def serve_forever(config: ServerConfig, resume: bool = False) -> int:
     return asyncio.run(_serve(config, resume))
 
 
-__all__ = ["small_dtl_config", "server_fault_plan", "ServerConfig",
-           "DtlServer", "serve_forever"]
+__all__ = ["server_fault_plan", "ServerConfig", "DtlServer",
+           "serve_forever"]

@@ -14,8 +14,9 @@ Each shard carries its own simulated clock (advanced by request
 timestamps and per-access periods), an optional always-armed
 :class:`~repro.faults.injector.FaultInjector`, and a
 :class:`~repro.core.checker.ConsistencyChecker` that audits after every
-injected migration abort plus every ``audit_every`` applied requests —
-the chaos soak's discipline, running continuously.
+injected migration abort plus every :data:`AUDIT_EVERY` applied
+requests — the chaos soak's discipline (and its access period and pump
+cadence), running continuously.
 """
 
 from __future__ import annotations
@@ -34,11 +35,16 @@ from repro.core.config import DtlConfig
 from repro.core.controller import (LOOK_AHEAD_ACCESSES, BatchAccessResult,
                                    DtlController, VmHandle)
 from repro.cxl.link import CxlLinkConfig
-from repro.errors import ReproError
-from repro.faults.chaos import DRAIN_STEP_LIMIT
+from repro.errors import AllocationError, ReproError
+from repro.faults.chaos import (ACCESS_PERIOD_NS, DRAIN_PUMP_LINES,
+                                DRAIN_STEP_LIMIT, PUMP_LINES)
 from repro.faults.hooks import HookPoint
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+
+#: Consistency-audit cadence, in applied requests per shard; an injected
+#: migration abort always audits at once.
+AUDIT_EVERY = 64
 
 
 def shard_of(tenant: str, num_shards: int) -> int:
@@ -87,9 +93,6 @@ class ControllerShard:
 
     def __init__(self, index: int, config: DtlConfig,
                  fault_plan: FaultPlan | None = None,
-                 access_period_ns: float = 100.0,
-                 audit_every: int = 64,
-                 pump_lines: int = 8,
                  queue_depth: int = 128):
         self.index = index
         self.controller = DtlController(config)
@@ -100,9 +103,6 @@ class ControllerShard:
                 trace=self.controller.trace, link=CxlLinkConfig())
             self.controller.arm_faults(self.injector)
         self.checker = ConsistencyChecker(self.controller)
-        self.access_period_ns = access_period_ns
-        self.audit_every = audit_every
-        self.pump_lines = pump_lines
         self.clock_ns = 0.0
         self.applied = 0
         self.audits = 0
@@ -246,8 +246,9 @@ class ControllerShard:
                     f"shard {self.index}: migration drain exceeded "
                     f"{DRAIN_STEP_LIMIT} pump steps")
                 break
-            self.controller.pump_migrations(self.now_s, lines=16)
-            self.clock_ns += self.access_period_ns
+            self.controller.pump_migrations(self.now_s,
+                                            lines=DRAIN_PUMP_LINES)
+            self.clock_ns += ACCESS_PERIOD_NS
 
     def apply_access_batch(self, vm: VmHandle, segments: np.ndarray,
                            lines: np.ndarray, writes: np.ndarray,
@@ -266,6 +267,16 @@ class ControllerShard:
                                               now_ns=self.clock_ns)
         self._after_access(len(hpas))
         return result
+
+    def vm_handle(self, vm_id: int) -> VmHandle:
+        """The live handle of ``vm_id``.  A free of it may have been
+        applied here before its reply dropped it from the tenant's
+        record, so a gone VM is ``VmGone``, never ``AllocationError``."""
+        try:
+            return self.controller.vm_handle(vm_id)
+        except AllocationError:
+            raise VmGone(f"VM {vm_id} was freed before this request "
+                         "reached its shard") from None
 
     def _check_live(self, vm: VmHandle) -> None:
         """The handle was checked when the request was enqueued; a free
@@ -286,10 +297,10 @@ class ControllerShard:
     def _after_access(self, n: int) -> None:
         """The hooks between one applied access batch and the next."""
         controller = self.controller
-        self.clock_ns += n * self.access_period_ns
+        self.clock_ns += n * ACCESS_PERIOD_NS
         controller.tick(self.clock_ns)
         controller.end_window()
-        controller.pump_migrations(self.now_s, lines=self.pump_lines)
+        controller.pump_migrations(self.now_s, lines=PUMP_LINES)
         self._after_apply()
 
     # -- look-ahead --------------------------------------------------------
@@ -320,7 +331,7 @@ class ControllerShard:
             clock_ns = self._observed(clock_ns, t_s)
             if not lengths:
                 now_ns = clock_ns
-            clock_ns += len(segments) * self.access_period_ns
+            clock_ns += len(segments) * ACCESS_PERIOD_NS
             lengths.append(len(segments))
             ticks_ns.append(clock_ns)
             held += len(segments)
@@ -387,8 +398,7 @@ class ControllerShard:
             if aborts > self._aborts_seen:
                 self._aborts_seen = aborts
                 force = True
-        if force or (self.audit_every
-                     and self.applied % self.audit_every == 0):
+        if force or self.applied % AUDIT_EVERY == 0:
             self.audit()
 
     def audit(self) -> None:
@@ -466,4 +476,5 @@ class ControllerShard:
         return state
 
 
-__all__ = ["shard_of", "TenantRecord", "VmGone", "ControllerShard"]
+__all__ = ["AUDIT_EVERY", "shard_of", "TenantRecord", "VmGone",
+           "ControllerShard"]

@@ -84,7 +84,7 @@ LoadgenConfig`).
                       ) -> ServerConfig:
         """The (chaos-armed) server both legs run against."""
         return ServerConfig(
-            num_shards=self.num_shards, chaos=True, chaos_seed=self.seed,
+            num_shards=self.num_shards, chaos=True,
             admission=AdmissionConfig(max_tenants=max(64, self.tenants)),
             telemetry_path=None, checkpoint_path=checkpoint_path,
             seed=self.seed)

@@ -12,7 +12,9 @@ element in order; the oracles for that promise live here, not in
   the policy, for every registered policy;
 * ``invalidate_batch``, ``remap_segments``, ``move_allocations``,
   ``submit_batch`` and the bulk ``free`` are checked against the
-  element-wise loop on deep copies, bad input included.
+  element-wise loop on deep copies, bad input included;
+* ``on_segments_moved`` is checked against the per-segment move of the
+  self-refresh access bits it replaced.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from repro.errors import (AllocationError, MigrationError, ReproError,
                           TranslationError)
 from repro.faults import (EccFault, FaultInjector, FaultPlan, HookPoint,
                           MigrationAbortFault)
-from repro.policies import PolicyConfig, available_policies
+from repro.policies import available_policies
 from repro.telemetry import EventKind, EventTrace
 from repro.units import MIB
 
@@ -297,7 +299,7 @@ def build_stack(policy_name: str):
     migration = MigrationEngine(GEOMETRY)
     host = RankPowerDownPolicy(
         device, allocator, tables, migration,
-        PolicyConfig(name=policy_name, background_migration=True))
+        DtlConfig(policy=policy_name, background_migration=True))
     return host, layout
 
 
@@ -650,3 +652,32 @@ def test_cancel_drops_only_the_named_sources():
             for event in cancelled] == [(1, 5), (4, 0)]
     assert engine.cancel([12345]).tolist() == []
     assert engine.drain() == 2
+
+
+# -- (f) access bits follow a completion batch --------------------------------
+
+
+def move_one_by_one(bits: np.ndarray, old_dsns, new_dsns) -> None:
+    """The per-segment rule ``on_segments_moved`` replaced, in order."""
+    for old_dsn, new_dsn in zip(old_dsns.tolist(), new_dsns.tolist()):
+        bits[new_dsn] = bits[old_dsn]
+        bits[old_dsn] = False
+
+
+@pytest.mark.parametrize("copies", [1, 2, 9, 64])
+@pytest.mark.parametrize("seed", range(4))
+def test_on_segments_moved_matches_the_scalar_loop(copies, seed):
+    """A completion batch: distinct sources, distinct targets, no target
+    a source (``remap_segments`` and ``move_allocations`` refuse any
+    other before the controller moves the bits)."""
+    rng = np.random.default_rng(seed)
+    host = DtlController(DtlConfig(geometry=GEOMETRY,
+                                   au_bytes=16 * MIB)).self_refresh
+    total = GEOMETRY.total_segments
+    host.access_bits[:] = rng.random(total) < 0.5
+    dsns = rng.permutation(total)[:2 * copies].astype(np.int64)
+    old_dsns, new_dsns = dsns[:copies], dsns[copies:]
+    expected = host.access_bits.copy()
+    move_one_by_one(expected, old_dsns, new_dsns)
+    host.on_segments_moved(old_dsns, new_dsns)
+    assert np.array_equal(host.access_bits, expected)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.addressing import HostAddressLayout
 from repro.core.allocator import SegmentAllocator
+from repro.core.config import DtlConfig
 from repro.core.migration import MigrationEngine
 from repro.core.power_down import RankPowerDownPolicy
 from repro.core.tables import TranslationTables
@@ -11,7 +12,6 @@ from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.errors import AllocationError
-from repro.policies import PolicyConfig
 from repro.units import MIB
 
 
@@ -33,7 +33,7 @@ def make_stack(ranks_per_channel=4, group_granularity=1):
     migration.on_complete = on_complete
     policy = RankPowerDownPolicy(
         device, allocator, tables, migration,
-        PolicyConfig(group_granularity=group_granularity))
+        DtlConfig(group_granularity=group_granularity))
     return geometry, device, allocator, layout, tables, policy
 
 
@@ -64,7 +64,7 @@ class TestPowerDown:
         geometry, device, allocator, layout, tables, _ = make_stack()
         migration = MigrationEngine(geometry)
         policy = RankPowerDownPolicy(device, allocator, tables, migration,
-                                     PolicyConfig(min_active_groups=2))
+                                     DtlConfig(min_active_groups=2))
         policy.maybe_power_down(0.0)
         assert policy.active_ranks_per_channel() == 2
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.addressing import (DeviceAddressLayout, HostAddressLayout,
                                    SegmentLocation)
 from repro.core.allocator import SegmentAllocator
+from repro.core.config import DtlConfig
 from repro.core.migration import MigrationEngine
 from repro.core.self_refresh import ChannelPhase, HotnessSelfRefreshPolicy
 from repro.core.tables import TranslationTables
@@ -13,7 +14,6 @@ from repro.core.translation import TranslationEngine
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
-from repro.policies import PolicyConfig
 from repro.units import MIB
 
 MS = 1e6  # ns per ms
@@ -31,10 +31,10 @@ def make_stack(window_ns=0.5 * MS, threshold_ns=50 * MS, scan_limit=60,
     migration = MigrationEngine(geometry)
     policy = HotnessSelfRefreshPolicy(
         device, allocator, tables, translation, migration,
-        PolicyConfig(window_ns=window_ns,
-                     profiling_threshold_ns=threshold_ns,
-                     tsp_scan_limit=scan_limit,
-                     victim_granularity=victim_granularity))
+        DtlConfig(window_ns=window_ns,
+                  profiling_threshold_ns=threshold_ns,
+                  tsp_scan_limit=scan_limit,
+                  sr_victim_granularity=victim_granularity))
     return geometry, device, allocator, layout, tables, translation, policy
 
 

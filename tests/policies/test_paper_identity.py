@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.config import small_dtl_config
 from repro.faults.chaos import ChaosSoakConfig
 from repro.policies import available_policies
 from repro.sim.experiments import get_spec, run_experiment
@@ -150,10 +151,11 @@ class TestChaosWithNonDefaultPolicy:
         """Fault injection and consistency audits hold when the armed
         run decides through a non-default policy."""
         config = ChaosSoakConfig(levels=1, batches_per_phase=4,
-                                 batch_size=32, policy="adaptive")
+                                 batch_size=32,
+                                 dtl=small_dtl_config("adaptive"))
         result = run_experiment("chaos", config)
         report = result.report
         assert report.injected_total > 0
         assert not report.checker_violations
         assert report.data_loss_events == 0
-        assert result.config.policy == "adaptive"
+        assert result.config.dtl.policy == "adaptive"

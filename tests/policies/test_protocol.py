@@ -1,4 +1,4 @@
-"""The Policy protocol surface: config, registry, shims, and the
+"""The Policy protocol surface: registry, host constructors, and the
 built-in policies' unit behaviour (decisions on synthetic RankStats,
 no simulator in the loop)."""
 
@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.addressing import HostAddressLayout
 from repro.core.allocator import SegmentAllocator
+from repro.core.config import DtlConfig
 from repro.core.migration import MigrationEngine
 from repro.core.power_down import RankPowerDownPolicy
 from repro.core.self_refresh import HotnessSelfRefreshPolicy
@@ -19,9 +20,10 @@ from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.policies import (AdaptiveDemotionPolicy, DemotionLevel,
-                            DreamRemapPolicy, PaperPolicy, PolicyConfig,
+                            DreamRemapPolicy, PaperPolicy,
                             RankAwareMigrationPolicy, RankIdleTracker,
                             RankStats, make_policy)
+from repro.policies.adaptive import MIN_IDLE_SAMPLES, SHORT_PARK_NS
 from repro.units import MIB
 
 
@@ -59,21 +61,13 @@ def selfrefresh_stack(**kwargs):
 
 
 class TestPolicyConfig:
-    def test_replace_and_with_seed(self):
-        config = PolicyConfig()
-        assert config.name == "paper" and config.seed == 0
-        tweaked = config.replace(group_granularity=2)
-        assert tweaked.group_granularity == 2
-        assert config.group_granularity == 1  # frozen original untouched
-        assert config.with_seed(7).seed == 7
-        assert tweaked.replace(group_granularity=1) == config
+    """A policy is configured by its registry name alone; the hosts'
+    knobs live on :class:`DtlConfig`."""
 
     def test_make_policy_accepts_config_name_or_default(self):
         assert isinstance(make_policy(), PaperPolicy)
         assert isinstance(make_policy("dream"), DreamRemapPolicy)
-        by_config = make_policy(PolicyConfig(name="adaptive", seed=3))
-        assert isinstance(by_config, AdaptiveDemotionPolicy)
-        assert by_config.config.seed == 3
+        assert isinstance(make_policy("adaptive"), AdaptiveDemotionPolicy)
 
     def test_make_policy_unknown_name_lists_choices(self):
         with pytest.raises(KeyError, match="rank_aware"):
@@ -81,9 +75,9 @@ class TestPolicyConfig:
 
 
 class TestConfigOnlyConstructors:
-    """The one-release loose-kwarg shim is gone: hosts take a
-    :class:`PolicyConfig` and nothing else, and any loose keyword is a
-    plain ``TypeError`` from the constructor signature itself."""
+    """Hosts take the controller's :class:`DtlConfig` and nothing else:
+    any loose keyword is a plain ``TypeError`` from the constructor
+    signature itself."""
 
     def test_powerdown_legacy_kwargs_are_gone(self):
         with pytest.raises(TypeError, match="group_granularity"):
@@ -106,11 +100,14 @@ class TestConfigOnlyConstructors:
     def test_config_construction_stays_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            host = powerdown_stack(config=PolicyConfig(group_granularity=2))
-            assert host.config.group_granularity == 2
-            assert host.config.min_active_groups == 1
-            sr_host = selfrefresh_stack(config=PolicyConfig(tsp_scan_limit=7))
+            host = powerdown_stack(config=DtlConfig(group_granularity=2))
+            assert host.group_granularity == 2
+            assert host.min_active_groups == 1
+            assert isinstance(host.policy, PaperPolicy)
+            sr_host = selfrefresh_stack(
+                config=DtlConfig(tsp_scan_limit=7, policy="dream"))
             assert sr_host.tsp_scan_limit == 7
+            assert isinstance(sr_host.policy, DreamRemapPolicy)
 
 
 class TestPaperPolicy:
@@ -229,25 +226,26 @@ class TestAdaptivePolicy:
             is DemotionLevel.SELF_REFRESH
 
     def test_short_parks_prefer_self_refresh(self):
-        policy = AdaptiveDemotionPolicy(PolicyConfig(short_park_ns=1e9))
+        assert SHORT_PARK_NS == 1e9
+        policy = AdaptiveDemotionPolicy()
         self.feed(policy, "powerdown", 0, [1e6, 2e6, 3e6])
         assert policy.demotion_level("powerdown", [stats(0)]) \
             is DemotionLevel.SELF_REFRESH
 
     def test_long_parks_keep_mpsm(self):
-        policy = AdaptiveDemotionPolicy(PolicyConfig(short_park_ns=1e9))
+        policy = AdaptiveDemotionPolicy()
         self.feed(policy, "powerdown", 0, [5e9, 6e9, 7e9])
         assert policy.demotion_level("powerdown", [stats(0)]) \
             is DemotionLevel.MPSM
 
     def test_sr_thrash_answers_stay_active(self):
-        policy = AdaptiveDemotionPolicy(PolicyConfig(sr_thrash_ns=2.5e8))
+        policy = AdaptiveDemotionPolicy()
         self.feed(policy, "sr", 0, [1e6, 1e6, 1e6])
         assert policy.demotion_level("sr", [stats(0)]) \
             is DemotionLevel.STAY_ACTIVE
 
     def test_group_is_judged_by_its_most_restless_member(self):
-        policy = AdaptiveDemotionPolicy(PolicyConfig(short_park_ns=1e9))
+        policy = AdaptiveDemotionPolicy()
         self.feed(policy, "powerdown", 0, [5e9, 6e9, 7e9])  # long sleeper
         self.feed(policy, "powerdown", 1, [1e6, 1e6, 1e6])  # thrasher
         assert policy.demotion_level("powerdown",
@@ -255,7 +253,8 @@ class TestAdaptivePolicy:
             is DemotionLevel.SELF_REFRESH
 
     def test_partial_history_in_group_defaults(self):
-        policy = AdaptiveDemotionPolicy(PolicyConfig(min_idle_samples=3))
+        assert MIN_IDLE_SAMPLES == 3
+        policy = AdaptiveDemotionPolicy()
         self.feed(policy, "powerdown", 0, [1e6, 1e6, 1e6])
         self.feed(policy, "powerdown", 1, [1e6])  # below min_idle_samples
         assert policy.demotion_level("powerdown",

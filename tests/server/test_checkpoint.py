@@ -104,7 +104,7 @@ def stale_version(path: str) -> None:
 
 
 @pytest.mark.parametrize("write_file, target_config, match", [
-    (write_good, ServerConfig(chaos_seed=1), "structurally different"),
+    (write_good, ServerConfig(seed=1), "structurally different"),
     (write_good, ServerConfig(num_shards=3), "structurally different"),
     (other_kind, ServerConfig(), "not a server state"),
     (stale_version, ServerConfig(),
@@ -136,10 +136,10 @@ def test_refused_restore_leaves_the_server_untouched(tmp_path, write_file,
 def test_look_ahead_tallies_stay_out_of_the_checkpoint(tmp_path):
     """``lookaheads`` / ``lookahead_calls`` depend on arrival timing, so
     they are neither fingerprinted nor pickled: they add no field to
-    the blob (the format version is 7 for the control plane's array
-    books, docs/CHECKPOINT.md, not for them), and a server restored
-    from it starts its tallies again."""
-    assert CHECKPOINT_VERSION == 7
+    the blob (the format version is 8 for hosts that read their knobs
+    from the controller's DtlConfig, docs/CHECKPOINT.md, not for them),
+    and a server restored from it starts its tallies again."""
+    assert CHECKPOINT_VERSION == 8
     path = str(tmp_path / "server.ckpt")
     ops = script()
     accesses = [op for op in ops if op["op"] == "access_batch"]

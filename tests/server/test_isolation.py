@@ -301,3 +301,43 @@ class TestStaleHandles:
             await server.drain()
             assert not server.audit_violations()
         asyncio.run(scenario())
+
+    def test_requests_between_an_applied_free_and_its_reply(self):
+        """The shard has applied the free, but the free's reply has not
+        yet dropped the VM from the tenant's record: an access, a second
+        free and a close all name a VM the record lists and the shard no
+        longer holds.  They are ``not_owner`` and a clean close."""
+        first, second, _ = colliding_names(2)
+
+        async def scenario():
+            server = await populated_server(ServerConfig(), (first, second))
+            record = server.tenants[first]
+            shard = server.shards[record.shard]
+            vm = sorted(record.vm_ids)[0]
+            handle = shard.controller.vm_handle(vm)
+            freeing = asyncio.ensure_future(server.handle_request(
+                {"op": "free", "tenant": first, "vm": vm, "t": 3.0}))
+            while shard.controller.is_live(handle):
+                await asyncio.sleep(0)
+            assert not freeing.done() and vm in record.vm_ids
+            late = {"tenant": first, "vm": vm, "t": 3.0}
+            access = await server.handle_request(
+                {**late, "op": "access_batch", "segments": [0, 1]})
+            again = await server.handle_request({**late, "op": "free"})
+            closed = await server.handle_request(
+                {"op": "close", "tenant": first, "t": 3.0})
+            assert not freeing.done()  # all three fell inside the window
+            assert access.get("error") == "not_owner", access
+            assert again.get("error") == "not_owner", again
+            assert closed["ok"] and closed["freed"] == 0, closed
+            freed = await freeing
+            assert freed["ok"] and freed["freed"], freed
+            assert first not in server.tenants
+            assert server.admission.reserved_bytes(first) == 0
+            counters = server.metrics.counter_values()
+            assert counters.get("server.internal_errors", 0) == 0
+            assert counters["server.rejected.not_owner"] == 2
+            await server.drain()
+            assert not server.audit_violations()
+            assert not server.leak_report()
+        asyncio.run(scenario())
