@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +45,6 @@ from repro.units import CACHELINE_BYTES
 #: suggests :meth:`DtlController.access_batch` (once, via
 #: :class:`~repro.errors.PerformanceWarning`).
 SCALAR_ACCESS_WARN_THRESHOLD = 100_000
-
-#: Under an armed fault plan, a span between two SMC-corruption cuts
-#: shorter than this many accesses is served element-wise: one vector
-#: pass has the fixed cost of about this many scalar accesses (measured,
-#: docs/PERF.md), so a dense plan never pays a numpy pass per handful of
-#: accesses and a sparse one never leaves the vector path.
-_MIN_VECTOR_SPAN = 8
 
 #: Accesses one :meth:`DtlController.look_ahead` may hold when it spans
 #: several calls.  What sharing the pass saves per 128-access call stops
@@ -108,13 +101,6 @@ class BatchAccessResult:
 
     def __len__(self) -> int:
         return len(self.hpas)
-
-    @classmethod
-    def concat(cls, parts: list["BatchAccessResult"]) -> "BatchAccessResult":
-        """Consecutive sub-batch results joined back into one batch."""
-        return cls(**{column.name: np.concatenate(
-            [getattr(part, column.name) for part in parts])
-            for column in fields(cls)})
 
     @property
     def total_latency_ns(self) -> float:
@@ -382,10 +368,10 @@ class DtlController:
                now_ns: float = 0.0) -> AccessResult:
         """One host load/store through the CXL + DTL datapath."""
         # Only user-initiated access() calls count toward the
-        # PerformanceWarning threshold.  Batch-internal scalar replays
-        # (short spans under a fault plan, self-refresh events) go through
-        # _access_one / policy hooks directly and must never trip the
-        # "switch to access_batch" warning — the caller already did.
+        # PerformanceWarning threshold.  The batch path's scalar replays
+        # (self-refresh events) go through policy hooks directly and must
+        # never trip the "switch to access_batch" warning — the caller
+        # already did.
         self._scalar_access_calls += 1
         if (self._scalar_access_calls > SCALAR_ACCESS_WARN_THRESHOLD
                 and not self._scalar_access_warned):
@@ -395,11 +381,6 @@ class DtlController:
                 "on one controller; access_batch() serves long traces "
                 "orders of magnitude faster (see docs/PERF.md)",
                 PerformanceWarning, stacklevel=2)
-        return self._access_one(host_id, hpa, is_write, now_ns)
-
-    def _access_one(self, host_id: int, hpa: int, is_write: bool,
-                    now_ns: float) -> AccessResult:
-        """The :meth:`access` body (also the batch path's scalar replay)."""
         host = self.host_layout
         # HPAs arriving from a host are host-local; fold in the host ID.
         au_id, au_offset = divmod(host.hsn_of_hpa(hpa), host.segments_per_au)
@@ -469,14 +450,11 @@ class DtlController:
           machine replay one at a time inside
           :meth:`HotnessSelfRefreshPolicy.on_access_batch`;
         * an ``smc.lookup`` corruption changes later translations, so
-          the batch is *cut* there: translate up to and including the
-          firing access, drop its entry, continue.  Every other
-          access-path fault is additive (``cxl.access`` latency,
-          ``dram.access`` ECC accounting) and costs no cut;
-        * a span between cuts shorter than ``_MIN_VECTOR_SPAN`` accesses
-          (dense plans, tiny batches) goes element-wise through the
-          scalar protocol, which is cheaper than a vector call that
-          short.
+          the SMC lookup *cuts* a chunk there: translate up to and
+          including the firing access, drop its entry, carry on in the
+          same pass.  Every other access-path fault is additive
+          (``cxl.access`` latency, ``dram.access`` ECC accounting) and
+          costs no cut.
 
         Not guaranteed: the trace ring's ordering of ``ACCESS`` events
         against ``FAULT_INJECTED``/``ECC_ERROR``/``SR_EXIT`` events from
@@ -492,28 +470,8 @@ class DtlController:
             if len(writes) != n:
                 raise ValueError(
                     f"writes length {len(writes)} != hpas length {n}")
-        if self._faults is None or not n:
-            return self._access_vector(host_id, hpas, writes, now_ns)
-        parts = []
-        start = 0
-        while start < n:
-            stop = start + self._faults.smc_lookup_span(n - start)
-            serve = (self._access_vector
-                     if stop - start >= _MIN_VECTOR_SPAN
-                     else self._access_elementwise)
-            parts.append(serve(host_id, hpas[start:stop], writes[start:stop],
-                               now_ns))
-            start = stop
-        return parts[0] if len(parts) == 1 else BatchAccessResult.concat(parts)
-
-    def _access_vector(self, host_id: int, hpas: np.ndarray,
-                       writes: np.ndarray,
-                       now_ns: float) -> BatchAccessResult:
-        """One vector pass — the one-call case of :meth:`look_ahead` and
-        :meth:`serve_call`; with an armed injector ``hpas`` must not
-        reach past the next SMC corruption (``smc_lookup_span``)."""
-        return self.serve_call(self.look_ahead(host_id, hpas, (len(hpas),)),
-                               writes, now_ns)
+        return self.serve_call(self.look_ahead(host_id, hpas, (n,)), writes,
+                               now_ns)
 
     def look_ahead(self, host_ids: int | np.ndarray, hpas: np.ndarray,
                    stops: Sequence[int]) -> LookAhead:
@@ -523,10 +481,11 @@ class DtlController:
         decode and DPA math.
 
         ``stops`` are the calls' exclusive end offsets in ``hpas``, and
-        ``host_ids`` is one host or a host ID per access.  The SMC and
-        the translation counters end where translating the calls one by
-        one would leave them; everything a call can observe the time of
-        happens in :meth:`serve_call`, one call's slice at a time
+        ``host_ids`` is one host or a host ID per access.  The SMC, the
+        translation counters and the injector's ``smc.lookup`` counters
+        end where translating the calls one by one would leave them;
+        everything a call can observe the time of happens in
+        :meth:`serve_call`, one call's slice at a time
         (:meth:`LookAhead.call`).
         """
         host = self.host_layout
@@ -534,8 +493,14 @@ class DtlController:
         au_ids = hsn_locals // host.segments_per_au
         au_offsets = hsn_locals % host.segments_per_au
         hsns = host.pack_hsn_batch(host_ids, au_ids, au_offsets)
+        fires = ()
+        if self._faults is not None:
+            # Hook: smc.lookup (entry corruption), every fire among these
+            # lookups; each drops its entry inside the translation, right
+            # after its own lookup.
+            fires = self._faults.on_smc_lookup_batch(hsns, self.translation)
         dsns, xlat_ns, l1_hits, l2_hits = \
-            self.translation.translate_hsn_batch(hsns, stops)
+            self.translation.translate_hsn_batch(hsns, stops, fires)
         channels, ranks, _ = self.device_layout.unpack_dsn_batch(dsns)
         dpas = self.device_layout.dpa_of_batch(dsns, offsets)
         return LookAhead(hpas, hsns, offsets, dsns, xlat_ns, l1_hits, l2_hits,
@@ -559,25 +524,20 @@ class DtlController:
           once a channel has been quiet for the profiling threshold, so
           the prefix ends at the first boundary whose tick could
           (:meth:`HotnessSelfRefreshPolicy.quiet_floor_ns`);
-        * under an armed injector the prefix ends with the next
-          ``smc.lookup`` fire, and a call :meth:`access_batch` would cut
-          there or serve element-wise is left to it;
         * ``LOOK_AHEAD_ACCESSES`` bounds what one look-ahead holds.
+
+        An ``smc.lookup`` fire ends nothing: it drops its entry inside
+        the look-ahead's own translation (:meth:`look_ahead`).
         """
         if (len(lengths) < 2 or self.migration.has_tracked_requests
                 or self.migration.pending_count()):
             return 1
-        span = LOOK_AHEAD_ACCESSES
-        shortest = 0
-        if self._faults is not None:
-            span = self._faults.smc_lookup_span(span)
-            shortest = _MIN_VECTOR_SPAN
         policy = self.self_refresh
         floor_ns = None if policy is None else policy.quiet_floor_ns(now_ns)
         count = held = 0
         for length in lengths:
             held += length
-            if held > span or length < shortest:
+            if held > LOOK_AHEAD_ACCESSES:
                 break
             if count and floor_ns is not None and (
                     ticks_ns[count - 1] - floor_ns
@@ -632,11 +592,9 @@ class DtlController:
         latency_ns = self.cxl_latency_ns + call.xlat_ns + wake_ns
         if self._faults is not None:
             # Hooks, none of which feeds back into the steps above:
-            # smc.lookup (only the span's last lookup can fire, and its
-            # dropped entry matters to the *next* translation),
             # cxl.access (additive latency, added last as in the scalar
-            # sum) and dram.access (ECC accounting in access order).
-            self._faults.on_smc_lookup_batch(hsns, self.translation)
+            # sum) and dram.access (ECC accounting in access order);
+            # smc.lookup fired inside the look-ahead's translation.
             latency_ns += self._faults.on_cxl_access_batch(n, now_ns)
             self._faults.on_dram_access_batch(channels, ranks, self.device,
                                               now_s=now_ns / 1e9)
@@ -653,30 +611,6 @@ class DtlController:
             ranks=ranks, latency_ns=latency_ns, smc_l1_hits=call.l1_hits,
             smc_l2_hits=call.l2_hits, wake_penalty_ns=wake_ns,
             routed_to_new_dsn=routed_new)
-
-    def _access_elementwise(self, host_id: int, hpas: np.ndarray,
-                            writes: np.ndarray,
-                            now_ns: float) -> BatchAccessResult:
-        """A span too short to be worth a vector pass, one access at a
-        time (the scalar hooks fire inside :meth:`_access_one`)."""
-        results = [self._access_one(host_id, int(hpa), bool(write), now_ns)
-                   for hpa, write in zip(hpas, writes)]
-        return BatchAccessResult(
-            hpas=hpas,
-            dsns=np.array([r.dsn for r in results], dtype=np.int64),
-            dpas=np.array([r.dpa for r in results], dtype=np.int64),
-            channels=np.array([r.channel for r in results], dtype=np.int64),
-            ranks=np.array([r.rank for r in results], dtype=np.int64),
-            latency_ns=np.array([r.latency_ns for r in results],
-                                dtype=np.float64),
-            smc_l1_hits=np.array([r.smc_l1_hit for r in results],
-                                 dtype=bool),
-            smc_l2_hits=np.array([r.smc_l2_hit for r in results],
-                                 dtype=bool),
-            wake_penalty_ns=np.array([r.wake_penalty_ns for r in results],
-                                     dtype=np.float64),
-            routed_to_new_dsn=np.array([r.routed_to_new_dsn
-                                        for r in results], dtype=bool))
 
     def _wake_ranks_holding(self, dsns: np.ndarray, now_s: float) -> None:
         """Exit self-refresh on any rank receiving fresh allocations.

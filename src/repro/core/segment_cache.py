@@ -33,6 +33,7 @@ callers keep reading ``cache.stats.hits`` unchanged.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -521,6 +522,7 @@ class SegmentMappingCache:
                      resolve: Callable[[int], int],
                      resolve_batch: Callable[[np.ndarray], np.ndarray]
                      | None = None,
+                     fires: Sequence[tuple[int, Callable[[], None]]] = (),
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Resolve a whole HSN array with scalar-identical effects.
 
@@ -533,6 +535,15 @@ class SegmentMappingCache:
         Full misses resolve through ``resolve_batch`` (one vectorised
         table walk per chunk) when given; ``resolve(hsn)`` serves the
         rare mid-chunk eviction of a pre-chunk resident.
+
+        ``fires`` are ``(offset, drop)`` pairs in offset order, the SMC
+        corruptions an armed fault plan schedules
+        (``FaultInjector.on_smc_lookup_batch``).  A fire *cuts* the
+        batch: no chunk reaches past its offset, and ``drop()`` runs
+        right after the chunk ending with that lookup commits — exactly
+        where the scalar sequence drops the corrupted entry, so every
+        later lookup sees it gone.  The rest of the batch carries on in
+        the same pass.
 
         The batch is consumed in *chunks*.  A chunk is planned over its
         distinct HSNs in first-occurrence order (:meth:`_plan_chunk`:
@@ -580,9 +591,10 @@ class SegmentMappingCache:
         max_window = 4 * self.config.l2_entries
         arange = np.arange(min(n, max_window) + 1)
         window = min(n, max_window)
-        start = 0
+        start = fire = 0
+        cut = fires[0][0] + 1 if fires else n
         while start < n:
-            span = min(window, n - start)
+            span = min(window, cut - start)
             d_rel = np.flatnonzero(prev[start:start + span] < start)
             if len(d_rel) > entries:
                 # L1 capacity: the chunk ends where the (entries+1)-th
@@ -611,6 +623,12 @@ class SegmentMappingCache:
             # stays proportional to the chunk actually consumed.
             window = min(max_window, max(256, 4 * span))
             start = end
+            if start == cut and fires:
+                # The chunk just committed ends with a corrupted lookup.
+                while fire < len(fires) and fires[fire][0] < start:
+                    fires[fire][1]()
+                    fire += 1
+                cut = fires[fire][0] + 1 if fire < len(fires) else n
         return out
 
     def _plan_chunk(self, d_hsns: list[int], first: list[int], resolve,

@@ -13,7 +13,7 @@ equations (1)–(2) over the engine's own measured hit/miss ratios.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +110,7 @@ class TranslationEngine:
 
     def translate_hsn_batch(self, hsns: np.ndarray,
                             stops: Sequence[int] | None = None,
+                            fires: Sequence[tuple[int, Callable]] = (),
                             ) -> tuple[np.ndarray, np.ndarray,
                                        np.ndarray, np.ndarray]:
         """Vectorised :meth:`translate_hsn` over an HSN array.
@@ -117,28 +118,38 @@ class TranslationEngine:
         Returns ``(dsns, latencies_ns, l1_hits, l2_hits)``.  DSNs, hit
         classes, per-access latency values, cache/walk counters, and SMC
         state are identical to the scalar loop; the registry's latency
-        *total* accumulates in one addition per batch, so it can differ
-        from the sequential sum in the last ULPs (see docs/PERF.md).
+        *total* accumulates in one addition per slice (below), so it can
+        differ from the sequential sum in the last ULPs (see
+        docs/PERF.md).
 
         ``stops`` says that ``hsns`` is several batches end to end
-        (their exclusive end offsets, the last one ``len(hsns)``): one
-        SMC lookup serves them all and the float accumulators advance
-        once per batch, so every counter ends where translating the
-        batches one call at a time leaves it.
+        (their exclusive end offsets, the last one ``len(hsns)``), and
+        ``fires`` are the SMC corruptions scheduled among these lookups
+        (``(offset, drop)`` pairs, see
+        :meth:`SegmentMappingCache.lookup_batch`): one SMC lookup serves
+        them all, each fire cutting a chunk there and dropping its
+        entry.  The float accumulators advance once per slice between
+        consecutive stops and fires — the slicing that translating the
+        batches one call at a time produces — so every counter ends
+        where that leaves it.
         """
         def _resolve(hsn: int) -> int:
             return self.tables.walk(hsn).dsn
 
         dsns, l1_hits, l2_hits = self.smc.lookup_batch(
-            hsns, _resolve, resolve_batch=self.tables.walk_batch)
+            hsns, _resolve, resolve_batch=self.tables.walk_batch,
+            fires=fires)
         latencies = self.smc.latency_ns_batch(l1_hits, l2_hits)
         misses = ~(l1_hits | l2_hits)
         if misses.any():
             latencies = latencies + misses * self.miss_penalty_ns
             self._table_walks.inc(int(misses.sum()))
         self._translations.inc(len(dsns))
+        slices = stops or (len(dsns),)
+        if fires:
+            slices = sorted({*slices, *(offset + 1 for offset, _ in fires)})
         start = 0
-        for stop in stops or (len(dsns),):
+        for stop in slices:
             batch = latencies[start:stop]
             self._latency_total.inc(float(batch.sum()))
             self._latency_hist.observe_batch(batch)

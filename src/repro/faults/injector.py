@@ -22,7 +22,9 @@ contract the property suite pins down.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -288,29 +290,22 @@ class FaultInjector:
                 corrupted = True
         return corrupted
 
-    def smc_lookup_span(self, n: int) -> int:
-        """How many of the next ``n`` lookups may be translated at once.
+    def on_smc_lookup_batch(self, hsns: np.ndarray, translation,
+                            ) -> list[tuple[int, Callable[[], None]]]:
+        """:meth:`on_smc_lookup` for every lookup of ``hsns``, asked once
+        before they are translated.
 
         Corruption is the one access-path fault that changes *later*
-        translations, so a vector translation must end with the first
-        lookup that fires; pure peek, no counter moves.
+        translations, so nothing is dropped here: the counters move as
+        ``len(hsns)`` scalar calls would, and each fire comes back as
+        ``(offset, drop)``, in the order the scalar loop fires them.
+        The translation runs ``drop()`` right after the lookup at
+        ``offset`` (``SegmentMappingCache.lookup_batch``'s ``fires``).
         """
-        for index, spec in self._by_hook[HookPoint.SMC_LOOKUP]:
-            offsets = spec.fire_offsets(self._spec_visits[index],
-                                        self._spec_fires[index], n)
-            if offsets:
-                n = offsets[0] + 1
-        return n
-
-    def on_smc_lookup_batch(self, hsns: np.ndarray, translation) -> None:
-        """:meth:`on_smc_lookup` after translating ``hsns`` in one go.
-
-        ``len(hsns)`` must not exceed :meth:`smc_lookup_span`, so only
-        the last lookup can fire and nothing was translated past it.
-        """
-        for offset, _, spec in self._batch_fires(HookPoint.SMC_LOOKUP,
-                                                 len(hsns)):
-            self._smc_fire(spec, int(hsns[offset]), translation)
+        return [(offset, partial(self._smc_fire, spec, int(hsns[offset]),
+                                 translation))
+                for offset, _, spec in self._batch_fires(
+                    HookPoint.SMC_LOOKUP, len(hsns))]
 
     def _smc_fire(self, spec: FaultSpec, hsn: int, translation) -> None:
         """Account one fired corruption: drop ``hsn``'s cached entry."""

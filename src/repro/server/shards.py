@@ -345,10 +345,11 @@ class ControllerShard:
         :meth:`apply_access_batch` would have on its own: its clock,
         its slice, its hooks, its audit.
 
-        An exception is delivered to the request whose slice raised;
-        the requests before it keep their results and the ones after it
-        are served one by one (as is the whole run, should the
-        look-ahead itself raise).
+        An exception is delivered to the request whose slice raised, and
+        the requests after it are still served from the look-ahead: a
+        raising slice moves no mapping and no SMC entry, and the guard
+        holds whether or not the hooks it skips run.  Should the
+        look-ahead itself raise, the run is served one by one.
         """
         controller = self.controller
         calls = [_access_call(*args) for _, args, _ in run]
@@ -367,8 +368,8 @@ class ControllerShard:
         self.lookaheads += 1
         self.lookahead_calls += len(run)
         start = 0
-        for position, ((_, _, future), (_, _, _, writes, t_s), stop) \
-                in enumerate(zip(run, calls, stops)):
+        for (_, _, future), (_, _, _, writes, t_s), stop \
+                in zip(run, calls, stops):
             self.observe_time(t_s)
             try:
                 result = controller.serve_call(ahead.call(start, stop),
@@ -376,10 +377,8 @@ class ControllerShard:
                 self._after_access(stop - start)
             except Exception as exc:  # typed by the server layer
                 future.set_exception(exc)
-                for item in run[position + 1:]:
-                    self._serve_one(item)
-                return
-            future.set_result(result)
+            else:
+                future.set_result(result)
             start = stop
 
     def apply_stats(self) -> dict[str, Any]:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DtlConfig
-from repro.core.controller import (_MIN_VECTOR_SPAN, LOOK_AHEAD_ACCESSES,
+from repro.core.controller import (LOOK_AHEAD_ACCESSES,
                                    SCALAR_ACCESS_WARN_THRESHOLD,
                                    DtlController)
 from repro.core.segment_cache import SegmentCacheConfig
@@ -300,6 +300,23 @@ def chunks_per_lookup(controller: DtlController) -> list[int]:
     return tally
 
 
+def fires_per_translation(controller: DtlController) -> list[tuple]:
+    """Shadow the translation: the returned list gains one entry per
+    ``translate_hsn_batch`` call — how many calls it translated, how
+    many accesses, and the offsets of the SMC corruptions among them."""
+    translation = controller.translation
+    tally: list[tuple] = []
+    translate = translation.translate_hsn_batch
+
+    def recorded(hsns, stops=None, fires=()):
+        tally.append((len(stops or (len(hsns),)), len(hsns),
+                      [offset for offset, _ in fires]))
+        return translate(hsns, stops, fires)
+
+    translation.translate_hsn_batch = recorded
+    return tally
+
+
 @pytest.mark.parametrize("migrating", [False, True],
                          ids=["quiet", "migrating"])
 @pytest.mark.parametrize("self_refresh", [True, False],
@@ -553,6 +570,7 @@ def test_look_ahead_identity_in_served_shape(mode):
     reference, twin = served_pair(
         server_fault_plan(0, 0) if mode == "chaos" else None,
         enable_self_refresh=mode != "sr-off")
+    translated = fires_per_translation(twin)
     rng = np.random.default_rng(23)
     clock_ns, call, prefixes = 0.0, 0, []
     while call < 15 * len(CALL_LENGTHS):
@@ -570,8 +588,7 @@ def test_look_ahead_identity_in_served_shape(mode):
         reference.trace.clear()
         twin.trace.clear()
     # The shape held: look-aheads of several calls served a good share
-    # (armed, calls shorter than a vector span never join one) and, where
-    # it can, self-refresh ran its whole cycle under them.
+    # and, where it can, self-refresh ran its whole cycle under them.
     assert sum(taken for taken in prefixes if taken > 1) > call // 3
     assert max(prefixes) >= 4
     counters = reference.metrics.counter_values()
@@ -581,6 +598,10 @@ def test_look_ahead_identity_in_served_shape(mode):
     if mode == "chaos":
         assert counters["faults.injected.smc.lookup"] >= 3
         assert counters["faults.injected.cxl.access"] >= 3
+        # Hostile condition: a look-ahead of several calls ran through
+        # a corruption, lookups after it translated in the same pass.
+        assert any(calls > 1 and any(offset < n - 1 for offset in offsets)
+                   for calls, n, offsets in translated)
 
 
 def test_look_ahead_stops_at_a_pending_migration():
@@ -650,36 +671,38 @@ def test_look_ahead_stops_before_an_idle_channel_can_enter():
     assert sum(event.swaps for event in entries) > 0
 
 
-@pytest.mark.parametrize("fire_at, expected", [(300, [2, 1, 1]),
-                                               (255, [2, 2])])
-def test_look_ahead_stops_at_an_smc_corruption(fire_at, expected):
-    """The corrupted entry matters to the next lookup, so a look-ahead
-    ends with the firing one — inside a call, the call is left to
-    ``access_batch``'s own cut."""
+@pytest.mark.parametrize("fire_at", [300, 255])
+def test_look_ahead_runs_through_an_smc_corruption(fire_at):
+    """The corrupted entry matters from the next lookup on, so the SMC
+    lookup cuts a chunk after the firing one and drops the entry there —
+    inside a call (300) or on a call's last lookup (255), the four calls
+    still share one look-ahead and one ``lookup_batch``."""
     plan = FaultPlan(specs=(SmcCorruptionFault(start=fire_at,
                                                period=10 ** 6),),
                      name=f"corrupt-{fire_at}")
     reference, twin = served_pair(plan)
+    lookups = chunks_per_lookup(twin)
+    translated = fires_per_translation(twin)
     calls = [queued(reference, call) for call in range(4)]
     prefixes, _ = check_group(reference, twin, calls, 0.0)
-    assert prefixes == expected
+    assert prefixes == [4]
+    assert len(lookups) == 1
+    assert translated == [(4, 512, [fire_at])]
     assert twin.metrics.counter_values()["faults.injected.smc.lookup"] == 1
 
 
 @pytest.mark.parametrize("armed", [False, True], ids=["clean", "armed"])
 def test_look_ahead_with_a_call_of_one_access(armed):
-    """Unarmed, every call is one vector pass and the short one rides
-    along; armed, ``access_batch`` serves it element-wise, so it stays
-    a call of its own."""
+    """Every call is one vector pass, armed or not, so the short one
+    rides along."""
     plan = FaultPlan(specs=(SmcCorruptionFault(start=10 ** 6,
                                                period=10 ** 6),),
                      name="never")
     reference, twin = served_pair(plan if armed else None)
-    assert 1 < _MIN_VECTOR_SPAN
     calls = [queued(reference, 0), queued(reference, 1, n=1),
              queued(reference, 2), queued(reference, 3)]
     prefixes, _ = check_group(reference, twin, calls, 0.0)
-    assert prefixes == ([1, 1, 2] if armed else [4])
+    assert prefixes == [4]
 
 
 def test_look_ahead_holds_a_bounded_number_of_accesses():

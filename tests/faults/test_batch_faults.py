@@ -1,8 +1,9 @@
 """Armed scalar/batch identity: ``access_batch`` under an active plan.
 
 ``access_batch`` no longer hands an armed batch to the scalar loop; it
-schedules fires by counter arithmetic and cuts only at SMC corruptions
-(docs/FAULTS.md, "Batches under an active plan").  The contract is
+schedules fires by counter arithmetic, and an SMC corruption only cuts a
+chunk inside the one SMC lookup (docs/FAULTS.md, "Batches under an
+active plan").  The contract is
 unchanged: a loop of ``access()`` and one ``access_batch()`` over the
 same trace leave twin controllers — result columns, injector counters,
 metrics, reliability report — in the same place.  The hostile cases
@@ -11,14 +12,15 @@ each assert that the hostile condition really held.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.checker import ConsistencyChecker
-from repro.core.controller import (_MIN_VECTOR_SPAN, BatchAccessResult,
-                                   DtlController)
+from repro.core.controller import BatchAccessResult, DtlController
 from repro.dram.power import PowerState
 from repro.faults import (CxlLinkFault, EccFault, FaultInjector, FaultPlan,
                           HookPoint, PowerExitFault, SmcCorruptionFault)
@@ -92,6 +94,14 @@ def fires(controller: DtlController, point: HookPoint) -> int:
     return controller._faults.injected(point)
 
 
+def concat(parts: list[BatchAccessResult]) -> BatchAccessResult:
+    """Consecutive sub-batch results joined back into one batch."""
+    return BatchAccessResult(**{
+        column.name: np.concatenate([getattr(part, column.name)
+                                     for part in parts])
+        for column in dataclasses.fields(BatchAccessResult)})
+
+
 # -- property: hypothesis-drawn plans ----------------------------------------
 
 #: Dense (the escalated-soak range) and sparse (the server plan's range).
@@ -140,7 +150,7 @@ def test_identity_under_drawn_plans(plan, seed, call):
     scalar, batch = build_armed_pair(plan)
     hpas, writes = random_trace(small_config(), 400, seed, num_aus=NUM_AUS)
     scalar_results = run_scalar(scalar, hpas, writes, now_ns=500.0)
-    batch_result = BatchAccessResult.concat([
+    batch_result = concat([
         batch.access_batch(0, hpas[at:at + call], writes[at:at + call],
                            now_ns=500.0)
         for at in range(0, len(hpas), call)])
@@ -321,8 +331,9 @@ def test_sr_ranks_asleep_on_both_channels_wake_in_global_order():
         assert penalties[0] - penalties[1] == 2400.0
 
 
-def test_short_spans_go_elementwise_long_ones_stay_vectorised():
-    """The dense-plan backstop, observed through the translation path."""
+def test_a_dense_plan_stays_one_vector_pass():
+    """However densely corruptions fire, a batch is one vector pass: one
+    ``translate_hsn_batch`` call, never a scalar ``translate_hsn``."""
     calls = {"scalar": 0, "batch": 0}
 
     def counted(controller, name, key):
@@ -334,8 +345,7 @@ def test_short_spans_go_elementwise_long_ones_stay_vectorised():
         setattr(controller.translation, name, wrapper)
 
     hpas, writes = random_trace(small_config(), 256, 6, num_aus=NUM_AUS)
-    for period, expect_scalar in ((1, 256), (_MIN_VECTOR_SPAN - 1, 256),
-                                  (_MIN_VECTOR_SPAN, 0), (64, 0)):
+    for period in (1, 7, 8, 64):
         plan = FaultPlan(specs=(SmcCorruptionFault(
             start=period - 1, period=period),), name=f"p{period}")
         scalar, batch = build_armed_pair(plan)
@@ -345,5 +355,6 @@ def test_short_spans_go_elementwise_long_ones_stay_vectorised():
         scalar_results = run_scalar(scalar, hpas, writes)
         batch_result = batch.access_batch(0, hpas, writes)
         assert_results_match(scalar_results, batch_result)
-        assert calls["scalar"] == expect_scalar
-        assert calls["batch"] == (256 // period if not expect_scalar else 0)
+        assert_armed_match(scalar, batch)
+        assert calls == {"scalar": 0, "batch": 1}
+        assert fires(batch, HookPoint.SMC_LOOKUP) == 256 // period

@@ -1,20 +1,28 @@
-"""A ``free`` can leave live segments on an MPSM rank (ROADMAP item 2).
+"""A ``free`` can leave live segments on an MPSM rank (ROADMAP item 1).
 
 Present since before PR 23, recorded there, not fixed: with the service
 geometry (``small_dtl_config``), chaos off and simulated time advancing
 10 ms per step — so every channel sits in self-refresh with one standby
 rank — the second round of tenants freeing their oldest VM parks a rank
-pair in MPSM (``apply_free`` -> ``maybe_power_down``, no copies pending)
-while segments allocated there are still mapped.  The audit that follows
-says so, and the next ``access_batch`` that touches one raises
-``PowerStateError`` through the fault barrier (``internal``).
+pair in MPSM while segments allocated there are still mapped.  The audit
+that follows says so, and the next ``access_batch`` that touches one
+raises ``PowerStateError`` through the fault barrier (``internal``).
 
-The cause is not established (suspect: consolidation targets that are
-asleep).  The script below is the reproduction; the test is a strict
-``xfail`` so the timed-legality work of ROADMAP item 2 inherits a
-failing test, and so a fix cannot land without turning it into a pass.
-A fix changes what consolidation does, which moves ``model_cost``: it
-does not belong in a performance PR.
+The cause: ``small_dtl_config`` migrates in the background, so
+``_try_power_down_once`` *fences* its victim group — drops it from
+``RankPowerDownPolicy._active`` — and leaves the ranks in ``STANDBY``
+while their evacuation copies drain.  The self-refresh host never reads
+``_active``: ``_execute_swaps`` takes any partner whose device state is
+``STANDBY``, so a channel entering self-refresh swaps cold segments
+onto the fenced victim.  When the copies have drained,
+``_finish_pending`` (reached from ``apply_free`` -> ``_drain_migrations``
+-> ``pump``) parks the victim in MPSM without checking what it holds.
+
+The script below is the reproduction; the test is a strict ``xfail`` so
+the fix — one owner for a rank's role, ROADMAP item 1 — cannot land
+without turning it into a pass.  A fix changes what consolidation and
+self-refresh do, which moves ``model_cost``: it does not belong in a
+performance PR.
 """
 
 import asyncio
@@ -98,7 +106,8 @@ async def run_script() -> None:
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="free parks ranks in MPSM with live segments "
-                          "still mapped there (ROADMAP item 2)")
+                   reason="self-refresh swaps segments onto a fenced "
+                          "power-down victim, which is then parked in MPSM "
+                          "(ROADMAP item 1)")
 def test_a_free_never_leaves_live_segments_on_an_mpsm_rank():
     asyncio.run(run_script())

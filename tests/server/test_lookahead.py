@@ -182,11 +182,14 @@ def test_an_exception_inside_a_look_ahead_goes_to_its_own_request():
     """Three requests share a look-ahead and the middle one's slice
     raises (a live segment left on an MPSM rank — only the fault
     barrier's cases can get here): the first keeps its result, the
-    middle one gets the exception, the third is served on its own."""
+    middle one gets the exception, the third is still served from the
+    look-ahead — translated once, so the replies, the SMC and the
+    translation counters, the injector and the shard all end where
+    submitting the three one at a time leaves them, chaos off and on."""
     names = tenants_by_shard((3, 0))
 
-    async def scenario():
-        server = DtlServer(ServerConfig(chaos=False))
+    async def scenario(chaos: bool, together: bool):
+        server = DtlServer(ServerConfig(chaos=chaos))
         await server.start(serve_tcp=False)
         shard = server.shards[shard_of(names[0], 2)]
         controller = shard.controller
@@ -223,17 +226,27 @@ def test_an_exception_inside_a_look_ahead_goes_to_its_own_request():
         controller.device.set_rank_state(victim, PowerState.MPSM,
                                          shard.now_s)
         applied = shard.applied
-        replies = await asyncio.gather(
-            *(server.handle_request(request) for request in requests))
+        replies = await submit(server, requests, together)
         assert [reply.get("ok") for reply in replies] == [True, False, True]
         assert replies[1]["error"] == "internal"
         assert "PowerStateError" in replies[1]["message"]
         assert replies[0]["n"] == replies[2]["n"] == BATCH
-        assert (shard.lookaheads, shard.lookahead_calls) == (1, 3)
+        assert (shard.lookaheads, shard.lookahead_calls) \
+            == ((1, 3) if together else (0, 0))
         assert shard.applied == applied + 2
         counters = server.metrics.counter_values()
         assert counters["server.internal_errors"] == 1
         assert counters["server.accesses"] == 2 * BATCH
+        datapath = {name: value for name, value
+                    in controller.metrics.counter_values().items()
+                    if name.startswith(("smc.", "translation."))}
+        state = (replies, datapath, shard.fingerprint(),
+                 injector_states(server) if chaos else None)
         await server.drain()
+        return state
 
-    asyncio.run(scenario())
+    for chaos in (False, True):
+        grouped = asyncio.run(scenario(chaos, True))
+        single = asyncio.run(scenario(chaos, False))
+        assert grouped[:2] == single[:2]  # replies, smc.*, translation.*
+        assert grouped == single
