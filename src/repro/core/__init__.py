@@ -3,7 +3,7 @@
 from repro.core.addressing import (DEFAULT_AU_BYTES, DEFAULT_MAX_HOSTS,
                                    DeviceAddressLayout, HostAddressLayout,
                                    SegmentLocation)
-from repro.core.allocator import RankUsage, SegmentAllocator
+from repro.core.allocator import RankRole, RankUsage, SegmentAllocator
 from repro.core.checker import (AuditReport, ConsistencyChecker,
                                 ConsistencyError, check)
 from repro.core.config import DtlConfig
@@ -25,6 +25,7 @@ __all__ = [
     "DeviceAddressLayout",
     "HostAddressLayout",
     "SegmentLocation",
+    "RankRole",
     "RankUsage",
     "SegmentAllocator",
     "DtlConfig",

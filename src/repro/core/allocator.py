@@ -5,8 +5,8 @@ Implements the paper's balancing policy (Section 4.3):
 * Every channel contributes an **equal number of free segments** to each
   allocation so per-VM channel bandwidth stays balanced.
 * Within a channel, the free queue of the rank with the **highest capacity
-  utilisation** (among ranks allowed to serve allocations) has priority —
-  this packs data into few ranks and minimises later migration.
+  utilisation** (among the ``OPEN`` ranks) has priority — this packs data
+  into few ranks and minimises later migration.
 
 Layout (Table 5's "free" and "allocated segment queues"): every rank's
 free queue is one row of a flat ring-buffer array — ``segments_per_rank``
@@ -14,21 +14,34 @@ DSN slots, a head and a count — and "allocated" is one flag per DSN.
 Every segment of a rank is in exactly one of the two, so a rank's
 allocated count is its capacity minus its free count.  The FIFO order of
 each free queue is part of the contract: it decides which DSN the next
-allocation is handed.
+allocation is handed.  Data reaches a rank only through this class, so
+each rank's :class:`RankRole` lives here too.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.addressing import (DeviceAddressLayout, StructureSize,
                                    all_distinct)
+from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
-from repro.errors import AddressError, AllocationError
+from repro.dram.power import PowerState
+from repro.errors import AddressError, AllocationError, PowerStateError
 
 RankId = tuple[int, int]
+
+
+class RankRole(enum.Enum):
+    """May this rank take data?  (docs/MECHANISMS.md, "Rank roles")"""
+
+    OPEN = "open"  # yes: in standby, or in self-refresh and woken by it
+    FENCED = "fenced"  # a power-down victim still being evacuated
+    PARKED = "parked"  # by power-down, or an empty SR victim in MPSM
+    RETIRED = "retired"
 
 
 @dataclass
@@ -75,6 +88,8 @@ class SegmentAllocator:
         self._free = [geometry.segments_per_rank] * len(self._row_of)
         # Allocated "queue": one flag per DSN.
         self._in_use = np.zeros(geometry.total_segments, dtype=bool)
+        # One role per ring row.
+        self._roles = [RankRole.OPEN] * len(self._row_of)
 
     def table5_rows(self) -> dict[str, StructureSize]:
         """The Table 5 rows these books are: one DSN per device segment
@@ -145,12 +160,52 @@ class SegmentAllocator:
         """Total allocated segments in the device."""
         return self.geometry.total_segments - sum(self._free)
 
-    def free_count(self, allowed_ranks: set[RankId] | None = None) -> int:
-        """Total free segments (optionally restricted to ``allowed_ranks``)."""
-        if allowed_ranks is None:
-            return sum(self._free)
-        return sum(self._free[row] for rank_id, row in self._row_of.items()
-                   if rank_id in allowed_ranks)
+    def free_count(self) -> int:
+        """Free segments an allocation can take: those of ``OPEN`` ranks."""
+        return sum(free for free, role in zip(self._free, self._roles)
+                   if role is RankRole.OPEN)
+
+    # -- roles -----------------------------------------------------------
+
+    def role(self, rank_id: RankId) -> RankRole:
+        """The role of ``rank_id``."""
+        return self._roles[self._row_of[rank_id]]
+
+    def open_ranks(self) -> set[RankId]:
+        """Every rank that may take data."""
+        return {rank_id for rank_id, row in self._row_of.items()
+                if self._roles[row] is RankRole.OPEN}
+
+    def set_role(self, rank_ids: list[RankId], role: RankRole) -> None:
+        """Fence or reopen ranks; closing one for good is :meth:`park`."""
+        for rank_id in rank_ids:
+            self._roles[self._row_of[rank_id]] = role
+
+    def park(self, device: DramDevice, rank_ids: list[RankId],
+             state: PowerState, now_s: float,
+             role: RankRole = RankRole.PARKED) -> float:
+        """Close ``rank_ids`` with ``role`` and move them to ``state`` —
+        the one way into a state that loses data.  Returns the largest
+        exit penalty (ns).
+
+        Raises:
+            PowerStateError: if any of them holds allocated segments
+                (nothing changes then).
+        """
+        for rank_id in rank_ids:
+            if self.usage(rank_id).allocated:
+                raise PowerStateError(
+                    f"rank {rank_id} holds {self.usage(rank_id).allocated} "
+                    f"allocated segments; {state.name} would lose them")
+        self.set_role(rank_ids, role)
+        return max((device.set_rank_state(rank_id, state, now_s)
+                    for rank_id in rank_ids), default=0.0)
+
+    def _check_open(self, row: int) -> None:
+        if self._roles[row] is not RankRole.OPEN:
+            raise AllocationError(
+                f"rank {divmod(row, self.geometry.ranks_per_channel)} is "
+                f"{self._roles[row].value}, not open")
 
     def channel_allocated(self, channel: int) -> int:
         """Allocated segments on one channel."""
@@ -166,29 +221,27 @@ class SegmentAllocator:
 
     # -- allocation -------------------------------------------------------------
 
-    def _pick_row(self, channel: int, allowed_ranks) -> int | None:
-        """Ring row of the most-utilised allowed rank on ``channel`` that
+    def _pick_row(self, channel: int) -> int | None:
+        """Ring row of the most-utilised open rank on ``channel`` that
         still has space (ranks are equally large, so: the fewest free
         segments; the lowest rank index among equals)."""
         best: int | None = None
         best_free = self.geometry.segments_per_rank + 1
-        for rank in range(self.geometry.ranks_per_channel):
-            row = self._row_of[(channel, rank)]
+        ranks = self.geometry.ranks_per_channel
+        for row in range(channel * ranks, (channel + 1) * ranks):
             free = self._free[row]
             if (free and free < best_free
-                    and (channel, rank) in allowed_ranks):
+                    and self._roles[row] is RankRole.OPEN):
                 best, best_free = row, free
         return best
 
-    def allocate(self, num_segments: int,
-                 allowed_ranks: set[RankId] | None = None) -> np.ndarray:
-        """Allocate ``num_segments`` segments, spread evenly over channels.
+    def allocate(self, num_segments: int) -> np.ndarray:
+        """Allocate ``num_segments`` segments of ``OPEN`` ranks, spread
+        evenly over channels.
 
         Args:
             num_segments: Must be a multiple of the channel count so each
                 channel contributes equally (AUs always satisfy this).
-            allowed_ranks: Ranks permitted to serve the allocation (e.g. the
-                currently active ranks).  Defaults to all ranks.
 
         Returns:
             The allocated DSNs.
@@ -202,24 +255,23 @@ class SegmentAllocator:
             raise AllocationError(
                 f"allocation of {num_segments} segments does not divide "
                 f"evenly over {channels} channels")
-        if allowed_ranks is None:
-            allowed_ranks = self._row_of.keys()
         per_channel = num_segments // channels
+        ranks = self.geometry.ranks_per_channel
         for channel in range(channels):
-            available = sum(
-                self._free[self._row_of[(channel, rank)]]
-                for rank in range(self.geometry.ranks_per_channel)
-                if (channel, rank) in allowed_ranks)
+            rows = slice(channel * ranks, (channel + 1) * ranks)
+            available = sum(free for free, role
+                            in zip(self._free[rows], self._roles[rows])
+                            if role is RankRole.OPEN)
             if available < per_channel:
                 raise AllocationError(
                     f"channel {channel} has only {available} free segments "
-                    f"in allowed ranks, need {per_channel}")
+                    f"in open ranks, need {per_channel}")
         per_channel_dsns: list[np.ndarray] = []
         for channel in range(channels):
             taken: list[np.ndarray] = []
             remaining = per_channel
             while remaining:
-                row = self._pick_row(channel, allowed_ranks)
+                row = self._pick_row(channel)
                 if row is None:  # pragma: no cover - guarded above
                     raise AllocationError("allocator invariant violated")
                 take = min(remaining, self._free[row])
@@ -234,8 +286,9 @@ class SegmentAllocator:
 
     def allocate_in_rank(self, rank_id: RankId,
                          num_segments: int) -> np.ndarray:
-        """Allocate segments from a single specific rank (migration target)."""
+        """Allocate segments from one open rank (migration target)."""
         row = self._row_of[rank_id]
+        self._check_open(row)
         if self._free[row] < num_segments:
             raise AllocationError(
                 f"rank {rank_id} has {self._free[row]} free segments, "
@@ -268,27 +321,31 @@ class SegmentAllocator:
             self._append(row, dsns[rows == row])
 
     def reserve_specific(self, dsn: int) -> None:
-        """Allocate one specific free segment (migration destinations)."""
-        rank_id = self.rank_of_dsn(dsn)
+        """Allocate one free segment of an open rank (migration target)."""
+        row = self._row_of[self.rank_of_dsn(dsn)]
+        self._check_open(row)
         if self._in_use.item(dsn):
             raise AllocationError(f"DSN {dsn:#x} is not free")
         self._in_use[dsn] = True
-        self._drop_reserved(self._row_of[rank_id])
+        self._drop_reserved(row)
 
     def reserve_batch(self, dsns: list[int] | np.ndarray) -> None:
         """:meth:`reserve_specific` for every element of ``dsns``, in
         order.
 
-        Distinct free segments leave their queues together; otherwise
-        the first DSN that is not free (or is named a second time)
-        raises, with the ones before it reserved.
+        Distinct free segments of open ranks leave their queues
+        together; otherwise the first DSN that cannot be reserved
+        (taken, named twice, on a closed rank) raises, with the ones
+        before it reserved.
         """
         dsns = np.asarray(dsns, dtype=np.int64)
         if len(dsns) > 1:
-            rows = self._rows_of(dsns)
-            if not self._in_use[dsns].any() and all_distinct(dsns):
+            rows = np.flatnonzero(np.bincount(self._rows_of(dsns))).tolist()
+            if (not self._in_use[dsns].any() and all_distinct(dsns)
+                    and all(self._roles[row] is RankRole.OPEN
+                            for row in rows)):
                 self._in_use[dsns] = True
-                for row in np.flatnonzero(np.bincount(rows)).tolist():
+                for row in rows:
                     self._drop_reserved(row)
                 return
         for dsn in dsns.tolist():
@@ -374,4 +431,4 @@ class SegmentAllocator:
             self.move_allocation(old_dsn, new_dsn)
 
 
-__all__ = ["RankId", "RankUsage", "SegmentAllocator"]
+__all__ = ["RankId", "RankRole", "RankUsage", "SegmentAllocator"]

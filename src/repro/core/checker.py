@@ -8,9 +8,10 @@ that they agree:
 1. forward/reverse mapping tables are exact inverses;
 2. every mapped DSN is allocated and every allocated DSN is mapped;
 3. allocated + free segments partition the device;
-4. MPSM ranks hold no data (MPSM does not retain!);
-5. every SMC entry agrees with the tables;
-6. channel occupancy is balanced across channels (modulo retirement).
+4. ranks in a state that loses data (MPSM) hold none;
+5. rank roles agree with power states and the copies in flight;
+6. every SMC entry agrees with the tables;
+7. channel occupancy is balanced across channels (modulo retirement).
 
 Tests call :func:`check` after every mutation sequence; long-running
 simulations can enable periodic audits.  Violations raise
@@ -21,9 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.allocator import RankRole
 from repro.core.controller import DtlController
 from repro.dram.power import PowerState
 from repro.errors import ReproError
+
+
+#: The power states a closed role may sit in (an ``OPEN`` rank: any).
+_ROLE_STATES = {
+    RankRole.FENCED: {PowerState.STANDBY},
+    RankRole.PARKED: {PowerState.SELF_REFRESH, PowerState.MPSM},
+    RankRole.RETIRED: {PowerState.MPSM},
+}
 
 
 class ConsistencyError(ReproError):
@@ -107,16 +117,34 @@ class ConsistencyChecker:
                         f" + free {free} != "
                         f"{geometry.segments_per_rank}")
 
-    def check_mpsm_ranks_empty(self, report: AuditReport) -> None:
-        """MPSM loses data, so MPSM ranks must hold no live segments."""
+    def check_retention(self, report: AuditReport) -> None:
+        """A rank in a state that loses data holds no allocated segment."""
         allocator = self.controller.allocator
         for rank_id, rank in self.controller.device.ranks.items():
-            if rank.state is PowerState.MPSM:
+            if not rank.state.retains_data():
                 held = allocator.usage(rank_id).allocated
                 if held:
                     report.violations.append(
-                        f"rank {rank_id} is in MPSM but holds {held} "
-                        "live segments")
+                        f"rank {rank_id} is in {rank.state.name} but holds "
+                        f"{held} live segments")
+
+    def check_rank_roles(self, report: AuditReport) -> None:
+        """Every rank's role agrees with its power state, and no copy in
+        flight targets a rank that may not take data."""
+        allocator = self.controller.allocator
+        targets = self.controller.migration.tracked_copies()[2]
+        for rank_id in sorted(set(allocator.ranks_of_dsns(targets))):
+            role = allocator.role(rank_id)
+            if role is not RankRole.OPEN:
+                report.violations.append(
+                    f"rank {rank_id} is {role.value} but a copy in flight "
+                    "targets it")
+        for rank_id, rank in self.controller.device.ranks.items():
+            role = allocator.role(rank_id)
+            if rank.state not in _ROLE_STATES.get(role, PowerState):
+                report.violations.append(
+                    f"rank {rank_id} is {role.value} but in "
+                    f"{rank.state.name}")
 
     def check_smc_coherence(self, report: AuditReport) -> None:
         """Every cached translation must match the tables."""
@@ -191,7 +219,8 @@ class ConsistencyChecker:
         self.check_mapping_inverse(report)
         self.check_allocation_agreement(report)
         self.check_segment_conservation(report)
-        self.check_mpsm_ranks_empty(report)
+        self.check_retention(report)
+        self.check_rank_roles(report)
         self.check_smc_coherence(report)
         self.check_migration_tracking(report)
         self.check_channel_balance(report, balance_tolerance)

@@ -276,9 +276,6 @@ class DtlController:
         segments_needed = num_aus * self.host_layout.segments_per_au
         if self.power_down is not None:
             self.power_down.ensure_capacity(segments_needed, now_s)
-            allowed = self.power_down.active_rank_ids()
-        else:
-            allowed = None
         free_aus = self._free_aus(host_id)
         if len(free_aus) < num_aus:
             raise AllocationError(
@@ -288,7 +285,7 @@ class DtlController:
             for au_id in au_ids:
                 self.tables.allocate_au(host_id, au_id)
                 dsns = self.allocator.allocate(
-                    self.host_layout.segments_per_au, allowed)
+                    self.host_layout.segments_per_au)
                 self._wake_ranks_holding(dsns, now_s)
                 self.tables.map_au_segments(host_id, au_id, dsns)
         except AllocationError:

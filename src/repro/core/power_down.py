@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.allocator import RankId, SegmentAllocator
+from repro.core.allocator import RankId, RankRole, SegmentAllocator
 from repro.core.config import DtlConfig
 from repro.core.migration import MigrationEngine
 from repro.core.tables import TranslationTables
@@ -39,6 +39,9 @@ from repro.dram.power import PowerState
 from repro.errors import AllocationError
 from repro.policies import DemotionLevel, Policy, RankStats, make_policy
 from repro.telemetry import EventTrace, MetricsRegistry
+
+#: Roles a reactivation may reopen (a fenced rank is still in standby).
+_RECLAIMABLE = (RankRole.FENCED, RankRole.PARKED)
 
 
 @dataclass
@@ -55,11 +58,12 @@ class PowerTransition:
 
 @dataclass
 class PendingPowerDown:
-    """A consolidation still copying in the background.
+    """A consolidation whose victims park once its copies drain.
 
-    The victim ranks are already fenced from new allocations; the park
-    transition happens once the migration engine drains (the paper copies
-    "in background by utilizing unused DRAM bandwidth").
+    The victim ranks are already ``FENCED`` (no new data); in the
+    background mode the park waits for the migration engine to drain
+    (the paper copies "in background by utilizing unused DRAM
+    bandwidth").
     """
 
     victims: tuple[RankId, ...]
@@ -99,12 +103,6 @@ class RankPowerDownPolicy:
                        else make_policy(config.policy))
         self.group_granularity = config.group_granularity
         self.min_active_groups = config.min_active_groups
-        # Active ranks, tracked per channel so virtual groups are possible.
-        self._active: dict[int, set[int]] = {
-            channel: set(range(geometry.ranks_per_channel))
-            for channel in range(geometry.channels)}
-        # Quarantined (retired) ranks: never reactivated, never allocated.
-        self._quarantined: set[RankId] = set()
         #: When True, consolidation copies proceed only as idle bandwidth
         #: is granted via :meth:`pump`, and the park waits for them.
         self.background_migration = config.background_migration
@@ -134,31 +132,21 @@ class RankPowerDownPolicy:
 
     # -- queries --------------------------------------------------------------
 
-    def active_rank_ids(self) -> set[RankId]:
-        """All ranks currently in standby (allocatable)."""
-        return {(channel, rank)
-                for channel, ranks in self._active.items()
-                for rank in ranks}
+    def _ranks(self, channel: int, *roles: RankRole) -> list[int]:
+        """Ranks of ``channel`` whose role is one of ``roles``, in order."""
+        role = self.allocator.role
+        return [rank for rank in range(self.geometry.ranks_per_channel)
+                if role((channel, rank)) in roles]
 
     def active_ranks_per_channel(self) -> int:
-        """Minimum standby ranks over all channels.
+        """Minimum ``OPEN`` ranks over all channels.
 
         Channels stay balanced under normal operation; rank retirement can
         leave one channel a rank short, in which case the minimum governs
         both victim selection and capacity planning.
         """
-        return min(len(ranks) for ranks in self._active.values())
-
-    def powered_down_ranks(self) -> set[RankId]:
-        """Ranks currently parked (MPSM or policy-chosen self-refresh)."""
-        all_ranks = {(channel, rank)
-                     for channel in range(self.geometry.channels)
-                     for rank in range(self.geometry.ranks_per_channel)}
-        return all_ranks - self.active_rank_ids()
-
-    def free_segments_in_active(self) -> int:
-        """Unallocated segments among active ranks."""
-        return self.allocator.free_count(self.active_rank_ids())
+        return min(len(self._ranks(channel, RankRole.OPEN))
+                   for channel in range(self.geometry.channels))
 
     def _rank_stats(self, channel: int, rank: int) -> RankStats:
         """Snapshot one rank for a policy decision."""
@@ -183,7 +171,7 @@ class RankPowerDownPolicy:
         """Ask the policy for a virtual victim rank-group.
 
         Returns ``group_granularity`` ranks per channel — chosen by the
-        policy from each channel's standby, migration-free ranks — or
+        policy from each channel's open, standby, migration-free ranks — or
         ``None`` if too few groups would remain active (or the policy
         declines).
         """
@@ -197,7 +185,7 @@ class RankPowerDownPolicy:
             # data and would need waking + evacuation first.  Ranks with
             # in-flight migrations are skipped until those drain.
             candidates = [self._rank_stats(channel, rank)
-                          for rank in self._active[channel]
+                          for rank in self._ranks(channel, RankRole.OPEN)
                           if self.device.rank(channel, rank).state
                           is PowerState.STANDBY
                           and (channel, rank) not in busy]
@@ -215,11 +203,6 @@ class RankPowerDownPolicy:
                     f"{chosen} for channel {channel}")
             victims.extend((channel, rank) for rank in chosen)
         return victims
-
-    def _victim_live_segments(self, victims: list[RankId],
-                              ) -> dict[RankId, np.ndarray]:
-        return {rank_id: self.allocator.allocated_in_rank(rank_id)
-                for rank_id in victims}
 
     # -- power-down ---------------------------------------------------------------
 
@@ -242,11 +225,12 @@ class RankPowerDownPolicy:
             return None
         group_segments = (self.geometry.rank_group_segments
                           * self.group_granularity)
-        if self.free_segments_in_active() < group_segments:
+        if self.allocator.free_count() < group_segments:
             return None
-        live = self._victim_live_segments(victims)
+        live = {rank_id: self.allocator.allocated_in_rank(rank_id)
+                for rank_id in victims}
         victim_set = set(victims)
-        remaining_active = self.active_rank_ids() - victim_set
+        remaining_active = self.allocator.open_ranks() - victim_set
         total_live = sum(len(dsns) for dsns in live.values())
         # The remaining active ranks must absorb every live segment, channel
         # by channel (migration never crosses channels).
@@ -266,47 +250,21 @@ class RankPowerDownPolicy:
         if park_state is None:
             return None
         migrated_bytes = self._consolidate(live, remaining_active, now_s)
-        per_channel: dict[int, list[int]] = {}
-        for channel, rank in victims:
-            self._active[channel].discard(rank)
-            per_channel.setdefault(channel, []).append(rank)
-        if self.background_migration and self.migration.pending_count():
-            # Victims are fenced (no new allocations) but stay in standby
-            # until their evacuation copies finish in the background.
-            pending = PendingPowerDown(
-                victims=tuple(victims), started_s=now_s,
-                migrated_segments=total_live,
-                migrated_bytes=migrated_bytes,
-                park_state=park_state)
-            self._pending.append(pending)
-            return PowerTransition(
-                time_s=now_s, rank_ids=tuple(victims),
-                new_state=PowerState.STANDBY,  # not yet parked
-                migrated_segments=total_live,
-                migrated_bytes=migrated_bytes, exit_penalty_ns=0.0)
-        # Transition one virtual rank-group (one rank per channel) per
-        # granularity step so the balance invariant is checked each time.
-        penalty = 0.0
-        for step in range(self.group_granularity):
-            group = [(channel, per_channel[channel][step])
-                     for channel in range(self.geometry.channels)]
-            penalty = max(penalty, self.device.set_virtual_rank_group_state(
-                group, park_state, now_s))
-        for rank_id in victims:
-            self._parked_at[rank_id] = (now_s, park_state)
-        transition = PowerTransition(
-            time_s=now_s, rank_ids=tuple(victims), new_state=park_state,
+        # Victims are fenced (no new data) but stay in standby until
+        # their evacuation copies finish, in the background or already.
+        self.allocator.set_role(victims, RankRole.FENCED)
+        pending = PendingPowerDown(
+            victims=tuple(victims), started_s=now_s,
             migrated_segments=total_live, migrated_bytes=migrated_bytes,
-            exit_penalty_ns=penalty)
-        self.transitions.append(transition)
-        self._count_parks(park_state, len(victims))
-        return transition
-
-    def _count_parks(self, park_state: PowerState, ranks: int) -> None:
-        if park_state is PowerState.MPSM:
-            self._mpsm_entries.inc(ranks)
-        else:
-            self._sr_parks.inc(ranks)
+            park_state=park_state)
+        if not (self.background_migration and self.migration.pending_count()):
+            return self._finish_pending(pending, now_s)
+        self._pending.append(pending)
+        return PowerTransition(
+            time_s=now_s, rank_ids=tuple(victims),
+            new_state=PowerState.STANDBY,  # not yet parked
+            migrated_segments=total_live,
+            migrated_bytes=migrated_bytes, exit_penalty_ns=0.0)
 
     def _consolidate(self, live: dict[RankId, np.ndarray],
                      remaining_active: set[RankId], now_s: float) -> int:
@@ -377,7 +335,7 @@ class RankPowerDownPolicy:
                 hold the allocation.
         """
         performed: list[PowerTransition] = []
-        while self.free_segments_in_active() < num_segments:
+        while self.allocator.free_count() < num_segments:
             transition = self._reactivate_group(now_s)
             if transition is None:
                 raise AllocationError(
@@ -405,57 +363,40 @@ class RankPowerDownPolicy:
         return copied
 
     def _finish_pending(self, pending: PendingPowerDown,
-                        now_s: float) -> None:
-        per_channel: dict[int, list[int]] = {}
-        for channel, rank in pending.victims:
-            # A reactivation may have reclaimed the rank meanwhile.
-            if rank in self._active[channel]:
-                continue
-            per_channel.setdefault(channel, []).append(rank)
-        penalty = 0.0
-        for channel, ranks in per_channel.items():
-            for rank in ranks:
-                if self.device.rank(channel, rank).state \
-                        is PowerState.STANDBY:
-                    penalty = max(penalty, self.device.set_rank_state(
-                        (channel, rank), pending.park_state, now_s))
-                    self._parked_at[(channel, rank)] = (
-                        now_s, pending.park_state)
-        self.transitions.append(PowerTransition(
+                        now_s: float) -> PowerTransition:
+        """Park every victim still ``FENCED`` (a reactivation may have
+        reopened one).  Nothing lands on a fenced rank, so none holds
+        data; were one to, the park raises — the consolidation is neither
+        re-evacuated nor cancelled."""
+        fenced = [rank_id for rank_id in pending.victims
+                  if self.allocator.role(rank_id) is RankRole.FENCED]
+        penalty = self.allocator.park(self.device, fenced,
+                                      pending.park_state, now_s)
+        for rank_id in fenced:
+            self._parked_at[rank_id] = (now_s, pending.park_state)
+        transition = PowerTransition(
             time_s=now_s, rank_ids=pending.victims,
             new_state=pending.park_state,
             migrated_segments=pending.migrated_segments,
-            migrated_bytes=pending.migrated_bytes,
-            exit_penalty_ns=penalty))
-        self._count_parks(
-            pending.park_state,
-            sum(len(ranks) for ranks in per_channel.values()))
+            migrated_bytes=pending.migrated_bytes, exit_penalty_ns=penalty)
+        self.transitions.append(transition)
+        if pending.park_state is PowerState.MPSM:
+            self._mpsm_entries.inc(len(fenced))
+        else:
+            self._sr_parks.inc(len(fenced))
+        return transition
 
     def pending_power_downs(self) -> list[PendingPowerDown]:
         """Consolidations still copying in the background."""
         return list(self._pending)
 
-    # -- quarantine (rank retirement support) -------------------------------------
-
-    def quarantine(self, rank_id: RankId) -> None:
-        """Remove a rank from service permanently (used by retirement).
-
-        The rank leaves the active set and is excluded from every future
-        reactivation; the caller is responsible for evacuating its data
-        first.
-        """
-        self._quarantined.add(rank_id)
-        self._active[rank_id[0]].discard(rank_id[1])
-        self._parked_at.pop(rank_id, None)
-
-    def quarantined_ranks(self) -> set[RankId]:
-        """Ranks permanently removed from service."""
-        return set(self._quarantined)
+    # -- rank retirement support --------------------------------------------------
 
     def ensure_capacity_on_channel(self, channel: int, num_segments: int,
-                                   exclude: set[RankId],
+                                   exclude: RankId,
                                    now_s: float = 0.0) -> None:
-        """Wake ranks on one channel until ``num_segments`` fit.
+        """Wake ranks on one channel until ``num_segments`` fit in its
+        open ranks other than ``exclude``.
 
         Used by rank retirement to make room for an evacuation without
         disturbing the other channels' balance more than necessary.
@@ -465,22 +406,19 @@ class RankPowerDownPolicy:
         """
         def free_on_channel() -> int:
             return sum(self.allocator.free_in_rank((channel, rank))
-                       for rank in self._active[channel]
-                       if (channel, rank) not in exclude)
+                       for rank in self._ranks(channel, RankRole.OPEN)
+                       if (channel, rank) != exclude)
 
         while free_on_channel() < num_segments:
-            idle = sorted(rank
-                          for rank in range(self.geometry.ranks_per_channel)
-                          if rank not in self._active[channel]
-                          and (channel, rank) not in self._quarantined
-                          and (channel, rank) not in exclude)
+            idle = [rank for rank in self._ranks(channel, *_RECLAIMABLE)
+                    if (channel, rank) != exclude]
             if not idle:
                 raise AllocationError(
                     f"channel {channel} cannot absorb {num_segments} "
                     "evacuated segments")
             rank_id = (channel, idle[0])
             self.device.set_rank_state(rank_id, PowerState.STANDBY, now_s)
-            self._active[channel].add(idle[0])
+            self.allocator.set_role([rank_id], RankRole.OPEN)
             self._observe_wake(rank_id, now_s)
 
     def _observe_wake(self, rank_id: RankId, now_s: float) -> None:
@@ -497,10 +435,7 @@ class RankPowerDownPolicy:
         """Wake the next powered-down rank(s), one group step at a time."""
         woken: list[RankId] = []
         for channel in range(self.geometry.channels):
-            idle = sorted(rank for rank in
-                          set(range(self.geometry.ranks_per_channel))
-                          - self._active[channel]
-                          if (channel, rank) not in self._quarantined)
+            idle = self._ranks(channel, *_RECLAIMABLE)
             woken.extend((channel, rank)
                          for rank in idle[:self.group_granularity])
         if not woken:
@@ -514,8 +449,8 @@ class RankPowerDownPolicy:
         for rank_id in woken:
             penalty = max(penalty, self.device.set_rank_state(
                 rank_id, PowerState.STANDBY, now_s))
-            self._active[rank_id[0]].add(rank_id[1])
             self._observe_wake(rank_id, now_s)
+        self.allocator.set_role(woken, RankRole.OPEN)
         # Injected delayed/failed park exit (hook: power.mpsm_exit).
         if self._faults is not None:
             penalty += self._faults.on_power_exit(

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.allocator import RankId, SegmentAllocator
+from repro.core.allocator import RankId, RankRole, SegmentAllocator
 from repro.core.migration import MigrationEngine
 from repro.core.power_down import RankPowerDownPolicy
 from repro.core.tables import TranslationTables
@@ -43,7 +41,7 @@ class RankRetirementManager:
     """Fences failing ranks out of the device, data intact.
 
     Requires the rank-level power-down policy: retirement reuses its
-    consolidation machinery and its active-rank bookkeeping.
+    consolidation machinery.  No reactivation reopens a ``RETIRED`` rank.
     """
 
     def __init__(self, device: DramDevice, allocator: SegmentAllocator,
@@ -55,19 +53,15 @@ class RankRetirementManager:
         self.tables = tables
         self.migration = migration
         self.power_down = power_down
-        self.retired: set[RankId] = set()
         self.records: list[RetirementRecord] = []
 
     # -- queries --------------------------------------------------------------
 
-    def is_retired(self, rank_id: RankId) -> bool:
-        """True if the rank has been fenced."""
-        return rank_id in self.retired
-
     def usable_bytes(self) -> int:
         """Device capacity excluding retired ranks."""
-        return (self.geometry.total_bytes
-                - len(self.retired) * self.geometry.rank_bytes)
+        retired = sum(self.allocator.role(rank_id) is RankRole.RETIRED
+                      for rank_id in self.device.ranks)
+        return self.geometry.total_bytes - retired * self.geometry.rank_bytes
 
     # -- retirement --------------------------------------------------------------
 
@@ -80,7 +74,7 @@ class RankRetirementManager:
                 surviving ranks of the same channel (the device is too
                 full to lose a rank safely).
         """
-        if rank_id in self.retired:
+        if self.allocator.role(rank_id) is RankRole.RETIRED:
             raise PowerStateError(f"rank {rank_id} is already retired")
         if self.migration.has_tracked_requests:
             # Background consolidation copies may have this rank as their
@@ -91,45 +85,24 @@ class RankRetirementManager:
         rank_obj = self.device.rank(channel, rank)
         was_powered_down = rank_obj.state is PowerState.MPSM
         live = self.allocator.allocated_in_rank(rank_id)
-        migrated_bytes = 0
         if len(live):
-            if was_powered_down:  # pragma: no cover - invariant guard
-                raise PowerStateError(
-                    f"rank {rank_id} is in MPSM yet holds data")
-            migrated_bytes = self._evacuate(rank_id, live, now_s)
-        # Fence: out of the active set, never to be reactivated.
-        self.power_down.quarantine(rank_id)
-        self.retired.add(rank_id)
+            # Wake parked ranks of the channel if the open ones lack room.
+            self.power_down.ensure_capacity_on_channel(
+                channel, len(live), exclude=rank_id, now_s=now_s)
+            self.power_down.evacuate(
+                live, {other for other in self.allocator.open_ranks()
+                       if other[0] == channel and other != rank_id}, now_s)
+            self.migration.drain()
         if rank_obj.state is PowerState.SELF_REFRESH:
             self.device.set_rank_state(rank_id, PowerState.STANDBY, now_s)
-        if rank_obj.state is not PowerState.MPSM:
-            self.device.set_rank_state(rank_id, PowerState.MPSM, now_s)
+        self.allocator.park(self.device, [rank_id], PowerState.MPSM, now_s,
+                            role=RankRole.RETIRED)
         record = RetirementRecord(
             rank_id=rank_id, time_s=now_s, migrated_segments=len(live),
-            migrated_bytes=migrated_bytes,
+            migrated_bytes=len(live) * self.geometry.segment_bytes,
             was_powered_down=was_powered_down)
         self.records.append(record)
         return record
-
-    def _evacuate(self, rank_id: RankId, live: np.ndarray,
-                  now_s: float) -> int:
-        """Move every live segment to surviving ranks of the channel."""
-        channel = rank_id[0]
-        survivors = {other for other in self.power_down.active_rank_ids()
-                     if other[0] == channel and other != rank_id
-                     and other not in self.retired}
-        free = sum(self.allocator.free_in_rank(other) for other in survivors)
-        if free < len(live):
-            # Wake powered-down (non-retired) ranks to make room.
-            self.power_down.ensure_capacity_on_channel(
-                channel, len(live), exclude=self.retired | {rank_id},
-                now_s=now_s)
-            survivors = {other for other in self.power_down.active_rank_ids()
-                         if other[0] == channel and other != rank_id
-                         and other not in self.retired}
-        self.power_down.evacuate(live, survivors, now_s)
-        self.migration.drain()
-        return len(live) * self.geometry.segment_bytes
 
 
 __all__ = ["RetirementRecord", "RankRetirementManager"]

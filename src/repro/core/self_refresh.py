@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.addressing import StructureSize
-from repro.core.allocator import SegmentAllocator
+from repro.core.allocator import RankRole, SegmentAllocator
 from repro.core.config import DtlConfig
 from repro.core.migration import MigrationEngine
 from repro.core.tables import TranslationTables
@@ -257,12 +257,18 @@ class HotnessSelfRefreshPolicy:
         """Enter the profiling phase and pick a victim rank.
 
         The victim block is chosen by the policy (the paper's: fewest
-        accesses in the last completed window).  Returns the victim rank
-        index, or ``None`` when fewer than two blocks are in standby
-        (nothing to consolidate into).
+        accesses in the last completed window).  Victims and targets are
+        ``OPEN`` standby ranks.  Returns the victim rank index, or
+        ``None`` when fewer than two blocks qualify (nothing to
+        consolidate into).
         """
         state = self._channels[channel]
-        blocks = self.device.standby_blocks(channel, self.victim_granularity)
+        role = self.allocator.role
+        blocks = [block for block
+                  in self.device.standby_blocks(channel,
+                                                self.victim_granularity)
+                  if all(role((channel, rank)) is RankRole.OPEN
+                         for rank in block)]
         if len(blocks) < 2:
             state.phase = ChannelPhase.IDLE
             return None
@@ -284,7 +290,8 @@ class HotnessSelfRefreshPolicy:
         state.quiet_since_ns = now_ns
         state.target_ranks = [rank for rank
                               in self.device.standby_ranks(channel)
-                              if rank not in victims]
+                              if rank not in victims
+                              and role((channel, rank)) is RankRole.OPEN]
         # The TSP is a CLOCK hand: it persists across profiling rounds so
         # repeated searches keep exploring the target ranks instead of
         # rescanning the same entries.
@@ -766,11 +773,11 @@ class HotnessSelfRefreshPolicy:
 
     def _enter_self_refresh(self, channel: int, state: _ChannelState,
                             now_ns: float) -> SelfRefreshEvent | None:
-        # The power-down policy (or rank retirement) may have parked a
-        # victim rank in MPSM since profiling began; the plan is stale —
-        # restart with the surviving standby ranks.
-        if any(self.device.rank(channel, rank).state
-               is not PowerState.STANDBY for rank in state.victim_ranks):
+        # The power-down policy (or rank retirement) may have fenced,
+        # parked or retired a victim rank since profiling began; the plan
+        # is stale — restart with the ranks still open.
+        if any(self.allocator.role((channel, rank)) is not RankRole.OPEN
+               for rank in state.victim_ranks):
             self.start_profiling(channel, now_ns)
             return None
         victim_stats = [self._rank_stats(channel, rank, state)
@@ -783,19 +790,21 @@ class HotnessSelfRefreshPolicy:
             # quiet block just re-fires one threshold later.
             state.quiet_since_ns = now_ns
             return None
-        park_state = PowerState.SELF_REFRESH
-        if level is DemotionLevel.MPSM:
-            # MPSM loses contents; only an entirely *empty* victim block
-            # can take it.  Live data downgrades to self-refresh.
-            if all(stats.allocated == 0 for stats in victim_stats):
-                park_state = PowerState.MPSM
         swaps = self._planned_swaps(channel, state)
         migrated_bytes = self._execute_swaps(swaps)
         self._reset_channel_table(channel)
         victim = state.victim_rank
-        for rank in state.victim_ranks:
-            self.device.set_rank_state((channel, rank),
-                                       park_state, now_ns / 1e9)
+        block = [(channel, rank) for rank in state.victim_ranks]
+        now_s = now_ns / 1e9
+        # MPSM loses contents: only a block the swaps left *empty* takes
+        # it (and closes).  Live data downgrades to self-refresh.
+        if level is DemotionLevel.MPSM and not any(
+                self.allocator.usage(member).allocated for member in block):
+            self.allocator.park(self.device, block, PowerState.MPSM, now_s)
+        else:
+            for member in block:
+                self.device.set_rank_state(member, PowerState.SELF_REFRESH,
+                                           now_s)
         state.phase = ChannelPhase.SELF_REFRESH
         self._migrated_bytes.inc(migrated_bytes)
         self._sr_entries.inc(len(state.victim_ranks))
@@ -816,13 +825,14 @@ class HotnessSelfRefreshPolicy:
     def _execute_swaps(self, swaps: list[tuple[int, int]]) -> int:
         """Perform the planned hot/cold exchanges with mapping updates.
 
-        Swaps whose partner rank has left standby since the plan was made
-        (powered down or retired by a concurrent policy) are dropped — the
-        table resets right after, so the skipped entries simply retry in
-        the next profiling round.  Swaps touching an in-flight migration
-        endpoint are dropped for the same reason: a tracked *source* must
-        keep its mapping until the engine retires it, and a tracked
-        *target* is reserved (allocated but unmapped), not free.
+        Swaps whose partner rank is no longer ``OPEN`` (fenced, parked or
+        retired by power-down or retirement since the plan was made) are
+        dropped — the table resets right after, so the skipped entries
+        simply retry in the next profiling round.  Swaps touching an
+        in-flight migration endpoint are dropped for the same reason: a
+        tracked *source* must keep its mapping until the engine retires
+        it, and a tracked *target* is reserved (allocated but unmapped),
+        not free.
         """
         _, old_dsns, new_dsns = self.migration.tracked_copies()
         busy = set(old_dsns.tolist()) | set(new_dsns.tolist())
@@ -832,8 +842,7 @@ class HotnessSelfRefreshPolicy:
                 continue
             partner_rank = (self.layout.channel_of_dsn(partner_dsn),
                             self.layout.rank_of_dsn(partner_dsn))
-            if self.device.rank(*partner_rank).state \
-                    is not PowerState.STANDBY:
+            if self.allocator.role(partner_rank) is not RankRole.OPEN:
                 continue
             copies = self.translation.exchange_segments(
                 self.allocator, victim_dsn, partner_dsn)

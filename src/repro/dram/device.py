@@ -16,7 +16,6 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.power import DramPowerModel, PowerState
 from repro.dram.rank import Rank
 from repro.dram.timing import DDR4_2933, DramTiming
-from repro.errors import PowerStateError
 from repro.telemetry import EventKind, EventTrace, MetricsRegistry
 
 RankId = tuple[int, int]
@@ -213,26 +212,6 @@ class DramDevice:
         """
         penalties = [self._transition(rank, state, now_s)
                      for rank in self.rank_group(group_index)]
-        return max(penalties)
-
-    def set_virtual_rank_group_state(self, rank_ids: list[RankId],
-                                     state: PowerState, now_s: float) -> float:
-        """Transition a *virtual* rank-group (Section 4.3).
-
-        A virtual rank-group takes one idle rank per channel, possibly with
-        different rank indices.  Returns the max exit penalty (ns).
-
-        Raises:
-            PowerStateError: if the set does not contain exactly one rank
-                per channel.
-        """
-        channels = sorted(channel for channel, _ in rank_ids)
-        if channels != list(range(self.geometry.channels)):
-            raise PowerStateError(
-                "virtual rank-group must contain exactly one rank per channel, "
-                f"got channels {channels}")
-        penalties = [self._transition(self.ranks[rank_id], state, now_s)
-                     for rank_id in rank_ids]
         return max(penalties)
 
     # -- power / energy -------------------------------------------------------

@@ -429,15 +429,16 @@ class ControllerShard:
 
         Deliberately *not* a pickle hash (pickle memoisation encodes
         aliasing, see docs/CHECKPOINT.md): this is a canonical JSON
-        document over the mapping tables, allocator, power states,
-        clock, and every telemetry counter — if two shards agree here,
-        they will serve identical futures.
+        document over the mapping tables, allocator, power states, rank
+        roles, clock, and every telemetry counter — if two shards agree
+        here, they will serve identical futures.
         """
         controller = self.controller
         tables = controller.tables
         live = tables.live_dsns()
         mapping = list(zip(live, tables.hsns_of_dsns(live).tolist()))
-        ranks = [[list(rank_id), rank.state.value, rank.access_count]
+        ranks = [[list(rank_id), rank.state.value, rank.access_count,
+                  controller.allocator.role(rank_id).value]
                  for rank_id, rank in sorted(controller.device.ranks.items())]
         vms = [[vm.vm_id, vm.host_id, list(vm.au_ids)]
                for vm in sorted(controller.live_vms,

@@ -244,8 +244,7 @@ class SelfRefreshSimulator(SteppedExperiment):
         rng = np.random.default_rng(config.seed + 1)
         allocator = controller.allocator
         tables = controller.tables
-        assert controller.power_down is not None
-        active = controller.power_down.active_rank_ids()
+        active = allocator.open_ranks()
         for channel in range(config.geometry.channels):
             channel_ranks = [rank_id for rank_id in active
                              if rank_id[0] == channel]

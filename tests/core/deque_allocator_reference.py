@@ -14,12 +14,14 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.addressing import DeviceAddressLayout
+from repro.core.allocator import RankRole
 from repro.dram.geometry import DramGeometry
 from repro.errors import AllocationError
 
 
 class DequeAllocator:
-    """Per-rank ``deque`` free queues and ``set`` allocated sets."""
+    """Per-rank ``deque`` free queues and ``set`` allocated sets, and a
+    ``dict`` of rank roles."""
 
     def __init__(self, geometry: DramGeometry):
         self.geometry = geometry
@@ -31,15 +33,29 @@ class DequeAllocator:
                 self.free_queues[(channel, rank)] = deque(
                     self.layout.rank_dsns(channel, rank).tolist())
                 self.allocated[(channel, rank)] = set()
+        self.roles = dict.fromkeys(self.free_queues, RankRole.OPEN)
 
     def rank_of_dsn(self, dsn: int) -> tuple[int, int]:
         return self.layout.unpack_dsn(dsn).rank_id  # range-checked
 
-    def _pick_rank(self, channel, allowed_ranks):
+    def set_role(self, rank_ids, role: RankRole) -> None:
+        for rank_id in rank_ids:
+            self.roles[rank_id] = role
+
+    def _check_open(self, rank_id) -> None:
+        if self.roles[rank_id] is not RankRole.OPEN:
+            raise AllocationError(
+                f"rank {rank_id} is {self.roles[rank_id].value}, not open")
+
+    def _open(self, channel) -> list[tuple[int, int]]:
+        return [(channel, rank)
+                for rank in range(self.geometry.ranks_per_channel)
+                if self.roles[(channel, rank)] is RankRole.OPEN]
+
+    def _pick_rank(self, channel):
         best, best_util = None, -1.0
-        for rank in range(self.geometry.ranks_per_channel):
-            rank_id = (channel, rank)
-            if rank_id not in allowed_ranks or not self.free_queues[rank_id]:
+        for rank_id in self._open(channel):
+            if not self.free_queues[rank_id]:
                 continue
             util = len(self.allocated[rank_id]) \
                 / self.geometry.segments_per_rank
@@ -52,29 +68,25 @@ class DequeAllocator:
         self.allocated[rank_id].update(dsns)
         return dsns
 
-    def allocate(self, num_segments: int, allowed_ranks=None) -> list[int]:
+    def allocate(self, num_segments: int) -> list[int]:
         channels = self.geometry.channels
         if num_segments % channels:
             raise AllocationError(
                 f"allocation of {num_segments} segments does not divide "
                 f"evenly over {channels} channels")
-        if allowed_ranks is None:
-            allowed_ranks = set(self.free_queues)
         per_channel = num_segments // channels
         for channel in range(channels):
-            available = sum(
-                len(self.free_queues[(channel, rank)])
-                for rank in range(self.geometry.ranks_per_channel)
-                if (channel, rank) in allowed_ranks)
+            available = sum(len(self.free_queues[rank_id])
+                            for rank_id in self._open(channel))
             if available < per_channel:
                 raise AllocationError(
                     f"channel {channel} has only {available} free segments "
-                    f"in allowed ranks, need {per_channel}")
+                    f"in open ranks, need {per_channel}")
         per_channel_dsns = []
         for channel in range(channels):
             dsns: list[int] = []
             while len(dsns) < per_channel:
-                rank_id = self._pick_rank(channel, allowed_ranks)
+                rank_id = self._pick_rank(channel)
                 dsns.extend(self._take(rank_id, min(
                     per_channel - len(dsns),
                     len(self.free_queues[rank_id]))))
@@ -82,6 +94,7 @@ class DequeAllocator:
         return [dsn for stripe in zip(*per_channel_dsns) for dsn in stripe]
 
     def allocate_in_rank(self, rank_id, num_segments: int) -> list[int]:
+        self._check_open(rank_id)
         queue = self.free_queues[rank_id]
         if len(queue) < num_segments:
             raise AllocationError(
@@ -91,6 +104,7 @@ class DequeAllocator:
 
     def reserve_specific(self, dsn: int) -> None:
         rank_id = self.rank_of_dsn(dsn)
+        self._check_open(rank_id)
         try:
             self.free_queues[rank_id].remove(dsn)
         except ValueError:
@@ -133,5 +147,6 @@ class DequeAllocator:
     # -- what the differential tests compare ---------------------------------
 
     def state(self) -> dict:
-        return {rank_id: (list(queue), sorted(self.allocated[rank_id]))
+        return {rank_id: (list(queue), sorted(self.allocated[rank_id]),
+                          self.roles[rank_id])
                 for rank_id, queue in self.free_queues.items()}

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.allocator import SegmentAllocator
+from repro.core.allocator import RankRole, SegmentAllocator
+from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
-from repro.errors import AllocationError
+from repro.dram.power import PowerState
+from repro.errors import AllocationError, PowerStateError
 from repro.units import MIB
 
 
@@ -14,6 +16,13 @@ def allocator():
     # 4 channels x 4 ranks x 64 MiB rank = 32 segments/rank.
     return SegmentAllocator(DramGeometry(ranks_per_channel=4,
                                          rank_bytes=64 * MIB))
+
+
+def open_only(allocator, rank: int) -> None:
+    """Fence every rank but ``rank`` on each channel."""
+    allocator.set_role([(channel, other) for channel in range(4)
+                        for other in range(4) if other != rank],
+                       RankRole.FENCED)
 
 
 class TestChannelBalance:
@@ -57,19 +66,22 @@ class TestPackingPriority:
         assert ranks == {1}
 
     def test_allowed_ranks_respected(self, allocator):
-        allowed = {(channel, 2) for channel in range(4)}
-        dsns = allocator.allocate(8, allowed)
+        """Only open ranks serve an allocation."""
+        open_only(allocator, 2)
+        dsns = allocator.allocate(8)
         assert all(allocator.rank_of_dsn(dsn)[1] == 2 for dsn in dsns)
 
     def test_insufficient_allowed_capacity(self, allocator):
-        allowed = {(channel, 0) for channel in range(4)}
-        with pytest.raises(AllocationError):
-            allocator.allocate(4 * 33, allowed)  # > one rank per channel
+        open_only(allocator, 0)
+        assert allocator.free_count() == 4 * 32
+        with pytest.raises(AllocationError, match="open ranks"):
+            allocator.allocate(4 * 33)  # > one rank per channel
 
     def test_failed_allocation_leaves_state_unchanged(self, allocator):
+        open_only(allocator, 0)
         before = allocator.free_count()
         with pytest.raises(AllocationError):
-            allocator.allocate(4 * 33, {(c, 0) for c in range(4)})
+            allocator.allocate(4 * 33)
         assert allocator.free_count() == before
 
 
@@ -132,6 +144,22 @@ class TestSpecificReservations:
         assert not allocator.is_allocated(old)
         assert allocator.is_allocated(new)
 
+    @pytest.mark.parametrize("role", [RankRole.FENCED, RankRole.PARKED,
+                                      RankRole.RETIRED])
+    def test_closed_rank_takes_no_data(self, allocator, role):
+        allocator.set_role([(1, 1)], role)
+        free = allocator.free_dsns_in_rank((1, 1))
+        with pytest.raises(AllocationError, match=role.value):
+            allocator.allocate_in_rank((1, 1), 1)
+        with pytest.raises(AllocationError, match=role.value):
+            allocator.reserve_specific(free[0])
+        other = allocator.free_dsns_in_rank((1, 0))[0]
+        with pytest.raises(AllocationError, match=role.value):
+            allocator.reserve_batch([other, free[0]])
+        assert allocator.is_allocated(other)  # reserved before the refusal
+        assert allocator.usage((1, 1)).allocated == 0
+        assert (1, 1) not in allocator.open_ranks()
+
     def test_move_to_unreserved_rejected(self, allocator):
         old = allocator.allocate_in_rank((0, 0), 1)[0]
         free = allocator.free_dsns_in_rank((0, 1))[0]
@@ -158,3 +186,22 @@ class TestConservation:
                 allocator.free([live.pop()])
             assert allocator.allocated_count() + allocator.free_count() \
                 == total
+
+
+class TestPark:
+    def test_park_closes_and_transitions(self, allocator):
+        device = DramDevice(geometry=allocator.geometry)
+        allocator.park(device, [(0, 3), (1, 3)], PowerState.MPSM, 1.0)
+        assert allocator.role((0, 3)) is RankRole.PARKED
+        assert device.rank(1, 3).state is PowerState.MPSM
+        allocator.park(device, [(2, 3)], PowerState.MPSM, 1.0,
+                       role=RankRole.RETIRED)
+        assert allocator.role((2, 3)) is RankRole.RETIRED
+
+    def test_park_refuses_a_rank_holding_data(self, allocator):
+        device = DramDevice(geometry=allocator.geometry)
+        allocator.allocate_in_rank((0, 1), 1)
+        with pytest.raises(PowerStateError, match="holds 1 allocated"):
+            allocator.park(device, [(0, 0), (0, 1)], PowerState.MPSM, 1.0)
+        assert allocator.open_ranks() == set(device.ranks)
+        assert device.state_counts()[PowerState.MPSM] == 0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocator import SegmentAllocator
+from repro.core.allocator import RankRole, SegmentAllocator
 from repro.dram.geometry import DramGeometry
 from repro.errors import AddressError, ReproError
 from repro.units import MIB
@@ -29,7 +29,8 @@ PER_RANK = GEOMETRY.segments_per_rank
 
 def state(allocator: SegmentAllocator) -> dict:
     return {rank_id: (allocator.free_dsns_in_rank(rank_id).tolist(),
-                      allocator.allocated_in_rank(rank_id).tolist())
+                      allocator.allocated_in_rank(rank_id).tolist(),
+                      allocator.role(rank_id))
             for rank_id in RANKS}
 
 
@@ -153,8 +154,9 @@ def test_allocate_spans_ranks_and_the_seam():
 DSNS = st.integers(-2, GEOMETRY.total_segments + 1)  # a few out of range
 DSN_LISTS = st.lists(DSNS, max_size=12)
 OPERATIONS = st.one_of(
-    st.tuples(st.just("allocate"), st.integers(0, 12),
-              st.one_of(st.none(), st.sets(st.sampled_from(RANKS)))),
+    st.tuples(st.just("allocate"), st.integers(0, 12)),
+    st.tuples(st.just("set_role"), st.sets(st.sampled_from(RANKS)),
+              st.sampled_from(RankRole)),
     st.tuples(st.just("allocate_in_rank"), st.sampled_from(RANKS),
               st.integers(0, PER_RANK + 1)),
     st.tuples(st.just("free"), DSN_LISTS),

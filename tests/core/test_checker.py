@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.allocator import RankRole
 from repro.core.checker import (AuditReport, ConsistencyChecker,
                                 ConsistencyError, check)
 from repro.core.config import DtlConfig
@@ -87,6 +88,8 @@ class TestDetectsCorruption:
         controller.device.set_rank_state(rank_id, PowerState.MPSM, 1.0)
         with pytest.raises(ConsistencyError, match="MPSM"):
             check(controller)
+        assert ConsistencyChecker(controller).audit().violations == [
+            f"rank {rank_id} is in MPSM but holds 8 live segments"]
 
     def test_unbalanced_channels(self, controller):
         controller.allocator.allocate_in_rank((0, 0), 4)
@@ -101,6 +104,45 @@ class TestDetectsCorruption:
         # ... but passes with enough tolerance.
         report = ConsistencyChecker(controller).audit(balance_tolerance=4)
         assert report.ok
+
+
+class TestRankRoles:
+    """Each role-agreement rule, broken by hand, is one violation."""
+
+    def violations(self, controller) -> list[str]:
+        return ConsistencyChecker(controller).audit(
+            balance_tolerance=64).violations
+
+    def test_copy_targets_a_closed_rank(self, controller):
+        vm = controller.allocate_vm(0, 64 * MIB)
+        source = int(controller.tables.walk(controller.host_layout.pack_hsn(
+            0, vm.au_ids[0], 0)).dsn)
+        channel = controller.device_layout.channel_of_dsn(source)
+        target = controller.allocator.allocate_in_rank((channel, 5), 1)[0]
+        controller.migration.submit(controller.tables.hsn_of_dsn(source),
+                                    source, int(target))
+        assert self.violations(controller) == []
+        controller.allocator.set_role([(channel, 5)], RankRole.FENCED)
+        assert self.violations(controller) == [
+            f"rank ({channel}, 5) is fenced but a copy in flight targets it"]
+
+    def test_fenced_rank_out_of_standby(self, controller):
+        controller.allocator.set_role([(1, 6)], RankRole.FENCED)
+        assert self.violations(controller) == []
+        controller.device.set_rank_state((1, 6), PowerState.SELF_REFRESH,
+                                         1.0)
+        assert self.violations(controller) == [
+            "rank (1, 6) is fenced but in SELF_REFRESH"]
+
+    def test_retired_rank_out_of_mpsm(self, controller):
+        controller.allocator.set_role([(2, 7)], RankRole.RETIRED)
+        assert self.violations(controller) == [
+            "rank (2, 7) is retired but in STANDBY"]
+
+    def test_parked_rank_in_standby(self, controller):
+        controller.allocator.set_role([(3, 4)], RankRole.PARKED)
+        assert self.violations(controller) == [
+            "rank (3, 4) is parked but in STANDBY"]
 
 
 class TestReport:

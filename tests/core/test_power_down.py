@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.addressing import HostAddressLayout
-from repro.core.allocator import SegmentAllocator
+from repro.core.allocator import RankRole, SegmentAllocator
 from repro.core.config import DtlConfig
 from repro.core.migration import MigrationEngine
 from repro.core.power_down import RankPowerDownPolicy
@@ -12,6 +12,7 @@ from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.errors import AllocationError
+from repro.policies import PaperPolicy
 from repro.units import MIB
 
 
@@ -40,8 +41,7 @@ def make_stack(ranks_per_channel=4, group_granularity=1):
 def allocate(layout, tables, allocator, policy, au_id, host=0):
     """Allocate one AU worth of segments through the DTL structures."""
     tables.allocate_au(host, au_id)
-    dsns = allocator.allocate(layout.segments_per_au,
-                              policy.active_rank_ids())
+    dsns = allocator.allocate(layout.segments_per_au)
     tables.map_au_segments(host, au_id, dsns)
     return dsns.tolist()
 
@@ -104,8 +104,8 @@ class TestPowerDown:
         assert policy.active_ranks_per_channel() == 1
         live = [tables.walk(layout.pack_hsn(0, au, off)).dsn
                 for au in (4, 5) for off in range(layout.segments_per_au)]
-        active = policy.active_rank_ids()
-        assert all(allocator.rank_of_dsn(dsn) in active for dsn in live)
+        assert all(allocator.role(allocator.rank_of_dsn(dsn))
+                   is RankRole.OPEN for dsn in live)
         assert migrated >= 0
 
     def test_mappings_survive_consolidation(self):
@@ -121,6 +121,20 @@ class TestPowerDown:
                 hsn = layout.pack_hsn(0, au, offset)
                 dsn = tables.walk(hsn).dsn
                 assert tables.hsn_of_dsn(dsn) == hsn
+
+    def test_victims_are_one_group_on_every_channel(self):
+        """A policy answering with more than ``group_granularity``
+        victims on a channel is refused before anything moves."""
+        class TwoVictims(PaperPolicy):
+            def powerdown_victims(self, channel, candidates, count):
+                return [stats.rank for stats in candidates[:count + 1]]
+
+        _, device, allocator, _, _, policy = make_stack()
+        policy.policy = TwoVictims()
+        with pytest.raises(ValueError, match="invalid victims"):
+            policy.maybe_power_down(0.0)
+        assert allocator.open_ranks() == set(device.ranks)
+        assert device.state_counts()[PowerState.MPSM] == 0
 
     def test_pair_granularity(self):
         _, device, _, _, _, policy = make_stack(group_granularity=2)
@@ -175,5 +189,9 @@ class TestInvariants:
         for au in range(4):
             free(layout, tables, allocator, au)
         policy.maybe_power_down(0.0)
-        for rank_id in policy.powered_down_ranks():
+        parked = [rank_id for rank_id in device.ranks
+                  if allocator.role(rank_id) is RankRole.PARKED]
+        assert parked
+        for rank_id in parked:
             assert allocator.usage(rank_id).allocated == 0
+            assert device.ranks[rank_id].state is PowerState.MPSM

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.allocator import RankRole
 from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
 from repro.dram.geometry import DramGeometry
@@ -21,7 +22,7 @@ class TestBasicRetirement:
         record = controller.retire_rank(0, 7)
         assert record.migrated_segments == 0
         assert controller.device.rank(0, 7).state is PowerState.MPSM
-        assert controller.retirement.is_retired((0, 7))
+        assert controller.allocator.role((0, 7)) is RankRole.RETIRED
 
     def test_retire_powered_down_rank(self, controller):
         vm = controller.allocate_vm(0, 256 * MIB)
@@ -116,4 +117,5 @@ class TestFencing:
 
     def test_quarantine_visible_in_policy(self, controller):
         controller.retire_rank(2, 5)
-        assert (2, 5) in controller.power_down.quarantined_ranks()
+        assert controller.allocator.role((2, 5)) is RankRole.RETIRED
+        assert (2, 5) not in controller.allocator.open_ranks()

@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.addressing import (DeviceAddressLayout, HostAddressLayout,
                                    SegmentLocation)
-from repro.core.allocator import SegmentAllocator
-from repro.core.config import DtlConfig
+from repro.core.allocator import RankRole, SegmentAllocator
+from repro.core.checker import check
+from repro.core.config import DtlConfig, small_dtl_config
+from repro.core.controller import DtlController
 from repro.core.migration import MigrationEngine
 from repro.core.self_refresh import ChannelPhase, HotnessSelfRefreshPolicy
 from repro.core.tables import TranslationTables
@@ -14,6 +16,7 @@ from repro.core.translation import TranslationEngine
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
+from repro.policies import DemotionLevel, PaperPolicy
 from repro.units import MIB
 
 MS = 1e6  # ns per ms
@@ -38,9 +41,9 @@ def make_stack(window_ns=0.5 * MS, threshold_ns=50 * MS, scan_limit=60,
     return geometry, device, allocator, layout, tables, translation, policy
 
 
-def allocate_au(layout, tables, allocator, au_id, host=0, allowed=None):
+def allocate_au(layout, tables, allocator, au_id, host=0):
     tables.allocate_au(host, au_id)
-    dsns = allocator.allocate(layout.segments_per_au, allowed)
+    dsns = allocator.allocate(layout.segments_per_au)
     for offset, dsn in enumerate(dsns):
         tables.map_segment(layout.pack_hsn(host, au_id, offset), dsn)
     return dsns
@@ -256,10 +259,9 @@ class TestMigrationPhase:
     def test_swaps_execute_with_mapping_updates(self):
         (geometry, device, allocator, layout, tables, translation,
          policy) = make_stack(threshold_ns=10.0)
-        # Allocate one AU pinned to rank 0 of each channel so the victim
-        # holds live data.
-        allowed = {(channel, 0) for channel in range(2)}
-        dsns = allocate_au(layout, tables, allocator, 0, allowed=allowed)
+        # One AU packs into rank 0 of each channel, so the victim holds
+        # live data.
+        dsns = allocate_au(layout, tables, allocator, 0)
         policy.end_window()
         policy._channels[0].last_window_counts = {0: 0, 1: 5, 2: 5, 3: 5}
         victim = policy.start_profiling(0, 0.0)
@@ -279,8 +281,7 @@ class TestMigrationPhase:
     def test_migrated_bytes_accounted(self):
         (geometry, device, allocator, layout, tables, translation,
          policy) = make_stack(threshold_ns=10.0)
-        allowed = {(channel, 0) for channel in range(2)}
-        dsns = allocate_au(layout, tables, allocator, 0, allowed=allowed)
+        dsns = allocate_au(layout, tables, allocator, 0)
         policy.end_window()
         policy._channels[0].last_window_counts = {0: 0, 1: 5, 2: 5, 3: 5}
         policy.start_profiling(0, 0.0)
@@ -299,6 +300,48 @@ class TestMigrationPhase:
         for rank in range(geo.ranks_per_channel):
             dsn = policy._dsn(0, rank, 0)
             assert int(policy.planned[dsn]) == dsn
+
+
+class SrMpsmPolicy(PaperPolicy):
+    """The paper's decisions, except that a self-refresh victim is
+    asked to park in MPSM."""
+
+    def demotion_level(self, site, stats):
+        if site == "sr":
+            return DemotionLevel.MPSM
+        return super().demotion_level(site, stats)
+
+
+class TestMpsmDemotion:
+    def test_park_state_is_decided_after_the_swaps(self):
+        """An empty victim that the planned swaps fill downgrades to
+        self-refresh; one they leave empty parks in MPSM and stops
+        taking data."""
+        controller = DtlController(small_dtl_config())
+        policy = controller.self_refresh
+        policy.policy = SrMpsmPolicy()
+        threshold = controller.config.profiling_threshold_ns
+        vm = controller.allocate_vm(0, 1 * MIB)
+        # Offsets 2 and 3 live in rank 0 of channels 0 and 1: rank 0 sees
+        # traffic, so the empty rank 1 becomes each channel's victim.
+        au = vm.au_ids[0]
+        controller.access_batch(0, [controller.hpa_of(au, 2),
+                                    controller.hpa_of(au, 3)])
+        controller.end_window()
+        assert policy.start_profiling(0, 0.0) == 1
+        assert not controller.allocator.usage((0, 1)).allocated
+        # A touch on the victim plans the cold, live offset 0 into it.
+        policy.on_access(policy._dsn(0, 1, 0), now_ns=1.0)
+        controller.tick(1.0 + threshold)
+        check(controller)
+        assert controller.device.rank(0, 1).state is PowerState.SELF_REFRESH
+        assert controller.allocator.usage((0, 1)).allocated == 1
+        assert controller.allocator.role((0, 1)) is RankRole.OPEN
+        # Channel 1 started profiling on that tick; nothing moves there.
+        controller.tick(1.0 + 2 * threshold)
+        assert controller.device.rank(1, 1).state is PowerState.MPSM
+        assert controller.allocator.role((1, 1)) is RankRole.PARKED
+        check(controller)
 
 
 class TestBatchEquivalence:

@@ -5,7 +5,6 @@ import pytest
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import DramPowerModel, PowerState
-from repro.errors import PowerStateError
 from repro.units import GIB
 
 
@@ -63,17 +62,6 @@ class TestGroupTransitions:
         device.set_rank_group_state(3, PowerState.MPSM, 0.0)
         penalty = device.set_rank_group_state(3, PowerState.STANDBY, 1.0)
         assert penalty > 0
-
-    def test_virtual_group_allows_different_indices(self, device):
-        rank_ids = [(0, 1), (1, 4), (2, 2), (3, 7)]
-        device.set_virtual_rank_group_state(rank_ids, PowerState.MPSM, 0.0)
-        for rank_id in rank_ids:
-            assert device.ranks[rank_id].state is PowerState.MPSM
-
-    def test_virtual_group_requires_one_rank_per_channel(self, device):
-        with pytest.raises(PowerStateError):
-            device.set_virtual_rank_group_state(
-                [(0, 1), (0, 2), (2, 3), (3, 4)], PowerState.MPSM, 0.0)
 
 
 class TestPowerAndEnergy:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.checkpoint import (CHECKPOINT_VERSION, Checkpoint,
                               CheckpointError, save_checkpoint, snapshot)
+from repro.core.allocator import RankRole
 from repro.server import DtlServer, ServerConfig
 
 from tests.server.test_chaos_resume import (REQUESTS, apply, injector_states,
@@ -136,10 +137,10 @@ def test_refused_restore_leaves_the_server_untouched(tmp_path, write_file,
 def test_look_ahead_tallies_stay_out_of_the_checkpoint(tmp_path):
     """``lookaheads`` / ``lookahead_calls`` depend on arrival timing, so
     they are neither fingerprinted nor pickled: they add no field to
-    the blob (the format version is 8 for hosts that read their knobs
-    from the controller's DtlConfig, docs/CHECKPOINT.md, not for them),
-    and a server restored from it starts its tallies again."""
-    assert CHECKPOINT_VERSION == 8
+    the blob (the format version is 9 for the allocator's rank roles,
+    docs/CHECKPOINT.md, not for them), and a server restored from it
+    starts its tallies again."""
+    assert CHECKPOINT_VERSION == 9
     path = str(tmp_path / "server.ckpt")
     ops = script()
     accesses = [op for op in ops if op["op"] == "access_batch"]
@@ -176,3 +177,13 @@ def test_look_ahead_tallies_stay_out_of_the_checkpoint(tmp_path):
         assert observable_state(restored) == observable_state(original)
 
     asyncio.run(scenario())
+
+
+def test_a_fenced_rank_is_in_the_fingerprint():
+    """Two shards that differ only in one fenced rank fingerprint apart."""
+    one, other = DtlServer(ServerConfig()), DtlServer(ServerConfig())
+    assert ([shard.fingerprint() for shard in one.shards]
+            == [shard.fingerprint() for shard in other.shards])
+    other.shards[0].controller.allocator.set_role([(0, 3)], RankRole.FENCED)
+    assert one.shards[0].fingerprint() != other.shards[0].fingerprint()
+

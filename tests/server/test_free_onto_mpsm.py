@@ -1,28 +1,15 @@
-"""A ``free`` can leave live segments on an MPSM rank (ROADMAP item 1).
+"""A ``free`` never leaves live segments on an MPSM rank.
 
-Present since before PR 23, recorded there, not fixed: with the service
-geometry (``small_dtl_config``), chaos off and simulated time advancing
-10 ms per step — so every channel sits in self-refresh with one standby
-rank — the second round of tenants freeing their oldest VM parks a rank
-pair in MPSM while segments allocated there are still mapped.  The audit
-that follows says so, and the next ``access_batch`` that touches one
-raises ``PowerStateError`` through the fault barrier (``internal``).
-
-The cause: ``small_dtl_config`` migrates in the background, so
-``_try_power_down_once`` *fences* its victim group — drops it from
-``RankPowerDownPolicy._active`` — and leaves the ranks in ``STANDBY``
-while their evacuation copies drain.  The self-refresh host never reads
-``_active``: ``_execute_swaps`` takes any partner whose device state is
-``STANDBY``, so a channel entering self-refresh swaps cold segments
-onto the fenced victim.  When the copies have drained,
-``_finish_pending`` (reached from ``apply_free`` -> ``_drain_migrations``
--> ``pump``) parks the victim in MPSM without checking what it holds.
-
-The script below is the reproduction; the test is a strict ``xfail`` so
-the fix — one owner for a rank's role, ROADMAP item 1 — cannot land
-without turning it into a pass.  A fix changes what consolidation and
-self-refresh do, which moves ``model_cost``: it does not belong in a
-performance PR.
+The service geometry (``small_dtl_config``) consolidates in the
+background, and with simulated time advancing 10 ms per step every
+channel also sits in self-refresh with one standby rank — so both power
+mechanisms act on the same ranks while tenants free and allocate.  After
+every step no rank in MPSM holds an allocated segment and every shard's
+audit (retention and rank-role agreement included) is clean; every reply
+is ``ok``, so no access reaches a parked rank.  It runs with the
+server's always-on fault plan and without it.  Drained while a
+consolidation still copies, the server restores to the same shard
+fingerprints with its victims still fenced.
 """
 
 import asyncio
@@ -30,6 +17,7 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core.allocator import RankRole
 from repro.dram.power import PowerState
 from repro.server import DtlServer, ServerConfig
 
@@ -85,29 +73,62 @@ def live_segments_on_mpsm_ranks(server: DtlServer) -> list[tuple]:
             and shard.controller.allocator.usage(rank_id).allocated]
 
 
-async def run_script() -> None:
-    server = DtlServer(ServerConfig(chaos=False))
+async def steps(server: DtlServer, script: Script):
+    """Apply ``script`` one step at a time; yield each step's number."""
+    for number, requests in enumerate(
+            script.setup() + [None] * STEPS, start=-3):
+        if requests is None:
+            requests = script.step(number)
+        for request, reply in zip(
+                requests, await submit(server, requests, False)):
+            assert reply["ok"], (number, request["op"], reply)
+            if reply["op"] == "allocate":
+                script.vms[request["tenant"]].append(reply["vm"])
+        yield number
+
+
+async def run_script(chaos: bool) -> None:
+    server = DtlServer(ServerConfig(chaos=chaos))
     await server.start(serve_tcp=False)
-    script = Script()
     try:
-        for number, requests in enumerate(
-                script.setup() + [None] * STEPS, start=-3):
-            if requests is None:
-                requests = script.step(number)
-            for request, reply in zip(
-                    requests, await submit(server, requests, False)):
-                assert reply["ok"], (number, request["op"], reply)
-                if reply["op"] == "allocate":
-                    script.vms[request["tenant"]].append(reply["vm"])
+        async for number in steps(server, Script()):
             assert not live_segments_on_mpsm_ranks(server), number
             assert not server.audit_violations(), number
     finally:
         await server.drain()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="self-refresh swaps segments onto a fenced "
-                          "power-down victim, which is then parked in MPSM "
-                          "(ROADMAP item 1)")
-def test_a_free_never_leaves_live_segments_on_an_mpsm_rank():
-    asyncio.run(run_script())
+@pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+def test_a_free_never_leaves_live_segments_on_an_mpsm_rank(chaos):
+    asyncio.run(run_script(chaos))
+
+
+def fenced_ranks(server: DtlServer) -> list[tuple]:
+    return [(shard.index, rank_id)
+            for shard in server.shards
+            for rank_id in shard.controller.device.ranks
+            if shard.controller.allocator.role(rank_id) is RankRole.FENCED]
+
+
+def test_drain_and_restore_with_a_power_down_pending(tmp_path):
+    """A server drained while a consolidation still copies restores to
+    the same fingerprints, its victims still fenced."""
+    path = str(tmp_path / "server.ckpt")
+
+    async def scenario():
+        server = DtlServer(ServerConfig(chaos=False))
+        await server.start(serve_tcp=False)
+        async for _ in steps(server, Script()):
+            if fenced_ranks(server):
+                break
+        fenced = fenced_ranks(server)
+        assert fenced
+        await server.drain()
+        server.write_checkpoint(path)
+        restored = DtlServer(ServerConfig(chaos=False))
+        restored.restore(path)
+        assert fenced_ranks(restored) == fenced
+        assert ([shard.fingerprint() for shard in restored.shards]
+                == [shard.fingerprint() for shard in server.shards])
+
+    asyncio.run(scenario())

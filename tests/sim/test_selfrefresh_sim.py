@@ -94,9 +94,8 @@ class TestPlacement:
     def test_scatter_spreads_over_ranks(self):
         simulator = SelfRefreshSimulator(small_config())
         controller, _ = simulator._build_controller()
-        assert controller.power_down is not None
         used_ranks = {rank_id
-                      for rank_id in controller.power_down.active_rank_ids()
+                      for rank_id in controller.allocator.open_ranks()
                       if controller.allocator.usage(rank_id).allocated > 0}
         assert len(used_ranks) >= 4  # not packed into a rank per channel
 
