@@ -377,14 +377,18 @@ class _SetState:
         self.free_ways = [way for way in range(l2.ways)
                           if row[way] == l2.EMPTY]
 
-    def next_victim(self, consumed: set[int]) -> tuple[int, int, int]:
-        """Peek the next evictable initial entry (does not consume it)."""
+    def next_victim(self, consumed: set[int]) -> tuple[int, int, int] | None:
+        """Peek the next evictable initial entry (does not consume it).
+
+        ``None`` when every chunk-entry resident is consumed: the scalar
+        victim would be an entry this chunk touched, so the event loop
+        ends the chunk before the fill that asked.
+        """
         pool = self.pool
         ptr = self.ptr
         while True:
             if ptr >= len(pool):
-                raise RuntimeError(
-                    "SMC batch invariant violated: L2 set out of victims")
+                return None
             entry = pool[ptr]
             if entry[0] in consumed:
                 ptr += 1
@@ -402,8 +406,9 @@ class _Chunk:
     way at chunk entry (``None`` = not resident), ``sets`` its L2 set and
     ``vals`` the DSN its occurrences read.  ``events`` is the heap of
     distincts still to insert; the event loop moves them to ``promos``
-    or ``fills`` (with the way each fill took) and records the entries
-    its insertions removed.
+    or ``fills`` (with the way each fill took), records the entries its
+    insertions removed, and truncates the per-distinct lists where it
+    ends the chunk.
     """
 
     __slots__ = ("hsns", "first", "slots", "ways", "sets", "vals",
@@ -545,13 +550,14 @@ class SegmentMappingCache:
         later lookup sees it gone.  The rest of the batch carries on in
         the same pass.
 
-        The batch is consumed in *chunks*.  A chunk is planned over its
-        distinct HSNs in first-occurrence order (:meth:`_plan_chunk`:
-        residency from the two hash indexes, DSN values, and the cut
-        that keeps the chunk invariants), its *insertions* — L2
-        promotions and fills, the rare events — run through a small
-        ordered event loop (:meth:`_run_events`), and the resulting LRU
-        state is committed in bulk (:meth:`_commit_chunk`).  Within a
+        The batch is consumed in *chunks*.  A chunk is planned over at
+        most ``l1_entries`` distinct HSNs in first-occurrence order
+        (:meth:`_plan_chunk`: residency from the two hash indexes and
+        DSN values), its *insertions* — L2 promotions and fills, the
+        rare events — run through a small ordered event loop
+        (:meth:`_run_events`), which ends the chunk early exactly where
+        a fill would break the bulk commit, and the resulting LRU state
+        is committed in bulk (:meth:`_commit_chunk`).  Within a
         chunk every repeat occurrence is an L1 hit, so those three work
         per distinct, never per access; entries evicted from L1 or L2
         by an earlier in-chunk insertion are reclassified on the fly
@@ -605,12 +611,12 @@ class SegmentMappingCache:
             d_pos = start + d_rel
             chunk = self._plan_chunk(hsns[d_pos].tolist(), first,
                                      resolve, resolve_batch)
+            self._run_events(chunk, resolve)
             num_d = len(chunk.hsns)
             if num_d < len(first):
-                # The chunk ends where the first distinct it does not
-                # keep first appears.
+                # The event loop ended the chunk where the first distinct
+                # it does not keep first appears.
                 span = first[num_d]
-            self._run_events(chunk, resolve)
             end = start + span
             uid_to_d[uid[d_pos[:num_d]]] = arange[:num_d]
             d_of_pos = uid_to_d[uid[start:end]]
@@ -633,34 +639,22 @@ class SegmentMappingCache:
 
     def _plan_chunk(self, d_hsns: list[int], first: list[int], resolve,
                     resolve_batch) -> _Chunk:
-        """Classify a chunk's distinct HSNs and cut it to the invariants.
+        """Classify a chunk's distinct HSNs: residency and values.
 
         ``d_hsns`` are the candidate distincts in first-occurrence
-        order, already limited by the caller to the first invariant:
+        order, already limited by the caller to the one cut made up
+        front:
 
         * **L1 capacity** — at most ``l1_entries`` distinct HSNs, so no
           in-chunk entry, once touched, can be the L1 LRU victim.
 
-        The plan cuts the chunk just before the first distinct that
-        would break one of the other two:
-
-        * **L2 associativity** — at most ``l2_ways`` distinct HSNs per
-          L2 set, so touched in-chunk entries cannot be L2 victims;
-        * **back-invalidation hazard** — an L1 hit refreshes L1 recency
-          but *not* L2 recency, so a chunk HSN already resident in L1
-          keeps its pre-chunk L2 age; a fill by another chunk HSN in
-          the same L2 set could then evict it from L2 and
-          back-invalidate it out of L1 mid-chunk, making a later repeat
-          a full miss where the bulk accounting assumed an L1 hit.  The
-          hazard needs, in one set, a chunk HSN resident in L1 plus a
-          different chunk HSN absent from L2 (by inclusion never the
-          same HSN), so a set may not collect both.
-
-        Residency is read from the levels' hash indexes (chunk-entry
-        state: nothing mutates before the commit).  Values come from
-        the level that holds the distinct; full misses walk the tables
-        in one ``resolve_batch`` call.  Returns the chunk with every
-        non-L1-resident distinct queued as an event.
+        The plan cuts nothing else: the event loop ends the chunk where
+        an L2 fill actually breaks the bulk commit
+        (:meth:`_run_events`).  Residency is read from the levels' hash
+        indexes (chunk-entry state: nothing mutates before the commit).
+        Values come from the level that holds the distinct; full misses
+        walk the tables in one ``resolve_batch`` call.  Returns the
+        chunk with every non-L1-resident distinct queued as an event.
         """
         l1, l2 = self.l1, self.l2
         chunk = _Chunk(d_hsns, first)
@@ -669,37 +663,10 @@ class SegmentMappingCache:
             # All L1 hits: nothing is inserted, so nothing can be cut.
             chunk.vals = l1._dsns[slots].tolist()
             return chunk
-        ways = list(map(l2._way_of.get, d_hsns))
+        ways = chunk.ways = list(map(l2._way_of.get, d_hsns))
         sets = l2.sets
-        set_of = [hsn % sets for hsn in d_hsns]
+        set_of = chunk.sets = [hsn % sets for hsn in d_hsns]
         num_d = len(d_hsns)
-        if len(set(set_of)) < num_d:
-            # Some set holds two distincts: only then can a cut apply.
-            per_set: dict[int, int] = {}
-            l1_sets: set[int] = set()
-            miss_sets: set[int] = set()
-            for i, s in enumerate(set_of):
-                count = per_set.get(s, 0) + 1
-                if count > l2.ways:
-                    num_d = i
-                    break
-                per_set[s] = count
-                if slots[i] is not None:
-                    if s in miss_sets:
-                        num_d = i
-                        break
-                    l1_sets.add(s)
-                elif ways[i] is None:
-                    if s in l1_sets:
-                        num_d = i
-                        break
-                    miss_sets.add(s)
-            if num_d < len(d_hsns):
-                d_hsns = chunk.hsns = d_hsns[:num_d]
-                slots = chunk.slots = slots[:num_d]
-                del ways[num_d:], set_of[num_d:]
-        chunk.ways = ways
-        chunk.sets = set_of
         # Inclusion (L1 subset of L2) makes "no L2 way" exactly the full
         # misses and "L2 way but no L1 slot" the L2 hits.
         vals = chunk.vals = [0] * num_d
@@ -736,21 +703,31 @@ class SegmentMappingCache:
         back-invalidation, then the L1 insert).  Nothing is written to
         the caches here — evictions are chosen from chunk-entry state
         plus what earlier events consumed, and recorded on the chunk for
-        the commit.  The invariants make that sufficient:
+        the commit.  Three invariants make that sufficient:
 
-        * **L1 capacity** — a distinct touched earlier in the chunk is
-          never the L1 victim, so the victim scan skips them; an
-          L1-resident distinct evicted *before* its turn is pushed back
-          as an event (it becomes an L2 hit);
+        * **L1 capacity** (the plan's cut) — a distinct touched earlier
+          in the chunk is never the L1 victim, so the victim scan skips
+          them; an L1-resident distinct evicted *before* its turn is
+          pushed back as an event (an L2 hit, or a full miss if a fill
+          took its L2 copy too).  Running out of L1 victims is an
+          error: the cut rules it out.
         * **L2 associativity** — a set's victims come from its
           chunk-entry residents, never from entries this chunk
-          promoted, filled or evicted (``consumed``);
-        * **back-invalidation hazard** — the first fill into a set is
-          a planned miss, and the plan keeps those out of sets holding
-          an L1-resident distinct, so no fill evicts the L2 copy of a
-          distinct that already hit in L1 (stale L2 stamp); the loop
-          checks it all the same and raises, as it does when a level
-          runs out of victims.
+          promoted, filled or evicted (``consumed``).
+        * **back-invalidation hazard** — an L1 hit refreshes L1 recency
+          but *not* L2 recency, so a distinct that already hit in L1
+          keeps its chunk-entry L2 stamp; a fill that evicts it from L2
+          back-invalidates it out of L1 mid-chunk, and its later
+          repeats are misses the bulk commit cannot express.
+
+        The loop owns the last two cuts.  A fill whose set has no
+        untouched resident left, or whose victim is a distinct that
+        already hit in L1, is exactly where the scalar sequence breaks
+        them, so the chunk ends just before that distinct: the chunk's
+        per-distinct lists are truncated to the distincts before it,
+        and what the earlier events recorded (evictions of later
+        distincts included) is committed.  A chunk's first distinct
+        trips neither check, so every chunk makes progress.
         """
         events = chunk.events
         if not events:
@@ -783,10 +760,7 @@ class SegmentMappingCache:
                     # (planned L2 hits were gathered already).
                     vals[i] = int(l2._dsns[s, ways[i]])
             else:
-                # Full miss: pick the fill slot first.  Evicting the
-                # L2 copy of a chunk distinct that already hit in L1
-                # (its L2 stamp is stale) would falsify the bulk repeat
-                # accounting; the plan's hazard cut rules it out.
+                # Full miss: pick the fill slot first.
                 state = set_states.get(s)
                 if state is None:
                     state = set_states[s] = _SetState(l2, s)
@@ -795,13 +769,13 @@ class SegmentMappingCache:
                     way = state.free_ways.pop()
                 else:
                     victim = state.next_victim(consumed)
+                    if victim is None:
+                        break  # L2 associativity
                     tag = victim[0]
                     j = cp_get(tag)
                     if (j is not None and j < i and tag in slot_of
                             and tag not in l1_removed):
-                        raise RuntimeError(
-                            "SMC batch invariant violated: fill evicts a "
-                            "distinct that already hit in L1")
+                        break  # back-invalidation hazard
                     way = victim[2]
                 fills.append(i)
                 fill_ways.append(way)
@@ -853,17 +827,25 @@ class SegmentMappingCache:
             removed_l1.append((tag, slot))
             if j is not None:
                 # Pre-turn L1 eviction of a later chunk distinct: its
-                # lookup becomes an L2 hit (hazard invariant keeps its
-                # L2 copy safe from in-chunk fills).
+                # lookup becomes an L2 hit, unless a fill evicts its L2
+                # copy before its turn.
                 heappush(events, j)
+        else:
+            return
+        # The chunk ends before distinct i.
+        del d_hsns[i:], slots[i:], ways[i:], set_of[i:], vals[i:]
 
     def _commit_chunk(self, chunk: _Chunk, start: int, window: int,
                       last: np.ndarray, out) -> None:
         """Write one chunk's counters, LRU state and hit classes.
 
         ``window`` is the chunk's length in accesses and ``last`` the
-        last position (relative to ``start``) of each distinct it keeps.
-        The invariants are what make a bulk commit exact:
+        last position (relative to ``start``) of each distinct it keeps
+        — the event loop may have truncated the chunk, so both are
+        computed after it ran.  Removals the events recorded for
+        distincts past the cut are committed like any other.  The
+        invariants (the plan's cut and the loop's two) are what make a
+        bulk commit exact:
 
         * **L1 capacity** — every kept distinct is in L1 at the end of
           the chunk, so stamping each at its last position reproduces

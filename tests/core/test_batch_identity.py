@@ -387,7 +387,10 @@ def test_short_call_identity_in_served_shape(self_refresh, migrating):
 
 
 def test_short_call_chunk_cuts_on_congruent_hsns():
-    """Every chunk cut, inside calls of a dozen accesses."""
+    """Every rule that ends a chunk, and one that no longer does, inside
+    calls of a dozen accesses.  L1 capacity is the one cut made before
+    the event loop runs; the loop ends a chunk at a fill whose L2 set has
+    no untouched resident left, or whose L2 victim already hit in L1."""
     config = served_config()
     scalar, batch = build_pair(config, SERVED_AUS)
     smc = batch.translation.smc
@@ -410,23 +413,46 @@ def test_short_call_chunk_cuts_on_congruent_hsns():
     same_set = [au * per_au + 7 for au in range(SERVED_AUS)]
     assert len({batch.host_layout.pack_hsn(0, au, 7) % smc.l2.sets
                 for au in range(SERVED_AUS)}) == 1
-    # L2 associativity: the fifth distinct of a set ends the chunk; its
-    # fill evicts the first out of both levels, so the first's return
-    # (L1-resident when planned, in a set taking fills) ends the next.
-    result = call(same_set + same_set[:2], expect_chunks=3)
+    # L2 associativity, free ways only (the loop, at the fifth access):
+    # set 7 is empty when the chunk starts, the first four fills take its
+    # four free ways, and the fifth distinct's fill finds no untouched
+    # resident to evict.  The second chunk starts there.  Its fills evict
+    # the first two HSNs from both levels before their turn — legal, they
+    # have not been looked up in that chunk — so their return is two
+    # full misses inside it, not a third chunk.
+    result = call(same_set + same_set[:2], expect_chunks=2)
     assert not result.smc_l1_hits[6] and not result.smc_l2_hits[6]
-    # Back-invalidation hazard: an L1-resident HSN and a full miss in
-    # its set never share a chunk, whichever comes first (segment 9:
-    # AU 0's is resident, AU 1's never seen).
+    # No cut any more: an L1-resident HSN and a full miss in its set share
+    # a chunk when the fill takes a free way (segment 9: AU 0's is
+    # resident, AU 1's never seen; the plan used to cut before the miss
+    # and again before the return, three chunks).
     call([9], expect_chunks=1)
-    result = call([9, per_au + 9, 9], expect_chunks=3)
+    result = call([9, per_au + 9, 9], expect_chunks=1)
     assert result.smc_l1_hits.tolist() == [True, False, True]
-    # L1 capacity: 100 distinct segments in a 128-access call.
+    # Back-invalidation hazard (the loop, at the second access): set 3
+    # is full and its L2 LRU way, AU 0's segment 3, is also in L1.  It
+    # hits in L1, which leaves its L2 stamp stale, so AU 4's fill picks
+    # it as the L2 victim and the chunk ends before that fill.  The next
+    # chunk's fill evicts it before its turn, and its return is a miss.
+    quad = [au * per_au + 3 for au in range(5)]
+    call(quad[:4], expect_chunks=1)
+    result = call([quad[0], quad[4], quad[0]], expect_chunks=2)
+    assert result.smc_l1_hits.tolist() == [True, False, False]
+    assert not result.smc_l2_hits.any()
+    # L1 capacity (the window, at the 65th distinct): 100 distinct
+    # segments in a 128-access call.
     wide = np.arange(128) % 100 + 16
     call(wide, expect_chunks=2)
     # ...and a repeat of the last 64 of them is one all-hit chunk.
     result = call(wide[-64:], expect_chunks=1)
     assert result.smc_l1_hits.all()
+    # L2 associativity, every victim consumed (the loop, at the fifth
+    # access): set 7's four residents are in L2 only now (the wide call
+    # pushed them out of L1), all four promote, and the fill that follows
+    # finds no untouched resident left.
+    residents = same_set[4:] + same_set[:2]
+    result = call(residents + same_set[2:3], expect_chunks=2)
+    assert result.smc_l2_hits.tolist() == [True] * 4 + [False]
 
 
 # -- look-ahead across calls ---------------------------------------------------

@@ -1,5 +1,6 @@
-"""Per-call dispatch budgets, as counts: a served ``access_batch``, and
-the control plane's ``allocate_vm`` / ``deallocate_vm``.
+"""Per-call dispatch budgets, as counts: a served ``access_batch``, the
+SMC chunks of one long cold call, and the control plane's
+``allocate_vm`` / ``deallocate_vm``.
 
 A 128-access request costs what its fixed per-call work costs, and most
 of that is dispatch: one C-level call per numpy function, array method,
@@ -26,6 +27,7 @@ from repro.units import GIB
 
 from tests.core.test_batch_identity import (SERVED_AUS, SERVED_HOSTS,
                                             SERVED_VMS, build_pair,
+                                            chunks_per_lookup,
                                             serve_looking_ahead,
                                             serve_one_by_one, serve_step,
                                             served_call, served_config)
@@ -116,6 +118,41 @@ def test_look_ahead_over_four_calls_dispatches_less_than_four_calls():
     assert prefixes == [4]
     assert dispatches(serve_looking_ahead)[0] == shared  # repeats exactly
     assert shared <= 0.85 * singles
+
+
+# -- the SMC chunks of a long cold call --------------------------------------
+
+#: Accesses in the measured call (and in the warm call before it).
+COLD_CALL = 20_000
+#: Chunks the measured call may take.  Cutting a chunk in advance — at
+#: the fifth distinct of an L2 set, or wherever an L1-resident distinct
+#: and a full miss share a set — took 139 on this stream; cutting only
+#: where a fill actually breaks the bulk commit takes 67.
+COLD_CHUNK_BUDGET = 80
+
+
+def test_cold_call_ends_chunks_only_where_it_must():
+    """The ``datapath_cold`` shape: policies off, zipf 1.5 over four AUs,
+    ≈1 000 distinct segments a call against a 64-entry L1 and a
+    1 024-entry L2, so nearly every chunk ends at a cut."""
+    counts = []
+    for _ in range(2):
+        config = DtlConfig(enable_self_refresh=False,
+                           enable_power_down=False)
+        controller = DtlController(config)
+        controller.allocate_vm(0, 4 * config.au_bytes)
+        rng = np.random.default_rng(0)
+        segment = config.geometry.segment_bytes
+        segments = 4 * config.au_bytes // segment
+        warm, measured = ((rng.zipf(1.5, COLD_CALL) % segments) * segment
+                          + rng.integers(0, segment, COLD_CALL)
+                          for _ in range(2))
+        controller.access_batch(0, warm)
+        chunks = chunks_per_lookup(controller)
+        controller.access_batch(0, measured)
+        counts.append(chunks[0])
+    assert counts[0] == counts[1]  # a count, so it repeats exactly
+    assert counts[0] <= COLD_CHUNK_BUDGET
 
 
 # -- the control plane ---------------------------------------------------------
