@@ -29,7 +29,7 @@ def run_config(l1_entries: int, l2_entries: int,
     trace = generator.generate(num_accesses)
     segments_per_au = layout.segments_per_au
     for au_id in range(2):
-        engine.tables.allocate_au(0, au_id)
+        engine.tables.allocate_au(0, [au_id])
     mapped = set()
     for raw in trace.addresses // np.uint64(geometry.segment_bytes):
         local = int(raw)

@@ -50,7 +50,7 @@ def simulate_smc(num_accesses: int = 120_000):
     hsn_offset = trace.addresses // np.uint64(geometry.segment_bytes)
     segments_per_au = layout.segments_per_au
     for au_id in range(4 * GIB // (2 * GIB)):
-        engine.tables.allocate_au(0, au_id)
+        engine.tables.allocate_au(0, [au_id])
     mapped = set()
     for raw in hsn_offset:
         local = int(raw)

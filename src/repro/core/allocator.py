@@ -221,20 +221,6 @@ class SegmentAllocator:
 
     # -- allocation -------------------------------------------------------------
 
-    def _pick_row(self, channel: int) -> int | None:
-        """Ring row of the most-utilised open rank on ``channel`` that
-        still has space (ranks are equally large, so: the fewest free
-        segments; the lowest rank index among equals)."""
-        best: int | None = None
-        best_free = self.geometry.segments_per_rank + 1
-        ranks = self.geometry.ranks_per_channel
-        for row in range(channel * ranks, (channel + 1) * ranks):
-            free = self._free[row]
-            if (free and free < best_free
-                    and self._roles[row] is RankRole.OPEN):
-                best, best_free = row, free
-        return best
-
     def allocate(self, num_segments: int) -> np.ndarray:
         """Allocate ``num_segments`` segments of ``OPEN`` ranks, spread
         evenly over channels.
@@ -257,28 +243,31 @@ class SegmentAllocator:
                 f"evenly over {channels} channels")
         per_channel = num_segments // channels
         ranks = self.geometry.ranks_per_channel
+        # Per channel: open ranks with space, fewest free segments (most
+        # utilised) first, lowest index among equals, each emptied in turn.
+        orders = []
         for channel in range(channels):
-            rows = slice(channel * ranks, (channel + 1) * ranks)
-            available = sum(free for free, role
-                            in zip(self._free[rows], self._roles[rows])
-                            if role is RankRole.OPEN)
+            first = channel * ranks
+            order = sorted((free, row) for row, free in enumerate(
+                self._free[first:first + ranks], first)
+                if free and self._roles[row] is RankRole.OPEN)
+            available = sum(free for free, _ in order)
             if available < per_channel:
                 raise AllocationError(
                     f"channel {channel} has only {available} free segments "
                     f"in open ranks, need {per_channel}")
+            orders.append(order)
         per_channel_dsns: list[np.ndarray] = []
-        for channel in range(channels):
-            taken: list[np.ndarray] = []
+        for order in orders:
+            taken = [np.empty(0, dtype=np.int64)]
             remaining = per_channel
-            while remaining:
-                row = self._pick_row(channel)
-                if row is None:  # pragma: no cover - guarded above
-                    raise AllocationError("allocator invariant violated")
-                take = min(remaining, self._free[row])
+            for free, row in order:
+                if not remaining:
+                    break
+                take = min(remaining, free)
                 taken.append(self._take(row, take))
                 remaining -= take
-            per_channel_dsns.append(np.concatenate(taken) if taken
-                                    else np.empty(0, dtype=np.int64))
+            per_channel_dsns.append(np.concatenate(taken))
         # Interleave round-robin so consecutive host segments land on
         # consecutive channels (Figure 6's segment-granular channel
         # interleaving).
@@ -317,8 +306,12 @@ class SegmentAllocator:
     def _append_shares(self, dsns: np.ndarray, rows: np.ndarray) -> None:
         """Hand ``dsns`` to their ranks' free queues, input order kept
         within a rank."""
-        for row in np.flatnonzero(np.bincount(rows)).tolist():
-            self._append(row, dsns[rows == row])
+        # A stable sort of 16-bit keys is one radix pass over all shares.
+        grouped = dsns[np.argsort(rows.astype(np.uint16), kind="stable")]
+        counts = np.bincount(rows)
+        ends = np.cumsum(counts).tolist()
+        for row in np.flatnonzero(counts).tolist():
+            self._append(row, grouped[ends[row] - counts[row]:ends[row]])
 
     def reserve_specific(self, dsn: int) -> None:
         """Allocate one free segment of an open rank (migration target)."""
@@ -368,8 +361,7 @@ class SegmentAllocator:
         """
         dsns = np.asarray(dsns, dtype=np.int64)
         if len(dsns) > 1:
-            # A whole AU: when every segment checks out, each rank's
-            # share moves at once.
+            # A whole VM: each rank's share at once if every DSN checks out.
             rows = self._rows_of(dsns)
             if self._in_use[dsns].all() and all_distinct(dsns):
                 self._in_use[dsns] = False

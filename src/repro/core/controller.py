@@ -280,29 +280,16 @@ class DtlController:
         if len(free_aus) < num_aus:
             raise AllocationError(
                 f"host {host_id} has no free AU IDs for {num_aus} AUs")
+        # One pass for the whole VM; it raises with the allocator
+        # untouched, so the AU IDs leave their queue once it has passed.
+        dsns = self.allocator.allocate(segments_needed)
         au_ids = tuple(free_aus.popleft() for _ in range(num_aus))
-        try:
-            for au_id in au_ids:
-                self.tables.allocate_au(host_id, au_id)
-                dsns = self.allocator.allocate(
-                    self.host_layout.segments_per_au)
-                self._wake_ranks_holding(dsns, now_s)
-                self.tables.map_au_segments(host_id, au_id, dsns)
-        except AllocationError:
-            # Unwind every AU this call touched: segments mapped for the
-            # AUs that completed (and the AU-table slice of the one that
-            # failed partway) must be freed, or they leak forever.
-            touched = set(self.tables.au_ids(host_id)) & set(au_ids)
-            for au_id in touched:
-                dsns = self.tables.free_au(host_id, au_id)
-                self.allocator.free(dsns)
-            for au_id in au_ids:
-                free_aus.appendleft(au_id)
-            raise
-        vm_id = self._next_vm_id
+        self.tables.allocate_au(host_id, au_ids)
+        self._wake_ranks_holding(dsns, now_s)
+        self.tables.map_au_segments(host_id, au_ids, dsns)
+        vm = VmHandle(self._next_vm_id, host_id, au_ids,
+                      num_aus * self.config.au_bytes)
         self._next_vm_id += 1
-        vm = VmHandle(vm_id=vm_id, host_id=host_id, au_ids=au_ids,
-                      reserved_bytes=num_aus * self.config.au_bytes)
         self._vms[vm.vm_id] = vm
         return vm
 
@@ -314,26 +301,21 @@ class DtlController:
         """
         if vm.vm_id not in self._vms:
             raise AllocationError(f"VM {vm.vm_id} is not live")
-        segments_per_au = self.host_layout.segments_per_au
-        self.translation.invalidate_batch(self.host_layout.pack_hsn_batch(
-            vm.host_id,
-            np.repeat(np.asarray(vm.au_ids, dtype=np.int64),
-                      segments_per_au),
-            np.tile(np.arange(segments_per_au, dtype=np.int64),
-                    len(vm.au_ids))))
-        # Background consolidation copies may still be pending for this
-        # VM's segments.  Retiring one later would remap an AU that no
-        # longer exists, so they are cancelled and their reserved targets
-        # handed back; a pending power-down whose copies were all
-        # cancelled still parks on the next pump.
+        self.translation.invalidate_batch(
+            self.tables.au_hsns(vm.host_id, vm.au_ids))
+        # Background copies may still be pending for this VM's segments;
+        # retiring one later would remap an AU that no longer exists.  They
+        # are cancelled, and each AU's reserved targets freed before its
+        # segments (the free queues' order); a pending power-down whose
+        # copies were all cancelled still parks on the next pump.
         copies_pending = self.migration.has_tracked_requests
-        free_aus = self._free_aus(vm.host_id)
-        for au_id in vm.au_ids:
-            dsns = self.tables.free_au(vm.host_id, au_id)
+        for au_ids in ([(au_id,) for au_id in vm.au_ids] if copies_pending
+                       else [vm.au_ids]):
+            dsns = self.tables.free_au(vm.host_id, au_ids)
             if copies_pending:
-                self.allocator.free(self.migration.cancel(dsns))
+                dsns = np.concatenate((self.migration.cancel(dsns), dsns))
             self.allocator.free(dsns)
-            free_aus.append(au_id)
+        self._free_aus(vm.host_id).extend(vm.au_ids)
         del self._vms[vm.vm_id]
         if self.power_down is not None:
             return self.power_down.maybe_power_down(now_s)
@@ -610,18 +592,18 @@ class DtlController:
             routed_to_new_dsn=routed_new)
 
     def _wake_ranks_holding(self, dsns: np.ndarray, now_s: float) -> None:
-        """Exit self-refresh on any rank receiving fresh allocations.
-
-        The VM's initialisation writes follow immediately, and a rank in
-        self-refresh cannot accept commands.
-        """
+        """Exit self-refresh on any rank receiving fresh allocations, one
+        AU's ranks after another's: the VM's initialisation writes follow
+        immediately, and a rank in self-refresh cannot accept commands."""
         if not any(rank.state is PowerState.SELF_REFRESH
                    for rank in self.device.ranks.values()):
             return  # the usual case: nothing to wake, nothing to decode
-        for rank_id in set(self.allocator.ranks_of_dsns(dsns)):
-            if self.device.ranks[rank_id].state is PowerState.SELF_REFRESH:
-                self.device.set_rank_state(rank_id, PowerState.STANDBY,
-                                           now_s)
+        for au_dsns in np.split(dsns, len(dsns)
+                                // self.host_layout.segments_per_au):
+            for rank_id in set(self.allocator.ranks_of_dsns(au_dsns)):
+                if self.device.ranks[rank_id].state is PowerState.SELF_REFRESH:
+                    self.device.set_rank_state(rank_id, PowerState.STANDBY,
+                                               now_s)
 
     def hpa_of(self, au_index: int, au_offset: int, byte_offset: int = 0) -> int:
         """Build a host-local HPA for AU ``au_index``, segment ``au_offset``."""

@@ -37,6 +37,7 @@ int64 arrays.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,11 @@ class TranslationTables:
 
     def __init__(self, layout: HostAddressLayout):
         self.layout = layout
-        # Flat forward table over the whole packed-HSN space.  Size is
-        # max_hosts * max_aus_per_host * segments_per_au entries, i.e. at
-        # most max_hosts * total_segments — a few MiB even at device
-        # scale, and one gather resolves any HSN batch.
-        self._forward = np.full(1 << layout.hsn_bits, UNMAPPED,
-                                dtype=np.int64)
+        # Flat forward table over the whole packed-HSN space: max_hosts *
+        # max_aus_per_host * segments_per_au entries, so one gather
+        # resolves any HSN batch.  It holds each DSN inverted (``~dsn``),
+        # so zeroed pages read UNMAPPED and only AUs in use take memory.
+        self._forward = np.zeros(1 << layout.hsn_bits, dtype=np.int64)
         # Allocation bitmap, [host_id, au_id]: the one record of which
         # AUs exist, and what tells "AU not allocated" from "segment not
         # mapped" on the error paths.
@@ -82,6 +82,13 @@ class TranslationTables:
         self._reverse_table = np.full(layout.geometry.total_segments,
                                       UNMAPPED, dtype=np.int64)
         self._mapped = 0  # live entries of the reverse table
+
+    def __getstate__(self) -> dict:
+        # Checkpoints keep plain DSNs, UNMAPPED where nothing is mapped.
+        return {**self.__dict__, "_forward": ~self._forward}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _forward=~state["_forward"])
 
     def table5_rows(self) -> dict[str, StructureSize]:
         """The Table 5 rows these tables are.  The paper's segment
@@ -114,11 +121,6 @@ class TranslationTables:
         if self._reverse_table.item(dsn) != UNMAPPED:
             raise TranslationError(f"DSN {dsn:#x} is already in use")
 
-    def _au_slice(self, host_id: int, au_id: int) -> np.ndarray:
-        """View of one AU's ``segments_per_au`` forward-table entries."""
-        base = self.layout.pack_hsn(host_id, au_id, 0)
-        return self._forward[base:base + self.layout.segments_per_au]
-
     # -- AU lifecycle ---------------------------------------------------------
 
     def register_host(self, host_id: int) -> None:
@@ -126,27 +128,44 @@ class TranslationTables:
         if not 0 <= host_id < self.layout.max_hosts:
             raise AddressError(f"host_id {host_id} out of range")
 
-    def allocate_au(self, host_id: int, au_id: int) -> None:
-        """Create the (all-unmapped) mapping slice of a newly allocated AU."""
-        self.register_host(host_id)
-        if not 0 <= au_id < self.layout.max_aus_per_host:
-            raise AddressError(f"au_id {au_id} out of range")
-        if self._au_live[host_id, au_id]:
+    def allocate_au(self, host_id: int, au_ids: Sequence[int]) -> None:
+        """Allocate AUs, each with an all-unmapped slice (:meth:`free_au`
+        leaves it so).  An AU ID out of range, already allocated or
+        named twice raises, before anything changes."""
+        for au_id in au_ids:
+            self.layout.pack_hsn(host_id, au_id, 0)  # range-checks both IDs
+            if self._au_live[host_id, au_id]:
+                raise AllocationError(
+                    f"AU {au_id} of host {host_id} already allocated")
+        if len(set(au_ids)) < len(au_ids):
             raise AllocationError(
-                f"AU {au_id} of host {host_id} already allocated")
-        self._au_slice(host_id, au_id).fill(UNMAPPED)
-        self._au_live[host_id, au_id] = True
+                f"AU named twice in {list(au_ids)} of host {host_id}")
+        self._au_live[host_id, np.asarray(au_ids, dtype=np.int64)] = True
 
-    def free_au(self, host_id: int, au_id: int) -> np.ndarray:
-        """Tear down an AU; returns the DSNs of its mapped segments."""
-        self._require_au(host_id, au_id)
-        au_slice = self._au_slice(host_id, au_id)
-        dsns = au_slice[au_slice != UNMAPPED]
-        au_slice.fill(UNMAPPED)
+    def free_au(self, host_id: int, au_ids: Sequence[int]) -> np.ndarray:
+        """Tear down AUs; returns the DSNs of their mapped segments, AU
+        by AU in ``au_ids`` order, each AU's in offset order."""
+        hsns = self.au_hsns(host_id, au_ids)
+        dsns = ~self._forward[hsns]
+        dsns = dsns[dsns != UNMAPPED]
+        self._forward[hsns] = ~UNMAPPED
         self._reverse_table[dsns] = UNMAPPED
         self._mapped -= len(dsns)
-        self._au_live[host_id, au_id] = False
+        self._au_live[host_id, np.asarray(au_ids, dtype=np.int64)] = False
         return dsns
+
+    def au_hsns(self, host_id: int, au_ids: Sequence[int]) -> np.ndarray:
+        """The HSNs of the slices of ``au_ids``, AU by AU, each in offset
+        order, once each names an allocated AU and none repeats."""
+        for au_id in au_ids:
+            self._require_au(host_id, au_id)
+        if len(set(au_ids)) < len(au_ids):
+            raise TranslationError(
+                f"AU named twice in {list(au_ids)} of host {host_id}")
+        segments = self.layout.segments_per_au
+        return (self.layout.pack_hsn(host_id, 0, 0) + np.arange(segments)
+                + np.asarray(au_ids, dtype=np.int64)[:, None] * segments
+                ).ravel()
 
     def au_ids(self, host_id: int) -> list[int]:
         """AU IDs currently allocated for ``host_id``."""
@@ -160,40 +179,45 @@ class TranslationTables:
         """Install the HSN -> DSN mapping (and its reverse)."""
         host_id, au_id, _ = self.layout.unpack_hsn(hsn)
         self._require_au(host_id, au_id)
-        if self._forward[hsn] != UNMAPPED:
+        if ~self._forward[hsn] != UNMAPPED:
             raise TranslationError(f"HSN {hsn:#x} is already mapped")
         self._require_unused(dsn)
-        self._forward[hsn] = dsn
+        self._forward[hsn] = ~dsn
         self._reverse_table[dsn] = hsn
         self._mapped += 1
 
-    def map_au_segments(self, host_id: int, au_id: int,
+    def map_au_segments(self, host_id: int, au_ids: Sequence[int],
                         dsns: np.ndarray) -> np.ndarray:
-        """Install one AU's whole mapping slice in a single scatter.
+        """Install the mapping slices of AUs in a single scatter: the
+        first ``segments_per_au`` DSNs back ``au_ids[0]``, the next
+        ``au_ids[1]``, and so on.
 
         Equivalent to calling :meth:`map_segment` for every
-        ``(au_offset, dsn)`` pair in order, with the same validation
+        ``(hsn, dsn)`` pair in order, with the same validation
         (already-mapped offsets and in-use DSNs are rejected before any
         state changes).  Returns the packed HSNs of the mapped segments.
         """
-        self._require_au(host_id, au_id)
+        hsns = self.au_hsns(host_id, au_ids)
         dsns = np.asarray(dsns, dtype=np.int64)
-        au_offsets = np.arange(len(dsns), dtype=np.int64)
-        hsns = self.layout.pack_hsn_batch(host_id,
-                                          np.full(len(dsns), au_id,
-                                                  dtype=np.int64),
-                                          au_offsets)
-        if (self._forward[hsns] != UNMAPPED).any():
+        if len(dsns) > len(hsns):
+            raise AddressError("au_offset out of range in batch")
+        hsns = hsns[:len(dsns)]
+        if (~self._forward[hsns] != UNMAPPED).any():
             raise TranslationError(
-                f"AU {au_id} of host {host_id} has mapped segments")
+                f"AU in {list(au_ids)} of host {host_id} has mapped segments")
         if len(dsns) and not (0 <= int(dsns.min()) and int(dsns.max())
                               < len(self._reverse_table)):
             raise AddressError("DSN out of range in batch")
-        if (self._reverse_table[dsns] != UNMAPPED).any() \
-                or not all_distinct(dsns):
+        reverse = self._reverse_table
+        if (reverse[dsns] != UNMAPPED).any():
             raise TranslationError("DSN already in use in batch mapping")
-        self._forward[hsns] = dsns
-        self._reverse_table[dsns] = hsns
+        # The HSNs are distinct, so a DSN named twice keeps only one of
+        # its HSNs: reading the scatter back finds it without a sort.
+        reverse[dsns] = hsns
+        if (reverse[dsns] != hsns).any():
+            reverse[dsns] = UNMAPPED
+            raise TranslationError("DSN already in use in batch mapping")
+        self._forward[hsns] = ~dsns
         self._mapped += len(dsns)
         return hsns
 
@@ -201,11 +225,11 @@ class TranslationTables:
         """Point ``hsn`` at ``new_dsn`` after migration; returns the old DSN."""
         host_id, au_id, _ = self.layout.unpack_hsn(hsn)
         self._require_au(host_id, au_id)
-        old_dsn = int(self._forward[hsn])
+        old_dsn = ~int(self._forward[hsn])
         if old_dsn == UNMAPPED:
             raise TranslationError(f"HSN {hsn:#x} is not mapped")
         self._require_unused(new_dsn)
-        self._forward[hsn] = new_dsn
+        self._forward[hsn] = ~new_dsn
         self._reverse_table[old_dsn] = UNMAPPED
         self._reverse_table[new_dsn] = hsn
         return old_dsn
@@ -236,9 +260,9 @@ class TranslationTables:
                      and not (reverse[new_dsns] != UNMAPPED).any()
                      and all_distinct(hsns) and all_distinct(new_dsns))
             if clean:
-                old_dsns = self._forward[hsns]
+                old_dsns = ~self._forward[hsns]
                 if not (old_dsns == UNMAPPED).any():
-                    self._forward[hsns] = new_dsns
+                    self._forward[hsns] = ~new_dsns
                     reverse[old_dsns] = UNMAPPED
                     reverse[new_dsns] = hsns
                     return old_dsns
@@ -250,8 +274,8 @@ class TranslationTables:
         """Exchange the DSNs of two mapped HSNs (hot/cold swap)."""
         dsn_a = self.walk(hsn_a).dsn
         dsn_b = self.walk(hsn_b).dsn
-        self._forward[hsn_a] = dsn_b
-        self._forward[hsn_b] = dsn_a
+        self._forward[hsn_a] = ~dsn_b
+        self._forward[hsn_b] = ~dsn_a
         self._reverse_table[dsn_a] = hsn_b
         self._reverse_table[dsn_b] = hsn_a
 
@@ -259,10 +283,10 @@ class TranslationTables:
         """Remove the mapping for ``hsn``; returns the freed DSN."""
         host_id, au_id, _ = self.layout.unpack_hsn(hsn)
         self._require_au(host_id, au_id)
-        dsn = int(self._forward[hsn])
+        dsn = ~int(self._forward[hsn])
         if dsn == UNMAPPED:
             raise TranslationError(f"HSN {hsn:#x} is not mapped")
-        self._forward[hsn] = UNMAPPED
+        self._forward[hsn] = ~UNMAPPED
         self._reverse_table[dsn] = UNMAPPED
         self._mapped -= 1
         return dsn
@@ -276,7 +300,7 @@ class TranslationTables:
             TranslationError: if the HSN has no mapping.
         """
         if 0 <= hsn < len(self._forward):
-            dsn = int(self._forward[hsn])
+            dsn = ~int(self._forward[hsn])
             if dsn != UNMAPPED:
                 return WalkResult(dsn=dsn, sram_accesses=2, dram_accesses=1)
         # Error path: reproduce the level-by-level diagnostics.
@@ -299,7 +323,7 @@ class TranslationTables:
         if not (0 <= int(hsns.min())
                 and int(hsns.max()) < (1 << self.layout.hsn_bits)):
             raise AddressError("HSN out of range in batch")
-        dsns = self._forward[hsns]
+        dsns = ~self._forward[hsns]
         unmapped = dsns == UNMAPPED
         if unmapped.any():
             # Raise with the scalar walk's exact diagnostic for the first

@@ -29,7 +29,7 @@ def make_policy(threshold=1000, granularity=1):
 
 
 def allocate(policy, layout, au_id, host=0):
-    policy.tables.allocate_au(host, au_id)
+    policy.tables.allocate_au(host, [au_id])
     dsns = policy.allocator.allocate(layout.segments_per_au)
     for offset, dsn in enumerate(dsns):
         policy.tables.map_segment(layout.pack_hsn(host, au_id, offset), dsn)

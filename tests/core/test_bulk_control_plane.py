@@ -335,7 +335,7 @@ def test_run_filling_reserves_the_per_segment_sequence(policy_name, data):
             index = host.tables.mapped_segment_count
             au_id, offset = divmod(index, layout.segments_per_au)
             if not offset:
-                host.tables.allocate_au(0, au_id)
+                host.tables.allocate_au(0, [au_id])
             host.tables.map_segment(layout.pack_hsn(0, au_id, offset), dsn)
         for _ in range(heat):
             host.device.rank(0, rank).record_access()
@@ -369,8 +369,8 @@ def test_policy_is_asked_once_per_run():
     target = host.policy.consolidation_target
     host.policy.consolidation_target = \
         lambda candidates: asked.append(len(candidates)) or target(candidates)
-    host.tables.allocate_au(0, 0)
-    host.tables.allocate_au(0, 1)
+    host.tables.allocate_au(0, [0])
+    host.tables.allocate_au(0, [1])
     live = host.allocator.allocate_in_rank((0, 0), 12).tolist()
     for index, dsn in enumerate(live):
         host.tables.map_segment(
@@ -386,7 +386,7 @@ def test_policy_is_asked_once_per_run():
 
 def test_refused_target_leaves_nothing_reserved_untracked():
     host, layout = build_stack("paper")
-    host.tables.allocate_au(0, 0)
+    host.tables.allocate_au(0, [0])
     live = host.allocator.allocate_in_rank((0, 0), 8).tolist()
     for offset, dsn in enumerate(live):
         host.tables.map_segment(layout.pack_hsn(0, 0, offset), dsn)
@@ -478,9 +478,9 @@ def mapped_tables():
     layout = HostAddressLayout(GEOMETRY, au_bytes=16 * MIB)
     tables = TranslationTables(layout)
     for au_id in (0, 1):
-        tables.allocate_au(0, au_id)
+        tables.allocate_au(0, [au_id])
         tables.map_au_segments(
-            0, au_id, np.arange(8, dtype=np.int64) + 8 * au_id)
+            0, [au_id], np.arange(8, dtype=np.int64) + 8 * au_id)
     hsn = lambda au_id, offset: layout.pack_hsn(0, au_id, offset)  # noqa: E731
     return tables, hsn
 

@@ -16,6 +16,7 @@ creeping back into them shows as a thousand more dispatches per AU
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
 from repro.dram.geometry import DramGeometry
-from repro.units import GIB
+from repro.units import GIB, MIB
 
 from tests.core.test_batch_identity import (SERVED_AUS, SERVED_HOSTS,
                                             SERVED_VMS, build_pair,
@@ -41,7 +42,9 @@ WARM_CALLS = 48
 
 
 def c_calls(function) -> int:
-    """How many C-level calls ``function()`` makes."""
+    """How many C-level calls ``function()`` makes.  The collector is
+    off meanwhile: a collection would count the calls of whatever
+    ``gc.callbacks`` other code has registered."""
     count = 0
 
     def profiler(frame, event, arg):
@@ -50,11 +53,15 @@ def c_calls(function) -> int:
             count += 1
 
     previous = sys.getprofile()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         function()
     finally:
         sys.setprofile(previous)
+        if collecting:
+            gc.enable()
     return count
 
 
@@ -157,15 +164,20 @@ def test_cold_call_ends_chunks_only_where_it_must():
 
 # -- the control plane ---------------------------------------------------------
 
-#: C-level calls ``allocate_vm`` of one 2 GiB VM (one AU, 1 024
-#: segments) may make.  The deque/set/dict books of PR 23 made 1 103, the
-#: array books make 63.
+#: C-level calls ``allocate_vm`` of one VM may make, whether it is one
+#: 2 GiB AU of 1 024 segments or sixteen 256 MiB AUs.  Deque/set/dict
+#: books made 1 103 for the first, the array books make 57; a pass per
+#: AU made 1 109 for the second, a pass per VM makes 92.
 ALLOCATE_VM_BUDGET = 150
 #: ... and a ``deallocate_vm`` of a 12 GiB VM (six AUs) whose
 #: consolidation moves 2 048 live segments of another VM and parks three
-#: rank pairs: 17 085 before, 865 now.  One Python step per moved
-#: segment in any one of the three structures is 2 048 more.
+#: rank pairs: 17 085 with per-segment books, 653 now.  One Python step
+#: per moved segment in any one of the three structures is 2 048 more.
 DEALLOCATE_VM_BUDGET = 1_800
+#: What a ``deallocate_vm`` of sixteen AUs may make beyond one of a
+#: single AU: a free per AU made 1 552 against 836, one free per VM 831
+#: against 831.
+PER_AU_DEALLOCATE_SLACK = 50
 
 
 def consolidating_controller():
@@ -200,3 +212,29 @@ def test_control_plane_stays_inside_its_dispatch_budget():
     allocate, deallocate = counts[0]
     assert allocate <= ALLOCATE_VM_BUDGET
     assert deallocate <= DEALLOCATE_VM_BUDGET
+
+
+def lifecycle_calls(num_aus: int) -> tuple[int, int]:
+    """C-level calls of ``allocate_vm`` and ``deallocate_vm`` of one
+    ``num_aus``-AU VM on a fresh 4 x 8-rank controller whose first ranks
+    hold up to sixteen 256 MiB AUs."""
+    controller = DtlController(DtlConfig(
+        geometry=DramGeometry(rank_bytes=GIB), au_bytes=256 * MIB))
+    vms = []
+    allocate = c_calls(lambda: vms.append(
+        controller.allocate_vm(0, num_aus * 256 * MIB, now_s=0.0)))
+    assert len(vms[0].au_ids) == num_aus
+    deallocate = c_calls(lambda: controller.deallocate_vm(vms[0], now_s=1.0))
+    return allocate, deallocate
+
+
+def test_vm_lifecycle_costs_per_vm_not_per_au():
+    """One allocator pass, one table scatter and one free per VM: a
+    sixteen-AU VM costs what a one-AU VM costs, give or take."""
+    lifecycle_calls(1)  # first-call work (imports, caches) stays out
+    single = lifecycle_calls(1)
+    counts = [lifecycle_calls(16) for _ in range(2)]
+    assert counts[0] == counts[1]  # counts, so they repeat exactly
+    allocate, deallocate = counts[0]
+    assert allocate <= ALLOCATE_VM_BUDGET
+    assert deallocate <= single[1] + PER_AU_DEALLOCATE_SLACK

@@ -68,7 +68,7 @@ class TestDetectsCorruption:
             check(controller)
 
     def test_mapping_without_allocation(self, controller):
-        controller.tables.allocate_au(0, 0)
+        controller.tables.allocate_au(0, [0])
         controller.tables.map_segment(
             controller.host_layout.pack_hsn(0, 0, 0), 17)
         with pytest.raises(ConsistencyError, match="not allocated"):
@@ -94,7 +94,7 @@ class TestDetectsCorruption:
     def test_unbalanced_channels(self, controller):
         controller.allocator.allocate_in_rank((0, 0), 4)
         # Map them so allocation agreement holds.
-        controller.tables.allocate_au(0, 0)
+        controller.tables.allocate_au(0, [0])
         for offset, dsn in enumerate(
                 controller.allocator.allocated_in_rank((0, 0))):
             controller.tables.map_segment(

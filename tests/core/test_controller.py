@@ -90,35 +90,64 @@ class TestVmLifecycle:
         assert len(controller.live_vms) == 1
 
 
-class TestAllocationRollback:
-    @pytest.fixture
-    def controller(self):
-        # No power-down: its up-front capacity check would short-circuit
-        # the mid-loop exhaustion this test needs to reach.
-        return DtlController(DtlConfig(
-            geometry=DramGeometry(rank_bytes=256 * MIB), au_bytes=64 * MIB,
-            enable_power_down=False, enable_self_refresh=False))
+def nearly_full_controller() -> DtlController:
+    """Host 1 holds all but two AUs of device capacity; host 0 still has
+    a full range of free AU IDs.  No power-down: nothing wakes or parks
+    ranks around a rejected request."""
+    controller = DtlController(DtlConfig(
+        geometry=DramGeometry(rank_bytes=256 * MIB), au_bytes=64 * MIB,
+        enable_power_down=False, enable_self_refresh=False))
+    controller.allocate_vm(1, 126 * 64 * MIB)
+    return controller
 
-    def test_mid_loop_exhaustion_leaks_nothing(self, controller):
-        """Regression: a partial allocate_vm failure must unwind segments
-        and AU-table entries of the AUs that had already completed."""
-        # Host 1 fills all but one AU of device capacity; host 0 still has
-        # a full range of free AU IDs, so the failure happens mid-loop.
-        controller.allocate_vm(1, 127 * 64 * MIB)
-        allocated_before = controller.allocator.allocated_count()
-        aus_before = controller.tables.au_ids(0)
-        free_ids_before = len(controller._free_aus(0))
-        with pytest.raises(AllocationError):
-            controller.allocate_vm(0, 128 * MIB)  # 2 AUs, only 1 fits
-        assert controller.allocator.allocated_count() == allocated_before
-        assert controller.tables.au_ids(0) == aus_before
-        assert len(controller._free_aus(0)) == free_ids_before
+
+def books(controller: DtlController) -> dict:
+    """Every structure an allocation writes, element by element."""
+    allocator = controller.allocator
+    return {
+        "free_queues": {rank_id: allocator.free_dsns_in_rank(rank_id).tolist()
+                        for rank_id in controller.device.ranks},
+        "in_use": allocator._in_use.tolist(),
+        "au_ids": {host_id: controller.tables.au_ids(host_id)
+                   for host_id in (0, 1)},
+        "live_dsns": controller.tables.live_dsns(),
+        "free_au_queue": list(controller._free_aus(0)),
+    }
+
+
+class TestRejectedAllocation:
+    def test_rejected_allocation_changes_nothing(self):
+        """A request the allocator cannot serve is turned away before
+        any book changes: free-queue and free-AU-queue order included."""
+        controller = nearly_full_controller()
+        before = books(controller)
+        for _ in range(2):
+            with pytest.raises(AllocationError):
+                controller.allocate_vm(0, 3 * 64 * MIB)  # only 2 AUs fit
+            assert books(controller) == before
         # The surviving capacity is still allocatable afterwards.
-        vm = controller.allocate_vm(0, 64 * MIB)
-        assert vm.reserved_bytes == 64 * MIB
+        vm = controller.allocate_vm(0, 128 * MIB)
+        assert vm.reserved_bytes == 128 * MIB
 
-    def test_failed_allocation_leaves_no_live_vm(self, controller):
-        controller.allocate_vm(1, 127 * 64 * MIB)
+    def test_rejection_leaves_the_next_vm_as_it_would_be(self):
+        """Regression: a rejected multi-AU request used to hand its AU
+        IDs back to the head of the host's queue one at a time,
+        reversing them, so the host's next VM got other AU IDs (and HSNs
+        and SMC sets) than on a twin that never saw the rejection."""
+        rejected, control = nearly_full_controller(), nearly_full_controller()
+        with pytest.raises(AllocationError):
+            rejected.allocate_vm(0, 3 * 64 * MIB)
+        first, second = (controller.allocate_vm(0, 128 * MIB)
+                         for controller in (rejected, control))
+        assert first.au_ids == second.au_ids
+        hsns = [rejected.host_layout.pack_hsn(0, au_id, offset)
+                for au_id in first.au_ids
+                for offset in range(rejected.host_layout.segments_per_au)]
+        assert (rejected.tables.walk_batch(hsns).tolist()
+                == control.tables.walk_batch(hsns).tolist())
+
+    def test_failed_allocation_leaves_no_live_vm(self):
+        controller = nearly_full_controller()
         with pytest.raises(AllocationError):
             controller.allocate_vm(0, 192 * MIB)
         assert [vm.host_id for vm in controller.live_vms] == [1]

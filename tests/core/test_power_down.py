@@ -40,14 +40,14 @@ def make_stack(ranks_per_channel=4, group_granularity=1):
 
 def allocate(layout, tables, allocator, policy, au_id, host=0):
     """Allocate one AU worth of segments through the DTL structures."""
-    tables.allocate_au(host, au_id)
+    tables.allocate_au(host, [au_id])
     dsns = allocator.allocate(layout.segments_per_au)
-    tables.map_au_segments(host, au_id, dsns)
+    tables.map_au_segments(host, [au_id], dsns)
     return dsns.tolist()
 
 
 def free(layout, tables, allocator, au_id, host=0):
-    dsns = tables.free_au(host, au_id)
+    dsns = tables.free_au(host, [au_id])
     allocator.free(dsns)
 
 

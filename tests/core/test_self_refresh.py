@@ -42,7 +42,7 @@ def make_stack(window_ns=0.5 * MS, threshold_ns=50 * MS, scan_limit=60,
 
 
 def allocate_au(layout, tables, allocator, au_id, host=0):
-    tables.allocate_au(host, au_id)
+    tables.allocate_au(host, [au_id])
     dsns = allocator.allocate(layout.segments_per_au)
     for offset, dsn in enumerate(dsns):
         tables.map_segment(layout.pack_hsn(host, au_id, offset), dsn)

@@ -16,7 +16,7 @@ def engine():
     layout = HostAddressLayout(DramGeometry(rank_bytes=1 * GIB),
                                au_bytes=64 * MIB)
     engine = TranslationEngine(layout)
-    engine.tables.allocate_au(0, 0)
+    engine.tables.allocate_au(0, [0])
     for offset in range(32):
         engine.tables.map_segment(layout.pack_hsn(0, 0, offset), offset * 7)
     return engine
@@ -118,7 +118,7 @@ class TestMeasuredAmat:
                                    au_bytes=64 * MIB)
         tiny = TranslationEngine(layout, cache_config=SegmentCacheConfig(
             l1_entries=1, l2_entries=4, l2_ways=2))
-        tiny.tables.allocate_au(0, 0)
+        tiny.tables.allocate_au(0, [0])
         for offset in range(16):
             tiny.tables.map_segment(layout.pack_hsn(0, 0, offset), offset)
         for _ in range(3):
