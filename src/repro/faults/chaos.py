@@ -4,12 +4,16 @@
 allocation, mixed read/write batches, self-refresh entry and wake,
 VM churn with background consolidation, MPSM reactivation — through a
 fully armed :class:`~repro.faults.injector.FaultInjector`, once per
-escalation level (each level halves every fault's period).  After every
-injected migration abort the end-state is cross-checked against
-:class:`~repro.core.checker.ConsistencyChecker`'s invariants, and the
-campaign's :class:`~repro.faults.injector.ReliabilityReport` carries the
-audit tally: the soak passes only with **zero** violations and zero
-data-loss events across every level.
+escalation level (each level halves every fault's period).
+
+The soak is a scripted client of the server's
+:class:`~repro.server.shards.ControllerShard`: the shard owns the
+clock, the pump and drain cadence, and the
+:class:`~repro.core.checker.ConsistencyChecker` audits after every
+injected migration abort; the soak adds one at each phase boundary.
+The campaign's :class:`~repro.faults.injector.ReliabilityReport`
+carries the audit tally: the soak passes only with **zero** violations
+and zero data-loss events across every level.
 
 Registered as ``chaos`` in :data:`repro.sim.experiments.EXPERIMENTS`
 and surfaced by the ``repro chaos`` CLI command.
@@ -23,31 +27,16 @@ from typing import Any
 import numpy as np
 
 from repro.checkpoint import SteppedExperiment
-from repro.core.checker import ConsistencyChecker
 from repro.core.config import DtlConfig, small_dtl_config
-from repro.core.controller import DtlController, VmHandle
-from repro.cxl.link import CxlLinkConfig
+from repro.core.controller import VmHandle
 from repro.exec.hashing import derive_seed
-from repro.faults.hooks import HookPoint
-from repro.faults.injector import FaultInjector, ReliabilityReport
+from repro.faults.injector import ReliabilityReport
 from repro.faults.plan import (CxlLinkFault, EccFault, FaultPlan,
                                MigrationAbortFault, PowerExitFault,
                                SmcCorruptionFault)
 from repro.seeded import SeededConfig
+from repro.server.shards import ACCESS_PERIOD_NS, ControllerShard
 from repro.units import MIB
-
-#: Safety bound on drain pumping: an injector can abort copies, but every
-#: abort spec is fire-capped, so a drain that needs more steps than this
-#: is a livelock and is reported as a violation instead of hanging.
-DRAIN_STEP_LIMIT = 100_000
-
-# The soak's cadence, which the server's shards share (repro.server.shards).
-#: Simulated time per access.
-ACCESS_PERIOD_NS = 100.0
-#: Background-migration cachelines granted after each access batch.
-PUMP_LINES = 8
-#: Cachelines granted per pump step while draining to quiescence.
-DRAIN_PUMP_LINES = 16
 
 
 @dataclass(frozen=True)
@@ -134,20 +123,6 @@ class ChaosSoakResult:
                                  "data_loss_events": 0})
 
 
-class _Clock:
-    """Monotonic simulated time for the soak (ns, with an s view)."""
-
-    def __init__(self):
-        self.now_ns = 0.0
-
-    @property
-    def now_s(self) -> float:
-        return self.now_ns / 1e9
-
-    def advance(self, accesses: int) -> None:
-        self.now_ns += accesses * ACCESS_PERIOD_NS
-
-
 @dataclass
 class ChaosRunState:
     """Level progress of one stepped chaos campaign."""
@@ -168,8 +143,8 @@ class ChaosSoakExperiment(SteppedExperiment):
 
     # -- stepped execution -------------------------------------------------------
     # One escalation level per advance.  Each level builds its own fresh
-    # controller, injector, and RNG (from the level plan's name), so a
-    # checkpoint between levels carries only the completed reports.
+    # shard and RNG (from the level plan's name), so a checkpoint
+    # between levels carries only the completed reports.
 
     def begin(self) -> "ChaosRunState":
         """Derive the level-0 plan; no levels have run yet."""
@@ -199,128 +174,75 @@ class ChaosSoakExperiment(SteppedExperiment):
     def _run_level(self, plan: FaultPlan,
                    ) -> tuple[ReliabilityReport, dict[str, Any]]:
         cfg = self.config
-        controller = DtlController(cfg.dtl)
-        injector = FaultInjector(plan, registry=controller.metrics,
-                                 trace=controller.trace,
-                                 link=CxlLinkConfig())
-        controller.arm_faults(injector)
-        checker = ConsistencyChecker(controller)
+        shard = ControllerShard(0, cfg.dtl, fault_plan=plan)
         rng = np.random.default_rng(derive_seed(cfg.seed, plan.name))
-        clock = _Clock()
-        audits = 0
-        violations: list[str] = []
 
-        def audit() -> None:
-            nonlocal audits
-            audits += 1
-            # In-flight migrations legitimately double-allocate their
-            # segment on one channel, so balance is audited to within
-            # the tracked-request count (exact once drained).
-            tolerance = controller.migration.pending_count()
-            outcome = checker.audit(balance_tolerance=tolerance)
-            violations.extend(outcome.violations)
-
-        hot = controller.allocate_vm(0, 8 * MIB, now_s=clock.now_s)
-        cold = controller.allocate_vm(1, 8 * MIB, now_s=clock.now_s)
-        churn = controller.allocate_vm(2, 8 * MIB, now_s=clock.now_s)
-        audit()
+        hot = shard.apply_allocate(0, 8 * MIB)
+        cold = shard.apply_allocate(1, 8 * MIB)
+        churn = shard.apply_allocate(2, 8 * MIB)
+        shard.audit()
 
         # Phase 1 — warm both working sets (CXL/ECC/SMC faults fire
         # inside the vectorised batches, scheduled by the injector).
-        self._drive(controller, hot, rng, clock)
-        self._drive(controller, cold, rng, clock)
-        audit()
+        self._drive(shard, hot, rng)
+        self._drive(shard, cold, rng)
+        shard.audit()
 
         # Phase 2 — let the cold VM's ranks go quiet until self-refresh
         # entry (profiling threshold is shrunk in the config).
         quiet_batches = int(cfg.dtl.profiling_threshold_ns
                             // (cfg.batch_size * ACCESS_PERIOD_NS)) + 4
-        self._drive(controller, hot, rng, clock, batches=quiet_batches)
-        audit()
+        self._drive(shard, hot, rng, batches=quiet_batches)
+        shard.audit()
 
         # Phase 3 — touch the cold VM again: any rank that entered
         # self-refresh wakes through the sr.exit hook.
-        self._drive(controller, cold, rng, clock, batches=4)
-        audit()
+        self._drive(shard, cold, rng, batches=4)
+        shard.audit()
 
-        # Phase 4 — churn: deallocate a VM, let the power-down policy
-        # consolidate in the background, and audit after every injected
-        # migration abort.
-        controller.deallocate_vm(churn, now_s=clock.now_s)
-        audit()
-        aborts_seen = injector.injected(HookPoint.MIGRATION_COPY)
-        for _ in range(4 * cfg.batches_per_phase):
-            self._drive(controller, hot, rng, clock, batches=1)
-            controller.pump_migrations(clock.now_s, lines=PUMP_LINES)
-            aborts = injector.injected(HookPoint.MIGRATION_COPY)
-            if aborts > aborts_seen:
-                aborts_seen = aborts
-                audit()
-        steps = 0
-        while controller.migration.pending_count():
-            steps += 1
-            if steps > DRAIN_STEP_LIMIT:
-                violations.append(
-                    f"migration drain exceeded {DRAIN_STEP_LIMIT} pump "
-                    "steps under fault injection")
-                break
-            controller.pump_migrations(clock.now_s, lines=DRAIN_PUMP_LINES)
-            clock.advance(1)
-            aborts = injector.injected(HookPoint.MIGRATION_COPY)
-            if aborts > aborts_seen:
-                aborts_seen = aborts
-                audit()
-        audit()
+        # Phase 4 — churn: free a VM, let the power-down policy
+        # consolidate in the background (the shard pumps after every
+        # batch and audits after every injected migration abort), then
+        # drain to quiescence.
+        shard.apply_free(churn)
+        shard.audit()
+        self._drive(shard, hot, rng, batches=4 * cfg.batches_per_phase)
+        shard.drain_migrations()
+        shard.audit()
 
         # Phase 5 — a large allocation forces MPSM reactivation (the
         # power.mpsm_exit hook) and one more full-pressure access pass.
-        big = controller.allocate_vm(3, 64 * MIB, now_s=clock.now_s)
-        audit()
-        self._drive(controller, big, rng, clock, batches=2)
-        self._drive(controller, hot, rng, clock, batches=2)
-        controller.end_window()
-        audit()
+        big = shard.apply_allocate(3, 64 * MIB)
+        shard.audit()
+        self._drive(shard, big, rng, batches=2)
+        self._drive(shard, hot, rng, batches=2)
+        shard.controller.end_window()
+        shard.audit()
 
-        snapshot = controller.telemetry_snapshot(now_s=clock.now_s)
-        report = injector.report()
-        report.checker_audits = audits
-        report.checker_violations = violations
-        controller.disarm_faults()
-        return report, snapshot.to_dict()
+        report = shard.injector.report()
+        report.checker_audits = shard.audits
+        report.checker_violations = shard.violations
+        return report, shard.apply_stats()
 
     # -- workload helpers --------------------------------------------------------
 
-    def _drive(self, controller: DtlController, vm: VmHandle,
-               rng: np.random.Generator, clock: _Clock,
-               batches: int | None = None) -> None:
-        """Run mixed read/write batches against one VM's reservation."""
+    def _drive(self, shard: ControllerShard, vm: VmHandle,
+               rng: np.random.Generator, batches: int | None = None) -> None:
+        """Run mixed read/write batches at random lines of ``vm``'s
+        segments."""
         cfg = self.config
+        count = cfg.batch_size
+        per_au = shard.controller.host_layout.segments_per_au
+        lines_per_segment = shard.controller.geometry.segment_bytes // 64
         for _ in range(batches if batches is not None
                        else cfg.batches_per_phase):
-            hpas = self._hpas(controller, vm, rng, cfg.batch_size)
-            writes = rng.random(cfg.batch_size) < cfg.write_fraction
-            controller.access_batch(vm.host_id, hpas, writes,
-                                    now_ns=clock.now_ns)
-            clock.advance(cfg.batch_size)
-            controller.tick(clock.now_ns)
-            controller.end_window()
-
-    def _hpas(self, controller: DtlController, vm: VmHandle,
-              rng: np.random.Generator, count: int) -> np.ndarray:
-        """``count`` random host-local HPAs inside ``vm``'s AUs."""
-        au_ids = np.asarray(vm.au_ids, dtype=np.int64)
-        picks = rng.integers(0, len(au_ids), size=count)
-        offsets = rng.integers(
-            0, controller.host_layout.segments_per_au, size=count)
-        lines = rng.integers(
-            0, controller.geometry.segment_bytes // 64, size=count)
-        return np.array(
-            [controller.hpa_of(int(au_ids[pick]), int(offset),
-                               int(line) * 64)
-             for pick, offset, line in zip(picks, offsets, lines)],
-            dtype=np.int64)
+            picks = rng.integers(0, len(vm.au_ids), size=count)
+            offsets = rng.integers(0, per_au, size=count)
+            lines = rng.integers(0, lines_per_segment, size=count)
+            writes = rng.random(count) < cfg.write_fraction
+            shard.apply_access_batch(vm, picks * per_au + offsets, lines,
+                                     writes)
 
 
-__all__ = ["DRAIN_STEP_LIMIT", "ACCESS_PERIOD_NS", "PUMP_LINES",
-           "DRAIN_PUMP_LINES", "ChaosRunState", "ChaosSoakConfig",
-           "ChaosSoakResult", "ChaosSoakExperiment"]
+__all__ = ["ChaosRunState", "ChaosSoakConfig", "ChaosSoakResult",
+           "ChaosSoakExperiment"]

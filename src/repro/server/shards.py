@@ -15,8 +15,10 @@ timestamps and per-access periods), an optional always-armed
 :class:`~repro.faults.injector.FaultInjector`, and a
 :class:`~repro.core.checker.ConsistencyChecker` that audits after every
 injected migration abort plus every :data:`AUDIT_EVERY` applied
-requests — the chaos soak's discipline (and its access period and pump
-cadence), running continuously.
+requests.  This module owns that cadence: the access period, the pump
+grants and the drain bound below.  The chaos soak
+(:mod:`repro.faults.chaos`) is a scripted client of the synchronous
+``apply_*`` methods, so the soak and the server run one harness.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from repro.core.controller import (LOOK_AHEAD_ACCESSES, BatchAccessResult,
                                    DtlController, VmHandle)
 from repro.cxl.link import CxlLinkConfig
 from repro.errors import AllocationError, ReproError
-from repro.faults.chaos import (ACCESS_PERIOD_NS, DRAIN_PUMP_LINES,
-                                DRAIN_STEP_LIMIT, PUMP_LINES)
 from repro.faults.hooks import HookPoint
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -45,6 +45,16 @@ from repro.faults.plan import FaultPlan
 #: Consistency-audit cadence, in applied requests per shard; an injected
 #: migration abort always audits at once.
 AUDIT_EVERY = 64
+#: Simulated time per access.
+ACCESS_PERIOD_NS = 100.0
+#: Background-migration cachelines granted after each access batch.
+PUMP_LINES = 8
+#: Cachelines granted per pump step while draining to quiescence.
+DRAIN_PUMP_LINES = 16
+#: Safety bound on drain pumping: an injector can abort copies, but every
+#: abort spec is fire-capped, so a drain that needs more steps than this
+#: is a livelock and is reported as a violation instead of hanging.
+DRAIN_STEP_LIMIT = 100_000
 
 
 def shard_of(tenant: str, num_shards: int) -> int:
@@ -231,13 +241,14 @@ class ControllerShard:
         """
         self._check_live(vm)
         self.observe_time(t_s)
-        self._drain_migrations()
+        self.drain_migrations()
         self.controller.deallocate_vm(vm, now_s=self.now_s)
         self._after_apply()
         return vm.reserved_bytes
 
-    def _drain_migrations(self) -> None:
-        """Pump background migrations until the queue is quiet."""
+    def drain_migrations(self) -> None:
+        """Pump background migrations until the queue is quiet, one
+        access period per step, auditing after every injected abort."""
         steps = 0
         while self.controller.migration.pending_count():
             steps += 1
@@ -249,6 +260,7 @@ class ControllerShard:
             self.controller.pump_migrations(self.now_s,
                                             lines=DRAIN_PUMP_LINES)
             self.clock_ns += ACCESS_PERIOD_NS
+            self._audit_on_abort()
 
     def apply_access_batch(self, vm: VmHandle, segments: np.ndarray,
                            lines: np.ndarray, writes: np.ndarray,
@@ -388,17 +400,23 @@ class ControllerShard:
     # -- chaos audits ------------------------------------------------------
 
     def _after_apply(self) -> None:
-        """Bookkeeping after every applied mutation: drain progress and
-        the always-on audit cadence."""
+        """Bookkeeping after every applied mutation: the abort audit and
+        the always-on audit cadence (one audit when both are due)."""
         self.applied += 1
-        force = False
-        if self.injector is not None:
-            aborts = self.injector.injected(HookPoint.MIGRATION_COPY)
-            if aborts > self._aborts_seen:
-                self._aborts_seen = aborts
-                force = True
-        if force or self.applied % AUDIT_EVERY == 0:
+        if not self._audit_on_abort() and self.applied % AUDIT_EVERY == 0:
             self.audit()
+
+    def _audit_on_abort(self) -> bool:
+        """Audit if an injected migration abort fired since the last
+        check; True when it did."""
+        if self.injector is None:
+            return False
+        aborts = self.injector.injected(HookPoint.MIGRATION_COPY)
+        if aborts == self._aborts_seen:
+            return False
+        self._aborts_seen = aborts
+        self.audit()
+        return True
 
     def audit(self) -> None:
         """Run one consistency audit (tolerating in-flight migrations)."""
@@ -476,5 +494,6 @@ class ControllerShard:
         return state
 
 
-__all__ = ["AUDIT_EVERY", "shard_of", "TenantRecord", "VmGone",
-           "ControllerShard"]
+__all__ = ["AUDIT_EVERY", "ACCESS_PERIOD_NS", "PUMP_LINES",
+           "DRAIN_PUMP_LINES", "DRAIN_STEP_LIMIT", "shard_of",
+           "TenantRecord", "VmGone", "ControllerShard"]

@@ -1,7 +1,30 @@
 """Chaos soak experiment: escalating faults with consistency audits."""
 
+import pytest
+
+from repro.core.config import small_dtl_config
+from repro.exec.hashing import stable_hash
 from repro.faults import ChaosSoakConfig, ChaosSoakExperiment
 from repro.sim import EXPERIMENTS
+
+#: The default soak's fault schedule per hook point.  Under
+#: ``rank_aware`` the ``power.mpsm_exit`` hook fires twice more.
+DEFAULT_INJECTED = {"cxl.access": 621, "dram.access": 283,
+                    "migration.copy": 12, "power.mpsm_exit": 3,
+                    "smc.lookup": 133, "sr.exit": 1}
+#: ``stable_hash`` of the default soak's end snapshot, recorded while
+#: the soak still built its own controller, injector and checker.
+PAPER_SNAPSHOT = \
+    "33742fef0c85d59e0b75712edbeb1a06fe2c6f273d7541d70fbbd6b139d73426"
+RANK_AWARE_SNAPSHOT = \
+    "3632fcebfccfe04a66915dac8dae6933cf30fd41023943aa3e125ac88d7db6c3"
+DEFAULT_SOAK = {
+    "adaptive": (1053, DEFAULT_INJECTED, PAPER_SNAPSHOT),
+    "dream": (1053, DEFAULT_INJECTED, PAPER_SNAPSHOT),
+    "paper": (1053, DEFAULT_INJECTED, PAPER_SNAPSHOT),
+    "rank_aware": (1055, {**DEFAULT_INJECTED, "power.mpsm_exit": 5},
+                   RANK_AWARE_SNAPSHOT),
+}
 
 
 def tiny_config(seed: int = 0) -> ChaosSoakConfig:
@@ -39,7 +62,9 @@ class TestChaosSoak:
         assert (report.ecc_corrected, report.ecc_uncorrected) == (56, 11)
         assert report.cxl_retry_counts == {2: 99}
         assert report.power_exit_failures == 2
-        assert report.checker_audits == 20
+        # Includes the shard's every-AUDIT_EVERY-applies audit, once per
+        # level: the golden predates it by those two audits.
+        assert report.checker_audits == 22
         assert report.checker_violations == []
         assert report.data_loss_events == 0
 
@@ -70,3 +95,19 @@ class TestChaosSoak:
         assert record.metrics["data_loss_events"] == 0
         assert record.metrics["faults_injected"] > 0
         assert record.paper["checker_violations"] == 0
+
+
+@pytest.mark.parametrize("policy", sorted(DEFAULT_SOAK))
+def test_default_soak_on_the_shard_keeps_its_schedule(policy):
+    """The soak drives a ``ControllerShard``: every fault still fires
+    where it did and the run ends in the same state.  Per level, the
+    shard's every-64-applies audit adds one audit to levels 1 and 2."""
+    total, injected, snapshot_hash = DEFAULT_SOAK[policy]
+    result = ChaosSoakExperiment(
+        ChaosSoakConfig(dtl=small_dtl_config(policy))).run()
+    assert result.ok
+    assert result.report.injected_total == total
+    assert result.report.injected == injected
+    assert [level.checker_audits for level in result.level_reports] \
+        == [12, 11, 11]
+    assert stable_hash(result.snapshot) == snapshot_hash
