@@ -8,8 +8,8 @@ motivates (DRAM ~38 % of server power).
 
 Run:  python examples/datacenter_tco.py [num_nodes]
 
-``REPRO_EXEC_WORKERS=N`` (or an explicit ``ExecConfig``) runs the node
-shards on a process pool; the result is bit-identical either way.
+``REPRO_EXEC_WORKERS=N`` (or an explicit ``ExecConfig``) runs the nodes
+on a process pool; the result is bit-identical either way.
 """
 
 import sys
@@ -27,7 +27,6 @@ def main() -> None:
         azure=AzureTraceConfig(num_vms=60, duration_s=3600.0),
         scheduler=SchedulerConfig(duration_s=3600.0))
     fleet = FleetSimulator(RackConfig(num_nodes=num_nodes, node=node,
-                                      shard_size=2,
                                       hosts_per_rack=2)).run()
 
     print(f"{'node':<8s} {'DRAM savings':>13s} {'mean ranks/ch':>14s}")

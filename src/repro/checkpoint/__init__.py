@@ -1,4 +1,4 @@
-"""Versioned checkpoints of simulation state (ROADMAP item 4).
+"""Versioned checkpoints of simulation state.
 
 Two layers:
 

@@ -7,7 +7,7 @@ share:
 * ``begin() -> state`` — build the full run state (controller,
   workload generators, RNG streams, accumulators) without advancing it.
 * ``advance(state) -> bool`` — perform one unit of work (a simulation
-  step, one sweep cell, one fleet shard...); returns True while more
+  step, one sweep cell, one fleet node...); returns True while more
   work remains.  Must be a no-op returning False once the run is
   complete, so resuming from a final checkpoint is safe.
 * ``finish(state) -> result`` — summarise the state into the result

@@ -9,7 +9,6 @@ Usage::
     python -m repro fig14 [--point 208gb] [--duration 60]
     python -m repro fig15 [--duration 45]
     python -m repro fleet [--quick]     # racked fleet + TCO roll-up
-    python -m repro fleet-soak [--quick]  # sharded soak under an RSS ceiling
     python -m repro chaos [--quick]     # fault-injection reliability soak
     python -m repro tournament [--quick]  # policy Pareto tournament
     python -m repro exp --list          # unified experiment registry
@@ -30,14 +29,14 @@ records, and a record reporting ``ok: False`` makes the exit code 1.
 
 Every command that emits a paper row — ``fig1``/``fig2``/``fig5``/
 ``fig12``/``fig14``/``fig15``/``tables``/``validate``/``fleet``/
-``fleet-soak``/``chaos``/``tournament``, ``exp --name`` and ``all`` —
+``chaos``/``tournament``, ``exp --name`` and ``all`` —
 shares one route (:func:`run_registered`): the spec's ``flag_configs``
 turns the flags into configs,
 :func:`repro.sim.experiments.run_experiments` runs them behind a
 per-invocation result cache (``repro all`` simulates each capacity
 point once for fig14 and fig15), and ``--workers N`` (or
 ``REPRO_EXEC_WORKERS``) fans a multi-config command — or a lone
-experiment's own shards/cells — out over processes.  This module keeps
+experiment's own nodes/cells — out over processes.  This module keeps
 the parser, that route's renderer, and the commands that emit no paper
 row (``exp --list``, ``serve``, ``loadgen``, ``cache``, ``stats``).
 
@@ -120,7 +119,6 @@ SHELL_COMMANDS: dict[str, ShellCommand] = {
                           series=figure14_series),
     "fig15": ShellCommand("selfrefresh", derive=combine),
     "fleet": ShellCommand("fleet"),
-    "fleet-soak": ShellCommand("fleet-soak"),
     "chaos": ShellCommand("chaos"),
     "tournament": ShellCommand("tournament"),
     "tables": ShellCommand("tables"),
@@ -425,9 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="RNG seed (default 0)")
     parser.add_argument("--quick", action="store_true",
                         help="seconds-scale run: fig12/all a 1 h 80-VM "
-                             "schedule, fleet 2 nodes, fleet-soak 64 "
-                             "nodes, chaos 2 small levels, tournament "
-                             "2 s cells")
+                             "schedule, fleet 2 nodes, chaos 2 small "
+                             "levels, tournament 2 s cells")
     parser.add_argument("--point", choices=sorted(PAPER_CAPACITY_POINTS),
                         default=None,
                         help="single fig14 capacity point")

@@ -20,8 +20,6 @@ from repro.exec.hashing import canonical, derive_seed, stable_hash, task_key
 from repro.exec.runner import (EXEC_METRICS, ExecConfig, NESTED_ENV,
                                TaskOutcome, TaskSpec, WORKERS_ENV,
                                default_workers, run_next_tasks, run_tasks)
-from repro.exec.sharding import (ShardPlan, ShardReducer, run_shard,
-                                 shard_slices, shard_tasks)
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -33,15 +31,10 @@ __all__ = [
     "EXEC_METRICS",
     "ExecConfig",
     "NESTED_ENV",
-    "ShardPlan",
-    "ShardReducer",
     "TaskOutcome",
     "TaskSpec",
     "WORKERS_ENV",
     "default_workers",
     "run_next_tasks",
-    "run_shard",
     "run_tasks",
-    "shard_slices",
-    "shard_tasks",
 ]

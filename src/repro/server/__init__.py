@@ -2,8 +2,8 @@
 
 The paper's translation layer is datacenter infrastructure — many VMs
 against one pooled CXL device — yet everything else in this repo is a
-batch experiment.  :mod:`repro.server` is the front door that closes
-ROADMAP item 4: a stdlib-``asyncio`` TCP server speaking a
+batch experiment.  :mod:`repro.server` is the front door: a
+stdlib-``asyncio`` TCP server speaking a
 newline-delimited JSON protocol (:mod:`repro.server.protocol`),
 dispatching each tenant's request stream onto sharded
 :class:`~repro.core.controller.DtlController` instances

@@ -21,7 +21,6 @@ into a cacheable :class:`~repro.exec.runner.TaskSpec`, and
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -37,8 +36,6 @@ from repro.sim.analytic import (ANALYTIC_ROWS, AnalyticConfig,
                                 AnalyticExperiment)
 from repro.sim.comparison import PolicyComparisonExperiment
 from repro.sim.fleet import FleetConfig, FleetSimulator, RackConfig
-from repro.sim.fleet_soak import (FleetSoakConfig, FleetSoakExperiment,
-                                  quick_soak_config)
 from repro.sim.powerdown_sim import (ComparisonSimulator,
                                      PowerDownSimConfig, PowerDownSimulator)
 from repro.sim.rank_sweep import RankSweepExperiment, TraceRankSweepConfig
@@ -106,7 +103,7 @@ def make_experiment(name: str, config: Any | None = None,
     """Instantiate the named experiment (default config when ``None``).
 
     ``exec_config`` reaches the experiments that fan out internally
-    (fleet shards, sweep points, tournament cells), for ``run()`` and
+    (fleet nodes, sweep points, tournament cells), for ``run()`` and
     for a stepped ``advance()`` alike; it never changes a result, only
     how many processes compute it.
     """
@@ -180,14 +177,7 @@ def _fig12_configs(flags: Any) -> dict[str, PowerDownSimConfig]:
 def _fleet_configs(flags: Any) -> dict[str, RackConfig]:
     return {"": RackConfig(num_nodes=2 if flags.quick else 6,
                            node=_schedule(60), base_seed=flags.seed,
-                           shard_size=2, hosts_per_rack=2)}
-
-
-def _fleet_soak_configs(flags: Any) -> dict[str, FleetSoakConfig]:
-    config = quick_soak_config() if flags.quick else FleetSoakConfig()
-    return {"": dataclasses.replace(
-        config, base_seed=flags.seed,
-        workers=flags.workers or config.workers)}
+                           hosts_per_rack=2)}
 
 
 def _fig14_configs(flags: Any) -> dict[str, SelfRefreshSimConfig]:
@@ -220,14 +210,6 @@ register(ExperimentSpec(
                                     node=_tiny_powerdown_config()),
     summary="multi-node fleet fan-out with datacenter TCO roll-up",
     flag_configs=_fleet_configs))
-
-register(ExperimentSpec(
-    name="fleet-soak",
-    config_type=FleetSoakConfig,
-    factory=FleetSoakExperiment,
-    tiny_config=lambda: quick_soak_config(num_nodes=6),
-    summary="sharded fleet soak: RSS ceiling + serial/parallel identity",
-    flag_configs=_fleet_soak_configs))
 
 register(ExperimentSpec(
     name="rank_sweep",

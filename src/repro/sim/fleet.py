@@ -10,26 +10,22 @@ Node heterogeneity comes from independent trace seeds: some nodes run
 hot (little to power down), others sit half-empty — the fleet mean is
 what a capacity planner sees.
 
-The fan-out is **sharded with streaming aggregation**: nodes are cut
-into contiguous shards (:mod:`repro.exec.sharding`), each shard runs
-inside one worker invocation, and the worker reduces its nodes' full
-:class:`~repro.sim.powerdown_sim.PowerDownComparisonResult` payloads to
-compact :class:`NodeSummary` objects before anything crosses the process
-boundary.  The parent folds each :class:`ShardAggregate` as it streams
-in (submission order) and releases it, so no process ever materialises
-the whole fleet's records — which is what lets a 10k-node soak run
-under a fixed memory ceiling.
+Each node is one executor task, the same fan-out shape as the rank
+sweep and the tournament.  The worker reduces the node's full
+:class:`~repro.sim.powerdown_sim.PowerDownComparisonResult` to a compact
+:class:`NodeSummary` before anything crosses the process boundary, and
+the parent folds each summary's telemetry counters as it streams in and
+keeps the summary without them, so no process holds the fleet's full
+records.
 
-Determinism: nodes inside a shard run in index order and shards stream
-in index order, so every float fold (energies, counter sums) sees the
-exact same operand sequence regardless of shard size or worker count —
-``fleet_savings``, ``telemetry_totals()``, and ``to_record()`` are
-bit-identical between serial, sharded-serial, and sharded-parallel
-execution.
+Determinism: outcomes stream in node order, so every float fold
+(energies, counter sums) sees the same operand sequence whatever the
+worker count — ``fleet_savings``, ``telemetry_totals()`` and
+``to_record()`` are bit-identical between serial and parallel runs.
 
 :class:`RackConfig` layers rack structure on top: consecutive nodes
 share one pooled-memory fabric, and each rack's aggregate bandwidth
-demand (from the shard summaries) runs through the M/D/1 contention
+demand (from the node summaries) runs through the M/D/1 contention
 model in :mod:`repro.cxl.pool`, feeding a contended execution stretch
 back into the rack-level energy numbers.
 """
@@ -44,34 +40,31 @@ import numpy as np
 from repro.analysis.tco import TcoModel
 from repro.cxl.pool import (PoolContention, PoolContentionConfig, PoolStats,
                             pool_contention)
-from repro.exec import ExecConfig, TaskSpec, run_next_tasks, shard_tasks
-from repro.host.scheduler import SchedulerConfig
+from repro.exec import ExecConfig, TaskOutcome, TaskSpec, run_next_tasks
 from repro.sim.powerdown_sim import (ComparisonSimulator,
                                      PowerDownComparisonResult,
                                      PowerDownSimConfig)
 from repro.telemetry import MetricsRegistry
-from repro.workloads.azure import AzureTraceConfig
 
 
 @dataclass(frozen=True)
 class FleetConfig:
     """A fleet of identical pool nodes with independent schedules.
 
+    The default is the full Figure 12 schedule over seeds 0-7, so its
+    record carries the Figure 12/13 seed spread.
+
     Attributes:
         num_nodes: Pool nodes simulated (each gets its own VM trace).
         node: Per-node simulation configuration template.
         base_seed: Node ``i`` uses seed ``base_seed + i``.
         tco: Cost model for the datacenter roll-up.
-        shard_size: Nodes executed per worker invocation.  1 reproduces
-            the old node-per-task fan-out (minus the payload shipping);
-            larger shards amortise process dispatch over more nodes.
     """
 
     num_nodes: int = 8
     node: PowerDownSimConfig = field(default_factory=PowerDownSimConfig)
     base_seed: int = 0
     tco: TcoModel = field(default_factory=TcoModel)
-    shard_size: int = 4
 
 
 @dataclass(frozen=True)
@@ -110,6 +103,8 @@ class NodeSummary:
     baseline_raw_energy_j: float
     dtl_raw_energy_j: float
     dtl_execution_factor: float
+    #: Figure 13's background-power saving of this node's pair.
+    background_savings: float
     mean_active_ranks: float
     mean_bandwidth_gbs: float
     mean_reserved_bytes: float
@@ -135,6 +130,7 @@ class NodeSummary:
             baseline_raw_energy_j=pair.baseline.energy.total_j,
             dtl_raw_energy_j=pair.dtl.energy.total_j,
             dtl_execution_factor=pair.dtl.execution_time_factor,
+            background_savings=pair.background_savings,
             mean_active_ranks=pair.dtl.mean_active_ranks,
             mean_bandwidth_gbs=pair.dtl.mean_bandwidth_gbs,
             mean_reserved_bytes=pair.dtl.mean_reserved_bytes,
@@ -151,17 +147,13 @@ class NodeFailure:
     error: str
 
 
-@dataclass
-class ShardAggregate:
-    """What one shard's worker ships back: summaries, not payloads."""
-
-    summaries: list[NodeSummary] = field(default_factory=list)
-    failures: list[NodeFailure] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class _NodeRunner:
-    """Picklable per-node unit of work (index -> comparison result).
+    """Picklable per-node unit of work (index -> node summary).
+
+    The node's full comparison result is reduced to a
+    :class:`NodeSummary` here, in the worker, so only the summary
+    crosses the process boundary.
 
     ``fail_seeds`` is a deterministic failure-injection hook for tests:
     monkeypatches do not reach pool workers, but a field on the runner
@@ -172,34 +164,12 @@ class _NodeRunner:
     base_seed: int
     fail_seeds: tuple[int, ...] = ()
 
-    def __call__(self, index: int) -> PowerDownComparisonResult:
+    def __call__(self, index: int) -> NodeSummary:
         seed = self.base_seed + index
         if seed in self.fail_seeds:
             raise RuntimeError(f"injected failure for node {seed}")
-        return ComparisonSimulator(self.node.with_seed(seed)).run()
-
-
-@dataclass(frozen=True)
-class _FleetShardReducer:
-    """Worker-side fold: full comparison results -> one ShardAggregate."""
-
-    base_seed: int
-
-    def fresh(self) -> ShardAggregate:
-        return ShardAggregate()
-
-    def item(self, state: ShardAggregate, index: int,
-             value: PowerDownComparisonResult) -> None:
-        state.summaries.append(
-            NodeSummary.from_comparison(self.base_seed + index, value))
-
-    def failure(self, state: ShardAggregate, index: int,
-                error: str) -> None:
-        state.failures.append(NodeFailure(seed=self.base_seed + index,
-                                          error=error))
-
-    def finish(self, state: ShardAggregate) -> ShardAggregate:
-        return state
+        return NodeSummary.from_comparison(
+            seed, ComparisonSimulator(self.node.with_seed(seed)).run())
 
 
 @dataclass
@@ -218,38 +188,6 @@ class CounterFold:
         self.reporting += 1
         for name, value in counters.items():
             self.sums[name] = self.sums.get(name, 0.0) + value
-
-
-class _FleetAccumulator:
-    """Streaming parent-side reducer over shard aggregates.
-
-    Receives shard outcomes in submission (node) order from
-    ``run_tasks(stream=...)``, folds each aggregate's summaries into the
-    running fleet state, and keeps only the stripped summaries — the
-    shard aggregate itself (and its per-node counter dicts) are released
-    as soon as the fold is done.
-    """
-
-    def __init__(self, slices: list[tuple[int, int]], base_seed: int):
-        self.slices = slices
-        self.base_seed = base_seed
-        self.nodes: list[NodeSummary] = []
-        self.failures: list[NodeFailure] = []
-        self.counter_fold = CounterFold()
-
-    def stream(self, index: int, outcome) -> None:
-        if not outcome.ok:
-            start, stop = self.slices[index]
-            self.failures.extend(
-                NodeFailure(seed=self.base_seed + node_index,
-                            error=outcome.error)
-                for node_index in range(start, stop))
-            return
-        aggregate: ShardAggregate = outcome.value
-        for summary in aggregate.summaries:
-            self.counter_fold.fold(summary.counters)
-            self.nodes.append(dataclasses.replace(summary, counters=None))
-        self.failures.extend(aggregate.failures)
 
 
 @dataclass(frozen=True)
@@ -292,7 +230,7 @@ class FleetResult:
     #: bytes etc.); not part of :meth:`to_record` so records stay
     #: deterministic.
     exec_telemetry: dict = field(default_factory=dict)
-    #: Counter totals folded during streaming; ``None`` when the result
+    #: Counter totals folded during the run; ``None`` when the result
     #: was built directly from summaries that still carry counters.
     counter_fold: CounterFold | None = None
 
@@ -318,7 +256,7 @@ class FleetResult:
         Counters (accesses, SMC hits, migrated segments, power
         transitions, ...) add across nodes; gauges and residency do not,
         so only counters are aggregated here.  The sums are normally
-        folded during streaming aggregation (node order, so the float
+        folded as each node streams in (node order, so the float
         totals are identical in every execution mode); a result built
         directly from counter-carrying summaries folds here instead.
 
@@ -413,24 +351,41 @@ class FleetResult:
 
     def to_record(self):
         """Flatten into an :class:`~repro.sim.results.ExperimentRecord`
-        (a racked fleet adds its ``rack_*`` contention roll-up)."""
+        (a racked fleet adds its ``rack_*`` contention roll-up).  The
+        q1 / median / q3 over the nodes of each Figure 12-13 metric is
+        the seed spread; each median carries the paper value the
+        ``powerdown_comparison`` record states for one seed."""
         from repro.sim.results import ExperimentRecord
         rack = (self.rack_report() if isinstance(self.config, RackConfig)
                 else {})
+        per_node = {
+            "energy_savings": self.per_node_savings,
+            "background_savings": [node.background_savings
+                                   for node in self.nodes],
+            "dtl_execution_factor": [node.dtl_execution_factor
+                                     for node in self.nodes]}
+        spread = {f"{name}_{label}": float(value)
+                  for name, values in per_node.items()
+                  for label, value in zip(("q1", "median", "q3"),
+                                          np.percentile(values, [25, 50, 75]))}
         return ExperimentRecord("fleet", {
             "fleet_savings": self.fleet_savings,
             "per_node": self.per_node_savings.tolist(),
             "node_seeds": [node.seed for node in self.nodes],
             "failed_seeds": [failure.seed for failure in self.failures],
+            **spread,
             **{f"tco_{key}": value
                for key, value in self.tco_report().items()},
-            **{f"rack_{key}": value for key, value in rack.items()}})
+            **{f"rack_{key}": value for key, value in rack.items()}},
+            {"energy_savings_median": 0.316,
+             "background_savings_median": 0.353,
+             "dtl_execution_factor_median": 1.016})
 
 
 class FleetSimulator:
     """Run the node-level comparison across the whole fleet.
 
-    The fan-out is shard-granular (see the module docstring); set
+    One executor task per node (see the module docstring); set
     ``fail_seeds`` before :meth:`run` to deterministically fail specific
     nodes (testing hook — it ships to the workers with the task).
     """
@@ -449,51 +404,52 @@ class FleetSimulator:
                 for index in range(self.config.num_nodes)]
 
     def begin(self) -> "FleetRunState":
-        """Plan the shard tasks and open the streaming accumulator."""
+        """Plan one task per node; nothing has run yet."""
         config = self.config
         runner = _NodeRunner(node=config.node, base_seed=config.base_seed,
                              fail_seeds=tuple(self.fail_seeds))
-        reducer = _FleetShardReducer(base_seed=config.base_seed)
-        plan, tasks = shard_tasks(
-            runner, reducer, count=config.num_nodes,
-            shard_size=config.shard_size, label="fleet-shard",
-            cpu_bound=True)
         return FleetRunState(
-            tasks=tasks,
-            accumulator=_FleetAccumulator(slices=list(plan.slices),
-                                          base_seed=config.base_seed),
+            tasks=[TaskSpec(fn=runner, args=(index,),
+                            label=f"fleet-node[{index}]", cpu_bound=True)
+                   for index in range(config.num_nodes)],
             metrics=MetricsRegistry())
 
     def _drive(self, state: "FleetRunState",
                one_round: bool = False) -> bool:
-        """Run every pending shard (one round of ``workers`` shards when
+        """Run every pending node (one round of ``workers`` nodes when
         ``one_round``); True while more remain.
 
-        The one schedule behind both :meth:`run` and :meth:`advance`:
-        shards go through :func:`repro.exec.run_tasks` — serially by
-        default, in parallel when the exec config (or
-        ``REPRO_EXEC_WORKERS``) asks for workers, one shard per pool
-        job — and stream into the accumulator in submission order.  A
-        node that fails lands in ``FleetResult.failures`` instead of
-        aborting the shard; a shard-level failure (unpicklable result, a
-        reducer that raises) fails all of its nodes.
+        The one schedule behind :meth:`run` and :meth:`advance`.  A node
+        that fails lands in ``state.failures`` rather than raising; a
+        good node's counters fold into ``state.counter_fold`` in node
+        order, and the node is kept without them.
         """
-        state.done = run_next_tasks(
-            state.tasks, state.done, state.accumulator.stream, one_round,
-            config=self.exec_config, metrics=state.metrics)
+        base_seed = self.config.base_seed
+
+        def fold(index: int, outcome: TaskOutcome) -> None:
+            if outcome.error is not None:
+                state.failures.append(
+                    NodeFailure(seed=base_seed + index, error=outcome.error))
+                return
+            summary: NodeSummary = outcome.value
+            state.counter_fold.fold(summary.counters)
+            state.nodes.append(dataclasses.replace(summary, counters=None))
+
+        state.done = run_next_tasks(state.tasks, state.done, fold,
+                                    one_round, config=self.exec_config,
+                                    metrics=state.metrics)
         return state.done < len(state.tasks)
 
     def advance(self, state: "FleetRunState") -> bool:
-        """Run one round of pending shards; True while more remain after."""
+        """Run one round of pending nodes; True while more remain after."""
         return self._drive(state, one_round=True)
 
     def finish(self, state: "FleetRunState") -> FleetResult:
-        """Assemble the aggregate from the streamed shard folds."""
-        accumulator = state.accumulator
-        return FleetResult(config=self.config, nodes=accumulator.nodes,
-                           failures=accumulator.failures,
+        """Assemble the aggregate from the folded nodes."""
+        return FleetResult(config=self.config, nodes=state.nodes,
+                           failures=state.failures,
                            exec_telemetry=state.metrics.snapshot().to_dict(),
-                           counter_fold=accumulator.counter_fold)
+                           counter_fold=state.counter_fold)
 
     def run(self) -> FleetResult:
         """Simulate every node; returns the aggregate."""
@@ -504,12 +460,15 @@ class FleetSimulator:
 
 @dataclass
 class FleetRunState:
-    """Shard progress of one fleet run."""
+    """Node progress of one fleet run."""
 
+    #: One task per node, in node order.
     tasks: list[TaskSpec]
-    accumulator: _FleetAccumulator
-    #: Executor accounting of every shard run so far.
+    #: Executor accounting of every node run so far.
     metrics: MetricsRegistry
+    nodes: list[NodeSummary] = field(default_factory=list)
+    failures: list[NodeFailure] = field(default_factory=list)
+    counter_fold: CounterFold = field(default_factory=CounterFold)
     done: int = 0
 
 
@@ -523,5 +482,4 @@ __all__ = [
     "NodeSummary",
     "RackConfig",
     "RackSummary",
-    "ShardAggregate",
 ]

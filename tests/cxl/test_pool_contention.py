@@ -139,8 +139,7 @@ class TestPoolStatsUtilization:
         node = PowerDownSimConfig(
             azure=AzureTraceConfig(num_vms=8, duration_s=600.0),
             scheduler=SchedulerConfig(duration_s=600.0))
-        config = RackConfig(num_nodes=4, node=node, shard_size=2,
-                            hosts_per_rack=2)
+        config = RackConfig(num_nodes=4, node=node, hosts_per_rack=2)
         result = FleetSimulator(config).run()
         racks = result.rack_summaries()
         assert len(racks) == 2

@@ -1,4 +1,7 @@
-"""The task runner: ordering, error capture, caching, nesting, fallback.
+"""The task runner: ordering, error capture, caching, nesting, fallback,
+``exec.result_bytes`` accounting, ``ExecConfig.force_pool``, and the
+``run_tasks(stream=...)`` contract: strict submission-order emission,
+payload release after each fold, and cache writes before the drop.
 
 The task functions live at module level so the parallel path can pickle
 them; coordination between runs/processes goes through files in
@@ -8,7 +11,9 @@ them; coordination between runs/processes goes through files in
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -27,6 +32,10 @@ def _boom():
 
 def _pid():
     return os.getpid()
+
+
+def _big_payload(index):
+    return bytes([index % 256]) * 65536
 
 
 def _touch_and_count(path):
@@ -203,3 +212,128 @@ def test_cpu_bound_uses_pool_on_multicore(monkeypatch):
         [TaskSpec(fn=_pid, cpu_bound=True) for _ in range(4)],
         config=ExecConfig(workers=2))
     assert os.getpid() not in {o.worker_pid for o in outcomes}
+
+
+class TestResultBytesAccounting:
+    def test_serial_path_measures_payloads(self):
+        metrics = MetricsRegistry()
+        tasks = [TaskSpec(fn=_big_payload, args=(i,)) for i in range(3)]
+        outcomes = run_tasks(tasks, config=ExecConfig(workers=1),
+                             metrics=metrics)
+        assert all(outcome.result_bytes > 65536 for outcome in outcomes)
+        counted = metrics.counter_values()["exec.result_bytes"]
+        assert counted == sum(o.result_bytes for o in outcomes)
+
+    def test_pool_path_measures_payloads(self):
+        metrics = MetricsRegistry()
+        tasks = [TaskSpec(fn=_big_payload, args=(i,)) for i in range(3)]
+        outcomes = run_tasks(
+            tasks, config=ExecConfig(workers=2, force_pool=True),
+            metrics=metrics)
+        assert all(outcome.result_bytes > 65536 for outcome in outcomes)
+        assert metrics.counter_values()["exec.result_bytes"] == \
+            sum(o.result_bytes for o in outcomes)
+
+    def test_failed_task_ships_nothing(self):
+        metrics = MetricsRegistry()
+        tasks = [TaskSpec(fn=_boom)]
+        [outcome] = run_tasks(tasks, config=ExecConfig(workers=1),
+                              metrics=metrics)
+        assert not outcome.ok
+        assert outcome.result_bytes == 0
+        assert "exec.result_bytes" not in metrics.counter_values()
+
+
+class TestForcePool:
+    def test_force_pool_crosses_process_boundary(self):
+        """cpu_bound tasks on a 1-CPU host would normally skip the pool;
+        force_pool must still ship them to workers."""
+        parent_pid_tasks = [TaskSpec(fn=_pid, cpu_bound=True)
+                            for _ in range(2)]
+        outcomes = run_tasks(
+            parent_pid_tasks,
+            config=ExecConfig(workers=2, force_pool=True),
+            metrics=MetricsRegistry())
+        assert all(outcome.worker_pid != os.getpid()
+                   for outcome in outcomes)
+
+
+class TestStreaming:
+    def test_stream_emits_in_submission_order(self):
+        seen = []
+        tasks = [TaskSpec(fn=_square, args=(i,), label=f"t{i}")
+                 for i in range(5)]
+        run_tasks(tasks, config=ExecConfig(workers=1),
+                  metrics=MetricsRegistry(),
+                  stream=lambda index, outcome: seen.append(
+                      (index, outcome.value)))
+        assert seen == [(i, i * i) for i in range(5)]
+
+    def test_stream_emits_in_order_on_the_pool(self):
+        seen = []
+        tasks = [TaskSpec(fn=_square, args=(i,)) for i in range(6)]
+        run_tasks(tasks,
+                  config=ExecConfig(workers=2, force_pool=True),
+                  metrics=MetricsRegistry(),
+                  stream=lambda index, outcome: seen.append(index))
+        assert seen == list(range(6))
+
+    def test_values_released_after_stream(self):
+        """After streaming, neither the outcomes nor the runner hold the
+        payloads: the only strong reference dies with the callback."""
+        refs = []
+        gc.collect()
+
+        def stream(index, outcome):
+            refs.append(weakref.ref(outcome.value))
+            # Every previously streamed payload must already be gone.
+            gc.collect()
+            assert all(ref() is None for ref in refs[:-1])
+
+        tasks = [TaskSpec(fn=_payload_list, args=(i,)) for i in range(4)]
+        outcomes = run_tasks(tasks, config=ExecConfig(workers=1),
+                             metrics=MetricsRegistry(), stream=stream)
+        assert all(outcome.value is None for outcome in outcomes)
+        assert all(outcome.ok for outcome in outcomes)
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_streamed_outcomes_keep_accounting(self):
+        tasks = [TaskSpec(fn=_big_payload, args=(0,))]
+        [outcome] = run_tasks(tasks, config=ExecConfig(workers=1),
+                              metrics=MetricsRegistry(),
+                              stream=lambda index, o: None)
+        assert outcome.value is None
+        assert outcome.result_bytes > 65536
+        assert outcome.wall_time_s >= 0.0
+
+    def test_cache_written_before_value_dropped(self):
+        cache = ResultCache()
+        tasks = [TaskSpec(fn=_square, args=(7,), key="sq7")]
+        run_tasks(tasks, config=ExecConfig(workers=1), cache=cache,
+                  metrics=MetricsRegistry(), stream=lambda i, o: None)
+        hit, value = cache.get("sq7")
+        assert hit and value == 49
+
+    def test_stream_sees_cache_hits_and_failures(self):
+        cache = ResultCache()
+        cache.put("warm", 123)
+        seen = []
+        tasks = [TaskSpec(fn=_square, args=(2,), key="warm"),
+                 TaskSpec(fn=_boom)]
+        run_tasks(tasks, config=ExecConfig(workers=1),
+                  cache=cache, metrics=MetricsRegistry(),
+                  stream=lambda index, outcome: seen.append(
+                      (index, outcome.from_cache, outcome.ok)))
+        assert seen == [(0, True, True), (1, False, False)]
+
+
+class _Payload:
+    """Weakref-able result carrying a real chunk of data."""
+
+    def __init__(self, index: int):
+        self.data = list(range(index, index + 4096))
+
+
+def _payload_list(index: int) -> _Payload:
+    return _Payload(index)

@@ -99,7 +99,7 @@ def test_fleet_serial_parallel_bit_identical():
     # force_pool: on a single-CPU host the cpu-bound heuristic would
     # otherwise keep the "parallel" run in-process, and the test would
     # silently stop exercising the cross-process path.
-    config = FleetConfig(num_nodes=2, node=_small_node(), shard_size=1)
+    config = FleetConfig(num_nodes=2, node=_small_node())
     serial = FleetSimulator(config, ExecConfig(workers=1)).run()
     parallel = FleetSimulator(
         config, ExecConfig(workers=2, force_pool=True)).run()
@@ -108,10 +108,10 @@ def test_fleet_serial_parallel_bit_identical():
 
 
 def test_lone_request_hands_the_experiment_its_exec_config(monkeypatch):
-    # `repro fleet --workers 2` reaches the fleet's own shard fan-out
+    # `repro fleet --workers 2` reaches the fleet's own node fan-out
     # through the registry; a batch keeps the workers for its requests.
     monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
-    config = FleetConfig(num_nodes=2, node=_small_node(), shard_size=1)
+    config = FleetConfig(num_nodes=2, node=_small_node())
     pooled = ExecConfig(workers=2, force_pool=True)
     lone, = run_experiments([("fleet", config)], exec_config=pooled)
     assert lone.value.exec_telemetry["gauges"]["exec.workers"] == 2

@@ -6,8 +6,7 @@ outcomes in one place; ``run()`` and ``advance()`` differ only in how
 many tasks they hand the executor at a time (everything, or one round of
 ``workers``).  These tests hold the four ways of driving that schedule
 to the same records, the same failures (seeds and exact error strings),
-and the same cell order — including when nodes, cells, or whole shards
-fail.
+and the same cell order — including when nodes or cells fail.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ def make_fleet(exec_config=POOL) -> FleetSimulator:
         azure=AzureTraceConfig(num_vms=4, duration_s=600.0),
         scheduler=SchedulerConfig(duration_s=600.0))
     simulator = FleetSimulator(
-        FleetConfig(num_nodes=5, node=node, shard_size=2), exec_config)
+        FleetConfig(num_nodes=5, node=node), exec_config)
     simulator.fail_seeds = (2,)
     return simulator
 
@@ -125,44 +124,32 @@ def test_checkpointed_fleet_keeps_its_workers(monkeypatch, tmp_path):
     """A step of a fan-out is one round of ``workers`` tasks, so a run
     under ``--checkpoint`` still crosses into the pool."""
     pids = []
-    fold = fleet_mod._FleetAccumulator.stream
+    drive = fleet_mod.run_next_tasks
 
-    def recording(self, index, outcome):
-        pids.append(outcome.worker_pid)
-        fold(self, index, outcome)
+    def recording(tasks, done, fold, *args, **kwargs):
+        def spy(index, outcome):
+            pids.append(outcome.worker_pid)
+            fold(index, outcome)
+        return drive(tasks, done, spy, *args, **kwargs)
 
-    monkeypatch.setattr(fleet_mod._FleetAccumulator, "stream", recording)
+    monkeypatch.setattr(fleet_mod, "run_next_tasks", recording)
     path = str(tmp_path / "fleet.ckpt")
     run_with_checkpoints(make_fleet(), path, every=1)
-    # Three shards: a round of two on the pool, then the odd one out.
-    assert len(pids) == 3 and os.getpid() not in pids[:2]
-    assert load_checkpoint(path).step == 2
-    assert stepped_rounds(make_fleet()) == [2, 3]
-    assert stepped_rounds(make_fleet(ExecConfig(workers=1))) == [1, 2, 3]
+    # Five nodes: two rounds of two on the pool, then the odd one out.
+    assert len(pids) == 5 and os.getpid() not in pids[:2]
+    assert load_checkpoint(path).step == 3
+    assert stepped_rounds(make_fleet()) == [2, 4, 5]
+    assert stepped_rounds(make_fleet(ExecConfig(workers=1))) == \
+        [1, 2, 3, 4, 5]
 
 
-def test_stepped_fleet_reports_the_executor_counters_of_its_shards():
+def test_stepped_fleet_reports_the_executor_counters_of_its_nodes():
     serial = ExecConfig(workers=1)
     ran = make_fleet(serial).run().exec_telemetry["counters"]
     walked = stepped(make_fleet(serial)).exec_telemetry["counters"]
-    assert walked["exec.tasks.completed"] == 3  # three shard tasks
+    assert walked["exec.tasks.completed"] == 4  # node 2 fails
+    assert walked["exec.tasks.failed"] == 1
     assert walked["exec.result_bytes"] > 0
-    assert walked["exec.tasks.completed"] == ran["exec.tasks.completed"]
-    assert walked["exec.result_bytes"] == ran["exec.result_bytes"]
-
-
-def test_shard_level_failure_takes_the_same_retry_and_error_path(monkeypatch):
-    def broken(self):
-        raise ValueError("reducer broke")
-
-    # The shard fails before any node runs; in-process (workers=1) so
-    # the patch reaches the shard task.
-    monkeypatch.setattr(fleet_mod._FleetShardReducer, "fresh", broken)
-    serial = ExecConfig(workers=1)
-    ran = make_fleet(serial).run()
-    walked = stepped(make_fleet(serial))
-    assert failures_of(walked) == failures_of(ran) == [
-        (seed, "ValueError: reducer broke") for seed in range(5)]
-    for result in (ran, walked):
-        counters = result.exec_telemetry["counters"]
-        assert counters["exec.tasks.failed"] == 3
+    for name in ("exec.tasks.completed", "exec.tasks.failed",
+                 "exec.result_bytes"):
+        assert walked[name] == ran[name]

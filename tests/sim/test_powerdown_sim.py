@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dram.geometry import DramGeometry
 from repro.host.scheduler import SchedulerConfig
 from repro.sim.powerdown_sim import (ComparisonSimulator, PowerDownSimConfig,
                                      PowerDownSimulator,
@@ -101,13 +102,17 @@ class TestBandwidthDrift:
     def test_emptying_node_survives_float_drift(self):
         """bandwidth_gbs is a +=/-= accumulator over VM rates; when a
         node fully empties it can drift to ~-1e-16, which used to raise
-        "bandwidth must be non-negative" (soak seed 14 reproduced it).
+        "bandwidth must be non-negative" (a 32 GiB, 30-minute node at
+        seed 14 reproduced it).
         The observation-point clamp must keep the run alive and every
         recorded bandwidth non-negative."""
-        from repro.sim.fleet_soak import soak_node_config
-        result = ComparisonSimulator(
-            soak_node_config().replace(keep_timeseries=True,
-                                       seed=14)).run()
+        config = PowerDownSimConfig(
+            geometry=DramGeometry(rank_bytes=1 * GIB),
+            scheduler=SchedulerConfig(memory_bytes=24 * GIB,
+                                      duration_s=1800.0),
+            azure=AzureTraceConfig(num_vms=8, duration_s=1800.0),
+            seed=14)
+        result = ComparisonSimulator(config).run()
         assert result.dtl.mean_bandwidth_gbs >= 0.0
         assert all(record.bandwidth_gbs >= 0.0
                    for record in result.dtl.intervals)

@@ -3,9 +3,9 @@
 The DTL is configured once, by :class:`DtlConfig`: the power hosts read
 their knobs from it, a policy is built from its registry name alone,
 and the chaos soak and the server run the same device config.  The
-settable fields of the three configs are pinned here, so a knob added
-back (or declared a second time) shows up in review as an edit to this
-list.
+settable fields of those configs, and of the fleet's, are pinned here,
+so a knob added back (or declared a second time) shows up in review as
+an edit to this list.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import repro.policies
 from repro.core.config import DtlConfig, small_dtl_config
 from repro.faults import ChaosSoakConfig
 from repro.server import ServerConfig
+from repro.sim.fleet import FleetConfig, RackConfig
 
 PINNED_FIELDS = {
     DtlConfig: (
@@ -31,6 +32,9 @@ PINNED_FIELDS = {
         "host", "port", "num_shards", "dtl", "admission", "chaos",
         "telemetry_path", "telemetry_interval_s", "checkpoint_path",
         "seed"),
+    FleetConfig: ("num_nodes", "node", "base_seed", "tco"),
+    RackConfig: ("num_nodes", "node", "base_seed", "tco", "hosts_per_rack",
+                 "pool"),
 }
 
 

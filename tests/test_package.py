@@ -64,7 +64,7 @@ class TestNoOrphanModules:
 
     An ``__init__`` re-export does not count as a use (a package lists
     what exists, not what is needed): ``from repro.exec import
-    shard_tasks`` counts for ``repro.exec.sharding``, where the name is
+    run_tasks`` counts for ``repro.exec.runner``, where the name is
     defined.  A module whose only importers are themselves unused is
     unused too, so a dead cluster cannot keep itself alive.
     """
