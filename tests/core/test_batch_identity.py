@@ -282,21 +282,21 @@ def served_call(controller: DtlController, call: int, n: int = 128):
 
 
 def chunks_per_lookup(controller: DtlController) -> list[int]:
-    """Shadow the SMC's chunk planner: the returned list gains one
-    entry per ``lookup_batch`` call, the number of chunks it planned."""
+    """Shadow the SMC's per-chunk method: the returned list gains one
+    entry per ``lookup_batch`` call, the number of chunks it ran."""
     smc = controller.translation.smc
     tally: list[int] = []
-    plan, lookup = smc._plan_chunk, smc.lookup_batch
+    run_chunk, lookup = smc._run_chunk, smc.lookup_batch
 
-    def counted_plan(*args):
+    def counted_run_chunk(*args):
         tally[-1] += 1
-        return plan(*args)
+        return run_chunk(*args)
 
     def counted_lookup(*args, **kwargs):
         tally.append(0)
         return lookup(*args, **kwargs)
 
-    smc._plan_chunk, smc.lookup_batch = counted_plan, counted_lookup
+    smc._run_chunk, smc.lookup_batch = counted_run_chunk, counted_lookup
     return tally
 
 
@@ -387,10 +387,11 @@ def test_short_call_identity_in_served_shape(self_refresh, migrating):
 
 
 def test_short_call_chunk_cuts_on_congruent_hsns():
-    """Every rule that ends a chunk, and one that no longer does, inside
-    calls of a dozen accesses.  L1 capacity is the one cut made before
-    the event loop runs; the loop ends a chunk at a fill whose L2 set has
-    no untouched resident left, or whose L2 victim already hit in L1."""
+    """Both rules that end a chunk, and a case that no longer does,
+    inside calls of a dozen accesses.  L1 capacity is the cut made
+    before a chunk runs; the chunk itself ends before a fill whose L2
+    victim is a distinct it already ran — one it filled, promoted, or
+    that hit in L1."""
     config = served_config()
     scalar, batch = build_pair(config, SERVED_AUS)
     smc = batch.translation.smc
@@ -413,10 +414,9 @@ def test_short_call_chunk_cuts_on_congruent_hsns():
     same_set = [au * per_au + 7 for au in range(SERVED_AUS)]
     assert len({batch.host_layout.pack_hsn(0, au, 7) % smc.l2.sets
                 for au in range(SERVED_AUS)}) == 1
-    # L2 associativity, free ways only (the loop, at the fifth access):
-    # set 7 is empty when the chunk starts, the first four fills take its
-    # four free ways, and the fifth distinct's fill finds no untouched
-    # resident to evict.  The second chunk starts there.  Its fills evict
+    # A filled victim (at the fifth access): set 7 is empty when the
+    # chunk starts, the first four fills take its four free ways, and
+    # the fifth distinct's fill would evict the first of them.  The second chunk starts there.  Its fills evict
     # the first two HSNs from both levels before their turn — legal, they
     # have not been looked up in that chunk — so their return is two
     # full misses inside it, not a third chunk.
@@ -429,27 +429,26 @@ def test_short_call_chunk_cuts_on_congruent_hsns():
     call([9], expect_chunks=1)
     result = call([9, per_au + 9, 9], expect_chunks=1)
     assert result.smc_l1_hits.tolist() == [True, False, True]
-    # Back-invalidation hazard (the loop, at the second access): set 3
-    # is full and its L2 LRU way, AU 0's segment 3, is also in L1.  It
-    # hits in L1, which leaves its L2 stamp stale, so AU 4's fill picks
-    # it as the L2 victim and the chunk ends before that fill.  The next
+    # A victim that hit in L1 (at the second access): set 3 is full and
+    # its L2 LRU entry, AU 0's segment 3, is also in L1.  It hits in L1,
+    # which does not move it in L2, so AU 4's fill would evict it and
+    # the chunk ends before that fill.  The next
     # chunk's fill evicts it before its turn, and its return is a miss.
     quad = [au * per_au + 3 for au in range(5)]
     call(quad[:4], expect_chunks=1)
     result = call([quad[0], quad[4], quad[0]], expect_chunks=2)
     assert result.smc_l1_hits.tolist() == [True, False, False]
     assert not result.smc_l2_hits.any()
-    # L1 capacity (the window, at the 65th distinct): 100 distinct
+    # L1 capacity (before the chunk runs, at the 65th distinct): 100 distinct
     # segments in a 128-access call.
     wide = np.arange(128) % 100 + 16
     call(wide, expect_chunks=2)
     # ...and a repeat of the last 64 of them is one all-hit chunk.
     result = call(wide[-64:], expect_chunks=1)
     assert result.smc_l1_hits.all()
-    # L2 associativity, every victim consumed (the loop, at the fifth
-    # access): set 7's four residents are in L2 only now (the wide call
-    # pushed them out of L1), all four promote, and the fill that follows
-    # finds no untouched resident left.
+    # A promoted victim (at the fifth access): set 7's four residents
+    # are in L2 only now (the wide call pushed them out of L1), all four
+    # promote, and the fill that follows would evict the first of them.
     residents = same_set[4:] + same_set[:2]
     result = call(residents + same_set[2:3], expect_chunks=2)
     assert result.smc_l2_hits.tolist() == [True] * 4 + [False]

@@ -59,16 +59,15 @@ NEVER_REACHED = 10 ** 9
 
 
 def smc_state(smc: SegmentMappingCache) -> dict:
-    """Contents, LRU stamps, free-slot order and counters of both levels."""
+    """Contents in LRU order, values and counters of both levels."""
     return {
-        "l1": (smc.l1._tags.tolist(), smc.l1._dsns.tolist(),
-               smc.l1._stamps.tolist(), list(smc.l1._free), smc.l1._clock,
-               dict(smc.l1._slot_of)),
-        "l2": (smc.l2._tags.tolist(), smc.l2._dsns.tolist(),
-               smc.l2._stamps.tolist(), smc.l2._sizes.tolist(),
-               smc.l2._clock, dict(smc.l2._way_of)),
-        "invalidations": (smc.l1.stats.invalidations,
-                          smc.l2.stats.invalidations),
+        "l1": smc.l1.items(),
+        "l2": smc.l2.items(),
+        "sizes": (len(smc.l1), len(smc.l2)),
+        "counters": [(level.stats.hits, level.stats.misses,
+                      level.stats.invalidations)
+                     for level in (smc.l1, smc.l2)],
+        "back_invalidations": smc.back_invalidations,
     }
 
 

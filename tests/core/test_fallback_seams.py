@@ -1,4 +1,4 @@
-"""Seam coverage for the vectorised fallbacks and the SoA caches.
+"""Seam coverage for the vectorised fallbacks and the SMC level classes.
 
 The batch datapath has three "seams" where vectorised code hands work to
 order-sensitive protocol code: chunk boundaries in the SMC lookup,
@@ -340,28 +340,28 @@ def test_batch_path_never_counts_toward_scalar_warning():
     assert not controller._scalar_access_warned
 
 
-# -- way-list reference vs SoA cache classes (property test) -----------------
+# -- way-list reference vs the SMC level classes (property test) -------------
 
 
-def _mirror_ops(soa, ref, hsn_space: int, seed: int, steps: int = 2000):
+def _mirror_ops(cache, ref, hsn_space: int, seed: int, steps: int = 2000):
     rng = np.random.default_rng(seed)
     for _ in range(steps):
         op = rng.integers(0, 3)
         hsn = int(rng.integers(0, hsn_space))
         if op == 0:
-            assert soa.lookup(hsn) == ref.lookup(hsn)
+            assert cache.lookup(hsn) == ref.lookup(hsn)
         elif op == 1:
             dsn = int(rng.integers(0, 1 << 16))
-            assert soa.insert(hsn, dsn) == ref.insert(hsn, dsn)
+            assert cache.insert(hsn, dsn) == ref.insert(hsn, dsn)
         else:
-            assert soa.invalidate(hsn) == ref.invalidate(hsn)
-        assert (hsn in soa) == (hsn in ref)
-        assert len(soa) == len(ref)
-    assert soa.hsns() == ref.hsns()
-    assert sorted(soa.items()) == sorted(ref.items())
-    assert soa.stats.hits == ref.stats.hits
-    assert soa.stats.misses == ref.stats.misses
-    assert soa.stats.invalidations == ref.stats.invalidations
+            assert cache.invalidate(hsn) == ref.invalidate(hsn)
+        assert (hsn in cache) == (hsn in ref)
+        assert len(cache) == len(ref)
+    assert cache.hsns() == ref.hsns()
+    assert sorted(cache.items()) == sorted(ref.items())
+    assert cache.stats.hits == ref.stats.hits
+    assert cache.stats.misses == ref.stats.misses
+    assert cache.stats.invalidations == ref.stats.invalidations
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -2,13 +2,15 @@
 
 The batch lookup promises the effects of :meth:`lookup` + :meth:`fill`
 called once per access, in order, with each SMC corruption's ``drop()``
-run right after its lookup.  Here both run on twin caches small enough
-that a few dozen accesses cross every chunk cut — L1 capacity, an L2 set
-with no untouched victim left, a fill whose L2 victim already hit in L1 —
-and everything the two leave behind is compared: per-access DSN and hit
-classes, both levels' contents in LRU order and their values, every
-counter, the back-invalidation count, and the SMC's own fill / evict /
-invalidate events.
+run right after its lookup.  It runs each chunk's distinct HSNs once,
+in first-occurrence order, and ends a chunk at L1 capacity and before a
+fill whose L2 victim is a distinct the chunk already ran — the one cut.
+Here both run on twin caches small enough that a few dozen accesses
+cross both ends, with victims that are L1-resident, already run or not
+yet reached, and everything the two leave behind is compared:
+per-access DSN and hit classes, both levels' contents in LRU order and
+their values, every counter, the back-invalidation count, and the SMC's
+own fill / evict / invalidate events.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The gem5 cache-model idiom, unoptimised: a list of sets, each a list of
 ``{tag, valid, dsn, last_access}`` ways, every operation a linear scan.
 Easy to trust by inspection; ``test_fallback_seams.py`` drives it and
-the SoA classes in :mod:`repro.core.segment_cache` through one random
+the level classes in :mod:`repro.core.segment_cache` through one random
 operation sequence and requires identical observable behaviour.  A
 fully-associative cache is the one-set case (``ways == entries``).
 """

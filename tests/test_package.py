@@ -48,7 +48,7 @@ NO_IMPORTER_IN_SRC = {
         "DESIGN.md's Sec. 5.2 post-cache trace recorder (docs/API.md)",
     "repro.analysis.sensitivity":
         "benchmarks/test_fig12_powerdown.py's calibration-sensitivity row: "
-        "how far Fig. 12 savings move per constant (ROADMAP item 3's "
+        "how far Fig. 12 savings move per constant (ROADMAP item 13's "
         "cause-of-gap input for 'per-channel fixed overhead')",
     "repro.policies.dream":
         "in TournamentConfig.policies' default: every `repro tournament` "
