@@ -82,8 +82,13 @@ class SegmentAllocator:
             for rank in range(ranks)}
         # Free queues: row r holds rank r's free DSNs in FIFO order, from
         # slot ``_head[r]``, ``_free[r]`` of them, wrapping at the end.
-        self._ring = np.stack([self.layout.rank_dsns(*rank_id)
-                               for rank_id in self._row_of])
+        # Each row starts as its rank's ``layout.rank_dsns``, built for
+        # all rows in one broadcast.
+        rows = np.arange(len(self._row_of))
+        self._ring = ((((rows % ranks) << self.layout.rank_shift)
+                       | (rows // ranks))[:, None]
+                      | (np.arange(geometry.segments_per_rank)
+                         << geometry.channel_bits))
         self._head = [0] * len(self._row_of)
         self._free = [geometry.segments_per_rank] * len(self._row_of)
         # Allocated "queue": one flag per DSN.

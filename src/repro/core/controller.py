@@ -26,7 +26,7 @@ from repro.core.addressing import (DeviceAddressLayout, HostAddressLayout,
                                    SegmentLocation, StructureSize)
 from repro.core.allocator import SegmentAllocator
 from repro.core.config import DtlConfig
-from repro.core.migration import MigrationEngine, WriteRouting
+from repro.core.migration import MigrationEngine, WeakCompletion, WriteRouting
 from repro.core.power_down import PowerTransition, RankPowerDownPolicy
 from repro.core.retirement import RankRetirementManager, RetirementRecord
 from repro.core.self_refresh import HotnessSelfRefreshPolicy
@@ -163,7 +163,7 @@ class DtlController:
             registry=self.metrics, trace=self.trace)
         self.allocator = SegmentAllocator(geometry)
         self.migration = MigrationEngine(
-            geometry, on_complete=self._on_migration_complete,
+            geometry, on_complete=WeakCompletion(self._on_migration_complete),
             registry=self.metrics, trace=self.trace)
         # One shared Policy instance for both hosts, so idle-gap
         # observations made on the power-down side inform self-refresh
@@ -542,10 +542,10 @@ class DtlController:
         # OLD_DSN with no side effects, so only writes hitting tracked
         # segments run the conflict protocol, and those run it in bulk —
         # the engine collapses the order-sensitivity (one abort per
-        # request, completion-bit redirects) internally.
+        # request, completion-bit redirects) internally.  The screen is
+        # one gather from the engine's DSN-indexed slot array.
         if num_writes and self.migration.has_tracked_requests:
-            hot = np.nonzero(
-                writes & np.isin(dsns, self.migration.tracked_dsns()))[0]
+            hot = np.flatnonzero(writes & self.migration.is_tracked(dsns))
             if len(hot):
                 offsets = call.offsets
                 routed = self.migration.on_foreground_write_batch(
@@ -564,7 +564,8 @@ class DtlController:
                     dpas[redirected] = self.device_layout.dpa_of_batch(
                         dsns[redirected], offsets[redirected])
         if self.self_refresh is not None:
-            wake_ns = self.self_refresh.on_access_batch(dsns, now_ns)
+            wake_ns = self.self_refresh.on_access_batch(dsns, channels,
+                                                        ranks, now_ns)
         else:
             self.device.record_accesses(channels, ranks)
             wake_ns = np.zeros(n, dtype=np.float64)

@@ -23,6 +23,7 @@ requests.
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -232,6 +233,37 @@ class MigrationStats:
 CompletionCallback = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
+class WeakCompletion:
+    """A bound method as a completion callback, held weakly.
+
+    The controller hands the engine its own ``_on_migration_complete``;
+    held strongly, that closes a reference cycle, and every finished
+    controller would wait for the cyclic collector.  A bare
+    ``weakref.WeakMethod`` cannot be pickled, so this pickles the bound
+    method itself (pickle's memo keeps the target's identity) and
+    rebuilds the weak reference on load.  A call after the target is
+    gone does nothing.
+    """
+
+    __slots__ = ("_method",)
+
+    def __init__(self, method: Callable) -> None:
+        self._method = weakref.WeakMethod(method)
+
+    def __call__(self, *args) -> None:
+        method = self._method()
+        if method is not None:
+            method(*args)
+
+    def __getstate__(self) -> tuple[Callable | None]:
+        return (self._method(),)
+
+    def __setstate__(self, state: tuple[Callable | None]) -> None:
+        method, = state
+        self._method = (weakref.WeakMethod(method) if method is not None
+                        else lambda: None)
+
+
 class MigrationEngine:
     """Per-channel migration queues with the atomic write-conflict protocol.
 
@@ -310,7 +342,8 @@ class MigrationEngine:
 
     def _tracked_slots(self) -> np.ndarray:
         """Slots of all outstanding copies, in submission order (kept
-        between changes: the datapath asks once per call with writes)."""
+        between changes: the power hosts, the checker and the server's
+        leak audit ask between the datapath's calls)."""
         if self._order is None:
             slots = np.flatnonzero(self._table[_LIVE, :self._rows])
             self._order = slots[np.argsort(self._table[_SERIAL, slots],
@@ -475,9 +508,10 @@ class MigrationEngine:
         migrations, oldest first."""
         return tuple(self._table[_HSN:_NEW_DSN + 1, self._tracked_slots()])
 
-    def tracked_dsns(self) -> np.ndarray:
-        """Source DSNs of all queued or in-flight migrations."""
-        return self._table[_OLD_DSN, self._tracked_slots()]
+    def is_tracked(self, dsns: np.ndarray) -> np.ndarray:
+        """True where a queued or in-flight migration copies from that
+        DSN: one gather from the DSN-indexed slot array."""
+        return self._slot_of[dsns] != _NO_SLOT
 
     def tracked_requests(self) -> list[MigrationRequest]:
         """All queued or in-flight migration requests, oldest first."""
@@ -525,39 +559,45 @@ class MigrationEngine:
         ``lines_done`` to zero, after which no later line index can
         conflict.  Aborts are applied in first-conflict order so requeue
         ordering matches the scalar sequence.
+
+        The writes find their requests through the DSN-indexed slot
+        array, so the call makes no sort or set operation over them.
+        Requests are screened in DSN order: the first one holding an
+        out-of-range line index raises at that write, after the
+        completed requests before it have counted their redirects and
+        before any abort is applied.
         """
         dsns = np.asarray(dsns, dtype=np.int64)
         line_indices = np.asarray(line_indices, dtype=np.int64)
         routed_new = np.zeros(len(dsns), dtype=bool)
         if not len(dsns) or not self._tracked:
             return routed_new
-        aborts: list[tuple[int, int]] = []
-        for dsn in np.unique(dsns).tolist():
-            slot = self._slot_copying(dsn)
-            if slot == _NO_SLOT:
-                continue
-            positions = np.nonzero(dsns == dsn)[0]
-            lines = line_indices[positions]
-            bad = (lines < 0) | (lines >= self.lines_per_segment)
-            if bad.any():
-                # Reproduce the scalar error position: apply nothing for
-                # this request past the first invalid write.  (Earlier
-                # valid writes to *other* requests have already been or
-                # will be applied — their effects are order-free.)
-                first_bad = int(positions[int(np.argmax(bad))])
-                raise MigrationError(
-                    f"line index {int(line_indices[first_bad])} "
-                    "out of range")
-            if self._table.item(_COMPLETION, slot):
-                self.stats.foreground_redirects += len(positions)
-                routed_new[positions] = True
-                continue
-            conflicts = lines < self._table.item(_LINES_DONE, slot)
-            if conflicts.any():
-                first = int(positions[int(np.argmax(conflicts))])
-                aborts.append((first, slot))
-        for _, slot in sorted(aborts):
-            self._abort(slot)
+        slots = self._slot_of[dsns]
+        hits = np.flatnonzero(slots != _NO_SLOT)
+        slots, lines = slots[hits], line_indices[hits]
+        complete = self._table[_COMPLETION, slots] != 0
+        bad = (lines < 0) | (lines >= self.lines_per_segment)
+        if bad.any():
+            hit_dsns = dsns[hits]
+            first_dsn = hit_dsns[bad].min()
+            self.stats.foreground_redirects += int(
+                np.count_nonzero(complete & (hit_dsns < first_dsn)))
+            first = hits[np.flatnonzero(bad & (hit_dsns == first_dsn))[0]]
+            raise MigrationError(
+                f"line index {int(line_indices[first])} out of range")
+        if complete.any():
+            routed_new[hits[complete]] = True
+            self.stats.foreground_redirects += int(
+                np.count_nonzero(complete))
+        conflicts = ~complete & (lines < self._table[_LINES_DONE, slots])
+        if conflicts.any():
+            conflicting = slots[conflicts]
+            first = np.full(self._table.shape[1], len(conflicting))
+            np.minimum.at(first, conflicting, np.arange(len(conflicting)))
+            is_first = np.zeros(len(conflicting), dtype=bool)
+            is_first[first[conflicting]] = True
+            for slot in conflicting[is_first].tolist():
+                self._abort(slot)
         return routed_new
 
     def _abort(self, slot: int) -> None:
@@ -748,4 +788,5 @@ __all__ = [
     "MigrationRequest",
     "MigrationStats",
     "MigrationEngine",
+    "WeakCompletion",
 ]

@@ -51,6 +51,31 @@ def cycles_to_ns(cycles: float, clock_ghz: float = CONTROLLER_CLOCK_GHZ) -> floa
     return cycles / clock_ghz
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of an int64 array, without a
+    comparison sort.
+
+    A least-significant-digit radix sort over 16-bit digits of ``keys -
+    keys.min()``: numpy sorts a 16-bit key stably by counting, so each
+    pass is one counting sort of a digit plus one gather, and the key
+    span decides the number of passes (one for HSNs below 2**16).
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if not len(keys):
+        return np.empty(0, dtype=np.intp)
+    low = keys.min()
+    span = int(keys.max()) - int(low)
+    # The int64 offsets wrap past 2**63; read as uint64 they are exact.
+    order = np.argsort((keys - low).astype(np.uint16), kind="stable")
+    shift = 16
+    while span >> shift:
+        digit = ((keys[order] - low).view(np.uint64)
+                 >> np.uint64(shift)).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 class CacheStats:
     """Hit/miss counters for one cache level.
 
@@ -419,13 +444,23 @@ class SegmentMappingCache:
         distinct HSNs.  :meth:`_run_chunk` runs each distinct's first
         occurrence, in order, against the two levels; every repeat is
         then an L1 hit, so what is left per access is done here, off
-        one stable sort of the whole batch.  The sort yields, for every
-        position, its previous occurrence (``prev``) and a dense
-        distinct ID (``uid``): a position starts a distinct of the chunk
-        beginning at ``start`` iff its ``prev`` lies before ``start``,
-        and ``uid`` maps every position of the chunk to its distinct
-        with one scatter and one gather.  A served 128-access request
-        is the base case: one pass through the loop below.
+        the stable order of the whole batch (:func:`stable_order`, a
+        radix sort of 16-bit digits: one counting pass for every key
+        span below 2**16).  That order yields, for every position, its
+        previous occurrence (``prev``) and a dense distinct ID
+        (``uid``): a position starts a distinct of the chunk beginning
+        at ``start`` iff its ``prev`` lies before ``start``, and ``uid``
+        maps every position of the chunk to its distinct with one
+        scatter and one gather.  A served 128-access request is the
+        base case: one pass through the loop below.
+
+        An HSN resolves to one DSN for the whole call: nothing here
+        remaps a segment, a fire's ``drop()`` only invalidates, and the
+        walk after it returns the tables' DSN again (the SMC never
+        disagrees with the tables, ``ConsistencyChecker.
+        check_smc_coherence``).  So each chunk scatters its distincts'
+        DSNs into a per-``uid`` array, and the DSN output is one gather
+        of it at the end.
         """
         hsns = np.asarray(hsns, dtype=np.int64)
         n = len(hsns)
@@ -435,26 +470,29 @@ class SegmentMappingCache:
         l1 = self.l1
         l1_map = l1._map
         entries = l1.entries
-        order = np.argsort(hsns, kind="stable")
+        order = stable_order(hsns)
         sorted_hsns = hsns[order]
         repeat = sorted_hsns[1:] == sorted_hsns[:-1]
         group = np.zeros(n, dtype=np.int64)
         np.cumsum(~repeat, out=group[1:])
         uid = np.empty(n, dtype=np.int64)
         uid[order] = group
-        prev = np.full(n, -1, dtype=np.int64)
-        prev[order[1:][repeat]] = order[:-1][repeat]
+        prev = np.empty(n, dtype=np.int64)
+        prev[order[1:]] = order[:-1]
+        prev[order[0]] = -1
+        prev[order[1:][~repeat]] = -1
         # The outputs outlive the call, so they are allocated after the
-        # sort's scratch: allocated first, they left glibc's heap too
-        # fragmented for the caller's later large arrays (docs/PERF.md,
-        # "Dict-ordered chunks").  Hit classes start as "repeat": each
-        # chunk flips the first occurrence of every distinct it inserted
-        # into L1.
-        out_dsns = np.empty(n, dtype=np.int64)
+        # sort's scratch (the DSNs last of all, as one gather): allocated
+        # first, they left glibc's heap too fragmented for the caller's
+        # later large arrays (docs/PERF.md, "Dict-ordered chunks").  Hit
+        # classes start as "repeat": each chunk flips the first
+        # occurrence of every distinct it inserted into L1.
         out_l1, out_l2 = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-        # Scratch: uid -> chunk distinct index.  Only entries written by
-        # the current chunk are ever read back.
-        uid_to_d = np.empty(int(group[-1]) + 1, dtype=np.int64)
+        # Scratch: uid -> chunk distinct index (only entries written by
+        # the current chunk are ever read back), and uid -> DSN.
+        num_uids = int(group[-1]) + 1
+        uid_to_d = np.empty(num_uids, dtype=np.int64)
+        uid_dsn = np.empty(num_uids, dtype=np.int64)
         max_window = 4 * self.config.l2_entries
         arange = np.arange(min(n, max_window) + 1)
         window = min(n, max_window)
@@ -477,13 +515,17 @@ class SegmentMappingCache:
                 # The chunk ended where its first unrun distinct appears.
                 span = int(d_rel[num_d])
             end = start + span
-            uid_to_d[uid[d_pos[:num_d]]] = arange[:num_d]
+            d_uids = uid[d_pos[:num_d]]
+            uid_dsn[d_uids] = vals
+            uid_to_d[d_uids] = arange[:num_d]
             d_of_pos = uid_to_d[uid[start:end]]
             last = np.empty(num_d, dtype=np.int64)
             last[d_of_pos] = arange[:span]
+            is_last = np.zeros(span, dtype=bool)
+            is_last[last] = True
             # Every repeat was an L1 hit: the kept distincts end at the
             # MRU end in last-occurrence order.
-            for i in np.argsort(last).tolist():
+            for i in d_of_pos[is_last].tolist():
                 hsn = d_hsns[i]
                 l1_map[hsn] = l1_map.pop(hsn)
             inserted = promos + fills
@@ -494,7 +536,6 @@ class SegmentMappingCache:
                 self.l2.stats._misses.inc(len(fills))
                 out_l1[d_pos[inserted]] = False
                 out_l2[d_pos[promos]] = True
-            out_dsns[start:end] = np.array(vals, dtype=np.int64)[d_of_pos]
             # Adapt the window to the workload so the distinct scan
             # stays proportional to the chunk actually consumed.
             window = min(max_window, max(256, 4 * span))
@@ -505,7 +546,7 @@ class SegmentMappingCache:
                     fires[fire][1]()
                     fire += 1
                 cut = fires[fire][0] + 1 if fire < len(fires) else n
-        return out_dsns, out_l1, out_l2
+        return uid_dsn[uid], out_l1, out_l2
 
     def _run_chunk(self, d_hsns: list[int], resolve, resolve_batch,
                    ) -> tuple[list[int], list[int], list[int]]:

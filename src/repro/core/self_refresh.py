@@ -343,13 +343,16 @@ class HotnessSelfRefreshPolicy:
         bits[old_dsns] = False
         bits[new_dsns] = moved
 
-    def on_access_batch(self, dsns: np.ndarray, now_ns: float) -> np.ndarray:
+    def on_access_batch(self, dsns: np.ndarray, channels: np.ndarray,
+                        ranks: np.ndarray, now_ns: float) -> np.ndarray:
         """Scalar-identical batch variant of :meth:`on_access`.
 
-        Equivalent to calling :meth:`on_access` once per element of
-        ``dsns`` in order (per channel — accesses to different channels
-        touch disjoint state, so only intra-channel order matters);
-        returns the per-access wake penalties (ns).  Unlike
+        ``channels`` and ``ranks`` are the DSNs' decoded channel and
+        rank, which the caller already holds.  Equivalent to calling
+        :meth:`on_access` once per element of ``dsns`` in order (per
+        channel — accesses to different channels touch disjoint state,
+        so only intra-channel order matters); returns the per-access
+        wake penalties (ns).  Unlike
         :meth:`on_batch` — which applies windowed distinct-segment
         semantics — every repeat here counts.
 
@@ -388,8 +391,6 @@ class HotnessSelfRefreshPolicy:
         penalties = np.zeros(len(dsns), dtype=np.float64)
         if not len(dsns):
             return penalties
-        channels = self.layout.channel_of_dsn(dsns)
-        ranks = self.layout.rank_of_dsn(dsns)
         if self._faults is not None and self._faults.counts_sr_exits:
             # An sr.exit spec counts wakes across channels, which makes
             # their global order observable; the per-channel loop below
@@ -397,8 +398,10 @@ class HotnessSelfRefreshPolicy:
             # one channel at most.
             stop = self._single_wake_channel_prefix(channels, ranks)
             if stop < len(dsns):
-                penalties[:stop] = self.on_access_batch(dsns[:stop], now_ns)
-                penalties[stop:] = self.on_access_batch(dsns[stop:], now_ns)
+                penalties[:stop] = self.on_access_batch(
+                    dsns[:stop], channels[:stop], ranks[:stop], now_ns)
+                penalties[stop:] = self.on_access_batch(
+                    dsns[stop:], channels[stop:], ranks[stop:], now_ns)
                 return penalties
         # One histogram over (channel, rank) keys is the bulk
         # bookkeeping of every channel the call holds no event for, and

@@ -118,7 +118,6 @@ def engine_state(engine: MigrationEngine) -> dict:
         "inflight": {channel: row(engine.in_flight(channel))
                      for channel in channels},
         "tracked": [row(request) for request in engine.tracked_requests()],
-        "tracked_dsns": engine.tracked_dsns().tolist(),
         "pending": engine.pending_count(),
         "stats": {name: getattr(engine.stats, name)
                   for name in engine.stats._FIELDS},

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import gc
 import sys
+import warnings
 
 import numpy as np
 
 from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
 from repro.dram.geometry import DramGeometry
+from repro.errors import PerformanceWarning
 from repro.units import GIB, MIB
 
 from tests.core.test_batch_identity import (SERVED_AUS, SERVED_HOSTS,
@@ -160,6 +162,106 @@ def test_cold_call_ends_chunks_only_where_it_must():
         counts.append(chunks[0])
     assert counts[0] == counts[1]  # a count, so it repeats exactly
     assert counts[0] <= COLD_CHUNK_BUDGET
+
+
+# -- the long hot call --------------------------------------------------------
+
+#: Accesses in the measured long call (and in the warm call before it).
+HOT_CALL = 20_000
+#: numpy's set operations, by the name of their Python implementation.
+SET_OPERATIONS = frozenset({"isin", "in1d", "unique", "intersect1d",
+                            "setdiff1d", "setxor1d", "union1d"})
+
+
+def set_operations_and_wide_sorts(function) -> tuple[int, int, int]:
+    """``(isin-like calls, unique-like calls, comparison sorts)`` that
+    ``function()`` makes.  A comparison sort is an ndarray ``argsort`` or
+    ``sort`` of a key wider than 16 bits: numpy sorts a 16-bit key
+    stably by counting."""
+    isins = uniques = sorts = 0
+
+    def profiler(frame, event, arg):
+        nonlocal isins, uniques, sorts
+        if event == "call":
+            name = frame.f_code.co_name
+            if name in SET_OPERATIONS and "numpy" in frame.f_code.co_filename:
+                if name in ("isin", "in1d"):
+                    isins += 1
+                else:
+                    uniques += 1
+        elif event == "c_call" and getattr(arg, "__name__", None) in (
+                "argsort", "sort"):
+            key = getattr(arg, "__self__", None)
+            if isinstance(key, np.ndarray) and key.dtype.itemsize > 2:
+                sorts += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        function()
+    finally:
+        sys.setprofile(previous)
+    return isins, uniques, sorts
+
+
+def hot_controller():
+    """The ``datapath_hot`` shape: both policies on, a victim rank
+    profiled on every channel, three tracked migrations, 30 % writes,
+    zipf 2.0 over four AUs; warmed with one call of the same accesses,
+    then every copy stepped half-way so a conflicting write aborts."""
+    config = DtlConfig()
+    controller = DtlController(config)
+    controller.allocate_vm(0, 4 * config.au_bytes)
+    rng = np.random.default_rng(0)
+    segment = config.geometry.segment_bytes
+    segments = 4 * config.au_bytes // segment
+    hpas = ((rng.zipf(2.0, HOT_CALL) % segments) * segment
+            + rng.integers(0, segment, HOT_CALL))
+    writes = rng.random(HOT_CALL) < 0.3
+    layout, allocator = controller.device_layout, controller.allocator
+    for dsn in controller.tables.live_dsns()[:3]:
+        partner = next(
+            candidate for candidate in range(config.geometry.total_segments)
+            if layout.channel_of_dsn(candidate) == layout.channel_of_dsn(dsn)
+            and not allocator.is_allocated(candidate))
+        allocator.reserve_specific(partner)
+        controller.migration.submit(controller.tables.hsn_of_dsn(dsn), dsn,
+                                    partner)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PerformanceWarning)
+        for hpa in hpas[:2_000].tolist():
+            controller.access(0, hpa, False, now_ns=0.0)
+    controller.end_window()
+    controller.tick(0.0)
+    controller.access_batch(0, hpas, writes, now_ns=1_000.0)
+    # Half of every copy done: a write to its first half aborts it.
+    controller.migration.step_all(
+        lines=controller.migration.lines_per_segment // 2)
+    return controller, hpas, writes
+
+
+def test_long_call_makes_no_set_operation_and_no_comparison_sort():
+    """Every pass over a long call's accesses is O(n): the SMC prelude
+    sorts 16-bit digits, and the write screen and the migration engine
+    index DSN-sized arrays."""
+    count = set_operations_and_wide_sorts
+    assert count(lambda: np.argsort(np.arange(3))) == (0, 0, 1)
+    assert count(lambda: np.argsort(np.arange(3, dtype=np.uint16),
+                                    kind="stable")) == (0, 0, 0)
+    assert count(lambda: np.isin(np.arange(4), [1]))[0] == 1
+    assert count(lambda: np.unique([2, 1]))[1] == 1
+    counts = []
+    for _ in range(2):
+        controller, hpas, writes = hot_controller()
+        migration = controller.migration
+        aborts = migration.stats.aborts
+        counts.append(count(lambda: controller.access_batch(
+            0, hpas, writes, now_ns=1_000.0)))
+        # The call ran the write screen's conflict path, not a no-op.
+        assert migration.has_tracked_requests
+        assert migration.stats.aborts > aborts
+    assert counts[0] == counts[1]  # counts, so they repeat exactly
+    assert counts[0] == (0, 0, 0)
 
 
 # -- the control plane ---------------------------------------------------------

@@ -279,7 +279,8 @@ def test_policy_batch_rank_decode_parity_nonzero_segment_bits():
     dsns = np.array(picks * 5, dtype=np.int64)
     for dsn in dsns.tolist():
         scalar.self_refresh.on_access(dsn, 0.0)
-    batch.self_refresh.on_access_batch(dsns, 0.0)
+    channels, ranks, _ = batch.device_layout.unpack_dsn_batch(dsns)
+    batch.self_refresh.on_access_batch(dsns, channels, ranks, 0.0)
     s_counts = {rank_id: r.access_count
                 for rank_id, r in scalar.device.ranks.items()}
     b_counts = {rank_id: r.access_count

@@ -10,7 +10,9 @@ cross both ends, with victims that are L1-resident, already run or not
 yet reached, and everything the two leave behind is compared:
 per-access DSN and hit classes, both levels' contents in LRU order and
 their values, every counter, the back-invalidation count, and the SMC's
-own fill / evict / invalidate events.
+own fill / evict / invalidate events.  The HSNs sit a stride apart, so
+a batch's key span needs one, two or three of the 16-bit digits the
+batch prelude sorts by.
 """
 
 from __future__ import annotations
@@ -77,10 +79,15 @@ def snapshot(smc: SegmentMappingCache, trace: EventTrace) -> dict:
 
 
 def stream(rng: np.random.Generator, kind: str, universe: int,
-           n: int) -> list[int]:
+           n: int, base: int, stride: int) -> list[int]:
+    """HSNs ``base + stride * k`` for ``k`` below ``universe``: the
+    stride spreads them over one 16-bit digit of the batch prelude's
+    radix sort, or over two or three."""
     if kind == "uniform":
-        return rng.integers(0, universe, n).tolist()
-    return ((rng.zipf(1.3, n) - 1) % universe).tolist()
+        ks = rng.integers(0, universe, n)
+    else:
+        ks = (rng.zipf(1.3, n) - 1) % universe
+    return (base + stride * ks).tolist()
 
 
 @settings(max_examples=250, deadline=None)
@@ -88,10 +95,11 @@ def stream(rng: np.random.Generator, kind: str, universe: int,
        ways=st.integers(1, 4), kind=st.sampled_from(["uniform", "zipf"]),
        universe=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
        lengths=st.lists(st.integers(1, 120), min_size=1, max_size=4),
-       with_fires=st.booleans())
+       with_fires=st.booleans(), base=st.integers(0, 2 ** 20),
+       stride=st.sampled_from([1, 7, 4_099, 65_536, 2 ** 32 + 3]))
 def test_lookup_batch_matches_scalar_loop(l1_entries, sets, ways, kind,
                                           universe, seed, lengths,
-                                          with_fires):
+                                          with_fires, base, stride):
     config = SegmentCacheConfig(l1_entries=l1_entries,
                                 l2_entries=sets * ways, l2_ways=ways)
     # Large enough that no event of the longest run is overwritten.
@@ -100,7 +108,7 @@ def test_lookup_batch_matches_scalar_loop(l1_entries, sets, ways, kind,
                      for trace in traces)
     rng = np.random.default_rng(seed)
     for n in lengths:
-        hsns = stream(rng, kind, universe, n)
+        hsns = stream(rng, kind, universe, n, base, stride)
         fires = (sorted(rng.integers(0, n, int(rng.integers(1, 4))).tolist())
                  if with_fires else [])
         assert batch_lookups(batch, hsns, fires) \
