@@ -14,14 +14,18 @@ share:
   (an object with ``to_record()``).
 * ``run() -> result`` — the whole run in one call.
 
-``run()`` is written once: :class:`SteppedExperiment` gives it to every
-experiment as :func:`run_stepped` (begin, advance until False, finish).
-The three fan-out experiments (fleet, rank sweep, tournament) override
-it with one executor batch through the ``_drive`` their ``advance()``
-uses too — a round of ``resolved_workers()`` planned tasks per advance,
-all remaining tasks per run — so the stepped and monolithic paths cannot
-drift: bit-identity of a restored run is a property of construction,
-then *proven* by the restore-at-step-k suite in ``tests/checkpoint/``.
+``run()`` is written once per shape.  :class:`SteppedExperiment` gives
+it to every experiment as :func:`run_stepped` (begin, advance until
+False, finish).  The three fan-out experiments (fleet, rank sweep,
+tournament) inherit :class:`FanOut` instead: their ``begin()`` plans
+the ordered :class:`~repro.exec.TaskSpec` list into a
+:class:`FanOutState`, they supply ``fold(state, index, outcome)`` and
+``finish(state)``, and the base owns the task cursor — ``advance()``
+runs one round of ``resolved_workers()`` planned tasks, ``run()`` all
+remaining tasks in one executor batch, both through one drive — so the
+stepped and monolithic paths cannot drift: bit-identity of a restored
+run is a property of construction, then *proven* by the
+restore-at-step-k suite in ``tests/checkpoint/``.
 
 This lives here rather than under :mod:`repro.sim` because
 ``repro.faults.chaos`` and ``repro.server.soak`` are steppers too, and
@@ -36,11 +40,14 @@ captures it, :func:`resume_state` reconstructs it, and
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.checkpoint.state import (Checkpoint, CheckpointError,
                                     load_checkpoint, restore,
                                     save_checkpoint, snapshot)
+from repro.exec import ExecConfig, TaskSpec, run_tasks
+from repro.telemetry import MetricsRegistry
 
 
 @runtime_checkable
@@ -77,6 +84,58 @@ class SteppedExperiment:
         """``begin(*begin_args)``, ``advance`` until done, ``finish`` —
         the stepped path and the one-shot path are the same code."""
         return run_stepped(self, *begin_args)
+
+
+@dataclass(kw_only=True)
+class FanOutState:
+    """The task cursor of a :class:`FanOut` run; experiments subclass it
+    with their fold's accumulators."""
+
+    #: The planned tasks, in fold order.
+    tasks: list[TaskSpec]
+    #: ``tasks[:done]`` have been run and folded.
+    done: int = 0
+    #: Executor accounting of every task run so far.
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+
+
+class FanOut(SteppedExperiment):
+    """An experiment that is a planned list of independent executor tasks.
+
+    A subclass supplies ``begin() -> FanOutState`` (the plan),
+    ``fold(state, index, outcome)`` (called in submission order,
+    ``index`` into ``state.tasks``) and ``finish(state)``.
+    """
+
+    #: How the tasks execute; it never changes a result.
+    exec_config: ExecConfig | None = None
+
+    def _run_pending(self, state: FanOutState, one_round: bool) -> bool:
+        """Run the next round of pending tasks (all of them unless
+        ``one_round``), folding each outcome; True while more remain."""
+        config = self.exec_config or ExecConfig()
+        start = state.done
+        stop = len(state.tasks)
+        if one_round:
+            stop = min(stop, start + config.resolved_workers())
+        if stop > start:
+            run_tasks(state.tasks[start:stop], config=config,
+                      metrics=state.metrics,
+                      stream=lambda offset, outcome: self.fold(
+                          state, start + offset, outcome))
+        state.done = stop
+        return stop < len(state.tasks)
+
+    def advance(self, state: FanOutState) -> bool:
+        """Run one round of ``resolved_workers()`` tasks (one when
+        serial), so a checkpointed run keeps its workers busy."""
+        return self._run_pending(state, one_round=True)
+
+    def run(self) -> Any:
+        """Run every planned task in one executor batch."""
+        state = self.begin()
+        self._run_pending(state, one_round=False)
+        return self.finish(state)
 
 
 def run_to_step(stepper: Stepper, steps: int) -> tuple[Any, int, bool]:
@@ -156,6 +215,8 @@ def run_with_checkpoints(stepper: Stepper, path: str | None = None,
 __all__ = [
     "Stepper",
     "SteppedExperiment",
+    "FanOut",
+    "FanOutState",
     "run_stepped",
     "run_to_step",
     "checkpoint_state",

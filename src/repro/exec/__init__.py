@@ -19,7 +19,7 @@ from repro.exec.cache import CACHE_DIR_ENV, ResultCache
 from repro.exec.hashing import canonical, derive_seed, stable_hash, task_key
 from repro.exec.runner import (EXEC_METRICS, ExecConfig, NESTED_ENV,
                                TaskOutcome, TaskSpec, WORKERS_ENV,
-                               default_workers, run_next_tasks, run_tasks)
+                               default_workers, run_tasks)
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -35,6 +35,5 @@ __all__ = [
     "TaskSpec",
     "WORKERS_ENV",
     "default_workers",
-    "run_next_tasks",
     "run_tasks",
 ]

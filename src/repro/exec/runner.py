@@ -348,41 +348,11 @@ def run_tasks(tasks: list[TaskSpec], config: ExecConfig | None = None,
     return outcomes  # type: ignore[return-value]
 
 
-def run_next_tasks(tasks: list[TaskSpec], done: int,
-                   fold: Callable[[int, TaskOutcome], None],
-                   one_round: bool = False,
-                   config: ExecConfig | None = None,
-                   metrics: MetricsRegistry | None = None) -> int:
-    """Run the rest of a planned task list, folding outcomes as they land.
-
-    ``tasks[:done]`` have already been folded; this runs every remaining
-    task — or, with ``one_round``, only the next ``resolved_workers()``
-    of them (one when serial) — through :func:`run_tasks` and hands each
-    outcome to ``fold(index, outcome)`` in submission order, ``index``
-    counting from the start of ``tasks``.  Returns the new ``done``.
-
-    An experiment that plans its tasks once and keeps ``done`` in its
-    run state gets ``run()`` (everything) and a stepped ``advance()``
-    (one round, so a checkpointed run keeps its workers busy) from this
-    one call, and the two cannot disagree on labels, error strings, or
-    fold order.
-    """
-    config = config or ExecConfig()
-    stop = len(tasks)
-    if one_round:
-        stop = min(stop, done + config.resolved_workers())
-    if stop > done:
-        run_tasks(tasks[done:stop], config=config, metrics=metrics,
-                  stream=lambda offset, outcome: fold(done + offset, outcome))
-    return stop
-
-
 __all__ = [
     "ExecConfig",
     "TaskSpec",
     "TaskOutcome",
     "run_tasks",
-    "run_next_tasks",
     "default_workers",
     "EXEC_METRICS",
     "WORKERS_ENV",

@@ -25,7 +25,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.checkpoint import Stepper
+from repro.checkpoint import FanOut, Stepper
 from repro.exec import (ExecConfig, ResultCache, TaskOutcome, TaskSpec,
                         run_tasks, task_key)
 from repro.faults.chaos import ChaosSoakConfig, ChaosSoakExperiment
@@ -111,7 +111,7 @@ def make_experiment(name: str, config: Any | None = None,
     if config is None:
         config = spec.config_type()
     experiment = spec.factory(config)
-    if exec_config is not None and hasattr(experiment, "exec_config"):
+    if exec_config is not None and isinstance(experiment, FanOut):
         experiment.exec_config = exec_config
     return experiment
 

@@ -38,13 +38,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.tco import TcoModel
+from repro.checkpoint import FanOut, FanOutState
 from repro.cxl.pool import (PoolContention, PoolContentionConfig, PoolStats,
                             pool_contention)
-from repro.exec import ExecConfig, TaskOutcome, TaskSpec, run_next_tasks
-from repro.sim.powerdown_sim import (ComparisonSimulator,
+from repro.exec import ExecConfig, TaskOutcome, TaskSpec
+from repro.sim.powerdown_sim import (FIG12_13_PAPER, ComparisonSimulator,
                                      PowerDownComparisonResult,
                                      PowerDownSimConfig)
-from repro.telemetry import MetricsRegistry
 
 
 @dataclass(frozen=True)
@@ -230,9 +230,8 @@ class FleetResult:
     #: bytes etc.); not part of :meth:`to_record` so records stay
     #: deterministic.
     exec_telemetry: dict = field(default_factory=dict)
-    #: Counter totals folded during the run; ``None`` when the result
-    #: was built directly from summaries that still carry counters.
-    counter_fold: CounterFold | None = None
+    #: Counter totals folded as the nodes streamed in.
+    counter_fold: CounterFold = field(default_factory=CounterFold)
 
     @property
     def per_node_savings(self) -> np.ndarray:
@@ -255,10 +254,9 @@ class FleetResult:
 
         Counters (accesses, SMC hits, migrated segments, power
         transitions, ...) add across nodes; gauges and residency do not,
-        so only counters are aggregated here.  The sums are normally
-        folded as each node streams in (node order, so the float
-        totals are identical in every execution mode); a result built
-        directly from counter-carrying summaries folds here instead.
+        so only counters are aggregated here.  The sums are folded as
+        each node streams in (node order, so the float totals are
+        identical in every execution mode).
 
         A node with no telemetry counters is *skipped*, not silently
         folded in as zeros; the ``fleet.*`` meta-counters make the
@@ -272,10 +270,6 @@ class FleetResult:
           :attr:`nodes`).
         """
         fold = self.counter_fold
-        if fold is None:
-            fold = CounterFold()
-            for node in self.nodes:
-                fold.fold(node.counters)
         totals = dict(fold.sums)
         totals["fleet.nodes_reporting"] = float(fold.reporting)
         totals["fleet.nodes_missing_telemetry"] = float(fold.missing)
@@ -377,12 +371,14 @@ class FleetResult:
             **{f"tco_{key}": value
                for key, value in self.tco_report().items()},
             **{f"rack_{key}": value for key, value in rack.items()}},
-            {"energy_savings_median": 0.316,
-             "background_savings_median": 0.353,
-             "dtl_execution_factor_median": 1.016})
+            {"energy_savings_median": FIG12_13_PAPER["energy_savings"],
+             "background_savings_median":
+                 FIG12_13_PAPER["background_savings"],
+             "dtl_execution_factor_median":
+                 FIG12_13_PAPER["dtl_execution_time_factor"]})
 
 
-class FleetSimulator:
+class FleetSimulator(FanOut):
     """Run the node-level comparison across the whole fleet.
 
     One executor task per node (see the module docstring); set
@@ -398,11 +394,6 @@ class FleetSimulator:
         self.exec_config = exec_config
         self.fail_seeds: tuple[int, ...] = ()
 
-    def node_configs(self) -> list[PowerDownSimConfig]:
-        """The per-node configs (template + derived seed)."""
-        return [self.config.node.with_seed(self.config.base_seed + index)
-                for index in range(self.config.num_nodes)]
-
     def begin(self) -> "FleetRunState":
         """Plan one task per node; nothing has run yet."""
         config = self.config
@@ -411,38 +402,20 @@ class FleetSimulator:
         return FleetRunState(
             tasks=[TaskSpec(fn=runner, args=(index,),
                             label=f"fleet-node[{index}]", cpu_bound=True)
-                   for index in range(config.num_nodes)],
-            metrics=MetricsRegistry())
+                   for index in range(config.num_nodes)])
 
-    def _drive(self, state: "FleetRunState",
-               one_round: bool = False) -> bool:
-        """Run every pending node (one round of ``workers`` nodes when
-        ``one_round``); True while more remain.
-
-        The one schedule behind :meth:`run` and :meth:`advance`.  A node
-        that fails lands in ``state.failures`` rather than raising; a
-        good node's counters fold into ``state.counter_fold`` in node
-        order, and the node is kept without them.
-        """
-        base_seed = self.config.base_seed
-
-        def fold(index: int, outcome: TaskOutcome) -> None:
-            if outcome.error is not None:
-                state.failures.append(
-                    NodeFailure(seed=base_seed + index, error=outcome.error))
-                return
-            summary: NodeSummary = outcome.value
-            state.counter_fold.fold(summary.counters)
-            state.nodes.append(dataclasses.replace(summary, counters=None))
-
-        state.done = run_next_tasks(state.tasks, state.done, fold,
-                                    one_round, config=self.exec_config,
-                                    metrics=state.metrics)
-        return state.done < len(state.tasks)
-
-    def advance(self, state: "FleetRunState") -> bool:
-        """Run one round of pending nodes; True while more remain after."""
-        return self._drive(state, one_round=True)
+    def fold(self, state: "FleetRunState", index: int,
+             outcome: TaskOutcome) -> None:
+        """A failed node lands in ``state.failures`` rather than raising;
+        a good node's counters fold into ``state.counter_fold`` in node
+        order, and the node is kept without them."""
+        if outcome.error is not None:
+            state.failures.append(NodeFailure(
+                seed=self.config.base_seed + index, error=outcome.error))
+            return
+        summary: NodeSummary = outcome.value
+        state.counter_fold.fold(summary.counters)
+        state.nodes.append(dataclasses.replace(summary, counters=None))
 
     def finish(self, state: "FleetRunState") -> FleetResult:
         """Assemble the aggregate from the folded nodes."""
@@ -451,25 +424,14 @@ class FleetSimulator:
                            exec_telemetry=state.metrics.snapshot().to_dict(),
                            counter_fold=state.counter_fold)
 
-    def run(self) -> FleetResult:
-        """Simulate every node; returns the aggregate."""
-        state = self.begin()
-        self._drive(state)
-        return self.finish(state)
 
+@dataclass(kw_only=True)
+class FleetRunState(FanOutState):
+    """Node progress of one fleet run: one task per node, in node order."""
 
-@dataclass
-class FleetRunState:
-    """Node progress of one fleet run."""
-
-    #: One task per node, in node order.
-    tasks: list[TaskSpec]
-    #: Executor accounting of every node run so far.
-    metrics: MetricsRegistry
     nodes: list[NodeSummary] = field(default_factory=list)
     failures: list[NodeFailure] = field(default_factory=list)
     counter_fold: CounterFold = field(default_factory=CounterFold)
-    done: int = 0
 
 
 __all__ = [

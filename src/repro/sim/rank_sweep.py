@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checkpoint import FanOut, FanOutState
 from repro.dram.banks import AddressDecoder, BankState
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import DDR4_2933, DramTiming, NATIVE_DRAM_LATENCY_NS
-from repro.exec import (ExecConfig, TaskOutcome, TaskSpec, run_next_tasks,
-                        run_tasks)
+from repro.exec import ExecConfig, TaskOutcome, TaskSpec, run_tasks
 from repro.seeded import SeededConfig
 from repro.units import GIB
 from repro.workloads.cloudsuite import PROFILES, TraceGenerator, WorkloadProfile
@@ -131,41 +131,11 @@ class TraceRankSweep:
             mean_queue_ns=mean_queue,
             time_per_ki_ns=time_per_ki)
 
-    def sweep(self, rank_counts: tuple[int, ...] = (8, 6, 4, 2),
-              exec_config: ExecConfig | None = None,
-              ) -> dict[int, RankSweepPoint]:
-        """Measure every rank count (power-of-two counts recommended).
-
-        The geometry needs powers of two, so odd counts interpolate
-        between their power-of-two neighbours.  Only the deduplicated
-        power-of-two measurements run — through :mod:`repro.exec`, so
-        they fan out over workers when the exec config (or
-        ``REPRO_EXEC_WORKERS``) asks for them; each measurement is a
-        deterministic pure function of the trace, so serial and parallel
-        sweeps are bit-identical.
-        """
-        outcomes = run_tasks(self.measure_tasks(rank_counts),
-                             config=exec_config)
-        points = [outcome.unwrap() for outcome in outcomes]
-        return _resolve_points(
-            rank_counts, {point.active_ranks: point for point in points})
-
     def measure_tasks(self, rank_counts: tuple[int, ...]) -> list[TaskSpec]:
         """One executor task per power-of-two count ``rank_counts`` needs."""
         return [TaskSpec(fn=_measure_task, args=(self, ranks),
                          label=f"rank-sweep-{ranks}", cpu_bound=True)
                 for ranks in _needed_power_of_two(rank_counts)]
-
-    def slowdowns(self, rank_counts: tuple[int, ...] = (8, 6, 4, 2),
-                  baseline_ranks: int = 8,
-                  exec_config: ExecConfig | None = None) -> dict[int, float]:
-        """Relative execution-time change vs the baseline rank count."""
-        points = self.sweep(tuple(sorted(set(rank_counts)
-                                         | {baseline_ranks})),
-                            exec_config=exec_config)
-        base = points[baseline_ranks].time_per_ki_ns
-        return {ranks: points[ranks].time_per_ki_ns / base - 1.0
-                for ranks in rank_counts}
 
 
 def _measure_task(sweep: TraceRankSweep, ranks: int) -> RankSweepPoint:
@@ -264,8 +234,14 @@ class TraceRankSweepResult:
         return ExperimentRecord("rank_sweep", metrics)
 
 
-class RankSweepExperiment:
-    """Registry adapter: run a whole trace-driven sweep from one config."""
+class RankSweepExperiment(FanOut):
+    """Registry adapter: run a whole trace-driven sweep from one config.
+
+    Only the deduplicated power-of-two measurements run, one executor
+    task each; odd counts interpolate between their neighbours in
+    :meth:`finish`.  Each measurement is a deterministic pure function
+    of the trace, so serial and parallel sweeps are bit-identical.
+    """
 
     name = "rank_sweep"
 
@@ -285,46 +261,25 @@ class RankSweepExperiment:
         return RankSweepRunState(counts=counts,
                                  tasks=sweep.measure_tasks(counts))
 
-    def _drive(self, state: "RankSweepRunState",
-               one_round: bool = False) -> bool:
-        """Run every pending measurement (one round of ``workers`` when
-        ``one_round``); True while more remain.
-
-        The one schedule behind :meth:`run` and :meth:`advance`.
-        """
-        def fold(_index: int, outcome: TaskOutcome) -> None:
-            point = outcome.unwrap()
-            state.measured[point.active_ranks] = point
-
-        state.done = run_next_tasks(state.tasks, state.done, fold,
-                                    one_round, config=self.exec_config)
-        return state.done < len(state.tasks)
-
-    def advance(self, state: "RankSweepRunState") -> bool:
-        """Measure one round of rank counts; True while more remain after."""
-        return self._drive(state, one_round=True)
+    def fold(self, state: "RankSweepRunState", index: int,
+             outcome: TaskOutcome) -> None:
+        """Keep one measured point (a failed measurement raises)."""
+        point = outcome.unwrap()
+        state.measured[point.active_ranks] = point
 
     def finish(self, state: "RankSweepRunState") -> TraceRankSweepResult:
         """Interpolate odd counts and assemble the sweep result."""
         points = _resolve_points(state.counts, state.measured)
         return TraceRankSweepResult(config=self.config, points=points)
 
-    def run(self) -> TraceRankSweepResult:
-        """Generate the trace and measure every configured rank count."""
-        state = self.begin()
-        self._drive(state)
-        return self.finish(state)
 
-
-@dataclass
-class RankSweepRunState:
-    """Measurement progress of one rank sweep."""
+@dataclass(kw_only=True)
+class RankSweepRunState(FanOutState):
+    """Measurement progress of one rank sweep: one task per power-of-two
+    count, each carrying the shared sweep."""
 
     counts: tuple[int, ...]
-    #: One task per power-of-two count; each carries the shared sweep.
-    tasks: list[TaskSpec]
     measured: dict[int, RankSweepPoint] = field(default_factory=dict)
-    done: int = 0
 
 
 def interleaving_comparison(profile: WorkloadProfile,
@@ -364,9 +319,9 @@ def interleaving_comparison(profile: WorkloadProfile,
 def _workload_slowdown(name: str, seed: int, active_ranks: int,
                        num_accesses: int) -> float:
     """One workload's Figure 2 slowdown (module-level: picklable)."""
-    sweep = TraceRankSweep(PROFILES[name], num_accesses=num_accesses,
-                           seed=seed)
-    return sweep.slowdowns((active_ranks,))[active_ranks]
+    config = TraceRankSweepConfig(workload=name, num_accesses=num_accesses,
+                                  rank_counts=(active_ranks,), seed=seed)
+    return RankSweepExperiment(config).run().slowdowns()[active_ranks]
 
 
 def mean_trace_driven_slowdown(active_ranks: int,

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.exec import ExecConfig, TaskOutcome, TaskSpec, run_next_tasks
+from repro.checkpoint import FanOut, FanOutState
+from repro.exec import ExecConfig, TaskOutcome
 from repro.seeded import SeededConfig
 from repro.sim.selfrefresh_sim import SelfRefreshResult, SelfRefreshSimConfig
 from repro.workloads.cloudsuite import TRACED_BENCHMARKS
@@ -138,7 +139,7 @@ class TournamentResult:
         return ExperimentRecord("tournament", flatten_tournament(self))
 
 
-class PolicyTournament:
+class PolicyTournament(FanOut):
     """Experiment wrapper: run the full grid through the executor."""
 
     name = "tournament"
@@ -172,53 +173,30 @@ class PolicyTournament:
             grid=grid,
             tasks=[experiment_task("selfrefresh", sim) for _, _, sim in grid])
 
-    def _drive(self, state: TournamentRunState,
-               one_round: bool = False) -> bool:
-        """Run every pending cell (one round of ``workers`` cells when
-        ``one_round``); True while more remain.
-
-        The one schedule behind :meth:`run` and :meth:`advance`.  Failed
-        cells land in ``state.failures`` rather than raising, so one
-        pathological policy cannot sink the whole tournament.
-        """
-        def fold(index: int, outcome: TaskOutcome) -> None:
-            policy, label, _ = state.grid[index]
-            if outcome.error is not None:
-                state.failures.append((policy, label, outcome.error))
-            else:
-                state.cells.append(
-                    cell_from_result(policy, label, outcome.value))
-
-        state.done = run_next_tasks(state.tasks, state.done, fold,
-                                    one_round, config=self.exec_config)
-        return state.done < len(state.tasks)
-
-    def advance(self, state: TournamentRunState) -> bool:
-        """Run one round of pending cells; True while more remain after."""
-        return self._drive(state, one_round=True)
+    def fold(self, state: TournamentRunState, index: int,
+             outcome: TaskOutcome) -> None:
+        """Failed cells land in ``state.failures`` rather than raising, so
+        one pathological policy cannot sink the whole tournament."""
+        policy, label, _ = state.grid[index]
+        if outcome.error is not None:
+            state.failures.append((policy, label, outcome.error))
+        else:
+            state.cells.append(cell_from_result(policy, label, outcome.value))
 
     def finish(self, state: TournamentRunState) -> TournamentResult:
         """Assemble the Pareto-ranked result from the completed cells."""
         return TournamentResult(config=self.config, cells=state.cells,
                                 failures=state.failures)
 
-    def run(self) -> TournamentResult:
-        """Fan the grid out and collect the Pareto-ranked result."""
-        state = self.begin()
-        self._drive(state)
-        return self.finish(state)
 
-
-@dataclass
-class TournamentRunState:
-    """Cell progress of one tournament."""
+@dataclass(kw_only=True)
+class TournamentRunState(FanOutState):
+    """Cell progress of one tournament: one ``selfrefresh`` experiment
+    task per grid entry, in grid order."""
 
     grid: list[tuple[str, str, SelfRefreshSimConfig]]
-    #: One ``selfrefresh`` experiment task per grid entry, in grid order.
-    tasks: list[TaskSpec]
     cells: list[TournamentCell] = field(default_factory=list)
     failures: list[tuple[str, str, str]] = field(default_factory=list)
-    done: int = 0
 
 
 __all__ = [

@@ -2,6 +2,8 @@
 
 import dataclasses
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,14 @@ def test_snapshot_restore_round_trip():
     restored = restore(checkpoint)
     assert restored == payload
     assert restored is not payload  # a private copy, not the original
+
+
+def test_documented_version_is_the_code_version():
+    """docs/CHECKPOINT.md names the format version a build writes."""
+    doc = Path(__file__).resolve().parents[2] / "docs" / "CHECKPOINT.md"
+    stated = re.findall(r"`CHECKPOINT_VERSION`,\s+currently\s+(\d+)",
+                        doc.read_text(encoding="utf-8"))
+    assert stated == [str(CHECKPOINT_VERSION)]
 
 
 def test_restore_preserves_aliasing():

@@ -14,14 +14,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.checkpoint import SteppedExperiment, Stepper
+from repro.checkpoint import FanOut, SteppedExperiment, Stepper
 from repro.exec import ExecConfig
 from repro.host.scheduler import SchedulerConfig
 from repro.sim.experiments import (EXPERIMENTS, experiment_task, get_spec,
                                    make_experiment, run_experiment,
                                    run_experiments)
-from repro.sim.fleet import (FleetConfig, FleetResult, FleetSimulator,
-                             NodeFailure)
+from repro.sim.fleet import (CounterFold, FleetConfig, FleetResult,
+                             FleetSimulator, NodeFailure)
 from repro.sim.powerdown_sim import PowerDownSimConfig
 from repro.sim.rank_sweep import RankSweepExperiment, TraceRankSweepConfig
 from repro.sim.selfrefresh_sim import SelfRefreshSimConfig
@@ -61,10 +61,23 @@ def test_specs_conform_to_protocol():
 
 
 def test_run_is_the_shared_drive_except_for_the_fan_outs():
-    own_run = {name for name in sorted(EXPERIMENTS)
-               if type(make_experiment(name, EXPERIMENTS[name].tiny_config())
-                       ).run is not SteppedExperiment.run}
+    experiments = {name: make_experiment(name,
+                                         EXPERIMENTS[name].tiny_config())
+                   for name in sorted(EXPERIMENTS)}
+    own_run = {name for name, experiment in experiments.items()
+               if type(experiment).run is not SteppedExperiment.run}
     assert own_run == {"fleet", "rank_sweep", "tournament"}
+    # Two run bodies in the registry: the stepped drive and the fan-out's.
+    assert {type(experiment).run for experiment in experiments.values()} \
+        == {SteppedExperiment.run, FanOut.run}
+    fan_outs = {name for name, experiment in experiments.items()
+                if isinstance(experiment, FanOut)}
+    assert fan_outs == {"fleet", "rank_sweep", "tournament"}
+    # A fan-out supplies begin / fold / finish and nothing of the drive.
+    for name in fan_outs:
+        supplied = set(vars(type(experiments[name])))
+        assert {"begin", "fold", "finish"} <= supplied
+        assert not {"advance", "run", "_run_pending"} & supplied
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
@@ -144,21 +157,20 @@ def test_with_seed_and_replace():
 
 
 def test_node_configs_derive_seeds():
-    simulator = FleetSimulator(FleetConfig(num_nodes=3, node=_small_node(),
-                                           base_seed=10))
-    assert [c.seed for c in simulator.node_configs()] == [10, 11, 12]
-
-
-def _node(counters):
-    return SimpleNamespace(seed=0, counters=counters)
+    result = FleetSimulator(FleetConfig(num_nodes=3, node=_small_node(),
+                                        base_seed=10)).run()
+    assert [node.seed for node in result.nodes] == [10, 11, 12]
 
 
 def test_telemetry_totals_distinguishes_missing_from_failed():
+    fold = CounterFold()
+    for counters in ({"smc.l1.hits": 5.0}, {"smc.l1.hits": 7.0}, None):
+        fold.fold(counters)
     result = FleetResult(
         config=FleetConfig(num_nodes=4, node=_small_node()),
-        nodes=[_node({"smc.l1.hits": 5.0}), _node({"smc.l1.hits": 7.0}),
-               _node(None)],
-        failures=[NodeFailure(seed=3, error="ValueError: boom")])
+        nodes=[SimpleNamespace(seed=seed) for seed in range(3)],
+        failures=[NodeFailure(seed=3, error="ValueError: boom")],
+        counter_fold=fold)
     totals = result.telemetry_totals()
     assert totals["smc.l1.hits"] == 12.0
     assert totals["fleet.nodes_reporting"] == 2.0

@@ -2,9 +2,9 @@
 checkpoint-every-round, with failures.
 
 The fan-out experiments plan their tasks once in ``begin()`` and fold
-outcomes in one place; ``run()`` and ``advance()`` differ only in how
-many tasks they hand the executor at a time (everything, or one round of
-``workers``).  These tests hold the four ways of driving that schedule
+outcomes in one place; the ``FanOut`` base's ``run()`` and ``advance()``
+differ only in how many tasks they hand the executor at a time
+(everything, or one round of ``workers``).  These tests hold the four ways of driving that schedule
 to the same records, the same failures (seeds and exact error strings),
 and the same cell order — including when nodes or cells fail.
 """
@@ -17,10 +17,9 @@ import os
 import pytest
 
 from repro.checkpoint import (checkpoint_state, load_checkpoint, resume_state,
-                              run_with_checkpoints, save_checkpoint)
+                              run_with_checkpoints, save_checkpoint, stepping)
 from repro.exec import ExecConfig
 from repro.host.scheduler import SchedulerConfig
-from repro.sim import fleet as fleet_mod
 from repro.sim.fleet import FleetConfig, FleetSimulator
 from repro.sim.powerdown_sim import PowerDownSimConfig
 from repro.sim.rank_sweep import RankSweepExperiment, TraceRankSweepConfig
@@ -124,15 +123,15 @@ def test_checkpointed_fleet_keeps_its_workers(monkeypatch, tmp_path):
     """A step of a fan-out is one round of ``workers`` tasks, so a run
     under ``--checkpoint`` still crosses into the pool."""
     pids = []
-    drive = fleet_mod.run_next_tasks
+    drive = stepping.run_tasks
 
-    def recording(tasks, done, fold, *args, **kwargs):
+    def recording(tasks, *args, stream, **kwargs):
         def spy(index, outcome):
             pids.append(outcome.worker_pid)
-            fold(index, outcome)
-        return drive(tasks, done, spy, *args, **kwargs)
+            stream(index, outcome)
+        return drive(tasks, *args, stream=spy, **kwargs)
 
-    monkeypatch.setattr(fleet_mod, "run_next_tasks", recording)
+    monkeypatch.setattr(stepping, "run_tasks", recording)
     path = str(tmp_path / "fleet.ckpt")
     run_with_checkpoints(make_fleet(), path, every=1)
     # Five nodes: two rounds of two on the pool, then the odd one out.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.rank_sweep import (RankSweepConfig, TraceRankSweep,
+from repro.sim.rank_sweep import (RankSweepExperiment, TraceRankSweep,
+                                  TraceRankSweepConfig,
                                   mean_trace_driven_slowdown)
 from repro.workloads.cloudsuite import PROFILES
 
@@ -12,12 +13,20 @@ def sweep():
     return TraceRankSweep(PROFILES["graph-analytics"], num_accesses=20_000)
 
 
-class TestMeasurement:
-    def test_baseline_slowdown_zero(self, sweep):
-        assert sweep.slowdowns((8,))[8] == pytest.approx(0.0)
+def swept(rank_counts, workload="graph-analytics", num_accesses=20_000):
+    """One registered rank-sweep run (the ``sweep`` fixture's trace by
+    default)."""
+    return RankSweepExperiment(TraceRankSweepConfig(
+        workload=workload, num_accesses=num_accesses,
+        rank_counts=rank_counts)).run()
 
-    def test_monotone_in_rank_count(self, sweep):
-        slowdowns = sweep.slowdowns((8, 4, 2))
+
+class TestMeasurement:
+    def test_baseline_slowdown_zero(self):
+        assert swept((8,)).slowdowns()[8] == pytest.approx(0.0)
+
+    def test_monotone_in_rank_count(self):
+        slowdowns = swept((8, 4, 2)).slowdowns()
         assert slowdowns[8] <= slowdowns[4] <= slowdowns[2]
 
     def test_queue_grows_with_fewer_ranks(self, sweep):
@@ -32,17 +41,17 @@ class TestMeasurement:
             <= timing.row_conflict_latency_ns()
 
     def test_interpolated_odd_rank_count(self, sweep):
-        points = sweep.sweep((6,))
+        points = swept((6,)).points
         low = sweep.measure(4)
         high = sweep.measure(8)
         assert min(low.time_per_ki_ns, high.time_per_ki_ns) <= \
             points[6].time_per_ki_ns <= \
             max(low.time_per_ki_ns, high.time_per_ki_ns)
 
-    def test_small_loss_at_two_ranks(self, sweep):
+    def test_small_loss_at_two_ranks(self):
         """The headline: the trace-driven method also finds sub-percent
         losses at 2 ranks (Figure 2's claim, paper: 0.7 % mean)."""
-        slowdown = sweep.slowdowns((2,))[2]
+        slowdown = swept((2,)).slowdowns()[2]
         assert 0.0 <= slowdown < 0.03
 
 
@@ -54,10 +63,8 @@ class TestAggregates:
         assert 0.0 <= mean < 0.02
 
     def test_memory_heavy_workload_suffers_more(self):
-        heavy = TraceRankSweep(PROFILES["graph-analytics"],
-                               num_accesses=15_000).slowdowns((2,))[2]
-        light = TraceRankSweep(PROFILES["web-search"],
-                               num_accesses=15_000).slowdowns((2,))[2]
+        heavy = swept((2,), num_accesses=15_000).slowdowns()[2]
+        light = swept((2,), "web-search", num_accesses=15_000).slowdowns()[2]
         assert heavy >= light
 
 
