@@ -218,6 +218,10 @@ class SegmentAllocator:
         return (self.geometry.segments_per_channel
                 - sum(self._free[channel * ranks:(channel + 1) * ranks]))
 
+    def allocated_mask(self) -> np.ndarray:
+        """One flag per DSN: True where it is allocated (a copy)."""
+        return self._in_use.copy()
+
     def is_allocated(self, dsn: int) -> bool:
         """True if segment ``dsn`` is currently allocated."""
         if not 0 <= dsn < self.geometry.total_segments:

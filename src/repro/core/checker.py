@@ -22,8 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.allocator import RankRole
 from repro.core.controller import DtlController
+from repro.core.tables import UNMAPPED
 from repro.dram.power import PowerState
 from repro.errors import ReproError
 
@@ -63,16 +66,19 @@ class ConsistencyChecker:
     # -- individual invariants ---------------------------------------------------
 
     def check_mapping_inverse(self, report: AuditReport) -> None:
-        """Forward and reverse tables must be exact inverses."""
+        """Forward and reverse tables must be exact inverses: every live
+        DSN's HSN walks back to it."""
         tables = self.controller.tables
-        for dsn in tables.live_dsns():
-            hsn = tables.hsn_of_dsn(dsn)
-            forward = tables.try_walk(hsn)
-            report.checked_mappings += 1
-            if forward != dsn:
-                report.violations.append(
-                    f"reverse map says DSN {dsn:#x} -> HSN {hsn:#x}, but "
-                    f"forward walk gives {forward}")
+        dsns = np.flatnonzero(tables.mapped_mask())
+        hsns = tables.hsns_of_dsns(dsns)
+        forward = tables.try_walk_batch(hsns)
+        report.checked_mappings += len(dsns)
+        bad = np.flatnonzero(forward != dsns)
+        for dsn, hsn, walked in zip(dsns[bad].tolist(), hsns[bad].tolist(),
+                                    forward[bad].tolist()):
+            report.violations.append(
+                f"reverse map says DSN {dsn:#x} -> HSN {hsn:#x}, but "
+                f"forward walk gives {_walked(walked)}")
 
     def check_allocation_agreement(self, report: AuditReport) -> None:
         """Mapped segments and allocated segments are the same set.
@@ -85,19 +91,26 @@ class ConsistencyChecker:
         """
         tables = self.controller.tables
         allocator = self.controller.allocator
-        mapped = set(tables.live_dsns())
-        allocated = set()
+        mapped = tables.mapped_mask()
+        allocated = allocator.allocated_mask()
+        targets = self.controller.migration.tracked_copies()[2]
+        unmapped = allocated & ~mapped
+        unmapped[targets] = False
+        if not ((mapped & ~allocated).any() or unmapped.any()):
+            return
+        # A violation: list it in the order the set differences of the
+        # rank-by-rank books iterate.
+        mapped_set = set(tables.live_dsns())
+        allocated_set = set()
         geometry = self.controller.geometry
         for channel in range(geometry.channels):
             for rank in range(geometry.ranks_per_channel):
-                allocated.update(
+                allocated_set.update(
                     allocator.allocated_in_rank((channel, rank)).tolist())
-        inflight_targets = set(
-            self.controller.migration.tracked_copies()[2].tolist())
-        for dsn in mapped - allocated:
+        for dsn in mapped_set - allocated_set:
             report.violations.append(
                 f"DSN {dsn:#x} is mapped but not allocated")
-        for dsn in (allocated - mapped) - inflight_targets:
+        for dsn in (allocated_set - mapped_set) - set(targets.tolist()):
             report.violations.append(
                 f"DSN {dsn:#x} is allocated but not mapped")
 
@@ -148,20 +161,21 @@ class ConsistencyChecker:
 
     def check_smc_coherence(self, report: AuditReport) -> None:
         """Every cached translation must match the tables."""
-        tables = self.controller.tables
         smc = self.controller.translation.smc
-        entries = []
-        for hsn, dsn in smc.l1.items():
-            entries.append(("L1", hsn, dsn))
-        for hsn, dsn in smc.l2.items():
-            entries.append(("L2", hsn, dsn))
-        for level, hsn, dsn in entries:
-            report.checked_smc_entries += 1
-            actual = tables.try_walk(hsn)
-            if actual != dsn:
-                report.violations.append(
-                    f"{level} SMC caches HSN {hsn:#x} -> DSN {dsn:#x}, "
-                    f"tables say {actual}")
+        l1 = smc.l1.items()
+        entries = l1 + smc.l2.items()
+        report.checked_smc_entries += len(entries)
+        if not entries:
+            return
+        hsns, dsns = np.array(entries, dtype=np.int64).T
+        actual = self.controller.tables.try_walk_batch(hsns)
+        for index in np.flatnonzero((actual != dsns)
+                                    | (actual == UNMAPPED)).tolist():
+            hsn, dsn = entries[index]
+            level = "L1" if index < len(l1) else "L2"
+            report.violations.append(
+                f"{level} SMC caches HSN {hsn:#x} -> DSN {dsn:#x}, "
+                f"tables say {_walked(actual.item(index))}")
 
     def check_migration_tracking(self, report: AuditReport) -> None:
         """Every tracked migration references a consistent world.
@@ -235,6 +249,11 @@ class ConsistencyChecker:
                 f"{len(report.violations)} invariant violation(s):\n"
                 f"  {summary}")
         return report
+
+
+def _walked(dsn: int) -> int | None:
+    """A batch walk's DSN as the scalar ``try_walk`` gives it."""
+    return None if dsn == UNMAPPED else dsn
 
 
 def check(controller: DtlController, balance_tolerance: int = 0) -> AuditReport:

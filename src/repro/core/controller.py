@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,7 +112,13 @@ class BatchAccessResult:
 class LookAhead:
     """What :meth:`DtlController.look_ahead` resolved, one element per
     access: the columns no between-call hook can change while
-    :meth:`DtlController.look_ahead_calls` holds."""
+    :meth:`DtlController.look_ahead_calls` holds.
+
+    ``served`` collects the ``dtl.*`` telemetry of the calls served so
+    far and is shared by every slice; the slice that ends the look-ahead
+    (``last``) folds it into the registry
+    (:meth:`DtlController.serve_call`).
+    """
 
     hpas: np.ndarray
     hsns: np.ndarray
@@ -124,6 +130,8 @@ class LookAhead:
     channels: np.ndarray
     ranks: np.ndarray
     dpas: np.ndarray
+    served: list = field(default_factory=list)
+    last: bool = True
 
     def call(self, start: int, stop: int) -> "LookAhead":
         """The columns of the call occupying ``[start:stop]``, as views."""
@@ -132,7 +140,8 @@ class LookAhead:
                          self.offsets[span], self.dsns[span],
                          self.xlat_ns[span], self.l1_hits[span],
                          self.l2_hits[span], self.channels[span],
-                         self.ranks[span], self.dpas[span])
+                         self.ranks[span], self.dpas[span], self.served,
+                         stop == self.hpas.size)
 
 
 class DtlController:
@@ -531,7 +540,22 @@ class DtlController:
         :meth:`look_ahead`, or its :meth:`LookAhead.call` slice of one:
         write routing, the self-refresh screen, the fault hooks and the
         ``dtl.*`` telemetry, all at ``now_ns``.
+
+        A call's latencies are bucketed and summed as it is served; the
+        slice that ends a look-ahead (raising or not) folds what every
+        served slice counted into the ``dtl.*`` counters and histogram in
+        one pass, the histogram total advancing once per call in call
+        order.  So they end where serving the calls one by one leaves
+        them, and a call that raises adds nothing to them.
         """
+        try:
+            return self._serve_slice(call, writes, now_ns)
+        finally:
+            if call.last:
+                self._fold_served(call.served)
+
+    def _serve_slice(self, call: LookAhead, writes: np.ndarray,
+                     now_ns: float) -> BatchAccessResult:
         hsns, dsns = call.hsns, call.dsns
         channels, ranks, dpas = call.channels, call.ranks, call.dpas
         n = dsns.size
@@ -578,19 +602,38 @@ class DtlController:
             latency_ns += self._faults.on_cxl_access_batch(n, now_ns)
             self._faults.on_dram_access_batch(channels, ranks, self.device,
                                               now_s=now_ns / 1e9)
-        self._accesses.inc(n)
-        self._writes.inc(num_writes)
-        self._redirects.inc(num_redirects)
-        self._access_latency.observe_batch(latency_ns)
         if self.trace.enabled:
             self.trace.record_tail(EventKind.ACCESS, time=now_ns, hsn=hsns,
                                    dsn=dsns, write=writes,
                                    latency_ns=latency_ns)
+        call.served.append((n, num_writes, num_redirects,
+                            self._access_latency.buckets_of(latency_ns),
+                            float(latency_ns.sum())))
         return BatchAccessResult(
             hpas=call.hpas, dsns=dsns, dpas=dpas, channels=channels,
             ranks=ranks, latency_ns=latency_ns, smc_l1_hits=call.l1_hits,
             smc_l2_hits=call.l2_hits, wake_penalty_ns=wake_ns,
             routed_to_new_dsn=routed_new)
+
+    def _fold_served(self, served: list) -> None:
+        """The ``dtl.*`` telemetry of the calls in ``served``, in one
+        pass; empties it."""
+        accesses = writes = redirects = 0
+        sums = []
+        for n, num_writes, num_redirects, _, total in served:
+            accesses += n
+            writes += num_writes
+            redirects += num_redirects
+            if n:
+                sums.append(total)
+        self._accesses.inc(accesses)
+        self._writes.inc(writes)
+        self._redirects.inc(redirects)
+        if sums:
+            self._access_latency.fold(
+                served[0][3] if len(served) == 1
+                else np.concatenate([call[3] for call in served]), sums)
+        served.clear()
 
     def _wake_ranks_holding(self, dsns: np.ndarray, now_s: float) -> None:
         """Exit self-refresh on any rank receiving fresh allocations, one

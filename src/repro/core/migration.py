@@ -688,6 +688,8 @@ class MigrationEngine:
     def step_all(self, busy_channels: set[int] | None = None,
                  lines: int = 1) -> int:
         """Copy up to ``lines`` lines on every non-busy channel."""
+        if not self._tracked:
+            return 0  # every queue empty, nothing in flight
         busy = busy_channels or set()
         return sum(self.step_channel(channel, channel in busy, lines)
                    for channel in range(len(self._queues)))

@@ -51,6 +51,7 @@ from repro.core.tables import TranslationTables
 from repro.core.translation import TranslationEngine
 from repro.dram.device import DramDevice
 from repro.dram.power import PowerState
+from repro.dram.rank import Rank
 from repro.policies import DemotionLevel, Policy, RankStats, make_policy
 from repro.telemetry import EventKind, EventTrace, MetricsRegistry
 
@@ -224,6 +225,14 @@ class HotnessSelfRefreshPolicy:
         # A property, not an ``__init__`` field: a run state pickled
         # before this cache existed restores without it and refills it.
         return {}
+
+    @cached_property
+    def _channel_ranks(self) -> tuple[tuple[Rank, ...], ...]:
+        """Each channel's :class:`Rank` objects in index order, for the
+        loops that read every rank's state (a property for the same
+        reason as ``_scanned_dsns``)."""
+        return tuple(tuple(self.device.ranks_in_channel(channel))
+                     for channel in range(self.geometry.channels))
 
     def _dsn(self, channel: int, rank: int, index: int) -> int:
         """DSN of ``index`` in a rank the CLOCK hand scans: the rank's
@@ -416,13 +425,17 @@ class HotnessSelfRefreshPolicy:
         victim_keys: list[int] = []
         for channel, state in self._channels.items():
             base = channel * num_ranks
-            if any(touches[base + rank]
-                   for rank in self._stateful_ranks(channel)):
-                eventful.add(channel)
-            elif (state.phase is ChannelPhase.PROFILING
-                  and any(touches[base:base + num_ranks])):
-                victim_keys.extend(base + rank
-                                   for rank in state.victim_ranks)
+            for rank in self._channel_ranks[channel]:
+                if touches[base + rank.index] and (
+                        rank.state is PowerState.SELF_REFRESH
+                        or rank.state is PowerState.MPSM):
+                    eventful.add(channel)
+                    break
+            else:
+                if (state.phase is ChannelPhase.PROFILING
+                        and any(touches[base:base + num_ranks])):
+                    victim_keys.extend(base + rank
+                                       for rank in state.victim_ranks)
         if victim_keys:
             # ``planned`` swaps entries within a channel, so the planned
             # rank is keyed with the access's own channel.
@@ -449,7 +462,7 @@ class HotnessSelfRefreshPolicy:
 
     def _stateful_ranks(self, channel: int) -> list[int]:
         """Ranks of ``channel`` whose next access changes their state."""
-        return [rank.index for rank in self.device.ranks_in_channel(channel)
+        return [rank.index for rank in self._channel_ranks[channel]
                 if rank.state is PowerState.SELF_REFRESH
                 or rank.state is PowerState.MPSM]
 
@@ -506,10 +519,10 @@ class HotnessSelfRefreshPolicy:
                         counts: list[int]) -> None:
         """Add ``counts[rank]`` accesses to each rank's counters."""
         window = state.window_counts
-        for rank, count in enumerate(counts):
+        for rank, count in zip(self._channel_ranks[channel], counts):
             if count:
-                self.device.rank(channel, rank).record_access(count)
-                window[rank] = window.get(rank, 0) + count
+                rank.record_access(count)
+                window[rank.index] = window.get(rank.index, 0) + count
 
     def _run_channel_batch(self, channel: int, ch_dsns: np.ndarray,
                            ch_ranks: np.ndarray, idx: np.ndarray,
@@ -711,16 +724,25 @@ class HotnessSelfRefreshPolicy:
     def end_window(self) -> None:
         """Close the current access-count window on every channel."""
         for channel, state in self._channels.items():
-            state.last_window_counts = dict(state.window_counts)
+            state.last_window_counts = state.window_counts
+            state.window_counts = {}
             self.policy.observe_window(channel, state.last_window_counts)
-            state.window_counts.clear()
 
     def tick(self, now_ns: float) -> list[SelfRefreshEvent]:
         """Advance timers; run migration + SR entry for quiet channels."""
         fired: list[SelfRefreshEvent] = []
         for channel, state in self._channels.items():
             if state.phase is ChannelPhase.IDLE:
-                self.start_profiling(channel, now_ns)
+                # Profiling needs two blocks of standby ranks.  With fewer
+                # standby ranks than that, start_profiling can only fail,
+                # and failing leaves nothing but the IDLE phase the
+                # channel already has: count them, and skip it.
+                standby = 0
+                for rank in self._channel_ranks[channel]:
+                    if rank.state is PowerState.STANDBY:
+                        standby += 1
+                if standby >= 2 * self.victim_granularity:
+                    self.start_profiling(channel, now_ns)
                 continue
             if state.phase is ChannelPhase.SELF_REFRESH:
                 # The last victim has slept undisturbed for the revisit
@@ -875,7 +897,7 @@ class HotnessSelfRefreshPolicy:
 
     def sr_ranks(self, channel: int) -> list[int]:
         """Ranks of ``channel`` currently in self-refresh."""
-        return [rank.index for rank in self.device.ranks_in_channel(channel)
+        return [rank.index for rank in self._channel_ranks[channel]
                 if rank.state is PowerState.SELF_REFRESH]
 
     def hypothetical_victim_size(self, channel: int) -> int:

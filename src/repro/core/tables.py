@@ -362,6 +362,21 @@ class TranslationTables:
         return np.array([self.hsn_of_dsn(dsn) for dsn in dsns.tolist()],
                         dtype=np.int64)
 
+    def try_walk_batch(self, hsns: np.ndarray) -> np.ndarray:
+        """:meth:`try_walk` over ``hsns`` in one gather, ``UNMAPPED``
+        where it gives ``None``."""
+        hsns = np.asarray(hsns, dtype=np.int64)
+        inside = (hsns >= 0) & (hsns < len(self._forward))
+        dsns = np.full(len(hsns), UNMAPPED, dtype=np.int64)
+        dsns[inside] = ~self._forward[hsns[inside]]
+        for hsn in hsns[~inside].tolist():
+            self.try_walk(hsn)  # out of range: raises as the walk does
+        return dsns
+
+    def mapped_mask(self) -> np.ndarray:
+        """One flag per DSN: True where it backs some HSN."""
+        return self._reverse_table != UNMAPPED
+
     def is_dsn_live(self, dsn: int) -> bool:
         """True if ``dsn`` currently backs some HSN."""
         return (0 <= dsn < len(self._reverse_table)

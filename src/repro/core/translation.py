@@ -148,12 +148,17 @@ class TranslationEngine:
         slices = stops or (len(dsns),)
         if fires:
             slices = sorted({*slices, *(offset + 1 for offset, _ in fires)})
+        sums = []
         start = 0
         for stop in slices:
-            batch = latencies[start:stop]
-            self._latency_total.inc(float(batch.sum()))
-            self._latency_hist.observe_batch(batch)
+            total = float(latencies[start:stop].sum())
+            self._latency_total.inc(total)
+            if stop > start:
+                sums.append(total)
             start = stop
+        if sums:
+            self._latency_hist.fold(self._latency_hist.buckets_of(latencies),
+                                    sums)
         return dsns, latencies, l1_hits, l2_hits
 
     def translate(self, hpa: int) -> Translation:

@@ -274,7 +274,7 @@ class ControllerShard:
         """
         self._check_live(vm)
         self.observe_time(t_s)
-        hpas = self._hpas_of(vm, segments, lines)
+        hpas = self._hpas_of([(vm, segments, lines)], [len(segments)])
         result = self.controller.access_batch(vm.host_id, hpas, writes,
                                               now_ns=self.clock_ns)
         self._after_access(len(hpas))
@@ -298,12 +298,23 @@ class ControllerShard:
             raise VmGone(f"VM {vm.vm_id} was freed before this request "
                          "reached its shard")
 
-    def _hpas_of(self, vm: VmHandle, segments: np.ndarray,
-                 lines: np.ndarray) -> np.ndarray:
+    def _hpas_of(self, calls: list, lengths: list[int]) -> np.ndarray:
+        """The HPAs of the ``(vm, segments, lines, ...)`` calls end to
+        end, in one pass: every call's AU IDs go into one table, and
+        each access indexes its own call's part of it (its segments are
+        inside its VM, see :meth:`apply_access_batch`)."""
         layout = self.controller.host_layout
-        per_au = layout.segments_per_au
-        au_ids = np.asarray(vm.au_ids, dtype=np.int64)[segments // per_au]
-        hsn_local = au_ids * per_au + segments % per_au
+        shift = layout.au_offset_bits  # segments_per_au is a power of two
+        table: list[int] = []
+        bases = []
+        for vm, *_ in calls:
+            bases.append(len(table))
+            table += vm.au_ids
+        segments = np.concatenate([call[1] for call in calls])
+        lines = np.concatenate([call[2] for call in calls])
+        au_ids = np.array(table, dtype=np.int64)[
+            np.repeat(bases, lengths) + (segments >> shift)]
+        hsn_local = (au_ids << shift) + (segments & ((1 << shift) - 1))
         return (hsn_local << layout.segment_offset_bits) + lines * 64
 
     def _after_access(self, n: int) -> None:
@@ -365,14 +376,13 @@ class ControllerShard:
         """
         controller = self.controller
         calls = [_access_call(*args) for _, args, _ in run]
-        hpas = [self._hpas_of(vm, segments, lines)
-                for vm, segments, lines, _, _ in calls]
-        lengths = [len(call_hpas) for call_hpas in hpas]
+        lengths = [len(call[1]) for call in calls]
         stops = list(itertools.accumulate(lengths))
+        hpas = self._hpas_of(calls, lengths)
         try:
             ahead = controller.look_ahead(
                 np.repeat([call[0].host_id for call in calls], lengths),
-                np.concatenate(hpas), stops)
+                hpas, stops)
         except Exception:  # served singly, the raiser gets its own
             for item in run:
                 self._serve_one(item)

@@ -71,16 +71,14 @@ class _EventBlock:
     producer's buffers nor a longer batch behind them stay reachable.
     """
 
-    __slots__ = ("kind", "time", "columns")
+    __slots__ = ("kind", "time", "columns", "size")
 
     def __init__(self, kind: EventKind, time: float,
-                 columns: dict[str, np.ndarray]):
+                 columns: dict[str, np.ndarray], size: int):
         self.kind = kind
         self.time = time
         self.columns = columns
-
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values())))
+        self.size = size
 
     def events(self) -> list[TraceEvent]:
         """One :class:`TraceEvent` per row, payloads as Python scalars."""
@@ -100,13 +98,13 @@ class EventTrace:
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY):
         self.capacity = capacity
-        # Oldest first: ``_closed`` segments (runs of single events and
-        # blocks, ``_closed_len`` events in all), then the open ``_run``
-        # that record() appends to.  Together they always hold at least
-        # the readable window and at most a few ``capacity`` of events.
-        self._closed: deque[deque[TraceEvent] | _EventBlock] = deque()
-        self._closed_len = 0
-        self._run: deque[TraceEvent] = deque(maxlen=capacity)
+        # Oldest first, one segment per single event or columnar block,
+        # ``_held`` events in all.  Once they reach twice the capacity
+        # the segments the readable window no longer needs leave in one
+        # pass (:meth:`_trim`), so appending never rebuilds anything and
+        # the ring holds at most a few ``capacity`` of events.
+        self._segments: deque[TraceEvent | _EventBlock] = deque()
+        self._held = 0
         self._tally: TallyCounter = TallyCounter()
         self.recorded = 0
         self._cleared_at = 0
@@ -130,9 +128,13 @@ class EventTrace:
                **data: Any) -> TraceEvent:
         """Append one event; oldest events fall off past ``capacity``."""
         event = TraceEvent(kind=kind, time=time, data=data)
-        self._run.append(event)
-        self._tally[kind.value] += 1
+        # ``_value_`` is ``value`` without the enum property's call.
+        self._tally[kind._value_] += 1
         self.recorded += 1
+        self._segments.append(event)
+        self._held += 1
+        if self._held >= 2 * self.capacity:
+            self._trim()
         return event
 
     def record_tail(self, kind: EventKind, time: float = 0.0,
@@ -146,7 +148,7 @@ class EventTrace:
         block, and turned into :class:`TraceEvent` objects when the ring
         is read.  Tallies advance by the full row count.
         """
-        lengths = {len(column) for column in columns.values()}
+        lengths = set(map(len, columns.values()))
         if len(lengths) != 1:
             raise ValueError(
                 "record_tail needs one or more equally long columns, got "
@@ -154,25 +156,29 @@ class EventTrace:
         count = lengths.pop()
         if not count:
             return
+        self._tally[kind._value_] += count
+        self.recorded += count
         keep = min(count, self.capacity)
         if keep:
-            if self._run:
-                self._close(self._run)
-                self._run = deque(maxlen=self.capacity)
-            self._close(_EventBlock(kind, time, {
+            self._segments.append(_EventBlock(kind, time, {
                 name: np.array(column[count - keep:])
-                for name, column in columns.items()}))
-            # Whole segments leave once the ones behind them fill the
-            # window; a partly visible oldest segment is cut on read.
-            while (self._closed_len - len(self._closed[0])
-                   >= self.capacity):
-                self._closed_len -= len(self._closed.popleft())
-        self._tally[kind.value] += count
-        self.recorded += count
+                for name, column in columns.items()}, keep))
+            self._held += keep
+            if self._held >= 2 * self.capacity:
+                self._trim()
 
-    def _close(self, segment: "deque[TraceEvent] | _EventBlock") -> None:
-        self._closed.append(segment)
-        self._closed_len += len(segment)
+    def _trim(self) -> None:
+        """Release whole segments from the old end while the ones behind
+        them fill the window; a partly visible oldest segment is cut on
+        read."""
+        segments = self._segments
+        while segments:
+            first = segments[0]
+            size = first.size if type(first) is _EventBlock else 1
+            if self._held - size < self.capacity:
+                break
+            segments.popleft()
+            self._held -= size
 
     @property
     def dropped(self) -> int:
@@ -182,9 +188,11 @@ class EventTrace:
     def events(self, kind: EventKind | None = None) -> list[TraceEvent]:
         """Buffered events, optionally filtered to one kind."""
         held: list[TraceEvent] = []
-        for segment in (*self._closed, self._run):
-            held.extend(segment.events() if isinstance(segment, _EventBlock)
-                        else segment)
+        for segment in self._segments:
+            if type(segment) is _EventBlock:
+                held.extend(segment.events())
+            else:
+                held.append(segment)
         window = held[len(held) - len(self):]
         if kind is None:
             return window
@@ -200,9 +208,8 @@ class EventTrace:
 
     def clear(self) -> None:
         """Drop buffered events (totals in :meth:`counts_by_kind` remain)."""
-        self._closed.clear()
-        self._closed_len = 0
-        self._run.clear()
+        self._segments.clear()
+        self._held = 0
         self._cleared_at = self.recorded
 
     def __len__(self) -> int:

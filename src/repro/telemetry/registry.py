@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -39,6 +40,10 @@ def _edges(bounds: tuple[float, ...]) -> np.ndarray:
     edges = np.array(bounds, dtype=np.float64)
     edges.setflags(write=False)
     return edges
+
+
+#: What the null histogram's :meth:`Histogram.buckets_of` returns.
+_NO_BUCKETS = np.empty(0, dtype=np.intp)
 
 
 class Counter:
@@ -114,15 +119,26 @@ class Histogram:
         sum in the last ULPs.
         """
         values = np.asarray(values, dtype=np.float64)
-        if not len(values):
-            return
-        indices = np.searchsorted(_edges(self.bounds), values, side="left")
+        if len(values):
+            self.fold(self.buckets_of(values), (float(values.sum()),))
+
+    def buckets_of(self, values: np.ndarray) -> np.ndarray:
+        """The bucket index of every sample in ``values``, for
+        :meth:`fold`."""
+        return _edges(self.bounds).searchsorted(values, side="left")
+
+    def fold(self, buckets: np.ndarray, sums: Iterable[float]) -> None:
+        """Record samples already bucketed by :meth:`buckets_of`: what
+        :meth:`observe_batch` over consecutive non-empty slices of them
+        records, one after the other.  ``sums`` are the slices' own
+        sums, in order, and ``total`` advances by each in turn."""
         counts = self.counts
-        for bucket, count in enumerate(np.bincount(indices).tolist()):
+        for bucket, count in enumerate(np.bincount(buckets).tolist()):
             if count:
                 counts[bucket] += count
-        self.count += len(values)
-        self.total += float(values.sum())
+        self.count += len(buckets)
+        for total in sums:
+            self.total += total
 
     @property
     def mean(self) -> float:
@@ -200,6 +216,12 @@ class _NullHistogram(Histogram):
         pass
 
     def observe_batch(self, values: np.ndarray) -> None:
+        pass
+
+    def buckets_of(self, values: np.ndarray) -> np.ndarray:
+        return _NO_BUCKETS
+
+    def fold(self, buckets: np.ndarray, sums: Iterable[float]) -> None:
         pass
 
 

@@ -629,6 +629,95 @@ def test_look_ahead_identity_in_served_shape(mode):
                    for calls, n, offsets in translated)
 
 
+class SliceFailure(RuntimeError):
+    """Raised by :func:`failing_screen` on its chosen call."""
+
+
+def failing_screen(controller: DtlController, failing: int) -> None:
+    """Make the self-refresh screen of the controller's ``failing``-th
+    call from now on raise, after it has counted the call's accesses —
+    a slice that raises mid-run, past some of its side effects."""
+    policy = controller.self_refresh
+    screen = policy.on_access_batch
+    calls = itertools.count()
+
+    def screened(*args):
+        penalties = screen(*args)
+        if next(calls) == failing:
+            raise SliceFailure(f"call {failing}")
+        return penalties
+
+    policy.on_access_batch = screened
+
+
+def assert_telemetry_identical(one: DtlController, other: DtlController):
+    assert one.metrics.counter_values() == other.metrics.counter_values()
+    # Bucket counts, sample counts and float totals, exactly.
+    assert (one.metrics.histogram_values()
+            == other.metrics.histogram_values())
+    assert one.trace.counts_by_kind() == other.trace.counts_by_kind()
+    assert (one.trace.recorded, one.trace.dropped) \
+        == (other.trace.recorded, other.trace.dropped)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 3])
+def test_a_raising_slice_folds_telemetry_as_one_by_one(failing):
+    """Four calls share a look-ahead and one slice raises (the first, a
+    middle one, or the last, which folds the telemetry of the others
+    on its way out): the ``dtl.*`` counters, every histogram's buckets,
+    count and float total, and the ring's tallies end where serving the
+    four one by one leaves them, and so does a ``telemetry_snapshot()``
+    taken right after — the ring's within-batch order, the one thing
+    docs/PERF.md exempts, is not in a snapshot."""
+    reference, twin = served_pair()
+    clock_ns = 0.0
+    for call in range(12):  # warm, both ways alike
+        for controller in (reference, twin):
+            host_id, hpas, writes = served_call(controller, call)
+            controller.access_batch(host_id, hpas, writes, now_ns=clock_ns)
+            serve_step(controller, clock_ns, len(hpas))
+        clock_ns += 128 * 100.0
+    calls = [served_call(reference, call) for call in range(12, 16)]
+    for controller in (reference, twin):
+        failing_screen(controller, failing)
+    one_by_one = []
+    clock = clock_ns
+    for host_id, hpas, writes in calls:
+        try:
+            one_by_one.append(reference.access_batch(host_id, hpas, writes,
+                                                     now_ns=clock))
+        except SliceFailure:
+            one_by_one.append(None)
+        else:
+            clock = serve_step(reference, clock, len(hpas))
+    stops = list(itertools.accumulate(len(hpas) for _, hpas, _ in calls))
+    assert twin.look_ahead_calls([128] * 4,
+                                 [clock_ns + 12_800.0 * k for k in
+                                  range(1, 5)], clock_ns) == 4
+    ahead = twin.look_ahead(
+        np.repeat([host_id for host_id, _, _ in calls], 128),
+        np.concatenate([hpas for _, hpas, _ in calls]), stops)
+    looked_ahead = []
+    clock, start = clock_ns, 0
+    for (_, _, writes), stop in zip(calls, stops):
+        try:
+            looked_ahead.append(twin.serve_call(ahead.call(start, stop),
+                                                writes, clock))
+        except SliceFailure:
+            looked_ahead.append(None)
+        else:
+            clock = serve_step(twin, clock, stop - start)
+        start = stop
+    assert [result is None for result in looked_ahead] \
+        == [call == failing for call in range(4)]
+    assert_results_identical([r for r in one_by_one if r is not None],
+                             [r for r in looked_ahead if r is not None])
+    assert_telemetry_identical(reference, twin)
+    assert (reference.telemetry_snapshot(now_s=clock / 1e9).to_dict()
+            == twin.telemetry_snapshot(now_s=clock / 1e9).to_dict())
+    assert_twins_identical(reference, twin)
+
+
 def test_look_ahead_stops_at_a_pending_migration():
     reference, twin = served_pair()
     for controller in (reference, twin):

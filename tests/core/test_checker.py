@@ -11,6 +11,8 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.units import GIB, MIB
 
+from tests.core.checker_reference import REFERENCE_CHECKS
+
 
 @pytest.fixture
 def controller():
@@ -152,3 +154,94 @@ class TestReport:
         report = ConsistencyChecker(controller).audit(balance_tolerance=64)
         assert len(report.violations) == 2
         assert not report.ok
+
+
+class TestGatheredChecksMatchTheLoops:
+    """The three gathered audits list exactly what the per-entry loops
+    they replaced list (``tests/core/checker_reference.py``): the same
+    messages in the same order, the same counts — on a clean controller
+    and with each kind of violation injected, several at a time."""
+
+    @staticmethod
+    def assert_matches_reference(controller, expect_violations):
+        checker = ConsistencyChecker(controller)
+        found = 0
+        for name, reference in REFERENCE_CHECKS.items():
+            gathered, looped = AuditReport(), AuditReport()
+            getattr(checker, name)(gathered)
+            reference(controller, looped)
+            assert gathered == looped, name
+            found += len(gathered.violations)
+        assert found == expect_violations
+
+    @staticmethod
+    def busy(controller):
+        """Three VMs on two hosts, every segment of the first touched
+        twice: both SMC levels hold entries."""
+        vms = [controller.allocate_vm(host, 256 * MIB, now_s=float(host))
+               for host in (0, 1, 0)]
+        for _ in range(2):
+            for au_id in vms[0].au_ids:
+                for offset in range(controller.host_layout.segments_per_au):
+                    controller.access(0, controller.hpa_of(au_id, offset))
+        smc = controller.translation.smc
+        assert len(smc.l1) and len(smc.l2)
+        return vms
+
+    def test_clean_controller(self, controller):
+        self.assert_matches_reference(controller, 0)
+        self.busy(controller)
+        self.assert_matches_reference(controller, 0)
+
+    def test_stale_smc_entries(self, controller):
+        self.busy(controller)
+        tables, smc = controller.tables, controller.translation.smc
+        cached = [hsn for hsn, _ in smc.l1.items()] + [
+            hsn for hsn, _ in smc.l2.items()]
+        # Three entries remapped behind the SMC's back, one unmapped.
+        for hsn in cached[:3]:
+            dsn = tables.walk(hsn).dsn
+            rank_id = controller.allocator.rank_of_dsn(dsn)
+            free_dsn = int(controller.allocator.free_dsns_in_rank(
+                rank_id)[0])
+            controller.allocator.reserve_specific(free_dsn)
+            tables.remap_segment(hsn, free_dsn)
+            controller.allocator.free([dsn])
+        tables.unmap_segment(cached[-1])
+        # L1 is inside L2 here, so each stale HSN is two stale entries;
+        # the unmapped one also leaves its DSN allocated but unmapped.
+        assert set(cached[:3] + cached[-1:]) <= {hsn for hsn, _
+                                                 in smc.l1.items()}
+        self.assert_matches_reference(controller, 2 * 4 + 1)
+
+    def test_broken_reverse_entries(self, controller):
+        self.busy(controller)
+        tables = controller.tables
+        live = tables.live_dsns()
+        # Three reverse entries point at another live DSN's HSN.
+        for dsn, other in zip(live[:3], live[-3:]):
+            tables._reverse_table[dsn] = tables.hsn_of_dsn(other)
+        self.assert_matches_reference(controller, 3)
+
+    def test_allocation_disagreements(self, controller):
+        self.busy(controller)
+        allocator = controller.allocator
+        # Allocated but unmapped on a dozen ranks (DSNs far apart, so a
+        # set of them does not iterate in ascending order), mapped but
+        # not allocated twice.
+        for channel in range(4):
+            for rank in (3, 5, 6):
+                allocator.allocate_in_rank((channel, rank), 2)
+        allocator.free(controller.tables.live_dsns()[5:7])
+        self.assert_matches_reference(controller, 24 + 2)
+
+    def test_copy_targets_are_exempt(self, controller):
+        self.busy(controller)
+        tables, allocator = controller.tables, controller.allocator
+        dsn = tables.live_dsns()[0]
+        rank_id = allocator.rank_of_dsn(dsn)
+        target = int(allocator.free_dsns_in_rank(rank_id)[0])
+        allocator.reserve_specific(target)
+        controller.migration.submit(tables.hsn_of_dsn(dsn), dsn, target)
+        allocator.allocate_in_rank(rank_id, 1)
+        self.assert_matches_reference(controller, 1)
