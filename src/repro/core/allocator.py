@@ -218,6 +218,12 @@ class SegmentAllocator:
         return (self.geometry.segments_per_channel
                 - sum(self._free[channel * ranks:(channel + 1) * ranks]))
 
+    def allocated_counts(self) -> list[int]:
+        """Allocated segments per rank, channel-major (the order of
+        ``(channel, rank)`` over channels, then ranks)."""
+        return np.bincount(self._rows_of(np.flatnonzero(self._in_use)),
+                           minlength=len(self._free)).tolist()
+
     def allocated_mask(self) -> np.ndarray:
         """One flag per DSN: True where it is allocated (a copy)."""
         return self._in_use.copy()

@@ -120,15 +120,14 @@ class ConsistencyChecker:
         the two structures."""
         allocator = self.controller.allocator
         geometry = self.controller.geometry
-        for channel in range(geometry.channels):
-            for rank in range(geometry.ranks_per_channel):
-                allocated = len(allocator.allocated_in_rank((channel, rank)))
-                free = allocator.free_in_rank((channel, rank))
-                if allocated + free != geometry.segments_per_rank:
-                    report.violations.append(
-                        f"rank ({channel},{rank}): allocated {allocated}"
-                        f" + free {free} != "
-                        f"{geometry.segments_per_rank}")
+        capacity = geometry.segments_per_rank
+        for row, allocated in enumerate(allocator.allocated_counts()):
+            channel, rank = divmod(row, geometry.ranks_per_channel)
+            free = allocator.free_in_rank((channel, rank))
+            if allocated + free != capacity:
+                report.violations.append(
+                    f"rank ({channel},{rank}): allocated {allocated}"
+                    f" + free {free} != {capacity}")
 
     def check_retention(self, report: AuditReport) -> None:
         """A rank in a state that loses data holds no allocated segment."""
@@ -162,20 +161,21 @@ class ConsistencyChecker:
     def check_smc_coherence(self, report: AuditReport) -> None:
         """Every cached translation must match the tables."""
         smc = self.controller.translation.smc
-        l1 = smc.l1.items()
-        entries = l1 + smc.l2.items()
-        report.checked_smc_entries += len(entries)
-        if not entries:
+        l1_hsns, l1_dsns = smc.l1.columns()
+        l2_hsns, l2_dsns = smc.l2.columns()
+        hsns = np.concatenate((l1_hsns, l2_hsns))
+        dsns = np.concatenate((l1_dsns, l2_dsns))
+        report.checked_smc_entries += len(hsns)
+        if not len(hsns):
             return
-        hsns, dsns = np.array(entries, dtype=np.int64).T
         actual = self.controller.tables.try_walk_batch(hsns)
         for index in np.flatnonzero((actual != dsns)
                                     | (actual == UNMAPPED)).tolist():
-            hsn, dsn = entries[index]
-            level = "L1" if index < len(l1) else "L2"
+            level = "L1" if index < len(l1_hsns) else "L2"
             report.violations.append(
-                f"{level} SMC caches HSN {hsn:#x} -> DSN {dsn:#x}, "
-                f"tables say {_walked(actual.item(index))}")
+                f"{level} SMC caches HSN {hsns.item(index):#x} -> DSN "
+                f"{dsns.item(index):#x}, tables say "
+                f"{_walked(actual.item(index))}")
 
     def check_migration_tracking(self, report: AuditReport) -> None:
         """Every tracked migration references a consistent world.
@@ -186,33 +186,35 @@ class ConsistencyChecker:
         counter is in range (with the completion bit only ever set at
         full progress) — the state an abort/retry must restore exactly.
         """
-        tables = self.controller.tables
-        allocator = self.controller.allocator
-        migration = self.controller.migration
-        for request in migration.tracked_requests():
-            tag = f"migration {request.old_dsn:#x}->{request.new_dsn:#x}"
-            if tables.try_walk(request.hsn) != request.old_dsn:
-                report.violations.append(
-                    f"{tag}: HSN {request.hsn:#x} no longer maps to the "
-                    "source DSN")
-            if not allocator.is_allocated(request.new_dsn):
-                report.violations.append(
-                    f"{tag}: destination is not reserved")
-            if tables.is_dsn_live(request.new_dsn):
-                report.violations.append(
-                    f"{tag}: destination is already mapped mid-flight")
-            if (migration.channel_of(request.old_dsn)
-                    != migration.channel_of(request.new_dsn)):
-                report.violations.append(f"{tag}: crosses channels")
-            if not 0 <= request.lines_done <= request.lines_total:
-                report.violations.append(
-                    f"{tag}: progress {request.lines_done} out of range "
-                    f"0..{request.lines_total}")
-            if (request.completion
-                    and request.lines_done != request.lines_total):
-                report.violations.append(
-                    f"{tag}: completion bit set at progress "
-                    f"{request.lines_done}/{request.lines_total}")
+        controller = self.controller
+        migration = controller.migration
+        if not migration.pending_count():
+            return
+        hsns, old_dsns, new_dsns = migration.tracked_copies()
+        lines_done, completion = migration.tracked_progress()
+        total = migration.lines_per_segment
+        checks = np.stack((
+            controller.tables.try_walk_batch(hsns) != old_dsns,
+            ~controller.allocator.allocated_mask()[new_dsns],
+            controller.tables.mapped_mask()[new_dsns],
+            migration.channel_of(old_dsns) != migration.channel_of(new_dsns),
+            (lines_done < 0) | (lines_done > total),
+            (completion != 0) & (lines_done != total)))
+        for index in np.flatnonzero(checks.any(axis=0)).tolist():
+            hsn, old_dsn, new_dsn, done = (
+                hsns.item(index), old_dsns.item(index),
+                new_dsns.item(index), lines_done.item(index))
+            tag = f"migration {old_dsn:#x}->{new_dsn:#x}"
+            messages = (
+                f"{tag}: HSN {hsn:#x} no longer maps to the source DSN",
+                f"{tag}: destination is not reserved",
+                f"{tag}: destination is already mapped mid-flight",
+                f"{tag}: crosses channels",
+                f"{tag}: progress {done} out of range 0..{total}",
+                f"{tag}: completion bit set at progress {done}/{total}")
+            report.violations.extend(
+                message for message, failed
+                in zip(messages, checks[:, index].tolist()) if failed)
 
     def check_channel_balance(self, report: AuditReport,
                               tolerance: int = 0) -> None:

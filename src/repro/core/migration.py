@@ -23,8 +23,9 @@ requests.
 from __future__ import annotations
 
 import enum
+import sys
 import weakref
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -157,19 +158,11 @@ class _SlotFifo:
         self._slots[self._tail:self._tail + len(slots)] = slots
         self._tail += len(slots)
 
-    def popleft(self) -> int:
-        """Take the oldest slot."""
-        slot = self._slots.item(self._head)
-        self._head += 1
+    def drop(self, count: int) -> None:
+        """Take the ``count`` oldest slots off the queue."""
+        self._head += count
         if self._head == self._tail:
             self._head = self._tail = 0
-        return slot
-
-    def take_all(self) -> np.ndarray:
-        """Empty the queue; returns what was waiting, oldest first."""
-        slots = self.slots().copy()
-        self._head = self._tail = 0
-        return slots
 
     def replace(self, slots: np.ndarray) -> None:
         """Make ``slots`` (a copy, not a view of this queue) the queue."""
@@ -228,8 +221,9 @@ class MigrationStats:
 
 #: Callback invoked when copies retire (copy finished, mapping update
 #: due): ``on_complete(hsns, old_dsns, new_dsns)``, three int64 arrays —
-#: one element each from a stepped retire, a channel's whole queue in
-#: queue order from a bulk :meth:`MigrationEngine.drain`.
+#: every retire of one :meth:`MigrationEngine.advance` in (round,
+#: channel) order: at most one per channel from a one-round pump, a
+#: channel's whole queue in queue order from :meth:`MigrationEngine.drain`.
 CompletionCallback = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
@@ -508,6 +502,12 @@ class MigrationEngine:
         migrations, oldest first."""
         return tuple(self._table[_HSN:_NEW_DSN + 1, self._tracked_slots()])
 
+    def tracked_progress(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lines_done, completion)`` of the copies
+        :meth:`tracked_copies` lists, in the same order."""
+        return tuple(self._table[_LINES_DONE:_COMPLETION + 1,
+                                 self._tracked_slots()])
+
     def is_tracked(self, dsns: np.ndarray) -> np.ndarray:
         """True where a queued or in-flight migration copies from that
         DSN: one gather from the DSN-indexed slot array."""
@@ -634,142 +634,186 @@ class MigrationEngine:
 
     # -- progress --------------------------------------------------------------------
 
+    def advance(self, rounds: int, lines: int = 1,
+                channels: Iterable[int] | None = None) -> tuple[int, int]:
+        """Run up to ``rounds`` pump rounds on ``channels`` (default: all).
+
+        The pump schedule, one round on every stepped channel:
+
+        * the channel copies up to ``lines`` cachelines of the request
+          at the head of its queue (the one in flight);
+        * the chunk that finishes a segment ends the channel's round and
+          only sets the completion bit;
+        * the finished copy retires (mapping update) at the start of the
+          channel's next round, and the next request starts copying in
+          that same round.
+
+        The retire step is Section 4.2's window in which a foreground
+        write sees "completion bit set, mapping update pending" and is
+        routed to the new DSN.  Migration only uses idle bandwidth, so a
+        channel left out of ``channels`` (foreground-busy) does nothing.
+
+        The rounds are computed from each request's remaining lines, not
+        stepped.  The call stops early once nothing is queued or in
+        flight on the stepped channels, or right after the first round
+        in which an injected abort fires (hook: ``migration.copy``): the
+        abort may requeue its request, and the caller may audit.  The
+        hook's visits are one injector call; the retires reach
+        ``on_complete`` in one call, in (round, channel) order.
+
+        Returns:
+            ``(rounds taken, cachelines copied)``.
+        """
+        if not self._tracked or rounds < 1 or lines < 1:
+            return 0, 0
+        table = self._table
+        plans = []
+        for channel in (range(len(self._queues)) if channels is None
+                        else channels):
+            inflight = self._inflight[channel]
+            # A copy: a queue reuses its buffer once it is emptied.
+            slots = self._queues[channel].slots().copy()
+            if inflight != _NO_SLOT:
+                slots = np.concatenate(([inflight], slots))
+            elif not len(slots):
+                continue
+            done = table[_LINES_DONE, slots]
+            # Copy rounds per request (a finished copy only retires).
+            spans = np.where(table[_COMPLETION, slots] != 0, 0, np.maximum(
+                1, -((done - self.lines_per_segment) // lines)))
+            plans.append((channel, slots, done, spans, np.cumsum(spans) + 1))
+        if not plans:
+            return 0, 0
+        last = min(rounds, max(retire_at.item(-1)
+                               for *_, retire_at in plans))
+        fires: list = []
+        if self._faults is not None:
+            progress, stepped, rows = self._copy_steps(plans, last, lines)
+            fires = self._faults.on_migration_copies(progress, stepped, rows)
+            if fires:  # all in one round, which ends the call
+                last = rows.item(fires[0][0]) + 1
+                fires = [(stepped.item(offset), fire)
+                         for offset, fire in fires]
+        aborted = {channel for channel, _ in fires}
+        copied = 0
+        retired = []  # (slots, rounds, channel) per plan
+        for channel, slots, done, spans, retire_at in plans:
+            # ``retire_at`` is the round at whose start each copy retires.
+            count = int(np.searchsorted(retire_at, last, side="right"))
+            copied += int((self.lines_per_segment - done[:count])[
+                spans[:count] > 0].sum())
+            if count:
+                retired.append((slots[:count], retire_at[:count], channel))
+            head = count
+            if count < len(slots):  # in flight once ``last`` rounds end
+                slot = slots.item(count)
+                # Rounds it copied in: from its first copy round on,
+                # less the last when an abort took that round's step.
+                rounds_in = (last - (retire_at.item(count) - spans.item(count))
+                             + (channel not in aborted))
+                take = min(rounds_in * lines, self.lines_per_segment
+                           - done.item(count))
+                table[_LINES_DONE, slot] = done.item(count) + take
+                copied += take
+                if rounds_in == spans.item(count):
+                    table[_COMPLETION, slot] = 1
+                head += 1
+            else:
+                slot = _NO_SLOT
+            self._queues[channel].drop(
+                head - (self._inflight[channel] != _NO_SLOT))
+            self._inflight[channel] = slot
+        self.stats.lines_copied += copied
+        if retired:
+            self._retire(retired)
+        for channel, fire in fires:
+            slot = self._inflight[channel]
+            fire(self._table.item(_OLD_DSN, slot),
+                 self._table.item(_NEW_DSN, slot))
+            self._abort(slot)
+        return last, copied
+
+    @staticmethod
+    def _copy_steps(plans: list, last: int, lines: int,
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The copy steps of rounds ``1..last`` in (round, channel)
+        order: each one's request progress before the step, its channel
+        and its round (0-based).  A channel copies in every round until
+        its last copy retires, so its steps are rounds ``1..count``."""
+        counts = [min(retire_at.item(-1) - 1, last)
+                  for *_, retire_at in plans]
+        grid = np.full((max(counts), len(plans)), -1, dtype=np.int64)
+        for column, ((_, _, done, spans, retire_at), count) in enumerate(
+                zip(plans, counts)):
+            steps = np.arange(1, count + 1)
+            starts = retire_at - spans  # each request's first copy round
+            request = np.searchsorted(starts, steps, side="right") - 1
+            grid[:count, column] = (done[request]
+                                    + (steps - starts[request]) * lines)
+        rows, columns = np.nonzero(grid >= 0)
+        channels = np.array([channel for channel, *_ in plans])[columns]
+        return grid[rows, columns], channels, rows
+
     def step_channel(self, channel: int, foreground_busy: bool = False,
                      lines: int = 1) -> int:
-        """Copy up to ``lines`` cachelines on ``channel``.
-
-        Migration only uses idle bandwidth: nothing happens when
-        ``foreground_busy`` is True.
-
-        Retirement is a separate step from the copy: when the last line of
-        a request lands, only its completion bit is set and the step ends.
-        The mapping update (:meth:`_retire`) happens at the start of the
-        *next* step on this channel.  This is the Section 4.2 window in
-        which a foreground write sees "completion bit set, mapping update
-        pending" and must be routed to the new DSN.
+        """One pump round of ``lines`` cachelines on ``channel`` alone
+        (see :meth:`advance`); nothing when ``foreground_busy``.
 
         Returns:
             Number of lines actually copied.
         """
         if foreground_busy:
             return 0
-        copied = 0
-        queue = self._queues[channel]
-        while copied < lines:
-            slot = self._inflight[channel]
-            if slot == _NO_SLOT:
-                if not len(queue):
-                    break
-                slot = self._inflight[channel] = queue.popleft()
-            table = self._table
-            if table.item(_COMPLETION, slot):
-                # Deferred from the step that copied the last line.
-                self._retire(channel, slot)
-                continue
-            # Injected abort (hook: migration.copy).  Only legal while the
-            # completion bit is clear — past it, foreground writes are
-            # already redirected to the new DSN and an abort would lose
-            # them.  The abort may requeue the request, so stop stepping.
-            if (self._faults is not None
-                    and self._faults.on_migration_copy(
-                        MigrationRequest(self, slot), channel)):
-                self._abort(slot)
-                break
-            done = table.item(_LINES_DONE, slot)
-            take = min(lines - copied, self.lines_per_segment - done)
-            table[_LINES_DONE, slot] = done + take
-            copied += take
-            self.stats.lines_copied += take
-            if done + take == self.lines_per_segment:
-                table[_COMPLETION, slot] = 1
-                break
-        return copied
+        return self.advance(1, lines, (channel,))[1]
 
     def step_all(self, busy_channels: set[int] | None = None,
                  lines: int = 1) -> int:
-        """Copy up to ``lines`` lines on every non-busy channel."""
-        if not self._tracked:
-            return 0  # every queue empty, nothing in flight
-        busy = busy_channels or set()
-        return sum(self.step_channel(channel, channel in busy, lines)
-                   for channel in range(len(self._queues)))
+        """One pump round of ``lines`` lines on every non-busy channel."""
+        channels = None
+        if busy_channels:
+            channels = [channel for channel in range(len(self._queues))
+                        if channel not in busy_channels]
+        return self.advance(1, lines, channels)[1]
 
     def drain(self) -> int:
         """Run all queued migrations to completion.
 
-        Nothing can interrupt a synchronous drain except an injected
-        abort: no foreground write arrives mid-call, so no request
-        aborts or requeues and every channel retires in queue order.
-        Each channel's queue is therefore finished in one pass
-        (:meth:`_finish_channel`); only under an armed plan that can
-        abort a copy is it stepped one request at a time.
+        Each channel in turn is pumped a whole segment per round until
+        it is quiet (:meth:`advance`): no foreground write arrives
+        mid-call, so only an injected abort can interrupt it, and every
+        channel otherwise retires its queue in order in one call.
 
         Returns:
             Cumulative count of segments migrated by this engine.
         """
-        stepped = (self._faults is not None
-                   and self._faults.aborts_migration_copies)
-        for channel, queue in enumerate(self._queues):
-            if stepped:
-                while self._inflight[channel] != _NO_SLOT or len(queue):
-                    self.step_channel(channel, lines=self.lines_per_segment)
-            else:
-                self._finish_channel(channel)
+        for channel in range(len(self._queues)):
+            while self.advance(sys.maxsize, self.lines_per_segment,
+                               (channel,))[0]:
+                pass
         return self.stats.segments_migrated
 
-    def _finish_channel(self, channel: int) -> None:
-        """Copy and retire everything on ``channel`` in one pass.
-
-        What the stepped loop of :meth:`drain` does when nothing fires:
-        the same requests in the same order, the same counters, one
-        ``MIGRATION_RETIRE`` run and one ``on_complete`` call.
-        """
-        inflight = self._inflight[channel]
-        slots = self._queues[channel].take_all()
-        if inflight != _NO_SLOT:
-            slots = np.concatenate(([inflight], slots))
-        if not len(slots):
-            return
-        self._inflight[channel] = _NO_SLOT
-        table = self._table
-        copying = table[_COMPLETION, slots] == 0
-        lines = int((self.lines_per_segment
-                     - table[_LINES_DONE, slots][copying]).sum())
-        table[_LINES_DONE, slots] = self.lines_per_segment
-        table[_COMPLETION, slots] = 1
-        if self._faults is not None:
-            # The stepped loop consults the hook once per copying request.
-            self._faults.count_migration_copies(int(copying.sum()))
-        self.stats.lines_copied += lines
-        hsns, old_dsns, new_dsns = self._retired(slots)
+    def _retire(self, retired: list) -> None:
+        """Retire the finished copies of one :meth:`advance`, given as
+        ``(slots, rounds, channel)`` per channel: removal from the
+        registers, then one mapping update, in (round, channel) order."""
+        slots, rounds, channels = (np.concatenate(column) for column in zip(
+            *((slots, rounds, np.full(len(slots), channel, dtype=np.int64))
+              for slots, rounds, channel in retired)))
+        if len(retired) > 1:
+            order = np.lexsort((channels, rounds))
+            slots, channels = slots[order], channels[order]
+        # Their rows keep the final values (see MigrationRequest).
+        self._table[_LINES_DONE, slots] = self.lines_per_segment
+        self._table[_COMPLETION, slots] = 1
+        hsns, old_dsns, new_dsns = self._table[_HSN:_NEW_DSN + 1, slots]
+        self._untrack(slots)
+        self.stats.segments_migrated += len(slots)
         if self._trace is not None:
             self._trace.record_tail(
                 EventKind.MIGRATION_RETIRE, hsn=hsns, old_dsn=old_dsns,
-                new_dsn=new_dsns,
-                channel=np.full(len(slots), channel, dtype=np.int64))
+                new_dsn=new_dsns, channel=channels)
         if self.on_complete is not None:
             self.on_complete(hsns, old_dsns, new_dsns)
-
-    def _retire(self, channel: int, slot: int) -> None:
-        """Finish the request in flight on ``channel``: removal from the
-        registers, then the mapping update."""
-        self._inflight[channel] = _NO_SLOT
-        hsns, old_dsns, new_dsns = self._retired(np.array([slot]))
-        if self._trace is not None:
-            self._trace.record(EventKind.MIGRATION_RETIRE, hsn=hsns.item(),
-                               old_dsn=old_dsns.item(),
-                               new_dsn=new_dsns.item(), channel=channel)
-        if self.on_complete is not None:
-            self.on_complete(hsns, old_dsns, new_dsns)
-
-    def _retired(self, slots: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stop tracking the finished copies in ``slots``; returns their
-        ``(hsns, old_dsns, new_dsns)`` for the completion callback."""
-        columns = self._table[_HSN:_NEW_DSN + 1, slots]
-        self._untrack(slots)
-        self.stats.segments_migrated += len(slots)
-        return tuple(columns)
 
     # -- cost model ---------------------------------------------------------------------
 

@@ -356,11 +356,17 @@ class RankPowerDownPolicy:
             Cachelines copied this call.
         """
         copied = self.migration.step_all(busy_channels, lines)
+        self.park_if_quiet(now_s)
+        return copied
+
+    def park_if_quiet(self, now_s: float) -> None:
+        """Finish every pending power-down at ``now_s`` once no copy is
+        queued or in flight (a drain that pumps many rounds at once
+        parks at its last round's time)."""
         if self._pending and self.migration.pending_count() == 0:
             for pending in self._pending:
                 self._finish_pending(pending, now_s)
             self._pending.clear()
-        return copied
 
     def _finish_pending(self, pending: PendingPowerDown,
                         now_s: float) -> PowerTransition:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -196,6 +197,11 @@ class FullyAssociativeCache:
         """``(hsn, dsn)`` pairs currently cached (LRU first)."""
         return list(self._map.items())
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`items` as two int64 arrays, ``(hsns, dsns)``."""
+        return (np.fromiter(self._map, np.int64, len(self._map)),
+                np.fromiter(self._map.values(), np.int64, len(self._map)))
+
     def __contains__(self, hsn: int) -> bool:
         return hsn in self._map
 
@@ -265,6 +271,15 @@ class SetAssociativeCache:
         """``(hsn, dsn)`` pairs currently cached (set by set, LRU first
         within a set)."""
         return [item for row in self._sets for item in row.items()]
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`items` as two int64 arrays, ``(hsns, dsns)``: one pass
+        over the set dicts, no pair tuples."""
+        return (np.fromiter(chain.from_iterable(self._sets), np.int64,
+                            self._count),
+                np.fromiter(chain.from_iterable(map(dict.values,
+                                                    self._sets)),
+                            np.int64, self._count))
 
     def __contains__(self, hsn: int) -> bool:
         return hsn in self._sets[hsn % self.sets]

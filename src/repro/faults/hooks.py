@@ -87,7 +87,7 @@ HOOK_CATALOG: dict[HookPoint, HookInfo] = {
         "per-rank DRAM ECC single/multi-bit error accounting",
         batch_method="on_dram_access_batch"),
     HookPoint.MIGRATION_COPY: HookInfo(
-        HookPoint.MIGRATION_COPY, "on_migration_copy",
+        HookPoint.MIGRATION_COPY, "on_migration_copies",
         "src/repro/core/migration.py",
         "abort an in-flight segment copy at a chosen progress counter"),
     HookPoint.MPSM_EXIT: HookInfo(

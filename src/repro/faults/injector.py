@@ -168,15 +168,6 @@ class FaultInjector:
         """
         return bool(self._by_hook[HookPoint.SR_EXIT])
 
-    @property
-    def aborts_migration_copies(self) -> bool:
-        """True when the plan has a ``migration.copy`` spec.
-
-        Only then can anything interrupt a synchronous migration drain,
-        so only then does the engine step it one request at a time.
-        """
-        return bool(self._by_hook[HookPoint.MIGRATION_COPY])
-
     def visits(self, point: HookPoint) -> int:
         """Events the datapath exposed at ``point`` so far."""
         return self._visits[point]
@@ -360,30 +351,82 @@ class FaultInjector:
         completion bit is set, foreground writes are already redirected
         to the new DSN and an abort would lose them.
         """
-        self._visits[HookPoint.MIGRATION_COPY] += 1
         if request.completion:  # defensive: the call site guarantees this
+            self._visits[HookPoint.MIGRATION_COPY] += 1
             self.data_loss_events += 1
             return False
+        spec = self._copy_visit(request.lines_done, channel)
+        if spec is None:
+            return False
+        self._abort_fired(spec, request.lines_done, channel,
+                          request.old_dsn, request.new_dsn)
+        return True
+
+    def on_migration_copies(self, lines_done: np.ndarray,
+                            channels: np.ndarray, rounds: np.ndarray,
+                            ) -> list[tuple[int, Callable[[int, int], None]]]:
+        """:meth:`on_migration_copy` over the copy steps of consecutive
+        pump rounds: one visit per step, each with its request's
+        progress and channel, in (round, channel) order (``rounds`` is
+        non-decreasing).
+
+        Counts the visits up to the end of the first round in which an
+        abort fires (all of them when none does), exactly as that many
+        scalar calls would, and returns that round's fires as ``(offset,
+        fire)``.  The caller runs ``fire(old_dsn, new_dsn)`` when it
+        aborts the copy at ``offset``.  Before the first fire no spec
+        has fired, so each counts its eligible visits in closed form;
+        the firing round is asked visit by visit, because a fire ends
+        its visit for the specs after it.
+        """
+        point = HookPoint.MIGRATION_COPY
+        count = len(lines_done)
+        first = count
+        eligible = []
+        for index, spec in self._by_hook[point]:
+            where = spec.eligible_offsets(lines_done, channels)
+            offsets = spec.fire_offsets(
+                self._spec_visits[index], self._spec_fires[index],
+                count if where is None else len(where))
+            if offsets:
+                first = min(first, offsets[0] if where is None
+                            else where.item(offsets[0]))
+            eligible.append(where)
+        self._visits[point] += first
+        for (index, _), where in zip(self._by_hook[point], eligible):
+            self._spec_visits[index] += (
+                first if where is None
+                else int(np.searchsorted(where, first)))
+        if first == count:
+            return []
+        fires = []
+        end = int(np.searchsorted(rounds, rounds[first], side="right"))
+        for offset in range(first, end):
+            done, channel = lines_done.item(offset), channels.item(offset)
+            spec = self._copy_visit(done, channel)
+            if spec is not None:
+                fires.append((offset, partial(self._abort_fired, spec, done,
+                                              channel)))
+        return fires
+
+    def _copy_visit(self, lines_done: int, channel: int,
+                    ) -> MigrationAbortFault | None:
+        """One ``migration.copy`` visit: the spec that fires, if any."""
+        self._visits[HookPoint.MIGRATION_COPY] += 1
         for index, spec in self._by_hook[HookPoint.MIGRATION_COPY]:
             assert isinstance(spec, MigrationAbortFault)
-            if not spec.applies_to(request.lines_done, channel):
-                continue
-            if not self._eligible(index, spec):
-                continue
-            self.detected += 1
-            self.recovered += 1  # the engine retries from line 0
-            self._fired(HookPoint.MIGRATION_COPY, spec,
-                        old_dsn=request.old_dsn, new_dsn=request.new_dsn,
-                        lines_done=request.lines_done, channel=channel)
-            return True
-        return False
+            if (spec.applies_to(lines_done, channel)
+                    and self._eligible(index, spec)):
+                return spec
+        return None
 
-    def count_migration_copies(self, copies: int) -> None:
-        """``copies`` copy steps of a drain no spec can abort: the
-        ``migration.copy`` visit counter moves as that many
-        :meth:`on_migration_copy` calls would (which is all they do when
-        :attr:`aborts_migration_copies` is False)."""
-        self._visits[HookPoint.MIGRATION_COPY] += copies
+    def _abort_fired(self, spec: MigrationAbortFault, lines_done: int,
+                     channel: int, old_dsn: int, new_dsn: int) -> None:
+        """Account one injected copy abort."""
+        self.detected += 1
+        self.recovered += 1  # the engine retries from line 0
+        self._fired(HookPoint.MIGRATION_COPY, spec, old_dsn=old_dsn,
+                    new_dsn=new_dsn, lines_done=lines_done, channel=channel)
 
     def on_power_exit(self, target: str, penalty_ns: float = 0.0) -> float:
         """Power-exit fault check; returns extra wake penalty (ns)."""

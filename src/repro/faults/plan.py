@@ -194,6 +194,19 @@ class MigrationAbortFault(FaultSpec):
                  or self.at_lines_done == lines_done)
                 and (self.channel < 0 or self.channel == channel))
 
+    def eligible_offsets(self, lines_done: np.ndarray,
+                         channels: np.ndarray) -> np.ndarray | None:
+        """Batch :meth:`applies_to`: offsets of the eligible copy steps
+        (``None``: every one, the unfiltered case)."""
+        if self.at_lines_done < 0 and self.channel < 0:
+            return None
+        eligible = np.ones(len(lines_done), dtype=bool)
+        if self.at_lines_done >= 0:
+            eligible &= lines_done == self.at_lines_done
+        if self.channel >= 0:
+            eligible &= channels == self.channel
+        return np.flatnonzero(eligible)
+
 
 @dataclass(frozen=True)
 class PowerExitFault(FaultSpec):

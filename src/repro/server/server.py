@@ -63,8 +63,11 @@ def server_fault_plan(seed: int, shard: int) -> FaultPlan:
     Sparser than the offline chaos soak (this runs for the server's
     whole life, not a bounded campaign): every fault family is present,
     scheduled by pure counter arithmetic so a replayed request tail
-    re-fires identically, and migration aborts are uncapped — the drain
-    /restore identity must hold under continuous abort pressure.
+    re-fires identically.  Every spec but one fires for the shard's
+    whole life; the migration-abort spec keeps
+    :class:`MigrationAbortFault`'s default ``max_fires`` of 16, so a
+    shard aborts sixteen copy steps (every fifth from the second) and
+    none after.
     """
     plan_seed = derive_seed(seed, "server-shard", shard)
     return FaultPlan(seed=plan_seed, name=f"server-{seed}-shard{shard}",

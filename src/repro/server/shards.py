@@ -248,18 +248,33 @@ class ControllerShard:
 
     def drain_migrations(self) -> None:
         """Pump background migrations until the queue is quiet, one
-        access period per step, auditing after every injected abort."""
-        steps = 0
-        while self.controller.migration.pending_count():
-            steps += 1
-            if steps > DRAIN_STEP_LIMIT:
+        access period per pump round, auditing after every round in
+        which an injected abort fired.
+
+        The rounds run in closed form (:meth:`MigrationEngine.advance`
+        stops right after a round that fires), and the clock takes one
+        float addition of ``ACCESS_PERIOD_NS`` per round, as a loop of
+        :meth:`DtlController.pump_migrations` calls would.
+        """
+        controller = self.controller
+        rounds = 0
+        while controller.migration.pending_count():
+            if rounds == DRAIN_STEP_LIMIT:
                 self.violations.append(
                     f"shard {self.index}: migration drain exceeded "
                     f"{DRAIN_STEP_LIMIT} pump steps")
                 break
-            self.controller.pump_migrations(self.now_s,
-                                            lines=DRAIN_PUMP_LINES)
+            budget = DRAIN_STEP_LIMIT - rounds
+            # No round taken means copies tracked but none queued: a
+            # loop of pump rounds would spin to the bound.
+            taken = controller.migration.advance(
+                budget, DRAIN_PUMP_LINES)[0] or budget
+            for _ in range(taken - 1):
+                self.clock_ns += ACCESS_PERIOD_NS
+            if controller.power_down is not None:
+                controller.power_down.park_if_quiet(self.now_s)
             self.clock_ns += ACCESS_PERIOD_NS
+            rounds += taken
             self._audit_on_abort()
 
     def apply_access_batch(self, vm: VmHandle, segments: np.ndarray,

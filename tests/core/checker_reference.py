@@ -1,11 +1,12 @@
-"""The three cross-structure audits as per-entry loops: the oracle the
-gathered checks in :class:`repro.core.checker.ConsistencyChecker` are
-held against (``tests/core/test_checker.py``).
+"""The gathered cross-structure audits as per-entry loops: the oracle
+the checks in :class:`repro.core.checker.ConsistencyChecker` are held
+against (``tests/core/test_checker.py``).
 
 Each walks one entry at a time — a ``try_walk`` and an ``hsn_of_dsn``
-per live DSN, a ``try_walk`` per SMC entry, Python sets of every DSN —
-and appends its messages to the report exactly as the gathered checks
-must: same text, same order.
+per live DSN, a ``try_walk`` per SMC entry, Python sets of every DSN,
+one rank's books at a time, one tracked copy's fields at a time — and
+appends its messages to the report exactly as the gathered checks must:
+same text, same order.
 """
 
 from __future__ import annotations
@@ -66,9 +67,57 @@ def check_smc_coherence(controller: DtlController,
                 f"tables say {actual}")
 
 
+def check_segment_conservation(controller: DtlController,
+                               report: AuditReport) -> None:
+    allocator = controller.allocator
+    geometry = controller.geometry
+    for channel in range(geometry.channels):
+        for rank in range(geometry.ranks_per_channel):
+            allocated = len(allocator.allocated_in_rank((channel, rank)))
+            free = allocator.free_in_rank((channel, rank))
+            if allocated + free != geometry.segments_per_rank:
+                report.violations.append(
+                    f"rank ({channel},{rank}): allocated {allocated}"
+                    f" + free {free} != "
+                    f"{geometry.segments_per_rank}")
+
+
+def check_migration_tracking(controller: DtlController,
+                             report: AuditReport) -> None:
+    tables = controller.tables
+    allocator = controller.allocator
+    migration = controller.migration
+    for request in migration.tracked_requests():
+        tag = f"migration {request.old_dsn:#x}->{request.new_dsn:#x}"
+        if tables.try_walk(request.hsn) != request.old_dsn:
+            report.violations.append(
+                f"{tag}: HSN {request.hsn:#x} no longer maps to the "
+                "source DSN")
+        if not allocator.is_allocated(request.new_dsn):
+            report.violations.append(
+                f"{tag}: destination is not reserved")
+        if tables.is_dsn_live(request.new_dsn):
+            report.violations.append(
+                f"{tag}: destination is already mapped mid-flight")
+        if (migration.channel_of(request.old_dsn)
+                != migration.channel_of(request.new_dsn)):
+            report.violations.append(f"{tag}: crosses channels")
+        if not 0 <= request.lines_done <= request.lines_total:
+            report.violations.append(
+                f"{tag}: progress {request.lines_done} out of range "
+                f"0..{request.lines_total}")
+        if (request.completion
+                and request.lines_done != request.lines_total):
+            report.violations.append(
+                f"{tag}: completion bit set at progress "
+                f"{request.lines_done}/{request.lines_total}")
+
+
 #: Check name -> oracle.
 REFERENCE_CHECKS = {
     "check_mapping_inverse": check_mapping_inverse,
     "check_allocation_agreement": check_allocation_agreement,
+    "check_segment_conservation": check_segment_conservation,
     "check_smc_coherence": check_smc_coherence,
+    "check_migration_tracking": check_migration_tracking,
 }

@@ -227,8 +227,8 @@ def test_unabortable_plan_drains_in_bulk_and_counts_its_visits():
     other = EccFault(start=NEVER_REACHED)
     bulk = consolidate(other, warm=True, enable_self_refresh=False)
     stepped = consolidate(STEPPED, warm=True, enable_self_refresh=False)
-    assert not bulk._faults.aborts_migration_copies
-    assert stepped._faults.aborts_migration_copies
+    assert not bulk._faults.plan.by_hook()[HookPoint.MIGRATION_COPY]
+    assert stepped._faults.plan.by_hook()[HookPoint.MIGRATION_COPY]
     moved = bulk.migration.stats.segments_migrated
     assert bulk._faults.visits(HookPoint.MIGRATION_COPY) == moved \
         == stepped._faults.visits(HookPoint.MIGRATION_COPY)

@@ -1,6 +1,6 @@
 """Per-call dispatch budgets, as counts: a served ``access_batch``, the
-SMC chunks of one long cold call, and the control plane's
-``allocate_vm`` / ``deallocate_vm``.
+SMC chunks of one long cold call, the control plane's ``allocate_vm`` /
+``deallocate_vm``, and a served ``free`` that drains background copies.
 
 A 128-access request costs what its fixed per-call work costs, and most
 of that is dispatch: one C-level call per numpy function, array method,
@@ -27,6 +27,9 @@ from repro.core.config import DtlConfig, small_dtl_config
 from repro.core.controller import DtlController
 from repro.dram.geometry import DramGeometry
 from repro.errors import PerformanceWarning
+from repro.faults.hooks import HookPoint
+from repro.server.server import server_fault_plan
+from repro.server.shards import ControllerShard
 from repro.units import GIB, MIB
 
 from tests.core.test_batch_identity import (SERVED_AUS, SERVED_HOSTS,
@@ -447,3 +450,52 @@ def test_vm_lifecycle_costs_per_vm_not_per_au():
     allocate, deallocate = counts[0]
     assert allocate <= ALLOCATE_VM_BUDGET
     assert deallocate <= single[1] + PER_AU_DEALLOCATE_SLACK
+
+
+# -- a served free that drains ------------------------------------------------
+
+#: Dispatches — Python calls and C-level calls — of one ``apply_free``
+#: in the ``serve_chaos`` warm-up's shape: a chaos-armed shard whose
+#: previous free left a rank group's consolidation copying, so this free
+#: first drains thousands of pump rounds, sixteen aborts and their
+#: audits.  The per-round drain made 604 132; the closed-form one
+#: (``MigrationEngine.advance``) makes 9 654.  The bound sits between.
+DRAINING_FREE_BUDGET = 30_000
+
+
+def chaos_shard_with_copies_pending():
+    """A shard of the ``serve_chaos`` shape — four tenants' eight 2 MiB
+    VMs, eight rounds of their 128-access requests, then one free —
+    with the free's consolidation still copying."""
+    shard = ControllerShard(0, small_dtl_config(),
+                            fault_plan=server_fault_plan(0, 0))
+    vms = [shard.apply_allocate(host, SERVED_VM_BYTES, 0.01)
+           for host in (0, 0, 1, 1, 2, 2, 3, 3)]
+    weights = np.arange(1, 17, dtype=np.float64) ** -1.2
+    t_s = 0.02
+    for step in range(8):
+        for number, vm in enumerate(vms):
+            rng = np.random.default_rng([step, number])
+            t_s += 0.01
+            shard.apply_access_batch(
+                vm, rng.choice(16, 128, p=weights / weights.sum()),
+                np.zeros(128, np.int64), rng.random(128) < 0.3, t_s)
+    shard.apply_free(vms[0], t_s + 0.01)
+    return shard, vms[2], t_s + 0.02
+
+
+def test_a_draining_free_stays_inside_its_dispatch_budget():
+    counts = []
+    for _ in range(2):
+        shard, vm, t_s = chaos_shard_with_copies_pending()
+        assert shard.controller.migration.pending_count() == 110
+        visits = shard.injector.visits(HookPoint.MIGRATION_COPY)
+        audits = shard.audits
+        counts.append(dispatches(lambda: shard.apply_free(vm, t_s)))
+        assert shard.injector.visits(HookPoint.MIGRATION_COPY) \
+            - visits == 14_155
+        assert shard.injector.injected(HookPoint.MIGRATION_COPY) == 16
+        assert shard.audits - audits == 16
+        assert shard.violations == []
+    assert counts[0] == counts[1]  # a count, so it repeats exactly
+    assert counts[0] <= DRAINING_FREE_BUDGET

@@ -157,7 +157,7 @@ class TestReport:
 
 
 class TestGatheredChecksMatchTheLoops:
-    """The three gathered audits list exactly what the per-entry loops
+    """The gathered audits list exactly what the per-entry loops
     they replaced list (``tests/core/checker_reference.py``): the same
     messages in the same order, the same counts — on a clean controller
     and with each kind of violation injected, several at a time."""
@@ -245,3 +245,62 @@ class TestGatheredChecksMatchTheLoops:
         controller.migration.submit(tables.hsn_of_dsn(dsn), dsn, target)
         allocator.allocate_in_rank(rank_id, 1)
         self.assert_matches_reference(controller, 1)
+
+    def test_conservation_breaks(self, controller):
+        self.busy(controller)
+        allocator = controller.allocator
+        # Free counts off by one on three ranks of two channels, and one
+        # DSN flagged allocated behind the free queue's back.
+        for row in (1, 6, 9):
+            allocator._free[row] -= 1
+        allocator._in_use[int(allocator.free_dsns_in_rank((3, 2))[0])] = True
+        report = AuditReport()
+        ConsistencyChecker(controller).check_segment_conservation(report)
+        assert len(report.violations) == 4
+        # The flagged DSN is also allocated but not mapped.
+        self.assert_matches_reference(controller, 4 + 1)
+
+    def test_broken_copies(self, controller):
+        self.busy(controller)
+        tables, allocator = controller.tables, controller.allocator
+        migration = controller.migration
+        live = tables.live_dsns()
+        requests = []
+        for dsn in live[:8]:
+            rank_id = allocator.rank_of_dsn(dsn)
+            target = int(allocator.free_dsns_in_rank(rank_id)[0])
+            allocator.reserve_specific(target)
+            requests.append(migration.submit(tables.hsn_of_dsn(dsn), dsn,
+                                             target))
+        self.assert_matches_reference(controller, 0)
+        # Progress past the segment, the completion bit mid-copy, a
+        # negative counter, a released destination, a source remapped
+        # onto its destination (two breaks), a source remapped
+        # elsewhere, a destination on another channel, and progress out
+        # of range with the bit set (two breaks).
+        total = migration.lines_per_segment
+        requests[0].lines_done = total + 1
+        requests[1].lines_done, requests[1].completion = 3, 1
+        requests[2].lines_done = -2
+        allocator.free([requests[3].new_dsn])
+        tables.remap_segment(requests[4].hsn, requests[4].new_dsn)
+        hsn = requests[5].hsn
+        moved = int(allocator.free_dsns_in_rank(
+            allocator.rank_of_dsn(requests[5].old_dsn))[0])
+        allocator.reserve_specific(moved)
+        tables.remap_segment(hsn, moved)
+        requests[6].new_dsn = requests[6].new_dsn ^ 1
+        requests[7].lines_done, requests[7].completion = total + 4, 1
+        report = AuditReport()
+        ConsistencyChecker(controller).check_migration_tracking(report)
+        assert len(report.violations) == 10
+        self.assert_matches_reference(controller, len(self.violations_of(
+            controller)))
+
+    @staticmethod
+    def violations_of(controller) -> list[str]:
+        report = AuditReport()
+        checker = ConsistencyChecker(controller)
+        for name in REFERENCE_CHECKS:
+            getattr(checker, name)(report)
+        return report.violations
