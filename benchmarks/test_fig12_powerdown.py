@@ -19,7 +19,8 @@ PAPER_EXEC_OVERHEAD = 0.016
 
 @pytest.fixture(scope="module")
 def results():
-    return ComparisonSimulator().run().as_tuple()
+    result = ComparisonSimulator().run()
+    return result.baseline, result.dtl
 
 
 def test_fig12b_energy_savings(benchmark, results):

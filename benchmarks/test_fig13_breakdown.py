@@ -18,7 +18,8 @@ PAPER_TOTAL_SAVINGS = 0.327
 
 @pytest.fixture(scope="module")
 def results():
-    return ComparisonSimulator().run().as_tuple()
+    result = ComparisonSimulator().run()
+    return result.baseline, result.dtl
 
 
 def test_fig13_power_breakdown(benchmark, results):

@@ -3,8 +3,8 @@ Savings for Disaggregated Memory" (Jin et al., ISCA 2023).
 
 Public entry points:
 
-* :class:`repro.core.DtlController` / :class:`repro.cxl.CxlMemoryDevice` --
-  the DTL-equipped CXL memory device.
+* :class:`repro.core.DtlController` -- the DTL-equipped CXL memory
+  device (the DTL sits inside the CXL memory controller).
 * :mod:`repro.workloads` -- Azure-like VM schedules and CloudSuite-like
   synthetic memory traces.
 * :mod:`repro.sim` -- the power-down and self-refresh experiment simulators.
@@ -15,7 +15,7 @@ Public entry points:
 """
 
 from repro.core import DtlConfig, DtlController
-from repro.cxl import CxlLinkConfig, CxlMemoryDevice
+from repro.cxl import CxlLinkConfig
 from repro.dram import DramGeometry, PowerState
 from repro.telemetry import EventKind, EventTrace, MetricsRegistry, Snapshot
 
@@ -25,7 +25,6 @@ __all__ = [
     "DtlConfig",
     "DtlController",
     "CxlLinkConfig",
-    "CxlMemoryDevice",
     "DramGeometry",
     "PowerState",
     "EventKind",

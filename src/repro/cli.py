@@ -245,15 +245,13 @@ def _quickstart_snapshot():
     vm_a = controller.allocate_vm(0, 4 * GIB, now_s=0.0)
     vm_b = controller.allocate_vm(1, 2 * GIB, now_s=1.0)
     # One cold streaming pass, then a hot working set (SMC hits).
-    for au_id in vm_a.au_ids:
-        for offset in range(16):
-            controller.access(0, controller.hpa_of(au_id, offset),
-                              is_write=(offset % 4 == 0))
-    hot = [controller.hpa_of(vm_b.au_ids[0], offset)
-           for offset in range(16)]
-    for _ in range(4):
-        for hpa in hot:
-            controller.access(1, hpa)
+    offsets = range(16)
+    controller.access_batch(
+        0, [controller.hpa_of(au_id, offset)
+            for au_id in vm_a.au_ids for offset in offsets],
+        writes=[offset % 4 == 0 for _ in vm_a.au_ids for offset in offsets])
+    hot = [controller.hpa_of(vm_b.au_ids[0], offset) for offset in offsets]
+    controller.access_batch(1, hot * 4)
     controller.deallocate_vm(vm_a, now_s=100.0)
     controller.end_window()
     return controller.telemetry_snapshot(now_s=200.0)

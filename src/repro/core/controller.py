@@ -15,7 +15,6 @@ application changes are modelled, which is the paper's deployment story.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -35,16 +34,11 @@ from repro.core.translation import TranslationEngine
 from repro.dram.device import DramDevice
 from repro.dram.power import PowerState
 from repro.dram.timing import CXL_MEMORY_LATENCY_NS
-from repro.errors import AllocationError, PerformanceWarning
+from repro.errors import AllocationError
 from repro.policies import Policy, make_policy
 from repro.telemetry import (EventKind, EventTrace, MetricsRegistry,
                              Snapshot)
 from repro.units import CACHELINE_BYTES
-
-#: Scalar :meth:`DtlController.access` calls after which the controller
-#: suggests :meth:`DtlController.access_batch` (once, via
-#: :class:`~repro.errors.PerformanceWarning`).
-SCALAR_ACCESS_WARN_THRESHOLD = 100_000
 
 #: Accesses one :meth:`DtlController.look_ahead` may hold when it spans
 #: several calls.  What sharing the pass saves per 128-access call stops
@@ -207,8 +201,6 @@ class DtlController:
         self._writes = self.metrics.counter("dtl.writes")
         self._redirects = self.metrics.counter("dtl.redirected_writes")
         self._access_latency = self.metrics.histogram("dtl.access_latency_ns")
-        self._scalar_access_calls = 0
-        self._scalar_access_warned = False
         # Armed fault injector (None = zero-overhead no-op hooks; see
         # src/repro/faults/ and docs/FAULTS.md).
         self._faults = None
@@ -355,20 +347,6 @@ class DtlController:
     def access(self, host_id: int, hpa: int, is_write: bool = False,
                now_ns: float = 0.0) -> AccessResult:
         """One host load/store through the CXL + DTL datapath."""
-        # Only user-initiated access() calls count toward the
-        # PerformanceWarning threshold.  The batch path's scalar replays
-        # (self-refresh events) go through policy hooks directly and must
-        # never trip the "switch to access_batch" warning — the caller
-        # already did.
-        self._scalar_access_calls += 1
-        if (self._scalar_access_calls > SCALAR_ACCESS_WARN_THRESHOLD
-                and not self._scalar_access_warned):
-            self._scalar_access_warned = True
-            warnings.warn(
-                f"over {SCALAR_ACCESS_WARN_THRESHOLD} scalar access() calls "
-                "on one controller; access_batch() serves long traces "
-                "orders of magnitude faster (see docs/PERF.md)",
-                PerformanceWarning, stacklevel=2)
         host = self.host_layout
         # HPAs arriving from a host are host-local; fold in the host ID.
         au_id, au_offset = divmod(host.hsn_of_hpa(hpa), host.segments_per_au)
@@ -739,5 +717,5 @@ class DtlController:
             self.self_refresh.on_segments_moved(old_dsns, new_dsns)
 
 
-__all__ = ["SCALAR_ACCESS_WARN_THRESHOLD", "LOOK_AHEAD_ACCESSES", "VmHandle",
-           "AccessResult", "BatchAccessResult", "LookAhead", "DtlController"]
+__all__ = ["LOOK_AHEAD_ACCESSES", "VmHandle", "AccessResult",
+           "BatchAccessResult", "LookAhead", "DtlController"]

@@ -1,11 +1,8 @@
-"""CXL substrate: link model, pooled memory device, and multi-device pool."""
+"""CXL substrate: the link model and shared-fabric pool contention."""
 
-from repro.cxl.device import CxlMemoryDevice
 from repro.cxl.link import CxlLinkConfig
-from repro.cxl.pool import (MemoryPool, PoolContention,
-                            PoolContentionConfig, PoolStats, PoolVmHandle,
+from repro.cxl.pool import (PoolContention, PoolContentionConfig,
                             pool_contention)
 
-__all__ = ["CxlMemoryDevice", "CxlLinkConfig", "MemoryPool",
-           "PoolContention", "PoolContentionConfig", "PoolStats",
-           "PoolVmHandle", "pool_contention"]
+__all__ = ["CxlLinkConfig", "PoolContention", "PoolContentionConfig",
+           "pool_contention"]

@@ -1,9 +1,8 @@
-"""CXL link latency/bandwidth model.
+"""CXL link latency model.
 
 The paper emulates CXL memory by injecting extra latency on top of native
 DRAM access (Quartz, Section 5.1): 121 ns native vs 210 ns via CXL.  This
-module models that delta plus a simple serialisation term so experiments
-can sweep link parameters.
+module models that delta and what a link-layer replay costs.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.dram.timing import CXL_MEMORY_LATENCY_NS, NATIVE_DRAM_LATENCY_NS
-from repro.units import CACHELINE_BYTES
 
 
 @dataclass(frozen=True)
@@ -22,23 +20,9 @@ class CxlLinkConfig:
         base_latency_ns: One-way protocol + controller latency added on top
             of the DRAM access itself (defaults reproduce Table 1's
             210 ns end-to-end with 121 ns native DRAM).
-        bandwidth_gbs: Usable link bandwidth (x8 PCIe 5.0-class link).
     """
 
     base_latency_ns: float = CXL_MEMORY_LATENCY_NS - NATIVE_DRAM_LATENCY_NS
-    bandwidth_gbs: float = 32.0
-
-    def access_latency_ns(self, dram_latency_ns: float = NATIVE_DRAM_LATENCY_NS,
-                          payload_bytes: int = CACHELINE_BYTES) -> float:
-        """End-to-end latency of one load through the link."""
-        serialisation_ns = payload_bytes / self.bandwidth_gbs
-        return self.base_latency_ns + dram_latency_ns + serialisation_ns - (
-            CACHELINE_BYTES / self.bandwidth_gbs)
-
-    @property
-    def end_to_end_latency_ns(self) -> float:
-        """Table 1's CXL memory access latency (210 ns by default)."""
-        return self.base_latency_ns + NATIVE_DRAM_LATENCY_NS
 
     def replay_latency_ns(self, retries: int,
                           backoff_ns: float = 0.0) -> float:

@@ -1,193 +1,24 @@
-"""Multi-device pooled-memory fabric.
+"""Shared-fabric contention on a pooled-memory node.
 
 The paper's deployment model (Figure 3) is a rack where "VMs on multiple
-compute nodes share a CXL-attached pooled memory node".  A pool usually
-holds several expander devices behind a fabric switch.  This module
-models that level: a :class:`MemoryPool` owns several
-:class:`~repro.cxl.device.CxlMemoryDevice` instances, places incoming VM
-reservations onto a device, and aggregates power/occupancy statistics.
-
-Placement policies:
-
-* ``"pack"`` — fill the most-utilised device that still fits the VM.
-  Concentrates load so whole devices' worth of ranks can power down
-  (the DTL philosophy applied one level up).
-* ``"spread"`` — place on the least-utilised device.  Balances bandwidth
-  at the cost of power (every device stays partly occupied).
+compute nodes share a CXL-attached pooled memory node".  Every host
+reaches that node through the same fabric ports, so the rack's
+aggregate bandwidth demand queues for a fixed capacity:
+:func:`pool_contention` turns that demand into a per-access slowdown
+(``RackConfig`` in :mod:`repro.sim.fleet` applies it to each rack).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.config import DtlConfig
-from repro.core.controller import VmHandle
-from repro.cxl.device import CxlMemoryDevice
-from repro.cxl.link import CxlLinkConfig
 from repro.dram.timing import CXL_MEMORY_LATENCY_NS
-from repro.errors import AllocationError, ConfigurationError
-
-
-@dataclass(frozen=True)
-class PoolVmHandle:
-    """A VM's reservation within the pool: device index + device handle."""
-
-    pool_vm_id: int
-    device_index: int
-    handle: VmHandle
-
-    @property
-    def reserved_bytes(self) -> int:
-        """Reserved capacity of this VM."""
-        return self.handle.reserved_bytes
-
-
-@dataclass
-class PoolStats:
-    """Aggregate pool state at a point in time."""
-
-    devices: int
-    total_bytes: int
-    reserved_bytes: int
-    #: Power/rank-state fields default to 0 so rack-level aggregation
-    #: (which tracks capacity and occupancy, not per-rank power states)
-    #: can report pool stats through the same type.
-    background_power_rsu: float = 0.0
-    ranks_standby: int = 0
-    ranks_self_refresh: int = 0
-    ranks_mpsm: int = 0
-
-    @property
-    def utilization(self) -> float:
-        """Reserved fraction of the pool."""
-        return (self.reserved_bytes / self.total_bytes
-                if self.total_bytes else 0.0)
-
-
-class MemoryPool:
-    """Several DTL-equipped expanders behind one fabric."""
-
-    def __init__(self, device_configs: list[DtlConfig],
-                 link: CxlLinkConfig | None = None,
-                 placement: str = "pack",
-                 initial_power_down: bool = True):
-        if not device_configs:
-            raise ConfigurationError("a pool needs at least one device")
-        if placement not in ("pack", "spread"):
-            raise ConfigurationError(f"unknown placement {placement!r}")
-        link = link or CxlLinkConfig()
-        self.devices = [CxlMemoryDevice(config=config, link=link)
-                        for config in device_configs]
-        self.placement = placement
-        self._vm_ids = itertools.count(1)
-        self._vms: dict[int, PoolVmHandle] = {}
-        if initial_power_down:
-            # A fresh, empty device has no data to retain: park everything
-            # the policy allows right away instead of waiting for the
-            # first deallocation.
-            for device in self.devices:
-                policy = device.controller.power_down
-                if policy is not None:
-                    policy.maybe_power_down(0.0)
-
-    # -- capacity ----------------------------------------------------------------
-
-    @property
-    def total_bytes(self) -> int:
-        """Pool capacity."""
-        return sum(device.config.geometry.total_bytes
-                   for device in self.devices)
-
-    def reserved_bytes(self) -> int:
-        """Total memory reserved across devices."""
-        return sum(device.controller.reserved_bytes()
-                   for device in self.devices)
-
-    def device_utilization(self, index: int) -> float:
-        """Reserved fraction of one device."""
-        device = self.devices[index]
-        return (device.controller.reserved_bytes()
-                / device.config.geometry.total_bytes)
-
-    # -- placement ----------------------------------------------------------------
-
-    def _candidate_order(self) -> list[int]:
-        utilisations = [(self.device_utilization(index), index)
-                        for index in range(len(self.devices))]
-        reverse = self.placement == "pack"
-        return [index for _, index in
-                sorted(utilisations, key=lambda item: item[0],
-                       reverse=reverse)]
-
-    def allocate_vm(self, host_id: int, reserved_bytes: int,
-                    now_s: float = 0.0) -> PoolVmHandle:
-        """Place a VM reservation on a device per the placement policy.
-
-        Raises:
-            AllocationError: when no device can hold the reservation.
-        """
-        last_error: AllocationError | None = None
-        for index in self._candidate_order():
-            try:
-                handle = self.devices[index].allocate_vm(
-                    host_id, reserved_bytes, now_s)
-            except AllocationError as error:
-                last_error = error
-                continue
-            pool_handle = PoolVmHandle(pool_vm_id=next(self._vm_ids),
-                                       device_index=index, handle=handle)
-            self._vms[pool_handle.pool_vm_id] = pool_handle
-            return pool_handle
-        raise AllocationError(
-            f"no device in the pool can hold {reserved_bytes} bytes"
-        ) from last_error
-
-    def deallocate_vm(self, pool_handle: PoolVmHandle,
-                      now_s: float = 0.0) -> None:
-        """Release a VM's reservation (triggers that device's power-down)."""
-        if pool_handle.pool_vm_id not in self._vms:
-            raise AllocationError(
-                f"pool VM {pool_handle.pool_vm_id} is not live")
-        del self._vms[pool_handle.pool_vm_id]
-        self.devices[pool_handle.device_index].deallocate_vm(
-            pool_handle.handle, now_s)
-
-    @property
-    def live_vms(self) -> list[PoolVmHandle]:
-        """Currently placed VMs."""
-        return list(self._vms.values())
-
-    # -- statistics ----------------------------------------------------------------
-
-    def stats(self) -> PoolStats:
-        """Aggregate occupancy and power across the pool."""
-        background = 0.0
-        standby = sr = mpsm = 0
-        for device in self.devices:
-            summary = device.power_summary()
-            background += summary["background_power_rsu"]
-            standby += int(summary["ranks_standby"])
-            sr += int(summary["ranks_self_refresh"])
-            mpsm += int(summary["ranks_mpsm"])
-        return PoolStats(devices=len(self.devices),
-                         total_bytes=self.total_bytes,
-                         reserved_bytes=self.reserved_bytes(),
-                         background_power_rsu=background,
-                         ranks_standby=standby,
-                         ranks_self_refresh=sr,
-                         ranks_mpsm=mpsm)
-
-
-# -- fabric contention ---------------------------------------------------------
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
 class PoolContentionConfig:
     """Shared-fabric contention parameters for one pooled-memory node.
-
-    The rack's hosts all reach the pool through the same fabric ports,
-    so their aggregate bandwidth demand contends for a fixed capacity.
 
     Attributes:
         bandwidth_gbs: Usable fabric bandwidth into the pool node
@@ -254,5 +85,4 @@ def pool_contention(demand_gbs: float,
                           slowdown=slowdown)
 
 
-__all__ = ["PoolVmHandle", "PoolStats", "MemoryPool",
-           "PoolContentionConfig", "PoolContention", "pool_contention"]
+__all__ = ["PoolContentionConfig", "PoolContention", "pool_contention"]

@@ -203,17 +203,6 @@ class DramDevice:
                        for member in woken), default=0.0)
         return penalty, woken
 
-    def set_rank_group_state(self, group_index: int, state: PowerState,
-                             now_s: float) -> float:
-        """Transition a whole rank-group; returns the max exit penalty (ns).
-
-        The paper transitions power state at rank-group granularity
-        (Section 3.3) so channel bandwidth stays balanced.
-        """
-        penalties = [self._transition(rank, state, now_s)
-                     for rank in self.rank_group(group_index)]
-        return max(penalties)
-
     # -- power / energy -------------------------------------------------------
 
     def background_power(self) -> float:

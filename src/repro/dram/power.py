@@ -184,12 +184,6 @@ class EnergyAccumulator:
         self.active_j += active_power * duration_s
         self.migration_j += migration_power * duration_s
 
-    def merge(self, other: "EnergyAccumulator") -> None:
-        """Fold another accumulator's totals into this one."""
-        self.background_j += other.background_j
-        self.active_j += other.active_j
-        self.migration_j += other.migration_j
-
 
 __all__ = [
     "PowerState",

@@ -31,10 +31,8 @@ class PowerStateError(ReproError):
     """Raised for illegal DRAM power-state transitions."""
 
 
+# Nothing emits this any more.  It stays only because the frozen
+# benchmark (bench/wl_datapath.py) imports it to silence it; it goes with
+# the benchmark's own move to access_batch (ROADMAP item 18).
 class PerformanceWarning(UserWarning):
-    """Warns when a caller uses a slow path with a faster batch equivalent.
-
-    Emitted (once per controller) when scalar ``DtlController.access``
-    is looped past 10^5 requests; ``access_batch`` serves such traces
-    orders of magnitude faster.  See ``docs/PERF.md``.
-    """
+    """A slow path was used where a faster batch equivalent exists."""

@@ -344,35 +344,17 @@ class FaultInjector:
         self._fired(HookPoint.DRAM_ACCESS, spec, channel=channel,
                     rank=rank, bits=spec.bits)
 
-    def on_migration_copy(self, request, channel: int) -> bool:
-        """Abort check before one copy step; True aborts the request.
-
-        Called only while ``request.completion`` is clear: after the
-        completion bit is set, foreground writes are already redirected
-        to the new DSN and an abort would lose them.
-        """
-        if request.completion:  # defensive: the call site guarantees this
-            self._visits[HookPoint.MIGRATION_COPY] += 1
-            self.data_loss_events += 1
-            return False
-        spec = self._copy_visit(request.lines_done, channel)
-        if spec is None:
-            return False
-        self._abort_fired(spec, request.lines_done, channel,
-                          request.old_dsn, request.new_dsn)
-        return True
-
     def on_migration_copies(self, lines_done: np.ndarray,
                             channels: np.ndarray, rounds: np.ndarray,
                             ) -> list[tuple[int, Callable[[int, int], None]]]:
-        """:meth:`on_migration_copy` over the copy steps of consecutive
-        pump rounds: one visit per step, each with its request's
-        progress and channel, in (round, channel) order (``rounds`` is
-        non-decreasing).
+        """The ``migration.copy`` abort check over the copy steps of
+        consecutive pump rounds: one visit per step, each with its
+        request's progress and channel, in (round, channel) order
+        (``rounds`` is non-decreasing).
 
         Counts the visits up to the end of the first round in which an
         abort fires (all of them when none does), exactly as that many
-        scalar calls would, and returns that round's fires as ``(offset,
+        one-step visits would, and returns that round's fires as ``(offset,
         fire)``.  The caller runs ``fire(old_dsn, new_dsn)`` when it
         aborts the copy at ``offset``.  Before the first fire no spec
         has fired, so each counts its eligible visits in closed form;

@@ -36,7 +36,6 @@ from repro.core.checker import ConsistencyChecker
 from repro.core.config import DtlConfig
 from repro.core.controller import (LOOK_AHEAD_ACCESSES, BatchAccessResult,
                                    DtlController, VmHandle)
-from repro.cxl.link import CxlLinkConfig
 from repro.errors import AllocationError, ReproError
 from repro.faults.hooks import HookPoint
 from repro.faults.injector import FaultInjector
@@ -110,7 +109,7 @@ class ControllerShard:
         if fault_plan is not None:
             self.injector = FaultInjector(
                 fault_plan, registry=self.controller.metrics,
-                trace=self.controller.trace, link=CxlLinkConfig())
+                trace=self.controller.trace)
             self.controller.arm_faults(self.injector)
         self.checker = ConsistencyChecker(self.controller)
         self.clock_ns = 0.0

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.analysis.tco import TcoModel
 from repro.checkpoint import FanOut, FanOutState
-from repro.cxl.pool import (PoolContention, PoolContentionConfig, PoolStats,
+from repro.cxl.pool import (PoolContention, PoolContentionConfig,
                             pool_contention)
 from repro.exec import ExecConfig, TaskOutcome, TaskSpec
 from repro.sim.powerdown_sim import (FIG12_13_PAPER, ComparisonSimulator,
@@ -211,12 +211,6 @@ class RackSummary:
     def energy_savings(self) -> float:
         """Contended DRAM energy saving of this rack."""
         return 1.0 - self.dtl_energy_j / self.baseline_energy_j
-
-    def pool_stats(self) -> PoolStats:
-        """Capacity/occupancy of this rack's pool as :class:`PoolStats`."""
-        return PoolStats(devices=self.num_nodes,
-                         total_bytes=self.total_bytes,
-                         reserved_bytes=int(round(self.reserved_bytes)))
 
 
 @dataclass

@@ -369,10 +369,6 @@ class PowerDownComparisonResult:
         """Fractional background-power saving (Figure 13)."""
         return background_power_savings(self.baseline, self.dtl)
 
-    def as_tuple(self) -> tuple[PowerDownResult, PowerDownResult]:
-        """The legacy ``(baseline, dtl)`` pair."""
-        return self.baseline, self.dtl
-
     def to_record(self):
         """Flatten into an :class:`~repro.sim.results.ExperimentRecord`
         carrying the paper's Figure 12-13 values (full 6 h schedule)."""

@@ -16,7 +16,8 @@ def results():
     config = PowerDownSimConfig(
         azure=AzureTraceConfig(num_vms=50, duration_s=3600.0),
         scheduler=SchedulerConfig(duration_s=3600.0), seed=4)
-    return ComparisonSimulator(config).run().as_tuple()
+    result = ComparisonSimulator(config).run()
+    return result.baseline, result.dtl
 
 
 class TestRecompute:

@@ -5,10 +5,9 @@ are held against (``tests/server/test_drain_closed_form.py``).
 
 :func:`step_channel` copies one channel's in-flight request a chunk at a
 time and asks the ``migration.copy`` hook once per chunk
-(:meth:`FaultInjector.on_migration_copy`); a copy retires one call at a
-time.  :func:`drain_migrations` is the shard's drain as a loop of pump
-rounds, one access period each.  :func:`stepping` swaps all three into
-a shard.
+(:func:`on_migration_copy`); a copy retires one call at a time.
+:func:`drain_migrations` is the shard's drain as a loop of pump rounds,
+one access period each.  :func:`stepping` swaps all three into a shard.
 """
 
 from __future__ import annotations
@@ -19,6 +18,8 @@ import numpy as np
 
 from repro.core import migration as engine_module
 from repro.core.migration import MigrationEngine, MigrationRequest
+from repro.faults.hooks import HookPoint
+from repro.faults.injector import FaultInjector
 from repro.server import shards
 from repro.server.shards import ControllerShard
 
@@ -48,8 +49,9 @@ def step_channel(engine: MigrationEngine, channel: int,
             retire(engine, channel, slot)
             continue
         if (engine._faults is not None
-                and engine._faults.on_migration_copy(
-                    MigrationRequest(engine, slot), channel)):
+                and on_migration_copy(engine._faults,
+                                      MigrationRequest(engine, slot),
+                                      channel)):
             engine._abort(slot)
             break
         done = table.item(_LINES_DONE, slot)
@@ -61,6 +63,27 @@ def step_channel(engine: MigrationEngine, channel: int,
             table[_COMPLETION, slot] = 1
             break
     return copied
+
+
+def on_migration_copy(injector: FaultInjector, request,
+                      channel: int) -> bool:
+    """One ``migration.copy`` visit before a copy step; True aborts it.
+
+    The one-visit case of :meth:`FaultInjector.on_migration_copies`.
+    Asked only while ``request.completion`` is clear: once the bit is
+    set, foreground writes already go to the new DSN and an abort would
+    lose them, so a visit past it counts as a data-loss event instead.
+    """
+    if request.completion:
+        injector._visits[HookPoint.MIGRATION_COPY] += 1
+        injector.data_loss_events += 1
+        return False
+    spec = injector._copy_visit(request.lines_done, channel)
+    if spec is None:
+        return False
+    injector._abort_fired(spec, request.lines_done, channel,
+                          request.old_dsn, request.new_dsn)
+    return True
 
 
 def retire(engine: MigrationEngine, channel: int, slot: int) -> None:

@@ -11,19 +11,15 @@ one reduction; everything integer is compared exactly (docs/PERF.md).
 from __future__ import annotations
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.config import DtlConfig
-from repro.core.controller import (LOOK_AHEAD_ACCESSES,
-                                   SCALAR_ACCESS_WARN_THRESHOLD,
-                                   DtlController)
+from repro.core.controller import LOOK_AHEAD_ACCESSES, DtlController
 from repro.core.segment_cache import SegmentCacheConfig
 from repro.core.self_refresh import ChannelPhase
 from repro.dram.geometry import DramGeometry
-from repro.errors import PerformanceWarning
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, SmcCorruptionFault
 from repro.server.server import server_fault_plan
@@ -880,16 +876,3 @@ def test_record_tail_tally_matches_record_loop():
         tail.record_tail(EventKind.ACCESS, dsn=dsns, hsn=dsns[:3])
     with pytest.raises(ValueError):
         tail.record_tail(EventKind.ACCESS)
-
-
-def test_scalar_loop_performance_warning():
-    config = small_config()
-    controller = DtlController(config)
-    controller.allocate_vm(0, config.au_bytes)
-    controller._scalar_access_calls = SCALAR_ACCESS_WARN_THRESHOLD
-    with pytest.warns(PerformanceWarning):
-        controller.access(0, 0)
-    # Warned once; further calls stay silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        controller.access(0, 0)

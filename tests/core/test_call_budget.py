@@ -19,14 +19,12 @@ from __future__ import annotations
 import gc
 import itertools
 import sys
-import warnings
 
 import numpy as np
 
 from repro.core.config import DtlConfig, small_dtl_config
 from repro.core.controller import DtlController
 from repro.dram.geometry import DramGeometry
-from repro.errors import PerformanceWarning
 from repro.faults.hooks import HookPoint
 from repro.server.server import server_fault_plan
 from repro.server.shards import ControllerShard
@@ -337,10 +335,8 @@ def hot_controller():
         allocator.reserve_specific(partner)
         controller.migration.submit(controller.tables.hsn_of_dsn(dsn), dsn,
                                     partner)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PerformanceWarning)
-        for hpa in hpas[:2_000].tolist():
-            controller.access(0, hpa, False, now_ns=0.0)
+    for hpa in hpas[:2_000].tolist():
+        controller.access(0, hpa, False, now_ns=0.0)
     controller.end_window()
     controller.tick(0.0)
     controller.access_batch(0, hpas, writes, now_ns=1_000.0)

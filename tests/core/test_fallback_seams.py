@@ -11,21 +11,19 @@ segment-index bits.
 from __future__ import annotations
 
 import pickle
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.addressing import DeviceAddressLayout, SegmentLocation
-from repro.core.controller import (SCALAR_ACCESS_WARN_THRESHOLD,
-                                   DtlController)
+from repro.core.controller import DtlController
 from repro.core.segment_cache import (FullyAssociativeCache,
                                       SegmentCacheConfig,
                                       SetAssociativeCache)
 from repro.core.self_refresh import ChannelPhase
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
-from repro.errors import PerformanceWarning, PowerStateError
+from repro.errors import PowerStateError
 
 from tests.core.way_list_cache_reference import WayListCache
 from tests.core.test_batch_identity import (SMALL_GEOMETRY, assert_results_match,
@@ -313,32 +311,6 @@ def test_access_bits_set_at_packed_device_global_dsns():
         assert set(np.nonzero(bits)[0].tolist()) == set(dsns)
     assert np.array_equal(scalar.self_refresh.access_bits,
                           batch.self_refresh.access_bits)
-
-
-# -- PerformanceWarning accounting (satellite: spurious warnings) ------------
-
-
-def test_batch_path_never_counts_toward_scalar_warning():
-    """Batch-internal scalar replays must not trip the access() warning.
-
-    A batch with migrations in flight and PROFILING channels replays
-    individual accesses through the scalar protocol internally; with
-    the counter parked at the threshold, one such batch must raise no
-    PerformanceWarning and leave the counter untouched.
-    """
-    config = small_config(window_ns=1000.0, profiling_threshold_ns=5000.0)
-    controller = DtlController(config)
-    controller.allocate_vm(0, 4 * config.au_bytes)
-    submit_migrations(controller)
-    controller.end_window()
-    controller.tick(0.0)
-    hpas, writes = random_trace(config, 400, 1)
-    controller._scalar_access_calls = SCALAR_ACCESS_WARN_THRESHOLD
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", PerformanceWarning)
-        controller.access_batch(0, hpas, writes, now_ns=2000.0)
-    assert controller._scalar_access_calls == SCALAR_ACCESS_WARN_THRESHOLD
-    assert not controller._scalar_access_warned
 
 
 # -- way-list reference vs the SMC level classes (property test) -------------

@@ -1,21 +1,15 @@
 """Tests for shared-fabric contention on the pooled-memory node.
 
 Covers the M/D/1 queueing math in :func:`repro.cxl.pool.pool_contention`,
-the utilisation cap, config validation, multi-host reservation pressure
-on :class:`MemoryPool`, and ``PoolStats.utilization`` as surfaced
-through the rack wiring (``FleetResult.rack_summaries``).
+the utilisation cap and config validation.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.config import DtlConfig
-from repro.cxl.pool import (MemoryPool, PoolContentionConfig, PoolStats,
-                            pool_contention)
-from repro.dram.geometry import DramGeometry
-from repro.errors import AllocationError, ConfigurationError
-from repro.units import GIB, MIB
+from repro.cxl.pool import PoolContentionConfig, pool_contention
+from repro.errors import ConfigurationError
 
 
 class TestContentionMath:
@@ -78,59 +72,11 @@ class TestContentionConfig:
             PoolContentionConfig(max_utilization=cap)
 
 
-def _make_pool(devices=2, placement="pack"):
-    config = DtlConfig(geometry=DramGeometry(rank_bytes=256 * MIB),
-                       au_bytes=64 * MIB, group_granularity=2)
-    return MemoryPool([config] * devices, placement=placement)
-
-
-class TestMultiHostPressure:
-    """Several compute hosts reserving against one pool node, Figure 3
-    style: utilisation climbs host by host until the pool refuses."""
-
-    def test_utilization_climbs_with_each_host(self):
-        pool = _make_pool(devices=2)  # 16 GiB total
-        utilisations = [pool.stats().utilization]
-        for host_id in range(4):
-            pool.allocate_vm(host_id, 3 * GIB, now_s=float(host_id))
-            utilisations.append(pool.stats().utilization)
-        assert utilisations == sorted(utilisations)
-        assert utilisations[-1] == pytest.approx(12 / 16)
-
-    def test_pressure_eventually_rejects(self):
-        pool = _make_pool(devices=2)
-        placed = 0
-        with pytest.raises(AllocationError):
-            for host_id in range(16):
-                pool.allocate_vm(host_id, 3 * GIB)
-                placed += 1
-        # 4 x 3 GiB fit in 2 x 8 GiB devices (2 GiB of stranded slack
-        # per device can't hold a fifth).
-        assert placed == 4
-        assert pool.stats().utilization == pytest.approx(12 / 16)
-
-    def test_departures_release_pressure(self):
-        pool = _make_pool(devices=2)
-        handles = [pool.allocate_vm(host, 3 * GIB, now_s=float(host))
-                   for host in range(4)]
-        high = pool.stats().utilization
-        for handle in handles[:2]:
-            pool.deallocate_vm(handle, now_s=10.0)
-        low = pool.stats().utilization
-        assert low == pytest.approx(high / 2)
-        # Freed capacity is immediately placeable by a new host.
-        pool.allocate_vm(9, 3 * GIB, now_s=11.0)
-        assert pool.stats().utilization == pytest.approx(high * 0.75)
-
 
 class TestPoolStatsUtilization:
-    def test_empty_pool_is_zero(self):
-        assert PoolStats(devices=1, total_bytes=0,
-                         reserved_bytes=0).utilization == 0.0
-
     def test_rack_wiring_reports_occupancy(self):
-        """rack_summaries() surfaces each rack's pool occupancy through
-        the same PoolStats type the MemoryPool reports."""
+        """rack_summaries() reports each rack's pool capacity and
+        occupancy alongside its contention."""
         from repro.host.scheduler import SchedulerConfig
         from repro.sim.fleet import FleetSimulator, RackConfig
         from repro.sim.powerdown_sim import PowerDownSimConfig
@@ -144,8 +90,7 @@ class TestPoolStatsUtilization:
         racks = result.rack_summaries()
         assert len(racks) == 2
         for rack in racks:
-            stats = rack.pool_stats()
-            assert stats.devices == 2
-            assert stats.total_bytes == 2 * node.geometry.total_bytes
-            assert 0.0 < stats.utilization < 1.0
-            assert stats.reserved_bytes == int(round(rack.reserved_bytes))
+            assert rack.num_nodes == 2
+            assert rack.total_bytes == 2 * node.geometry.total_bytes
+            assert 0.0 < rack.reserved_bytes < rack.total_bytes
+            assert rack.contention.demand_gbs == rack.demand_gbs

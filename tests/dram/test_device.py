@@ -13,6 +13,13 @@ def device():
     return DramDevice(geometry=DramGeometry(rank_bytes=1 * GIB))
 
 
+def set_group_state(device, group_index, state, now_s):
+    """Move rank-group ``group_index`` (one rank per channel) to
+    ``state``; returns the largest exit penalty (ns)."""
+    return max(device.set_rank_state((channel, group_index), state, now_s)
+               for channel in range(device.geometry.channels))
+
+
 class TestConstruction:
     def test_creates_all_ranks(self, device):
         assert len(device.ranks) == 32
@@ -54,27 +61,27 @@ class TestLookups:
 
 class TestGroupTransitions:
     def test_rank_group_transition(self, device):
-        device.set_rank_group_state(3, PowerState.MPSM, 0.0)
+        set_group_state(device, 3, PowerState.MPSM, 0.0)
         assert all(device.rank(c, 3).state is PowerState.MPSM
                    for c in range(4))
 
     def test_group_exit_penalty(self, device):
-        device.set_rank_group_state(3, PowerState.MPSM, 0.0)
-        penalty = device.set_rank_group_state(3, PowerState.STANDBY, 1.0)
+        set_group_state(device, 3, PowerState.MPSM, 0.0)
+        penalty = set_group_state(device, 3, PowerState.STANDBY, 1.0)
         assert penalty > 0
 
 
 class TestPowerAndEnergy:
     def test_background_power_drops_with_mpsm(self, device):
         before = device.background_power()
-        device.set_rank_group_state(0, PowerState.MPSM, 0.0)
+        set_group_state(device, 0, PowerState.MPSM, 0.0)
         assert device.background_power() < before
 
     def test_total_power_includes_bandwidth(self, device):
         assert device.total_power(10.0) > device.total_power(0.0)
 
     def test_energy_integration(self, device):
-        device.set_rank_group_state(0, PowerState.MPSM, 0.0)
+        set_group_state(device, 0, PowerState.MPSM, 0.0)
         device.finalize(now_s=100.0)
         energy = device.background_energy()
         # 28 standby ranks + 4 MPSM ranks for 100 s.

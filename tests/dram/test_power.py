@@ -122,13 +122,6 @@ class TestEnergyAccumulator:
         assert acc.migration_j == pytest.approx(5.0)
         assert acc.total_j == pytest.approx(35.0)
 
-    def test_merge(self):
-        a = EnergyAccumulator(background_j=1.0, active_j=2.0)
-        b = EnergyAccumulator(background_j=3.0, migration_j=4.0)
-        a.merge(b)
-        assert a.background_j == pytest.approx(4.0)
-        assert a.total_j == pytest.approx(10.0)
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             EnergyAccumulator().add_interval(-1.0, 1.0, 0.0)

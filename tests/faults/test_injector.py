@@ -13,6 +13,7 @@ from repro.faults.plan import (CxlLinkFault, EccFault, FaultPlan,
                                SmcCorruptionFault)
 from repro.telemetry import EventKind, EventTrace, MetricsRegistry
 from repro.units import MIB
+from tests.core.pump_reference import on_migration_copy
 
 
 def make_controller() -> DtlController:
@@ -152,7 +153,7 @@ class TestMigrationHook:
             completion = True
             lines_done = 8
 
-        assert injector.on_migration_copy(_Done(), channel=0) is False
+        assert on_migration_copy(injector, _Done(), channel=0) is False
         assert injector.data_loss_events == 1
 
 

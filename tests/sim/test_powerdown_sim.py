@@ -19,7 +19,8 @@ def quick_results():
         azure=AzureTraceConfig(num_vms=60, duration_s=3600.0),
         scheduler=SchedulerConfig(duration_s=3600.0),
         seed=1)
-    return ComparisonSimulator(config).run().as_tuple()
+    result = ComparisonSimulator(config).run()
+    return result.baseline, result.dtl
 
 
 class TestComparison:

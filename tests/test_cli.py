@@ -102,6 +102,38 @@ class TestStatsCommand:
         assert records[0].metrics["dtl.accesses"] > 0
         assert "smc.l1.hit_ratio" in records[0].metrics
 
+    def test_batch_scenario_matches_the_scalar_loop(self, monkeypatch):
+        """`repro stats` serves its scenario through ``access_batch``;
+        the same scenario through scalar ``access`` gives the same
+        snapshot, up to the float totals the identity contract exempts
+        (docs/PERF.md)."""
+        from repro.core.controller import DtlController
+
+        def scalar_loop(self, host_id, hpas, writes=None, now_ns=0.0):
+            for index, hpa in enumerate(hpas):
+                self.access(host_id, hpa, is_write=bool(
+                    writes is not None and writes[index]), now_ns=now_ns)
+
+        batch = cli._quickstart_snapshot().to_dict()
+        monkeypatch.setattr(DtlController, "access_batch", scalar_loop)
+        scalar = cli._quickstart_snapshot().to_dict()
+        float_total = "translation.latency_total_ns"
+        assert batch["counters"].pop(float_total) == pytest.approx(
+            scalar["counters"].pop(float_total))
+        assert batch["counters"] == scalar["counters"]
+        assert batch["gauges"] == scalar["gauges"]
+        assert batch["events"] == scalar["events"]
+        assert (batch["detail"]["rank_residency_s"]
+                == scalar["detail"]["rank_residency_s"])
+        assert batch["histograms"].keys() == scalar["histograms"].keys()
+        for name, histogram in batch["histograms"].items():
+            other = scalar["histograms"][name]
+            for total in ("sum", "mean"):
+                assert histogram.pop(total) == pytest.approx(
+                    other.pop(total)), (name, total)
+            assert histogram == other, name
+        assert batch["counters"]["dtl.accesses"] == 8 * 16 + 4 * 16
+
 
 class TestPlotFlag:
     def test_fig1_plot(self, capsys):

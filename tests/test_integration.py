@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
-from repro.cxl import CxlMemoryDevice
 from repro.dram import DramDevice, DramGeometry, PowerState
 from repro.host.caches import CacheHierarchy, CacheLevelConfig
 from repro.units import CACHELINE_BYTES, GIB, MIB
@@ -13,27 +12,26 @@ from repro.workloads.cloudsuite import make_trace
 
 
 @pytest.fixture
-def device():
-    return CxlMemoryDevice(config=DtlConfig(
+def controller():
+    return DtlController(DtlConfig(
         geometry=DramGeometry(rank_bytes=512 * MIB), au_bytes=128 * MIB,
         group_granularity=2))
 
 
 class TestVmChurn:
-    def test_many_vm_cycles_preserve_consistency(self, device):
+    def test_many_vm_cycles_preserve_consistency(self, controller):
         """Allocate/deallocate churn: mappings, allocator, and power
         states stay consistent throughout."""
-        controller = device.controller
         rng = np.random.default_rng(0)
         live = []
         for step in range(40):
             if live and rng.random() < 0.45:
                 vm = live.pop(rng.integers(len(live)))
-                device.deallocate_vm(vm, now_s=float(step))
+                controller.deallocate_vm(vm, now_s=float(step))
             else:
                 size = int(rng.choice([128, 256, 384])) * MIB
                 try:
-                    live.append(device.allocate_vm(
+                    live.append(controller.allocate_vm(
                         int(rng.integers(4)), size, now_s=float(step)))
                 except Exception:
                     pass
@@ -43,7 +41,7 @@ class TestVmChurn:
             assert controller.allocator.allocated_count() == \
                 reserved // controller.geometry.segment_bytes
             # Channel balance of active ranks.
-            per_channel = {device.controller.device
+            per_channel = {controller.device
                            .standby_ranks_per_channel(c)
                            for c in range(4)}
             assert len(per_channel) == 1
@@ -55,11 +53,11 @@ class TestVmChurn:
                 hsn = controller.tables.hsn_of_dsn(result.dsn)
                 assert hsn is not None
 
-    def test_power_states_track_occupancy(self, device):
-        big = device.allocate_vm(0, 4 * GIB)
-        full_mpsm = device.controller.device.state_counts()[PowerState.MPSM]
-        device.deallocate_vm(big, now_s=10.0)
-        empty_mpsm = device.controller.device.state_counts()[PowerState.MPSM]
+    def test_power_states_track_occupancy(self, controller):
+        big = controller.allocate_vm(0, 4 * GIB)
+        full_mpsm = controller.device.state_counts()[PowerState.MPSM]
+        controller.deallocate_vm(big, now_s=10.0)
+        empty_mpsm = controller.device.state_counts()[PowerState.MPSM]
         assert empty_mpsm > full_mpsm
 
 
@@ -93,13 +91,12 @@ class TestTraceThroughFullStack:
         channels = {channel for channel, _ in touched_ranks}
         assert channels == {0, 1, 2, 3}  # channel interleaving works
 
-    def test_accesses_never_hit_mpsm_ranks(self, device):
+    def test_accesses_never_hit_mpsm_ranks(self, controller):
         """The allocation policy guarantees MPSM ranks hold no data, so
         no access can ever reach them."""
-        controller = device.controller
-        vm = device.allocate_vm(0, 1 * GIB, now_s=0.0)
-        filler = device.allocate_vm(0, 2 * GIB, now_s=1.0)
-        device.deallocate_vm(filler, now_s=2.0)  # triggers power-down
+        vm = controller.allocate_vm(0, 1 * GIB, now_s=0.0)
+        filler = controller.allocate_vm(0, 2 * GIB, now_s=1.0)
+        controller.deallocate_vm(filler, now_s=2.0)  # triggers power-down
         mpsm_ranks = {rank_id for rank_id, rank
                       in controller.device.ranks.items()
                       if rank.state is PowerState.MPSM}
@@ -158,11 +155,11 @@ class TestEndToEndEnergyStory:
         # time, so every rank stays in standby whatever is allocated.
         static = DramDevice(geometry)
 
-        dtl = CxlMemoryDevice(config=DtlConfig(
+        dtl = DtlController(DtlConfig(
             geometry=geometry, au_bytes=128 * MIB, group_granularity=2))
         dtl.allocate_vm(0, 8 * GIB)
         extra = dtl.allocate_vm(0, 4 * GIB)
         dtl.deallocate_vm(extra, now_s=1.0)
 
-        assert dtl.controller.device.background_power() < \
+        assert dtl.device.background_power() < \
             static.background_power()

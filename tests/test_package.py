@@ -1,6 +1,7 @@
 """Package-surface tests: exports, errors, versioning, orphan modules."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ class TestTopLevel:
 
     def test_headline_exports(self):
         assert callable(repro.DtlController)
-        assert callable(repro.CxlMemoryDevice)
         assert callable(repro.DtlConfig)
         assert callable(repro.DramGeometry)
 
@@ -58,15 +58,78 @@ NO_IMPORTER_IN_SRC = {
         "runs it (registered on import of repro.policies)",
 }
 
+#: Public top-level classes and functions nothing else in ``src/``
+#: refers to, and who calls each one.  A name that is not here must be
+#: referenced in ``src/`` outside its own definition; a name here must
+#: still have that caller outside ``src/``, or it goes.
+NO_CALLER_IN_SRC = {
+    "repro.analysis.area_power.sanity_check_40nm_scaling":
+        "examples/capacity_planning.py and "
+        "benchmarks/test_tab06_area_power.py (Table 6's 40 nm check)",
+    "repro.analysis.sensitivity.savings_range":
+        "benchmarks/test_fig12_powerdown.py's calibration-sensitivity row",
+    "repro.analysis.sensitivity.sensitivity_grid":
+        "benchmarks/test_fig12_powerdown.py's calibration-sensitivity row",
+    "repro.checkpoint.stepping.run_to_step":
+        "tests: the restore-at-step-k identity suite "
+        "(tests/checkpoint/test_restore_identity.py)",
+    "repro.dram.banks.RowBufferAnalyzer":
+        "tests: the whole-trace row-buffer hit model "
+        "(tests/dram/test_banks.py)",
+    "repro.dram.geometry.geometry_for_capacity":
+        "tests: capacity-to-geometry sizing (tests/dram/test_geometry.py)",
+    "repro.errors.PerformanceWarning":
+        "bench/wl_datapath.py silences it; it goes with the benchmark's "
+        "move to access_batch (ROADMAP item 18)",
+    "repro.host.tracing.TraceRecorder":
+        "tests and docs/API.md: the Sec. 5.2 post-cache trace recorder",
+    "repro.policies.dream.DreamRemapPolicy":
+        "the registry: @register_policy, in TournamentConfig.policies' "
+        "default",
+    "repro.policies.rank_aware.RankAwareMigrationPolicy":
+        "the registry: @register_policy, in TournamentConfig.policies' "
+        "default",
+    "repro.policies.protocol.available_policies":
+        "tests and the CI chaos-smoke job: every registered policy must "
+        "end the chaos soak ok",
+    "repro.sim.combined.figure15_summary":
+        "benchmarks/test_fig15_combined.py",
+    "repro.sim.comparison.compare_policies":
+        "benchmarks/test_comparison_ramzzz.py",
+    "repro.sim.figures.figure11a_series":
+        "tests: plot-ready Fig. 11a series (tests/sim/test_figures.py)",
+    "repro.sim.figures.figure2_series":
+        "tests: plot-ready Fig. 2 series (tests/sim/test_figures.py)",
+    "repro.sim.rank_sweep.interleaving_comparison":
+        "benchmarks/test_fig05_interleaving.py",
+    "repro.sim.rank_sweep.mean_trace_driven_slowdown":
+        "benchmarks/test_fig02_rank_sweep.py",
+    "repro.sim.results.load_records":
+        "tests: reads back what --output writes (tests/sim/test_results.py)",
+    "repro.units.format_bytes":
+        "examples/capacity_planning.py and benchmarks/ (Table 5 sizes)",
+    "repro.units.ns_to_s": "tests: tests/test_units.py",
+    "repro.units.s_to_ns": "tests: tests/test_units.py",
+    "repro.workloads.cloudsuite.make_trace":
+        "benchmarks/ (Table 4, Fig. 9, the segment-size ablation) and tests",
+}
+
+#: Where a name on :data:`NO_CALLER_IN_SRC` may find its caller.
+OUTSIDE_SRC = ("tests", "benchmarks", "examples", "bench", ".github")
+
 
 class TestNoOrphanModules:
-    """Lint guard: no module under ``src/repro`` without traffic.
+    """Lint guard: no module, and no public top-level class or function,
+    under ``src/repro`` without traffic.
 
     An ``__init__`` re-export does not count as a use (a package lists
     what exists, not what is needed): ``from repro.exec import
     run_tasks`` counts for ``repro.exec.runner``, where the name is
     defined.  A module whose only importers are themselves unused is
-    unused too, so a dead cluster cannot keep itself alive.
+    unused too, so a dead cluster cannot keep itself alive.  A name
+    counts as used when any ``src/`` module other than an ``__init__``
+    mentions it (as a name, an attribute or an import) outside the
+    name's own definition.
     """
 
     EXEMPT = ("__init__", "__main__", "cli")
@@ -134,6 +197,60 @@ class TestNoOrphanModules:
                  for module in NO_IMPORTER_IN_SRC
                  if users.get(module, True)}
         assert not stale, stale
+
+    @staticmethod
+    def mentions(node):
+        """Every identifier ``node`` refers to."""
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name):
+                yield child.id
+            elif isinstance(child, ast.Attribute):
+                yield child.attr
+            elif isinstance(child, ast.ImportFrom):
+                yield from (alias.name for alias in child.names)
+
+    @pytest.fixture(scope="class")
+    def unreferenced(self, trees):
+        """``module.name`` of each public top-level class or function
+        no other part of ``src/`` mentions."""
+        definitions = {}
+        used = set()
+        for module, tree in trees.items():
+            if module.endswith("__init__"):
+                continue
+            for node in tree.body:
+                own = None
+                if (isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    own = node.name
+                    definitions[f"{module}.{own}"] = own
+                used.update(name for name in self.mentions(node)
+                            if name != own)
+        return {qualified for qualified, name in definitions.items()
+                if name not in used}
+
+    def test_every_public_name_has_a_caller_or_a_stated_reason(
+            self, unreferenced):
+        missing = sorted(unreferenced - NO_CALLER_IN_SRC.keys())
+        assert not missing, missing
+
+    def test_name_allowlist_is_current(self, unreferenced):
+        """Each allowlisted name is still unused in ``src/`` and still
+        called from outside it (this file does not count)."""
+        root = SRC.parent
+        outside = " ".join(
+            path.read_text() for folder in OUTSIDE_SRC
+            for path in sorted((root / folder).rglob("*"))
+            if path.suffix in (".py", ".yml")
+            and path != Path(__file__).resolve())
+        stale = sorted(NO_CALLER_IN_SRC.keys() - unreferenced)
+        assert not stale, f"used in src/ (or gone): {stale}"
+        uncalled = sorted(
+            qualified for qualified in NO_CALLER_IN_SRC
+            if not re.search(rf"\b{qualified.rsplit('.', 1)[1]}\b",
+                             outside))
+        assert not uncalled, f"no caller anywhere, delete: {uncalled}"
 
 
 class TestErrorHierarchy:
