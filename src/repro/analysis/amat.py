@@ -48,7 +48,7 @@ class AmatModel:
     @property
     def miss_penalty_ns(self) -> float:
         """Full miss path: two SRAM accesses + one DRAM access."""
-        sram_ns = cycles_to_ns(2 * SRAM_ACCESS_CYCLES, self.cache.clock_ghz)
+        sram_ns = cycles_to_ns(2 * SRAM_ACCESS_CYCLES)
         return sram_ns + self.table_dram_latency_ns
 
     def translation_overhead_ns(self) -> float:

@@ -35,22 +35,23 @@ from repro.dram.device import DramDevice
 from repro.dram.power import PowerState
 from repro.units import NS_PER_MS
 
+#: Reorganisation epoch (RAMZzz uses tens of ms).
+EPOCH_NS = 100 * NS_PER_MS
+#: Hot-segment evictions per rank per epoch (RAMZzz bounds migration
+#: overhead per epoch).
+MIGRATIONS_PER_EPOCH = 16
+
 
 @dataclass(frozen=True)
 class RamzzzConfig:
     """RAMZzz policy knobs.
 
     Attributes:
-        epoch_ns: Reorganisation epoch (RAMZzz uses tens of ms).
-        migrations_per_epoch: Hot-segment evictions per rank per epoch
-            (RAMZzz bounds migration overhead per epoch).
         demote_threshold: Demote the coldest rank when its epoch access
             count is at or below this.
         victim_granularity: Ranks demoted together (CKE pair = 2).
     """
 
-    epoch_ns: float = 100 * NS_PER_MS
-    migrations_per_epoch: int = 16
     demote_threshold: int = 1000
     victim_granularity: int = 2
 
@@ -116,7 +117,7 @@ class RamzzzPolicy:
     def tick(self, now_ns: float) -> None:
         """Windowed-contract timer: reorganise once ``now_ns`` reaches
         the end of the current epoch."""
-        if now_ns // self.config.epoch_ns > self.epoch_index:
+        if now_ns // EPOCH_NS > self.epoch_index:
             self.end_epoch(now_ns)
 
     # -- epoch reorganisation -----------------------------------------------------
@@ -160,7 +161,7 @@ class RamzzzPolicy:
         epoch access count — a free segment and a cold live segment are
         indistinguishable.
         """
-        budget = self.config.migrations_per_epoch
+        budget = MIGRATIONS_PER_EPOCH
         victim_dsns = np.concatenate([self.layout.rank_dsns(channel, rank)
                                       for rank in block])
         counts = self.segment_counts[victim_dsns]

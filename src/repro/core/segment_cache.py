@@ -47,9 +47,9 @@ L1_SMC_HIT_CYCLES = 1
 L2_SMC_HIT_CYCLES = 7
 
 
-def cycles_to_ns(cycles: float, clock_ghz: float = CONTROLLER_CLOCK_GHZ) -> float:
+def cycles_to_ns(cycles: float) -> float:
     """Convert controller cycles to nanoseconds."""
-    return cycles / clock_ghz
+    return cycles / CONTROLLER_CLOCK_GHZ
 
 
 def stable_order(keys: np.ndarray) -> np.ndarray:
@@ -295,19 +295,16 @@ class SegmentCacheConfig:
     l1_entries: int = 64
     l2_entries: int = 1024
     l2_ways: int = 4
-    clock_ghz: float = CONTROLLER_CLOCK_GHZ
-    l1_hit_cycles: int = L1_SMC_HIT_CYCLES
-    l2_hit_cycles: int = L2_SMC_HIT_CYCLES
 
     @property
     def l1_hit_ns(self) -> float:
         """L1 SMC hit latency in nanoseconds."""
-        return cycles_to_ns(self.l1_hit_cycles, self.clock_ghz)
+        return cycles_to_ns(L1_SMC_HIT_CYCLES)
 
     @property
     def l2_hit_ns(self) -> float:
         """L2 SMC hit latency in nanoseconds."""
-        return cycles_to_ns(self.l2_hit_cycles, self.clock_ghz)
+        return cycles_to_ns(L2_SMC_HIT_CYCLES)
 
     @property
     def miss_probe_ns(self) -> float:

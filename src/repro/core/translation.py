@@ -85,8 +85,7 @@ class TranslationEngine:
     @property
     def miss_penalty_ns(self) -> float:
         """Latency of the full table walk beyond the L2 lookup."""
-        sram_ns = cycles_to_ns(2 * SRAM_ACCESS_CYCLES,
-                               self.smc.config.clock_ghz)
+        sram_ns = cycles_to_ns(2 * SRAM_ACCESS_CYCLES)
         return sram_ns + self.table_dram_latency_ns
 
     def translate_hsn(self, hsn: int) -> tuple[int, float, bool, bool]:

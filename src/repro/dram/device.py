@@ -153,7 +153,7 @@ class DramDevice:
         Single-bit errors are corrected in place (SECDED); multi-bit
         errors are detected-but-uncorrected and poison the line at the
         requester — either way the event is never silent, which is what
-        the reliability report's data-loss assertion leans on.
+        the reliability report's ``detected`` tally leans on.
         """
         corrected = bits < 2
         if self._registry is not None:

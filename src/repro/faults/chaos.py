@@ -13,7 +13,7 @@ clock, the pump and drain cadence, and the
 injected migration abort; the soak adds one at each phase boundary.
 The campaign's :class:`~repro.faults.injector.ReliabilityReport`
 carries the audit tally: the soak passes only with **zero** violations
-and zero data-loss events across every level.
+across every level.
 
 Registered as ``chaos`` in :data:`repro.sim.experiments.EXPERIMENTS`
 and surfaced by the ``repro chaos`` CLI command.
@@ -38,6 +38,9 @@ from repro.seeded import SeededConfig
 from repro.server.shards import ACCESS_PERIOD_NS, ControllerShard
 from repro.units import MIB
 
+#: Fraction of the soak's accesses that are writes.
+WRITE_FRACTION = 0.25
+
 
 @dataclass(frozen=True)
 class ChaosSoakConfig(SeededConfig):
@@ -50,7 +53,6 @@ class ChaosSoakConfig(SeededConfig):
             every fault period divided by ``2**k``.
         batches_per_phase: Access batches in each workload phase.
         batch_size: Accesses per batch.
-        write_fraction: Fraction of accesses that are writes.
         dtl: The controller the soak runs against; by default the
             seconds-scale device the server runs
             (:func:`~repro.core.config.small_dtl_config`), whose shrunk
@@ -63,7 +65,6 @@ class ChaosSoakConfig(SeededConfig):
     levels: int = 3
     batches_per_phase: int = 8
     batch_size: int = 64
-    write_fraction: float = 0.25
     dtl: DtlConfig = field(default_factory=small_dtl_config)
 
     def base_plan(self) -> FaultPlan:
@@ -94,9 +95,8 @@ class ChaosSoakResult:
 
     @property
     def ok(self) -> bool:
-        """True when the DTL survived: no violations, no data loss."""
-        return (not self.report.checker_violations
-                and self.report.data_loss_events == 0)
+        """True when the DTL survived: no checker violations."""
+        return not self.report.checker_violations
 
     def to_record(self):
         """Flatten into an :class:`~repro.sim.results.ExperimentRecord`."""
@@ -110,7 +110,6 @@ class ChaosSoakResult:
             "ecc_corrected": report.ecc_corrected,
             "ecc_uncorrected": report.ecc_uncorrected,
             "power_exit_failures": report.power_exit_failures,
-            "data_loss_events": report.data_loss_events,
             "checker_audits": report.checker_audits,
             "checker_violations": len(report.checker_violations),
             "first_violations": report.checker_violations[:10],
@@ -118,9 +117,7 @@ class ChaosSoakResult:
         }
         for point, count in sorted(report.injected.items()):
             metrics[f"injected.{point}"] = count
-        return ExperimentRecord("chaos", metrics,
-                                {"checker_violations": 0,
-                                 "data_loss_events": 0})
+        return ExperimentRecord("chaos", metrics, {"checker_violations": 0})
 
 
 @dataclass
@@ -239,7 +236,7 @@ class ChaosSoakExperiment(SteppedExperiment):
             picks = rng.integers(0, len(vm.au_ids), size=count)
             offsets = rng.integers(0, per_au, size=count)
             lines = rng.integers(0, lines_per_segment, size=count)
-            writes = rng.random(count) < cfg.write_fraction
+            writes = rng.random(count) < WRITE_FRACTION
             shard.apply_access_batch(vm, picks * per_au + offsets, lines,
                                      writes)
 

@@ -56,8 +56,6 @@ class ReliabilityReport:
         ecc_uncorrected: Multi-bit ECC errors detected (not corrected).
         cxl_retry_counts: Retries-per-replayed-transaction histogram.
         power_exit_failures: Failed MPSM/SR exit attempts before success.
-        data_loss_events: Injected faults that lost committed data; the
-            chaos soak asserts this stays 0.
         checker_audits: Consistency audits run during the campaign.
         checker_violations: Invariant violations those audits found.
     """
@@ -72,7 +70,6 @@ class ReliabilityReport:
     ecc_uncorrected: int = 0
     cxl_retry_counts: dict[int, int] = field(default_factory=dict)
     power_exit_failures: int = 0
-    data_loss_events: int = 0
     checker_audits: int = 0
     checker_violations: list[str] = field(default_factory=list)
 
@@ -101,7 +98,6 @@ class ReliabilityReport:
             "cxl_retry_counts": {str(retries): count for retries, count
                                  in sorted(self.cxl_retry_counts.items())},
             "power_exit_failures": self.power_exit_failures,
-            "data_loss_events": self.data_loss_events,
             "checker_audits": self.checker_audits,
             "checker_violations": list(self.checker_violations),
         }
@@ -126,7 +122,6 @@ class ReliabilityReport:
             total.ecc_corrected += report.ecc_corrected
             total.ecc_uncorrected += report.ecc_uncorrected
             total.power_exit_failures += report.power_exit_failures
-            total.data_loss_events += report.data_loss_events
             total.checker_audits += report.checker_audits
             total.checker_violations.extend(report.checker_violations)
         return total
@@ -157,7 +152,6 @@ class FaultInjector:
         self.ecc_uncorrected = 0
         self.cxl_retry_counts: dict[int, int] = {}
         self.power_exit_failures = 0
-        self.data_loss_events = 0
 
     @property
     def counts_sr_exits(self) -> bool:
@@ -446,8 +440,7 @@ class FaultInjector:
             ecc_corrected=self.ecc_corrected,
             ecc_uncorrected=self.ecc_uncorrected,
             cxl_retry_counts=dict(self.cxl_retry_counts),
-            power_exit_failures=self.power_exit_failures,
-            data_loss_events=self.data_loss_events)
+            power_exit_failures=self.power_exit_failures)
 
 
 __all__ = ["RETRY_BUCKETS", "ReliabilityReport", "FaultInjector"]

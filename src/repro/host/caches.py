@@ -32,10 +32,9 @@ class CacheLevelConfig:
     name: str
     size_bytes: int
     ways: int
-    line_bytes: int = CACHELINE_BYTES
 
     def __post_init__(self) -> None:
-        if self.size_bytes % (self.ways * self.line_bytes):
+        if self.size_bytes % (self.ways * CACHELINE_BYTES):
             raise ConfigurationError(
                 f"{self.name}: size must divide into ways x line size")
         if not is_power_of_two(self.num_sets):
@@ -44,7 +43,7 @@ class CacheLevelConfig:
     @property
     def num_sets(self) -> int:
         """Number of sets."""
-        return self.size_bytes // (self.ways * self.line_bytes)
+        return self.size_bytes // (self.ways * CACHELINE_BYTES)
 
 
 @dataclass

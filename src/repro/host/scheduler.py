@@ -33,7 +33,6 @@ class SchedulerConfig:
     vcpus: int = 48
     memory_bytes: int = 384 * GIB
     duration_s: float = 6 * 3600.0
-    sample_interval_s: float = FIVE_MINUTES_S
 
 
 @dataclass
@@ -139,7 +138,7 @@ class VmScheduler:
             samples.append(UsageSample(
                 time_s=time_s, memory_bytes=used_mem, vcpus=used_cpu,
                 live_vms=len(live)))
-            time_s += config.sample_interval_s
+            time_s += FIVE_MINUTES_S
 
         events.sort()
         return ScheduleResult(config=config, events=events, samples=samples,

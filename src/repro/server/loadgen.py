@@ -36,6 +36,17 @@ LATENCY_BOUNDS_US = (
     10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
     1_000.0, 2_000.0, 5_000.0, 10_000.0, 50_000.0, 200_000.0)
 
+#: Reservation size per VM.
+VM_BYTES = 2 * MIB
+#: Zipf skew of the segment stream (1.0 ≈ realistic heat; higher
+#: concentrates harder).
+ZIPF_S = 1.2
+#: Fraction of accesses that are stores.
+WRITE_FRACTION = 0.3
+#: Logical seconds each request advances a tenant's clock (drives
+#: token-bucket refill deterministically).
+TICK_S = 0.01
+
 
 @dataclass(frozen=True)
 class LoadgenConfig(SeededConfig):
@@ -46,15 +57,9 @@ class LoadgenConfig(SeededConfig):
         requests_per_tenant: ``access_batch`` requests per tenant.
         batch: Accesses per ``access_batch`` request.
         vms_per_tenant: VMs each tenant allocates up front.
-        vm_bytes: Reservation size per VM.
-        zipf_s: Zipf skew of the segment stream (1.0 ≈ realistic heat;
-            higher concentrates harder).
-        write_fraction: Fraction of accesses that are stores.
         churn_every: Free-and-reallocate one VM every this many
             requests (0 disables churn).
         seed: Seeds every tenant's stream (tenant index folded in).
-        tick_s: Logical seconds each request advances a tenant's clock
-            (drives token-bucket refill deterministically).
         tenant_prefix: Tenant names are ``{prefix}{index}``.
     """
 
@@ -62,12 +67,8 @@ class LoadgenConfig(SeededConfig):
     requests_per_tenant: int = 50
     batch: int = 256
     vms_per_tenant: int = 2
-    vm_bytes: int = 2 * MIB
-    zipf_s: float = 1.2
-    write_fraction: float = 0.3
     churn_every: int = 16
     seed: int = 1234
-    tick_s: float = 0.01
     tenant_prefix: str = "tenant-"
 
 
@@ -186,7 +187,7 @@ async def _drive_tenant(config: LoadgenConfig, index: int,
 
     async def call(message: dict[str, Any]) -> dict[str, Any]:
         nonlocal clock
-        clock += config.tick_s
+        clock += TICK_S
         message["tenant"] = name
         message["t"] = round(clock, 9)
         started = time.perf_counter()
@@ -206,7 +207,7 @@ async def _drive_tenant(config: LoadgenConfig, index: int,
         return
     vms: list[tuple[int, int]] = []  # (vm_id, segments)
     for _ in range(config.vms_per_tenant):
-        response = await call({"op": "allocate", "bytes": config.vm_bytes})
+        response = await call({"op": "allocate", "bytes": VM_BYTES})
         if response.get("ok"):
             vms.append((response["vm"], response["segments"]))
     if not vms:
@@ -215,9 +216,9 @@ async def _drive_tenant(config: LoadgenConfig, index: int,
 
     for step in range(config.requests_per_tenant):
         vm_id, segments = vms[step % len(vms)]
-        weights = _zipf_weights(segments, config.zipf_s)
+        weights = _zipf_weights(segments, ZIPF_S)
         segment_draw = rng.choice(segments, size=config.batch, p=weights)
-        writes = rng.random(config.batch) < config.write_fraction
+        writes = rng.random(config.batch) < WRITE_FRACTION
         await call({
             "op": "access_batch", "vm": vm_id,
             "segments": [int(value) for value in segment_draw],
@@ -227,8 +228,7 @@ async def _drive_tenant(config: LoadgenConfig, index: int,
         if config.churn_every and (step + 1) % config.churn_every == 0:
             victim_vm, _ = vms.pop(0)
             await call({"op": "free", "vm": victim_vm})
-            response = await call({"op": "allocate",
-                                   "bytes": config.vm_bytes})
+            response = await call({"op": "allocate", "bytes": VM_BYTES})
             if response.get("ok"):
                 vms.append((response["vm"], response["segments"]))
             if not vms:

@@ -38,12 +38,16 @@ from repro.checkpoint import SteppedExperiment
 from repro.exec.hashing import derive_seed
 from repro.seeded import SeededConfig
 from repro.server.admission import AdmissionConfig
-from repro.server.loadgen import LoadgenConfig, run_loadgen
+from repro.server.loadgen import (VM_BYTES, WRITE_FRACTION, LoadgenConfig,
+                                  run_loadgen)
 from repro.server.server import DtlServer, ServerConfig
 from repro.server.shards import shard_of
-from repro.units import MIB
 
 PHASES = ("concurrent", "drain_restore", "isolation")
+
+#: The concurrent leg frees and reallocates one VM every this many
+#: requests.
+CHURN_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,9 @@ class ServerSoakConfig(SeededConfig):
         seed: One integer reproduces the whole soak bit-for-bit.
         tenants: Concurrent tenants in the chaos leg (the acceptance
             bar is ≥16).
-        requests_per_tenant / batch / vms_per_tenant / vm_bytes /
-            write_fraction / churn_every: Load-generator knobs for the
-            concurrent leg (see :class:`~repro.server.loadgen.\
-LoadgenConfig`).
+        requests_per_tenant / batch / vms_per_tenant: Load-generator
+            knobs for the concurrent leg (see
+            :class:`~repro.server.loadgen.LoadgenConfig`).
         num_shards: Controller shards under the server.
         monitor_scans: Cross-tenant leak scans interleaved with the
             concurrent leg.
@@ -71,9 +74,6 @@ LoadgenConfig`).
     requests_per_tenant: int = 6
     batch: int = 64
     vms_per_tenant: int = 2
-    vm_bytes: int = 2 * MIB
-    write_fraction: float = 0.3
-    churn_every: int = 4
     num_shards: int = 2
     monitor_scans: int = 8
     script_tenants: int = 4
@@ -95,8 +95,7 @@ LoadgenConfig`).
             tenants=self.tenants,
             requests_per_tenant=self.requests_per_tenant,
             batch=self.batch, vms_per_tenant=self.vms_per_tenant,
-            vm_bytes=self.vm_bytes, write_fraction=self.write_fraction,
-            churn_every=self.churn_every,
+            churn_every=CHURN_EVERY,
             seed=derive_seed(self.seed, "loadgen"),
             tenant_prefix="soak-")
 
@@ -267,21 +266,20 @@ class ServerSoakExperiment(SteppedExperiment):
         ops: list[tuple] = []
         for name in names:
             ops.append(("open", name))
-            ops.append(("alloc", name, cfg.vm_bytes))
+            ops.append(("alloc", name, VM_BYTES))
         for step in range(cfg.script_requests):
             name = names[step % len(names)]
             fractions = rng.random(cfg.script_batch).tolist()
-            writes = (rng.random(cfg.script_batch)
-                      < cfg.write_fraction).tolist()
+            writes = (rng.random(cfg.script_batch) < WRITE_FRACTION).tolist()
             ops.append(("access", name, step % 2, fractions, writes))
             if step == cfg.script_requests // 3:
                 ops.append(("close", names[-1]))
             if step == cfg.script_requests // 3 + 2:
                 ops.append(("open", names[-1]))
-                ops.append(("alloc", names[-1], cfg.vm_bytes))
+                ops.append(("alloc", names[-1], VM_BYTES))
             if step % 5 == 4:
                 ops.append(("free", name, 0))
-                ops.append(("alloc", name, cfg.vm_bytes))
+                ops.append(("alloc", name, VM_BYTES))
         for name in names:
             ops.append(("close", name))
         return ops
@@ -404,7 +402,7 @@ class ServerSoakExperiment(SteppedExperiment):
         for name in (first, second):
             await call(op="open_tenant", tenant=name, t=t)
             response = await call(op="allocate", tenant=name,
-                                  bytes=cfg.vm_bytes, t=t)
+                                  bytes=VM_BYTES, t=t)
             await call(op="access_batch", tenant=name,
                        vm=response["vm"],
                        segments=list(range(8)), t=t)

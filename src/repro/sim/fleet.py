@@ -39,8 +39,7 @@ import numpy as np
 
 from repro.analysis.tco import TcoModel
 from repro.checkpoint import FanOut, FanOutState
-from repro.cxl.pool import (PoolContention, PoolContentionConfig,
-                            pool_contention)
+from repro.cxl.pool import PoolContention, pool_contention
 from repro.exec import ExecConfig, TaskOutcome, TaskSpec
 from repro.sim.powerdown_sim import (FIG12_13_PAPER, ComparisonSimulator,
                                      PowerDownComparisonResult,
@@ -73,12 +72,11 @@ class RackConfig(FleetConfig):
 
     Consecutive nodes (``hosts_per_rack`` at a time, in seed order) form
     one rack whose hosts all reach the pool through the same fabric;
-    their aggregate bandwidth demand contends per ``pool``.
+    their aggregate bandwidth demand contends per the default
+    :class:`~repro.cxl.pool.PoolContentionConfig`.
     """
 
     hosts_per_rack: int = 8
-    pool: PoolContentionConfig = field(
-        default_factory=PoolContentionConfig)
 
 
 @dataclass(frozen=True)
@@ -293,7 +291,7 @@ class FleetResult:
             nodes = per_rack[rack]
             demand = sum(node.mean_bandwidth_gbs for node in nodes)
             reserved = sum(node.mean_reserved_bytes for node in nodes)
-            contention = pool_contention(demand, config.pool)
+            contention = pool_contention(demand)
             extra = contention.slowdown - 1.0
             baseline = sum(node.baseline_raw_energy_j * (1.0 + extra)
                            for node in nodes)

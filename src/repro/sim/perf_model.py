@@ -23,80 +23,83 @@ the load — which is precisely the paper's argument (Section 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.dram.timing import CXL_MEMORY_LATENCY_NS, NATIVE_DRAM_LATENCY_NS
-from repro.units import CACHELINE_BYTES
+from repro.units import GIB
 from repro.workloads.cloudsuite import PROFILES, WorkloadProfile
 
+#: The Figure 2 testbed (Section 5.1): 28 cores at 2.7 GHz over four
+#: DRAM channels of eight 2 GiB ranks, 16 banks each.  Both the
+#: analytical model below and the trace-driven sweep
+#: (:mod:`repro.sim.rank_sweep`) read these.
+CORES = 28
+CLOCK_GHZ = 2.7
+CORE_UTILIZATION = 0.85
+CHANNELS = 4
+RANKS_PER_CHANNEL = 8
+BANKS_PER_RANK = 16
+RANK_BYTES = 2 * GIB
+#: Mean bank service time of the analytical model.
+BANK_SERVICE_NS = 76.0
+#: Memory-level parallelism: outstanding misses per core.
+MLP = 2.5
 
-@dataclass(frozen=True)
-class PerfModelConfig:
-    """Machine parameters for the performance model.
 
-    Defaults model the Figure 2 testbed: 28 cores at 2.7 GHz over four
-    DRAM channels.
-    """
+def access_rate_per_channel(profile: WorkloadProfile) -> float:
+    """Post-cache accesses per second hitting one testbed channel."""
+    instr_per_s = (CORES * CLOCK_GHZ * 1e9 * profile.ipc
+                   * CORE_UTILIZATION)
+    return profile.mapki / 1000.0 * instr_per_s / CHANNELS
 
-    cores: int = 28
-    clock_ghz: float = 2.7
-    channels: int = 4
-    ranks_per_channel: int = 8
-    banks_per_rank: int = 16
-    bank_service_ns: float = 76.0
-    mlp: float = 2.5
-    core_utilization: float = 0.85
+
+def md1_wait_ns(arrival_per_s: float, service_ns: float) -> float:
+    """M/D/1 mean waiting time of one bank (utilisation capped at 0.95)."""
+    rho = min(0.95, arrival_per_s * service_ns * 1e-9)
+    return service_ns * rho / (2.0 * (1.0 - rho))
+
+
+def time_per_ki_ns(profile: WorkloadProfile, memory_latency_ns: float,
+                   queue_ns: float) -> float:
+    """CPI decomposition: execution time of 1000 instructions."""
+    core_ns = 1000.0 / (profile.ipc * CLOCK_GHZ)
+    amat = memory_latency_ns + queue_ns
+    return core_ns + profile.mapki * amat / MLP
 
 
 class PerformanceModel:
     """Execution-time estimates under different DRAM configurations."""
 
-    def __init__(self, config: PerfModelConfig | None = None):
-        self.config = config or PerfModelConfig()
-
     # -- components -----------------------------------------------------------------
 
-    def access_rate_per_channel(self, profile: WorkloadProfile) -> float:
-        """Post-cache accesses per second hitting one channel."""
-        config = self.config
-        instr_per_s = (config.cores * config.clock_ghz * 1e9 * profile.ipc
-                       * config.core_utilization)
-        return profile.mapki / 1000.0 * instr_per_s / config.channels
-
     def bank_queue_delay_ns(self, profile: WorkloadProfile,
-                            visible_ranks: int) -> float:
-        """M/D/1 mean waiting time at the banks of ``visible_ranks`` ranks."""
+                            visible_ranks: float) -> float:
+        """M/D/1 mean waiting time at the banks of ``visible_ranks`` ranks
+        (fractional counts interpolate the queue)."""
         if visible_ranks < 1:
             raise ValueError("need at least one visible rank")
-        config = self.config
-        banks = visible_ranks * config.banks_per_rank
-        arrival_per_bank = self.access_rate_per_channel(profile) / banks
-        rho = min(0.95, arrival_per_bank * config.bank_service_ns * 1e-9)
-        return config.bank_service_ns * rho / (2.0 * (1.0 - rho))
+        banks = visible_ranks * BANKS_PER_RANK
+        return md1_wait_ns(access_rate_per_channel(profile) / banks,
+                           BANK_SERVICE_NS)
 
     def time_per_kilo_instruction_ns(self, profile: WorkloadProfile,
-                                     visible_ranks: int,
+                                     visible_ranks: float,
                                      memory_latency_ns: float) -> float:
         """Execution time of 1000 instructions under the configuration."""
-        config = self.config
-        core_ns = 1000.0 / (profile.ipc * config.clock_ghz)
-        amat = memory_latency_ns + self.bank_queue_delay_ns(
-            profile, visible_ranks)
-        return core_ns + profile.mapki * amat / config.mlp
+        return time_per_ki_ns(profile, memory_latency_ns,
+                              self.bank_queue_delay_ns(profile,
+                                                       visible_ranks))
 
     # -- experiments -------------------------------------------------------------------
 
     def rank_sweep_slowdown(self, profile: WorkloadProfile,
                             active_ranks: int,
                             memory_latency_ns: float = NATIVE_DRAM_LATENCY_NS,
-                            baseline_ranks: int | None = None) -> float:
+                            ) -> float:
         """Figure 2: relative execution time with fewer active ranks.
 
-        Returns ``T(active) / T(baseline) - 1`` (positive = slower).
+        Returns ``T(active) / T(8 ranks) - 1`` (positive = slower).
         """
-        baseline = baseline_ranks or self.config.ranks_per_channel
-        t_base = self.time_per_kilo_instruction_ns(profile, baseline,
-                                                   memory_latency_ns)
+        t_base = self.time_per_kilo_instruction_ns(
+            profile, RANKS_PER_CHANNEL, memory_latency_ns)
         t_new = self.time_per_kilo_instruction_ns(profile, active_ranks,
                                                   memory_latency_ns)
         return t_new / t_base - 1.0
@@ -110,19 +113,11 @@ class PerformanceModel:
         a channel; without it, they cover only the ranks holding its data
         (``footprint_rank_share`` of the channel, at least one rank).
         """
-        total = self.config.ranks_per_channel
-        visible = max(1.0, footprint_rank_share * total)
+        visible = max(1.0, footprint_rank_share * RANKS_PER_CHANNEL)
         t_interleaved = self.time_per_kilo_instruction_ns(
-            profile, total, memory_latency_ns)
-        # Fractional visible ranks: interpolate the queue delay.
-        config = self.config
-        core_ns = 1000.0 / (profile.ipc * config.clock_ghz)
-        banks = visible * config.banks_per_rank
-        arrival_per_bank = self.access_rate_per_channel(profile) / banks
-        rho = min(0.95, arrival_per_bank * config.bank_service_ns * 1e-9)
-        queue = config.bank_service_ns * rho / (2.0 * (1.0 - rho))
-        t_no_interleave = core_ns + profile.mapki * (
-            memory_latency_ns + queue) / config.mlp
+            profile, RANKS_PER_CHANNEL, memory_latency_ns)
+        t_no_interleave = self.time_per_kilo_instruction_ns(
+            profile, visible, memory_latency_ns)
         return t_no_interleave / t_interleaved - 1.0
 
     # -- aggregates ----------------------------------------------------------------------
@@ -151,8 +146,10 @@ TRANSLATION_OVERHEAD = 0.0018
 
 
 __all__ = [
-    "PerfModelConfig",
     "PerformanceModel",
+    "access_rate_per_channel",
+    "md1_wait_ns",
+    "time_per_ki_ns",
     "INTERLEAVING_OFF_PENALTY_CXL",
     "TRANSLATION_OVERHEAD",
 ]

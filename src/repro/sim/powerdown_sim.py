@@ -28,7 +28,7 @@ from repro.core.config import DtlConfig
 from repro.core.controller import DtlController, VmHandle
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import EnergyAccumulator, PowerState
-from repro.host.scheduler import SchedulerConfig, VmScheduler
+from repro.host.scheduler import FIVE_MINUTES_S, SchedulerConfig, VmScheduler
 from repro.host.vm import VmSpec
 from repro.seeded import SeededConfig
 from repro.sim.perf_model import (INTERLEAVING_OFF_PENALTY_CXL,
@@ -65,12 +65,6 @@ class PowerDownSimConfig(SeededConfig):
     #: (see repro.policies.available_policies()).
     policy: str = "paper"
     seed: int = 0
-    #: Keep the per-interval timeseries (`intervals`, `window_snapshots`)
-    #: on the result.  Fleet shards turn this off: the records dominate
-    #: the result's pickled size, and every scalar the fleet aggregates
-    #: (energies, mean bandwidth/occupancy, final counters) is computed
-    #: identically either way.
-    keep_timeseries: bool = True
 
 
 @dataclass
@@ -105,9 +99,7 @@ class PowerDownResult:
     power_transitions: int
     execution_time_factor: float
     mean_active_ranks: float
-    #: Time-weighted means over the whole run — computed from running
-    #: sums, so they are present (and bit-identical) whether or not the
-    #: interval timeseries was kept.
+    #: Time-weighted means over the whole run, from running sums.
     mean_bandwidth_gbs: float = 0.0
     mean_reserved_bytes: float = 0.0
     telemetry: dict = field(default_factory=dict)
@@ -163,7 +155,6 @@ class PowerDownRunState:
     intervals: list[IntervalRecord]
     window_snapshots: list[dict]
     active_rank_samples: list[int]
-    interval_s: float
     end_s: float
     time_s: float = 0.0
     bandwidth_gbs: float = 0.0
@@ -209,7 +200,6 @@ class PowerDownSimulator(SteppedExperiment):
             events=list(schedule.events), event_index=0, handles={},
             energy=EnergyAccumulator(), intervals=[], window_snapshots=[],
             active_rank_samples=[],
-            interval_s=config.scheduler.sample_interval_s,
             end_s=config.scheduler.duration_s)
 
     def _apply_events_until(self, state: PowerDownRunState,
@@ -247,7 +237,7 @@ class PowerDownSimulator(SteppedExperiment):
         power_model = device.power_model
 
         time_s = state.time_s
-        interval_end = min(time_s + state.interval_s, state.end_s)
+        interval_end = min(time_s + FIVE_MINUTES_S, state.end_s)
         self._apply_events_until(state, interval_end)
         duration = interval_end - time_s
         counts = device.state_counts()
@@ -278,20 +268,18 @@ class PowerDownSimulator(SteppedExperiment):
         state.bandwidth_weighted += observed_gbs * duration
         state.reserved_weighted += reserved * duration
         state.duration_total += duration
-        if config.keep_timeseries:
-            state.intervals.append(IntervalRecord(
-                time_s=time_s, duration_s=duration,
-                reserved_bytes=reserved,
-                live_vms=len(state.handles),
-                active_ranks_per_channel=active_ranks,
-                background_power=background, active_power=active,
-                migration_power=migration_power,
-                bandwidth_gbs=observed_gbs))
+        state.intervals.append(IntervalRecord(
+            time_s=time_s, duration_s=duration,
+            reserved_bytes=reserved,
+            live_vms=len(state.handles),
+            active_ranks_per_channel=active_ranks,
+            background_power=background, active_power=active,
+            migration_power=migration_power,
+            bandwidth_gbs=observed_gbs))
         controller.end_window()
-        if config.keep_timeseries:
-            state.window_snapshots.append({
-                "time_s": interval_end,
-                "counters": controller.metrics.counter_values()})
+        state.window_snapshots.append({
+            "time_s": interval_end,
+            "counters": controller.metrics.counter_values()})
         state.time_s = interval_end
         return state.time_s < state.end_s
 

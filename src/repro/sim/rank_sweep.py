@@ -22,27 +22,15 @@ import numpy as np
 from repro.checkpoint import FanOut, FanOutState
 from repro.dram.banks import AddressDecoder, BankState
 from repro.dram.geometry import DramGeometry
-from repro.dram.timing import DDR4_2933, DramTiming, NATIVE_DRAM_LATENCY_NS
+from repro.dram.timing import (CXL_MEMORY_LATENCY_NS, DDR4_2933,
+                               NATIVE_DRAM_LATENCY_NS)
 from repro.exec import ExecConfig, TaskOutcome, TaskSpec, run_tasks
 from repro.seeded import SeededConfig
-from repro.units import GIB
+from repro.sim.perf_model import (BANKS_PER_RANK, CHANNELS, RANK_BYTES,
+                                  RANKS_PER_CHANNEL, access_rate_per_channel,
+                                  md1_wait_ns, time_per_ki_ns)
 from repro.workloads.cloudsuite import PROFILES, TraceGenerator, WorkloadProfile
 from repro.workloads.trace import Trace
-
-
-@dataclass(frozen=True)
-class RankSweepConfig:
-    """Machine parameters for the trace-driven sweep (Figure 2 testbed)."""
-
-    channels: int = 4
-    banks_per_rank: int = 16
-    rank_bytes: int = 2 * GIB
-    cores: int = 28
-    clock_ghz: float = 2.7
-    core_utilization: float = 0.85
-    mlp: float = 2.5
-    memory_latency_ns: float = NATIVE_DRAM_LATENCY_NS
-    timing: DramTiming = DDR4_2933
 
 
 @dataclass
@@ -57,47 +45,37 @@ class RankSweepPoint:
 
 
 class TraceRankSweep:
-    """Replay one workload's trace at several rank counts."""
+    """Replay one workload's trace at several rank counts of the
+    Figure 2 testbed (:mod:`repro.sim.perf_model`)."""
 
     def __init__(self, profile: WorkloadProfile,
-                 config: RankSweepConfig | None = None,
                  num_accesses: int = 60_000,
                  seed: int = 0):
         self.profile = profile
-        self.config = config or RankSweepConfig()
         # The working set spans the full 8-rank configuration; shrinking
         # the rank count folds the same footprint onto fewer ranks.
         generator = TraceGenerator(
             profile,
-            footprint_bytes=(self.config.channels * self.config.rank_bytes
-                             * 8),
+            footprint_bytes=CHANNELS * RANK_BYTES * RANKS_PER_CHANNEL,
             seed=seed)
         self.trace: Trace = generator.generate(num_accesses)
 
     # -- measurement -------------------------------------------------------------
 
-    def _arrival_rate_per_channel(self) -> float:
-        config = self.config
-        instr_per_s = (config.cores * config.clock_ghz * 1e9
-                       * self.profile.ipc * config.core_utilization)
-        return (self.profile.mapki / 1000.0 * instr_per_s
-                / config.channels)
-
     def measure(self, active_ranks: int) -> RankSweepPoint:
         """Replay the trace with the footprint folded onto ``active_ranks``."""
-        config = self.config
         geometry = DramGeometry(
-            channels=config.channels,
+            channels=CHANNELS,
             ranks_per_channel=max(1, active_ranks),
-            banks_per_rank=config.banks_per_rank,
-            rank_bytes=config.rank_bytes)
+            banks_per_rank=BANKS_PER_RANK,
+            rank_bytes=RANK_BYTES)
         decoder = AddressDecoder(geometry, mapping="dtl")
         banks = BankState(geometry)
         # Fold the trace's footprint into the shrunken capacity, exactly
         # what happens when fewer ranks back the same working set.
         addresses = (self.trace.addresses
                      % np.uint64(geometry.total_bytes)).astype(np.int64)
-        timing = config.timing
+        timing = DDR4_2933
         channels, ranks, bank_ids, rows = decoder.decode_batch(addresses)
         indices = banks.bank_index_batch(channels, ranks, bank_ids)
         hits, misses, conflicts = banks.access_batch(indices, rows)
@@ -107,29 +85,26 @@ class TraceRankSweep:
                        * timing.row_conflict_latency_ns())
         channel0 = channels == 0
         per_bank = np.bincount(
-            ranks[channel0] * config.banks_per_rank + bank_ids[channel0],
-            minlength=geometry.ranks_per_channel * config.banks_per_rank)
+            ranks[channel0] * BANKS_PER_RANK + bank_ids[channel0],
+            minlength=geometry.ranks_per_channel * BANKS_PER_RANK)
         total = len(addresses)
         mean_service = service_sum / total
         # Per-bank arrival rates, shaped by the measured imbalance.
-        arrival = self._arrival_rate_per_channel()
+        arrival = access_rate_per_channel(self.profile)
         channel_total = max(1, int(per_bank.sum()))
         queue_sum = 0.0
         for count in per_bank:
-            bank_arrival = arrival * count / channel_total
-            rho = min(0.95, bank_arrival * mean_service * 1e-9)
-            queue = mean_service * rho / (2.0 * (1.0 - rho))
+            queue = md1_wait_ns(arrival * count / channel_total,
+                                mean_service)
             queue_sum += queue * count
         mean_queue = queue_sum / channel_total
-        core_ns = 1000.0 / (self.profile.ipc * config.clock_ghz)
-        amat = config.memory_latency_ns + mean_queue
-        time_per_ki = core_ns + self.profile.mapki * amat / config.mlp
         return RankSweepPoint(
             active_ranks=active_ranks,
             row_hit_ratio=banks.stats.hit_ratio,
             mean_service_ns=mean_service,
             mean_queue_ns=mean_queue,
-            time_per_ki_ns=time_per_ki)
+            time_per_ki_ns=time_per_ki_ns(
+                self.profile, NATIVE_DRAM_LATENCY_NS, mean_queue))
 
     def measure_tasks(self, rank_counts: tuple[int, ...]) -> list[TaskSpec]:
         """One executor task per power-of-two count ``rank_counts`` needs."""
@@ -193,19 +168,13 @@ def _interpolate(ranks: int, low: RankSweepPoint,
 
 @dataclass(frozen=True)
 class TraceRankSweepConfig(SeededConfig):
-    """Everything one sweep experiment needs, as a single config.
-
-    Wraps the machine parameters (:class:`RankSweepConfig`) together
-    with the workload, trace length, rank counts, and seed that the
-    :class:`TraceRankSweep` constructor used to take positionally — the
-    shape the experiment registry and the result cache key off.
-    """
+    """Everything one sweep experiment needs, as a single config: the
+    workload, trace length, rank counts and seed (the machine is the
+    Figure 2 testbed, whose 8 ranks are the baseline)."""
 
     workload: str = "graph-analytics"
-    machine: RankSweepConfig = field(default_factory=RankSweepConfig)
     num_accesses: int = 60_000
     rank_counts: tuple[int, ...] = (8, 6, 4, 2)
-    baseline_ranks: int = 8
     seed: int = 0
 
 
@@ -217,8 +186,8 @@ class TraceRankSweepResult:
     points: dict[int, RankSweepPoint]
 
     def slowdowns(self) -> dict[int, float]:
-        """Relative execution-time change vs the baseline rank count."""
-        base = self.points[self.config.baseline_ranks].time_per_ki_ns
+        """Relative execution-time change vs the testbed's 8 ranks."""
+        base = self.points[RANKS_PER_CHANNEL].time_per_ki_ns
         return {ranks: self.points[ranks].time_per_ki_ns / base - 1.0
                 for ranks in self.config.rank_counts}
 
@@ -253,11 +222,10 @@ class RankSweepExperiment(FanOut):
     def begin(self) -> "RankSweepRunState":
         """Generate the trace and plan the measurements."""
         config = self.config
-        sweep = TraceRankSweep(PROFILES[config.workload], config.machine,
+        sweep = TraceRankSweep(PROFILES[config.workload],
                                num_accesses=config.num_accesses,
                                seed=config.seed)
-        counts = tuple(sorted(set(config.rank_counts)
-                              | {config.baseline_ranks}))
+        counts = tuple(sorted(set(config.rank_counts) | {RANKS_PER_CHANNEL}))
         return RankSweepRunState(counts=counts,
                                  tasks=sweep.measure_tasks(counts))
 
@@ -283,7 +251,6 @@ class RankSweepRunState(FanOutState):
 
 
 def interleaving_comparison(profile: WorkloadProfile,
-                            config: RankSweepConfig | None = None,
                             num_accesses: int = 30_000,
                             footprint_ranks: int = 1,
                             seed: int = 0) -> dict[str, float]:
@@ -298,22 +265,14 @@ def interleaving_comparison(profile: WorkloadProfile,
     Returns:
         ``{"local": slowdown, "cxl": slowdown}``.
     """
-    from repro.dram.timing import CXL_MEMORY_LATENCY_NS
-    config = config or RankSweepConfig()
-    sweep = TraceRankSweep(profile, config, num_accesses, seed)
-    interleaved = sweep.measure(8)  # load spread over every rank
-    concentrated = sweep.measure(footprint_ranks)
-    results = {}
-    for label, latency in (("local", config.memory_latency_ns),
-                           ("cxl", CXL_MEMORY_LATENCY_NS)):
-        core_ns = 1000.0 / (profile.ipc * config.clock_ghz)
-
-        def time_ns(point):
-            amat = latency + point.mean_queue_ns
-            return core_ns + profile.mapki * amat / config.mlp
-
-        results[label] = time_ns(concentrated) / time_ns(interleaved) - 1.0
-    return results
+    sweep = TraceRankSweep(profile, num_accesses, seed)
+    # Load spread over every rank, and concentrated on the footprint's.
+    interleaved = sweep.measure(RANKS_PER_CHANNEL).mean_queue_ns
+    concentrated = sweep.measure(footprint_ranks).mean_queue_ns
+    return {label: time_per_ki_ns(profile, latency, concentrated)
+            / time_per_ki_ns(profile, latency, interleaved) - 1.0
+            for label, latency in (("local", NATIVE_DRAM_LATENCY_NS),
+                                   ("cxl", CXL_MEMORY_LATENCY_NS))}
 
 
 def _workload_slowdown(name: str, seed: int, active_ranks: int,
@@ -346,7 +305,6 @@ def mean_trace_driven_slowdown(active_ranks: int,
 
 
 __all__ = [
-    "RankSweepConfig",
     "RankSweepPoint",
     "TraceRankSweep",
     "TraceRankSweepConfig",

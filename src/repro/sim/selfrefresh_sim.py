@@ -24,7 +24,7 @@ A crucial replay-boost effect is modelled explicitly: at >30 GB/s the
 paper's 10 M-instruction coldness horizon is only ~0.3 ms of wall time,
 so even "cold" resident data is touched occasionally.  The simulator
 gives frozen segments a small constant touch rate
-(``frozen_touch_rate_hz``); free segments are never touched.  This is
+(:data:`FROZEN_TOUCH_RATE_HZ`); free segments are never touched.  This is
 what makes high-utilisation configurations (240 GB) struggle to keep a
 victim rank quiet, exactly as in the paper.
 """
@@ -47,6 +47,10 @@ from repro.units import CACHELINE_BYTES, GIB, MIB, NS_PER_MS, NS_PER_S
 from repro.workloads.cloudsuite import PROFILES, TRACED_BENCHMARKS, TraceGenerator
 from repro.workloads.drift import DriftConfig, DriftingWorkload
 
+#: Touch rate of each shallow-frozen (cold-resident) segment under
+#: replay boost.
+FROZEN_TOUCH_RATE_HZ = 8.0
+
 
 @dataclass(frozen=True)
 class SelfRefreshSimConfig(SeededConfig):
@@ -65,8 +69,6 @@ class SelfRefreshSimConfig(SeededConfig):
             scaled from the paper's 30 GB/s by the capacity ratio.
         step_ns: Simulation step; also the profiling-threshold default.
         duration_s: Simulated wall time.
-        frozen_touch_rate_hz: Touch rate of each frozen (cold-resident)
-            segment under replay boost.
         seed: RNG seed.
     """
 
@@ -78,7 +80,6 @@ class SelfRefreshSimConfig(SeededConfig):
     step_ns: float = 50 * NS_PER_MS
     window_ns: float = 0.5 * NS_PER_MS
     duration_s: float = 90.0
-    frozen_touch_rate_hz: float = 8.0
     au_bytes: int = 512 * MIB
     group_granularity: int = 2
     #: Optional hot-set drift (None = the paper's stable-pattern regime).
@@ -305,8 +306,7 @@ class SelfRefreshSimulator(SteppedExperiment):
             # Shallow-frozen segments: at the boosted replay rate, even
             # nominally cold data is touched occasionally; only the
             # deep-cold tier stays quiet.
-            seg_rates[generator.shallow_frozen_segments] = \
-                config.frozen_touch_rate_hz
+            seg_rates[generator.shallow_frozen_segments] = FROZEN_TOUCH_RATE_HZ
             seg_rates[generator.deep_cold_segments] = 0.0
             rates.append(seg_rates)
         rates_hz = np.concatenate(rates)

@@ -29,36 +29,33 @@ from repro.host.vm import VmSpec
 from repro.units import GIB
 from repro.workloads.cloudsuite import PROFILES
 
-FIVE_MINUTES_S = 300.0
+#: vMemory per vCPU (GiB) and lifetime (minutes) of the published Azure
+#: dataset shape, as ``(values, probabilities)`` pairs.
+GIB_PER_VCPU_VALUES = (2, 4, 8)
+GIB_PER_VCPU_PROBS = (0.32, 0.40, 0.28)
+LIFETIME_MINUTES_VALUES = (5, 10, 15, 20, 30, 60, 120, 240, 360)
+LIFETIME_MINUTES_PROBS = (
+    0.40, 0.22, 0.10, 0.08, 0.08, 0.06, 0.04, 0.015, 0.005)
 
 
 @dataclass(frozen=True)
 class AzureTraceConfig:
     """Knobs of the synthetic Azure VM trace.
 
-    Distributions default to the published Azure dataset shape; all are
-    ``(values, probabilities)`` pairs.
+    The vCPU distribution defaults to the published Azure dataset shape,
+    as a ``(values, probabilities)`` pair.
     """
 
     num_vms: int = 400
     duration_s: float = 6 * 3600.0
     vcpu_values: tuple[int, ...] = (1, 2, 4, 8, 16, 24)
     vcpu_probs: tuple[float, ...] = (0.40, 0.28, 0.18, 0.09, 0.04, 0.01)
-    gib_per_vcpu_values: tuple[int, ...] = (2, 4, 8)
-    gib_per_vcpu_probs: tuple[float, ...] = (0.32, 0.40, 0.28)
-    lifetime_minutes_values: tuple[int, ...] = (
-        5, 10, 15, 20, 30, 60, 120, 240, 360)
-    lifetime_minutes_probs: tuple[float, ...] = (
-        0.40, 0.22, 0.10, 0.08, 0.08, 0.06, 0.04, 0.015, 0.005)
 
     def __post_init__(self) -> None:
-        for name in ("vcpu", "gib_per_vcpu", "lifetime_minutes"):
-            values = getattr(self, f"{name}_values")
-            probs = getattr(self, f"{name}_probs")
-            if len(values) != len(probs):
-                raise ValueError(f"{name}: values/probs length mismatch")
-            if abs(sum(probs) - 1.0) > 1e-9:
-                raise ValueError(f"{name}: probabilities must sum to 1")
+        if len(self.vcpu_values) != len(self.vcpu_probs):
+            raise ValueError("vcpu: values/probs length mismatch")
+        if abs(sum(self.vcpu_probs) - 1.0) > 1e-9:
+            raise ValueError("vcpu: probabilities must sum to 1")
 
     def mean_vcpus(self) -> float:
         """Expected vCPUs per VM."""
@@ -67,13 +64,13 @@ class AzureTraceConfig:
     def mean_memory_bytes(self) -> float:
         """Expected vMemory per VM."""
         return (self.mean_vcpus()
-                * float(np.dot(self.gib_per_vcpu_values,
-                               self.gib_per_vcpu_probs)) * GIB)
+                * float(np.dot(GIB_PER_VCPU_VALUES, GIB_PER_VCPU_PROBS))
+                * GIB)
 
     def mean_lifetime_s(self) -> float:
         """Expected VM lifetime in seconds."""
-        return float(np.dot(self.lifetime_minutes_values,
-                            self.lifetime_minutes_probs)) * 60.0
+        return float(np.dot(LIFETIME_MINUTES_VALUES,
+                            LIFETIME_MINUTES_PROBS)) * 60.0
 
 
 def generate_vm_trace(config: AzureTraceConfig | None = None,
@@ -91,10 +88,10 @@ def generate_vm_trace(config: AzureTraceConfig | None = None,
            else np.random.default_rng(seed))
     n = config.num_vms
     vcpus = rng.choice(config.vcpu_values, size=n, p=config.vcpu_probs)
-    gib_per_vcpu = rng.choice(config.gib_per_vcpu_values, size=n,
-                              p=config.gib_per_vcpu_probs)
-    lifetimes = rng.choice(config.lifetime_minutes_values, size=n,
-                           p=config.lifetime_minutes_probs) * 60.0
+    gib_per_vcpu = rng.choice(GIB_PER_VCPU_VALUES, size=n,
+                              p=GIB_PER_VCPU_PROBS)
+    lifetimes = rng.choice(LIFETIME_MINUTES_VALUES, size=n,
+                           p=LIFETIME_MINUTES_PROBS) * 60.0
     arrivals = np.sort(rng.uniform(0.0, config.duration_s, size=n))
     workloads = rng.choice(sorted(PROFILES), size=n)
     specs = [
@@ -109,4 +106,4 @@ def generate_vm_trace(config: AzureTraceConfig | None = None,
     return specs
 
 
-__all__ = ["FIVE_MINUTES_S", "AzureTraceConfig", "generate_vm_trace"]
+__all__ = ["AzureTraceConfig", "generate_vm_trace"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.ramzzz import RamzzzConfig, RamzzzPolicy
+from repro.baselines.ramzzz import EPOCH_NS, RamzzzConfig, RamzzzPolicy
 from repro.core.addressing import HostAddressLayout
 from repro.core.allocator import SegmentAllocator
 from repro.core.tables import TranslationTables
@@ -58,7 +58,7 @@ class TestWindowedContract:
         replay loop itself used to count out."""
         policy, _ = make_policy()
         step_ns = 50e6
-        epoch_steps = max(1, int(policy.config.epoch_ns / step_ns))
+        epoch_steps = max(1, int(EPOCH_NS / step_ns))
         fired = []
         for step in range(1, 21):
             before = policy.epoch_index

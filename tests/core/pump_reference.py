@@ -72,12 +72,12 @@ def on_migration_copy(injector: FaultInjector, request,
     The one-visit case of :meth:`FaultInjector.on_migration_copies`.
     Asked only while ``request.completion`` is clear: once the bit is
     set, foreground writes already go to the new DSN and an abort would
-    lose them, so a visit past it counts as a data-loss event instead.
+    lose them.  :func:`step_channel` retires a completed copy before it
+    asks, so a visit past the bit is a pump bug and raises.
     """
     if request.completion:
-        injector._visits[HookPoint.MIGRATION_COPY] += 1
-        injector.data_loss_events += 1
-        return False
+        raise AssertionError(
+            "migration.copy asked about a copy past its completion bit")
     spec = injector._copy_visit(request.lines_done, channel)
     if spec is None:
         return False

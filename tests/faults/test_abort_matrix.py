@@ -103,7 +103,6 @@ class TestAbortMatrix:
         assert request.completion
         controller.migration.drain()
         assert injector.injected(HookPoint.MIGRATION_COPY) == 0
-        assert injector.data_loss_events == 0
         assert controller.tables.try_walk(hsn) == new_dsn
         check(controller)
 

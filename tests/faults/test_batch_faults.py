@@ -64,7 +64,6 @@ def injector_state(injector: FaultInjector) -> dict:
         "ecc_uncorrected": injector.ecc_uncorrected,
         "cxl_retry_counts": dict(injector.cxl_retry_counts),
         "power_exit_failures": injector.power_exit_failures,
-        "data_loss_events": injector.data_loss_events,
     }
 
 

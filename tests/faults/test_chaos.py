@@ -38,7 +38,6 @@ class TestChaosSoak:
         assert result.ok
         report = result.report
         assert report.checker_violations == []
-        assert report.data_loss_events == 0
         assert report.checker_audits > 0
         assert report.injected_total > 0
         # Every escalation level contributes a sub-report.
@@ -66,7 +65,6 @@ class TestChaosSoak:
         # level: the golden predates it by those two audits.
         assert report.checker_audits == 22
         assert report.checker_violations == []
-        assert report.data_loss_events == 0
 
     def test_base_plan_covers_every_hook_family(self):
         from repro.faults.plan import (CxlLinkFault, EccFault,
@@ -92,7 +90,6 @@ class TestChaosSoak:
         record = result.to_record()
         assert record.experiment == "chaos"
         assert record.metrics["checker_violations"] == 0
-        assert record.metrics["data_loss_events"] == 0
         assert record.metrics["faults_injected"] > 0
         assert record.paper["checker_violations"] == 0
 

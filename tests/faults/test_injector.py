@@ -153,8 +153,9 @@ class TestMigrationHook:
             completion = True
             lines_done = 8
 
-        assert on_migration_copy(injector, _Done(), channel=0) is False
-        assert injector.data_loss_events == 1
+        with pytest.raises(AssertionError, match="completion bit"):
+            on_migration_copy(injector, _Done(), channel=0)
+        assert injector.injected(HookPoint.MIGRATION_COPY) == 0
 
 
 class TestPowerExitHook:

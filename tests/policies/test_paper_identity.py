@@ -157,6 +157,5 @@ class TestChaosWithNonDefaultPolicy:
         report = result.report
         assert report.injected_total > 0
         assert not report.checker_violations
-        assert report.data_loss_events == 0
         assert result.ok
         assert result.config.dtl.policy == policy

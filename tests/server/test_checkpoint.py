@@ -137,11 +137,12 @@ def test_refused_restore_leaves_the_server_untouched(tmp_path, write_file,
 def test_look_ahead_tallies_stay_out_of_the_checkpoint(tmp_path):
     """``lookaheads`` / ``lookahead_calls`` depend on arrival timing, so
     they are neither fingerprinted nor pickled: they add no field to
-    the blob (the format version is 14 for the event ring's segments,
-    was 13 for the fan-outs' shared run state and 12 for the migration
-    engine's weak completion callback, docs/CHECKPOINT.md, not for
-    them), and a server restored from it starts its tallies again."""
-    assert CHECKPOINT_VERSION == 14
+    the blob (the format version is 15 for the config fields that
+    became constants, was 14 for the event ring's segments, 13 for the
+    fan-outs' shared run state and 12 for the migration engine's weak
+    completion callback, docs/CHECKPOINT.md, not for them), and a server
+    restored from it starts its tallies again."""
+    assert CHECKPOINT_VERSION == 15
     path = str(tmp_path / "server.ckpt")
     ops = script()
     accesses = [op for op in ops if op["op"] == "access_batch"]

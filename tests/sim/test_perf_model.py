@@ -4,8 +4,8 @@ import pytest
 
 from repro.dram.timing import CXL_MEMORY_LATENCY_NS, NATIVE_DRAM_LATENCY_NS
 from repro.sim.perf_model import (INTERLEAVING_OFF_PENALTY_CXL,
-                                  PerfModelConfig, PerformanceModel,
-                                  TRANSLATION_OVERHEAD)
+                                  PerformanceModel, TRANSLATION_OVERHEAD,
+                                  access_rate_per_channel)
 from repro.workloads.cloudsuite import PROFILES
 
 
@@ -72,9 +72,9 @@ class TestComponents:
             model.time_per_kilo_instruction_ns(
                 profile, 8, NATIVE_DRAM_LATENCY_NS)
 
-    def test_access_rate_scales_with_mapki(self, model):
-        assert model.access_rate_per_channel(PROFILES["graph-analytics"]) > \
-            model.access_rate_per_channel(PROFILES["web-search"])
+    def test_access_rate_scales_with_mapki(self):
+        assert access_rate_per_channel(PROFILES["graph-analytics"]) > \
+            access_rate_per_channel(PROFILES["web-search"])
 
 
 class TestPaperConstants:

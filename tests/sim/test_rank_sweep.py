@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dram.timing import DDR4_2933
 from repro.sim.rank_sweep import (RankSweepExperiment, TraceRankSweep,
                                   TraceRankSweepConfig,
                                   mean_trace_driven_slowdown)
@@ -36,7 +37,7 @@ class TestMeasurement:
 
     def test_service_time_plausible(self, sweep):
         point = sweep.measure(4)
-        timing = sweep.config.timing
+        timing = DDR4_2933
         assert timing.row_hit_latency_ns() < point.mean_service_ns \
             <= timing.row_conflict_latency_ns()
 

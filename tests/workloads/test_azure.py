@@ -5,6 +5,7 @@ import pytest
 
 from repro.host.scheduler import VmScheduler
 from repro.units import GIB
+from repro.workloads import azure
 from repro.workloads.azure import AzureTraceConfig, generate_vm_trace
 from repro.workloads.cloudsuite import PROFILES
 
@@ -20,6 +21,13 @@ class TestConfig:
             AzureTraceConfig(vcpu_probs=(0.5, 0.5, 0.1, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             AzureTraceConfig(vcpu_values=(1, 2), vcpu_probs=(1.0,))
+
+    @pytest.mark.parametrize("name", ["GIB_PER_VCPU", "LIFETIME_MINUTES"])
+    def test_fixed_distributions_are_distributions(self, name):
+        values = getattr(azure, f"{name}_VALUES")
+        probs = getattr(azure, f"{name}_PROBS")
+        assert len(values) == len(probs)
+        assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_moments(self):
         config = AzureTraceConfig()
