@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 from repro import DtlConfig, DtlController
 from repro.dram import DramGeometry, PowerState
-from repro.units import GIB, MIB
+from repro.units import GIB, MIB, ns_to_s, s_to_ns
 
 def census(controller: DtlController) -> str:
     counts = controller.device.state_counts()
@@ -47,11 +47,11 @@ def main() -> None:
           f"in {batch.latency_ns[2]:.1f} ns")
 
     # Deallocate VM-A: the policy consolidates and powers down rank-groups.
-    transitions = controller.deallocate_vm(vm_a, now_s=60.0)
+    transitions = controller.deallocate_vm(vm_a, now_ns=s_to_ns(60.0))
     print(f"\nVM-A deallocated -> {len(transitions)} power transitions:")
     for transition in transitions:
         ranks = ", ".join(f"ch{c}r{r}" for c, r in transition.rank_ids)
-        print(f"  t={transition.time_s:.0f}s  [{ranks}] -> "
+        print(f"  t={ns_to_s(transition.time_ns):.0f}s  [{ranks}] -> "
               f"{transition.new_state.value} "
               f"(migrated {transition.migrated_bytes // MIB} MiB)")
 

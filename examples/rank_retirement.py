@@ -11,7 +11,7 @@ Run:  python examples/rank_retirement.py
 
 from repro import DtlConfig, DtlController
 from repro.dram import DramGeometry
-from repro.units import GIB, MIB
+from repro.units import GIB, MIB, s_to_ns
 
 def show(controller: DtlController, label: str) -> None:
     counts = controller.device.state_counts()
@@ -34,7 +34,7 @@ def main() -> None:
 
     tenants = [controller.allocate_vm(host_id=index,
                                       reserved_bytes=(2 + index) * GIB,
-                                      now_s=float(index))
+                                      now_ns=s_to_ns(index))
                for index in range(4)]
     show(controller, "4 tenants placed")
     before = [controller.access_batch(vm.host_id, tenant_hpas(controller, vm))
@@ -43,7 +43,7 @@ def main() -> None:
     # A rank holding tenant data starts throwing correctable errors:
     # retire it live.
     victim = (int(before[0].channels[0]), int(before[0].ranks[0]))
-    record = controller.retire_rank(*victim, now_s=20.0)
+    record = controller.retire_rank(*victim, now_ns=s_to_ns(20.0))
     print(f"\nRetired rank (ch{victim[0]}, r{victim[1]}): migrated "
           f"{record.migrated_segments} segments "
           f"({record.migrated_bytes / MIB:.0f} MiB) transparently")

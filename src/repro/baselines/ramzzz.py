@@ -81,7 +81,7 @@ class RamzzzPolicy:
 
     # -- access path -----------------------------------------------------------
 
-    def on_batch(self, dsns: np.ndarray, now_ns: float,
+    def on_batch(self, dsns: np.ndarray, now_ns: int,
                  bit_dsns: np.ndarray | None = None) -> float:
         """Record one window's distinct touched segments; wake SR ranks.
 
@@ -102,7 +102,7 @@ class RamzzzPolicy:
             if rank_obj.state is PowerState.SELF_REFRESH:
                 penalty = max(penalty, self.device.wake_block(
                     channel, rank, self.config.victim_granularity,
-                    now_ns / 1e9)[0])
+                    now_ns)[0])
                 self.wakeups += 1
                 self.events.append(SelfRefreshEvent(
                     time_ns=now_ns, channel=channel, kind="exit_sr",
@@ -114,7 +114,7 @@ class RamzzzPolicy:
     def end_window(self) -> None:
         """Windowed-contract hook; RAMZzz keeps no per-window state."""
 
-    def tick(self, now_ns: float) -> None:
+    def tick(self, now_ns: int) -> None:
         """Windowed-contract timer: reorganise once ``now_ns`` reaches
         the end of the current epoch."""
         if now_ns // EPOCH_NS > self.epoch_index:
@@ -126,7 +126,7 @@ class RamzzzPolicy:
         return int(self.segment_counts[
             self.layout.rank_dsns(channel, rank)].sum())
 
-    def end_epoch(self, now_ns: float) -> int:
+    def end_epoch(self, now_ns: int) -> int:
         """Reorganise and demote; returns ranks demoted this epoch."""
         self.epoch_index += 1
         demoted = 0
@@ -144,7 +144,7 @@ class RamzzzPolicy:
                 for rank in coldest:
                     self.device.set_rank_state((channel, rank),
                                                PowerState.SELF_REFRESH,
-                                               now_ns / 1e9)
+                                               now_ns)
                 self.demotions += 1
                 self.events.append(SelfRefreshEvent(
                     time_ns=now_ns, channel=channel, kind="enter_sr",
@@ -154,7 +154,7 @@ class RamzzzPolicy:
         return demoted
 
     def _evict_hot_segments(self, channel: int, block: tuple[int, ...],
-                            now_ns: float) -> None:
+                            now_ns: int) -> None:
         """Swap the block's hottest segments with cold ones elsewhere.
 
         Without allocation knowledge, candidates are chosen purely by

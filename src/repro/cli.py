@@ -238,12 +238,12 @@ def _quickstart_snapshot():
     from repro.core.config import DtlConfig
     from repro.core.controller import DtlController
     from repro.dram.geometry import DramGeometry
-    from repro.units import MIB
+    from repro.units import MIB, s_to_ns
 
     controller = DtlController(DtlConfig(
         geometry=DramGeometry(rank_bytes=1 * GIB), au_bytes=512 * MIB))
-    vm_a = controller.allocate_vm(0, 4 * GIB, now_s=0.0)
-    vm_b = controller.allocate_vm(1, 2 * GIB, now_s=1.0)
+    vm_a = controller.allocate_vm(0, 4 * GIB, now_ns=0)
+    vm_b = controller.allocate_vm(1, 2 * GIB, now_ns=s_to_ns(1.0))
     # One cold streaming pass, then a hot working set (SMC hits).
     offsets = range(16)
     controller.access_batch(
@@ -252,9 +252,9 @@ def _quickstart_snapshot():
         writes=[offset % 4 == 0 for _ in vm_a.au_ids for offset in offsets])
     hot = [controller.hpa_of(vm_b.au_ids[0], offset) for offset in offsets]
     controller.access_batch(1, hot * 4)
-    controller.deallocate_vm(vm_a, now_s=100.0)
+    controller.deallocate_vm(vm_a, now_ns=s_to_ns(100.0))
     controller.end_window()
-    return controller.telemetry_snapshot(now_s=200.0)
+    return controller.telemetry_snapshot(now_ns=s_to_ns(200.0))
 
 
 def _watch_stats(args: argparse.Namespace) -> None:
@@ -318,10 +318,7 @@ def cmd_serve(args: argparse.Namespace) -> list[ExperimentRecord]:
         chaos=not args.no_chaos, telemetry_path=args.telemetry,
         telemetry_interval_s=args.telemetry_interval,
         checkpoint_path=args.checkpoint, seed=args.seed)
-    try:
-        code = serve_forever(config, resume=args.resume)
-    except CheckpointError as exc:  # a refused --resume, not a crash
-        raise SystemExit(f"repro serve: {exc}") from None
+    code = serve_forever(config, resume=args.resume)
     if code:
         raise SystemExit(code)
     return []
@@ -489,10 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code (1 when a record
-    reports ``ok: False``)."""
+    reports ``ok: False``, or one stderr line for a refused --resume)."""
     args = build_parser().parse_args(argv)
     names = ALL_COMMANDS if args.command == "all" else (args.command,)
-    records = run_commands(names, args)
+    try:
+        records = run_commands(names, args)
+    except CheckpointError as exc:  # a refused --resume, not a crash
+        raise SystemExit(f"repro {args.command}: {exc}") from None
     if args.output:
         path = save_records(records, args.output)
         print(f"\nWrote {len(records)} records to {path}")

@@ -187,7 +187,7 @@ class SegmentAllocator:
             self._roles[self._row_of[rank_id]] = role
 
     def park(self, device: DramDevice, rank_ids: list[RankId],
-             state: PowerState, now_s: float,
+             state: PowerState, now_ns: int,
              role: RankRole = RankRole.PARKED) -> float:
         """Close ``rank_ids`` with ``role`` and move them to ``state`` —
         the one way into a state that loses data.  Returns the largest
@@ -203,7 +203,7 @@ class SegmentAllocator:
                     f"rank {rank_id} holds {self.usage(rank_id).allocated} "
                     f"allocated segments; {state.name} would lose them")
         self.set_role(rank_ids, role)
-        return max((device.set_rank_state(rank_id, state, now_s)
+        return max((device.set_rank_state(rank_id, state, now_ns)
                     for rank_id in rank_ids), default=0.0)
 
     def _check_open(self, row: int) -> None:

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.addressing import DEFAULT_AU_BYTES, DEFAULT_MAX_HOSTS
+from repro.core.addressing import DEFAULT_AU_BYTES
 from repro.core.segment_cache import SegmentCacheConfig
 from repro.dram.geometry import DramGeometry, PAPER_1TB_GEOMETRY
 from repro.errors import ConfigurationError
 from repro.units import MIB, NS_PER_MS
 
 #: Self-refresh access-count window (0.5 ms, Section 3.4).
-DEFAULT_WINDOW_NS = 0.5 * NS_PER_MS
+DEFAULT_WINDOW_NS = NS_PER_MS // 2
 #: Quiet time required before a victim rank migrates + sleeps (50 ms).
 DEFAULT_PROFILING_THRESHOLD_NS = 50 * NS_PER_MS
 #: TSP entries examined per search; the paper bounds the search at 40 ns,
@@ -26,7 +26,6 @@ class DtlConfig:
     Attributes:
         geometry: DRAM geometry behind the CXL controller.
         au_bytes: Allocation-unit size (2 GiB default).
-        max_hosts: Hosts sharing the device (16, Table 5).
         cache: Segment mapping cache sizing.
         enable_power_down: Run the rank-level power-down policy.
         enable_self_refresh: Run the hotness-aware self-refresh policy.
@@ -46,14 +45,13 @@ class DtlConfig:
 
     geometry: DramGeometry = PAPER_1TB_GEOMETRY
     au_bytes: int = DEFAULT_AU_BYTES
-    max_hosts: int = DEFAULT_MAX_HOSTS
     cache: SegmentCacheConfig = field(default_factory=SegmentCacheConfig)
     enable_power_down: bool = True
     enable_self_refresh: bool = True
     group_granularity: int = 1
     min_active_groups: int = 1
-    window_ns: float = DEFAULT_WINDOW_NS
-    profiling_threshold_ns: float = DEFAULT_PROFILING_THRESHOLD_NS
+    window_ns: int = DEFAULT_WINDOW_NS
+    profiling_threshold_ns: int = DEFAULT_PROFILING_THRESHOLD_NS
     tsp_scan_limit: int = DEFAULT_TSP_SCAN_LIMIT
     sr_victim_granularity: int = 1
     #: When True, consolidation copies use idle bandwidth granted through
@@ -87,7 +85,7 @@ def small_dtl_config(policy: str = "paper") -> DtlConfig:
                               rank_bytes=16 * MIB,
                               segment_bytes=128 * 1024),
         au_bytes=1 * MIB,
-        profiling_threshold_ns=200_000.0,
+        profiling_threshold_ns=200_000,
         background_migration=True,
         policy=policy)
 

@@ -139,7 +139,10 @@ class LookAhead:
 
 
 class DtlController:
-    """Software-transparent DRAM translation layer in a CXL controller."""
+    """Software-transparent DRAM translation layer in a CXL controller.
+
+    Times are ``now_ns``, the integer-nanosecond clock (``repro.units``).
+    """
 
     def __init__(self, config: DtlConfig | None = None,
                  cxl_latency_ns: float = CXL_MEMORY_LATENCY_NS,
@@ -154,9 +157,8 @@ class DtlController:
         # datapath with zero telemetry overhead (see docs/PERF.md).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.trace = trace if trace is not None else EventTrace()
-        self.host_layout = HostAddressLayout(
-            geometry, au_bytes=self.config.au_bytes,
-            max_hosts=self.config.max_hosts)
+        self.host_layout = HostAddressLayout(geometry,
+                                             au_bytes=self.config.au_bytes)
         self.device_layout = DeviceAddressLayout(geometry)
         self.device = DramDevice(geometry=geometry)
         self.device.attach_telemetry(self.metrics, self.trace)
@@ -267,7 +269,7 @@ class DtlController:
         return max(1, -(-num_bytes // au))
 
     def allocate_vm(self, host_id: int, reserved_bytes: int,
-                    now_s: float = 0.0) -> VmHandle:
+                    now_ns: int = 0) -> VmHandle:
         """Reserve memory for a new VM (rounded up to whole AUs).
 
         If the active ranks lack capacity, powered-down rank-groups exit
@@ -276,7 +278,7 @@ class DtlController:
         num_aus = self.aus_for_bytes(reserved_bytes)
         segments_needed = num_aus * self.host_layout.segments_per_au
         if self.power_down is not None:
-            self.power_down.ensure_capacity(segments_needed, now_s)
+            self.power_down.ensure_capacity(segments_needed, now_ns)
         free_aus = self._free_aus(host_id)
         if len(free_aus) < num_aus:
             raise AllocationError(
@@ -286,7 +288,7 @@ class DtlController:
         dsns = self.allocator.allocate(segments_needed)
         au_ids = tuple(free_aus.popleft() for _ in range(num_aus))
         self.tables.allocate_au(host_id, au_ids)
-        self._wake_ranks_holding(dsns, now_s)
+        self._wake_ranks_holding(dsns, now_ns)
         self.tables.map_au_segments(host_id, au_ids, dsns)
         vm = VmHandle(self._next_vm_id, host_id, au_ids,
                       num_aus * self.config.au_bytes)
@@ -295,7 +297,7 @@ class DtlController:
         return vm
 
     def deallocate_vm(self, vm: VmHandle,
-                      now_s: float = 0.0) -> list[PowerTransition]:
+                      now_ns: int = 0) -> list[PowerTransition]:
         """Release a VM's memory and run the power-down policy.
 
         Returns the power transitions (if any) the deallocation enabled.
@@ -319,7 +321,7 @@ class DtlController:
         self._free_aus(vm.host_id).extend(vm.au_ids)
         del self._vms[vm.vm_id]
         if self.power_down is not None:
-            return self.power_down.maybe_power_down(now_s)
+            return self.power_down.maybe_power_down(now_ns)
         return []
 
     @property
@@ -345,8 +347,10 @@ class DtlController:
     # -- access path -------------------------------------------------------------
 
     def access(self, host_id: int, hpa: int, is_write: bool = False,
-               now_ns: float = 0.0) -> AccessResult:
-        """One host load/store through the CXL + DTL datapath."""
+               now_ns: int = 0) -> AccessResult:
+        """One host load/store through the CXL + DTL datapath (an
+        integral float ``now_ns`` rounds to the same int)."""
+        now_ns = round(now_ns)
         host = self.host_layout
         # HPAs arriving from a host are host-local; fold in the host ID.
         au_id, au_offset = divmod(host.hsn_of_hpa(hpa), host.segments_per_au)
@@ -377,7 +381,7 @@ class DtlController:
         if self._faults is not None:
             # Hook: dram.access (per-rank ECC error accounting).
             self._faults.on_dram_access(location.channel, location.rank,
-                                        self.device, now_s=now_ns / 1e9)
+                                        self.device, now_ns=now_ns)
         dpa = self.device_layout.dpa_of(
             dsn, self.host_layout.offset_of_hpa(hpa))
         latency_ns = self.cxl_latency_ns + xlat_ns + wake_ns + fault_ns
@@ -398,7 +402,7 @@ class DtlController:
 
     def access_batch(self, host_id: int, hpas: np.ndarray,
                      writes: np.ndarray | None = None,
-                     now_ns: float = 0.0) -> BatchAccessResult:
+                     now_ns: int = 0) -> BatchAccessResult:
         """Vectorised :meth:`access` over a whole request array.
 
         Bit-identical to calling :meth:`access` once per element in
@@ -437,7 +441,7 @@ class DtlController:
                 raise ValueError(
                     f"writes length {len(writes)} != hpas length {n}")
         return self.serve_call(self.look_ahead(host_id, hpas, (n,)), writes,
-                               now_ns)
+                               round(now_ns))
 
     def look_ahead(self, host_ids: int | np.ndarray, hpas: np.ndarray,
                    stops: Sequence[int]) -> LookAhead:
@@ -473,7 +477,7 @@ class DtlController:
                          channels, ranks, dpas)
 
     def look_ahead_calls(self, lengths: Sequence[int],
-                         ticks_ns: Sequence[float], now_ns: float) -> int:
+                         ticks_ns: Sequence[int], now_ns: int) -> int:
         """How many of the next calls one :meth:`look_ahead` may cover.
 
         The caller holds ``len(lengths)`` calls in arrival order, serves
@@ -513,7 +517,7 @@ class DtlController:
         return max(1, count)
 
     def serve_call(self, call: LookAhead, writes: np.ndarray,
-                   now_ns: float) -> BatchAccessResult:
+                   now_ns: int) -> BatchAccessResult:
         """The ordered half of the vector path for one call — a whole
         :meth:`look_ahead`, or its :meth:`LookAhead.call` slice of one:
         write routing, the self-refresh screen, the fault hooks and the
@@ -533,7 +537,7 @@ class DtlController:
                 self._fold_served(call.served)
 
     def _serve_slice(self, call: LookAhead, writes: np.ndarray,
-                     now_ns: float) -> BatchAccessResult:
+                     now_ns: int) -> BatchAccessResult:
         hsns, dsns = call.hsns, call.dsns
         channels, ranks, dpas = call.channels, call.ranks, call.dpas
         n = dsns.size
@@ -579,7 +583,7 @@ class DtlController:
             # smc.lookup fired inside the look-ahead's translation.
             latency_ns += self._faults.on_cxl_access_batch(n, now_ns)
             self._faults.on_dram_access_batch(channels, ranks, self.device,
-                                              now_s=now_ns / 1e9)
+                                              now_ns=now_ns)
         if self.trace.enabled:
             self.trace.record_tail(EventKind.ACCESS, time=now_ns, hsn=hsns,
                                    dsn=dsns, write=writes,
@@ -613,7 +617,7 @@ class DtlController:
                 else np.concatenate([call[3] for call in served]), sums)
         served.clear()
 
-    def _wake_ranks_holding(self, dsns: np.ndarray, now_s: float) -> None:
+    def _wake_ranks_holding(self, dsns: np.ndarray, now_ns: int) -> None:
         """Exit self-refresh on any rank receiving fresh allocations, one
         AU's ranks after another's: the VM's initialisation writes follow
         immediately, and a rank in self-refresh cannot accept commands."""
@@ -625,14 +629,14 @@ class DtlController:
             for rank_id in set(self.allocator.ranks_of_dsns(au_dsns)):
                 if self.device.ranks[rank_id].state is PowerState.SELF_REFRESH:
                     self.device.set_rank_state(rank_id, PowerState.STANDBY,
-                                               now_s)
+                                               now_ns)
 
     def hpa_of(self, au_index: int, au_offset: int, byte_offset: int = 0) -> int:
         """Build a host-local HPA for AU ``au_index``, segment ``au_offset``."""
         hsn_local = au_index * self.host_layout.segments_per_au + au_offset
         return self.host_layout.hpa_of(hsn_local, byte_offset)
 
-    def pump_migrations(self, now_s: float, lines: int = 1,
+    def pump_migrations(self, now_ns: int, lines: int = 1,
                         busy_channels: set[int] | None = None) -> int:
         """Grant idle DRAM bandwidth to background consolidation copies.
 
@@ -641,12 +645,12 @@ class DtlController:
         """
         if self.power_down is None:
             return self.migration.step_all(busy_channels, lines)
-        return self.power_down.pump(now_s, lines, busy_channels)
+        return self.power_down.pump(now_ns, lines, busy_channels)
 
     # -- reliability -----------------------------------------------------------------
 
     def retire_rank(self, channel: int, rank: int,
-                    now_s: float = 0.0) -> RetirementRecord:
+                    now_ns: int = 0) -> RetirementRecord:
         """Transparently retire a failing rank (reliability extension).
 
         Live segments are migrated off, the rank is fenced from all future
@@ -660,7 +664,7 @@ class DtlController:
         if self.retirement is None:
             raise AllocationError(
                 "rank retirement requires the power-down policy")
-        return self.retirement.retire((channel, rank), now_s)
+        return self.retirement.retire((channel, rank), now_ns)
 
     # -- time hooks ----------------------------------------------------------------
 
@@ -670,24 +674,24 @@ class DtlController:
             self.self_refresh.end_window()
         self.trace.record(EventKind.WINDOW_CLOSE)
 
-    def tick(self, now_ns: float) -> None:
+    def tick(self, now_ns: int) -> None:
         """Advance self-refresh timers; may trigger migrations + SR entry."""
         if self.self_refresh is not None:
-            self.self_refresh.tick(now_ns)
+            self.self_refresh.tick(round(now_ns))
 
     # -- telemetry -------------------------------------------------------------------
 
-    def telemetry_snapshot(self, now_s: float | None = None) -> Snapshot:
+    def telemetry_snapshot(self, now_ns: int | None = None) -> Snapshot:
         """Export every subsystem's metrics as one JSON-ready snapshot.
 
         Args:
-            now_s: When given, per-rank power-state residency includes the
+            now_ns: When given, per-rank power-state residency includes the
                 open interval up to this simulated time.
         """
         smc = self.translation.smc
         self.metrics.gauge("smc.l1.hit_ratio").set(smc.l1.stats.hit_ratio)
         self.metrics.gauge("smc.l2.hit_ratio").set(smc.l2.stats.hit_ratio)
-        residency = self.device.residency_by_rank(now_s)
+        residency = self.device.residency_by_rank(now_ns)
         totals: dict[str, float] = {}
         for rank_key, states in residency.items():
             for state, seconds in states.items():

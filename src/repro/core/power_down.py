@@ -48,7 +48,7 @@ _RECLAIMABLE = (RankRole.FENCED, RankRole.PARKED)
 class PowerTransition:
     """Record of one rank-group power transition."""
 
-    time_s: float
+    time_ns: int
     rank_ids: tuple[RankId, ...]
     new_state: PowerState
     migrated_segments: int
@@ -67,7 +67,6 @@ class PendingPowerDown:
     """
 
     victims: tuple[RankId, ...]
-    started_s: float
     migrated_segments: int
     migrated_bytes: int
     park_state: PowerState = PowerState.MPSM
@@ -109,7 +108,7 @@ class RankPowerDownPolicy:
         self._pending: list[PendingPowerDown] = []
         self.transitions: list[PowerTransition] = []
         # Park timestamps feeding the policy's idle-gap observations.
-        self._parked_at: dict[RankId, tuple[float, PowerState]] = {}
+        self._parked_at: dict[RankId, tuple[int, PowerState]] = {}
         registry = registry if registry is not None else MetricsRegistry()
         self._trace = trace
         self._mpsm_entries = registry.counter("power.mpsm_entries")
@@ -206,7 +205,7 @@ class RankPowerDownPolicy:
 
     # -- power-down ---------------------------------------------------------------
 
-    def maybe_power_down(self, now_s: float) -> list[PowerTransition]:
+    def maybe_power_down(self, now_ns: int) -> list[PowerTransition]:
         """Power down as many victim groups as the free capacity allows.
 
         Called after every VM deallocation (and opportunistically by the
@@ -214,12 +213,12 @@ class RankPowerDownPolicy:
         """
         performed: list[PowerTransition] = []
         while True:
-            transition = self._try_power_down_once(now_s)
+            transition = self._try_power_down_once(now_ns)
             if transition is None:
                 return performed
             performed.append(transition)
 
-    def _try_power_down_once(self, now_s: float) -> PowerTransition | None:
+    def _try_power_down_once(self, now_ns: int) -> PowerTransition | None:
         victims = self._victim_group()
         if victims is None:
             return None
@@ -249,25 +248,24 @@ class RankPowerDownPolicy:
         park_state = level.park_state()
         if park_state is None:
             return None
-        migrated_bytes = self._consolidate(live, remaining_active, now_s)
+        migrated_bytes = self._consolidate(live, remaining_active, now_ns)
         # Victims are fenced (no new data) but stay in standby until
         # their evacuation copies finish, in the background or already.
         self.allocator.set_role(victims, RankRole.FENCED)
         pending = PendingPowerDown(
-            victims=tuple(victims), started_s=now_s,
-            migrated_segments=total_live, migrated_bytes=migrated_bytes,
-            park_state=park_state)
+            victims=tuple(victims), migrated_segments=total_live,
+            migrated_bytes=migrated_bytes, park_state=park_state)
         if not (self.background_migration and self.migration.pending_count()):
-            return self._finish_pending(pending, now_s)
+            return self._finish_pending(pending, now_ns)
         self._pending.append(pending)
         return PowerTransition(
-            time_s=now_s, rank_ids=tuple(victims),
+            time_ns=now_ns, rank_ids=tuple(victims),
             new_state=PowerState.STANDBY,  # not yet parked
             migrated_segments=total_live,
             migrated_bytes=migrated_bytes, exit_penalty_ns=0.0)
 
     def _consolidate(self, live: dict[RankId, np.ndarray],
-                     remaining_active: set[RankId], now_s: float) -> int:
+                     remaining_active: set[RankId], now_ns: int) -> int:
         """Copy every live segment off the victim ranks.
 
         Targets are scored by the policy (the paper's: most-utilised
@@ -278,7 +276,7 @@ class RankPowerDownPolicy:
         for rank_id, dsns in live.items():
             channel = rank_id[0]
             self.evacuate(dsns, {other for other in remaining_active
-                                 if other[0] == channel}, now_s)
+                                 if other[0] == channel}, now_ns)
             migrated_segments += len(dsns)
         migrated_bytes = migrated_segments * self.geometry.segment_bytes
         self._consolidated_segments.inc(migrated_segments)
@@ -288,7 +286,7 @@ class RankPowerDownPolicy:
         return migrated_bytes
 
     def evacuate(self, dsns: list[int] | np.ndarray, targets: set[RankId],
-                 now_s: float) -> None:
+                 now_ns: int) -> None:
         """Queue a copy of every segment in ``dsns`` into ``targets``.
 
         Targets are reserved in runs: the policy picks a rank
@@ -317,7 +315,7 @@ class RankPowerDownPolicy:
             # Writing into a self-refreshed rank wakes it (the DRAM cannot
             # accept commands in SR).
             if self.device.ranks[best].state is PowerState.SELF_REFRESH:
-                self.device.set_rank_state(best, PowerState.STANDBY, now_s)
+                self.device.set_rank_state(best, PowerState.STANDBY, now_ns)
             run = dsns[start:start + self.allocator.free_in_rank(best)]
             self.migration.submit_batch(
                 self.tables.hsns_of_dsns(run), run,
@@ -327,7 +325,7 @@ class RankPowerDownPolicy:
     # -- reactivation ------------------------------------------------------------------
 
     def ensure_capacity(self, num_segments: int,
-                        now_s: float) -> list[PowerTransition]:
+                        now_ns: int) -> list[PowerTransition]:
         """Reactivate rank-groups until ``num_segments`` fit in active ranks.
 
         Raises:
@@ -336,7 +334,7 @@ class RankPowerDownPolicy:
         """
         performed: list[PowerTransition] = []
         while self.allocator.free_count() < num_segments:
-            transition = self._reactivate_group(now_s)
+            transition = self._reactivate_group(now_ns)
             if transition is None:
                 raise AllocationError(
                     f"device cannot hold {num_segments} more segments")
@@ -345,7 +343,7 @@ class RankPowerDownPolicy:
 
     # -- background migration -------------------------------------------------------
 
-    def pump(self, now_s: float, lines: int = 1,
+    def pump(self, now_ns: int, lines: int = 1,
              busy_channels: set[int] | None = None) -> int:
         """Grant idle bandwidth to in-flight consolidations.
 
@@ -356,20 +354,20 @@ class RankPowerDownPolicy:
             Cachelines copied this call.
         """
         copied = self.migration.step_all(busy_channels, lines)
-        self.park_if_quiet(now_s)
+        self.park_if_quiet(now_ns)
         return copied
 
-    def park_if_quiet(self, now_s: float) -> None:
-        """Finish every pending power-down at ``now_s`` once no copy is
+    def park_if_quiet(self, now_ns: int) -> None:
+        """Finish every pending power-down at ``now_ns`` once no copy is
         queued or in flight (a drain that pumps many rounds at once
         parks at its last round's time)."""
         if self._pending and self.migration.pending_count() == 0:
             for pending in self._pending:
-                self._finish_pending(pending, now_s)
+                self._finish_pending(pending, now_ns)
             self._pending.clear()
 
     def _finish_pending(self, pending: PendingPowerDown,
-                        now_s: float) -> PowerTransition:
+                        now_ns: int) -> PowerTransition:
         """Park every victim still ``FENCED`` (a reactivation may have
         reopened one).  Nothing lands on a fenced rank, so none holds
         data; were one to, the park raises — the consolidation is neither
@@ -377,11 +375,11 @@ class RankPowerDownPolicy:
         fenced = [rank_id for rank_id in pending.victims
                   if self.allocator.role(rank_id) is RankRole.FENCED]
         penalty = self.allocator.park(self.device, fenced,
-                                      pending.park_state, now_s)
+                                      pending.park_state, now_ns)
         for rank_id in fenced:
-            self._parked_at[rank_id] = (now_s, pending.park_state)
+            self._parked_at[rank_id] = (now_ns, pending.park_state)
         transition = PowerTransition(
-            time_s=now_s, rank_ids=pending.victims,
+            time_ns=now_ns, rank_ids=pending.victims,
             new_state=pending.park_state,
             migrated_segments=pending.migrated_segments,
             migrated_bytes=pending.migrated_bytes, exit_penalty_ns=penalty)
@@ -400,7 +398,7 @@ class RankPowerDownPolicy:
 
     def ensure_capacity_on_channel(self, channel: int, num_segments: int,
                                    exclude: RankId,
-                                   now_s: float = 0.0) -> None:
+                                   now_ns: int = 0) -> None:
         """Wake ranks on one channel until ``num_segments`` fit in its
         open ranks other than ``exclude``.
 
@@ -423,21 +421,21 @@ class RankPowerDownPolicy:
                     f"channel {channel} cannot absorb {num_segments} "
                     "evacuated segments")
             rank_id = (channel, idle[0])
-            self.device.set_rank_state(rank_id, PowerState.STANDBY, now_s)
+            self.device.set_rank_state(rank_id, PowerState.STANDBY, now_ns)
             self.allocator.set_role([rank_id], RankRole.OPEN)
-            self._observe_wake(rank_id, now_s)
+            self._observe_wake(rank_id, now_ns)
 
-    def _observe_wake(self, rank_id: RankId, now_s: float) -> None:
+    def _observe_wake(self, rank_id: RankId, now_ns: int) -> None:
         """Feed one completed park into the policy's idle histograms."""
         parked = self._parked_at.pop(rank_id, None)
         if parked is None:
             return
-        gap_ns = (now_s - parked[0]) * 1e9
+        gap_ns = now_ns - parked[0]
         self._idle_gap_hist.observe(gap_ns)
         self.policy.observe_idle_gap("powerdown", rank_id[0], rank_id[1],
                                      gap_ns)
 
-    def _reactivate_group(self, now_s: float) -> PowerTransition | None:
+    def _reactivate_group(self, now_ns: int) -> PowerTransition | None:
         """Wake the next powered-down rank(s), one group step at a time."""
         woken: list[RankId] = []
         for channel in range(self.geometry.channels):
@@ -454,15 +452,15 @@ class RankPowerDownPolicy:
         penalty = 0.0
         for rank_id in woken:
             penalty = max(penalty, self.device.set_rank_state(
-                rank_id, PowerState.STANDBY, now_s))
-            self._observe_wake(rank_id, now_s)
+                rank_id, PowerState.STANDBY, now_ns))
+            self._observe_wake(rank_id, now_ns)
         self.allocator.set_role(woken, RankRole.OPEN)
         # Injected delayed/failed park exit (hook: power.mpsm_exit).
         if self._faults is not None:
             penalty += self._faults.on_power_exit(
                 "sr" if exited_sr else "mpsm", penalty)
         transition = PowerTransition(
-            time_s=now_s, rank_ids=tuple(woken),
+            time_ns=now_ns, rank_ids=tuple(woken),
             new_state=PowerState.STANDBY, migrated_segments=0,
             migrated_bytes=0, exit_penalty_ns=penalty)
         self.transitions.append(transition)

@@ -31,7 +31,7 @@ class RetirementRecord:
     """Outcome of one rank retirement."""
 
     rank_id: RankId
-    time_s: float
+    time_ns: int
     migrated_segments: int
     migrated_bytes: int
     was_powered_down: bool
@@ -65,7 +65,7 @@ class RankRetirementManager:
 
     # -- retirement --------------------------------------------------------------
 
-    def retire(self, rank_id: RankId, now_s: float = 0.0) -> RetirementRecord:
+    def retire(self, rank_id: RankId, now_ns: int = 0) -> RetirementRecord:
         """Retire one rank: evacuate, fence, power off.
 
         Raises:
@@ -88,17 +88,17 @@ class RankRetirementManager:
         if len(live):
             # Wake parked ranks of the channel if the open ones lack room.
             self.power_down.ensure_capacity_on_channel(
-                channel, len(live), exclude=rank_id, now_s=now_s)
+                channel, len(live), exclude=rank_id, now_ns=now_ns)
             self.power_down.evacuate(
                 live, {other for other in self.allocator.open_ranks()
-                       if other[0] == channel and other != rank_id}, now_s)
+                       if other[0] == channel and other != rank_id}, now_ns)
             self.migration.drain()
         if rank_obj.state is PowerState.SELF_REFRESH:
-            self.device.set_rank_state(rank_id, PowerState.STANDBY, now_s)
-        self.allocator.park(self.device, [rank_id], PowerState.MPSM, now_s,
+            self.device.set_rank_state(rank_id, PowerState.STANDBY, now_ns)
+        self.allocator.park(self.device, [rank_id], PowerState.MPSM, now_ns,
                             role=RankRole.RETIRED)
         record = RetirementRecord(
-            rank_id=rank_id, time_s=now_s, migrated_segments=len(live),
+            rank_id=rank_id, time_ns=now_ns, migrated_segments=len(live),
             migrated_bytes=len(live) * self.geometry.segment_bytes,
             was_powered_down=was_powered_down)
         self.records.append(record)

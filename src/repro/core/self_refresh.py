@@ -72,7 +72,7 @@ class ChannelPhase(enum.Enum):
 class SelfRefreshEvent:
     """Record of one channel-level event for analysis."""
 
-    time_ns: float
+    time_ns: int
     channel: int
     kind: str  # "enter_sr" | "exit_sr" | "victim_selected"
     victim_rank: int
@@ -85,13 +85,13 @@ class _ChannelState:
     phase: ChannelPhase = ChannelPhase.IDLE
     victim_rank: int = -1
     victim_ranks: tuple[int, ...] = ()
-    quiet_since_ns: float = 0.0
+    quiet_since_ns: int = 0
     window_counts: dict[int, int] = field(default_factory=dict)
     last_window_counts: dict[int, int] = field(default_factory=dict)
     target_ranks: list[int] = field(default_factory=list)
     target_cursor: int = 0
     tsp: dict[int, int] = field(default_factory=dict)
-    last_sr_entry_ns: float = 0.0
+    last_sr_entry_ns: int = 0
 
 
 class _TspSearch:
@@ -262,7 +262,7 @@ class HotnessSelfRefreshPolicy:
             window_count=state.window_counts.get(rank, 0),
             last_window_count=state.last_window_counts.get(rank, 0))
 
-    def start_profiling(self, channel: int, now_ns: float) -> int | None:
+    def start_profiling(self, channel: int, now_ns: int) -> int | None:
         """Enter the profiling phase and pick a victim rank.
 
         The victim block is chosen by the policy (the paper's: fewest
@@ -315,7 +315,7 @@ class HotnessSelfRefreshPolicy:
 
     # -- access path -------------------------------------------------------------------
 
-    def on_access(self, dsn: int, now_ns: float) -> float:
+    def on_access(self, dsn: int, now_ns: int) -> float:
         """Record one post-cache access to segment ``dsn``.
 
         Returns the latency penalty (ns) if the access woke a rank out of
@@ -353,7 +353,7 @@ class HotnessSelfRefreshPolicy:
         bits[new_dsns] = moved
 
     def on_access_batch(self, dsns: np.ndarray, channels: np.ndarray,
-                        ranks: np.ndarray, now_ns: float) -> np.ndarray:
+                        ranks: np.ndarray, now_ns: int) -> np.ndarray:
         """Scalar-identical batch variant of :meth:`on_access`.
 
         ``channels`` and ``ranks`` are the DSNs' decoded channel and
@@ -526,7 +526,7 @@ class HotnessSelfRefreshPolicy:
 
     def _run_channel_batch(self, channel: int, ch_dsns: np.ndarray,
                            ch_ranks: np.ndarray, idx: np.ndarray,
-                           penalties: np.ndarray, now_ns: float) -> None:
+                           penalties: np.ndarray, now_ns: int) -> None:
         """Event-loop application of one channel's slice of a batch."""
         state = self._channels[channel]
         n = len(ch_dsns)
@@ -562,7 +562,7 @@ class HotnessSelfRefreshPolicy:
                                                        now_ns)
                 return
 
-    def on_batch(self, dsns: np.ndarray, now_ns: float,
+    def on_batch(self, dsns: np.ndarray, now_ns: int,
                  bit_dsns: np.ndarray | None = None) -> float:
         """Apply one access window's worth of *distinct touched segments*.
 
@@ -616,12 +616,12 @@ class HotnessSelfRefreshPolicy:
         return penalty
 
     def _wake_if_needed(self, channel: int, rank: int, state: _ChannelState,
-                        now_ns: float) -> float:
+                        now_ns: int) -> float:
         rank_obj = self.device.rank(channel, rank)
         if rank_obj.state is not PowerState.SELF_REFRESH:
             return 0.0
         penalty, woken = self.device.wake_block(
-            channel, rank, self.victim_granularity, now_ns / 1e9)
+            channel, rank, self.victim_granularity, now_ns)
         for member in woken:
             self.events.append(SelfRefreshEvent(
                 time_ns=now_ns, channel=channel, kind="exit_sr",
@@ -632,7 +632,7 @@ class HotnessSelfRefreshPolicy:
                                    channel=channel, rank=member)
             # One completed residency: how long the rank actually slept
             # before this access woke it (feeds adaptive demotion).
-            if state.last_sr_entry_ns > 0.0:
+            if state.last_sr_entry_ns > 0:
                 gap_ns = now_ns - state.last_sr_entry_ns
                 self._idle_gap_hist.observe(gap_ns)
                 self.policy.observe_idle_gap("sr", channel, member, gap_ns)
@@ -647,7 +647,7 @@ class HotnessSelfRefreshPolicy:
         return penalty
 
     def _profiling_update(self, dsn: int, state: _ChannelState, rank: int,
-                          now_ns: float) -> None:
+                          now_ns: int) -> None:
         victims = state.victim_ranks
         if self.planned_rank(dsn) not in victims:
             return
@@ -728,7 +728,7 @@ class HotnessSelfRefreshPolicy:
             state.window_counts = {}
             self.policy.observe_window(channel, state.last_window_counts)
 
-    def tick(self, now_ns: float) -> list[SelfRefreshEvent]:
+    def tick(self, now_ns: int) -> list[SelfRefreshEvent]:
         """Advance timers; run migration + SR entry for quiet channels."""
         fired: list[SelfRefreshEvent] = []
         for channel, state in self._channels.items():
@@ -758,7 +758,7 @@ class HotnessSelfRefreshPolicy:
                     fired.append(event)
         return fired
 
-    def quiet_floor_ns(self, now_ns: float) -> float:
+    def quiet_floor_ns(self, now_ns: int) -> int:
         """The earliest any channel's quiet timer can read from now on.
 
         For a caller whose next access or tick comes at ``now_ns`` or
@@ -797,7 +797,7 @@ class HotnessSelfRefreshPolicy:
             self.planned[dsns] = dsns
 
     def _enter_self_refresh(self, channel: int, state: _ChannelState,
-                            now_ns: float) -> SelfRefreshEvent | None:
+                            now_ns: int) -> SelfRefreshEvent | None:
         # The power-down policy (or rank retirement) may have fenced,
         # parked or retired a victim rank since profiling began; the plan
         # is stale — restart with the ranks still open.
@@ -820,16 +820,15 @@ class HotnessSelfRefreshPolicy:
         self._reset_channel_table(channel)
         victim = state.victim_rank
         block = [(channel, rank) for rank in state.victim_ranks]
-        now_s = now_ns / 1e9
         # MPSM loses contents: only a block the swaps left *empty* takes
         # it (and closes).  Live data downgrades to self-refresh.
         if level is DemotionLevel.MPSM and not any(
                 self.allocator.usage(member).allocated for member in block):
-            self.allocator.park(self.device, block, PowerState.MPSM, now_s)
+            self.allocator.park(self.device, block, PowerState.MPSM, now_ns)
         else:
             for member in block:
                 self.device.set_rank_state(member, PowerState.SELF_REFRESH,
-                                           now_s)
+                                           now_ns)
         state.phase = ChannelPhase.SELF_REFRESH
         self._migrated_bytes.inc(migrated_bytes)
         self._sr_entries.inc(len(state.victim_ranks))

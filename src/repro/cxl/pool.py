@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dram.timing import CXL_MEMORY_LATENCY_NS
+from repro.dram.timing import CXL_MEMORY_LATENCY_NS, md1_wait_ns
 from repro.errors import ConfigurationError
 
 
@@ -48,7 +48,7 @@ class PoolContention:
     """Contention on a shared pool at a given aggregate demand.
 
     ``queue_delay_ns`` follows the M/D/1 mean waiting time
-    ``service * rho / (2 * (1 - rho))`` — deterministic service (a
+    (:func:`~repro.dram.timing.md1_wait_ns`) — deterministic service (a
     fixed-size cacheline transfer), Poisson arrivals from many
     independent VMs.  ``slowdown`` is the contended-to-uncontended
     access-latency ratio, the factor a rack applies on top of each
@@ -76,7 +76,7 @@ def pool_contention(demand_gbs: float,
         raise ConfigurationError(
             f"demand_gbs must be non-negative, got {demand_gbs}")
     rho = min(demand_gbs / config.bandwidth_gbs, config.max_utilization)
-    queue_delay_ns = config.service_ns * rho / (2.0 * (1.0 - rho))
+    queue_delay_ns = md1_wait_ns(rho, config.service_ns)
     slowdown = (config.service_ns + queue_delay_ns) / config.service_ns
     return PoolContention(demand_gbs=demand_gbs,
                           capacity_gbs=config.bandwidth_gbs,

@@ -128,10 +128,10 @@ class DramDevice:
         self._trace = trace
 
     def _transition(self, rank: Rank, state: PowerState,
-                    now_s: float) -> float:
+                    now_ns: int) -> float:
         """Apply one rank transition, recording telemetry when attached."""
         old_state = rank.state
-        penalty_ns = rank.set_state(state, now_s)
+        penalty_ns = rank.set_state(state, now_ns)
         if old_state is state:
             return penalty_ns
         if self._registry is not None:
@@ -139,7 +139,7 @@ class DramDevice:
             self._registry.counter(
                 f"dram.power_transitions.to_{state.name.lower()}").inc()
         if self._trace is not None:
-            self._trace.record(EventKind.POWER_TRANSITION, time=now_s,
+            self._trace.record(EventKind.POWER_TRANSITION, time=now_ns,
                                rank=rank_key(rank.rank_id),
                                from_state=old_state.name.lower(),
                                to_state=state.name.lower(),
@@ -147,7 +147,7 @@ class DramDevice:
         return penalty_ns
 
     def record_ecc_error(self, rank_id: RankId, bits: int = 1,
-                         now_s: float = 0.0) -> bool:
+                         now_ns: int = 0) -> bool:
         """Account one ECC event on ``rank_id``; True when corrected.
 
         Single-bit errors are corrected in place (SECDED); multi-bit
@@ -163,30 +163,27 @@ class DramDevice:
             self._registry.counter(
                 f"dram.ecc.errors.{rank_key(rank_id)}").inc()
         if self._trace is not None:
-            self._trace.record(EventKind.ECC_ERROR, time=now_s,
+            self._trace.record(EventKind.ECC_ERROR, time=now_ns,
                                rank=rank_key(rank_id), bits=bits,
                                corrected=corrected)
         return corrected
 
-    def residency_by_rank(self, now_s: float | None = None,
+    def residency_by_rank(self, now_ns: int | None = None,
                           ) -> dict[str, dict[str, float]]:
-        """Per-rank power-state residency seconds, keyed like ``ch0r1``.
-
-        With ``now_s`` the open interval of each rank's current state is
-        included (the ranks themselves are not mutated).
-        """
-        return {rank_key(rank_id): rank.residency_snapshot(now_s)
+        """Every rank's :meth:`Rank.residency_snapshot`, keyed like
+        ``ch0r1``."""
+        return {rank_key(rank_id): rank.residency_snapshot(now_ns)
                 for rank_id, rank in sorted(self.ranks.items())}
 
     # -- transitions ---------------------------------------------------------
 
     def set_rank_state(self, rank_id: RankId, state: PowerState,
-                       now_s: float) -> float:
+                       now_ns: int) -> float:
         """Transition a single rank; returns exit penalty in ns."""
-        return self._transition(self.ranks[rank_id], state, now_s)
+        return self._transition(self.ranks[rank_id], state, now_ns)
 
     def wake_block(self, channel: int, rank: int, granularity: int,
-                   now_s: float) -> tuple[float, list[int]]:
+                   now_ns: int) -> tuple[float, list[int]]:
         """Wake every self-refreshed member of ``rank``'s aligned block.
 
         The whole block wakes together: two ranks share a CKE pin on
@@ -199,7 +196,7 @@ class DramDevice:
                  if self.ranks[(channel, member)].state
                  is PowerState.SELF_REFRESH]
         penalty = max((self.set_rank_state((channel, member),
-                                           PowerState.STANDBY, now_s)
+                                           PowerState.STANDBY, now_ns)
                        for member in woken), default=0.0)
         return penalty, woken
 
@@ -214,10 +211,10 @@ class DramDevice:
         return self.background_power() + self.power_model.active_power(
             bandwidth_gbs)
 
-    def finalize(self, now_s: float) -> None:
+    def finalize(self, now_ns: int) -> None:
         """Close all ranks' residency intervals."""
         for rank in self.ranks.values():
-            rank.finalize(now_s)
+            rank.finalize(now_ns)
 
     def background_energy(self) -> float:
         """Total background energy accumulated so far (RSU-seconds).

@@ -12,11 +12,12 @@ from dataclasses import dataclass, field
 from repro.dram.power import (PowerState, check_transition,
                               transition_exit_penalty_ns)
 from repro.errors import PowerStateError
+from repro.units import ns_to_s
 
 
 @dataclass
 class Rank:
-    """One DRAM rank and its power-state history.
+    """One DRAM rank and its power-state history (integer-ns clock).
 
     Attributes:
         channel: Channel the rank belongs to.
@@ -27,9 +28,9 @@ class Rank:
     channel: int
     index: int
     state: PowerState = PowerState.STANDBY
-    _state_entered_at_s: float = 0.0
-    residency_s: dict[PowerState, float] = field(
-        default_factory=lambda: {state: 0.0 for state in PowerState})
+    _state_entered_ns: int = 0
+    residency_ns: dict[PowerState, int] = field(
+        default_factory=lambda: {state: 0 for state in PowerState})
     access_count: int = 0
     transition_count: int = 0
     exit_penalty_total_ns: float = 0.0
@@ -39,8 +40,15 @@ class Rank:
         """Stable ``(channel, index)`` identifier."""
         return (self.channel, self.index)
 
-    def set_state(self, new_state: PowerState, now_s: float) -> float:
-        """Transition to ``new_state`` at simulated time ``now_s``.
+    def _open_interval_ns(self, now_ns: int) -> int:
+        """Time in the current state up to ``now_ns`` (never negative)."""
+        if now_ns < self._state_entered_ns:
+            raise PowerStateError(
+                f"time moved backwards: {now_ns} < {self._state_entered_ns}")
+        return now_ns - self._state_entered_ns
+
+    def set_state(self, new_state: PowerState, now_ns: int) -> float:
+        """Transition to ``new_state`` at simulated time ``now_ns``.
 
         Returns:
             The exit penalty in nanoseconds paid by the transition (0.0 for
@@ -50,17 +58,15 @@ class Rank:
             PowerStateError: on an illegal transition or time running
                 backwards.
         """
-        if now_s < self._state_entered_at_s:
-            raise PowerStateError(
-                f"time moved backwards: {now_s} < {self._state_entered_at_s}")
+        elapsed_ns = self._open_interval_ns(now_ns)
         if new_state is self.state:
             return 0.0
         check_transition(self.state, new_state)
-        self.residency_s[self.state] += now_s - self._state_entered_at_s
+        self.residency_ns[self.state] += elapsed_ns
         penalty_ns = transition_exit_penalty_ns(self.state, new_state)
         self.exit_penalty_total_ns += penalty_ns
         self.state = new_state
-        self._state_entered_at_s = now_s
+        self._state_entered_ns = now_ns
         self.transition_count += 1
         return penalty_ns
 
@@ -75,38 +81,25 @@ class Rank:
                 f"rank {self.rank_id} accessed while in MPSM")
         self.access_count += count
 
-    def finalize(self, now_s: float) -> None:
+    def finalize(self, now_ns: int) -> None:
         """Close the open residency interval at the end of a simulation."""
-        if now_s < self._state_entered_at_s:
-            raise PowerStateError(
-                f"time moved backwards: {now_s} < {self._state_entered_at_s}")
-        self.residency_s[self.state] += now_s - self._state_entered_at_s
-        self._state_entered_at_s = now_s
+        self.residency_ns[self.state] += self._open_interval_ns(now_ns)
+        self._state_entered_ns = now_ns
 
-    def residency_snapshot(self, now_s: float | None = None,
+    def residency_snapshot(self, now_ns: int | None = None,
                            ) -> dict[str, float]:
-        """Seconds spent per power state, without mutating the rank.
-
-        Args:
-            now_s: When given, the still-open interval for the current
-                state is counted up to this time (it must not precede the
-                state entry time).
-        """
-        snapshot = {state.name.lower(): seconds
-                    for state, seconds in self.residency_s.items()}
-        if now_s is not None:
-            if now_s < self._state_entered_at_s:
-                raise PowerStateError(
-                    f"time moved backwards: {now_s} < "
-                    f"{self._state_entered_at_s}")
-            snapshot[self.state.name.lower()] += (
-                now_s - self._state_entered_at_s)
-        return snapshot
+        """Seconds spent per power state, without mutating the rank;
+        with ``now_ns``, the open interval counts up to it."""
+        residency = dict(self.residency_ns)
+        if now_ns is not None:
+            residency[self.state] += self._open_interval_ns(now_ns)
+        return {state.name.lower(): ns_to_s(ns)
+                for state, ns in residency.items()}
 
     def background_energy(self, state_power: dict[PowerState, float]) -> float:
         """Background energy over recorded residencies (power-units x s)."""
-        return sum(state_power[state] * seconds
-                   for state, seconds in self.residency_s.items())
+        return sum(state_power[state] * ns_to_s(ns)
+                   for state, ns in self.residency_ns.items())
 
 
 __all__ = ["Rank"]

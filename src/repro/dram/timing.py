@@ -79,9 +79,16 @@ class DramTiming:
 
 DDR4_2933 = DramTiming()
 
+
+def md1_wait_ns(rho: float, service_ns: float) -> float:
+    """M/D/1 mean wait at utilisation ``rho`` (callers cap it below 1)."""
+    return service_ns * rho / (2.0 * (1.0 - rho))
+
+
 __all__ = [
     "NATIVE_DRAM_LATENCY_NS",
     "CXL_MEMORY_LATENCY_NS",
+    "md1_wait_ns",
     "DramTiming",
     "DDR4_2933",
 ]

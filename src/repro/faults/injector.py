@@ -225,7 +225,7 @@ class FaultInjector:
 
     # -- hook methods (one per catalog entry) -------------------------------------
 
-    def on_cxl_access(self, now_ns: float = 0.0) -> float:
+    def on_cxl_access(self, now_ns: int = 0) -> float:
         """CXL link fault check for one transaction; returns extra ns."""
         self._visits[HookPoint.CXL_ACCESS] += 1
         extra = 0.0
@@ -234,14 +234,14 @@ class FaultInjector:
                 extra += self._cxl_fire(spec, now_ns)
         return extra
 
-    def on_cxl_access_batch(self, n: int, now_ns: float = 0.0) -> np.ndarray:
+    def on_cxl_access_batch(self, n: int, now_ns: int = 0) -> np.ndarray:
         """:meth:`on_cxl_access` for ``n`` transactions; extra ns each."""
         fault_ns = np.zeros(n, dtype=np.float64)
         for offset, _, spec in self._batch_fires(HookPoint.CXL_ACCESS, n):
             fault_ns[offset] += self._cxl_fire(spec, now_ns)
         return fault_ns
 
-    def _cxl_fire(self, spec: CxlLinkFault, now_ns: float) -> float:
+    def _cxl_fire(self, spec: CxlLinkFault, now_ns: int) -> float:
         """Account one fired link fault; returns the latency it adds."""
         if spec.kind == "stall":
             extra = spec.stall_ns
@@ -300,17 +300,17 @@ class FaultInjector:
         self._fired(HookPoint.SMC_LOOKUP, spec, hsn=hsn)
 
     def on_dram_access(self, channel: int, rank: int, device,
-                       now_s: float = 0.0) -> None:
+                       now_ns: int = 0) -> None:
         """ECC fault check for one access to ``(channel, rank)``."""
         self._visits[HookPoint.DRAM_ACCESS] += 1
         for index, spec in self._by_hook[HookPoint.DRAM_ACCESS]:
             assert isinstance(spec, EccFault)
             if (spec.applies_to(channel, rank)
                     and self._eligible(index, spec)):
-                self._ecc_fire(spec, channel, rank, device, now_s)
+                self._ecc_fire(spec, channel, rank, device, now_ns)
 
     def on_dram_access_batch(self, channels: np.ndarray, ranks: np.ndarray,
-                             device, now_s: float = 0.0) -> None:
+                             device, now_ns: int = 0) -> None:
         """:meth:`on_dram_access` over decoded ``channels``/``ranks``.
 
         A channel/rank-filtered spec counts only the accesses it
@@ -322,13 +322,13 @@ class FaultInjector:
             lambda spec: spec.eligible_offsets(channels, ranks))
         for offset, _, spec in fires:
             self._ecc_fire(spec, int(channels[offset]), int(ranks[offset]),
-                           device, now_s)
+                           device, now_ns)
 
     def _ecc_fire(self, spec: EccFault, channel: int, rank: int, device,
-                  now_s: float) -> None:
+                  now_ns: int) -> None:
         """Account one fired ECC error against ``(channel, rank)``."""
         corrected = device.record_ecc_error((channel, rank),
-                                            bits=spec.bits, now_s=now_s)
+                                            bits=spec.bits, now_ns=now_ns)
         self.detected += 1
         if corrected:
             self.ecc_corrected += 1

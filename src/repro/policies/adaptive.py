@@ -38,9 +38,9 @@ MIN_IDLE_SAMPLES = 3
 #: Power-down demotion break-even: observed parks shorter than this
 #: prefer self-refresh (cheap 500 ns exit) over MPSM (deeper 0.068 RSU,
 #: 700 ns exit).
-SHORT_PARK_NS = 1e9
+SHORT_PARK_NS = 1_000_000_000
 #: Self-refresh residencies shorter than this signal wake-thrash.
-SR_THRASH_NS = 2.5e8
+SR_THRASH_NS = 250_000_000
 
 
 @register_policy

@@ -48,6 +48,8 @@ PHASES = ("concurrent", "drain_restore", "isolation")
 #: The concurrent leg frees and reallocates one VM every this many
 #: requests.
 CHURN_EVERY = 4
+#: Controller shards under the soak's server.
+SOAK_SHARDS = 2
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class ServerSoakConfig(SeededConfig):
         requests_per_tenant / batch / vms_per_tenant: Load-generator
             knobs for the concurrent leg (see
             :class:`~repro.server.loadgen.LoadgenConfig`).
-        num_shards: Controller shards under the server.
         monitor_scans: Cross-tenant leak scans interleaved with the
             concurrent leg.
         script_tenants / script_requests: Shape of the sequential
@@ -74,7 +75,6 @@ class ServerSoakConfig(SeededConfig):
     requests_per_tenant: int = 6
     batch: int = 64
     vms_per_tenant: int = 2
-    num_shards: int = 2
     monitor_scans: int = 8
     script_tenants: int = 4
     script_requests: int = 24
@@ -84,7 +84,7 @@ class ServerSoakConfig(SeededConfig):
                       ) -> ServerConfig:
         """The (chaos-armed) server both legs run against."""
         return ServerConfig(
-            num_shards=self.num_shards, chaos=True,
+            num_shards=SOAK_SHARDS, chaos=True,
             admission=AdmissionConfig(max_tenants=max(64, self.tenants)),
             telemetry_path=None, checkpoint_path=checkpoint_path,
             seed=self.seed)
@@ -390,9 +390,9 @@ class ServerSoakExperiment(SteppedExperiment):
         # Force two tenants onto the same shard (consistent hashing
         # makes the collision search deterministic).
         first = "iso-0"
-        target = shard_of(first, cfg.num_shards)
+        target = shard_of(first, SOAK_SHARDS)
         second = next(f"iso-{index}" for index in range(1, 1000)
-                      if shard_of(f"iso-{index}", cfg.num_shards)
+                      if shard_of(f"iso-{index}", SOAK_SHARDS)
                       == target)
 
         async def call(**request: Any) -> dict[str, Any]:

@@ -23,16 +23,16 @@ the load — which is precisely the paper's argument (Section 2).
 
 from __future__ import annotations
 
-from repro.dram.timing import CXL_MEMORY_LATENCY_NS, NATIVE_DRAM_LATENCY_NS
+from repro.dram.timing import (CXL_MEMORY_LATENCY_NS, NATIVE_DRAM_LATENCY_NS,
+                               md1_wait_ns)
 from repro.units import GIB
-from repro.workloads.cloudsuite import PROFILES, WorkloadProfile
+from repro.workloads.cloudsuite import CLOCK_GHZ, PROFILES, WorkloadProfile
 
-#: The Figure 2 testbed (Section 5.1): 28 cores at 2.7 GHz over four
+#: The Figure 2 testbed (Section 5.1): 28 cores at ``CLOCK_GHZ`` over four
 #: DRAM channels of eight 2 GiB ranks, 16 banks each.  Both the
 #: analytical model below and the trace-driven sweep
 #: (:mod:`repro.sim.rank_sweep`) read these.
 CORES = 28
-CLOCK_GHZ = 2.7
 CORE_UTILIZATION = 0.85
 CHANNELS = 4
 RANKS_PER_CHANNEL = 8
@@ -51,10 +51,10 @@ def access_rate_per_channel(profile: WorkloadProfile) -> float:
     return profile.mapki / 1000.0 * instr_per_s / CHANNELS
 
 
-def md1_wait_ns(arrival_per_s: float, service_ns: float) -> float:
+def bank_wait_ns(arrival_per_s: float, service_ns: float) -> float:
     """M/D/1 mean waiting time of one bank (utilisation capped at 0.95)."""
-    rho = min(0.95, arrival_per_s * service_ns * 1e-9)
-    return service_ns * rho / (2.0 * (1.0 - rho))
+    return md1_wait_ns(min(0.95, arrival_per_s * service_ns * 1e-9),
+                       service_ns)
 
 
 def time_per_ki_ns(profile: WorkloadProfile, memory_latency_ns: float,
@@ -77,8 +77,8 @@ class PerformanceModel:
         if visible_ranks < 1:
             raise ValueError("need at least one visible rank")
         banks = visible_ranks * BANKS_PER_RANK
-        return md1_wait_ns(access_rate_per_channel(profile) / banks,
-                           BANK_SERVICE_NS)
+        return bank_wait_ns(access_rate_per_channel(profile) / banks,
+                            BANK_SERVICE_NS)
 
     def time_per_kilo_instruction_ns(self, profile: WorkloadProfile,
                                      visible_ranks: float,
@@ -148,7 +148,7 @@ TRANSLATION_OVERHEAD = 0.0018
 __all__ = [
     "PerformanceModel",
     "access_rate_per_channel",
-    "md1_wait_ns",
+    "bank_wait_ns",
     "time_per_ki_ns",
     "INTERLEAVING_OFF_PENALTY_CXL",
     "TRANSLATION_OVERHEAD",

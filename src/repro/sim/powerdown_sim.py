@@ -33,7 +33,7 @@ from repro.host.vm import VmSpec
 from repro.seeded import SeededConfig
 from repro.sim.perf_model import (INTERLEAVING_OFF_PENALTY_CXL,
                                   PerformanceModel, TRANSLATION_OVERHEAD)
-from repro.units import GIB
+from repro.units import GIB, s_to_ns
 from repro.workloads.azure import AzureTraceConfig, generate_vm_trace
 from repro.workloads.cloudsuite import PROFILES
 
@@ -61,9 +61,6 @@ class PowerDownSimConfig(SeededConfig):
     enable_power_down: bool = True
     group_granularity: int = 2  # CKE pairs (Section 5.1)
     spare_migration_bandwidth_gbs: float = 18.0
-    #: Registered policy name driving victim selection / demotion depth
-    #: (see repro.policies.available_policies()).
-    policy: str = "paper"
     seed: int = 0
 
 
@@ -182,8 +179,7 @@ class PowerDownSimulator(SteppedExperiment):
             geometry=config.geometry,
             enable_power_down=config.enable_power_down,
             enable_self_refresh=False,
-            group_granularity=config.group_granularity,
-            policy=config.policy))
+            group_granularity=config.group_granularity))
 
     def _vm_bandwidth_gbs(self, spec: VmSpec) -> float:
         profile = PROFILES[spec.workload]
@@ -213,13 +209,13 @@ class PowerDownSimulator(SteppedExperiment):
             spec = event.spec
             if event.kind == "start":
                 state.handles[spec.vm_name] = controller.allocate_vm(
-                    0, spec.memory_bytes, now_s=event.time_s)
+                    0, spec.memory_bytes, now_ns=s_to_ns(event.time_s))
                 state.bandwidth_gbs += self._vm_bandwidth_gbs(spec)
             else:
                 handle = state.handles.pop(spec.vm_name)
                 state.bandwidth_gbs -= self._vm_bandwidth_gbs(spec)
                 transitions = controller.deallocate_vm(
-                    handle, now_s=event.time_s)
+                    handle, now_ns=s_to_ns(event.time_s))
                 moved = sum(t.migrated_bytes for t in transitions)
                 state.migrated_bytes_total += moved
                 state.pending_migration_bytes += moved
@@ -293,7 +289,7 @@ class PowerDownSimulator(SteppedExperiment):
         if controller.power_down is not None:
             transitions = len(controller.power_down.transitions)
         telemetry = controller.telemetry_snapshot(
-            now_s=state.end_s).to_dict()
+            now_ns=s_to_ns(state.end_s)).to_dict()
         return PowerDownResult(
             config=config, intervals=state.intervals, energy=state.energy,
             migrated_bytes=state.migrated_bytes_total,

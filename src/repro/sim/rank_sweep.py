@@ -28,7 +28,7 @@ from repro.exec import ExecConfig, TaskOutcome, TaskSpec, run_tasks
 from repro.seeded import SeededConfig
 from repro.sim.perf_model import (BANKS_PER_RANK, CHANNELS, RANK_BYTES,
                                   RANKS_PER_CHANNEL, access_rate_per_channel,
-                                  md1_wait_ns, time_per_ki_ns)
+                                  bank_wait_ns, time_per_ki_ns)
 from repro.workloads.cloudsuite import PROFILES, TraceGenerator, WorkloadProfile
 from repro.workloads.trace import Trace
 
@@ -94,8 +94,8 @@ class TraceRankSweep:
         channel_total = max(1, int(per_bank.sum()))
         queue_sum = 0.0
         for count in per_bank:
-            queue = md1_wait_ns(arrival * count / channel_total,
-                                mean_service)
+            queue = bank_wait_ns(arrival * count / channel_total,
+                                 mean_service)
             queue_sum += queue * count
         mean_queue = queue_sum / channel_total
         return RankSweepPoint(

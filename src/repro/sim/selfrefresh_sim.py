@@ -38,12 +38,12 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.checkpoint import SteppedExperiment
-from repro.core.config import DtlConfig
+from repro.core.config import DEFAULT_WINDOW_NS, DtlConfig
 from repro.core.controller import DtlController, VmHandle
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.seeded import SeededConfig
-from repro.units import CACHELINE_BYTES, GIB, MIB, NS_PER_MS, NS_PER_S
+from repro.units import CACHELINE_BYTES, GIB, MIB, NS_PER_MS, ns_to_s
 from repro.workloads.cloudsuite import PROFILES, TRACED_BENCHMARKS, TraceGenerator
 from repro.workloads.drift import DriftConfig, DriftingWorkload
 
@@ -77,8 +77,7 @@ class SelfRefreshSimConfig(SeededConfig):
     allocated_bytes: int = int(208 / 288 * 24) * GIB
     workloads: tuple[str, ...] = TRACED_BENCHMARKS[:6]
     aggregate_bandwidth_gbs: float = 2.5
-    step_ns: float = 50 * NS_PER_MS
-    window_ns: float = 0.5 * NS_PER_MS
+    step_ns: int = 50 * NS_PER_MS
     duration_s: float = 90.0
     au_bytes: int = 512 * MIB
     group_granularity: int = 2
@@ -208,7 +207,6 @@ class SelfRefreshSimulator(SteppedExperiment):
             enable_self_refresh=True,
             group_granularity=config.group_granularity,
             profiling_threshold_ns=config.step_ns,
-            window_ns=config.window_ns,
             sr_victim_granularity=config.group_granularity,
             sr_planning=config.sr_planning,
             policy=config.policy))
@@ -310,8 +308,8 @@ class SelfRefreshSimulator(SteppedExperiment):
             seg_rates[generator.deep_cold_segments] = 0.0
             rates.append(seg_rates)
         rates_hz = np.concatenate(rates)
-        return (1.0 - np.exp(-rates_hz * (config.step_ns / NS_PER_S)),
-                1.0 - np.exp(-rates_hz * (config.window_ns / NS_PER_S)))
+        return (1.0 - np.exp(-rates_hz * ns_to_s(config.step_ns)),
+                1.0 - np.exp(-rates_hz * ns_to_s(DEFAULT_WINDOW_NS)))
 
     # -- run -------------------------------------------------------------------
 
@@ -330,7 +328,7 @@ class SelfRefreshSimulator(SteppedExperiment):
         if config.drift is not None:
             drifters = [DriftingWorkload.wrap(generator, config.drift, rng)
                         for generator in generators]
-        step_s = config.step_ns / NS_PER_S
+        step_s = ns_to_s(config.step_ns)
 
         active_per_channel = device.standby_ranks_per_channel(0)
         baseline_counts = device.state_counts()
@@ -358,9 +356,9 @@ class SelfRefreshSimulator(SteppedExperiment):
         power_model = device.power_model
 
         step = state.step
-        now_ns = (step + 1) * config.step_ns
+        now_ns = round((step + 1) * config.step_ns)
         if state.drifters:
-            drifted = sum(d.advance_to(now_ns / NS_PER_S)
+            drifted = sum(d.advance_to(ns_to_s(now_ns))
                           for d in state.drifters)
             if drifted:
                 state.p_touch, state.p_bit = self._touch_probabilities(

@@ -33,26 +33,26 @@ from repro.checkpoint import FanOut, FanOutState
 from repro.exec import ExecConfig, TaskOutcome
 from repro.seeded import SeededConfig
 from repro.sim.selfrefresh_sim import SelfRefreshResult, SelfRefreshSimConfig
+from repro.units import ns_to_s
 from repro.workloads.cloudsuite import TRACED_BENCHMARKS
+
+
+#: The workload mixes, labelled ``mix0``, ``mix1``, ... in this order.
+TOURNAMENT_MIXES = (TRACED_BENCHMARKS[:3], TRACED_BENCHMARKS[3:6])
 
 
 @dataclass(frozen=True)
 class TournamentConfig(SeededConfig):
-    """Which policies meet which workload mixes, and for how long.
+    """Which policies meet :data:`TOURNAMENT_MIXES`, and for how long.
 
     Attributes:
         policies: Registered policy names to enter (see
             :func:`repro.policies.available_policies`).
-        workloads: Workload mixes; each inner tuple is one
-            ``SelfRefreshSimConfig.workloads`` value.  Cells are labelled
-            ``mix0``, ``mix1``, ... in declaration order.
         duration_s: Simulated seconds per cell.
         seed: Shared RNG seed so cells differ only in policy/workloads.
     """
 
     policies: tuple[str, ...] = ("paper", "rank_aware", "dream", "adaptive")
-    workloads: tuple[tuple[str, ...], ...] = (
-        TRACED_BENCHMARKS[:3], TRACED_BENCHMARKS[3:6])
     duration_s: float = 20.0
     seed: int = 0
 
@@ -91,7 +91,7 @@ def cell_from_result(policy: str, workload: str,
     config = result.config
     migration_s = (result.migrated_bytes
                    / (config.aggregate_bandwidth_gbs * 1e9))
-    overhead = ((result.exit_penalty_ns / 1e9 + migration_s)
+    overhead = ((ns_to_s(result.exit_penalty_ns) + migration_s)
                 / config.duration_s)
     return TournamentCell(
         policy=policy,
@@ -153,7 +153,7 @@ class PolicyTournament(FanOut):
         """The grid as ``(policy, mix label, sim config)`` triples."""
         grid = []
         for policy in self.config.policies:
-            for index, mix in enumerate(self.config.workloads):
+            for index, mix in enumerate(TOURNAMENT_MIXES):
                 sim = SelfRefreshSimConfig(
                     workloads=tuple(mix),
                     duration_s=self.config.duration_s,
@@ -200,6 +200,7 @@ class TournamentRunState(FanOutState):
 
 
 __all__ = [
+    "TOURNAMENT_MIXES",
     "TournamentConfig",
     "TournamentCell",
     "TournamentResult",

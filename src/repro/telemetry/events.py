@@ -48,14 +48,13 @@ class TraceEvent:
 
     Attributes:
         kind: Event type.
-        time: Event timestamp in the emitter's native unit (simulated
-            seconds for power transitions, nanoseconds for accesses; the
-            ``data`` dict says which when it matters).
+        time: Simulated time of the event, in the clock's integer
+            nanoseconds (0 for events no clock reading goes with).
         data: Free-form event payload (DSNs, rank IDs, penalties...).
     """
 
     kind: EventKind
-    time: float = 0.0
+    time: int = 0
     data: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
@@ -73,7 +72,7 @@ class _EventBlock:
 
     __slots__ = ("kind", "time", "columns", "size")
 
-    def __init__(self, kind: EventKind, time: float,
+    def __init__(self, kind: EventKind, time: int,
                  columns: dict[str, np.ndarray], size: int):
         self.kind = kind
         self.time = time
@@ -124,7 +123,7 @@ class EventTrace:
         """
         return NullEventTrace()
 
-    def record(self, kind: EventKind, time: float = 0.0,
+    def record(self, kind: EventKind, time: int = 0,
                **data: Any) -> TraceEvent:
         """Append one event; oldest events fall off past ``capacity``."""
         event = TraceEvent(kind=kind, time=time, data=data)
@@ -137,7 +136,7 @@ class EventTrace:
             self._trim()
         return event
 
-    def record_tail(self, kind: EventKind, time: float = 0.0,
+    def record_tail(self, kind: EventKind, time: int = 0,
                     **columns: np.ndarray) -> None:
         """Append one event per row of ``columns``, all at ``time``.
 
@@ -233,11 +232,11 @@ class NullEventTrace(EventTrace):
     def enabled(self) -> bool:
         return False
 
-    def record(self, kind: EventKind, time: float = 0.0,
+    def record(self, kind: EventKind, time: int = 0,
                **data: Any) -> TraceEvent:
         return TraceEvent(kind=kind, time=time, data=data)
 
-    def record_tail(self, kind: EventKind, time: float = 0.0,
+    def record_tail(self, kind: EventKind, time: int = 0,
                     **columns: np.ndarray) -> None:
         pass
 

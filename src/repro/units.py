@@ -1,8 +1,11 @@
 """Common unit constants and helpers.
 
-All sizes in the library are expressed in **bytes**, short times in
-**nanoseconds** and schedule-level times in **seconds**, unless a name
-explicitly says otherwise (``_s``, ``_ns``, ``_ms``).
+Sizes are **bytes**.  Simulated time below the drivers (controller,
+DRAM, fault injector, shards) is one clock of **integer nanoseconds**.
+Drivers keep their own units (a schedule's seconds, a request's ``t``)
+and enter the clock through :func:`s_to_ns`, the one rounding;
+:func:`ns_to_s` prices a duration in seconds.  Modelled latencies are
+costs, not clock readings, and stay float ns.  A name says its unit.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ NS_PER_S = 1_000_000_000
 
 
 def ns_to_s(ns: float) -> float:
-    """Convert nanoseconds to seconds."""
+    """Nanoseconds as (float) seconds, for pricing energy or power."""
     return ns / NS_PER_S
 
 
-def s_to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds * NS_PER_S
+def s_to_ns(seconds: float) -> int:
+    """Seconds as a clock reading: the nearest integer nanosecond."""
+    return round(seconds * NS_PER_S)
 
 
 def is_power_of_two(value: int) -> bool:

@@ -29,6 +29,11 @@ from repro.workloads.trace import Trace
 
 SEGMENT_BYTES = 2 * MIB
 
+#: Testbed core clock (Section 5.1), also :mod:`repro.sim.perf_model`'s.
+CLOCK_GHZ = 2.7
+#: Share of cycles a VM's vCPUs retire instructions (Section 5.1).
+VCPU_UTILIZATION = 0.5
+
 #: Stride bucket upper edges used by the generators and Figure 9:
 #: [64 B, 4 KiB), [4 KiB, 64 KiB), [64 KiB, 1 MiB), [1 MiB, 4 MiB), >=4 MiB.
 STRIDE_BUCKET_EDGES = (CACHELINE_BYTES, 4096, 65536, 1 << 20, 1 << 22)
@@ -82,14 +87,13 @@ class WorkloadProfile:
             raise ConfigurationError(
                 f"{self.name}: hot_segment_fraction out of (0, 1]")
 
-    def bandwidth_gbs(self, vcpus: int, clock_ghz: float = 2.7,
-                      utilization: float = 0.5) -> float:
+    def bandwidth_gbs(self, vcpus: int) -> float:
         """Post-cache bandwidth of one instance (Section 5.1 power model).
 
-        ``MAPKI x instruction rate x 64 B``, with ``utilization`` modelling
-        the fraction of cycles the vCPUs are actually retiring.
+        ``MAPKI x instruction rate x 64 B``, with :data:`VCPU_UTILIZATION`
+        of the vCPUs' cycles retiring instructions.
         """
-        instr_per_s = vcpus * clock_ghz * 1e9 * self.ipc * utilization
+        instr_per_s = vcpus * CLOCK_GHZ * 1e9 * self.ipc * VCPU_UTILIZATION
         return self.mapki / 1000.0 * instr_per_s * CACHELINE_BYTES / 1e9
 
 
@@ -283,6 +287,8 @@ def make_trace(name: str, num_accesses: int, footprint_bytes: int | None = None,
 
 __all__ = [
     "SEGMENT_BYTES",
+    "CLOCK_GHZ",
+    "VCPU_UTILIZATION",
     "STRIDE_BUCKET_EDGES",
     "WorkloadProfile",
     "PROFILES",

@@ -25,7 +25,7 @@ from repro.errors import AllocationError
 
 
 def wake_ranks_holding(controller: DtlController, dsns: np.ndarray,
-                       now_s: float) -> None:
+                       now_ns: int) -> None:
     """Exit self-refresh on every rank among one AU's segments."""
     if not any(rank.state is PowerState.SELF_REFRESH
                for rank in controller.device.ranks.values()):
@@ -33,17 +33,17 @@ def wake_ranks_holding(controller: DtlController, dsns: np.ndarray,
     for rank_id in set(controller.allocator.ranks_of_dsns(dsns)):
         if controller.device.ranks[rank_id].state is PowerState.SELF_REFRESH:
             controller.device.set_rank_state(rank_id, PowerState.STANDBY,
-                                             now_s)
+                                             now_ns)
 
 
 def allocate_vm(controller: DtlController, host_id: int,
-                reserved_bytes: int, now_s: float = 0.0) -> VmHandle:
+                reserved_bytes: int, now_ns: int = 0) -> VmHandle:
     """``DtlController.allocate_vm``, one AU at a time."""
     num_aus = controller.aus_for_bytes(reserved_bytes)
     segments_per_au = controller.host_layout.segments_per_au
     if controller.power_down is not None:
         controller.power_down.ensure_capacity(num_aus * segments_per_au,
-                                              now_s)
+                                              now_ns)
     free_aus = controller._free_aus(host_id)
     if len(free_aus) < num_aus:
         raise AllocationError(
@@ -52,7 +52,7 @@ def allocate_vm(controller: DtlController, host_id: int,
     for au_id in au_ids:
         controller.tables.allocate_au(host_id, [au_id])
         dsns = controller.allocator.allocate(segments_per_au)
-        wake_ranks_holding(controller, dsns, now_s)
+        wake_ranks_holding(controller, dsns, now_ns)
         controller.tables.map_au_segments(host_id, [au_id], dsns)
     vm = VmHandle(vm_id=controller._next_vm_id, host_id=host_id,
                   au_ids=au_ids,
@@ -63,7 +63,7 @@ def allocate_vm(controller: DtlController, host_id: int,
 
 
 def deallocate_vm(controller: DtlController, vm: VmHandle,
-                  now_s: float = 0.0) -> list[PowerTransition]:
+                  now_ns: int = 0) -> list[PowerTransition]:
     """``DtlController.deallocate_vm``, one AU at a time."""
     if vm.vm_id not in controller._vms:
         raise AllocationError(f"VM {vm.vm_id} is not live")
@@ -85,5 +85,5 @@ def deallocate_vm(controller: DtlController, vm: VmHandle,
         free_aus.append(au_id)
     del controller._vms[vm.vm_id]
     if controller.power_down is not None:
-        return controller.power_down.maybe_power_down(now_s)
+        return controller.power_down.maybe_power_down(now_ns)
     return []

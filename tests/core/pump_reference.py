@@ -120,7 +120,7 @@ def drain_migrations(shard: ControllerShard) -> None:
                 f"shard {shard.index}: migration drain exceeded "
                 f"{shards.DRAIN_STEP_LIMIT} pump steps")
             break
-        controller.pump_migrations(shard.now_s,
+        controller.pump_migrations(shard.clock_ns,
                                    lines=shards.DRAIN_PUMP_LINES)
         shard.clock_ns += shards.ACCESS_PERIOD_NS
         shard._audit_on_abort()

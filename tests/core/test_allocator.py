@@ -191,10 +191,10 @@ class TestConservation:
 class TestPark:
     def test_park_closes_and_transitions(self, allocator):
         device = DramDevice(geometry=allocator.geometry)
-        allocator.park(device, [(0, 3), (1, 3)], PowerState.MPSM, 1.0)
+        allocator.park(device, [(0, 3), (1, 3)], PowerState.MPSM, 1)
         assert allocator.role((0, 3)) is RankRole.PARKED
         assert device.rank(1, 3).state is PowerState.MPSM
-        allocator.park(device, [(2, 3)], PowerState.MPSM, 1.0,
+        allocator.park(device, [(2, 3)], PowerState.MPSM, 1,
                        role=RankRole.RETIRED)
         assert allocator.role((2, 3)) is RankRole.RETIRED
 
@@ -202,6 +202,6 @@ class TestPark:
         device = DramDevice(geometry=allocator.geometry)
         allocator.allocate_in_rank((0, 1), 1)
         with pytest.raises(PowerStateError, match="holds 1 allocated"):
-            allocator.park(device, [(0, 0), (0, 1)], PowerState.MPSM, 1.0)
+            allocator.park(device, [(0, 0), (0, 1)], PowerState.MPSM, 1)
         assert allocator.open_ranks() == set(device.ranks)
         assert device.state_counts()[PowerState.MPSM] == 0

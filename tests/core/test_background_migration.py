@@ -7,7 +7,7 @@ from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
-from repro.units import MIB
+from repro.units import MIB, s_to_ns
 
 
 @pytest.fixture
@@ -21,9 +21,9 @@ def controller():
 
 def force_consolidation(controller):
     """Create a layout where power-down must migrate live segments."""
-    vm_a = controller.allocate_vm(0, 96 * MIB, now_s=0.0)
-    vm_b = controller.allocate_vm(0, 96 * MIB, now_s=1.0)
-    controller.deallocate_vm(vm_a, now_s=2.0)
+    vm_a = controller.allocate_vm(0, 96 * MIB, now_ns=0)
+    vm_b = controller.allocate_vm(0, 96 * MIB, now_ns=s_to_ns(1.0))
+    controller.deallocate_vm(vm_a, now_ns=s_to_ns(2.0))
     return vm_b
 
 
@@ -50,7 +50,7 @@ class TestDeferredPowerDown:
         for _ in range(10_000):
             if not policy.pending_power_downs():
                 break
-            controller.pump_migrations(now_s=3.0, lines=4096)
+            controller.pump_migrations(now_ns=s_to_ns(3.0), lines=4096)
         assert not policy.pending_power_downs()
         for rank_id in pending.victims:
             assert controller.device.ranks[rank_id].state is PowerState.MPSM
@@ -61,7 +61,7 @@ class TestDeferredPowerDown:
         policy = controller.power_down
         fenced = {rank_id for pending in policy.pending_power_downs()
                   for rank_id in pending.victims}
-        vm = controller.allocate_vm(1, 32 * MIB, now_s=4.0)
+        vm = controller.allocate_vm(1, 32 * MIB, now_ns=s_to_ns(4.0))
         for au_id in vm.au_ids:
             for offset in range(controller.host_layout.segments_per_au):
                 hsn = controller.host_layout.pack_hsn(1, au_id, offset)
@@ -73,7 +73,7 @@ class TestDeferredPowerDown:
         if not controller.power_down.pending_power_downs():
             pytest.skip("no migration needed")
         busy = set(range(controller.geometry.channels))
-        assert controller.pump_migrations(5.0, lines=64,
+        assert controller.pump_migrations(s_to_ns(5.0), lines=64,
                                           busy_channels=busy) == 0
 
     def test_foreground_writes_still_consistent(self, controller):
@@ -85,7 +85,7 @@ class TestDeferredPowerDown:
         for _ in range(10_000):
             if not controller.power_down.pending_power_downs():
                 break
-            controller.pump_migrations(now_s=6.0, lines=4096)
+            controller.pump_migrations(now_ns=s_to_ns(6.0), lines=4096)
         check(controller, balance_tolerance=10 ** 9)
 
 
@@ -101,7 +101,7 @@ class TestFreeingAVmWithCopiesPending:
         submitted = engine.pending_count()
         assert submitted == 16
         victims = controller.power_down.pending_power_downs()[0].victims
-        controller.deallocate_vm(vm_b, now_s=3.0)
+        controller.deallocate_vm(vm_b, now_ns=s_to_ns(3.0))
         # Cancelled, not retired: nothing to copy, nothing reserved.
         assert engine.pending_count() == 0
         assert not engine.has_tracked_requests
@@ -111,7 +111,7 @@ class TestFreeingAVmWithCopiesPending:
             == submitted
         check(controller)
         # The pending power-down has nothing left to wait for.
-        controller.pump_migrations(now_s=4.0, lines=4096)
+        controller.pump_migrations(now_ns=s_to_ns(4.0), lines=4096)
         assert not controller.power_down.pending_power_downs()
         for rank_id in victims:
             assert controller.device.ranks[rank_id].state is PowerState.MPSM
@@ -122,13 +122,13 @@ class TestFreeingAVmWithCopiesPending:
         engine = controller.migration
         # Start both channels' first copy: one request each now sits in
         # the in-flight register, part-way through.
-        controller.pump_migrations(now_s=2.5, lines=100)
+        controller.pump_migrations(now_ns=s_to_ns(2.5), lines=100)
         assert engine.stats.lines_copied == 200
-        controller.deallocate_vm(vm_b, now_s=3.0)
+        controller.deallocate_vm(vm_b, now_ns=s_to_ns(3.0))
         assert engine.pending_count() == 0
         assert controller.allocator.allocated_count() == 0
         for _ in range(3):
-            controller.pump_migrations(now_s=4.0, lines=4096)
+            controller.pump_migrations(now_ns=s_to_ns(4.0), lines=4096)
         assert engine.stats.lines_copied == 200
         assert engine.stats.segments_migrated == 0
         check(controller)
@@ -136,16 +136,16 @@ class TestFreeingAVmWithCopiesPending:
     def test_other_vms_copies_keep_going(self, controller):
         vm_b = force_consolidation(controller)
         # A third VM lands next to vm_b's not-yet-moved segments.
-        vm_c = controller.allocate_vm(1, 16 * MIB, now_s=2.5)
+        vm_c = controller.allocate_vm(1, 16 * MIB, now_ns=s_to_ns(2.5))
         moving = {request.hsn
                   for request in controller.migration.tracked_requests()}
-        controller.deallocate_vm(vm_c, now_s=3.0)
+        controller.deallocate_vm(vm_c, now_ns=s_to_ns(3.0))
         assert {request.hsn for request
                 in controller.migration.tracked_requests()} == moving
         for _ in range(10_000):
             if not controller.power_down.pending_power_downs():
                 break
-            controller.pump_migrations(now_s=4.0, lines=4096)
+            controller.pump_migrations(now_ns=s_to_ns(4.0), lines=4096)
         assert controller.migration.stats.segments_migrated == len(moving)
         for au_id in vm_b.au_ids:
             controller.access(0, controller.hpa_of(au_id, 0))
@@ -164,12 +164,12 @@ class TestRetiringARankWithCopiesPending:
         vm_b = force_consolidation(controller)
         request = controller.migration.tracked_requests()[0]
         rank_id = controller.allocator.rank_of_dsn(getattr(request, role))
-        record = controller.retire_rank(*rank_id, now_s=3.0)
+        record = controller.retire_rank(*rank_id, now_ns=s_to_ns(3.0))
         assert controller.migration.pending_count() == 0
         assert controller.migration.stats.segments_migrated \
             == 16 + record.migrated_segments
         assert controller.device.ranks[rank_id].state is PowerState.MPSM
-        controller.pump_migrations(now_s=4.0)
+        controller.pump_migrations(now_ns=s_to_ns(4.0))
         assert not controller.power_down.pending_power_downs()
         for au_id in vm_b.au_ids:
             controller.access(0, controller.hpa_of(au_id, 0))
@@ -207,7 +207,7 @@ class TestCompletionWindow:
         for _ in range(10_000):
             if not controller.power_down.pending_power_downs():
                 break
-            controller.pump_migrations(now_s=3.0, lines=4096)
+            controller.pump_migrations(now_ns=s_to_ns(3.0), lines=4096)
         read = controller.access(host_id, hpa)
         assert read.dsn == request.new_dsn
         assert not read.routed_to_new_dsn
@@ -220,8 +220,8 @@ class TestSynchronousDefault:
             geometry=DramGeometry(channels=2, ranks_per_channel=4,
                                   rank_bytes=64 * MIB),
             au_bytes=16 * MIB, enable_self_refresh=False))
-        vm_a = controller.allocate_vm(0, 96 * MIB, now_s=0.0)
-        controller.allocate_vm(0, 96 * MIB, now_s=1.0)
-        controller.deallocate_vm(vm_a, now_s=2.0)
+        vm_a = controller.allocate_vm(0, 96 * MIB, now_ns=0)
+        controller.allocate_vm(0, 96 * MIB, now_ns=s_to_ns(1.0))
+        controller.deallocate_vm(vm_a, now_ns=s_to_ns(2.0))
         assert controller.migration.pending_count() == 0
         assert not controller.power_down.pending_power_downs()

@@ -71,7 +71,7 @@ def random_trace(config: DtlConfig, n: int, seed: int,
     return hpas.astype(np.int64), rng.random(n) < 0.3
 
 
-def run_scalar(controller: DtlController, hpas, writes, now_ns=0.0,
+def run_scalar(controller: DtlController, hpas, writes, now_ns=0,
                host_id=0):
     return [controller.access(host_id, int(hpa), bool(write), now_ns=now_ns)
             for hpa, write in zip(hpas, writes)]
@@ -208,11 +208,11 @@ def test_identity_with_migrations_in_flight(seed):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_identity_across_self_refresh_phases(seed):
     """Drive channels through PROFILING/SELF_REFRESH and keep identity."""
-    config = small_config(window_ns=1000.0, profiling_threshold_ns=5000.0)
+    config = small_config(window_ns=1000, profiling_threshold_ns=5000)
     scalar, batch = build_pair(config)
     hpas, writes = random_trace(config, 400, seed)
     quiet_rank_segment = 0  # concentrate later traffic away from rank 0
-    for stage, now_ns in enumerate((0.0, 2000.0, 10_000.0, 20_000.0)):
+    for stage, now_ns in enumerate((0, 2000, 10_000, 20_000)):
         for controller in (scalar, batch):
             controller.end_window()
             controller.tick(now_ns)
@@ -242,19 +242,19 @@ CALL_LENGTHS = (1, 2, 63, 64, 65, 128, 129, 4096)
 
 def served_config(**overrides) -> DtlConfig:
     defaults = dict(geometry=SERVED_GEOMETRY, au_bytes=32 * MIB,
-                    profiling_threshold_ns=200_000.0,
+                    profiling_threshold_ns=200_000,
                     background_migration=True)
     defaults.update(overrides)
     return DtlConfig(**defaults)
 
 
-def serve_step(controller: DtlController, clock_ns: float, n: int) -> float:
+def serve_step(controller: DtlController, clock_ns: int, n: int) -> int:
     """What a shard does after every applied request
     (``ControllerShard.apply_access_batch``); returns the new clock."""
-    clock_ns += n * 100.0
+    clock_ns += n * 100
     controller.tick(clock_ns)
     controller.end_window()
-    controller.pump_migrations(clock_ns / 1e9, lines=8)
+    controller.pump_migrations(clock_ns, lines=8)
     return clock_ns
 
 
@@ -343,7 +343,7 @@ def test_short_call_identity_in_served_shape(self_refresh, migrating):
             controller.migration.step_channel(1, lines=lines // 2)
     chunks = chunks_per_lookup(batch)
     vm_bytes = SERVED_AUS * config.au_bytes
-    clock_ns = 0.0
+    clock_ns = 0
     l1_misses_at_64 = []
     for call in range(3 * len(CALL_LENGTHS)):
         host_id = call % SERVED_HOSTS
@@ -361,7 +361,7 @@ def test_short_call_identity_in_served_shape(self_refresh, migrating):
             l1_misses_at_64.append(int((~batch_result.smc_l1_hits).sum()))
         for controller in (scalar, batch):
             serve_step(controller, clock_ns, n)
-        clock_ns += n * 100.0
+        clock_ns += n * 100
         assert_state_match(scalar, batch)
         scalar.trace.clear()
         batch.trace.clear()
@@ -489,7 +489,7 @@ def serve_looking_ahead(controller: DtlController, calls, clock_ns: float,
                 tick_ns = max(tick_ns, t_ns)
             if now_ns is None:
                 now_ns = tick_ns
-            tick_ns += length * 100.0
+            tick_ns += length * 100
             ticks_ns.append(tick_ns)
         count = controller.look_ahead_calls(lengths, ticks_ns, now_ns)
         prefix, calls = calls[:count], calls[count:]
@@ -569,7 +569,7 @@ def served_pair(plan: FaultPlan | None = None, **overrides):
 
 
 def queued(controller: DtlController, call: int, n: int = 128,
-           t_ns: float | None = None):
+           t_ns: int | None = None):
     return (*served_call(controller, call, n), t_ns)
 
 
@@ -593,14 +593,14 @@ def test_look_ahead_identity_in_served_shape(mode):
         enable_self_refresh=mode != "sr-off")
     translated = fires_per_translation(twin)
     rng = np.random.default_rng(23)
-    clock_ns, call, prefixes = 0.0, 0, []
+    clock_ns, call, prefixes = 0, 0, []
     while call < 15 * len(CALL_LENGTHS):
         calls = []
         for _ in range(int(rng.integers(1, 9))):
             n = CALL_LENGTHS[(call + call // len(CALL_LENGTHS))
                              % len(CALL_LENGTHS)]
             # Every ninth request carries a timestamp ahead of the clock.
-            t_ns = (clock_ns + 30_000.0 * len(calls) if call % 9 == 4
+            t_ns = (clock_ns + 30_000 * len(calls) if call % 9 == 4
                     else None)
             calls.append(queued(reference, call, n, t_ns))
             call += 1
@@ -666,13 +666,13 @@ def test_a_raising_slice_folds_telemetry_as_one_by_one(failing):
     taken right after — the ring's within-batch order, the one thing
     docs/PERF.md exempts, is not in a snapshot."""
     reference, twin = served_pair()
-    clock_ns = 0.0
+    clock_ns = 0
     for call in range(12):  # warm, both ways alike
         for controller in (reference, twin):
             host_id, hpas, writes = served_call(controller, call)
             controller.access_batch(host_id, hpas, writes, now_ns=clock_ns)
             serve_step(controller, clock_ns, len(hpas))
-        clock_ns += 128 * 100.0
+        clock_ns += 128 * 100
     calls = [served_call(reference, call) for call in range(12, 16)]
     for controller in (reference, twin):
         failing_screen(controller, failing)
@@ -688,7 +688,7 @@ def test_a_raising_slice_folds_telemetry_as_one_by_one(failing):
             clock = serve_step(reference, clock, len(hpas))
     stops = list(itertools.accumulate(len(hpas) for _, hpas, _ in calls))
     assert twin.look_ahead_calls([128] * 4,
-                                 [clock_ns + 12_800.0 * k for k in
+                                 [clock_ns + 12_800 * k for k in
                                   range(1, 5)], clock_ns) == 4
     ahead = twin.look_ahead(
         np.repeat([host_id for host_id, _, _ in calls], 128),
@@ -709,8 +709,8 @@ def test_a_raising_slice_folds_telemetry_as_one_by_one(failing):
     assert_results_identical([r for r in one_by_one if r is not None],
                              [r for r in looked_ahead if r is not None])
     assert_telemetry_identical(reference, twin)
-    assert (reference.telemetry_snapshot(now_s=clock / 1e9).to_dict()
-            == twin.telemetry_snapshot(now_s=clock / 1e9).to_dict())
+    assert (reference.telemetry_snapshot(now_ns=clock).to_dict()
+            == twin.telemetry_snapshot(now_ns=clock).to_dict())
     assert_twins_identical(reference, twin)
 
 
@@ -727,7 +727,7 @@ def test_look_ahead_stops_at_a_pending_migration():
         controller.allocator.reserve_specific(partner)
         controller.migration.submit(hsn, dsn, partner)
     calls = [queued(reference, call) for call in range(4)]
-    prefixes, _ = check_group(reference, twin, calls, 0.0)
+    prefixes, _ = check_group(reference, twin, calls, 0)
     assert prefixes == [1, 1, 1, 1]
     assert twin.migration.has_tracked_requests
 
@@ -740,14 +740,14 @@ def test_look_ahead_stops_where_a_queued_timestamp_lets_profiling_end():
     request touches move."""
     reference, twin = served_pair()
     warm = [queued(reference, call) for call in range(12)]
-    _, clock_ns = check_group(reference, twin, warm[:6], 0.0)
+    _, clock_ns = check_group(reference, twin, warm[:6], 0)
     _, clock_ns = check_group(reference, twin, warm[6:], clock_ns)
     policy = twin.self_refresh
     assert all(policy.phase(channel) is ChannelPhase.PROFILING
                and policy._planned_swaps(channel, policy._channels[channel])
                for channel in range(2))
     calls = [queued(reference, call) for call in range(12, 16)]
-    calls[2] = (*calls[2][:3], clock_ns + 130_000.0)
+    calls[2] = (*calls[2][:3], clock_ns + 130_000)
     host_id, hpas, _, _ = calls[3]
     layout = twin.host_layout
     hsn_locals, _ = layout.split_hpa_batch(hpas)
@@ -771,13 +771,13 @@ def test_look_ahead_stops_before_an_idle_channel_can_enter():
     assert all(policy.phase(channel) is ChannelPhase.IDLE
                for channel in range(2))
     calls = [queued(reference, call) for call in range(0, 36, 6)]
-    calls[3] = (*calls[3][:3], 400_000.0)
-    prefixes, _ = check_group(reference, twin, calls, 0.0)
+    calls[3] = (*calls[3][:3], 400_000)
+    prefixes, _ = check_group(reference, twin, calls, 0)
     assert prefixes == [4, 2]
     assert [event.kind for event in policy.events[:2]] \
         == ["victim_selected"] * 2
     entries = [event for event in policy.events if event.kind == "enter_sr"]
-    assert {event.time_ns for event in entries} == {412_800.0}
+    assert {event.time_ns for event in entries} == {412_800}
     assert sum(event.swaps for event in entries) > 0
 
 
@@ -794,7 +794,7 @@ def test_look_ahead_runs_through_an_smc_corruption(fire_at):
     lookups = chunks_per_lookup(twin)
     translated = fires_per_translation(twin)
     calls = [queued(reference, call) for call in range(4)]
-    prefixes, _ = check_group(reference, twin, calls, 0.0)
+    prefixes, _ = check_group(reference, twin, calls, 0)
     assert prefixes == [4]
     assert len(lookups) == 1
     assert translated == [(4, 512, [fire_at])]
@@ -811,14 +811,14 @@ def test_look_ahead_with_a_call_of_one_access(armed):
     reference, twin = served_pair(plan if armed else None)
     calls = [queued(reference, 0), queued(reference, 1, n=1),
              queued(reference, 2), queued(reference, 3)]
-    prefixes, _ = check_group(reference, twin, calls, 0.0)
+    prefixes, _ = check_group(reference, twin, calls, 0)
     assert prefixes == [4]
 
 
 def test_look_ahead_holds_a_bounded_number_of_accesses():
     reference, twin = served_pair()
     calls = [queued(reference, call) for call in range(10)]
-    prefixes, clock_ns = check_group(reference, twin, calls, 0.0)
+    prefixes, clock_ns = check_group(reference, twin, calls, 0)
     assert prefixes == [LOOK_AHEAD_ACCESSES // 128, 2]
     calls = [queued(reference, 10), queued(reference, 11, n=4096),
              queued(reference, 12)]

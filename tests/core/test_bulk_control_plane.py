@@ -45,7 +45,7 @@ from repro.faults import (EccFault, FaultInjector, FaultPlan, HookPoint,
                           MigrationAbortFault)
 from repro.policies import available_policies
 from repro.telemetry import EventKind, EventTrace
-from repro.units import MIB
+from repro.units import MIB, s_to_ns
 
 GEOMETRY = DramGeometry(channels=2, ranks_per_channel=4,
                         rank_bytes=64 * MIB)  # 32 segments per rank
@@ -165,8 +165,8 @@ def consolidate(*specs, warm: bool, **config) -> DtlController:
         geometry=GEOMETRY, au_bytes=16 * MIB, **config))
     if specs:
         arm(controller, *specs)
-    vm_a = controller.allocate_vm(0, 96 * MIB, now_s=0.0)
-    vm_b = controller.allocate_vm(0, 96 * MIB, now_s=1.0)
+    vm_a = controller.allocate_vm(0, 96 * MIB, now_ns=0)
+    vm_b = controller.allocate_vm(0, 96 * MIB, now_ns=s_to_ns(1.0))
     if warm:
         segments = controller.host_layout.segments_per_au
         hpas = np.array([controller.hpa_of(au_id, offset)
@@ -174,7 +174,7 @@ def consolidate(*specs, warm: bool, **config) -> DtlController:
                          for offset in range(segments)], dtype=np.int64)
         controller.access_batch(0, np.concatenate([hpas, hpas[::3]]),
                                 now_ns=1.5e9)
-    transitions = controller.deallocate_vm(vm_a, now_s=2.0)
+    transitions = controller.deallocate_vm(vm_a, now_ns=s_to_ns(2.0))
     assert sum(t.migrated_segments for t in transitions) > 0
     assert controller.migration.pending_count() == 0
     check(controller)
@@ -245,9 +245,9 @@ def test_partly_copied_and_completed_requests_finish_in_bulk():
             enable_self_refresh=False, background_migration=True))
         if specs:
             arm(controller, *specs)
-        vm_a = controller.allocate_vm(0, 96 * MIB, now_s=0.0)
-        controller.allocate_vm(0, 96 * MIB, now_s=1.0)
-        controller.deallocate_vm(vm_a, now_s=2.0)
+        vm_a = controller.allocate_vm(0, 96 * MIB, now_ns=0)
+        controller.allocate_vm(0, 96 * MIB, now_ns=s_to_ns(1.0))
+        controller.deallocate_vm(vm_a, now_ns=s_to_ns(2.0))
         engine = controller.migration
         lines = engine.lines_per_segment
         # Channel 0: first request complete (retire pending), second
@@ -260,7 +260,7 @@ def test_partly_copied_and_completed_requests_finish_in_bulk():
         assert engine.in_flight(1).completion
         engine.drain()
         assert engine.pending_count() == 0
-        controller.pump_migrations(now_s=3.0)
+        controller.pump_migrations(now_ns=s_to_ns(3.0))
         check(controller)
         pair.append(controller)
     bulk, stepped = pair
@@ -310,7 +310,7 @@ def reserve_per_segment(host: RankPowerDownPolicy, targets, count: int,
                       if host.allocator.free_in_rank(rank_id)]
         best = host.policy.consolidation_target(candidates).rank_id
         if host.device.ranks[best].state is PowerState.SELF_REFRESH:
-            host.device.set_rank_state(best, PowerState.STANDBY, 0.0)
+            host.device.set_rank_state(best, PowerState.STANDBY, 0)
         reserved.extend(host.allocator.allocate_in_rank(best, 1).tolist())
     return reserved
 
@@ -339,7 +339,7 @@ def test_run_filling_reserves_the_per_segment_sequence(policy_name, data):
             host.device.rank(0, rank).record_access()
         if rank in asleep:
             host.device.set_rank_state((0, rank), PowerState.SELF_REFRESH,
-                                       0.0)
+                                       0)
         if rank == 0:
             live = sorted(dsns.tolist())
     targets = {(0, rank) for rank in (1, 2, 3)}
@@ -349,7 +349,7 @@ def test_run_filling_reserves_the_per_segment_sequence(policy_name, data):
     oracle = copy.deepcopy(host)
     expected = reserve_per_segment(oracle, targets, count)
 
-    host.evacuate(live[:count], targets, 0.0)
+    host.evacuate(live[:count], targets, 0)
     requests = host.migration.tracked_requests()
     assert [request.old_dsn for request in requests] == live[:count]
     assert [request.new_dsn for request in requests] == expected
@@ -375,7 +375,7 @@ def test_policy_is_asked_once_per_run():
             layout.pack_hsn(0, *divmod(index, layout.segments_per_au)), dsn)
     host.allocator.allocate_in_rank((0, 1), 27)  # 5 free: the fullest
     host.allocator.allocate_in_rank((0, 2), 10)
-    host.evacuate(live, {(0, 1), (0, 2), (0, 3)}, 0.0)
+    host.evacuate(live, {(0, 1), (0, 2), (0, 3)}, 0)
     assert asked == [3, 2]  # 5 into rank 1, then 7 into rank 2
     ranks = [host.allocator.rank_of_dsn(request.new_dsn)
              for request in host.migration.tracked_requests()]
@@ -390,7 +390,7 @@ def test_refused_target_leaves_nothing_reserved_untracked():
         host.tables.map_segment(layout.pack_hsn(0, 0, offset), dsn)
     host.allocator.allocate_in_rank((0, 1), 29)  # room for 3 of the 8
     with pytest.raises(AllocationError, match="channel 0"):
-        host.evacuate(live, {(0, 1)}, 0.0)
+        host.evacuate(live, {(0, 1)}, 0)
     tracked = host.migration.tracked_requests()
     assert [request.old_dsn for request in tracked] == live[:3]
     assert host.allocator.usage((0, 1)).allocated == 32

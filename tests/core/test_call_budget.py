@@ -28,7 +28,7 @@ from repro.dram.geometry import DramGeometry
 from repro.faults.hooks import HookPoint
 from repro.server.server import server_fault_plan
 from repro.server.shards import ControllerShard
-from repro.units import GIB, MIB
+from repro.units import GIB, MIB, s_to_ns
 
 from tests.core.test_batch_identity import (SERVED_AUS, SERVED_HOSTS,
                                             SERVED_VMS, build_pair,
@@ -69,9 +69,9 @@ def c_calls(function) -> int:
     return count
 
 
-def warmed(controller: DtlController) -> float:
+def warmed(controller: DtlController) -> int:
     """Serve ``WARM_CALLS`` requests; returns the clock afterwards."""
-    clock_ns = 0.0
+    clock_ns = 0
     for call in range(WARM_CALLS):
         host_id, hpas, writes = served_call(controller, call)
         controller.access_batch(host_id, hpas, writes, now_ns=clock_ns)
@@ -173,11 +173,12 @@ def serve_clean_shard_state():
     parked every rank they leave empty — one open standby rank and three
     parked ones per channel."""
     controller = DtlController(small_dtl_config())
-    vms = [controller.allocate_vm(host, SERVED_VM_BYTES, now_s=0.0)
+    vms = [controller.allocate_vm(host, SERVED_VM_BYTES, now_ns=0)
            for host in range(4) for _ in range(2)]
     controller.deallocate_vm(
-        controller.allocate_vm(4, SERVED_VM_BYTES, now_s=0.0), now_s=1e-3)
-    clock_ns = 1e6
+        controller.allocate_vm(4, SERVED_VM_BYTES, now_ns=0),
+        now_ns=s_to_ns(1e-3))
+    clock_ns = 1_000_000
     while controller.migration.pending_count():
         clock_ns = serve_step(controller, clock_ns, 128)
     geometry = controller.geometry
@@ -395,8 +396,8 @@ def consolidating_controller():
     controller = DtlController(DtlConfig(
         geometry=DramGeometry(channels=2, ranks_per_channel=4,
                               rank_bytes=8 * GIB), au_bytes=2 * GIB))
-    first = controller.allocate_vm(0, 12 * GIB, now_s=0.0)
-    controller.allocate_vm(0, 10 * GIB, now_s=1.0)
+    first = controller.allocate_vm(0, 12 * GIB, now_ns=0)
+    controller.allocate_vm(0, 10 * GIB, now_ns=s_to_ns(1.0))
     return controller, first
 
 
@@ -406,12 +407,12 @@ def test_control_plane_stays_inside_its_dispatch_budget():
         controller, first = consolidating_controller()
         allocated = []
         allocate = c_calls(lambda: allocated.append(
-            controller.allocate_vm(1, 2 * GIB, now_s=1.0)))
+            controller.allocate_vm(1, 2 * GIB, now_ns=s_to_ns(1.0))))
         assert len(allocated[0].au_ids) == 1
         assert controller.host_layout.segments_per_au == 1024
         transitions = []
         deallocate = c_calls(lambda: transitions.extend(
-            controller.deallocate_vm(first, now_s=2.0)))
+            controller.deallocate_vm(first, now_ns=s_to_ns(2.0))))
         assert sum(t.migrated_segments for t in transitions) == 2048
         assert controller.migration.stats.segments_migrated == 2048
         assert len(transitions) == 3
@@ -430,9 +431,10 @@ def lifecycle_calls(num_aus: int) -> tuple[int, int]:
         geometry=DramGeometry(rank_bytes=GIB), au_bytes=256 * MIB))
     vms = []
     allocate = c_calls(lambda: vms.append(
-        controller.allocate_vm(0, num_aus * 256 * MIB, now_s=0.0)))
+        controller.allocate_vm(0, num_aus * 256 * MIB, now_ns=0)))
     assert len(vms[0].au_ids) == num_aus
-    deallocate = c_calls(lambda: controller.deallocate_vm(vms[0], now_s=1.0))
+    deallocate = c_calls(lambda: controller.deallocate_vm(
+        vms[0], now_ns=s_to_ns(1.0)))
     return allocate, deallocate
 
 

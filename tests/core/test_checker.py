@@ -9,7 +9,7 @@ from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
-from repro.units import GIB, MIB
+from repro.units import GIB, MIB, s_to_ns
 
 from tests.core.checker_reference import REFERENCE_CHECKS
 
@@ -33,10 +33,10 @@ class TestCleanStates:
         assert report.checked_mappings == 128
 
     def test_after_full_lifecycle(self, controller):
-        vm_a = controller.allocate_vm(0, 512 * MIB, now_s=0.0)
-        vm_b = controller.allocate_vm(1, 256 * MIB, now_s=1.0)
-        controller.deallocate_vm(vm_a, now_s=2.0)
-        controller.allocate_vm(0, 128 * MIB, now_s=3.0)
+        vm_a = controller.allocate_vm(0, 512 * MIB, now_ns=0)
+        vm_b = controller.allocate_vm(1, 256 * MIB, now_ns=s_to_ns(1.0))
+        controller.deallocate_vm(vm_a, now_ns=s_to_ns(2.0))
+        controller.allocate_vm(0, 128 * MIB, now_ns=s_to_ns(3.0))
         assert check(controller).ok
 
     def test_after_accesses(self, controller):
@@ -49,7 +49,7 @@ class TestCleanStates:
 
     def test_after_retirement_with_tolerance(self, controller):
         vm = controller.allocate_vm(0, 512 * MIB)
-        controller.retire_rank(0, 7, now_s=1.0)
+        controller.retire_rank(0, 7, now_ns=s_to_ns(1.0))
         # Retirement may not disturb balance when the rank was empty.
         assert check(controller).ok
 
@@ -87,7 +87,7 @@ class TestDetectsCorruption:
         rank_id = next(rank_id
                        for rank_id in controller.device.ranks
                        if controller.allocator.usage(rank_id).allocated)
-        controller.device.set_rank_state(rank_id, PowerState.MPSM, 1.0)
+        controller.device.set_rank_state(rank_id, PowerState.MPSM, 1)
         with pytest.raises(ConsistencyError, match="MPSM"):
             check(controller)
         assert ConsistencyChecker(controller).audit().violations == [
@@ -132,7 +132,7 @@ class TestRankRoles:
         controller.allocator.set_role([(1, 6)], RankRole.FENCED)
         assert self.violations(controller) == []
         controller.device.set_rank_state((1, 6), PowerState.SELF_REFRESH,
-                                         1.0)
+                                         1)
         assert self.violations(controller) == [
             "rank (1, 6) is fenced but in SELF_REFRESH"]
 
@@ -178,7 +178,7 @@ class TestGatheredChecksMatchTheLoops:
     def busy(controller):
         """Three VMs on two hosts, every segment of the first touched
         twice: both SMC levels hold entries."""
-        vms = [controller.allocate_vm(host, 256 * MIB, now_s=float(host))
+        vms = [controller.allocate_vm(host, 256 * MIB, now_ns=s_to_ns(host))
                for host in (0, 1, 0)]
         for _ in range(2):
             for au_id in vms[0].au_ids:

@@ -8,7 +8,7 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.dram.timing import CXL_MEMORY_LATENCY_NS
 from repro.errors import AllocationError, ConfigurationError
-from repro.units import GIB, MIB
+from repro.units import GIB, MIB, s_to_ns
 
 
 @pytest.fixture
@@ -156,15 +156,15 @@ class TestRejectedAllocation:
 class TestPowerIntegration:
     def test_deallocation_powers_down(self, controller):
         vm = controller.allocate_vm(0, 1 * GIB)
-        transitions = controller.deallocate_vm(vm, now_s=100.0)
+        transitions = controller.deallocate_vm(vm, now_ns=s_to_ns(100.0))
         assert transitions
         assert controller.device.state_counts()[PowerState.MPSM] > 0
 
     def test_allocation_reactivates(self, controller):
         vm = controller.allocate_vm(0, 1 * GIB)
-        controller.deallocate_vm(vm, now_s=100.0)
+        controller.deallocate_vm(vm, now_ns=s_to_ns(100.0))
         mpsm_before = controller.device.state_counts()[PowerState.MPSM]
-        controller.allocate_vm(0, 2 * GIB, now_s=200.0)
+        controller.allocate_vm(0, 2 * GIB, now_ns=s_to_ns(200.0))
         assert controller.device.state_counts()[PowerState.MPSM] \
             < mpsm_before
 

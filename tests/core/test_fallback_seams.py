@@ -180,7 +180,7 @@ def test_profiling_channel_rank_in_mpsm_raises_at_same_access():
     assert safe_hsns, "need same-channel traffic on healthy ranks"
     for controller in (scalar, batch):
         controller.device.set_rank_state((channel, rank), PowerState.MPSM,
-                                         0.0)
+                                         0)
     bad_hsn = scalar.tables.hsn_of_dsn(target_dsn)
     hsn_seq = safe_hsns + [bad_hsn] + safe_hsns
     hpas = np.array([hsn * seg for hsn in hsn_seq], dtype=np.int64)

@@ -54,7 +54,7 @@ def free(layout, tables, allocator, au_id, host=0):
 class TestPowerDown:
     def test_empty_device_powers_down_to_minimum(self):
         _, device, _, _, _, policy = make_stack()
-        transitions = policy.maybe_power_down(0.0)
+        transitions = policy.maybe_power_down(0)
         assert policy.active_ranks_per_channel() == 1
         assert len(transitions) == 3
         counts = device.state_counts()
@@ -65,7 +65,7 @@ class TestPowerDown:
         migration = MigrationEngine(geometry)
         policy = RankPowerDownPolicy(device, allocator, tables, migration,
                                      DtlConfig(min_active_groups=2))
-        policy.maybe_power_down(0.0)
+        policy.maybe_power_down(0)
         assert policy.active_ranks_per_channel() == 2
 
     def test_no_power_down_when_capacity_needed(self):
@@ -74,7 +74,7 @@ class TestPowerDown:
         for au in range(28):  # 28 AUs x 8 segs = 224 of 512 segs... fill more
             allocate(layout, tables, allocator, policy, au)
         # 28 AUs x 16MiB = 448 MiB of 1 GiB: 224 segments of 512.
-        transitions = policy.maybe_power_down(0.0)
+        transitions = policy.maybe_power_down(0)
         # Free space = 288 segs = 2.25 rank-groups: two groups power down.
         assert policy.active_ranks_per_channel() == 2
         assert len(transitions) == 2
@@ -84,7 +84,7 @@ class TestPowerDown:
         for au in range(4):
             allocate(layout, tables, allocator, policy, au)
         # Ranks 0 hold data; ranks 1-3 are empty -> they become victims.
-        policy.maybe_power_down(0.0)
+        policy.maybe_power_down(0)
         for channel in range(4):
             assert device.rank(channel, 0).state is PowerState.STANDBY
 
@@ -97,7 +97,7 @@ class TestPowerDown:
         # Free the first 4 AUs so rank 0 has holes and rank 1 is light.
         for au in range(4):
             free(layout, tables, allocator, au)
-        transitions = policy.maybe_power_down(0.0)
+        transitions = policy.maybe_power_down(0)
         assert transitions
         migrated = sum(t.migrated_segments for t in transitions)
         # All remaining data fits in one rank per channel.
@@ -114,7 +114,7 @@ class TestPowerDown:
             allocate(layout, tables, allocator, policy, au)
         for au in range(4):
             free(layout, tables, allocator, au)
-        policy.maybe_power_down(0.0)
+        policy.maybe_power_down(0)
         # Every HSN of the surviving AUs still walks to a live DSN.
         for au in (4, 5):
             for offset in range(layout.segments_per_au):
@@ -132,13 +132,13 @@ class TestPowerDown:
         _, device, allocator, _, _, policy = make_stack()
         policy.policy = TwoVictims()
         with pytest.raises(ValueError, match="invalid victims"):
-            policy.maybe_power_down(0.0)
+            policy.maybe_power_down(0)
         assert allocator.open_ranks() == set(device.ranks)
         assert device.state_counts()[PowerState.MPSM] == 0
 
     def test_pair_granularity(self):
         _, device, _, _, _, policy = make_stack(group_granularity=2)
-        policy.maybe_power_down(0.0)
+        policy.maybe_power_down(0)
         assert policy.active_ranks_per_channel() == 2
         assert device.state_counts()[PowerState.MPSM] == 8
 
@@ -146,7 +146,7 @@ class TestPowerDown:
 class TestReactivation:
     def test_ensure_capacity_wakes_groups(self):
         geometry, device, allocator, layout, tables, policy = make_stack()
-        policy.maybe_power_down(0.0)
+        policy.maybe_power_down(0)
         assert policy.active_ranks_per_channel() == 1
         transitions = policy.ensure_capacity(
             2 * geometry.rank_group_segments, 10.0)
@@ -155,17 +155,17 @@ class TestReactivation:
 
     def test_ensure_capacity_noop_when_space_exists(self):
         _, _, _, _, _, policy = make_stack()
-        assert policy.ensure_capacity(4, 0.0) == []
+        assert policy.ensure_capacity(4, 0) == []
 
     def test_over_capacity_raises(self):
         geometry, _, _, _, _, policy = make_stack()
         with pytest.raises(AllocationError):
-            policy.ensure_capacity(geometry.total_segments + 4, 0.0)
+            policy.ensure_capacity(geometry.total_segments + 4, 0)
 
     def test_reactivation_pays_exit_penalty(self):
         _, _, _, _, _, policy = make_stack()
-        policy.maybe_power_down(0.0)
-        transitions = policy.ensure_capacity(10 ** 9 // (2 * MIB), 1.0)
+        policy.maybe_power_down(0)
+        transitions = policy.ensure_capacity(10 ** 9 // (2 * MIB), 1)
         assert any(t.exit_penalty_ns > 0 for t in transitions)
 
 
@@ -177,7 +177,7 @@ class TestInvariants:
             allocate(layout, tables, allocator, policy, au)
         for au in range(0, 8, 2):
             free(layout, tables, allocator, au)
-        policy.maybe_power_down(0.0)
+        policy.maybe_power_down(0)
         counts = {channel: device.standby_ranks_per_channel(channel)
                   for channel in range(4)}
         assert len(set(counts.values())) == 1
@@ -188,7 +188,7 @@ class TestInvariants:
             allocate(layout, tables, allocator, policy, au)
         for au in range(4):
             free(layout, tables, allocator, au)
-        policy.maybe_power_down(0.0)
+        policy.maybe_power_down(0)
         parked = [rank_id for rank_id in device.ranks
                   if allocator.role(rank_id) is RankRole.PARKED]
         assert parked

@@ -8,7 +8,7 @@ from repro.core.controller import DtlController
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.errors import AllocationError, PowerStateError
-from repro.units import GIB, MIB
+from repro.units import GIB, MIB, s_to_ns
 
 
 @pytest.fixture
@@ -26,11 +26,12 @@ class TestBasicRetirement:
 
     def test_retire_powered_down_rank(self, controller):
         vm = controller.allocate_vm(0, 256 * MIB)
-        controller.deallocate_vm(vm, now_s=1.0)  # parks idle rank-groups
+        # Parks idle rank-groups.
+        controller.deallocate_vm(vm, now_ns=s_to_ns(1.0))
         mpsm_rank = next(rank_id for rank_id, rank
                          in controller.device.ranks.items()
                          if rank.state is PowerState.MPSM)
-        record = controller.retire_rank(*mpsm_rank, now_s=2.0)
+        record = controller.retire_rank(*mpsm_rank, now_ns=s_to_ns(2.0))
         assert record.was_powered_down
         assert record.migrated_segments == 0
 
@@ -60,7 +61,7 @@ class TestDataEvacuation:
                       if controller.allocator.usage(rank_id).allocated > 0)
         hsns = [controller.tables.hsn_of_dsn(dsn) for dsn in
                 controller.allocator.allocated_in_rank(target)]
-        record = controller.retire_rank(*target, now_s=1.0)
+        record = controller.retire_rank(*target, now_ns=s_to_ns(1.0))
         assert record.migrated_segments == len(hsns)
         assert record.migrated_bytes == len(hsns) * 2 * MIB
         # Every evacuated segment is still mapped, on the same channel,
@@ -75,7 +76,7 @@ class TestDataEvacuation:
         vm = controller.allocate_vm(0, 512 * MIB)
         target = next(rank_id for rank_id in controller.device.ranks
                       if controller.allocator.usage(rank_id).allocated > 0)
-        controller.retire_rank(*target, now_s=1.0)
+        controller.retire_rank(*target, now_ns=s_to_ns(1.0))
         for au_index in vm.au_ids:
             for offset in range(0, 16, 4):
                 result = controller.access(
@@ -84,11 +85,11 @@ class TestDataEvacuation:
 
     def test_evacuation_wakes_capacity_if_needed(self, controller):
         """A full channel wakes a powered-down rank to absorb the data."""
-        vm = controller.allocate_vm(0, 1 * GIB, now_s=0.0)
-        controller.power_down.maybe_power_down(0.5)
+        vm = controller.allocate_vm(0, 1 * GIB, now_ns=0)
+        controller.power_down.maybe_power_down(s_to_ns(0.5))
         target = next(rank_id for rank_id in controller.device.ranks
                       if controller.allocator.usage(rank_id).allocated > 0)
-        record = controller.retire_rank(*target, now_s=1.0)
+        record = controller.retire_rank(*target, now_ns=s_to_ns(1.0))
         assert record.migrated_segments > 0
         # Reserved memory is intact.
         assert controller.reserved_bytes() == 1 * GIB
@@ -96,24 +97,24 @@ class TestDataEvacuation:
 
 class TestFencing:
     def test_retired_rank_never_reactivates(self, controller):
-        controller.retire_rank(0, 7, now_s=0.0)
+        controller.retire_rank(0, 7, now_ns=0)
         # Fill the device to force every reactivation possible.
-        controller.allocate_vm(0, 7 * GIB, now_s=1.0)
+        controller.allocate_vm(0, 7 * GIB, now_ns=s_to_ns(1.0))
         assert controller.device.rank(0, 7).state is PowerState.MPSM
         assert controller.allocator.usage((0, 7)).allocated == 0
 
     def test_new_allocations_skip_retired_rank(self, controller):
-        controller.retire_rank(1, 3, now_s=0.0)
-        vm = controller.allocate_vm(0, 2 * GIB, now_s=1.0)
+        controller.retire_rank(1, 3, now_ns=0)
+        vm = controller.allocate_vm(0, 2 * GIB, now_ns=s_to_ns(1.0))
         assert controller.allocator.usage((1, 3)).allocated == 0
 
     def test_over_capacity_with_retired_ranks(self, controller):
         """Retiring a rank genuinely shrinks what the device can hold."""
-        controller.retire_rank(0, 7, now_s=0.0)
+        controller.retire_rank(0, 7, now_ns=0)
         with pytest.raises(AllocationError):
             # 8 GiB device minus one 256 MiB rank cannot hold 8 GiB;
             # channel 0 runs out first.
-            controller.allocate_vm(0, 8 * GIB, now_s=1.0)
+            controller.allocate_vm(0, 8 * GIB, now_ns=s_to_ns(1.0))
 
     def test_quarantine_visible_in_policy(self, controller):
         controller.retire_rank(2, 5)

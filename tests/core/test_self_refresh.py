@@ -63,13 +63,13 @@ class TestVictimSelection:
     def test_needs_two_standby_ranks(self):
         _, device, _, _, _, _, policy = make_stack()
         for rank in range(1, 4):
-            device.set_rank_state((0, rank), PowerState.MPSM, 0.0)
+            device.set_rank_state((0, rank), PowerState.MPSM, 0)
         assert policy.start_profiling(0, 0.0) is None
         assert policy.phase(0) is ChannelPhase.IDLE
 
     def test_mpsm_ranks_never_candidates(self):
         _, device, _, _, _, _, policy = make_stack()
-        device.set_rank_state((0, 0), PowerState.MPSM, 0.0)
+        device.set_rank_state((0, 0), PowerState.MPSM, 0)
         policy.end_window()
         victim = policy.start_profiling(0, 0.0)
         assert victim != 0

@@ -49,7 +49,7 @@ def model_for(controller: DtlController):
         ranks_per_channel=geometry.ranks_per_channel,
         segment_bytes=geometry.segment_bytes,
         au_bytes=controller.config.au_bytes,
-        max_hosts=controller.config.max_hosts,
+        max_hosts=controller.host_layout.max_hosts,
         l1_smc_entries=controller.config.cache.l1_entries,
         l2_smc_entries=controller.config.cache.l2_entries)
 

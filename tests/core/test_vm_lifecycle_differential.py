@@ -23,7 +23,7 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.errors import AllocationError
 from repro.telemetry import EventKind
-from repro.units import MIB
+from repro.units import MIB, NS_PER_S
 
 from tests.core import per_au_controller_reference as per_au
 from tests.core.test_bulk_control_plane import control_plane_state
@@ -33,7 +33,7 @@ GEOMETRY = DramGeometry(channels=2, ranks_per_channel=4,
 AU_BYTES = 8 * MIB  # four segments, two per channel
 #: Clock advance per self-refresh tick; a channel left alone for
 #: ten of them enters self-refresh (50 ms profiling threshold).
-TICK_NS = 5e6
+TICK_NS = 5_000_000
 
 CONFIGS = {
     "power-down": {"enable_self_refresh": False},
@@ -60,27 +60,27 @@ class Twin:
         self.allocate, self.deallocate = allocate, deallocate
         self.vms = []
         self.returned = []
-        self.now_ns = 0.0
+        self.now_ns = 0
 
     def apply(self, operation) -> None:
         controller = self.controller
-        self.now_ns += 1e6
+        self.now_ns += 1_000_000
         kind, argument = operation[0], operation[-1]
         if kind == "allocate":
             self.vms.append(self.allocate(controller, operation[1],
                                           argument * AU_BYTES,
-                                          now_s=self.now_ns / 1e9))
+                                          now_ns=self.now_ns))
         elif kind == "free" and self.vms:
             vm = self.vms.pop(argument % len(self.vms))
             self.returned.append(self.deallocate(controller, vm,
-                                                 now_s=self.now_ns / 1e9))
+                                                 now_ns=self.now_ns))
         elif kind == "tick":
             for _ in range(argument):
                 self.now_ns += TICK_NS
                 controller.tick(self.now_ns)
                 controller.end_window()
         elif kind == "pump":
-            controller.pump_migrations(self.now_ns / 1e9, lines=argument)
+            controller.pump_migrations(self.now_ns, lines=argument)
 
     def state(self) -> dict:
         controller = self.controller
@@ -137,8 +137,8 @@ def test_allocation_wakes_ranks_in_the_per_au_order():
                                              au_bytes=AU_BYTES))
         for rank_id in controller.device.ranks:
             controller.device.set_rank_state(rank_id,
-                                             PowerState.SELF_REFRESH, 0.0)
-        vm = allocate(controller, 0, 16 * AU_BYTES, now_s=1.0)
+                                             PowerState.SELF_REFRESH, 0)
+        vm = allocate(controller, 0, 16 * AU_BYTES, now_ns=NS_PER_S)
         assert vm.au_ids == tuple(range(16))
         controllers.append(controller)
     per_vm, reference = controllers

@@ -5,7 +5,7 @@ import pytest
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import DramPowerModel, PowerState
-from repro.units import GIB
+from repro.units import GIB, NS_PER_S
 
 
 @pytest.fixture
@@ -13,10 +13,10 @@ def device():
     return DramDevice(geometry=DramGeometry(rank_bytes=1 * GIB))
 
 
-def set_group_state(device, group_index, state, now_s):
+def set_group_state(device, group_index, state, now_ns):
     """Move rank-group ``group_index`` (one rank per channel) to
     ``state``; returns the largest exit penalty (ns)."""
-    return max(device.set_rank_state((channel, group_index), state, now_s)
+    return max(device.set_rank_state((channel, group_index), state, now_ns)
                for channel in range(device.geometry.channels))
 
 
@@ -48,25 +48,25 @@ class TestLookups:
         assert all(r.index == 5 for r in group)
 
     def test_state_counts(self, device):
-        device.set_rank_state((0, 0), PowerState.MPSM, 0.0)
+        device.set_rank_state((0, 0), PowerState.MPSM, 0)
         counts = device.state_counts()
         assert counts[PowerState.MPSM] == 1
         assert counts[PowerState.STANDBY] == 31
 
     def test_standby_per_channel(self, device):
-        device.set_rank_state((1, 7), PowerState.SELF_REFRESH, 0.0)
+        device.set_rank_state((1, 7), PowerState.SELF_REFRESH, 0)
         assert device.standby_ranks_per_channel(1) == 7
         assert device.standby_ranks_per_channel(0) == 8
 
 
 class TestGroupTransitions:
     def test_rank_group_transition(self, device):
-        set_group_state(device, 3, PowerState.MPSM, 0.0)
+        set_group_state(device, 3, PowerState.MPSM, 0)
         assert all(device.rank(c, 3).state is PowerState.MPSM
                    for c in range(4))
 
     def test_group_exit_penalty(self, device):
-        set_group_state(device, 3, PowerState.MPSM, 0.0)
+        set_group_state(device, 3, PowerState.MPSM, 0)
         penalty = set_group_state(device, 3, PowerState.STANDBY, 1.0)
         assert penalty > 0
 
@@ -74,15 +74,15 @@ class TestGroupTransitions:
 class TestPowerAndEnergy:
     def test_background_power_drops_with_mpsm(self, device):
         before = device.background_power()
-        set_group_state(device, 0, PowerState.MPSM, 0.0)
+        set_group_state(device, 0, PowerState.MPSM, 0)
         assert device.background_power() < before
 
     def test_total_power_includes_bandwidth(self, device):
         assert device.total_power(10.0) > device.total_power(0.0)
 
     def test_energy_integration(self, device):
-        set_group_state(device, 0, PowerState.MPSM, 0.0)
-        device.finalize(now_s=100.0)
+        set_group_state(device, 0, PowerState.MPSM, 0)
+        device.finalize(now_ns=100 * NS_PER_S)
         energy = device.background_energy()
         # 28 standby ranks + 4 MPSM ranks for 100 s.
         assert energy == pytest.approx(100.0 * (28 + 4 * 0.068))

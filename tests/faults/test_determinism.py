@@ -34,7 +34,7 @@ def run_workload(seed: int, plan: FaultPlan | None) -> str:
             plan, registry=controller.metrics, trace=controller.trace))
     vm = controller.allocate_vm(0, 2 * MIB)
     rng = np.random.default_rng(seed)
-    now_s = 0.0
+    now_ns = 0
     segments_per_au = controller.host_layout.segments_per_au
     for _ in range(6):
         aus = rng.integers(0, len(vm.au_ids), size=64)
@@ -44,11 +44,11 @@ def run_workload(seed: int, plan: FaultPlan | None) -> str:
             [controller.hpa_of(vm.au_ids[a], int(s), int(line) * 64)
              for a, s, line in zip(aus, segs, lines)], dtype=np.uint64)
         writes = rng.random(64) < 0.25
-        controller.access_batch(0, hpas, writes, now_ns=now_s * 1e9)
-        now_s += 1e-5
-        controller.tick(now_s)
+        controller.access_batch(0, hpas, writes, now_ns=now_ns)
+        now_ns += 10_000
+        controller.tick(now_ns)
         controller.end_window()
-    return controller.telemetry_snapshot(now_s).to_json()
+    return controller.telemetry_snapshot(now_ns).to_json()
 
 
 @st.composite

@@ -110,7 +110,7 @@ class TestDramHook:
         class _Device:
             calls = []
 
-            def record_ecc_error(self, rank_id, bits=1, now_s=0.0):
+            def record_ecc_error(self, rank_id, bits=1, now_ns=0):
                 self.calls.append(rank_id)
                 return True
 

@@ -110,7 +110,7 @@ def state(shard: ControllerShard) -> dict:
                        [queued.old_dsn for queued in engine.queued(channel)]))
     return {
         "fingerprint": shard.fingerprint(),
-        "clock": shard.clock_ns.hex(),
+        "clock": (type(shard.clock_ns), shard.clock_ns),
         "audits": shard.audits,
         "violations": list(shard.violations),
         "report": injector.report().to_dict(),
@@ -176,7 +176,7 @@ def run_twins(lines: int, pump_lines: int, limit: int | None, specs: list,
             if op == "wait":
                 clock_s += args[0]
                 continue
-            clock_s += 1e-6 / 3  # a fractional clock_ns
+            clock_s += 1e-6 / 3  # a fractional ns, rounded on arrival
             replies = [apply(twin, live, op, args, clock_s)
                        for twin, live in zip((shard, oracle), lives)]
             if op == "allocate" and not isinstance(replies[0], str):
@@ -239,10 +239,11 @@ def test_the_chaos_plan_caps_a_shard_at_sixteen_aborts():
     assert shard.audits >= 16 and shard.violations == []
 
 
-def test_the_clock_takes_one_addition_per_round():
-    """A long drain from a fractional clock crosses many binades, where
-    one multiplication rounds differently from one addition per round;
-    the shard's clock is the twin's bit for bit all the same."""
+def test_a_long_drain_advances_the_clock_by_one_product():
+    """A long drain from an odd integer clock advances it by exactly
+    ``rounds * ACCESS_PERIOD_NS``, the product the shard takes in one
+    multiplication, and ends where the twin's one addition per round
+    does, bit for bit: integer addition is exact."""
     plan = FaultPlan(seed=0, name="clock", specs=(
         MigrationAbortFault(start=2, period=9, max_fires=4),))
     twins = (ControllerShard(0, config(64), fault_plan=plan),
@@ -254,11 +255,11 @@ def test_the_clock_takes_one_addition_per_round():
         twin.apply_free(vms[1])
         twin.apply_free(vms[3])  # leaves a whole rank group copying
         assert twin.controller.migration.pending_count()
-        twin.clock_ns = 1 / 3
+        twin.clock_ns = 2 ** 53 + 1  # odd, and past a float's integers
         twin.drain_migrations()
     shard, oracle = twins
-    assert shard.clock_ns.hex() == oracle.clock_ns.hex()
+    assert type(shard.clock_ns) is int and shard.clock_ns == oracle.clock_ns
     assert state(shard) == state(oracle)
-    rounds = round((shard.clock_ns - 1 / 3) / shards.ACCESS_PERIOD_NS)
-    assert rounds > 100
-    assert shard.clock_ns != 1 / 3 + rounds * shards.ACCESS_PERIOD_NS
+    rounds, rest = divmod(shard.clock_ns - (2 ** 53 + 1),
+                          shards.ACCESS_PERIOD_NS)
+    assert rest == 0 and rounds > 100

@@ -224,7 +224,7 @@ def test_an_exception_inside_a_look_ahead_goes_to_its_own_request():
                              "segments": (wanted * BATCH)[:BATCH],
                              "t": 1.0})
         controller.device.set_rank_state(victim, PowerState.MPSM,
-                                         shard.now_s)
+                                         shard.clock_ns)
         applied = shard.applied
         replies = await submit(server, requests, together)
         assert [reply.get("ok") for reply in replies] == [True, False, True]

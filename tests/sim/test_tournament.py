@@ -9,9 +9,10 @@ import pytest
 from repro.exec import ExecConfig
 from repro.sim.experiments import run_experiment
 from repro.sim.results import flatten_tournament
-from repro.sim.tournament import (PolicyTournament, TournamentCell,
-                                  TournamentConfig, TournamentResult,
-                                  cell_from_result, quick_tournament_config)
+from repro.sim.tournament import (TOURNAMENT_MIXES, PolicyTournament,
+                                  TournamentCell, TournamentConfig,
+                                  TournamentResult, cell_from_result,
+                                  quick_tournament_config)
 
 
 def cell(policy="paper", workload="mix0", savings=0.1, overhead=0.01,
@@ -115,14 +116,14 @@ class TestTournamentRun:
     def test_grid_covers_policies_times_mixes(self, result):
         config = result.config
         assert len(config.policies) >= 4
-        assert len(config.workloads) >= 2
+        assert len(TOURNAMENT_MIXES) >= 2
         assert not result.failures
         assert len(result.cells) == (len(config.policies)
-                                     * len(config.workloads))
+                                     * len(TOURNAMENT_MIXES))
         grid = {(cell.policy, cell.workload) for cell in result.cells}
         assert grid == {(policy, f"mix{index}")
                         for policy in config.policies
-                        for index in range(len(config.workloads))}
+                        for index in range(len(TOURNAMENT_MIXES))}
 
     def test_every_cell_simulated_something(self, result):
         for entry in result.cells:
@@ -160,7 +161,6 @@ class TestConfig:
         full, quick = TournamentConfig(), quick_tournament_config(seed=5)
         assert quick.duration_s < full.duration_s
         assert quick.policies == full.policies
-        assert quick.workloads == full.workloads
         assert quick.seed == 5
 
     def test_seeded_config_helpers(self):

@@ -7,7 +7,7 @@ from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
 from repro.dram import DramDevice, DramGeometry, PowerState
 from repro.host.caches import CacheHierarchy, CacheLevelConfig
-from repro.units import CACHELINE_BYTES, GIB, MIB
+from repro.units import CACHELINE_BYTES, GIB, MIB, s_to_ns
 from repro.workloads.cloudsuite import make_trace
 
 
@@ -27,12 +27,12 @@ class TestVmChurn:
         for step in range(40):
             if live and rng.random() < 0.45:
                 vm = live.pop(rng.integers(len(live)))
-                controller.deallocate_vm(vm, now_s=float(step))
+                controller.deallocate_vm(vm, now_ns=s_to_ns(step))
             else:
                 size = int(rng.choice([128, 256, 384])) * MIB
                 try:
                     live.append(controller.allocate_vm(
-                        int(rng.integers(4)), size, now_s=float(step)))
+                        int(rng.integers(4)), size, now_ns=s_to_ns(step)))
                 except Exception:
                     pass
             # Invariants after every step:
@@ -56,7 +56,7 @@ class TestVmChurn:
     def test_power_states_track_occupancy(self, controller):
         big = controller.allocate_vm(0, 4 * GIB)
         full_mpsm = controller.device.state_counts()[PowerState.MPSM]
-        controller.deallocate_vm(big, now_s=10.0)
+        controller.deallocate_vm(big, now_ns=s_to_ns(10.0))
         empty_mpsm = controller.device.state_counts()[PowerState.MPSM]
         assert empty_mpsm > full_mpsm
 
@@ -94,9 +94,10 @@ class TestTraceThroughFullStack:
     def test_accesses_never_hit_mpsm_ranks(self, controller):
         """The allocation policy guarantees MPSM ranks hold no data, so
         no access can ever reach them."""
-        vm = controller.allocate_vm(0, 1 * GIB, now_s=0.0)
-        filler = controller.allocate_vm(0, 2 * GIB, now_s=1.0)
-        controller.deallocate_vm(filler, now_s=2.0)  # triggers power-down
+        vm = controller.allocate_vm(0, 1 * GIB, now_ns=0)
+        filler = controller.allocate_vm(0, 2 * GIB, now_ns=s_to_ns(1.0))
+        # Triggers power-down.
+        controller.deallocate_vm(filler, now_ns=s_to_ns(2.0))
         mpsm_ranks = {rank_id for rank_id, rank
                       in controller.device.ranks.items()
                       if rank.state is PowerState.MPSM}
@@ -159,7 +160,7 @@ class TestEndToEndEnergyStory:
             geometry=geometry, au_bytes=128 * MIB, group_granularity=2))
         dtl.allocate_vm(0, 8 * GIB)
         extra = dtl.allocate_vm(0, 4 * GIB)
-        dtl.deallocate_vm(extra, now_s=1.0)
+        dtl.deallocate_vm(extra, now_ns=s_to_ns(1.0))
 
         assert dtl.device.background_power() < \
             static.background_power()

@@ -108,8 +108,6 @@ NO_CALLER_IN_SRC = {
         "tests: reads back what --output writes (tests/sim/test_results.py)",
     "repro.units.format_bytes":
         "examples/capacity_planning.py and benchmarks/ (Table 5 sizes)",
-    "repro.units.ns_to_s": "tests: tests/test_units.py",
-    "repro.units.s_to_ns": "tests: tests/test_units.py",
     "repro.workloads.cloudsuite.make_trace":
         "benchmarks/ (Table 4, Fig. 9, the segment-size ablation) and tests",
 }

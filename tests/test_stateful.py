@@ -17,7 +17,7 @@ from repro.core.config import DtlConfig
 from repro.core.controller import DtlController
 from repro.dram.geometry import DramGeometry
 from repro.errors import AllocationError, PowerStateError
-from repro.units import MIB
+from repro.units import MIB, s_to_ns
 
 
 class DtlMachine(RuleBasedStateMachine):
@@ -32,24 +32,24 @@ class DtlMachine(RuleBasedStateMachine):
             geometry=DramGeometry(channels=2, ranks_per_channel=4,
                                   rank_bytes=64 * MIB),
             au_bytes=16 * MIB,
-            profiling_threshold_ns=1e6,
+            profiling_threshold_ns=1_000_000,
             background_migration=self.background_migration))
         self.checker = ConsistencyChecker(self.controller)
         self.vms = []
         self.clock_s = 0.0
-        self.clock_ns = 0.0
+        self.clock_ns = 0
         self.retired = 0
 
     def _advance(self, seconds: float = 1.0):
         self.clock_s += seconds
-        self.clock_ns += seconds * 1e9
+        self.clock_ns = s_to_ns(self.clock_s)
 
     @rule(host=st.integers(0, 3), aus=st.integers(1, 6))
     def allocate(self, host, aus):
         self._advance()
         try:
             vm = self.controller.allocate_vm(host, aus * 16 * MIB,
-                                             now_s=self.clock_s)
+                                             now_ns=self.clock_ns)
             self.vms.append(vm)
         except AllocationError:
             pass  # device full: legitimate
@@ -59,7 +59,7 @@ class DtlMachine(RuleBasedStateMachine):
     def deallocate(self, index):
         self._advance()
         vm = self.vms.pop(index % len(self.vms))
-        self.controller.deallocate_vm(vm, now_s=self.clock_s)
+        self.controller.deallocate_vm(vm, now_ns=self.clock_ns)
 
     @precondition(lambda self: self.vms)
     @rule(index=st.integers(0, 10 ** 6), offset=st.integers(0, 10 ** 6),
@@ -84,7 +84,7 @@ class DtlMachine(RuleBasedStateMachine):
     def retire(self, channel, rank):
         self._advance()
         try:
-            self.controller.retire_rank(channel, rank, now_s=self.clock_s)
+            self.controller.retire_rank(channel, rank, now_ns=self.clock_ns)
             self.retired += 1
         except (AllocationError, PowerStateError):
             pass  # already retired, or no room to evacuate
@@ -119,7 +119,7 @@ class BackgroundDtlMachine(DtlMachine):
           busy=st.sets(st.integers(0, 1)))
     def pump(self, lines, busy):
         self._advance(0.01)
-        self.controller.pump_migrations(self.clock_s, lines=lines,
+        self.controller.pump_migrations(self.clock_ns, lines=lines,
                                         busy_channels=busy)
 
     @invariant()

@@ -22,7 +22,7 @@ from repro.dram.geometry import DramGeometry
 from repro.errors import ConfigurationError
 from repro.telemetry import (DEFAULT_TRACE_CAPACITY, EventKind, EventTrace,
                              Histogram, MetricsRegistry, Snapshot)
-from repro.units import GIB, MIB
+from repro.units import GIB, MIB, s_to_ns
 
 
 class TestRegistry:
@@ -238,15 +238,15 @@ def controller():
 
 def exercise(controller):
     """Allocate, touch memory, deallocate: generates telemetry."""
-    vm_a = controller.allocate_vm(0, 1 * GIB, now_s=0.0)
-    vm_b = controller.allocate_vm(1, 256 * MIB, now_s=1.0)
+    vm_a = controller.allocate_vm(0, 1 * GIB, now_ns=0)
+    vm_b = controller.allocate_vm(1, 256 * MIB, now_ns=s_to_ns(1.0))
     for au_id in vm_a.au_ids[:4]:
         for offset in range(8):
             controller.access(0, controller.hpa_of(au_id, offset),
                               is_write=(offset % 2 == 0))
     for offset in range(8):
         controller.access(1, controller.hpa_of(vm_b.au_ids[0], offset))
-    controller.deallocate_vm(vm_a, now_s=50.0)
+    controller.deallocate_vm(vm_a, now_ns=s_to_ns(50.0))
     controller.end_window()
     return vm_b
 
@@ -300,7 +300,7 @@ class TestControllerIntegration:
 
     def test_snapshot_contains_required_sections(self, controller):
         exercise(controller)
-        snapshot = controller.telemetry_snapshot(now_s=100.0)
+        snapshot = controller.telemetry_snapshot(now_ns=s_to_ns(100.0))
         data = snapshot.to_dict()
         # SMC hit ratios.
         assert 0.0 <= data["gauges"]["smc.l1.hit_ratio"] <= 1.0
@@ -319,7 +319,8 @@ class TestControllerIntegration:
 
     def test_snapshot_is_json_serialisable(self, controller):
         exercise(controller)
-        text = controller.telemetry_snapshot(now_s=100.0).to_json(indent=2)
+        text = controller.telemetry_snapshot(
+            now_ns=s_to_ns(100.0)).to_json(indent=2)
         assert json.loads(text)["counters"]["dtl.accesses"] \
             == controller.access_count
 

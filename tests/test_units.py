@@ -23,6 +23,11 @@ class TestConversions:
     def test_s_to_ns(self):
         assert units.s_to_ns(2.0) == 2_000_000_000
 
+    def test_s_to_ns_rounds_to_an_int_once(self):
+        assert type(units.s_to_ns(2.0)) is int
+        assert units.s_to_ns(1e-6 / 3) == 333
+        assert units.s_to_ns(0.0100000002) == 10_000_000
+
     def test_roundtrip(self):
         assert units.ns_to_s(units.s_to_ns(3.5)) == pytest.approx(3.5)
 
