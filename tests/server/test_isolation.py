@@ -167,6 +167,11 @@ class TestRejectionPurity:
         pytest.param("t", json.loads("1e400"), id="t-1e400"),
         pytest.param("t", json.loads("-Infinity"), id="t-minus-infinity"),
         pytest.param("t", json.loads("1" + "0" * 400), id="t-bigint"),
+        # Finite, but with no integer-nanosecond clock reading.
+        pytest.param("t", 1e300, id="t-1e300"),
+        pytest.param("t", -1e300, id="t-minus-1e300"),
+        pytest.param("allocate.t", 1e300, id="allocate-t-1e300"),
+        pytest.param("free.t", 1e300, id="free-t-1e300"),
         pytest.param("allocate.t", json.loads("Infinity"),
                      id="allocate-t-infinity"),
         pytest.param("allocate.t", json.loads("NaN"), id="allocate-t-nan"),
@@ -182,7 +187,8 @@ class TestRejectionPurity:
         server boundary: not coerced and served, not an ``internal``
         error from inside the shard, and nothing is charged for them.
         ``bytes``, ``vm`` and ``t`` refuse booleans the same way, and
-        ``t`` anything that is not a finite number."""
+        ``t`` anything that is not a finite number of seconds within
+        ``MAX_REQUEST_T_S``."""
         first, second, target = colliding_names(2)
 
         async def scenario():
