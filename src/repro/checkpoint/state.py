@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 #: Format version; bump whenever the serialised state layout changes.
-CHECKPOINT_VERSION = 16
+CHECKPOINT_VERSION = 17
 
 #: Identifies a checkpoint file's header dict on disk.
 _FILE_FORMAT = "repro-checkpoint"

@@ -37,6 +37,8 @@ from repro.units import GIB, is_power_of_two, log2_int
 
 DEFAULT_AU_BYTES = 2 * GIB
 DEFAULT_MAX_HOSTS = 16  # Table 5 sizes structures "to support 16 hosts".
+# The ufunc itself: ``ndarray.max`` goes through a Python-level wrapper.
+_MAX = np.maximum.reduce
 
 
 @dataclass(frozen=True)
@@ -143,16 +145,36 @@ class HostAddressLayout:
     # -- batch codecs ---------------------------------------------------------
 
     def split_hpa_batch(self, hpas: np.ndarray,
+                        host_id: int | np.ndarray | None = None,
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`hsn_of_hpa` and :meth:`offset_of_hpa` over
         an int64 HPA array: ``(hsns, offsets)``, the input validated and
         read once.
+
+        With ``host_id`` (one, or one per element) the HSNs are packed
+        with it as :meth:`pack_hsn` would.  One reduction of the HPAs
+        read as unsigned refuses a negative HPA and an AU ID out of
+        range; AU and byte offsets are in range by construction.
         """
         hpas = np.asarray(hpas, dtype=np.int64)
-        if len(hpas) and int(hpas.min()) < 0:
+        top = int(_MAX(hpas.view(np.uint64))) if len(hpas) else 0
+        if top >> 63:
             raise AddressError("negative HPA in batch")
-        return (hpas >> self.segment_offset_bits,
-                hpas & (self.geometry.segment_bytes - 1))
+        bits = self.geometry.segment_offset_bits
+        hsns, offsets = hpas >> bits, hpas & (self.geometry.segment_bytes - 1)
+        if host_id is None:
+            return hsns, offsets
+        if type(host_id) is np.ndarray:  # a column, one host per element
+            host_id = host_id.astype(np.int64, copy=False)
+            if len(host_id) and int(_MAX(host_id.view(np.uint64))) \
+                    >= self.max_hosts:
+                raise AddressError("host_id out of range in batch")
+        elif not 0 <= host_id < self.max_hosts:
+            raise AddressError(f"host_id {host_id} out of range")
+        if top >> (bits + self.au_offset_bits) >= self.max_aus_per_host:
+            raise AddressError("au_id out of range in batch")
+        return (hsns | (host_id << (self.au_id_bits + self.au_offset_bits)),
+                offsets)
 
     def pack_hsn_batch(self, host_id: int | np.ndarray, au_ids: np.ndarray,
                        au_offsets: np.ndarray) -> np.ndarray:
@@ -314,8 +336,9 @@ class DeviceAddressLayout:
         """Vectorised :meth:`unpack_dsn`: ``(channels, ranks, indices)``."""
         geo = self.geometry
         dsns = np.asarray(dsns, dtype=np.int64)
-        if len(dsns) and not (0 <= int(dsns.min())
-                              and int(dsns.max()) < geo.total_segments):
+        # Read as unsigned, a negative DSN is out of range too.
+        if len(dsns) and int(_MAX(dsns.view(np.uint64))) \
+                >= geo.total_segments:
             raise AddressError("DSN out of range in batch")
         return (dsns & self.channel_mask,
                 (dsns >> self.rank_shift) & self.rank_mask,
@@ -326,9 +349,8 @@ class DeviceAddressLayout:
         """Vectorised :meth:`dpa_of` over paired DSN/offset arrays."""
         dsns = np.asarray(dsns, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
-        if len(offsets) and not (0 <= int(offsets.min())
-                                 and int(offsets.max())
-                                 < self.geometry.segment_bytes):
+        if len(offsets) and int(_MAX(offsets.view(np.uint64))) \
+                >= self.geometry.segment_bytes:
             raise AddressError("offset out of range in batch")
         return (dsns << self.geometry.segment_offset_bits) | offsets
 

@@ -77,9 +77,10 @@ class AccessResult:
 class BatchAccessResult:
     """Outcome of one vectorised batch of host accesses (array-of-struct).
 
-    Every field is an array with one element per input HPA, in input
-    order; ``result[i]`` fields equal the :class:`AccessResult` the
-    scalar path would have produced for the same access.
+    Every field but the total is an array with one element per input
+    HPA, in input order; ``result[i]`` fields equal the
+    :class:`AccessResult` the scalar path would have produced for the
+    same access.
     """
 
     hpas: np.ndarray
@@ -92,14 +93,11 @@ class BatchAccessResult:
     smc_l2_hits: np.ndarray
     wake_penalty_ns: np.ndarray
     routed_to_new_dsn: np.ndarray
+    #: ``latency_ns.sum()``, as the call took it for its telemetry.
+    total_latency_ns: float
 
     def __len__(self) -> int:
         return len(self.hpas)
-
-    @property
-    def total_latency_ns(self) -> float:
-        """Sum of per-access latencies."""
-        return float(self.latency_ns.sum())
 
 
 @dataclass
@@ -458,11 +456,7 @@ class DtlController:
         :meth:`serve_call`, one call's slice at a time
         (:meth:`LookAhead.call`).
         """
-        host = self.host_layout
-        hsn_locals, offsets = host.split_hpa_batch(hpas)
-        au_ids = hsn_locals // host.segments_per_au
-        au_offsets = hsn_locals % host.segments_per_au
-        hsns = host.pack_hsn_batch(host_ids, au_ids, au_offsets)
+        hsns, offsets = self.host_layout.split_hpa_batch(hpas, host_ids)
         fires = ()
         if self._faults is not None:
             # Hook: smc.lookup (entry corruption), every fire among these
@@ -588,14 +582,15 @@ class DtlController:
             self.trace.record_tail(EventKind.ACCESS, time=now_ns, hsn=hsns,
                                    dsn=dsns, write=writes,
                                    latency_ns=latency_ns)
+        total = float(np.add.reduce(latency_ns))  # ``latency_ns.sum()``
         call.served.append((n, num_writes, num_redirects,
                             self._access_latency.buckets_of(latency_ns),
-                            float(latency_ns.sum())))
+                            total))
         return BatchAccessResult(
             hpas=call.hpas, dsns=dsns, dpas=dpas, channels=channels,
             ranks=ranks, latency_ns=latency_ns, smc_l1_hits=call.l1_hits,
             smc_l2_hits=call.l2_hits, wake_penalty_ns=wake_ns,
-            routed_to_new_dsn=routed_new)
+            routed_to_new_dsn=routed_new, total_latency_ns=total)
 
     def _fold_served(self, served: list) -> None:
         """The ``dtl.*`` telemetry of the calls in ``served``, in one

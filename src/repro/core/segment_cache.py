@@ -64,15 +64,15 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.int64)
     if not len(keys):
         return np.empty(0, dtype=np.intp)
-    low = keys.min()
-    span = int(keys.max()) - int(low)
+    low = np.minimum.reduce(keys)
+    span = int(np.maximum.reduce(keys)) - int(low)
     # The int64 offsets wrap past 2**63; read as uint64 they are exact.
-    order = np.argsort((keys - low).astype(np.uint16), kind="stable")
+    order = (keys - low).astype(np.uint16).argsort(kind="stable")
     shift = 16
     while span >> shift:
         digit = ((keys[order] - low).view(np.uint64)
                  >> np.uint64(shift)).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
+        order = order[digit.argsort(kind="stable")]
         shift += 16
     return order
 
@@ -408,21 +408,34 @@ class SegmentMappingCache:
     def invalidate_batch(self, hsns: list[int] | np.ndarray) -> int:
         """:meth:`invalidate` for every element of ``hsns`` in order.
 
-        Returns how many were resident.  A non-resident HSN costs one
-        dict probe per level and an empty cache costs nothing — the
-        control plane tears down whole VMs whose segments were mostly
-        never accessed.  Resident HSNs go through :meth:`invalidate`
-        itself, so the per-level counters and the ``SMC_INVALIDATE``
-        events match the element-wise loop.
+        Returns how many were resident.  An HSN costs one dict pop per
+        level and an empty cache costs nothing — the control plane tears
+        down whole VMs at once.  The per-level counters advance once,
+        and the ``SMC_INVALIDATE`` events of the resident HSNs go in as
+        one columnar run, so both match the element-wise loop.
         """
-        in_l1, l2 = self.l1._map, self.l2
-        if not in_l1 and not l2._count:
+        l1_map, l2 = self.l1._map, self.l2
+        if not l1_map and not l2._count:
             return 0
         if isinstance(hsns, np.ndarray):
             hsns = hsns.tolist()
         rows, sets = l2._sets, l2.sets
-        return sum(self.invalidate(hsn) for hsn in hsns
-                   if hsn in rows[hsn % sets] or hsn in in_l1)
+        dropped: list[int] = []
+        from_l1 = from_l2 = 0
+        for hsn in hsns:
+            in_l1 = l1_map.pop(hsn, None) is not None
+            in_l2 = rows[hsn % sets].pop(hsn, None) is not None
+            if in_l1 or in_l2:
+                dropped.append(hsn)
+                from_l1 += in_l1
+                from_l2 += in_l2
+        l2._count -= from_l2
+        self.l1.stats._invalidations.inc(from_l1)
+        l2.stats._invalidations.inc(from_l2)
+        if dropped and self._trace is not None:
+            self._trace.record_tail(EventKind.SMC_INVALIDATE,
+                                    hsn=np.array(dropped, dtype=np.int64))
+        return len(dropped)
 
     # -- batch datapath -------------------------------------------------------
 
@@ -459,12 +472,12 @@ class SegmentMappingCache:
         the stable order of the whole batch (:func:`stable_order`, a
         radix sort of 16-bit digits: one counting pass for every key
         span below 2**16).  That order yields, for every position, its
-        previous occurrence (``prev``) and a dense distinct ID
-        (``uid``): a position starts a distinct of the chunk beginning
-        at ``start`` iff its ``prev`` lies before ``start``, and ``uid``
-        maps every position of the chunk to its distinct with one
-        scatter and one gather.  A served 128-access request is the
-        base case: one pass through the loop below.
+        previous and next occurrence (``prev``, ``following``) and a
+        dense distinct ID (``uid``): a position starts a distinct of the
+        chunk ``[start, end)`` iff its ``prev`` lies before ``start``,
+        and is its last occurrence there iff its ``following`` lies at
+        or past ``end``.  A served request is the base case: one pass
+        through the loop below.
 
         An HSN resolves to one DSN for the whole call: nothing here
         remaps a segment, a fire's ``drop()`` only invalidates, and the
@@ -484,70 +497,65 @@ class SegmentMappingCache:
         entries = l1.entries
         order = stable_order(hsns)
         sorted_hsns = hsns[order]
-        repeat = sorted_hsns[1:] == sorted_hsns[:-1]
-        group = np.zeros(n, dtype=np.int64)
-        np.cumsum(~repeat, out=group[1:])
+        starts = sorted_hsns[1:] != sorted_hsns[:-1]
+        group = np.empty(n, dtype=np.int64)
+        group[0] = 0
+        np.add.accumulate(starts, dtype=np.int64, out=group[1:])
         uid = np.empty(n, dtype=np.int64)
         uid[order] = group
+        # Previous and next occurrence; -1 and n where there is none.
+        before, after = order[:-1], order[1:]
         prev = np.empty(n, dtype=np.int64)
-        prev[order[1:]] = order[:-1]
+        prev[after] = before
         prev[order[0]] = -1
-        prev[order[1:][~repeat]] = -1
+        prev[after[starts]] = -1
+        following = np.empty(n, dtype=np.int64)
+        following[before] = after
+        following[order[-1]] = n
+        following[before[starts]] = n
         # The outputs outlive the call, so they are allocated after the
         # sort's scratch (the DSNs last of all, as one gather): allocated
         # first, they left glibc's heap too fragmented for the caller's
-        # later large arrays (docs/PERF.md, "Dict-ordered chunks").  Hit
-        # classes start as "repeat": each chunk flips the first
-        # occurrence of every distinct it inserted into L1.
-        out_l1, out_l2 = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
-        # Scratch: uid -> chunk distinct index (only entries written by
-        # the current chunk are ever read back), and uid -> DSN.
-        num_uids = int(group[-1]) + 1
-        uid_to_d = np.empty(num_uids, dtype=np.int64)
-        uid_dsn = np.empty(num_uids, dtype=np.int64)
+        # later large arrays (docs/PERF.md, "Dict-ordered chunks").  Each
+        # access's level (0 L1, 1 L2, 2 table walk) starts as "repeat",
+        # an L1 hit: each chunk sets the first occurrence of every
+        # distinct it inserted into L1.
+        levels = np.zeros(n, dtype=np.int8)
+        uid_dsn = np.empty(int(group[-1]) + 1, dtype=np.int64)
         max_window = 4 * self.config.l2_entries
-        arange = np.arange(min(n, max_window) + 1)
         window = min(n, max_window)
         start = fire = 0
         cut = fires[0][0] + 1 if fires else n
         while start < n:
             span = min(window, cut - start)
-            d_rel = np.flatnonzero(prev[start:start + span] < start)
+            d_rel = (prev[start:start + span] < start).nonzero()[0]
             if len(d_rel) > entries:
                 # L1 capacity: the chunk ends where the (entries+1)-th
                 # distinct would appear.
                 span = int(d_rel[entries])
                 d_rel = d_rel[:entries]
-            d_pos = start + d_rel
+            d_pos = d_rel + start
             d_hsns = hsns[d_pos].tolist()
-            vals, promos, fills = self._run_chunk(d_hsns, resolve,
-                                                  resolve_batch)
+            vals, chunk_levels = self._run_chunk(d_hsns, resolve,
+                                                 resolve_batch)
             num_d = len(vals)
             if num_d < len(d_hsns):
                 # The chunk ended where its first unrun distinct appears.
                 span = int(d_rel[num_d])
             end = start + span
-            d_uids = uid[d_pos[:num_d]]
-            uid_dsn[d_uids] = vals
-            uid_to_d[d_uids] = arange[:num_d]
-            d_of_pos = uid_to_d[uid[start:end]]
-            last = np.empty(num_d, dtype=np.int64)
-            last[d_of_pos] = arange[:span]
-            is_last = np.zeros(span, dtype=bool)
-            is_last[last] = True
-            # Every repeat was an L1 hit: the kept distincts end at the
-            # MRU end in last-occurrence order.
-            for i in d_of_pos[is_last].tolist():
-                hsn = d_hsns[i]
-                l1_map[hsn] = l1_map.pop(hsn)
-            inserted = promos + fills
-            l1.stats._hits.inc(span - len(inserted))
-            if inserted:
-                l1.stats._misses.inc(len(inserted))
-                self.l2.stats._hits.inc(len(promos))
-                self.l2.stats._misses.inc(len(fills))
-                out_l1[d_pos[inserted]] = False
-                out_l2[d_pos[promos]] = True
+            uid_dsn[uid[d_pos[:num_d]]] = vals
+            # Every repeat was an L1 hit: the kept distincts go back in
+            # at the MRU end in last-occurrence order.
+            last = (following[start:end] >= end).nonzero()[0] + start
+            l1_map.update(zip(hsns[last].tolist(),
+                              uid_dsn[uid[last]].tolist()))
+            promoted, filled = chunk_levels.count(1), chunk_levels.count(2)
+            l1.stats._hits.inc(span - promoted - filled)
+            if promoted or filled:
+                l1.stats._misses.inc(promoted + filled)
+                self.l2.stats._hits.inc(promoted)
+                self.l2.stats._misses.inc(filled)
+                levels[d_pos[:num_d]] = chunk_levels
             # Adapt the window to the workload so the distinct scan
             # stays proportional to the chunk actually consumed.
             window = min(max_window, max(256, 4 * span))
@@ -558,10 +566,10 @@ class SegmentMappingCache:
                     fires[fire][1]()
                     fire += 1
                 cut = fires[fire][0] + 1 if fire < len(fires) else n
-        return uid_dsn[uid], out_l1, out_l2
+        return uid_dsn[uid], levels == 0, levels == 1
 
     def _run_chunk(self, d_hsns: list[int], resolve, resolve_batch,
-                   ) -> tuple[list[int], list[int], list[int]]:
+                   ) -> tuple[list[int], list[int]]:
         """Run a chunk's distinct HSNs, in first-occurrence order,
         against both levels.
 
@@ -574,6 +582,10 @@ class SegmentMappingCache:
         one ``resolve_batch`` call; a chunk-entry resident an earlier
         fill evicted walks them through ``resolve`` at its turn.
 
+        A distinct once run leaves L1 instead of moving to its MRU end
+        (it still counts towards capacity), so L1's LRU is the victim;
+        the caller puts the run ones back in last-occurrence order.
+
         Doing only the first occurrences is exact because the caller
         keeps at most ``l1_entries`` distincts, so a touched entry is
         never L1's LRU, and because L1 hits do not move L2 recency.
@@ -581,42 +593,44 @@ class SegmentMappingCache:
         is a distinct it already touched (its later repeats would
         miss), so the chunk ends before the distinct that needs that
         fill; the first distinct never does.  Returns the kept
-        distincts' DSNs and the indices of the promoted and the filled
-        ones.
+        distincts' DSNs and the level each was served from: 0 an L1 hit,
+        1 promoted from L2, 2 filled from the tables.
         """
         l1_map = self.l1._map
         vals = list(map(l1_map.get, d_hsns))
+        levels = [0] * len(vals)
         if None not in vals:
-            return vals, [], []
+            list(map(l1_map.pop, d_hsns))
+            return vals, levels
+        first = vals.index(None)
+        list(map(l1_map.pop, d_hsns[:first]))
         l2 = self.l2
         rows, sets, ways = l2._sets, l2.sets, l2.ways
-        misses = [i for i, hsn in enumerate(d_hsns)
-                  if vals[i] is None and hsn not in rows[hsn % sets]]
+        misses = [hsn for hsn, dsn in zip(d_hsns[first:], vals[first:])
+                  if dsn is None and hsn not in rows[hsn % sets]]
         walked = {}
         if misses:
-            candidates = [d_hsns[i] for i in misses]
             if resolve_batch is not None:
                 found = resolve_batch(
-                    np.array(candidates, dtype=np.int64)).tolist()
+                    np.array(misses, dtype=np.int64)).tolist()
             else:
-                found = [int(resolve(hsn)) for hsn in candidates]
+                found = [int(resolve(hsn)) for hsn in misses]
             walked = dict(zip(misses, found))
         capacity = self.l1.entries
         trace = self._trace
         index_of = None
-        promos: list[int] = []
-        fills: list[int] = []
         back_invalidations = 0
-        for i, hsn in enumerate(d_hsns):
-            dsn = l1_map.pop(hsn, None)
-            if dsn is not None:
-                l1_map[hsn] = dsn
-                continue
+        for i, hsn in enumerate(d_hsns[first:], first):
+            # Only an L1 resident at chunk entry can still be one.
+            if vals[i] is not None:
+                dsn = l1_map.pop(hsn, None)
+                if dsn is not None:
+                    continue
             row = rows[hsn % sets]
             dsn = row.pop(hsn, None)
             if dsn is not None:
                 row[hsn] = dsn
-                promos.append(i)
+                levels[i] = 1
             else:
                 victim = next(iter(row)) if len(row) >= ways else None
                 if victim is not None:
@@ -624,7 +638,7 @@ class SegmentMappingCache:
                         index_of = dict(zip(d_hsns, range(len(d_hsns))))
                     if index_of.get(victim, i) < i:
                         break  # the victim is a distinct already run
-                dsn = walked.get(i)
+                dsn = walked.get(hsn)
                 if dsn is None:
                     dsn = int(resolve(hsn))
                 if victim is None:
@@ -637,29 +651,19 @@ class SegmentMappingCache:
                         trace.record(EventKind.SMC_EVICT, hsn=victim,
                                      dsn=victim_dsn, level="l2")
                 row[hsn] = dsn
-                fills.append(i)
+                levels[i] = 2
                 if trace is not None:
                     trace.record(EventKind.SMC_FILL, hsn=hsn, dsn=dsn)
-            if len(l1_map) >= capacity:
+            if len(l1_map) + i >= capacity:  # the i run ones count too
                 del l1_map[next(iter(l1_map))]
-            l1_map[hsn] = dsn
             vals[i] = dsn
         else:
             i = len(d_hsns)
-        del vals[i:]
+        del vals[i:], levels[i:]
         if back_invalidations:
             self.l1.stats._invalidations.inc(back_invalidations)
             self._back_invalidations.inc(back_invalidations)
-        return vals, promos, fills
-
-    def latency_ns_batch(self, l1_hits: np.ndarray,
-                         l2_hits: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`hit_latency_ns` over hit-class arrays."""
-        config = self.config
-        return np.where(
-            l1_hits, config.l1_hit_ns,
-            np.where(l2_hits, config.l1_hit_ns + config.l2_hit_ns,
-                     config.miss_probe_ns))
+        return vals, levels
 
     def hit_latency_ns(self, result: LookupResult) -> float:
         """Latency contribution of the cache portion of a lookup."""

@@ -62,6 +62,13 @@ class TranslationEngine:
         self.smc = SegmentMappingCache(cache_config, registry=registry,
                                        trace=trace)
         self.table_dram_latency_ns = table_dram_latency_ns
+        # :meth:`translate_hsn`'s sums by hit class, ``[l1_hit, l2_hit]``
+        # (never both): one gather prices a batch bit-identically.
+        config = self.smc.config
+        self._class_latency_ns = np.array(
+            [[config.miss_probe_ns + self.miss_penalty_ns,
+              config.l1_hit_ns + config.l2_hit_ns],
+             [config.l1_hit_ns, config.l1_hit_ns]])
         self._translations = registry.counter("translation.count")
         self._table_walks = registry.counter("translation.table_walks")
         self._latency_total = registry.counter("translation.latency_total_ns")
@@ -138,19 +145,21 @@ class TranslationEngine:
         dsns, l1_hits, l2_hits = self.smc.lookup_batch(
             hsns, _resolve, resolve_batch=self.tables.walk_batch,
             fires=fires)
-        latencies = self.smc.latency_ns_batch(l1_hits, l2_hits)
-        misses = ~(l1_hits | l2_hits)
-        if misses.any():
-            latencies = latencies + misses * self.miss_penalty_ns
-            self._table_walks.inc(int(misses.sum()))
-        self._translations.inc(len(dsns))
-        slices = stops or (len(dsns),)
+        n = len(dsns)
+        latencies = self._class_latency_ns[l1_hits.view(np.uint8),
+                                           l2_hits.view(np.uint8)]
+        walks = n - int(np.count_nonzero(l1_hits | l2_hits))
+        if walks:
+            self._table_walks.inc(walks)
+        self._translations.inc(n)
+        slices = stops or (n,)
         if fires:
             slices = sorted({*slices, *(offset + 1 for offset, _ in fires)})
         sums = []
         start = 0
         for stop in slices:
-            total = float(latencies[start:stop].sum())
+            # ``ndarray.sum``'s pairwise summation, minus its wrapper.
+            total = float(np.add.reduce(latencies[start:stop]))
             self._latency_total.inc(total)
             if stop > start:
                 sums.append(total)

@@ -76,10 +76,13 @@ class ErrorCode(str, Enum):
     INTERNAL = "internal"
 
 
+#: ``json.dumps`` with these options would build an encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def encode(message: dict[str, Any]) -> bytes:
     """Serialise one frame: compact JSON plus the line terminator."""
-    return (json.dumps(message, sort_keys=True,
-                       separators=(",", ":")) + "\n").encode()
+    return (_ENCODER.encode(message) + "\n").encode()
 
 
 def decode_line(line: bytes | str) -> dict[str, Any]:

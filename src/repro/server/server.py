@@ -452,7 +452,8 @@ class DtlServer:
         segment_array = self._column_of("segments", segments, np.int64)
         layout = shard.controller.host_layout
         limit = len(vm.au_ids) * layout.segments_per_au
-        if segment_array.min() < 0 or segment_array.max() >= limit:
+        # Read as unsigned, a negative index is out of range too.
+        if np.maximum.reduce(segment_array.view(np.uint64)) >= limit:
             raise _RequestError(Rejection(
                 ErrorCode.OUT_OF_RANGE,
                 f"segment index outside the VM's 0..{limit - 1} range"))
@@ -467,8 +468,8 @@ class DtlServer:
             line_array = self._column_of("lines", lines, np.int64)
             lines_per_segment = \
                 shard.controller.geometry.segment_bytes // 64
-            if line_array.min() < 0 or \
-                    line_array.max() >= lines_per_segment:
+            if np.maximum.reduce(line_array.view(np.uint64)) \
+                    >= lines_per_segment:
                 raise _RequestError(Rejection(
                     ErrorCode.OUT_OF_RANGE,
                     f"line index outside 0..{lines_per_segment - 1}"))
@@ -488,7 +489,7 @@ class DtlServer:
         self._accesses.inc(n)
         return ok_response(
             "access_batch", request, n=n,
-            total_latency_ns=float(result.latency_ns.sum()),
+            total_latency_ns=result.total_latency_ns,
             wake_ns=float(result.wake_penalty_ns.sum()),
             smc_l1_hits=int(np.count_nonzero(result.smc_l1_hits)),
             smc_l2_hits=int(np.count_nonzero(result.smc_l2_hits)),

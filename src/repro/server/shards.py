@@ -145,12 +145,8 @@ class ControllerShard:
             items = [await queue.get()]
             while not queue.empty():
                 items.append(queue.get_nowait())
-            try:
-                if self._serve(items):
-                    return
-            finally:
-                for _ in items:
-                    queue.task_done()
+            if self._serve(items):
+                return
 
     def _serve(self, items: list) -> bool:
         """Serve what the apply task found queued, in order; True once
@@ -161,12 +157,13 @@ class ControllerShard:
         while index < len(items):
             if items[index] is _STOP:
                 return True
-            count = self._quiet_prefix(items, index)
-            if count > 1:
-                self._apply_lookahead(items[index:index + count])
+            calls = self._quiet_prefix(items, index)
+            if len(calls) > 1:
+                self._apply_lookahead(items[index:index + len(calls)], calls)
+                index += len(calls)
             else:
                 self._serve_one(items[index])
-            index += count
+                index += 1
         return False
 
     @staticmethod
@@ -327,7 +324,7 @@ class ControllerShard:
         segments = np.concatenate([call[1] for call in calls])
         lines = np.concatenate([call[2] for call in calls])
         au_ids = np.array(table, dtype=np.int64)[
-            np.repeat(bases, lengths) + (segments >> shift)]
+            np.array(bases).repeat(lengths) + (segments >> shift)]
         hsn_local = (au_ids << shift) + (segments & ((1 << shift) - 1))
         return (hsn_local << layout.segment_offset_bits) + lines * 64
 
@@ -342,14 +339,17 @@ class ControllerShard:
 
     # -- look-ahead --------------------------------------------------------
 
-    def _quiet_prefix(self, items: list, index: int) -> int:
-        """How many queued requests from ``items[index]`` on one
-        look-ahead may serve: consecutive, uncancelled calls of this
-        shard's own :meth:`apply_access_batch` against live VMs, as far
-        as :meth:`DtlController.look_ahead_calls` vouches for the hooks
-        between them.  One means ``items[index]`` is served on its own."""
+    def _quiet_prefix(self, items: list, index: int) -> list[tuple]:
+        """The arguments (:func:`_access_call`) of the queued requests
+        from ``items[index]`` on that one look-ahead may serve:
+        consecutive, uncancelled calls of this shard's own
+        :meth:`apply_access_batch` against live VMs, as far as
+        :meth:`DtlController.look_ahead_calls` vouches for the hooks
+        between them.  Fewer than two means ``items[index]`` is served
+        on its own."""
         if len(items) - index < 2:
-            return 1  # nothing queued behind it: today's path, untouched
+            return []  # nothing queued behind it: today's path, untouched
+        calls: list[tuple] = []
         lengths: list[int] = []
         ticks_ns: list[int] = []
         clock_ns = now_ns = self.clock_ns
@@ -361,30 +361,33 @@ class ControllerShard:
             fn, args, future = item
             if fn != self.apply_access_batch or future.cancelled():
                 break
-            vm, segments, _, _, t_s = _access_call(*args)
-            if not self.controller.is_live(vm):
+            call = _access_call(*args)
+            if not self.controller.is_live(call[0]):
                 break
             # The clock apply_access_batch would serve it at, and tick on
             # (a ``t`` beyond any nanosecond ends the run: alone, it raises).
             try:
-                clock_ns = self._observed(clock_ns, t_s)
+                clock_ns = self._observed(clock_ns, call[4])
             except (OverflowError, ValueError):
                 break
             if not lengths:
                 now_ns = clock_ns
-            clock_ns += len(segments) * ACCESS_PERIOD_NS
-            lengths.append(len(segments))
+            length = len(call[1])
+            clock_ns += length * ACCESS_PERIOD_NS
+            calls.append(call)
+            lengths.append(length)
             ticks_ns.append(clock_ns)
-            held += len(segments)
-        if len(lengths) < 2:
-            return 1
-        return self.controller.look_ahead_calls(lengths, ticks_ns, now_ns)
+            held += length
+        if len(calls) < 2:
+            return []
+        return calls[:self.controller.look_ahead_calls(lengths, ticks_ns,
+                                                       now_ns)]
 
-    def _apply_lookahead(self, run: list) -> None:
-        """Serve ``run`` — at least two calls :meth:`_quiet_prefix`
-        vouched for — through one look-ahead, each exactly as
-        :meth:`apply_access_batch` would have on its own: its clock,
-        its slice, its hooks, its audit.
+    def _apply_lookahead(self, run: list, calls: list[tuple]) -> None:
+        """Serve ``run`` — at least two queued requests whose arguments
+        :meth:`_quiet_prefix` vouched for as ``calls`` — through one
+        look-ahead, each exactly as :meth:`apply_access_batch` would have
+        on its own: its clock, its slice, its hooks, its audit.
 
         An exception is delivered to the request whose slice raised, and
         the requests after it are still served from the look-ahead: a
@@ -393,13 +396,12 @@ class ControllerShard:
         look-ahead itself raise, the run is served one by one.
         """
         controller = self.controller
-        calls = [_access_call(*args) for _, args, _ in run]
         lengths = [len(call[1]) for call in calls]
         stops = list(itertools.accumulate(lengths))
         hpas = self._hpas_of(calls, lengths)
         try:
             ahead = controller.look_ahead(
-                np.repeat([call[0].host_id for call in calls], lengths),
+                np.array([call[0].host_id for call in calls]).repeat(lengths),
                 hpas, stops)
         except Exception:  # served singly, the raiser gets its own
             for item in run:

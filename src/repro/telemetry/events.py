@@ -91,18 +91,19 @@ class EventTrace:
     """Bounded ring buffer of :class:`TraceEvent` records.
 
     Events arrive one at a time (:meth:`record`) or as a columnar run
-    (:meth:`record_tail`); a run stays columnar until the ring is read,
-    so recording it builds no per-event objects.
+    (:meth:`record_tail`); each stays as it came until the ring is read,
+    so recording builds no :class:`TraceEvent` objects.
     """
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY):
         self.capacity = capacity
-        # Oldest first, one segment per single event or columnar block,
+        # Oldest first, one segment per single event (a ``(kind, time,
+        # data)`` row until the ring is read) or columnar block,
         # ``_held`` events in all.  Once they reach twice the capacity
         # the segments the readable window no longer needs leave in one
         # pass (:meth:`_trim`), so appending never rebuilds anything and
         # the ring holds at most a few ``capacity`` of events.
-        self._segments: deque[TraceEvent | _EventBlock] = deque()
+        self._segments: deque[tuple | _EventBlock] = deque()
         self._held = 0
         self._tally: TallyCounter = TallyCounter()
         self.recorded = 0
@@ -123,18 +124,15 @@ class EventTrace:
         """
         return NullEventTrace()
 
-    def record(self, kind: EventKind, time: int = 0,
-               **data: Any) -> TraceEvent:
+    def record(self, kind: EventKind, time: int = 0, **data: Any) -> None:
         """Append one event; oldest events fall off past ``capacity``."""
-        event = TraceEvent(kind=kind, time=time, data=data)
         # ``_value_`` is ``value`` without the enum property's call.
         self._tally[kind._value_] += 1
         self.recorded += 1
-        self._segments.append(event)
+        self._segments.append((kind, time, data))
         self._held += 1
         if self._held >= 2 * self.capacity:
             self._trim()
-        return event
 
     def record_tail(self, kind: EventKind, time: int = 0,
                     **columns: np.ndarray) -> None:
@@ -191,7 +189,7 @@ class EventTrace:
             if type(segment) is _EventBlock:
                 held.extend(segment.events())
             else:
-                held.append(segment)
+                held.append(TraceEvent(*segment))
         window = held[len(held) - len(self):]
         if kind is None:
             return window
@@ -232,9 +230,8 @@ class NullEventTrace(EventTrace):
     def enabled(self) -> bool:
         return False
 
-    def record(self, kind: EventKind, time: int = 0,
-               **data: Any) -> TraceEvent:
-        return TraceEvent(kind=kind, time=time, data=data)
+    def record(self, kind: EventKind, time: int = 0, **data: Any) -> None:
+        pass
 
     def record_tail(self, kind: EventKind, time: int = 0,
                     **columns: np.ndarray) -> None:

@@ -95,10 +95,12 @@ def fires(controller: DtlController, point: HookPoint) -> int:
 
 def concat(parts: list[BatchAccessResult]) -> BatchAccessResult:
     """Consecutive sub-batch results joined back into one batch."""
-    return BatchAccessResult(**{
-        column.name: np.concatenate([getattr(part, column.name)
-                                     for part in parts])
-        for column in dataclasses.fields(BatchAccessResult)})
+    columns = {column.name: np.concatenate([getattr(part, column.name)
+                                            for part in parts])
+               for column in dataclasses.fields(BatchAccessResult)
+               if column.name != "total_latency_ns"}
+    return BatchAccessResult(
+        **columns, total_latency_ns=float(columns["latency_ns"].sum()))
 
 
 # -- property: hypothesis-drawn plans ----------------------------------------

@@ -155,13 +155,15 @@ def test_refused_restore_leaves_the_server_untouched(tmp_path, write_file,
 def test_look_ahead_tallies_stay_out_of_the_checkpoint(tmp_path):
     """``lookaheads`` / ``lookahead_calls`` depend on arrival timing, so
     they are neither fingerprinted nor pickled: they add no field to
-    the blob (the format version is 16 for the integer-nanosecond
-    clock, was 15 for the config fields that became constants, 14 for
+    the blob (the format version is 17 for the translation engine's
+    hit-class price table and the event ring's row segments, was 16 for
+    the integer-nanosecond clock, 15 for the config fields that became
+    constants, 14 for
     the event ring's segments, 13 for the fan-outs' shared run state and
     12 for the migration engine's weak completion callback,
     docs/CHECKPOINT.md, not for them), and a server restored from it
     starts its tallies again."""
-    assert CHECKPOINT_VERSION == 16
+    assert CHECKPOINT_VERSION == 17
     path = str(tmp_path / "server.ckpt")
     ops = script()
     accesses = [op for op in ops if op["op"] == "access_batch"]
